@@ -118,8 +118,8 @@ crashtest:
 bench-recovery:
 	$(GO) run ./cmd/quepa-bench -fig recovery
 
-# Short fuzzing pass over the parsers, the index persistence formats, and the
-# binary wire-frame decoder.
+# Short fuzzing pass over the parsers, the index persistence formats, the
+# binary wire-frame decoder, and the response encoder against encoding/json.
 fuzz:
 	$(GO) test ./internal/core -fuzz=FuzzParseGlobalKey -fuzztime=15s -run='^$$'
 	$(GO) test ./internal/stores/relstore -fuzz=FuzzParse -fuzztime=15s -run='^$$'
@@ -127,6 +127,7 @@ fuzz:
 	$(GO) test ./internal/aindex -fuzz=FuzzJSONRoundTrip -fuzztime=15s -run='^$$'
 	$(GO) test ./internal/aindex -fuzz=FuzzReadSnapshot -fuzztime=15s -run='^$$'
 	$(GO) test ./internal/wire -fuzz=FuzzDecodeFrame -fuzztime=15s -run='^$$'
+	$(GO) test ./cmd/quepa-server -fuzz=FuzzEncodeObject -fuzztime=15s -run='^$$'
 
 # One figure: make figures FIG=11ab
 FIG ?= all

@@ -58,6 +58,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -125,8 +126,8 @@ type server struct {
 	// server; an evicted signature simply decides from zero features again.
 	opt           *optimizer.Adaptive
 	optMu         sync.Mutex
-	lastSeen      map[string]lastRun
-	lastSeenOrder []string
+	lastSeen      map[queryKey]lastRun
+	lastSeenOrder []queryKey
 
 	// EXPLAIN profile ring plus the 1-in-K background sampler.
 	explainBuf   *explain.Buffer
@@ -140,6 +141,13 @@ type server struct {
 
 type lastRun struct {
 	result, augmented int
+}
+
+// queryKey identifies a query for lastSeen: comparable, so looking it up
+// builds no string.
+type queryKey struct {
+	db, q string
+	level int
 }
 
 // maxLastSeen bounds the per-signature feature memory, mirroring the
@@ -167,7 +175,7 @@ func newServer(built *workload.Built, cfg augment.Config, explainCap, explainEve
 		tracker:      aindex.NewPathTracker(built.Index, aindex.DefaultPromotionPolicy),
 		res:          res,
 		opt:          optimizer.NewAdaptive(),
-		lastSeen:     map[string]lastRun{},
+		lastSeen:     map[queryKey]lastRun{},
 		explainBuf:   explain.NewBuffer(explainCap),
 		explainEvery: explainEvery,
 		sessions:     map[string]*augment.Exploration{},
@@ -534,12 +542,34 @@ func (w *statusWriter) WriteHeader(code int) {
 	w.ResponseWriter.WriteHeader(code)
 }
 
+// statusCounters are the series one (route, status) pair increments.
+type statusCounters struct {
+	requests *telemetry.Counter
+	// errors is the per-route series the SLO engine reads: 5xx responses
+	// spend error budget no matter how fast they were produced. nil below 500.
+	errors *telemetry.Counter
+}
+
+func newStatusCounters(route string, code int) *statusCounters {
+	c := &statusCounters{requests: telemetry.NewCounter("quepa_http_requests_total",
+		"HTTP requests served by route and status",
+		telemetry.L("route", route), telemetry.L("code", strconv.Itoa(code)))}
+	if code >= 500 {
+		c.errors = telemetry.NewCounter(slo.ErrorCounter, "HTTP 5xx responses by route",
+			telemetry.L("route", route))
+	}
+	return c
+}
+
 // instrument wraps a handler with a per-route latency histogram, a per-route
 // and per-status request counter, and a root span that lands in the
-// slow-query log when the request crosses the threshold.
+// slow-query log when the request crosses the threshold. The counters are
+// resolved in the registry on first sight of a status and kept, so a series
+// still appears in /metrics only once its status was served.
 func (s *server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	hist := telemetry.NewHistogram("quepa_http_request_duration_seconds",
 		"latency of HTTP requests by route", nil, telemetry.L("route", route))
+	var byCode sync.Map // status code -> *statusCounters
 	return func(w http.ResponseWriter, r *http.Request) {
 		ctx, span := telemetry.StartSpan(r.Context(), "http "+route)
 		span.SetAttr("url", r.URL.String())
@@ -549,13 +579,14 @@ func (s *server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 		hist.Since(start)
 		span.SetAttr("status", strconv.Itoa(sw.code))
 		span.End()
-		telemetry.NewCounter("quepa_http_requests_total", "HTTP requests served by route and status",
-			telemetry.L("route", route), telemetry.L("code", strconv.Itoa(sw.code))).Inc()
-		// The SLO engine reads this per-route series: 5xx responses spend
-		// error budget no matter how fast they were produced.
-		if sw.code >= 500 {
-			telemetry.NewCounter(slo.ErrorCounter, "HTTP 5xx responses by route",
-				telemetry.L("route", route)).Inc()
+		v, ok := byCode.Load(sw.code)
+		if !ok {
+			v, _ = byCode.LoadOrStore(sw.code, newStatusCounters(route, sw.code))
+		}
+		counters := v.(*statusCounters)
+		counters.requests.Inc()
+		if counters.errors != nil {
+			counters.errors.Inc()
 		}
 		// start is the zero time when telemetry is off — no clock reads then.
 		if !start.IsZero() {
@@ -624,12 +655,12 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	minMS, err := floatParam(r, "min_ms", 0)
+	q := r.URL.Query()
+	minMS, err := floatParam(q, "min_ms", 0)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	q := r.URL.Query()
 	route := q.Get("route")
 	traceID := q.Get("trace_id")
 	store := q.Get("store")
@@ -691,6 +722,8 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// writeJSON serves the cold, free-form endpoints (/stats, /databases,
+// /healthz, /debug/*) and errors; the hot routes encode through encode.go.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -701,27 +734,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-type objectJSON struct {
-	Key    string            `json:"key"`
-	Fields map[string]string `json:"fields"`
-	Prob   float64           `json:"prob,omitempty"`
-	Dist   int               `json:"dist,omitempty"`
-}
-
-func toJSON(o core.Object) objectJSON {
-	return objectJSON{Key: o.GK.String(), Fields: o.Fields}
-}
-
-func augmentedJSON(aos []augment.AugmentedObject) []objectJSON {
-	out := make([]objectJSON, len(aos))
-	for i, ao := range aos {
-		out[i] = toJSON(ao.Object)
-		out[i].Prob = ao.Prob
-		out[i].Dist = ao.Dist
-	}
-	return out
 }
 
 func (s *server) handleDatabases(w http.ResponseWriter, r *http.Request) {
@@ -745,8 +757,8 @@ func (s *server) handleDatabases(w http.ResponseWriter, r *http.Request) {
 // intParam parses a non-negative integer query parameter, returning def when
 // the parameter is absent. Non-numeric or negative values are an error —
 // never silently defaulted — so a typo'd request fails loudly with a 400.
-func intParam(r *http.Request, name string, def int) (int, error) {
-	vs, ok := r.URL.Query()[name]
+func intParam(q url.Values, name string, def int) (int, error) {
+	vs, ok := q[name]
 	if !ok {
 		return def, nil
 	}
@@ -760,8 +772,8 @@ func intParam(r *http.Request, name string, def int) (int, error) {
 
 // boolParam parses a boolean query parameter (1/0/true/false), returning
 // false when absent. Anything else is an error, in line with intParam.
-func boolParam(r *http.Request, name string) (bool, error) {
-	vs, ok := r.URL.Query()[name]
+func boolParam(q url.Values, name string) (bool, error) {
+	vs, ok := q[name]
 	if !ok {
 		return false, nil
 	}
@@ -776,8 +788,8 @@ func boolParam(r *http.Request, name string) (bool, error) {
 
 // floatParam parses a non-negative finite float parameter, returning def
 // when absent.
-func floatParam(r *http.Request, name string, def float64) (float64, error) {
-	vs, ok := r.URL.Query()[name]
+func floatParam(q url.Values, name string, def float64) (float64, error) {
+	vs, ok := q[name]
 	if !ok {
 		return def, nil
 	}
@@ -790,8 +802,8 @@ func floatParam(r *http.Request, name string, def float64) (float64, error) {
 
 // probParam parses a probability parameter in [0, 1], returning def when
 // absent. NaN and ±Inf parse as floats but are rejected explicitly.
-func probParam(r *http.Request, name string, def float64) (float64, error) {
-	vs, ok := r.URL.Query()[name]
+func probParam(q url.Values, name string, def float64) (float64, error) {
+	vs, ok := q[name]
 	if !ok {
 		return def, nil
 	}
@@ -804,30 +816,30 @@ func probParam(r *http.Request, name string, def float64) (float64, error) {
 }
 
 func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	db := r.URL.Query().Get("db")
-	q := r.URL.Query().Get("q")
+	params := r.URL.Query()
+	db, q := params.Get("db"), params.Get("q")
 	if db == "" || q == "" {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("db and q parameters are required"))
 		return
 	}
-	level, err := intParam(r, "level", 0)
+	level, err := intParam(params, "level", 0)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	// Optional presentation controls (the paper's colors/rankings): minp
 	// filters by probability, topk truncates the ranking.
-	minProb, err := probParam(r, "minp", 0)
+	minProb, err := probParam(params, "minp", 0)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	topK, err := intParam(r, "topk", 0)
+	topK, err := intParam(params, "topk", 0)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	explainOn, err := boolParam(r, "explain")
+	explainOn, err := boolParam(params, "explain")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -847,26 +859,31 @@ func (s *server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.observe(db, q, level, answer, time.Since(start))
-	original := make([]objectJSON, len(answer.Original))
-	for i, o := range answer.Original {
-		original[i] = toJSON(o)
-	}
 	ranked := answer.Rank(minProb, topK)
 	rec.RankPruned(len(answer.Augmented) - len(ranked))
-	resp := map[string]any{
-		"original":  original,
-		"augmented": augmentedJSON(ranked),
+	buf := bodyPool.Get().(*[]byte)
+	body, err := appendSearch(*buf, answer.Original, ranked, answer.Degraded,
+		s.finishProfile(rec, len(answer.Original)+len(ranked), explainOn))
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
 	}
-	if answer.Partial() {
-		resp["degraded"] = answer.Degraded
+	sendBody(w, buf, body)
+}
+
+// finishProfile closes a request's EXPLAIN recorder (nil when the request is
+// not profiled), files the profile in the /debug/explain ring, and returns
+// it for the response only when the client asked with explain=1.
+func (s *server) finishProfile(rec *explain.Recorder, objects int, attach bool) *explain.Profile {
+	p := rec.Finish(objects)
+	if p == nil {
+		return nil
 	}
-	if p := rec.Finish(len(answer.Original) + len(ranked)); p != nil {
-		s.explainBuf.Add(p)
-		if explainOn {
-			resp["explain"] = p
-		}
+	s.explainBuf.Add(p)
+	if !attach {
+		return nil
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return p
 }
 
 // sampled implements -explain-sample: profile every K-th request even when
@@ -882,7 +899,7 @@ func (s *server) sampled() bool {
 func (s *server) chooseConfig(db, q string, level int) explain.Decision {
 	s.optMu.Lock()
 	defer s.optMu.Unlock()
-	last := s.lastSeen[querySignature(db, q, level)]
+	last := s.lastSeen[queryKey{db, q, level}]
 	f := optimizer.QueryFeatures{
 		ResultSize:    last.result,
 		AugmentedSize: last.augmented,
@@ -905,7 +922,7 @@ func (s *server) observe(db, q string, level int, answer *augment.Answer, elapse
 		Level:         level,
 		NumStores:     s.built.Poly.Size(),
 	}
-	sig := querySignature(db, q, level)
+	sig := queryKey{db, q, level}
 	s.optMu.Lock()
 	if _, known := s.lastSeen[sig]; !known {
 		if len(s.lastSeenOrder) >= maxLastSeen {
@@ -921,10 +938,6 @@ func (s *server) observe(db, q string, level int, answer *augment.Answer, elapse
 	s.opt.Log(optimizer.RunLog{Features: f, Config: cfg, Duration: elapsed})
 }
 
-func querySignature(db, q string, level int) string {
-	return db + "\x00" + q + "\x00" + strconv.Itoa(level)
-}
-
 func (s *server) handleObject(w http.ResponseWriter, r *http.Request) {
 	gk, err := core.ParseGlobalKey(r.URL.Query().Get("key"))
 	if err != nil {
@@ -936,22 +949,13 @@ func (s *server) handleObject(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	type link struct {
-		Key  string  `json:"key"`
-		Type string  `json:"type"`
-		Prob float64 `json:"prob"`
-	}
-	var links []link
-	for _, rel := range s.built.Index.Neighbors(gk) {
-		links = append(links, link{Key: rel.To.String(), Type: rel.Type.String(), Prob: rel.Prob})
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"object": toJSON(obj), "links": links})
+	buf := bodyPool.Get().(*[]byte)
+	sendBody(w, buf, appendObjectLinks(*buf, obj, s.built.Index.Neighbors(gk)))
 }
 
 func (s *server) handleExploreStart(w http.ResponseWriter, r *http.Request) {
-	db := r.URL.Query().Get("db")
-	q := r.URL.Query().Get("q")
-	sess, start, err := s.aug.Explore(r.Context(), db, q, s.tracker)
+	params := r.URL.Query()
+	sess, start, err := s.aug.Explore(r.Context(), params.Get("db"), params.Get("q"), s.tracker)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -961,15 +965,11 @@ func (s *server) handleExploreStart(w http.ResponseWriter, r *http.Request) {
 	id := strconv.Itoa(s.nextID)
 	s.sessions[id] = sess
 	s.mu.Unlock()
-	original := make([]objectJSON, len(start))
-	for i, o := range start {
-		original[i] = toJSON(o)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"session": id, "objects": original})
+	buf := bodyPool.Get().(*[]byte)
+	sendBody(w, buf, appendExploreStart(*buf, id, start))
 }
 
-func (s *server) session(r *http.Request) (*augment.Exploration, error) {
-	id := r.URL.Query().Get("session")
+func (s *server) session(id string) (*augment.Exploration, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sess, ok := s.sessions[id]
@@ -980,17 +980,18 @@ func (s *server) session(r *http.Request) (*augment.Exploration, error) {
 }
 
 func (s *server) handleExploreStep(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.session(r)
+	params := r.URL.Query()
+	sess, err := s.session(params.Get("session"))
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	gk, err := core.ParseGlobalKey(r.URL.Query().Get("key"))
+	gk, err := core.ParseGlobalKey(params.Get("key"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	explainOn, err := boolParam(r, "explain")
+	explainOn, err := boolParam(params, "explain")
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -1007,38 +1008,28 @@ func (s *server) handleExploreStep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	resp := map[string]any{"links": augmentedJSON(links)}
-	if degraded := sess.Degraded(); len(degraded) > 0 {
-		resp["degraded"] = degraded
+	buf := bodyPool.Get().(*[]byte)
+	body, err := appendStep(*buf, links, sess.Degraded(), s.finishProfile(rec, len(links), explainOn))
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, err)
+		return
 	}
-	if p := rec.Finish(len(links)); p != nil {
-		s.explainBuf.Add(p)
-		if explainOn {
-			resp["explain"] = p
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	sendBody(w, buf, body)
 }
 
 func (s *server) handleExploreFinish(w http.ResponseWriter, r *http.Request) {
-	sess, err := s.session(r)
+	id := r.URL.Query().Get("session")
+	sess, err := s.session(id)
 	if err != nil {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
 	promoted := sess.Finish()
 	s.mu.Lock()
-	delete(s.sessions, r.URL.Query().Get("session"))
+	delete(s.sessions, id)
 	s.mu.Unlock()
-	writeJSON(w, http.StatusOK, map[string]any{"promoted": promoted, "path": pathStrings(sess.Path())})
-}
-
-func pathStrings(path []core.GlobalKey) []string {
-	out := make([]string, len(path))
-	for i, gk := range path {
-		out[i] = gk.String()
-	}
-	return out
+	buf := bodyPool.Get().(*[]byte)
+	sendBody(w, buf, appendExploreFinish(*buf, promoted, sess.Path()))
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {

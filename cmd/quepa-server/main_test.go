@@ -7,11 +7,13 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"quepa/internal/augment"
 	"quepa/internal/explain"
 	"quepa/internal/resilience"
+	"quepa/internal/telemetry"
 	"quepa/internal/workload"
 )
 
@@ -376,6 +378,50 @@ func TestRoutesInstrumented(t *testing.T) {
 	}
 }
 
+// TestRoutesConcurrent serves good and bad searches from several goroutines
+// at once — the per-route counter table fills on first sight of a status and
+// the optimizer's ring log wraps, both under contention — and checks no
+// request went uncounted. Meant for -race.
+func TestRoutesConcurrent(t *testing.T) {
+	s := newTestServer(t)
+	s.opt.MaxLogs = 16
+	s.opt.RetrainEvery = 8
+	mux := s.routes()
+	good := "/search?db=transactions&level=1&q=" + url.QueryEscape("SELECT * FROM inventory WHERE seq < 2")
+	count := func(code string) uint64 {
+		return telemetry.Default().CounterValue("quepa_http_requests_total",
+			telemetry.L("route", "/search"), telemetry.L("code", code))
+	}
+	ok0, bad0 := count("200"), count("400")
+	const workers, each = 8, 25
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				for target, want := range map[string]int{good: http.StatusOK, "/search?db=ghost&q=x": http.StatusBadRequest} {
+					rec := httptest.NewRecorder()
+					mux.ServeHTTP(rec, httptest.NewRequest("GET", target, nil))
+					if rec.Code != want {
+						t.Errorf("GET %s = %d, want %d", target, rec.Code, want)
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := count("200") - ok0; got != workers*each {
+		t.Errorf("counted %d 200s, served %d", got, workers*each)
+	}
+	if got := count("400") - bad0; got != workers*each {
+		t.Errorf("counted %d 400s, served %d", got, workers*each)
+	}
+	if n := s.opt.LogCount(); n != 16 {
+		t.Errorf("ring holds %d runs after %d searches, want 16", n, workers*each)
+	}
+}
+
 // TestLastSeenBounded: the per-signature feature memory must not grow past
 // maxLastSeen under high-cardinality query traffic; the oldest (first-seen)
 // signatures are evicted, updates to known signatures don't consume slots.
@@ -394,10 +440,10 @@ func TestLastSeenBounded(t *testing.T) {
 	if len(s.lastSeen) != maxLastSeen || len(s.lastSeenOrder) != maxLastSeen {
 		t.Fatalf("lastSeen size = %d (order %d), want %d", len(s.lastSeen), len(s.lastSeenOrder), maxLastSeen)
 	}
-	if _, ok := s.lastSeen[querySignature("transactions", "SELECT 0", 0)]; ok {
+	if _, ok := s.lastSeen[queryKey{"transactions", "SELECT 0", 0}]; ok {
 		t.Error("oldest signature survived past the bound")
 	}
-	if _, ok := s.lastSeen[querySignature("transactions", "SELECT "+strconv.Itoa(maxLastSeen), 0)]; !ok {
+	if _, ok := s.lastSeen[queryKey{"transactions", "SELECT " + strconv.Itoa(maxLastSeen), 0}]; !ok {
 		t.Error("newest signature missing")
 	}
 }

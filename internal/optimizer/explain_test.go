@@ -1,11 +1,13 @@
 package optimizer
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"quepa/internal/augment"
+	"quepa/internal/explain"
 	"quepa/internal/telemetry"
 )
 
@@ -136,26 +138,142 @@ func TestChooseParity(t *testing.T) {
 	}
 }
 
+// keptRuns returns the ResultSize of every run in the log, oldest first.
+func keptRuns(a *Adaptive) []int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	var out []int
+	for _, r := range a.chronological() {
+		out = append(out, r.Features.ResultSize)
+	}
+	return out
+}
+
+func numberedRun(i int) RunLog {
+	return RunLog{
+		Features: QueryFeatures{ResultSize: i},
+		Config:   augment.Config{Strategy: augment.Batch, BatchSize: 10},
+		Duration: time.Millisecond,
+	}
+}
+
+// wantRuns fails the test unless the log holds exactly the runs from..to.
+func wantRuns(t *testing.T, a *Adaptive, from, to int) {
+	t.Helper()
+	got := keptRuns(a)
+	if len(got) != to-from+1 || a.LogCount() != len(got) {
+		t.Fatalf("kept %v (count %d), want %d..%d", got, a.LogCount(), from, to)
+	}
+	for i, v := range got {
+		if v != from+i {
+			t.Fatalf("kept %v, want %d..%d in order", got, from, to)
+		}
+	}
+}
+
+// TestMaxLogsTrims: the newest MaxLogs runs are the ones kept, in order, and
+// stay so while the ring wraps around several times over.
 func TestMaxLogsTrims(t *testing.T) {
 	a := NewAdaptive()
 	a.MaxLogs = 10
 	for i := 0; i < 35; i++ {
-		a.Log(RunLog{
-			Features: QueryFeatures{ResultSize: i},
-			Config:   augment.Config{Strategy: augment.Batch, BatchSize: 10},
-			Duration: time.Millisecond,
-		})
+		a.Log(numberedRun(i))
 	}
-	if n := a.LogCount(); n != 10 {
-		t.Fatalf("log count = %d, want 10", n)
+	wantRuns(t, a, 25, 34)
+	for i := 35; i < 100; i++ {
+		a.Log(numberedRun(i))
+		wantRuns(t, a, i-9, i)
 	}
-	// The newest runs are the ones kept.
-	a.mu.Lock()
-	first := a.logs[0].Features.ResultSize
-	last := a.logs[len(a.logs)-1].Features.ResultSize
-	a.mu.Unlock()
-	if first != 25 || last != 34 {
-		t.Errorf("kept runs %d..%d, want 25..34", first, last)
+}
+
+// TestMaxLogsChangedOnLiveLog: MaxLogs is a plain field, so it can move
+// while the ring is wrapped; the log must stay chronological either way.
+func TestMaxLogsChangedOnLiveLog(t *testing.T) {
+	a := NewAdaptive()
+	a.MaxLogs = 10
+	for i := 0; i < 25; i++ {
+		a.Log(numberedRun(i))
+	}
+	a.MaxLogs = 4 // lowered: the next run trims to the newest four
+	a.Log(numberedRun(25))
+	wantRuns(t, a, 22, 25)
+	a.Log(numberedRun(26)) // head is now mid-ring
+	a.MaxLogs = 6          // raised on a wrapped ring: grows at the new end
+	a.Log(numberedRun(27))
+	a.Log(numberedRun(28))
+	wantRuns(t, a, 23, 28)
+	a.Log(numberedRun(29))
+	wantRuns(t, a, 24, 29)
+	a.MaxLogs = 0 // unbounded again
+	a.Log(numberedRun(30))
+	wantRuns(t, a, 24, 30)
+}
+
+// TestLogFullRingIsConstantWork: at a full ring Log allocates nothing and
+// writes one slot in place — the backing array neither moves nor shifts.
+func TestLogFullRingIsConstantWork(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are skewed under -race")
+	}
+	a := NewAdaptive()
+	a.MaxLogs = 4096
+	for i := 0; i < a.MaxLogs; i++ {
+		a.Log(numberedRun(i))
+	}
+	base := &a.logs[0]
+	next := a.MaxLogs
+	if allocs := testing.AllocsPerRun(100, func() { a.Log(numberedRun(next)); next++ }); allocs != 0 {
+		t.Errorf("Log at a full ring allocates %v per call, want 0", allocs)
+	}
+	if &a.logs[0] != base || len(a.logs) != a.MaxLogs {
+		t.Fatal("the ring's backing array moved")
+	}
+	// AllocsPerRun made 101 calls: slots 0..100 were overwritten in place,
+	// every other slot still holds the run it was first given.
+	for i, r := range a.logs {
+		want := i
+		if i <= 100 {
+			want = a.MaxLogs + i
+		}
+		if r.Features.ResultSize != want {
+			t.Fatalf("slot %d holds run %d, want %d: the log was shifted", i, r.Features.ResultSize, want)
+		}
+	}
+}
+
+// TestTrainDeterministic: examples reach the learners in first-seen order,
+// not map order, so retraining on the same log reproduces the same trees and
+// therefore the same decisions.
+func TestTrainDeterministic(t *testing.T) {
+	a := NewAdaptive()
+	trainOn(a)
+	queries := []QueryFeatures{
+		{ResultSize: 10, AugmentedSize: 40, NumStores: 4},
+		{ResultSize: 700, AugmentedSize: 2000, Level: 1, NumStores: 9},
+		{ResultSize: 1000, AugmentedSize: 4000, NumStores: 13, Distributed: true},
+		{ResultSize: 5000, AugmentedSize: 30000, Level: 1, NumStores: 7, Distributed: true},
+	}
+	var firstTrees map[string]string
+	var first []explain.Decision
+	for round := 0; round < 5; round++ {
+		if err := a.Train(); err != nil {
+			t.Fatal(err)
+		}
+		var decisions []explain.Decision
+		for _, f := range queries {
+			_, d := a.ChooseExplained(f, 300)
+			decisions = append(decisions, d)
+		}
+		if round == 0 {
+			firstTrees, first = a.TreeStrings(), decisions
+			continue
+		}
+		if trees := a.TreeStrings(); !reflect.DeepEqual(trees, firstTrees) {
+			t.Fatalf("retrain %d grew different trees:\n%v\nvs\n%v", round, trees, firstTrees)
+		}
+		if !reflect.DeepEqual(decisions, first) {
+			t.Fatalf("retrain %d decided differently:\n%+v\nvs\n%+v", round, decisions, first)
+		}
 	}
 }
 

@@ -74,11 +74,6 @@ func (f QueryFeatures) vector() []float64 {
 	}
 }
 
-// signature groups runs of the same query for best-run extraction.
-func (f QueryFeatures) signature() string {
-	return fmt.Sprintf("%d|%d|%d|%d|%v", f.ResultSize, f.AugmentedSize, f.Level, f.NumStores, f.Distributed)
-}
-
 // RunLog is one completed augmentation run (Phase 1).
 type RunLog struct {
 	Features QueryFeatures
@@ -98,8 +93,11 @@ type Optimizer interface {
 
 // Adaptive is the learned optimizer. It is safe for concurrent use.
 type Adaptive struct {
-	mu   sync.Mutex
+	mu sync.Mutex
+	// logs is the run log; once MaxLogs runs exist it is a ring whose oldest
+	// entry sits at head, and a new run overwrites it in place.
 	logs []RunLog
+	head int
 	t1   *c45.Tree
 	t2   *reptree.Tree
 	t3   *reptree.Tree
@@ -123,10 +121,7 @@ func (a *Adaptive) Name() string { return "ADAPTIVE" }
 // retraining threshold is reached.
 func (a *Adaptive) Log(r RunLog) {
 	a.mu.Lock()
-	a.logs = append(a.logs, r)
-	if a.MaxLogs > 0 && len(a.logs) > a.MaxLogs {
-		a.logs = append(a.logs[:0], a.logs[len(a.logs)-a.MaxLogs:]...)
-	}
+	a.record(r)
 	a.sinceTrain++
 	retrain := a.RetrainEvery > 0 && a.sinceTrain >= a.RetrainEvery
 	a.mu.Unlock()
@@ -137,6 +132,31 @@ func (a *Adaptive) Log(r RunLog) {
 				telemetry.F("error", err.Error()))
 		}
 	}
+}
+
+// record adds r as the newest run, in O(1) once the ring is full. The two
+// re-linearizations only run after MaxLogs was changed on a live log. mu is
+// held.
+func (a *Adaptive) record(r RunLog) {
+	if a.MaxLogs <= 0 || len(a.logs) < a.MaxLogs {
+		if a.head != 0 {
+			a.logs, a.head = a.chronological(), 0
+		}
+		a.logs = append(a.logs, r)
+		return
+	}
+	if len(a.logs) > a.MaxLogs {
+		a.logs, a.head = a.chronological()[len(a.logs)-a.MaxLogs:], 0
+	}
+	a.logs[a.head] = r
+	a.head = (a.head + 1) % len(a.logs)
+}
+
+// chronological returns a copy of the run log, oldest run first. mu is held.
+func (a *Adaptive) chronological() []RunLog {
+	out := make([]RunLog, 0, len(a.logs))
+	out = append(out, a.logs[a.head:]...)
+	return append(out, a.logs[:a.head]...)
 }
 
 // LogCount returns the number of recorded runs.
@@ -155,21 +175,27 @@ func (a *Adaptive) Trained() bool {
 
 // Train fits T1–T4 on the recorded logs (Phase 2). For every distinct query
 // (grouped by features) the fastest run provides the training example: its
-// strategy labels T1, and its parameters feed the regression trees.
+// strategy labels T1, and its parameters feed the regression trees. The
+// examples reach the learners in the order their queries were first seen,
+// so training on the same log yields the same trees.
 func (a *Adaptive) Train() error {
 	a.mu.Lock()
-	logs := make([]RunLog, len(a.logs))
-	copy(logs, a.logs)
+	logs := a.chronological()
 	a.mu.Unlock()
 
 	if len(logs) == 0 {
 		return fmt.Errorf("optimizer: no run logs to train on")
 	}
-	best := map[string]RunLog{}
+	var best []RunLog
+	seen := map[QueryFeatures]int{} // features -> index in best
 	for _, r := range logs {
-		sig := r.Features.signature()
-		if old, ok := best[sig]; !ok || r.Duration < old.Duration {
-			best[sig] = r
+		i, ok := seen[r.Features]
+		switch {
+		case !ok:
+			seen[r.Features] = len(best)
+			best = append(best, r)
+		case r.Duration < best[i].Duration:
+			best[i] = r
 		}
 	}
 

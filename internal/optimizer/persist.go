@@ -28,11 +28,10 @@ type persistedLog struct {
 	DurationNS    int64  `json:"durationNs"`
 }
 
-// SaveLogs streams the recorded run logs as JSON lines.
+// SaveLogs streams the recorded run logs as JSON lines, oldest run first.
 func (a *Adaptive) SaveLogs(w io.Writer) error {
 	a.mu.Lock()
-	logs := make([]RunLog, len(a.logs))
-	copy(logs, a.logs)
+	logs := a.chronological()
 	a.mu.Unlock()
 
 	bw := bufio.NewWriter(w)
@@ -57,7 +56,9 @@ func (a *Adaptive) SaveLogs(w io.Writer) error {
 	return bw.Flush()
 }
 
-// LoadLogs appends run logs from the JSON-lines form produced by SaveLogs.
+// LoadLogs appends run logs from the JSON-lines form produced by SaveLogs,
+// as if each had been logged in file order: with MaxLogs set, the newest
+// MaxLogs runs are kept.
 // Automatic retraining is suppressed during the load; call Train afterwards.
 func (a *Adaptive) LoadLogs(r io.Reader) (int, error) {
 	scanner := bufio.NewScanner(r)
@@ -103,7 +104,9 @@ func (a *Adaptive) LoadLogs(r io.Reader) (int, error) {
 		return loaded, err
 	}
 	a.mu.Lock()
-	a.logs = append(a.logs, batch...)
+	for _, r := range batch {
+		a.record(r)
+	}
 	a.mu.Unlock()
 	return loaded, nil
 }

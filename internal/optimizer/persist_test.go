@@ -49,6 +49,45 @@ func TestLogPersistenceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLoadRespectsMaxLogs: loading a file longer than MaxLogs keeps its
+// newest MaxLogs runs, and saving again writes exactly those lines, oldest
+// first — also when the load wraps a ring that already held runs.
+func TestLoadRespectsMaxLogs(t *testing.T) {
+	src := NewAdaptive()
+	for i := 0; i < 25; i++ {
+		src.Log(numberedRun(i))
+	}
+	var file bytes.Buffer
+	if err := src.SaveLogs(&file); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.SplitAfter(file.String(), "\n")
+	lines = lines[:len(lines)-1] // SplitAfter leaves an empty tail
+	if len(lines) != 25 {
+		t.Fatalf("saved %d lines, want 25", len(lines))
+	}
+
+	for _, preloaded := range []int{0, 3} {
+		dst := NewAdaptive()
+		dst.MaxLogs = 10
+		for i := 0; i < preloaded; i++ {
+			dst.Log(numberedRun(1000 + i))
+		}
+		n, err := dst.LoadLogs(strings.NewReader(file.String()))
+		if err != nil || n != 25 {
+			t.Fatalf("LoadLogs = %d, %v", n, err)
+		}
+		wantRuns(t, dst, 15, 24)
+		var again bytes.Buffer
+		if err := dst.SaveLogs(&again); err != nil {
+			t.Fatal(err)
+		}
+		if want := strings.Join(lines[15:], ""); again.String() != want {
+			t.Errorf("preloaded %d: save after bounded load wrote\n%s\nwant\n%s", preloaded, again.String(), want)
+		}
+	}
+}
+
 func TestLoadLogsErrors(t *testing.T) {
 	a := NewAdaptive()
 	cases := []string{
