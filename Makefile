@@ -42,12 +42,13 @@ chaos:
 	$(GO) test -race -run 'Chaos|Fault|Breaker|Retry' ./internal/... ./cmd/...
 
 # A' construction sweep: the full collector pipeline + bulk load, swept over
-# object count × scoring workers, plus the Reach fast-path microbenchmarks.
+# object count × scoring workers, plus the Reach fast-path microbenchmarks
+# and the snapshot full-build vs patch pair at the ledger's index size.
 # The sweep itself fails if any worker count changes the discovered
 # relations, so it doubles as a determinism check.
 bench-build:
 	$(GO) run ./cmd/quepa-bench -fig build
-	$(GO) test -bench='ReachSnapshot|ReachLockedFallback|BulkLoad' -benchmem -run='^$$' ./internal/aindex/
+	$(GO) test -bench='ReachSnapshot|ReachLockedFallback|BulkLoad|SnapshotFull|SnapshotPatch' -benchmem -run='^$$' ./internal/aindex/
 
 # Bench-regression guard: rerun figure 9 (best of 3) and fail on any point
 # more than 30% slower than the committed baseline.

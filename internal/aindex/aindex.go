@@ -57,11 +57,22 @@ type Index struct {
 	// The rebuild fields coordinate the single background rebuild goroutine.
 	epoch          atomic.Uint64
 	snap           atomic.Pointer[snapshot]
-	rebuilds       atomic.Uint64
+	rebuilds       atomic.Uint64 // snapshots installed, patches included
+	patches        atomic.Uint64
+	lastBuildNanos atomic.Int64
+	lastFullNanos  atomic.Int64
 	debounce       atomic.Int64 // rebuild debounce override, nanoseconds
 	rebuildMu      sync.Mutex
 	rebuildRunning bool
-	rebuildPending bool
+
+	// What separates adj from the installed snapshot. Mutators write both
+	// under the write lock; RefreshSnapshot consumes them under the read
+	// lock plus snapMu. dirty holds the keys whose rows changed; needFull
+	// says the key set changed (or dirty overflowed) and only a full build
+	// will do — atomic because the rebuild loop polls it without the lock.
+	snapMu   sync.Mutex
+	dirty    map[core.GlobalKey]struct{}
+	needFull atomic.Bool
 
 	// journal, when non-nil, observes every mutation inside the write
 	// critical section (journal.go). The WAL manager installs itself here so
@@ -79,7 +90,7 @@ type Index struct {
 // New returns an empty index with a fresh (empty) snapshot installed, so
 // reads on an unmutated index take the lock-free path from the start.
 func New() *Index {
-	ix := &Index{adj: map[core.GlobalKey]map[core.GlobalKey]edge{}}
+	ix := &Index{adj: map[core.GlobalKey]map[core.GlobalKey]edge{}, dirty: map[core.GlobalKey]struct{}{}}
 	ix.snap.Store(buildSnapshot(ix.adj, 0, 0))
 	return ix
 }
@@ -239,11 +250,20 @@ func (ix *Index) setEdgeLocked(a, b core.GlobalKey, typ core.RelType, prob float
 			return
 		}
 	}
+	newKey := false
 	if ix.adj[a] == nil {
 		ix.adj[a] = map[core.GlobalKey]edge{}
+		newKey = true
 	}
 	if ix.adj[b] == nil {
 		ix.adj[b] = map[core.GlobalKey]edge{}
+		newKey = true
+	}
+	if newKey {
+		ix.markAllDirtyLocked() // the snapshot's id tables are out
+	} else {
+		ix.markRowDirtyLocked(a)
+		ix.markRowDirtyLocked(b)
 	}
 	if !exists {
 		ix.edges++
@@ -315,6 +335,7 @@ func (ix *Index) removeObjectLocked(gk core.GlobalKey) bool {
 		ix.edges--
 	}
 	delete(ix.adj, gk)
+	ix.markAllDirtyLocked() // a key left: the snapshot's id tables are out
 	return true
 }
 
@@ -617,6 +638,7 @@ func (ix *Index) Clone() *Index {
 	ix.mu.RUnlock()
 	// The empty snapshot New installed does not describe the copied
 	// adjacency; freeze a real one so the replica reads lock-free at once.
+	out.markAllDirtyLocked()
 	out.RefreshSnapshot()
 	return out
 }

@@ -3,7 +3,9 @@ package aindex
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
+	"time"
 
 	"quepa/internal/core"
 )
@@ -91,6 +93,71 @@ func BenchmarkReachLockedFallback(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ix.reachLocked(keys[i%len(keys)], level, nil)
+			}
+		})
+	}
+}
+
+// scale16Index is an index the size of the ledger's dataset (quepa-server
+// -scale 16: 52,847 keys, 110,635 relations), built once for the snapshot
+// benchmarks below. Its background rebuild loop is parked.
+var scale16Index = sync.OnceValues(func() (*Index, []core.GlobalKey) {
+	const nKeys, nRels = 52847, 110635
+	rng := rand.New(rand.NewSource(16))
+	keys := make([]core.GlobalKey, nKeys)
+	for i := range keys {
+		keys[i] = core.NewGlobalKey(fmt.Sprintf("db%d", i%4), "c", fmt.Sprintf("k%d", i))
+	}
+	rels := make([]core.PRelation, 0, nRels)
+	for i := 0; len(rels) < nRels; i++ {
+		a, b := keys[i%nKeys], keys[rng.Intn(nKeys)] // every key gets a row
+		if a != b {
+			rels = append(rels, core.NewMatching(a, b, 0.6+0.4*rng.Float64()))
+		}
+	}
+	ix, err := BulkLoad(rels)
+	if err != nil {
+		panic(err)
+	}
+	ix.SetRebuildDebounce(time.Hour)
+	return ix, keys
+})
+
+// BenchmarkSnapshotFull is the reference build a key-set change still pays:
+// every key sorted and interned, every row re-read, read lock held throughout.
+func BenchmarkSnapshotFull(b *testing.B) {
+	ix, _ := scale16Index()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix.mu.Lock()
+		ix.markAllDirtyLocked()
+		ix.mu.Unlock()
+		ix.RefreshSnapshot()
+	}
+}
+
+// BenchmarkSnapshotPatch is what a promotion pays instead: one flat copy of
+// the CSR columns plus a re-read of the dirty rows. One promotion between two
+// singleton identity classes dirties 2 rows.
+func BenchmarkSnapshotPatch(b *testing.B) {
+	ix, keys := scale16Index()
+	for _, rows := range []int{1, 16, 256, maxDirtyRows} {
+		b.Run(fmt.Sprint(rows), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(int64(rows)))
+			before := ix.SnapshotInfo().Patches
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ix.mu.Lock()
+				for len(ix.dirty) < rows {
+					ix.markRowDirtyLocked(keys[rng.Intn(len(keys))])
+				}
+				ix.mu.Unlock()
+				ix.RefreshSnapshot()
+			}
+			if got := ix.SnapshotInfo().Patches - before; got != uint64(b.N) {
+				b.Fatalf("%d of %d refreshes were patches", got, b.N)
 			}
 		})
 	}

@@ -126,6 +126,7 @@ func BulkLoadWorkers(rels []core.PRelation, workers int) (*Index, error) {
 		}
 		out.edges += shard.edges
 	}
+	out.markAllDirtyLocked()
 	out.epoch.Add(1)
 	out.mu.Unlock()
 	out.RefreshSnapshot()

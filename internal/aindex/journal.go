@@ -114,11 +114,14 @@ func (ix *Index) EdgesWithEpoch() ([]core.PRelation, uint64) {
 // fresh snapshot at it. Crash recovery calls it after replaying the journal
 // tail, so that post-recovery mutations produce epochs strictly greater than
 // anything already fenced in the log. Moving the epoch backwards is refused.
+// The freeze is a full build: recovery ends on the reference construction
+// whatever the replay left recorded as dirty.
 func (ix *Index) AdvanceEpoch(e uint64) {
 	ix.mu.Lock()
 	if ix.epoch.Load() < e {
 		ix.epoch.Store(e)
 	}
+	ix.markAllDirtyLocked()
 	ix.mu.Unlock()
 	ix.RefreshSnapshot()
 }

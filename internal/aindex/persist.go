@@ -297,8 +297,11 @@ func ReadSnapshot(r io.Reader) (*Index, uint64, error) {
 	if nKeys > maxKeys {
 		return nil, 0, fmt.Errorf("aindex: snapshot claims %d keys", nKeys)
 	}
-	keys := make([]core.GlobalKey, nKeys)
-	for i := range keys {
+	// The count is a claim. Every key costs the input at least one byte, so
+	// growing the table as keys actually arrive makes a truncated or corrupt
+	// file fail at its real size instead of allocating 2^28 × 48 B up front.
+	keys := make([]core.GlobalKey, 0, min(nKeys, 4096))
+	for i := uint32(0); i < nKeys; i++ {
 		l, err := binary.ReadUvarint(cr)
 		if err != nil {
 			return nil, 0, fmt.Errorf("aindex: snapshot key %d length: %w", i, err)
@@ -314,7 +317,7 @@ func ReadSnapshot(r io.Reader) (*Index, uint64, error) {
 		if err != nil {
 			return nil, 0, fmt.Errorf("aindex: snapshot key %d: %w", i, err)
 		}
-		keys[i] = gk
+		keys = append(keys, gk)
 	}
 	if _, err := io.ReadFull(cr, buf[:4]); err != nil {
 		return nil, 0, fmt.Errorf("aindex: snapshot edge count: %w", err)

@@ -2,11 +2,13 @@ package aindex
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 	"unicode/utf8"
 
 	"quepa/internal/core"
@@ -235,6 +237,33 @@ func TestBinarySnapshotRejectsCorruption(t *testing.T) {
 	for cut := 0; cut < len(pristine); cut++ {
 		if _, _, err := ReadSnapshot(bytes.NewReader(pristine[:cut])); err == nil {
 			t.Errorf("truncation at %d went undetected", cut)
+		}
+	}
+}
+
+// TestReadSnapshotClaimedCounts pins that the loader's cost follows the bytes
+// it was given, not the counts the header claims: a 2^28-key table used to be
+// allocated (12.9 GB, minutes of zeroing) before the first key was read.
+func TestReadSnapshotClaimedCounts(t *testing.T) {
+	header := func(nKeys uint32) []byte {
+		b := []byte(snapshotMagic)
+		b = binary.LittleEndian.AppendUint16(b, snapshotVersion)
+		b = binary.LittleEndian.AppendUint64(b, 9)
+		return binary.LittleEndian.AppendUint32(b, nKeys)
+	}
+	keys := "\x10mongo.profiles.0\x10mongo.profiles.1"
+	edge := []byte{0, 1, byte(core.Identity), 0, 0, 0, 0, 0, 0, 0xe0, 0x3f} // 0 ~ 1 at 0.5
+	cases := map[string][]byte{
+		"2^28 keys, two present":  append(header(1<<28), keys...),
+		"2^28 edges, one present": append(binary.LittleEndian.AppendUint32(append(header(2), keys...), 1<<28), edge...),
+	}
+	for name, data := range cases {
+		start := time.Now()
+		if _, _, err := ReadSnapshot(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: truncated %d-byte snapshot loaded without error", name, len(data))
+		}
+		if took := time.Since(start); took > 100*time.Millisecond {
+			t.Errorf("%s: rejecting %d bytes took %v", name, len(data), took)
 		}
 	}
 }

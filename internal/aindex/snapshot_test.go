@@ -1,9 +1,13 @@
 package aindex
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -24,6 +28,213 @@ func waitFresh(t *testing.T, ix *Index) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatal("snapshot never caught up with the mutation epoch")
+}
+
+// quiesce waits for the background rebuild loop to catch up and exit, then
+// parks future loops, so every refresh from here on is the test's own.
+func quiesce(t *testing.T, ix *Index) {
+	t.Helper()
+	waitFresh(t, ix)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		ix.rebuildMu.Lock()
+		running := ix.rebuildRunning
+		ix.rebuildMu.Unlock()
+		if !running {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("rebuild loop never exited")
+		}
+	}
+	ix.SetRebuildDebounce(time.Hour)
+}
+
+// requireInstalledEqualsFull fails unless the installed snapshot is fresh and
+// field for field what buildSnapshot produces over the same adjacency.
+func requireInstalledEqualsFull(t *testing.T, ix *Index, when string) {
+	t.Helper()
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	got := ix.snap.Load()
+	want := buildSnapshot(ix.adj, ix.edges, ix.epoch.Load())
+	switch {
+	case got.epoch != want.epoch:
+		t.Fatalf("%s: snapshot epoch %d, index epoch %d", when, got.epoch, want.epoch)
+	case !slices.Equal(got.keys, want.keys):
+		t.Fatalf("%s: keys differ: %d installed, %d in a full build", when, len(got.keys), len(want.keys))
+	case !reflect.DeepEqual(got.ids, want.ids):
+		t.Fatalf("%s: ids differ", when)
+	case !slices.Equal(got.off, want.off):
+		t.Fatalf("%s: off differs:\n got %v\nwant %v", when, got.off, want.off)
+	case !slices.Equal(got.nbr, want.nbr):
+		t.Fatalf("%s: nbr differs:\n got %v\nwant %v", when, got.nbr, want.nbr)
+	case !slices.Equal(got.prob, want.prob):
+		t.Fatalf("%s: prob differs:\n got %v\nwant %v", when, got.prob, want.prob)
+	}
+}
+
+// fullBuilds is how many of the installed snapshots were not patches.
+func fullBuilds(ix *Index) uint64 {
+	info := ix.SnapshotInfo()
+	return info.Rebuilds - info.Patches
+}
+
+// TestSnapshotPatchMatchesFull is the tentpole property: after any batch of
+// Insert/InsertRaw between existing keys, the refresh takes the patch path
+// and installs exactly what a full build over the same adjacency would.
+func TestSnapshotPatchMatchesFull(t *testing.T) {
+	for _, seed := range []int64{1, 7, 42} {
+		ix, keys := buildRandomIndexT(t, 150, seed)
+		quiesce(t, ix)
+		rng := rand.New(rand.NewSource(seed))
+		for round := 0; round < 20; round++ {
+			base := ix.snap.Load()
+			before, fullBefore := ix.SnapshotInfo().Patches, fullBuilds(ix)
+			for n := rng.Intn(30); n > 0; n-- { // an empty batch patches too
+				a, b := keys[rng.Intn(len(keys))], keys[rng.Intn(len(keys))]
+				if a == b || !ix.Contains(a) || !ix.Contains(b) {
+					continue
+				}
+				r := core.PRelation{From: a, To: b, Type: core.Matching, Prob: 0.5 + rng.Float64()/2}
+				if rng.Intn(25) == 0 { // sparingly: identity classes close into cliques
+					r.Type = core.Identity
+				}
+				insert := ix.Insert
+				if rng.Intn(2) == 0 {
+					insert = ix.InsertRaw
+				}
+				if err := insert(r); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ix.RefreshSnapshot()
+			when := fmt.Sprintf("seed %d round %d", seed, round)
+			requireInstalledEqualsFull(t, ix, when)
+			s := ix.snap.Load()
+			if ix.SnapshotInfo().Patches <= before || fullBuilds(ix) != fullBefore {
+				t.Fatalf("%s: mutations between existing keys took a full build", when)
+			}
+			if s.pool != base.pool || &s.keys[0] != &base.keys[0] {
+				t.Fatalf("%s: patched snapshot does not share its predecessor's tables", when)
+			}
+		}
+	}
+}
+
+// TestSnapshotFullBuildWhenNotPatchable covers every way the adjacency can
+// move that a patch cannot follow. Each must leave needFull set — in
+// particular the loaders that fill adj on an index whose installed snapshot
+// is New's empty one, where an empty dirty set must not read as "nothing
+// changed" — and install a snapshot equal to a full build.
+func TestSnapshotFullBuildWhenNotPatchable(t *testing.T) {
+	// A ring over more rows than one patch takes, so an InsertRaw sweep can
+	// overflow the dirty set without touching the key set.
+	ringKeys := make([]core.GlobalKey, maxDirtyRows+64)
+	for i := range ringKeys {
+		ringKeys[i] = core.NewGlobalKey("db", "ring", fmt.Sprintf("r%05d", i))
+	}
+	ringRels := make([]core.PRelation, len(ringKeys))
+	for i := range ringKeys {
+		ringRels[i] = core.NewMatching(ringKeys[i], ringKeys[(i+1)%len(ringKeys)], 0.5)
+	}
+
+	mutations := map[string]func(ix *Index, keys []core.GlobalKey){
+		"first edge of a new key": func(ix *Index, keys []core.GlobalKey) {
+			ix.Insert(core.NewMatching(keys[0], core.NewGlobalKey("db", "c", "brand-new"), 0.8))
+		},
+		"RemoveObject": func(ix *Index, keys []core.GlobalKey) {
+			for _, k := range keys {
+				if ix.RemoveObject(k) {
+					return
+				}
+			}
+		},
+		"RemoveObject then patchable inserts": func(ix *Index, keys []core.GlobalKey) {
+			live := ix.Keys()
+			ix.RemoveObject(live[0])
+			ix.InsertRaw(core.NewMatching(live[1], live[2], 1))
+		},
+		"ReplaceComponent": func(ix *Index, keys []core.GlobalKey) {
+			live := ix.Keys()
+			repl := mkIndex(t, core.NewIdentity(live[0], live[1], 0.9))
+			ix.ReplaceComponent(live[:2], repl)
+		},
+		"AdvanceEpoch": func(ix *Index, keys []core.GlobalKey) {
+			ix.AdvanceEpoch(ix.Epoch() + 1000)
+		},
+	}
+	for name, mutate := range mutations {
+		t.Run(name, func(t *testing.T) {
+			ix, keys := buildRandomIndexT(t, 60, 3)
+			quiesce(t, ix)
+			before := ix.SnapshotInfo().Patches
+			mutate(ix, keys)
+			if !ix.SnapshotInfo().Fresh { // AdvanceEpoch freezes by itself
+				ix.RefreshSnapshot()
+			}
+			requireInstalledEqualsFull(t, ix, name)
+			if ix.SnapshotInfo().Patches != before {
+				t.Errorf("%s was patched", name)
+			}
+		})
+	}
+
+	t.Run("dirty-set overflow", func(t *testing.T) {
+		ix, err := BulkLoad(ringRels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix.SetRebuildDebounce(time.Hour)
+		for i := 0; i+1 < len(ringKeys); i += 2 { // every row, two per relation
+			ix.InsertRaw(core.NewMatching(ringKeys[i], ringKeys[i+1], 0.9))
+		}
+		before := ix.SnapshotInfo().Patches
+		ix.RefreshSnapshot()
+		requireInstalledEqualsFull(t, ix, "overflow")
+		if ix.SnapshotInfo().Patches != before {
+			t.Error("a dirty set past maxDirtyRows was patched")
+		}
+		// The overflow is forgotten with the build that served it.
+		ix.InsertRaw(core.NewMatching(ringKeys[0], ringKeys[1], 1))
+		ix.RefreshSnapshot()
+		requireInstalledEqualsFull(t, ix, "after overflow")
+		if ix.SnapshotInfo().Patches != before+1 {
+			t.Error("one dirty edge after an overflow rebuild was not patched")
+		}
+	})
+
+	src, _ := buildRandomIndexT(t, 60, 5)
+	var jsonl, ckpt bytes.Buffer
+	if _, err := src.WriteTo(&jsonl); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := WriteSnapshot(&ckpt, src.Edges(), 77); err != nil {
+		t.Fatal(err)
+	}
+	loaders := map[string]func() (*Index, error){
+		"Clone":    func() (*Index, error) { return src.Clone(), nil },
+		"BulkLoad": func() (*Index, error) { return BulkLoad(src.Edges()) },
+		"ReadIndex": func() (*Index, error) {
+			return ReadIndex(bytes.NewReader(jsonl.Bytes()))
+		},
+		"ReadSnapshot": func() (*Index, error) {
+			ix, _, err := ReadSnapshot(bytes.NewReader(ckpt.Bytes()))
+			return ix, err
+		},
+	}
+	for name, load := range loaders {
+		t.Run(name, func(t *testing.T) {
+			ix, err := load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireInstalledEqualsFull(t, ix, name)
+			info := ix.SnapshotInfo()
+			if info.Patches != 0 || info.Nodes != src.NodeCount() || info.Nodes == 0 {
+				t.Errorf("%s: snapshot info %+v, want a full build over %d nodes", name, info, src.NodeCount())
+			}
+		})
+	}
 }
 
 // TestSnapshotReachMatchesLocked pins the tentpole read-path invariant: the
@@ -146,9 +357,62 @@ func TestSnapshotRebuildAsync(t *testing.T) {
 	}
 }
 
+// TestFullRebuildWaitsOutBulkMutation pins the rebuild loop's pacing: a patch
+// starts after one debounce window whatever the epoch does; a full build
+// (which would hold the read lock against the mutator that is about to
+// invalidate it) waits for a window without mutations, but no longer than
+// fullRebuildStaleness times the last full build.
+func TestFullRebuildWaitsOutBulkMutation(t *testing.T) {
+	ix := New()
+	// Windows long enough that the mutator below cannot miss one by being
+	// descheduled.
+	ix.SetRebuildDebounce(10 * time.Millisecond)
+	const lastFull = 25 * time.Millisecond
+	ix.lastFullNanos.Store(int64(lastFull))
+	await := func() time.Duration {
+		start := time.Now()
+		ix.awaitDebounce()
+		return time.Since(start)
+	}
+
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() { // a bulk mutator, as far as the loop can tell
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				ix.epoch.Add(1)
+				runtime.Gosched()
+			}
+		}
+	}()
+	if took := await(); took >= fullRebuildStaleness*lastFull {
+		t.Errorf("patch pending, epoch moving: waited %v, want one debounce window", took)
+	}
+	ix.needFull.Store(true)
+	// The wait ends early, correctly, if the mutator is starved for a whole
+	// window; a loaded machine gets more than one try.
+	var took time.Duration
+	for try := 0; try < 5 && took < fullRebuildStaleness*lastFull; try++ {
+		took = await()
+	}
+	if took < fullRebuildStaleness*lastFull {
+		t.Errorf("full build pending, epoch moving: waited %v, want >= %v", took, fullRebuildStaleness*lastFull)
+	}
+	close(stop)
+	<-stopped
+	if took := await(); took >= fullRebuildStaleness*lastFull {
+		t.Errorf("full build pending, epoch quiet: waited %v, want one debounce window", took)
+	}
+}
+
 // TestReachDuringRebuildChurn hammers lock-free readers against concurrent
-// mutators and snapshot rebuilds (run under -race). A nanosecond debounce
-// forces a rebuild after virtually every mutation.
+// mutators and snapshot refreshes (run under -race). A nanosecond debounce
+// forces a refresh after virtually every mutation; inserts between live keys
+// leave it patchable, removals, re-insertions of removed keys and component
+// swaps force the full build, so both kinds install under the readers.
 func TestReachDuringRebuildChurn(t *testing.T) {
 	ix := New()
 	ix.SetRebuildDebounce(time.Nanosecond)
@@ -167,6 +431,10 @@ func TestReachDuringRebuildChurn(t *testing.T) {
 					ix.RemoveObject(keys[rng.Intn(len(keys))])
 					continue
 				}
+				if rng.Intn(40) == 0 {
+					ix.ReplaceComponent(keys[:1+rng.Intn(3)], nil)
+					continue
+				}
 				a, b := keys[rng.Intn(len(keys))], keys[rng.Intn(len(keys))]
 				if a == b {
 					continue
@@ -179,6 +447,29 @@ func TestReachDuringRebuildChurn(t *testing.T) {
 			}
 		}(w)
 	}
+	// Keys nobody else touches: whatever snapshot generation or fallback
+	// serves the read, an insert and a lazy deletion are visible at once.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		x := core.NewGlobalKey("own", "c", "x")
+		reaches := func(y core.GlobalKey) bool {
+			return slices.ContainsFunc(ix.Reach(x, 0), func(h Hit) bool { return h.Key == y })
+		}
+		for i := 0; i < 150; i++ {
+			y := core.NewGlobalKey("own", "c", fmt.Sprintf("y%d", i%3))
+			ix.Insert(core.NewMatching(x, y, 0.9))
+			if !reaches(y) {
+				t.Errorf("round %d: inserted %v not reachable from %v", i, y, x)
+			}
+			if i%3 == 0 {
+				ix.RemoveObject(y)
+				if reaches(y) {
+					t.Errorf("round %d: removed %v still reachable from %v", i, y, x)
+				}
+			}
+		}
+	}()
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
 		go func(r int) {
@@ -204,9 +495,14 @@ func TestReachDuringRebuildChurn(t *testing.T) {
 	if err := ix.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// After the dust settles the snapshot must converge and agree with the
-	// locked traversal.
+	if info := ix.SnapshotInfo(); info.Patches == 0 || info.Patches == info.Rebuilds {
+		t.Errorf("churn installed %d snapshots, %d patched: want both kinds", info.Rebuilds, info.Patches)
+	}
+	// After the dust settles the snapshot must converge, equal a full build
+	// and agree with the locked traversal.
+	quiesce(t, ix)
 	ix.RefreshSnapshot()
+	requireInstalledEqualsFull(t, ix, "post-churn")
 	s := ix.snap.Load()
 	for _, k := range keys {
 		var ls, ss ReachStats
@@ -235,27 +531,41 @@ func TestSnapshotReachAllocs(t *testing.T) {
 	defer telemetry.SetEnabled(prev)
 
 	ix, keys := buildRandomIndexT(t, 500, 9)
-	// Let pending debounced rebuilds drain, then freeze the final snapshot:
 	// AllocsPerRun reads the global allocation counter, so no background
 	// rebuild may run while it measures.
-	waitFresh(t, ix)
-	time.Sleep(20 * time.Millisecond)
-	ix.RefreshSnapshot()
+	quiesce(t, ix)
 	k := keys[3]
 	if _, st := ix.ReachWithStats(k, 1); !st.Snapshot {
 		t.Fatal("fast path not active")
 	}
 	ix.Reach(k, 1) // warm the scratch pool
 
-	for _, level := range []int{0, 1, 2} {
-		avg := testing.AllocsPerRun(100, func() {
-			ix.Reach(k, level)
-		})
-		// One alloc for the result slice; header-growth slack only.
-		if avg > 2 {
-			t.Errorf("level %d: snapshot Reach allocates %.1f/op, want <= 2", level, avg)
+	gate := func(when string) {
+		t.Helper()
+		for _, level := range []int{0, 1, 2} {
+			avg := testing.AllocsPerRun(100, func() {
+				ix.Reach(k, level)
+			})
+			// One alloc for the result slice; header-growth slack only.
+			if avg > 2 {
+				t.Errorf("%s, level %d: snapshot Reach allocates %.1f/op, want <= 2", when, level, avg)
+			}
 		}
 	}
+	gate("full build")
+
+	// A patched generation shares its predecessor's scratch pool: the
+	// already-warm reader must not pay for a new visited table.
+	patches := ix.SnapshotInfo().Patches
+	nb := ix.Neighbors(k)[0].To
+	if err := ix.InsertRaw(core.PRelation{From: k, To: nb, Type: core.Identity, Prob: 1}); err != nil {
+		t.Fatal(err)
+	}
+	ix.RefreshSnapshot()
+	if _, st := ix.ReachWithStats(k, 1); !st.Snapshot || ix.SnapshotInfo().Patches != patches+1 {
+		t.Fatal("patched snapshot not serving")
+	}
+	gate("after a patch")
 }
 
 // TestScratchStampWraparound drives the visited stamps across the uint32
