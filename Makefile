@@ -67,10 +67,12 @@ bench-wire:
 	$(GO) run ./cmd/quepa-bench -compare $(WIRE_BASELINE) -tolerance 0.30 bench_wire.json
 
 # Result-cache regression guard: rerun the rcache A/B figure (warm skewed
-# stream cache-on vs cache-off, plus the 3-peer delta-frontier bytes-on-wire
-# series, best of 3) and fail on any point more than 30% slower than the
-# committed PR 10 baseline — past the 2ms noise floor. Catches a cache that
-# stopped hitting and a compact codec that lost its byte edge alike.
+# stream cache-on vs cache-off, best of 3) and fail on any point more than
+# 30% slower than the committed PR 10 baseline — past the 2ms noise floor.
+# Catches a cache that stopped hitting. (The baseline's scatter-bytes points
+# compared two scatter engines that no longer exist; -compare reports them as
+# baseline-only and moves on. Reach bytes are on the ledger now:
+# wire.bytes_per_op.reach on cluster_keyed.)
 RCACHE_BASELINE ?= BENCH_PR10.json
 bench-rcache:
 	$(GO) run ./cmd/quepa-bench -fig rcache -best-of 3 -json bench_rcache.json -label ci > /dev/null
@@ -97,7 +99,7 @@ promlint:
 cluster:
 	$(GO) test -race -run 'Cluster|Ring|Scatter|Rebalance|Snapshot' \
 		./internal/cluster/ ./cmd/quepa-server/
-	$(GO) test -race -run 'FigClusterScaling' ./internal/bench/
+	QUEPA_CLUSTER_SCALING=1 $(GO) test -race -run 'FigClusterScaling' ./internal/bench/
 
 # Node-count campaign: the cluster figure sweeps 1/2/4 netsim peers under the
 # per-peer capacity model and reports scatter-gather throughput. The sweep

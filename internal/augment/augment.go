@@ -237,12 +237,14 @@ type Augmenter struct {
 }
 
 // Reacher abstracts the A' reachability consulted while planning an
-// augmentation. The cluster coordinator implements it with a scatter-gather
-// traversal over the sharded index; the returned Degradations report shards
-// dropped mid-traversal (an open peer breaker yields reason "peer-open"),
-// which the augmenter folds into the answer's degraded section.
+// augmentation. The cluster coordinator implements it with one scatter-gather
+// traversal over the sharded index for all origins of the request: result i
+// is the reach of origins[i], the stats sum the traversal work, and the
+// returned Degradations report shards dropped mid-traversal (an open peer
+// breaker yields reason "peer-open"), which the augmenter folds into the
+// answer's degraded section.
 type Reacher interface {
-	ReachScatter(ctx context.Context, origin core.GlobalKey, level int) ([]aindex.Hit, aindex.ReachStats, []Degradation)
+	ReachScatterMany(ctx context.Context, origins []core.GlobalKey, level int) ([][]aindex.Hit, aindex.ReachStats, []Degradation)
 }
 
 // SetReacher routes plan building through r instead of the local A' index.
@@ -476,7 +478,6 @@ func (a *Augmenter) buildPlan(ctx context.Context, rec *explain.Recorder, origin
 	for _, o := range origins {
 		originSet[o.GK] = true
 	}
-	planDegraded := map[string]Degradation{}
 	var nodes, edges, skipped, snapshots, rcacheHits int
 	// Reach memoization is local-index only: the cluster coordinator keys
 	// its own entries by the scatter epoch. The epoch is read once before
@@ -487,22 +488,24 @@ func (a *Augmenter) buildPlan(ctx context.Context, rec *explain.Recorder, origin
 	if useRcache {
 		reachEpoch = a.index.Epoch()
 	}
-	for _, o := range origins {
+	// A cluster reacher takes the whole request in one call, so its round
+	// trips group by destination peer instead of multiplying by origin.
+	var scattered [][]aindex.Hit
+	if a.reacher != nil {
+		gks := make([]core.GlobalKey, len(origins))
+		for i, o := range origins {
+			gks[i] = o.GK
+		}
+		var st aindex.ReachStats
+		scattered, st, p.degraded = a.reacher.ReachScatterMany(ctx, gks, level)
+		nodes, edges = st.Nodes, st.Edges
+	}
+	for i, o := range origins {
 		var mine []core.GlobalKey
 		var hits []aindex.Hit
 		switch {
 		case a.reacher != nil:
-			var st aindex.ReachStats
-			var degs []Degradation
-			hits, st, degs = a.reacher.ReachScatter(ctx, o.GK, level)
-			nodes += st.Nodes
-			edges += st.Edges
-			for _, d := range degs {
-				if _, seen := planDegraded[d.Store]; !seen {
-					planDegraded[d.Store] = d
-					p.degraded = append(p.degraded, d)
-				}
-			}
+			hits = scattered[i]
 		case useRcache:
 			rkey := rcache.Key{GK: o.GK, Level: level, Kind: rcache.KindReach}
 			if cached, _, ok := a.rc.GetReach(rkey, reachEpoch); ok {

@@ -258,8 +258,7 @@ func Fig11ef(o Options) ([]Point, error) {
 // peers under the netsim capacity model. "wire" is the frame-codec A/B: the
 // warm concurrent experiment over wire-served stores, one series per codec.
 // "rcache" is the result-cache A/B: warm Zipf-skewed augmentations with and
-// without the epoch-consistent cache, plus the delta-frontier bytes-on-wire
-// comparison over a 3-peer cluster.
+// without the epoch-consistent cache.
 func FigureNames() []string {
 	return []string{"9", "10ab", "10cd", "11ab", "11cd", "11ef", "12", "13ab", "13cd", "cache", "ablation", "build", "recovery", "cluster", "wire", "rcache"}
 }

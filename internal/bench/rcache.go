@@ -1,38 +1,27 @@
 package bench
 
-// The result-cache A/B campaign, two figures:
+// The result-cache A/B figure, "rcache-warm": warm skewed single-origin
+// augmentations at level 2 under concurrent workers, one series with the
+// epoch-consistent result cache attached (CACHE-ON) and one without
+// (CACHE-OFF). The origin stream is Zipf-distributed (Options.Skew, default
+// exponent 1.1) — the hot-key regime where memoization pays, and the regime
+// the paper's exploration sessions produce: users re-expand the same few
+// objects.
 //
-//   - "rcache-warm": warm skewed single-origin augmentations at level 2
-//     under concurrent workers, one series with the epoch-consistent result
-//     cache attached (CACHE-ON) and one without (CACHE-OFF). The origin
-//     stream is Zipf-distributed (Options.Skew, default exponent 1.1) —
-//     the hot-key regime where memoization pays, and the regime the paper's
-//     exploration sessions produce: users re-expand the same few objects.
-//
-//   - "rcache-scatter-bytes": bytes on the wire per distributed search over
-//     a 3-peer netsim cluster, LEGACY (hop-synchronous engine, plain string
-//     frontiers) against DELTA (pipelined engine, front-coded delta
-//     frontiers). Size carries bytes/search; Millis the sweep wall time.
-//
-// Both figures verify answers against the uncached / single-node reference
-// before timing anything: a cache that wins by being wrong is a bug.
+// Answers are verified against the uncached reference before anything is
+// timed: a cache that wins by being wrong is a bug.
 
 import (
 	"context"
 	"fmt"
 	"math/rand"
-	"net"
 	"reflect"
 	"sync"
 	"time"
 
 	"quepa/internal/augment"
-	"quepa/internal/cluster"
 	"quepa/internal/core"
-	"quepa/internal/netsim"
 	"quepa/internal/rcache"
-	"quepa/internal/resilience"
-	"quepa/internal/wire"
 	"quepa/internal/workload"
 )
 
@@ -66,25 +55,12 @@ func (o Options) zipfSequence(n, ops int) ([]int, error) {
 	return seq, nil
 }
 
-// FigRcache runs both result-cache figures.
-func FigRcache(o Options) ([]Point, error) {
-	o = o.withDefaults()
-	points, err := figRcacheWarm(o)
-	if err != nil {
-		return nil, err
-	}
-	bytes, err := figRcacheScatterBytes(o)
-	if err != nil {
-		return nil, err
-	}
-	return append(points, bytes...), nil
-}
-
-// figRcacheWarm measures the CACHE-ON/CACHE-OFF A/B: each point replays the
+// FigRcache measures the CACHE-ON/CACHE-OFF A/B: each point replays the
 // same Zipf-skewed origin stream over w workers, warm (the stream has run
 // once before the clock starts, so CACHE-ON points measure the steady state
 // the cache optimizes and CACHE-OFF points a fair uncached warm run).
-func figRcacheWarm(o Options) ([]Point, error) {
+func FigRcache(o Options) ([]Point, error) {
+	o = o.withDefaults()
 	built, err := o.build(2, workload.Centralized()) // 10 databases
 	if err != nil {
 		return nil, err
@@ -191,109 +167,4 @@ func runRcacheStream(ctx context.Context, aug *augment.Augmenter, objs []core.Ob
 		}
 	}
 	return time.Since(start), nil
-}
-
-// figRcacheScatterBytes prices the delta-frontier wire encoding: the same
-// level-2 traversals over the same 3-peer topology, once through the
-// hop-synchronous engine shipping plain string frontiers (LEGACY — the
-// pre-delta wire behavior) and once through the pipelined engine shipping
-// front-coded delta frontiers (DELTA). Size records bytes/search.
-func figRcacheScatterBytes(o Options) ([]Point, error) {
-	built, err := workload.Build(o.spec(2), workload.Colocated())
-	if err != nil {
-		return nil, err
-	}
-	origins := clusterOrigins(built, 32)
-	if len(origins) == 0 {
-		return nil, fmt.Errorf("bench: rcache scatter workload has no origins")
-	}
-	const peers = 3
-	ring, err := cluster.NewRing(peers, 16, 0)
-	if err != nil {
-		return nil, err
-	}
-	var servers []*wire.Server
-	defer func() {
-		for _, s := range servers {
-			s.Close()
-		}
-	}()
-	addrs := make([]string, peers)
-	for shard := 0; shard < peers; shard++ {
-		idx, err := cluster.BuildShard(built.Index, ring, shard)
-		if err != nil {
-			return nil, err
-		}
-		node := cluster.NewNode(shard, idx, built.Poly)
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		srv := wire.ServeOn(netsim.NewChaosNode(node, o.clusterProfile(), netsim.FaultPlan{}, nil), ln)
-		servers = append(servers, srv)
-		addrs[shard] = srv.Addr()
-	}
-
-	engines := []struct {
-		series    string
-		hopSync   bool
-		plainKeys bool
-	}{
-		{series: "LEGACY", hopSync: true, plainKeys: true},
-		{series: "DELTA"},
-	}
-	const level = 2
-	ctx := context.Background()
-	var points []Point
-	for _, eng := range engines {
-		coord, err := cluster.NewCoordinator(cluster.Config{
-			Ring:         ring,
-			Peers:        addrs,
-			Self:         0,
-			LoopbackSelf: true,
-			HopSync:      eng.hopSync,
-			Client: wire.ClientConfig{
-				Retry:     resilience.RetryPolicy{MaxAttempts: 2, AttemptTimeout: 10 * time.Second},
-				Codec:     wire.CodecBinary,
-				PlainKeys: eng.plainKeys,
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-		// Correctness before pricing: both engines must reproduce the
-		// single-node answer exactly.
-		for _, origin := range origins {
-			want := built.Index.Reach(origin, level)
-			got, _, degs := coord.ReachScatter(ctx, origin, level)
-			if len(degs) != 0 {
-				coord.Close()
-				return nil, fmt.Errorf("bench: %s: degraded traversal: %v", eng.series, degs)
-			}
-			if !sameHits(got, want) {
-				coord.Close()
-				return nil, fmt.Errorf("bench: %s: %v diverges from single-node answer", eng.series, origin)
-			}
-		}
-		s0, r0 := coord.ReachBytes()
-		start := time.Now()
-		for _, origin := range origins {
-			if _, _, degs := coord.ReachScatter(ctx, origin, level); len(degs) != 0 {
-				coord.Close()
-				return nil, fmt.Errorf("bench: %s: degraded traversal: %v", eng.series, degs)
-			}
-		}
-		elapsed := time.Since(start)
-		s1, r1 := coord.ReachBytes()
-		coord.Close()
-		points = append(points, Point{
-			Figure: "rcache-scatter-bytes",
-			Series: eng.series,
-			XLabel: "peers",
-			X:      float64(peers),
-			Millis: ms(elapsed),
-			Size:   int((s1 - s0 + r1 - r0)) / len(origins),
-		})
-	}
-	return points, nil
 }

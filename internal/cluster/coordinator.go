@@ -36,9 +36,9 @@ var (
 	rebalanceTotal = telemetry.NewCounter("quepa_cluster_rebalance_total",
 		"topology swaps applied by SetTopology")
 	deltaKeysShipped = telemetry.NewCounter("quepa_cluster_delta_keys_total",
-		"frontier keys shipped by pipelined delta scatters (after pareto suppression)")
+		"frontier keys shipped by scatter traversals (only arrivals that improved a key travel on)")
 	deltaSuppressed = telemetry.NewCounter("quepa_cluster_delta_suppressed_total",
-		"frontier arrivals dropped as pareto-dominated by the pipelined scatter")
+		"frontier arrivals dropped by scatter traversals because they improved nothing")
 )
 
 // Config assembles a Coordinator. Ring, Peers and Self are required; every
@@ -63,16 +63,11 @@ type Config struct {
 	Breaker resilience.BreakerConfig
 	// Client configures the pooled wire client dialed to each peer.
 	Client wire.ClientConfig
-	// Rcache, when non-nil, memoizes whole ReachScatter results keyed by
-	// (origin, level) and validated against the scatter epoch — ring version
-	// in the high bits, the local shard's index epoch in the low 48. A nil
-	// cache disables memoization.
+	// Rcache, when non-nil, memoizes whole per-origin scatter results keyed
+	// by (origin, level) and validated against the scatter epoch — ring
+	// version in the high bits, the local shard's index epoch in the low 48.
+	// A nil cache disables memoization.
 	Rcache *rcache.Cache
-	// HopSync forces the legacy hop-synchronous scatter (a full barrier
-	// between hops) instead of the pipelined delta traversal. The A/B
-	// benchmarks and the equivalence tests set it; deployments leave it
-	// false.
-	HopSync bool
 }
 
 // Coordinator owns this peer's view of the cluster: the ring, one pooled
@@ -91,7 +86,6 @@ type Coordinator struct {
 	breakers *resilience.Set
 	ccfg     wire.ClientConfig
 	rc       *rcache.Cache
-	hopSync  bool
 
 	cmu     sync.Mutex
 	clients map[string]*wire.Client // lazily dialed, keyed by address
@@ -122,7 +116,6 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		breakers: resilience.NewSet(cfg.Breaker),
 		ccfg:     cfg.Client,
 		rc:       cfg.Rcache,
-		hopSync:  cfg.HopSync,
 		clients:  map[string]*wire.Client{},
 	}, nil
 }
@@ -230,82 +223,120 @@ func peerReason(err error) string {
 	}
 }
 
-// shardGroup is one shard's slice of a frontier, keys sorted for
-// deterministic frames.
-type shardGroup struct {
+// originSlot is the traversal state of one distinct uncached origin of a
+// request. Slots never share state: two origins inside the same A' island
+// reach the same keys with different probabilities.
+type originSlot struct {
+	origin   core.GlobalKey
+	best     map[core.GlobalKey]aindex.Hit
+	frontier map[core.GlobalKey]float64
+}
+
+// leg is one peer's share of one hop: the sub-frontier of every slot that
+// has keys owned by the shard, concatenated in slot order as one segment per
+// slot, keys sorted within a segment for deterministic, front-codable frames.
+type leg struct {
 	shard int
+	slots []int // slot index of each segment
+	segs  []int // run length of each segment, parallel to slots
 	keys  []string
 	probs []float64
 }
 
-// groupFrontier partitions a weighted frontier by ring ownership, keys
-// sorted within each group and groups sorted by shard.
-func groupFrontier(ring *Ring, frontier map[core.GlobalKey]float64) []shardGroup {
-	byShard := map[int][]core.GlobalKey{}
-	for k := range frontier {
-		s := ring.Owner(k)
-		byShard[s] = append(byShard[s], k)
+// wireSegs is the segment column the leg ships: absent for a single segment,
+// so a one-origin leg is the frame it was before segments existed.
+func (l *leg) wireSegs() []int {
+	if len(l.segs) > 1 {
+		return l.segs
 	}
-	out := make([]shardGroup, 0, len(byShard))
-	for s, keys := range byShard {
-		sort.Slice(keys, func(i, j int) bool { return keys[i].Compare(keys[j]) < 0 })
-		g := shardGroup{shard: s, keys: make([]string, len(keys)), probs: make([]float64, len(keys))}
-		for i, k := range keys {
-			g.keys[i] = k.String()
-			g.probs[i] = frontier[k]
+	return nil
+}
+
+// hopLegs groups every slot's frontier by ring ownership into one leg per
+// owning shard, legs ordered by shard. Shards already dropped this traversal
+// get no leg: their sub-frontier is lost, the healthy shards keep going.
+func hopLegs(ring *Ring, slots []*originSlot, dead map[int]augment.Degradation) []*leg {
+	byShard := make([]*leg, ring.Peers())
+	var sorted []core.GlobalKey
+	for si, s := range slots {
+		sorted = sorted[:0]
+		for k := range s.frontier {
+			sorted = append(sorted, k)
 		}
-		out = append(out, g)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Compare(sorted[j]) < 0 })
+		for _, k := range sorted {
+			shard := ring.Owner(k)
+			if _, gone := dead[shard]; gone {
+				continue
+			}
+			l := byShard[shard]
+			if l == nil {
+				l = &leg{shard: shard}
+				byShard[shard] = l
+			}
+			if n := len(l.slots); n == 0 || l.slots[n-1] != si {
+				l.slots = append(l.slots, si)
+				l.segs = append(l.segs, 0)
+			}
+			l.segs[len(l.segs)-1]++
+			l.keys = append(l.keys, k.String())
+			l.probs = append(l.probs, s.frontier[k])
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].shard < out[j].shard })
-	return out
+	legs := byShard[:0]
+	for _, l := range byShard {
+		if l != nil {
+			legs = append(legs, l)
+		}
+	}
+	return legs
 }
 
-// scatterResult is one shard's contribution to a hop.
+// scatterResult is one leg's answer.
 type scatterResult struct {
-	shard int
-	hits  []wire.RemoteHit
-	info  wire.ReachInfo
-	wall  time.Duration // measured only for profiled queries
-	err   error
+	hits []wire.RemoteHit
+	segs []int // run lengths splitting hits per leg segment; nil for one segment
+	info wire.ReachInfo
+	wall time.Duration // measured only for profiled queries
+	err  error
 }
 
-// expandShard runs one scatter leg: the local node directly for self-owned
-// groups (unless loopback is forced), the peer's wire client — guarded by
-// its breaker — otherwise. Each remote leg runs under a cluster.scatter
-// span tagged with the shard, continuing the caller's trace over the wire.
-func (c *Coordinator) expandShard(ctx context.Context, peers []string, g shardGroup) (res scatterResult) {
+// expandLeg runs one scatter leg: the local node directly for self-owned
+// legs (unless loopback is forced), the peer's wire client — guarded by its
+// breaker — otherwise. Each remote leg runs under a cluster.scatter span
+// tagged with the shard, continuing the caller's trace over the wire.
+func (c *Coordinator) expandLeg(ctx context.Context, peers []string, l *leg) (res scatterResult) {
 	scatterCalls.Inc()
-	scatterKeys.Add(uint64(len(g.keys)))
-	res.shard = g.shard
+	scatterKeys.Add(uint64(len(l.keys)))
 	var start time.Time
 	if explain.FromContext(ctx) != nil {
 		start = time.Now()
 		defer func() { res.wall = time.Since(start) }()
 	}
-	if g.shard == c.self && !c.loopback {
-		res.hits, res.info, res.err = c.node.ExpandFrontier(ctx, g.keys, g.probs)
+	if l.shard == c.self && !c.loopback {
+		res.hits, res.segs, res.info, res.err = c.node.ExpandFrontier(ctx, l.keys, l.probs, l.wireSegs())
 		return res
 	}
 	sctx := ctx
 	var sp *telemetry.Span
 	if telemetry.SpanFromContext(ctx) != nil {
 		sctx, sp = telemetry.StartSpan(ctx, "cluster.scatter")
-		sp.SetAttr("shard", strconv.Itoa(g.shard))
-		sp.SetAttr("peer", peers[g.shard])
-		sp.SetAttr("keys", strconv.Itoa(len(g.keys)))
+		sp.SetAttr("shard", strconv.Itoa(l.shard))
+		sp.SetAttr("peer", peers[l.shard])
+		sp.SetAttr("keys", strconv.Itoa(len(l.keys)))
 	}
 	res.err = func() error {
-		b := c.breakers.Breaker(PeerName(g.shard))
+		b := c.breakers.Breaker(PeerName(l.shard))
 		if err := b.Allow(); err != nil {
 			peerOpenRejects.Inc()
-			return fmt.Errorf("cluster: %s: %w", PeerName(g.shard), resilience.ErrPeerOpen)
+			return fmt.Errorf("cluster: %s: %w", PeerName(l.shard), resilience.ErrPeerOpen)
 		}
-		cl, err := c.client(peers[g.shard])
+		cl, err := c.client(peers[l.shard])
 		if err != nil {
 			b.Record(err)
 			return err
 		}
-		res.hits, res.info, err = cl.ExpandFrontier(sctx, g.keys, g.probs)
+		res.hits, res.segs, res.info, err = cl.ExpandFrontier(sctx, l.keys, l.probs, l.wireSegs())
 		b.Record(err)
 		return err
 	}()
@@ -324,53 +355,99 @@ func (c *Coordinator) expandShard(ctx context.Context, peers []string, g shardGr
 	return res
 }
 
-// ReachScatter is the distributed α of Definition 2: a weighted-frontier
-// traversal over the sharded A' index whose hits, probabilities and
-// distances equal aindex.Index.Reach over the unsharded index whenever
-// every peer is healthy. A shard that fails mid-traversal is dropped from
-// the remainder of the traversal and reported as a Degradation instead of
-// failing the query.
-//
-// Two engines back it. The default pipelined engine dispatches per-peer
-// delta frontiers — only arrivals that beat every earlier (distance, prob)
-// pair for their key — and launches hop n+1 legs the moment a hop n
-// response lands, with no barrier between hops. Config.HopSync selects the
-// legacy engine, which expands one full hop at a time behind a barrier.
-// When Config.Rcache is set, whole clean results are memoized against the
-// scatter epoch, so a repeated origin costs zero network legs until the
-// topology or the local shard's index moves.
-//
-// ReachScatter implements augment.Reacher.
+// ReachScatter is ReachScatterMany for one origin. A result served from the
+// scatter cache reports zero traversal nodes and edges, as the augmenter's
+// local-index cache path does: no traversal ran, and it is what lets cached
+// entries be filled per origin from a many-origin traversal whose peers
+// report their work per leg, not per origin.
 func (c *Coordinator) ReachScatter(ctx context.Context, origin core.GlobalKey, level int) ([]aindex.Hit, aindex.ReachStats, []augment.Degradation) {
+	hits, stats, degs := c.ReachScatterMany(ctx, []core.GlobalKey{origin}, level)
+	return hits[0], stats, degs
+}
+
+// ReachScatterMany is the distributed α of Definition 2 for every origin of
+// a request at once: result i holds the hits, probabilities and distances of
+// aindex.Index.Reach(origins[i], level) over the unsharded index whenever
+// every peer is healthy. The traversal is hop-synchronous across the whole
+// request — each hop ships one leg per owning peer, carrying every origin's
+// sub-frontier for that peer as its own segment, and merges the answers per
+// origin behind a barrier — so a request costs at most (level+1) × peers
+// legs however many origins it has. A shard that fails mid-traversal is
+// dropped from the remainder of it and reported as a Degradation, shared by
+// all origins, instead of failing the query.
+//
+// When Config.Rcache is set, origins are looked up one by one before the
+// traversal and only the misses are shipped; after a clean traversal each
+// miss is memoized against the scatter epoch, so a repeated origin costs
+// zero network legs until the topology or the local shard's index moves.
+// The returned stats sum the traversal work of the misses. Results of equal
+// origins share one slice; callers must not modify them.
+//
+// ReachScatterMany implements augment.Reacher.
+func (c *Coordinator) ReachScatterMany(ctx context.Context, origins []core.GlobalKey, level int) ([][]aindex.Hit, aindex.ReachStats, []augment.Degradation) {
+	out := make([][]aindex.Hit, len(origins))
 	ring, peers := c.topo()
-	var (
-		key   rcache.Key
-		epoch uint64
-	)
+	var epoch uint64
 	if c.rc != nil {
-		key = rcache.Key{GK: origin, Level: level, Kind: rcache.KindScatter}
 		epoch = c.scatterEpoch(ring)
-		if hits, stats, ok := c.rc.GetReach(key, epoch); ok {
-			explain.FromContext(ctx).RcacheHits(1)
-			return hits, stats, nil
+	}
+	var (
+		slots    []*originSlot
+		slotOf   = make([]int, len(origins)) // slot of origins[i]; -1: served from the cache
+		slotFor  = make(map[core.GlobalKey]int, len(origins))
+		cacheHit int
+	)
+	for i, o := range origins {
+		if si, dup := slotFor[o]; dup {
+			slotOf[i] = si
+			continue
+		}
+		if c.rc != nil {
+			if hits, _, ok := c.rc.GetReach(scatterKey(o, level), epoch); ok {
+				out[i], slotOf[i] = hits, -1
+				cacheHit++
+				continue
+			}
+		}
+		slotFor[o], slotOf[i] = len(slots), len(slots)
+		slots = append(slots, &originSlot{
+			origin:   o,
+			best:     map[core.GlobalKey]aindex.Hit{o: {Key: o, Prob: 1, Dist: 0}},
+			frontier: map[core.GlobalKey]float64{o: 1},
+		})
+	}
+	rec := explain.FromContext(ctx)
+	rec.RcacheHits(cacheHit)
+	if len(slots) == 0 {
+		return out, aindex.ReachStats{}, nil
+	}
+	stats, degs := c.traverse(ctx, rec, ring, peers, slots, level)
+	reached := make([][]aindex.Hit, len(slots))
+	for si, s := range slots {
+		hits := make([]aindex.Hit, 0, len(s.best)-1)
+		for k, h := range s.best {
+			if k != s.origin {
+				hits = append(hits, h)
+			}
+		}
+		aindex.SortHits(hits)
+		reached[si] = hits
+		// Only clean traversals are cacheable: a degraded result reflects a
+		// transient peer failure, not the index, and must not outlive it.
+		if c.rc != nil && len(degs) == 0 {
+			c.rc.PutReach(scatterKey(s.origin, level), epoch, hits, aindex.ReachStats{})
 		}
 	}
-	var (
-		hits  []aindex.Hit
-		stats aindex.ReachStats
-		degs  []augment.Degradation
-	)
-	if c.hopSync {
-		hits, stats, degs = c.reachScatterSync(ctx, ring, peers, origin, level)
-	} else {
-		hits, stats, degs = c.reachScatterPipelined(ctx, ring, peers, origin, level)
+	for i, si := range slotOf {
+		if si >= 0 {
+			out[i] = reached[si]
+		}
 	}
-	// Only clean traversals are cacheable: a degraded result reflects a
-	// transient peer failure, not the index, and must not outlive it.
-	if c.rc != nil && len(degs) == 0 {
-		c.rc.PutReach(key, epoch, hits, stats)
-	}
-	return hits, stats, degs
+	return out, stats, degs
+}
+
+func scatterKey(origin core.GlobalKey, level int) rcache.Key {
+	return rcache.Key{GK: origin, Level: level, Kind: rcache.KindScatter}
 }
 
 // scatterEpoch fingerprints the cluster state a cached scatter result is
@@ -388,289 +465,100 @@ func (c *Coordinator) scatterEpoch(ring *Ring) uint64 {
 	return ring.Version()<<48 | idx&(1<<48-1)
 }
 
-// reachScatterSync is the legacy hop-synchronous engine: each hop groups
-// the frontier by owning shard, expands every group in parallel and merges
-// behind a full barrier before the next hop starts. With every peer healthy
-// even its traversal stats equal the single-node reference traversal.
-func (c *Coordinator) reachScatterSync(ctx context.Context, ring *Ring, peers []string, origin core.GlobalKey, level int) ([]aindex.Hit, aindex.ReachStats, []augment.Degradation) {
-	rec := explain.FromContext(ctx)
-	var stats aindex.ReachStats
-	maxHops := level + 1
-	best := map[core.GlobalKey]aindex.Hit{origin: {Key: origin, Prob: 1, Dist: 0}}
-	frontier := map[core.GlobalKey]float64{origin: 1}
+// traverse runs the hop-synchronous traversal over slots, leaving every
+// slot's best map final. Within a hop the legs run in parallel; between hops
+// a barrier holds until every leg has merged, which is what makes distances
+// exact (a key's first improving arrival is its shortest chain) and, with
+// every peer healthy, the summed traversal stats equal the single-node
+// reference traversals'.
+func (c *Coordinator) traverse(ctx context.Context, rec *explain.Recorder, ring *Ring, peers []string, slots []*originSlot, level int) (aindex.ReachStats, []augment.Degradation) {
+	var (
+		stats               aindex.ReachStats
+		shipped, suppressed int
+	)
 	degraded := map[int]augment.Degradation{}
-	for hop := 1; hop <= maxHops && len(frontier) > 0; hop++ {
-		groups := groupFrontier(ring, frontier)
-		// A shard already dropped this traversal is skipped for the rest of
-		// it: its sub-frontier is lost, the healthy shards keep going.
-		live := groups[:0]
-		for _, g := range groups {
-			if _, dead := degraded[g.shard]; !dead {
-				live = append(live, g)
-			}
+	for hop := 1; hop <= level+1; hop++ {
+		legs := hopLegs(ring, slots, degraded)
+		if len(legs) == 0 {
+			break
 		}
-		results := make([]scatterResult, len(live))
-		if len(live) == 1 {
-			results[0] = c.expandShard(ctx, peers, live[0])
-		} else {
-			var wg sync.WaitGroup
-			for i, g := range live {
-				wg.Add(1)
-				go func(i int, g shardGroup) {
-					defer wg.Done()
-					results[i] = c.expandShard(ctx, peers, g)
-				}(i, g)
-			}
-			wg.Wait()
+		results := make([]scatterResult, len(legs))
+		var wg sync.WaitGroup
+		for i, l := range legs[1:] {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				results[i+1] = c.expandLeg(ctx, peers, l)
+			}()
 		}
-		next := map[core.GlobalKey]float64{}
+		results[0] = c.expandLeg(ctx, peers, legs[0])
+		wg.Wait()
+		for _, s := range slots {
+			clear(s.frontier) // the legs hold what was shipped; merge refills it
+		}
 		for i, res := range results {
+			l := legs[i]
+			shipped += len(l.keys)
 			if rec != nil {
-				rec.ShardScatter(res.shard, PeerName(res.shard), len(live[i].keys), len(res.hits), res.wall, res.err != nil)
+				rec.ShardScatter(l.shard, PeerName(l.shard), len(l.keys), len(res.hits), res.wall, res.err != nil)
 			}
 			if res.err != nil {
-				if _, seen := degraded[res.shard]; !seen {
-					degraded[res.shard] = augment.Degradation{
-						Store:  PeerName(res.shard),
-						Reason: peerReason(res.err),
-						Level:  level,
-					}
+				degraded[l.shard] = augment.Degradation{
+					Store:  PeerName(l.shard),
+					Reason: peerReason(res.err),
+					Level:  level,
 				}
 				continue
 			}
 			stats.Nodes += res.info.Nodes
 			stats.Edges += res.info.Edges
-			for _, h := range res.hits {
-				gk, err := core.ParseGlobalKey(h.Key)
-				if err != nil {
-					continue // a peer speaking garbage cannot poison the merge
+			at := 0
+			for j, si := range l.slots {
+				run := len(res.hits)
+				if len(l.segs) > 1 {
+					run = res.segs[j]
 				}
-				old, seen := best[gk]
-				if !seen || h.Prob > old.Prob {
-					dist := hop
-					if seen && old.Dist < hop {
-						dist = old.Dist
-					}
-					best[gk] = aindex.Hit{Key: gk, Prob: h.Prob, Dist: dist}
-					if h.Prob > next[gk] {
-						next[gk] = h.Prob
-					}
-				}
+				suppressed += slots[si].merge(res.hits[at:at+run], hop)
+				at += run
 			}
 		}
-		frontier = next
 	}
-	out := make([]aindex.Hit, 0, len(best)-1)
-	for k, h := range best {
-		if k == origin {
-			continue
-		}
-		out = append(out, h)
-	}
-	aindex.SortHits(out)
+	deltaKeysShipped.Add(uint64(shipped))
+	deltaSuppressed.Add(uint64(suppressed))
+	rec.DeltaFrontierKeys(shipped)
 	degs := make([]augment.Degradation, 0, len(degraded))
 	for _, d := range degraded {
 		degs = append(degs, d)
 	}
 	sort.Slice(degs, func(i, j int) bool { return degs[i].Store < degs[j].Store })
-	return out, stats, degs
+	return stats, degs
 }
 
-// paretoPair is one undominated (hop, prob) discovery for a key. A pair
-// dominates another when it is no longer and no less probable; only
-// undominated arrivals are merged and re-dispatched, which is what makes
-// the out-of-order pipelined traversal converge to the same fixed point as
-// the hop-ordered one: for every key, Prob is the maximum chain probability
-// and Dist the minimum chain length over all chains of at most maxHops.
-type paretoPair struct {
-	hop  int
-	prob float64
-}
-
-// pipeGroup is one in-flight pipelined dispatch: a shard's slice of
-// newly-improved frontier keys, all carrying the same hop tag.
-type pipeGroup struct {
-	shardGroup
-	tag int
-}
-
-// pipeScatter is the state of one pipelined traversal. One mutex guards the
-// merge state; legs run outside it and re-enter through absorb.
-type pipeScatter struct {
-	c     *Coordinator
-	ctx   context.Context
-	ring  *Ring
-	peers []string
-	rec   *explain.Recorder
-	level int
-	// maxHops caps chain length at level+1, exactly as the reference
-	// traversal does.
-	maxHops int
-
-	mu       sync.Mutex
-	best     map[core.GlobalKey]aindex.Hit
-	pareto   map[core.GlobalKey][]paretoPair
-	degraded map[int]augment.Degradation
-	stats    aindex.ReachStats
-	inflight int
-	shipped  int
-	done     chan struct{}
-}
-
-// reachScatterPipelined is the delta-frontier engine: there is no hop
-// barrier — the moment one leg's response lands, its undominated arrivals
-// are grouped by owner and dispatched at the next hop tag while sibling
-// legs of the previous hop are still in flight. Each (key, prob, hop)
-// triple is shipped to a peer at most once; dominated re-arrivals (a cycle,
-// or a slower chain beaten to the key) are suppressed entirely, which is
-// the "delta" in delta frontier.
-func (c *Coordinator) reachScatterPipelined(ctx context.Context, ring *Ring, peers []string, origin core.GlobalKey, level int) ([]aindex.Hit, aindex.ReachStats, []augment.Degradation) {
-	p := &pipeScatter{
-		c:        c,
-		ctx:      ctx,
-		ring:     ring,
-		peers:    peers,
-		rec:      explain.FromContext(ctx),
-		level:    level,
-		maxHops:  level + 1,
-		best:     map[core.GlobalKey]aindex.Hit{origin: {Key: origin, Prob: 1, Dist: 0}},
-		pareto:   map[core.GlobalKey][]paretoPair{origin: {{hop: 0, prob: 1}}},
-		degraded: map[int]augment.Degradation{},
-		done:     make(chan struct{}),
-	}
-	if p.maxHops >= 1 {
-		g := pipeGroup{
-			shardGroup: shardGroup{shard: ring.Owner(origin), keys: []string{origin.String()}, probs: []float64{1}},
-			tag:        1,
+// merge folds one leg segment's hits, discovered at hop, into the slot: an
+// arrival that beats the key's best probability updates it and joins the
+// next frontier; the rest are counted and dropped. It returns the dropped
+// count.
+func (s *originSlot) merge(hits []wire.RemoteHit, hop int) (suppressed int) {
+	for _, h := range hits {
+		gk, err := core.ParseGlobalKey(h.Key)
+		if err != nil {
+			continue // a peer speaking garbage cannot poison the merge
 		}
-		p.mu.Lock()
-		p.launch([]pipeGroup{g})
-		p.mu.Unlock()
-	} else {
-		close(p.done)
-	}
-	<-p.done
-	deltaKeysShipped.Add(uint64(p.shipped))
-	p.rec.DeltaFrontierKeys(p.shipped)
-	out := make([]aindex.Hit, 0, len(p.best)-1)
-	for k, h := range p.best {
-		if k == origin {
+		old, seen := s.best[gk]
+		if seen && h.Prob <= old.Prob {
+			suppressed++
 			continue
 		}
-		out = append(out, h)
-	}
-	aindex.SortHits(out)
-	degs := make([]augment.Degradation, 0, len(p.degraded))
-	for _, d := range p.degraded {
-		degs = append(degs, d)
-	}
-	sort.Slice(degs, func(i, j int) bool { return degs[i].Store < degs[j].Store })
-	return out, p.stats, degs
-}
-
-// launch registers groups as in-flight and spawns one leg per group. The
-// caller must hold p.mu; counting before spawning keeps inflight from
-// transiently hitting zero while work remains.
-func (p *pipeScatter) launch(groups []pipeGroup) {
-	p.inflight += len(groups)
-	for _, g := range groups {
-		p.shipped += len(g.keys)
-		go p.run(g)
-	}
-}
-
-func (p *pipeScatter) run(g pipeGroup) {
-	res := p.c.expandShard(p.ctx, p.peers, g.shardGroup)
-	p.absorb(g, res)
-}
-
-// absorb merges one completed leg and immediately dispatches whatever it
-// improved — this is the pipelining: hop n+1 legs launch while other hop-n
-// legs are still in flight.
-func (p *pipeScatter) absorb(g pipeGroup, res scatterResult) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.rec != nil {
-		p.rec.ShardScatter(res.shard, PeerName(res.shard), len(g.keys), len(res.hits), res.wall, res.err != nil)
-	}
-	var next []pipeGroup
-	if res.err != nil {
-		// A failed shard is degraded for the rest of this traversal: its
-		// sub-frontier is lost, the healthy shards keep going — the same
-		// contract as the hop-synchronous engine.
-		if _, seen := p.degraded[res.shard]; !seen {
-			p.degraded[res.shard] = augment.Degradation{
-				Store:  PeerName(res.shard),
-				Reason: peerReason(res.err),
-				Level:  p.level,
-			}
+		dist := hop
+		if seen && old.Dist < hop {
+			dist = old.Dist
 		}
-	} else {
-		p.stats.Nodes += res.info.Nodes
-		p.stats.Edges += res.info.Edges
-		improved := map[core.GlobalKey]float64{}
-		for _, h := range res.hits {
-			gk, err := core.ParseGlobalKey(h.Key)
-			if err != nil {
-				continue // a peer speaking garbage cannot poison the merge
-			}
-			if p.merge(gk, h.Prob, g.tag) {
-				if pr, ok := improved[gk]; !ok || h.Prob > pr {
-					improved[gk] = h.Prob
-				}
-			} else {
-				deltaSuppressed.Inc()
-			}
-		}
-		if g.tag < p.maxHops && len(improved) > 0 {
-			for _, sg := range groupFrontier(p.ring, improved) {
-				if _, dead := p.degraded[sg.shard]; dead {
-					continue
-				}
-				next = append(next, pipeGroup{shardGroup: sg, tag: g.tag + 1})
-			}
+		s.best[gk] = aindex.Hit{Key: gk, Prob: h.Prob, Dist: dist}
+		if h.Prob > s.frontier[gk] {
+			s.frontier[gk] = h.Prob
 		}
 	}
-	p.launch(next)
-	p.inflight--
-	if p.inflight == 0 {
-		close(p.done)
-	}
-}
-
-// merge folds one arrival into the key's pareto set and best entry. It
-// reports whether (hop, prob) was undominated — the condition under which
-// the arrival must be re-dispatched. Re-dispatching on a shorter hop even
-// when the probability does not improve is required for distance
-// correctness: a slow two-hop chain must still shorten distances downstream
-// after a fast five-hop chain delivered a higher probability first.
-func (p *pipeScatter) merge(gk core.GlobalKey, prob float64, hop int) bool {
-	pairs := p.pareto[gk]
-	for _, q := range pairs {
-		if q.hop <= hop && q.prob >= prob {
-			return false
-		}
-	}
-	kept := pairs[:0]
-	for _, q := range pairs {
-		if !(hop <= q.hop && prob >= q.prob) {
-			kept = append(kept, q)
-		}
-	}
-	p.pareto[gk] = append(kept, paretoPair{hop: hop, prob: prob})
-	h, seen := p.best[gk]
-	if !seen {
-		p.best[gk] = aindex.Hit{Key: gk, Prob: prob, Dist: hop}
-		return true
-	}
-	if prob > h.Prob {
-		h.Prob = prob
-	}
-	if hop < h.Dist {
-		h.Dist = hop
-	}
-	p.best[gk] = h
-	return true
+	return suppressed
 }
 
 // PeerGet fetches one remote-owned key from the peer owning shard, guarded
@@ -781,18 +669,3 @@ func (c *Coordinator) Status(includeRanges bool) Status {
 // AnyPeerOpen reports whether any per-peer breaker currently rejects calls
 // (the /healthz signal that a peer is burning).
 func (c *Coordinator) AnyPeerOpen() bool { return c.breakers.AnyOpen() }
-
-// ReachBytes sums the cumulative reach-op wire bytes moved by every peer
-// client this coordinator has dialed, both directions. The scatter-bytes
-// bench diffs it around a traversal batch to price the frontier traffic of
-// one engine against another's.
-func (c *Coordinator) ReachBytes() (sent, received uint64) {
-	c.cmu.Lock()
-	defer c.cmu.Unlock()
-	for _, cl := range c.clients {
-		s, r := cl.ReachBytes()
-		sent += s
-		received += r
-	}
-	return sent, received
-}

@@ -90,38 +90,67 @@ func (n *Node) GetBatchDB(ctx context.Context, database, collection string, keys
 // shard: for every (key, prob) pair, the direct p-relations of key
 // contribute prob×edge hits, deduplicated by maximum probability and
 // returned in key order so merges are deterministic on any peer.
-func (n *Node) ExpandFrontier(ctx context.Context, keys []string, probs []float64) ([]wire.RemoteHit, wire.ReachInfo, error) {
+//
+// segs splits the frontier into consecutive runs, one per origin of a
+// many-origin traversal. Each run is expanded and deduplicated on its own —
+// two origins reaching the same key keep their own probabilities — and the
+// returned run lengths split the hits the same way, key-sorted within each
+// run. Nil segs is one run and returns nil run lengths.
+func (n *Node) ExpandFrontier(ctx context.Context, keys []string, probs []float64, segs []int) ([]wire.RemoteHit, []int, wire.ReachInfo, error) {
 	if len(keys) != len(probs) {
-		return nil, wire.ReachInfo{}, fmt.Errorf("cluster: frontier of %d keys with %d probs", len(keys), len(probs))
+		return nil, nil, wire.ReachInfo{}, fmt.Errorf("cluster: frontier of %d keys with %d probs", len(keys), len(probs))
+	}
+	runs := segs
+	if len(runs) == 0 {
+		runs = []int{len(keys)}
 	}
 	ix := n.index.Load()
-	var info wire.ReachInfo
+	var (
+		info    wire.ReachInfo
+		out     []wire.RemoteHit
+		hitSegs []int
+		at      int
+	)
 	best := make(map[string]float64, len(keys))
-	for i, k := range keys {
-		gk, err := core.ParseGlobalKey(k)
-		if err != nil {
-			return nil, wire.ReachInfo{}, fmt.Errorf("cluster: frontier key %q: %w", k, err)
+	for _, run := range runs {
+		if run < 0 || run > len(keys)-at {
+			return nil, nil, wire.ReachInfo{}, fmt.Errorf("cluster: frontier segments overrun %d keys", len(keys))
 		}
-		// Level 0 is exactly one hop (Definition 2), with the edge
-		// probabilities as hit probabilities — the building block the
-		// coordinator chains into multi-hop reachability.
-		hits, st := ix.ReachWithStats(gk, 0)
-		info.Nodes += st.Nodes
-		info.Edges += st.Edges
-		for _, h := range hits {
-			p := probs[i] * h.Prob
-			ks := h.Key.String()
-			if p > best[ks] {
-				best[ks] = p
+		clear(best)
+		for i := at; i < at+run; i++ {
+			gk, err := core.ParseGlobalKey(keys[i])
+			if err != nil {
+				return nil, nil, wire.ReachInfo{}, fmt.Errorf("cluster: frontier key %q: %w", keys[i], err)
+			}
+			// Level 0 is exactly one hop (Definition 2), with the edge
+			// probabilities as hit probabilities — the building block the
+			// coordinator chains into multi-hop reachability.
+			hits, st := ix.ReachWithStats(gk, 0)
+			info.Nodes += st.Nodes
+			info.Edges += st.Edges
+			for _, h := range hits {
+				p := probs[i] * h.Prob
+				ks := h.Key.String()
+				if p > best[ks] {
+					best[ks] = p
+				}
 			}
 		}
+		at += run
+		start := len(out)
+		for k, p := range best {
+			out = append(out, wire.RemoteHit{Key: k, Prob: p})
+		}
+		seg := out[start:]
+		sort.Slice(seg, func(i, j int) bool { return seg[i].Key < seg[j].Key })
+		if len(segs) > 0 {
+			hitSegs = append(hitSegs, len(seg))
+		}
 	}
-	out := make([]wire.RemoteHit, 0, len(best))
-	for k, p := range best {
-		out = append(out, wire.RemoteHit{Key: k, Prob: p})
+	if at != len(keys) {
+		return nil, nil, wire.ReachInfo{}, fmt.Errorf("cluster: frontier segments cover %d of %d keys", at, len(keys))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out, info, nil
+	return out, hitSegs, info, nil
 }
 
 // IndexSnapshot serializes the node's A' shard in the binary checkpoint

@@ -167,8 +167,8 @@ func (r *Recorder) RcacheHits(n int) {
 	r.mu.Unlock()
 }
 
-// DeltaFrontierKeys attributes n frontier keys shipped to peers by the
-// pipelined delta scatter.
+// DeltaFrontierKeys attributes n frontier keys shipped to peers by a
+// scatter traversal.
 func (r *Recorder) DeltaFrontierKeys(n int) {
 	if r == nil || n == 0 {
 		return

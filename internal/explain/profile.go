@@ -163,8 +163,8 @@ type Totals struct {
 	// RcacheHits counts results served from the epoch-consistent result
 	// cache (reach sets, whole augmentation outcomes, scatter results).
 	RcacheHits int `json:"rcache_hits,omitempty"`
-	// DeltaFrontierKeys counts the frontier keys actually shipped to peers by
-	// the pipelined delta scatter — the denominator for "how much did delta
-	// encoding save" is Totals.ScatterCalls × the full frontier size.
+	// DeltaFrontierKeys counts the frontier keys scatter traversals shipped
+	// to peers: each hop ships only the keys the previous hop improved, for
+	// all of the request's uncached origins together.
 	DeltaFrontierKeys int `json:"delta_frontier_keys,omitempty"`
 }

@@ -154,13 +154,13 @@ func (n *ChaosNode) GetBatchDB(ctx context.Context, database, collection string,
 }
 
 // ExpandFrontier serves one scatter leg under charging.
-func (n *ChaosNode) ExpandFrontier(ctx context.Context, keys []string, probs []float64) ([]wire.RemoteHit, wire.ReachInfo, error) {
+func (n *ChaosNode) ExpandFrontier(ctx context.Context, keys []string, probs []float64, segs []int) ([]wire.RemoteHit, []int, wire.ReachInfo, error) {
 	if err := n.g.admit(); err != nil {
-		return nil, wire.ReachInfo{}, err
+		return nil, nil, wire.ReachInfo{}, err
 	}
-	hits, info, err := n.inner.ExpandFrontier(ctx, keys, probs)
+	hits, hitSegs, info, err := n.inner.ExpandFrontier(ctx, keys, probs, segs)
 	n.charge(len(hits))
-	return hits, info, err
+	return hits, hitSegs, info, err
 }
 
 // IndexSnapshot serves one snapshot transfer: charged, never faulted.

@@ -44,9 +44,9 @@ type Client struct {
 	roundTrips  atomic.Uint64 // logical requests issued by callers
 	frames      atomic.Uint64 // physical request frames written
 	retries     atomic.Uint64
-	// Per-direction byte tallies of reach ops only (headers included): the
-	// delta-frontier bytes-on-wire measurement needs scatter traffic isolated
-	// from get/getbatch fetches sharing the same client.
+	// Per-direction byte tallies of reach ops only (headers included):
+	// scatter traffic isolated from the get/getbatch fetches sharing the
+	// client.
 	reachSent     atomic.Uint64
 	reachReceived atomic.Uint64
 	nextID        atomic.Uint64
@@ -54,11 +54,10 @@ type Client struct {
 	codec         atomic.Uint32 // negotiated frame codec (codecJSON until meta agrees on v2)
 	retrier       *resilience.Retrier
 
-	poolSize  int
-	plainKeys bool          // ClientConfig.PlainKeys: never use the Frontier field
-	rr        atomic.Uint64 // round-robin cursor over conns
-	connMu    sync.Mutex
-	conns     []*muxConn // lazily dialed; slots replaced when dead
+	poolSize int
+	rr       atomic.Uint64 // round-robin cursor over conns
+	connMu   sync.Mutex
+	conns    []*muxConn // lazily dialed; slots replaced when dead
 
 	gmu       sync.Mutex
 	getQueues map[string]*getQueue // natural get-batching, keyed by collection
@@ -92,11 +91,6 @@ type ClientConfig struct {
 	// connection (falling back to JSON against old servers), CodecJSON pins
 	// JSON. Anything else fails Dial.
 	Codec string
-	// PlainKeys ships reach frontiers as plain string lists even on binary
-	// connections, bypassing the front-coded Frontier field. The scatter-
-	// bytes bench uses it as the LEGACY series to price the delta encoding;
-	// production clients leave it false.
-	PlainKeys bool
 }
 
 // Dial connects to a wire server with the default configuration.
@@ -112,7 +106,6 @@ func DialConfig(addr string, cfg ClientConfig) (*Client, error) {
 	c := &Client{
 		addr:      addr,
 		poolSize:  cfg.PoolSize,
-		plainKeys: cfg.PlainKeys,
 		conns:     make([]*muxConn, cfg.PoolSize),
 		retrier:   resilience.NewRetrier(cfg.Retry),
 		getQueues: map[string]*getQueue{},
@@ -836,6 +829,10 @@ func (c *Client) GetBatchDB(ctx context.Context, database, collection string, ke
 // ExpandFrontier asks the peer to expand a weighted key frontier one hop
 // over its A' shard — the scatter leg of a distributed Reach. keys and probs
 // are parallel; the returned hits carry the accumulated path probabilities.
+// A non-nil segs splits the frontier into runs the peer expands independently
+// (one per origin of a many-origin traversal); the returned run lengths split
+// the hits the same way, and a response segmented differently from the
+// request is rejected.
 //
 // On a negotiated codec-v3 connection the keys travel in the front-coded
 // Frontier field of a compact reach frame and the hits come back front-coded
@@ -844,30 +841,35 @@ func (c *Client) GetBatchDB(ctx context.Context, database, collection string, ke
 // layout's empty slots. Against v1 JSON and v2 binary peers the exchange
 // stays on the plain Keys/Hits fields, which is what keeps mixed-codec
 // clusters interoperating.
-func (c *Client) ExpandFrontier(ctx context.Context, keys []string, probs []float64) ([]RemoteHit, ReachInfo, error) {
+func (c *Client) ExpandFrontier(ctx context.Context, keys []string, probs []float64, segs []int) ([]RemoteHit, []int, ReachInfo, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, ReachInfo{}, err
+		return nil, nil, ReachInfo{}, err
 	}
-	req := request{Op: opReach, Probs: probs}
-	if c.codec.Load() >= codecDelta && !c.plainKeys {
+	req := request{Op: opReach, Probs: probs, Segs: segs}
+	if c.codec.Load() >= codecDelta {
 		req.Frontier = keys
 	} else {
 		req.Keys = keys
 	}
 	resp, err := c.roundTrip(ctx, req)
 	if err != nil {
-		return nil, ReachInfo{}, err
+		return nil, nil, ReachInfo{}, err
 	}
 	hits := resp.Hits
 	if len(resp.DHits) > 0 {
 		hits = resp.DHits
 	}
-	return hits, ReachInfo{Nodes: resp.Nodes, Edges: resp.Edges}, nil
+	// A peer that predates the column answers unsegmented; merging its hits
+	// into one origin would be a wrong answer, not a degraded one.
+	if len(resp.Segs) != len(segs) || checkSegs(resp.Segs, len(hits)) != nil {
+		return nil, nil, ReachInfo{}, fmt.Errorf("wire: %s answered %d reach segments with %d", c.name, len(segs), len(resp.Segs))
+	}
+	return hits, resp.Segs, ReachInfo{Nodes: resp.Nodes, Edges: resp.Edges}, nil
 }
 
 // ReachBytes reports the cumulative wire bytes (headers included) this
-// client's reach ops have moved, both directions. The scatter-bytes bench
-// diffs it around a traversal to isolate frontier traffic from fetches.
+// client's reach ops have moved, both directions: frontier traffic isolated
+// from the fetches sharing the client.
 func (c *Client) ReachBytes() (sent, received uint64) {
 	return c.reachSent.Load(), c.reachReceived.Load()
 }

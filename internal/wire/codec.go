@@ -39,9 +39,9 @@ import (
 
 // Frame codec versions. codecJSON is the v1 compatibility codec every server
 // keeps accepting; codecBinary is the compact frame format of codec v2;
-// codecDelta is codec v3, which adds the op-specific compact reach frames the
-// delta-frontier scatter ships (generic v2 frames remain valid on a v3
-// connection — only reach traffic uses the compact form).
+// codecDelta is codec v3, which adds the op-specific compact reach frames
+// scatter legs ship (generic v2 frames remain valid on a v3 connection —
+// only reach traffic uses the compact form).
 const (
 	codecJSON   = 1
 	codecBinary = 2
@@ -55,9 +55,28 @@ const binMagic = 0x02
 // binMagicDelta opens a codec-v3 compact reach frame: a reach request or
 // response stripped to the fields the op actually uses. A generic v2 frame
 // spends ~24 bytes encoding the empty slots of the full request/response
-// structs on every scatter leg; the compact form drops them, which is where
-// most of the delta-frontier byte reduction beyond front-coding comes from.
+// structs on every scatter leg; the compact form drops them, which saves
+// more reach bytes than front-coding the keys does.
 const binMagicDelta = 0x03
+
+// binMagicDeltaSeg opens a compact reach frame that carries a segment column
+// (request.Segs / response.Segs): the binMagicDelta layout followed by the
+// run lengths. Unsegmented frames keep binMagicDelta, so single-origin reach
+// traffic is byte-identical to what it was before segments existed.
+const binMagicDeltaSeg = 0x04
+
+// deltaMagic picks the compact frame's magic for a segment column.
+func deltaMagic(segs []int) byte {
+	if len(segs) > 0 {
+		return binMagicDeltaSeg
+	}
+	return binMagicDelta
+}
+
+// opSegmented, set on the op-code byte of a generic v2 request, announces a
+// segment column after the last fixed field; flagSegments does the same in a
+// v2 response's flag byte. Without them the layouts are unchanged.
+const opSegmented = 0x80
 
 // internCap bounds the per-frame string intern table. The encoder and the
 // decoder apply the identical "append literals while the table has room"
@@ -87,7 +106,10 @@ var opNames = [...]string{
 }
 
 // Response flag bits.
-const flagNotFound = 1 << 0
+const (
+	flagNotFound = 1 << 0
+	flagSegments = 1 << 1
+)
 
 // poolableCap is the largest buffer the codec pools keep. Snapshot frames
 // can run to tens of megabytes; recycling those would pin the memory for the
@@ -194,6 +216,18 @@ func (e *encoder) frontStr(prev, s string) {
 	e.str(s[p:])
 }
 
+// segs emits a segment column — the run count, then every run length — or
+// nothing for an absent one: frames announce the column only when it exists.
+func (e *encoder) segs(segs []int) {
+	if len(segs) == 0 {
+		return
+	}
+	e.uvarint(uint64(len(segs)))
+	for _, n := range segs {
+		e.uvarint(uint64(n))
+	}
+}
+
 // finish stamps the length header and returns the complete frame, or a
 // typed size violation naming the op.
 func (e *encoder) finish(op string) ([]byte, error) {
@@ -211,6 +245,9 @@ func (e *encoder) encodeRequest(req *request) error {
 	code, ok := opCodes[req.Op]
 	if !ok {
 		return fmt.Errorf("wire: codec v2 cannot encode op %q", req.Op)
+	}
+	if len(req.Segs) > 0 {
+		code |= opSegmented
 	}
 	e.u8(binMagic)
 	e.u8(code)
@@ -235,19 +272,21 @@ func (e *encoder) encodeRequest(req *request) error {
 		e.frontStr(prev, k)
 		prev = k
 	}
+	e.segs(req.Segs)
 	return nil
 }
 
 // encodeDeltaRequest appends req as a codec-v3 compact reach frame: ID,
-// trace, and the front-coded frontier with its parallel probs — nothing
-// else. Only the reach op has a compact form (the magic byte itself names
-// the op; a future compact op would claim its own magic); every other op
-// stays on the generic v2 layout even on a v3 connection.
+// trace, the front-coded frontier with its parallel probs and, under
+// binMagicDeltaSeg, the segment column — nothing else. Only the reach op
+// has a compact form (the magic byte itself names the op; a future compact
+// op would claim its own magic); every other op stays on the generic v2
+// layout even on a v3 connection.
 func (e *encoder) encodeDeltaRequest(req *request) error {
 	if req.Op != opReach {
 		return fmt.Errorf("wire: codec v3 has no compact frame for op %q", req.Op)
 	}
-	e.u8(binMagicDelta)
+	e.u8(deltaMagic(req.Segs))
 	e.uvarint(req.ID)
 	// The frontier count carries a has-trace flag in its low bit: scatter
 	// legs are untraced unless the query is sampled, so the common case
@@ -272,13 +311,15 @@ func (e *encoder) encodeDeltaRequest(req *request) error {
 		}
 		e.f64(p)
 	}
+	e.segs(req.Segs)
 	return nil
 }
 
 // encodeDeltaResponse appends resp as a codec-v3 compact reach frame: ID,
-// error, traversal stats and the front-coded hit list.
+// error, traversal stats, the front-coded hit list and, under
+// binMagicDeltaSeg, the segment column.
 func (e *encoder) encodeDeltaResponse(resp *response) {
-	e.u8(binMagicDelta)
+	e.u8(deltaMagic(resp.Segs))
 	e.uvarint(resp.ID)
 	// Like the request's trace, the hit count carries a has-error flag in
 	// its low bit so the healthy path drops the empty string's length byte.
@@ -300,6 +341,7 @@ func (e *encoder) encodeDeltaResponse(resp *response) {
 		e.f64(h.Prob)
 		prev = h.Key
 	}
+	e.segs(resp.Segs)
 }
 
 // encodeResponse appends resp in the fixed v2 layout. The object list is
@@ -311,6 +353,9 @@ func (e *encoder) encodeResponse(resp *response) {
 	var flags byte
 	if resp.NotFound {
 		flags |= flagNotFound
+	}
+	if len(resp.Segs) > 0 {
+		flags |= flagSegments
 	}
 	e.u8(flags)
 	e.str(resp.Error)
@@ -357,6 +402,7 @@ func (e *encoder) encodeResponse(resp *response) {
 		e.f64(h.Prob)
 		prev = h.Key
 	}
+	e.segs(resp.Segs)
 }
 
 // ---------------------------------------------------------------------------
@@ -530,6 +576,35 @@ func (d *decoder) count(minSize int) (int, error) {
 	return int(n), nil
 }
 
+// segs reads the segment column of a frame that announced one and checks it
+// against the length of the list it splits. An announced column with no runs
+// is rejected: the encoders never write it, so accepting it would give one
+// request two encodings.
+func (d *decoder) segs(total int) ([]int, error) {
+	n, err := d.count(1)
+	if err != nil {
+		return nil, err
+	}
+	if n == 0 {
+		return nil, errSegments
+	}
+	segs := make([]int, 0, min(n, sliceCap))
+	for i := 0; i < n; i++ {
+		v, err := d.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if v > uint64(total) {
+			return nil, errSegments
+		}
+		segs = append(segs, int(v))
+	}
+	if err := checkSegs(segs, total); err != nil {
+		return nil, err
+	}
+	return segs, nil
+}
+
 // sliceCap bounds an eagerly pre-sized result slice; validated counts above
 // it grow by append.
 const sliceCap = 4096
@@ -550,6 +625,8 @@ func decodeRequestV2(body string, req *request) error {
 	if err != nil {
 		return err
 	}
+	segmented := code&opSegmented != 0
+	code &^= opSegmented
 	if int(code) >= len(opNames) || opNames[code] == "" {
 		return fmt.Errorf("wire: codec-v2 frame with unknown op code %d", code)
 	}
@@ -624,6 +701,11 @@ func decodeRequestV2(body string, req *request) error {
 		}
 		req.Frontier = frontier
 	}
+	if segmented {
+		if req.Segs, err = d.segs(segmentedLen(len(req.Frontier), len(req.Keys))); err != nil {
+			return err
+		}
+	}
 	if d.off != len(d.s) {
 		return errTrailingBytes
 	}
@@ -634,7 +716,7 @@ func decodeRequestV2(body string, req *request) error {
 // request struct the generic decoders fill, so the server dispatch path is
 // codec-blind.
 func decodeDeltaRequest(body string, req *request) error {
-	if len(body) == 0 || body[0] != binMagicDelta {
+	if len(body) == 0 || body[0] != binMagicDelta && body[0] != binMagicDeltaSeg {
 		return fmt.Errorf("wire: not a codec-v3 frame")
 	}
 	d := getDecoder(body)
@@ -684,6 +766,11 @@ func decodeDeltaRequest(body string, req *request) error {
 		req.Frontier = frontier
 		req.Probs = probs
 	}
+	if body[0] == binMagicDeltaSeg {
+		if req.Segs, err = d.segs(n); err != nil {
+			return err
+		}
+	}
 	if d.off != len(d.s) {
 		return errTrailingBytes
 	}
@@ -692,7 +779,7 @@ func decodeDeltaRequest(body string, req *request) error {
 
 // decodeDeltaResponse parses a codec-v3 compact reach response.
 func decodeDeltaResponse(body string, resp *response) error {
-	if len(body) == 0 || body[0] != binMagicDelta {
+	if len(body) == 0 || body[0] != binMagicDelta && body[0] != binMagicDeltaSeg {
 		return fmt.Errorf("wire: not a codec-v3 frame")
 	}
 	d := getDecoder(body)
@@ -743,6 +830,11 @@ func decodeDeltaResponse(body string, resp *response) error {
 			prev = h.Key
 		}
 		resp.DHits = dhits
+	}
+	if body[0] == binMagicDeltaSeg {
+		if resp.Segs, err = d.segs(ndhits); err != nil {
+			return err
+		}
 	}
 	if d.off != len(d.s) {
 		return errTrailingBytes
@@ -895,6 +987,11 @@ func decodeResponseV2(body string, resp *response) error {
 			prev = h.Key
 		}
 		resp.DHits = dhits
+	}
+	if flags&flagSegments != 0 {
+		if resp.Segs, err = d.segs(segmentedLen(ndhits, nhits)); err != nil {
+			return err
+		}
 	}
 	if d.off != len(d.s) {
 		return errTrailingBytes

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"math/rand"
+	"net"
 	"reflect"
 	"strings"
 	"testing"
@@ -94,9 +95,31 @@ func sanitizeFloats(ps []float64) {
 	}
 }
 
+// validSegs turns quick's arbitrary ints into a segment column the binary
+// decoders accept — len(raw) non-negative runs summing to total — keeping
+// quick's choice of how many segments there are and roughly where they cut.
+// The JSON codec carries any ints; what a malformed column does is pinned by
+// TestSegmentValidation, not by the equivalence properties.
+func validSegs(raw []int, total int) []int {
+	if len(raw) == 0 {
+		return nil
+	}
+	segs := make([]int, len(raw))
+	left := total
+	for i, r := range raw[:len(raw)-1] {
+		if r < 0 {
+			r = -(r + 1)
+		}
+		segs[i] = r % (left + 1)
+		left -= segs[i]
+	}
+	segs[len(segs)-1] = left
+	return segs
+}
+
 // TestQuickRequestEquivalence pins codec v2 to the JSON codec for every op:
-// an arbitrary request must round-trip through both codecs to the same
-// struct.
+// an arbitrary request — segment column included — must round-trip through
+// both codecs to the same struct.
 func TestQuickRequestEquivalence(t *testing.T) {
 	for _, op := range wireOps {
 		op := op
@@ -104,6 +127,7 @@ func TestQuickRequestEquivalence(t *testing.T) {
 			f := func(req request) bool {
 				req.Op = op
 				sanitizeFloats(req.Probs)
+				req.Segs = validSegs(req.Segs, segmentedLen(len(req.Frontier), len(req.Keys)))
 				viaJSON := jsonRoundTripReq(t, &req)
 				viaBin := binRoundTripReq(t, &req)
 				if !reflect.DeepEqual(viaJSON, viaBin) {
@@ -133,6 +157,7 @@ func TestQuickResponseEquivalence(t *testing.T) {
 				resp.DHits[i].Prob = float64(i)
 			}
 		}
+		resp.Segs = validSegs(resp.Segs, segmentedLen(len(resp.DHits), len(resp.Hits)))
 		viaJSON := jsonRoundTripResp(t, &resp)
 		viaBin := binRoundTripResp(t, &resp)
 		if !reflect.DeepEqual(viaJSON, viaBin) {
@@ -348,6 +373,72 @@ func TestCorruptionTrailingBytes(t *testing.T) {
 	if err := decodeResponseV2(string(respBody), &resp); !errors.Is(err, errTrailingBytes) {
 		t.Errorf("response with trailing byte = %v, want errTrailingBytes", err)
 	}
+	// The segment column is the last thing in a frame that announces one;
+	// what follows it is garbage like anywhere else.
+	segReq := corruptionReq()
+	segReq.Segs = []int{1, 0, 2}
+	if err := decodeRequestV2(string(append(encodeReqBody(t, segReq), 0x00)), &req); !errors.Is(err, errTrailingBytes) {
+		t.Errorf("segmented request with trailing byte = %v, want errTrailingBytes", err)
+	}
+	segResp := corruptionResp()
+	segResp.Segs = []int{0, 1}
+	if err := decodeResponseV2(string(append(encodeRespBody(t, segResp), 0xFF)), &resp); !errors.Is(err, errTrailingBytes) {
+		t.Errorf("segmented response with trailing byte = %v, want errTrailingBytes", err)
+	}
+}
+
+// TestSegmentedFramesLeaveOthersAlone pins the compatibility half of the
+// segment column: in every codec a frame without segments encodes exactly as
+// it did before the column existed (the golden bytes below were produced by
+// the parent commit's encoders), and adding segments only appends.
+func TestSegmentedFramesLeaveOthersAlone(t *testing.T) {
+	req := &request{Op: opReach, ID: 2, Frontier: []string{"d.c.k1", "d.c.k2"}, Probs: []float64{1, 0.5}}
+	resp := &response{ID: 2, Nodes: 3, Edges: 4, DHits: []RemoteHit{{Key: "d.c.k9", Prob: 0.25}}}
+	golden := []struct {
+		name string
+		got  []byte
+		want string
+	}{
+		{"json request", mustJSON(t, req), `{"id":2,"op":"reach","probs":[1,0.5],"fr":["d.c.k1","d.c.k2"]}`},
+		{"json response", mustJSON(t, resp), `{"id":2,"nodes":3,"edges":4,"dhits":[{"k":"d.c.k9","p":0.25}]}`},
+		{"v2 request", encodeReqBody(t, req),
+			"\x02\x06\x02\x00\x00\x00\x00\x00\x01\x02\x00\x00\x00\x00\x00\x00\xf0?\x00\x00\x00\x00\x00\x00\xe0?\x00\x00\x02\x00\x06d.c.k1\x05\x012"},
+		{"v2 response", encodeRespBody(t, resp),
+			"\x02\x02\x00\x00\x00\x00\x00\x00\x00\x00\x06\x08\x00\x00\x00\x01\x00\x06d.c.k9\x00\x00\x00\x00\x00\x00\xd0?"},
+		{"v3 request", encodeDeltaReqBody(t, req),
+			"\x03\x02\x04\x00\x06d.c.k1\x05\x012\x00\x00\x00\x00\x00\x00\xf0?\x00\x00\x00\x00\x00\x00\xe0?"},
+		{"v3 response", encodeDeltaRespBody(t, resp),
+			"\x03\x02\x02\x03\x04\x00\x06d.c.k9\x00\x00\x00\x00\x00\x00\xd0?"},
+	}
+	for _, g := range golden {
+		if string(g.got) != g.want {
+			t.Errorf("%s without segments changed:\n got %q\nwant %q", g.name, g.got, g.want)
+		}
+	}
+	req.Segs, resp.Segs = []int{1, 1}, []int{0, 1}
+	segmented := []struct {
+		name        string
+		plain, segs []byte
+	}{
+		{"v2 request", []byte(golden[2].want), encodeReqBody(t, req)},
+		{"v2 response", []byte(golden[3].want), encodeRespBody(t, resp)},
+		{"v3 request", []byte(golden[4].want), encodeDeltaReqBody(t, req)},
+		{"v3 response", []byte(golden[5].want), encodeDeltaRespBody(t, resp)},
+	}
+	for _, s := range segmented {
+		if len(s.segs) != len(s.plain)+3 {
+			t.Errorf("%s: segment column of 2 runs costs %d bytes, want 3", s.name, len(s.segs)-len(s.plain))
+		}
+	}
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestCorruptionRandomBodies throws random bytes at both decoders — the
@@ -792,8 +883,9 @@ func TestQuickCompactReachEquivalence(t *testing.T) {
 }
 
 // TestCompactReachCorruption runs the truncation and bit-flip tables over the
-// v3 frames: every strict prefix rejected, every single-bit flip memory-safe,
-// trailing garbage rejected.
+// v3 frames, unsegmented and segmented: every strict prefix rejected, every
+// single-bit flip memory-safe, trailing garbage rejected, and a segment
+// column that does not add up to its list refused.
 func TestCompactReachCorruption(t *testing.T) {
 	req := &request{
 		Op: opReach, ID: 9,
@@ -805,47 +897,69 @@ func TestCompactReachCorruption(t *testing.T) {
 		{Key: "catalogue.albums.d3", Prob: 0.9},
 		{Key: "catalogue.albums.d31", Prob: 0.45},
 	}}
-	reqBody := encodeDeltaReqBody(t, req)
-	respBody := encodeDeltaRespBody(t, resp)
-	for i := 1; i < len(reqBody); i++ {
-		var out request
-		if err := decodeDeltaRequest(string(reqBody[:i]), &out); err == nil {
-			t.Fatalf("compact request truncated at %d/%d decoded without error", i, len(reqBody))
-		}
-	}
-	for i := 1; i < len(respBody); i++ {
-		var out response
-		if err := decodeDeltaResponse(string(respBody[:i]), &out); err == nil {
-			t.Fatalf("compact response truncated at %d/%d decoded without error", i, len(respBody))
-		}
-	}
-	for off := 0; off < len(reqBody); off++ {
-		for bit := 0; bit < 8; bit++ {
-			mut := append([]byte(nil), reqBody...)
-			mut[off] ^= 1 << bit
+	for _, segs := range [][]int{nil, {1, 1}} {
+		req.Segs, resp.Segs = segs, segs
+		reqBody := encodeDeltaReqBody(t, req)
+		respBody := encodeDeltaRespBody(t, resp)
+		for i := 1; i < len(reqBody); i++ {
 			var out request
-			if mut[0] == binMagicDelta {
+			if err := decodeDeltaRequest(string(reqBody[:i]), &out); err == nil {
+				t.Fatalf("segs %v: compact request truncated at %d/%d decoded without error", segs, i, len(reqBody))
+			}
+		}
+		for i := 1; i < len(respBody); i++ {
+			var out response
+			if err := decodeDeltaResponse(string(respBody[:i]), &out); err == nil {
+				t.Fatalf("segs %v: compact response truncated at %d/%d decoded without error", segs, i, len(respBody))
+			}
+		}
+		for off := 0; off < len(reqBody); off++ {
+			for bit := 0; bit < 8; bit++ {
+				mut := append([]byte(nil), reqBody...)
+				mut[off] ^= 1 << bit
+				var out request
 				decodeDeltaRequest(string(mut), &out) //nolint:errcheck // must not panic; error is legal
 			}
 		}
-	}
-	for off := 0; off < len(respBody); off++ {
-		for bit := 0; bit < 8; bit++ {
-			mut := append([]byte(nil), respBody...)
-			mut[off] ^= 1 << bit
-			var out response
-			if mut[0] == binMagicDelta {
+		for off := 0; off < len(respBody); off++ {
+			for bit := 0; bit < 8; bit++ {
+				mut := append([]byte(nil), respBody...)
+				mut[off] ^= 1 << bit
+				var out response
 				decodeDeltaResponse(string(mut), &out) //nolint:errcheck // must not panic; error is legal
 			}
 		}
+		var out request
+		if err := decodeDeltaRequest(string(append(reqBody, 0x00)), &out); !errors.Is(err, errTrailingBytes) {
+			t.Errorf("segs %v: compact request with trailing byte = %v, want errTrailingBytes", segs, err)
+		}
+		var rout response
+		if err := decodeDeltaResponse(string(append(respBody, 0xFF)), &rout); !errors.Is(err, errTrailingBytes) {
+			t.Errorf("segs %v: compact response with trailing byte = %v, want errTrailingBytes", segs, err)
+		}
 	}
-	var out request
-	if err := decodeDeltaRequest(string(append(reqBody, 0x00)), &out); !errors.Is(err, errTrailingBytes) {
-		t.Errorf("compact request with trailing byte = %v, want errTrailingBytes", err)
-	}
-	var rout response
-	if err := decodeDeltaResponse(string(append(respBody, 0xFF)), &rout); !errors.Is(err, errTrailingBytes) {
-		t.Errorf("compact response with trailing byte = %v, want errTrailingBytes", err)
+
+	// The column is the frame's last three bytes: count 2, runs 1 and 1.
+	reqBody := encodeDeltaReqBody(t, req)
+	respBody := encodeDeltaRespBody(t, resp)
+	for _, tail := range [][]byte{
+		{2, 1, 0},          // sums short of the list
+		{2, 2, 1},          // sums past it
+		{2, 3, 0},          // a run longer than the whole list
+		{0},                // announced, but no runs
+		{200, 1, 1, 1},     // claims more runs than bytes remain
+		{1, 0xFF, 0xFF, 3}, // a run far beyond any frame
+	} {
+		var out request
+		mut := append(append([]byte(nil), reqBody[:len(reqBody)-3]...), tail...)
+		if err := decodeDeltaRequest(string(mut), &out); err == nil {
+			t.Errorf("compact request with segment column %v decoded to %v", tail, out.Segs)
+		}
+		var rout response
+		mut = append(append([]byte(nil), respBody[:len(respBody)-3]...), tail...)
+		if err := decodeDeltaResponse(string(mut), &rout); err == nil {
+			t.Errorf("compact response with segment column %v decoded to %v", tail, rout.Segs)
+		}
 	}
 }
 
@@ -856,16 +970,13 @@ type reachEcho struct {
 	core.Store
 }
 
-func (reachEcho) ExpandFrontier(ctx context.Context, keys []string, probs []float64) ([]RemoteHit, ReachInfo, error) {
+// One hit per key means the hits split exactly where the frontier did.
+func (reachEcho) ExpandFrontier(ctx context.Context, keys []string, probs []float64, segs []int) ([]RemoteHit, []int, ReachInfo, error) {
 	hits := make([]RemoteHit, len(keys))
 	for i, k := range keys {
-		var p float64
-		if i < len(probs) {
-			p = probs[i] / 2
-		}
-		hits[i] = RemoteHit{Key: k + ".x", Prob: p}
+		hits[i] = RemoteHit{Key: k + ".x", Prob: probs[i] / 2}
 	}
-	return hits, ReachInfo{Nodes: len(keys), Edges: 2 * len(keys)}, nil
+	return hits, segs, ReachInfo{Nodes: len(keys), Edges: 2 * len(keys)}, nil
 }
 
 func servedReachEcho(t *testing.T) *Server {
@@ -900,7 +1011,7 @@ func TestCodecV2PeerReach(t *testing.T) {
 	if got := cli.codec.Load(); got != codecBinary {
 		t.Fatalf("negotiated codec version = %d, want %d", got, codecBinary)
 	}
-	hits, _, err := cli.ExpandFrontier(context.Background(), []string{"d.c.k1"}, []float64{1})
+	hits, _, _, err := cli.ExpandFrontier(context.Background(), []string{"d.c.k1"}, []float64{1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -928,7 +1039,7 @@ func TestCodecV3Negotiation(t *testing.T) {
 	if got := cli.codec.Load(); got != codecDelta {
 		t.Fatalf("negotiated codec version = %d, want %d", got, codecDelta)
 	}
-	hits, info, err := cli.ExpandFrontier(context.Background(), []string{"d.c.k1"}, []float64{1})
+	hits, _, info, err := cli.ExpandFrontier(context.Background(), []string{"d.c.k1"}, []float64{1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -938,5 +1049,121 @@ func TestCodecV3Negotiation(t *testing.T) {
 	want := encodeDeltaReqBody(t, &request{Op: opReach, ID: 2, Frontier: []string{"d.c.k1"}, Probs: []float64{1}})
 	if sent, _ := cli.ReachBytes(); sent != uint64(4+len(want)) {
 		t.Errorf("v3 reach sent %d bytes, want the compact frame's %d", sent, 4+len(want))
+	}
+}
+
+// TestSegmentedReachEveryCodec drives one segmented reach exchange through a
+// real server per negotiated codec — JSON v1, generic v2, compact v3 — and
+// checks the column arrives, is honoured and comes back.
+func TestSegmentedReachEveryCodec(t *testing.T) {
+	keys := []string{"d.c.k1", "d.c.k2", "d.c.k1"}
+	probs := []float64{1, 0.5, 0.25}
+	for _, limit := range []uint8{codecJSON, codecBinary, codecDelta} {
+		srv := servedReachEcho(t)
+		srv.LimitCodec(limit)
+		cli, err := DialConfig(srv.Addr(), ClientConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := uint8(cli.codec.Load()); got != limit {
+			t.Fatalf("negotiated codec %d, want %d", got, limit)
+		}
+		hits, hitSegs, _, err := cli.ExpandFrontier(context.Background(), keys, probs, []int{2, 0, 1})
+		cli.Close()
+		if err != nil {
+			t.Fatalf("codec %d: %v", limit, err)
+		}
+		if !reflect.DeepEqual(hitSegs, []int{2, 0, 1}) || len(hits) != 3 || hits[2] != (RemoteHit{Key: "d.c.k1.x", Prob: 0.125}) {
+			t.Errorf("codec %d: hits %v segs %v", limit, hits, hitSegs)
+		}
+	}
+}
+
+// shortSegs answers every reach with one run fewer than it was asked for.
+type shortSegs struct{ reachEcho }
+
+func (s shortSegs) ExpandFrontier(ctx context.Context, keys []string, probs []float64, segs []int) ([]RemoteHit, []int, ReachInfo, error) {
+	hits, _, info, err := s.reachEcho.ExpandFrontier(ctx, keys, probs, segs)
+	return hits, []int{len(hits)}, info, err
+}
+
+// TestSegmentValidation: a malformed segmentation — from a JSON peer, which
+// no decoder vets, or from the store behind the server — is answered with an
+// error frame, never expanded in part and never a panic.
+func TestSegmentValidation(t *testing.T) {
+	srv := servedReachEcho(t)
+	ctx := context.Background()
+	for name, req := range map[string]request{
+		"runs sum short":  {Op: opReach, Keys: []string{"a", "b", "c"}, Probs: []float64{1, 1, 1}, Segs: []int{1, 1}},
+		"runs sum past":   {Op: opReach, Frontier: []string{"a", "b"}, Probs: []float64{1, 1}, Segs: []int{2, 1}},
+		"negative run":    {Op: opReach, Keys: []string{"a", "b"}, Probs: []float64{1, 1}, Segs: []int{3, -1}},
+		"probs too short": {Op: opReach, Keys: []string{"a", "b"}, Probs: []float64{1}},
+		"probs too long":  {Op: opReach, Frontier: []string{"a"}, Probs: []float64{1, 1}, Segs: []int{1}},
+	} {
+		if resp := srv.dispatch(ctx, req); resp.Error == "" || len(resp.Hits)+len(resp.DHits) != 0 {
+			t.Errorf("%s: dispatched to %+v, want an error frame", name, resp)
+		}
+	}
+	if resp := srv.dispatch(ctx, request{Op: opReach, Keys: []string{"a", "b"}, Probs: []float64{1, 1}, Segs: []int{1, 1}}); resp.Error != "" {
+		t.Errorf("well-formed segmented reach refused: %s", resp.Error)
+	}
+
+	// A store that loses a segment must not reach the client as an answer.
+	db := kvstore.New("discount")
+	bad, err := Serve(shortSegs{reachEcho{Store: connector.NewKeyValue(db)}}, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer bad.Close()
+	cli, err := DialConfig(bad.Addr(), ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if _, _, _, err := cli.ExpandFrontier(ctx, []string{"a", "b"}, []float64{1, 1}, []int{1, 1}); err == nil {
+		t.Error("a response with one segment for a two-segment request was accepted")
+	}
+}
+
+// TestClientRejectsUnsegmentedAnswer: a peer that predates the segment column
+// ignores it and answers one merged hit list. The client must fail the leg —
+// which degrades the traversal — rather than hand one origin another's hits.
+func TestClientRejectsUnsegmentedAnswer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		for {
+			var req request
+			if _, _, err := readRequestFrame(conn, &req); err != nil {
+				return
+			}
+			resp := response{ID: req.ID, Name: "old-peer"}
+			if req.Op == opReach {
+				resp.Hits = []RemoteHit{{Key: "d.c.x", Prob: 0.5}, {Key: "d.c.y", Prob: 0.5}}
+			}
+			if _, err := writeResponseFrame(conn, &resp, codecJSON, req.Op); err != nil {
+				return
+			}
+		}
+	}()
+	cli, err := DialConfig(ln.Addr().String(), ClientConfig{PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	ctx := context.Background()
+	if _, _, _, err := cli.ExpandFrontier(ctx, []string{"d.c.a", "d.c.b"}, []float64{1, 1}, []int{1, 1}); err == nil {
+		t.Error("unsegmented answer to a segmented request was accepted")
+	}
+	if hits, _, _, err := cli.ExpandFrontier(ctx, []string{"d.c.a"}, []float64{1}, nil); err != nil || len(hits) != 2 {
+		t.Errorf("unsegmented exchange with an old peer = %v, %v; want it to keep working", hits, err)
 	}
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 
@@ -67,9 +68,13 @@ type (
 		GetBatchDB(ctx context.Context, database, collection string, keys []string) ([]core.Object, error)
 	}
 	// FrontierReacher expands a weighted key frontier one hop over the
-	// store's A' shard (the scatter-gather reach primitive).
+	// store's A' shard (the scatter-gather reach primitive). segs splits the
+	// frontier into consecutive runs expanded independently of each other —
+	// one per origin of a many-origin traversal — and the returned run
+	// lengths split the hits the same way; nil segs is one segment and
+	// returns nil run lengths.
 	FrontierReacher interface {
-		ExpandFrontier(ctx context.Context, keys []string, probs []float64) ([]RemoteHit, ReachInfo, error)
+		ExpandFrontier(ctx context.Context, keys []string, probs []float64, segs []int) ([]RemoteHit, []int, ReachInfo, error)
 	}
 	// Snapshotter ships the store's epoch-stamped A' shard checkpoint.
 	Snapshotter interface {
@@ -270,14 +275,29 @@ func (s *Server) dispatch(ctx context.Context, req request) response {
 		if delta {
 			keys = req.Frontier
 		}
-		hits, info, err := fr.ExpandFrontier(ctx, keys, req.Probs)
+		// A JSON frame reaches here unvalidated, and no codec ties probs to
+		// the key count: a malformed frontier is refused whole rather than
+		// expanded in part.
+		if len(req.Probs) != len(keys) {
+			return response{Error: fmt.Sprintf("wire: reach frontier of %d keys with %d probs", len(keys), len(req.Probs))}
+		}
+		if err := checkSegs(req.Segs, len(keys)); err != nil {
+			return response{Error: err.Error()}
+		}
+		hits, hitSegs, info, err := fr.ExpandFrontier(ctx, keys, req.Probs, req.Segs)
 		if err != nil {
 			return response{Error: err.Error()}
 		}
-		if delta {
-			return response{DHits: hits, Nodes: info.Nodes, Edges: info.Edges}
+		if len(hitSegs) != len(req.Segs) || checkSegs(hitSegs, len(hits)) != nil {
+			return response{Error: fmt.Sprintf("wire: store answered %d reach segments with %d", len(req.Segs), len(hitSegs))}
 		}
-		return response{Hits: hits, Nodes: info.Nodes, Edges: info.Edges}
+		resp := response{Nodes: info.Nodes, Edges: info.Edges, Segs: hitSegs}
+		if delta {
+			resp.DHits = hits
+		} else {
+			resp.Hits = hits
+		}
+		return resp
 	case opSnapshot:
 		sn, ok := s.store.(Snapshotter)
 		if !ok {

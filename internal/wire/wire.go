@@ -91,7 +91,7 @@ var (
 
 	// Per-op client byte accounting, both directions (headers included) — the
 	// client-side counterpart of quepa_wire_server_bytes_total, broken down by
-	// op so the delta-frontier savings show up as shrinking reach bytes.
+	// op so what a scatter change saves shows up as shrinking reach bytes.
 	clientBytesOut = map[string]*telemetry.Counter{}
 	clientBytesIn  = map[string]*telemetry.Counter{}
 )
@@ -156,12 +156,19 @@ type request struct {
 	// (the codec-v2 negotiation). Legacy peers ignore it and omit the echo,
 	// which pins the connection to JSON.
 	Codec int `json:"codec,omitempty"`
-	// Frontier is the delta-frontier form of a reach op: like Keys (parallel
-	// to Probs), but sent only on codec-v2 connections, where the binary
-	// layout front-codes the sorted key list (shared-prefix elision). The
-	// pipelined coordinator ships only the keys a peer has not seen yet here;
-	// v1 JSON peers keep receiving plain Keys.
+	// Frontier is the front-coded form of a reach op's frontier: like Keys
+	// (parallel to Probs), but sent only on codec-v3 connections, where the
+	// binary layout elides the prefix each key shares with its predecessor
+	// (frontiers are key-sorted within a segment). v1 JSON and v2 binary
+	// peers keep receiving plain Keys.
 	Frontier []string `json:"fr,omitempty"`
+	// Segs splits a reach frontier (Keys or Frontier, with Probs) into
+	// consecutive runs, one per origin of a many-origin traversal: the peer
+	// expands each run on its own, so probabilities never merge across
+	// origins, and answers with its hits split the same way. Absent means one
+	// segment, which keeps single-origin frames byte-identical to what peers
+	// exchanged before the column existed.
+	Segs []int `json:"segs,omitempty"`
 }
 
 type wireObject struct {
@@ -196,10 +203,45 @@ type response struct {
 	// answering a client that offered codec 2 confirms it here, and the
 	// client switches its frames to binary from the next request on.
 	Codec int `json:"codec,omitempty"`
-	// DHits answer a delta-frontier reach op (request.Frontier): the same
+	// DHits answer a front-coded reach op (request.Frontier): the same
 	// payload as Hits, but the binary layout front-codes the key-sorted hit
 	// list the same way the request front-codes its frontier.
 	DHits []RemoteHit `json:"dhits,omitempty"`
+	// Segs splits Hits/DHits into one run per request segment, in request
+	// order (a run may be empty). Absent when the request carried no Segs.
+	Segs []int `json:"segs,omitempty"`
+}
+
+// segmentedLen is the length of the list a generic frame's segment column
+// splits: the front-coded list when the frame carries one, else the plain.
+func segmentedLen(front, plain int) int {
+	if front > 0 {
+		return front
+	}
+	return plain
+}
+
+// errSegments rejects a segment column that does not partition its list.
+var errSegments = errors.New("wire: reach segments do not sum to the list they split")
+
+// checkSegs validates a segment column against the length of the list it
+// splits: every run non-negative, the runs summing exactly to total. An
+// absent column is the one-segment default and always valid.
+func checkSegs(segs []int, total int) error {
+	if len(segs) == 0 {
+		return nil
+	}
+	left := total
+	for _, n := range segs {
+		if n < 0 || n > left {
+			return errSegments
+		}
+		left -= n
+	}
+	if left != 0 {
+		return errSegments
+	}
+	return nil
 }
 
 // RemoteHit is one key produced by a frontier expansion on a remote shard:
@@ -359,7 +401,7 @@ func readFrameInto(r io.Reader, decodeJSON func([]byte) error, decodeBinary func
 			return 0, codecBinary, fmt.Errorf("wire: decoding frame: %w", err)
 		}
 		return total, codecBinary, nil
-	case binMagicDelta:
+	case binMagicDelta, binMagicDeltaSeg:
 		if err := decodeBinary(string(bb.b)); err != nil {
 			return 0, codecDelta, fmt.Errorf("wire: decoding frame: %w", err)
 		}
@@ -378,10 +420,10 @@ func readRequestFrame(r io.Reader, req *request) (int, uint8, error) {
 			return json.Unmarshal(b, req)
 		},
 		func(body string) error {
-			if body[0] == binMagicDelta {
-				return decodeDeltaRequest(body, req)
+			if body[0] == binMagic {
+				return decodeRequestV2(body, req)
 			}
-			return decodeRequestV2(body, req)
+			return decodeDeltaRequest(body, req)
 		},
 	)
 }
@@ -394,10 +436,10 @@ func readResponseFrame(r io.Reader, resp *response) (int, uint8, error) {
 			return json.Unmarshal(b, resp)
 		},
 		func(body string) error {
-			if body[0] == binMagicDelta {
-				return decodeDeltaResponse(body, resp)
+			if body[0] == binMagic {
+				return decodeResponseV2(body, resp)
 			}
-			return decodeResponseV2(body, resp)
+			return decodeDeltaResponse(body, resp)
 		},
 	)
 }
