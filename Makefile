@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench bench-hotpath bench-build bench-compare bench-recovery bench-trace bench-cluster bench-wire bench-rcache chaos cluster crashtest fuzz figures promlint clean
+.PHONY: all build vet test race cover bench bench-hotpath bench-build bench-compare bench-recovery bench-trace bench-cluster bench-rcache chaos cluster crashtest fuzz figures promlint loc clean
 
 all: build vet test
 
@@ -56,15 +56,6 @@ BASELINE ?= BENCH_PR4.json
 bench-compare:
 	$(GO) run ./cmd/quepa-bench -fig 9 -best-of 3 -json bench_ci.json -label ci > /dev/null
 	$(GO) run ./cmd/quepa-bench -compare $(BASELINE) -tolerance 0.30 bench_ci.json
-
-# Wire-codec regression guard: rerun the frame-codec A/B figure (JSON vs
-# binary series, best of 3) and fail on any point more than 30% slower than
-# the committed PR 9 baseline — past the 2ms noise floor. Catches both a
-# binary codec that lost its edge and a JSON path that regressed.
-WIRE_BASELINE ?= BENCH_PR9.json
-bench-wire:
-	$(GO) run ./cmd/quepa-bench -fig wire -best-of 3 -json bench_wire.json -label ci > /dev/null
-	$(GO) run ./cmd/quepa-bench -compare $(WIRE_BASELINE) -tolerance 0.30 bench_wire.json
 
 # Result-cache regression guard: rerun the rcache A/B figure (warm skewed
 # stream cache-on vs cache-off, best of 3) and fail on any point more than
@@ -122,7 +113,7 @@ bench-recovery:
 	$(GO) run ./cmd/quepa-bench -fig recovery
 
 # Short fuzzing pass over the parsers, the index persistence formats, the
-# binary wire-frame decoder, and the response encoder against encoding/json.
+# wire-frame decoders, and the response encoder against encoding/json.
 fuzz:
 	$(GO) test ./internal/core -fuzz=FuzzParseGlobalKey -fuzztime=15s -run='^$$'
 	$(GO) test ./internal/stores/relstore -fuzz=FuzzParse -fuzztime=15s -run='^$$'
@@ -136,6 +127,11 @@ fuzz:
 FIG ?= all
 figures:
 	$(GO) run ./cmd/quepa-bench -fig $(FIG)
+
+# Non-test Go lines outside benchmark/: the number ROADMAP's size target and
+# every deletion PR report.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs wc -l | tail -1
 
 clean:
 	$(GO) clean ./...

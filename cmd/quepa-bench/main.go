@@ -12,12 +12,6 @@
 //	                              # also write pprof contention profiles of the
 //	                              # campaign (go tool pprof mutex.pb.gz)
 //
-//	quepa-bench -fig wire         # frame-codec A/B: JSON vs binary series
-//	quepa-bench -fig cluster -codec json
-//	                              # pin the wire codec for wire-crossing
-//	                              # figures; the pin lands in the RunRecord
-//	                              # and -compare refuses cross-codec diffs
-//
 //	quepa-bench -compare BENCH_PR1.json -tolerance 0.30 new.json
 //	                              # diff a new RunRecord against a baseline:
 //	                              # prints a markdown delta table and exits 1
@@ -54,7 +48,6 @@ func main() {
 	compare := flag.String("compare", "", "baseline RunRecord to diff against; the new record is the positional argument")
 	tolerance := flag.Float64("tolerance", 0.30, "with -compare: allowed slowdown fraction before a point fails")
 	bestOf := flag.Int("best-of", 1, "run each figure N times and keep every point's fastest measurement (steadies the -compare guard)")
-	codec := flag.String("codec", "", "pin the wire frame codec for wire-crossing figures: json or binary (empty negotiates, and runs -fig wire as a two-series A/B)")
 	skew := flag.Float64("skew", 0, "Zipf exponent of the skewed origin stream for -fig rcache (must be > 1; 0 selects 1.1)")
 	mutexProfile := flag.String("mutexprofile", "", "write a pprof mutex-contention profile of the campaign to this file")
 	blockProfile := flag.String("blockprofile", "", "write a pprof blocking profile of the campaign to this file")
@@ -75,17 +68,11 @@ func main() {
 		defer writeProfile("block", *blockProfile)
 	}
 
-	switch *codec {
-	case "", "json", "binary":
-	default:
-		fmt.Fprintf(os.Stderr, "quepa-bench: -codec %q: want json or binary\n", *codec)
-		os.Exit(2)
-	}
 	if *skew != 0 && *skew <= 1 {
 		fmt.Fprintf(os.Stderr, "quepa-bench: -skew %g: the Zipf exponent must be > 1\n", *skew)
 		os.Exit(2)
 	}
-	opts := bench.Options{Quick: *quick, Seed: *seed, BaselineBudget: *budget, Codec: *codec, Skew: *skew}
+	opts := bench.Options{Quick: *quick, Seed: *seed, BaselineBudget: *budget, Skew: *skew}
 	bench.SetExplainSampling(*explainSample)
 
 	ids := []string{*fig}
@@ -166,10 +153,6 @@ func runCompare(baselinePath string, tolerance float64, args []string) int {
 	}
 	cur, err := bench.ReadRecordFile(args[0])
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "quepa-bench: %v\n", err)
-		return 2
-	}
-	if err := bench.CodecMismatch(old, cur); err != nil {
 		fmt.Fprintf(os.Stderr, "quepa-bench: %v\n", err)
 		return 2
 	}

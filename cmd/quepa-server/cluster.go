@@ -53,7 +53,7 @@ func parsePeers(s string) ([]string, error) {
 // coordinator, and swap the polystore for its ring-routed counterpart so the
 // whole augmenter stack fetches by ownership.
 func setupCluster(built *workload.Built, peerList string, shardID, vnodes int, seed uint64,
-	bcfg resilience.BreakerConfig, pool int, codec string, ln net.Listener) (*clusterRuntime, error) {
+	bcfg resilience.BreakerConfig, pool int, ln net.Listener) (*clusterRuntime, error) {
 	peers, err := parsePeers(peerList)
 	if err != nil {
 		return nil, err
@@ -85,7 +85,7 @@ func setupCluster(built *workload.Built, peerList string, shardID, vnodes int, s
 		Self:    shardID,
 		Node:    node,
 		Breaker: bcfg,
-		Client:  wire.ClientConfig{Retry: resilience.DefaultRetryPolicy(), PoolSize: pool, Codec: codec},
+		Client:  wire.ClientConfig{Retry: resilience.DefaultRetryPolicy(), PoolSize: pool},
 	})
 	if err != nil {
 		srv.Close()

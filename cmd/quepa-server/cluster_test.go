@@ -68,7 +68,7 @@ func startClusterServer(t *testing.T) (*server, []*wire.Server) {
 		t.Fatal(err)
 	}
 	bcfg := resilience.BreakerConfig{FailureThreshold: 2, Cooldown: time.Hour}
-	rt, err := setupCluster(built, strings.Join(addrs, ","), 0, 16, 0, bcfg, 2, "", lns[0])
+	rt, err := setupCluster(built, strings.Join(addrs, ","), 0, 16, 0, bcfg, 2, lns[0])
 	if err != nil {
 		t.Fatal(err)
 	}

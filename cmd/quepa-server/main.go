@@ -224,8 +224,6 @@ func main() {
 		"serve every database over a loopback TCP wire server and augment through multiplexed wire clients (exercises the full remote fetch path)")
 	pool := flag.Int("pool", wire.DefaultPoolSize,
 		"multiplexed connections per wire client (with -wire or -cluster)")
-	wireCodec := flag.String("codec", "",
-		"wire frame codec (with -wire or -cluster): empty negotiates binary v2 per connection, 'json' pins the v1 codec")
 	clusterPeers := flag.String("cluster", "",
 		"comma-separated wire addresses of every cluster peer ordered by shard id; enables sharded scatter-gather mode")
 	shardID := flag.Int("shard-id", 0,
@@ -318,7 +316,6 @@ func main() {
 		// remote fetch path (frames, demux, retries) instead of in-process
 		// calls. The servers live for the process; no teardown needed.
 		poly := core.NewPolystore()
-		wireCodecs := map[string]int{}
 		for _, name := range built.Poly.Databases() {
 			st, err := built.Poly.Database(name)
 			if err != nil {
@@ -329,7 +326,7 @@ func main() {
 				log.Fatal(err)
 			}
 			cli, err := wire.DialConfig(srv.Addr(), wire.ClientConfig{
-				Retry: resilience.DefaultRetryPolicy(), PoolSize: *pool, Codec: *wireCodec,
+				Retry: resilience.DefaultRetryPolicy(), PoolSize: *pool,
 			})
 			if err != nil {
 				log.Fatal(err)
@@ -337,10 +334,9 @@ func main() {
 			if err := poly.Register(cli); err != nil {
 				log.Fatal(err)
 			}
-			wireCodecs[cli.Codec()]++
 		}
 		built.Poly = poly
-		log.Printf("quepa-server: wire loopback enabled, %d multiplexed connections per store, codecs %v", *pool, wireCodecs)
+		log.Printf("quepa-server: wire loopback enabled, %d multiplexed connections per store", *pool)
 	}
 	bcfg := resilience.BreakerConfig{FailureThreshold: *breakerFailures, Cooldown: *breakerCooldown}
 	var clusterRT *clusterRuntime
@@ -348,7 +344,7 @@ func main() {
 		if *wireMode {
 			log.Fatal("quepa-server: -wire and -cluster are mutually exclusive")
 		}
-		clusterRT, err = setupCluster(built, *clusterPeers, *shardID, *clusterVnodes, *clusterSeed, bcfg, *pool, *wireCodec, nil)
+		clusterRT, err = setupCluster(built, *clusterPeers, *shardID, *clusterVnodes, *clusterSeed, bcfg, *pool, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -121,7 +121,6 @@ func runClusterSweep(o Options, built *workload.Built, origins []core.GlobalKey,
 		LoopbackSelf: true,
 		Client: wire.ClientConfig{
 			Retry: resilience.RetryPolicy{MaxAttempts: 2, AttemptTimeout: 10 * time.Second},
-			Codec: o.Codec,
 		},
 	})
 	if err != nil {

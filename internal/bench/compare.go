@@ -84,25 +84,11 @@ func ReadRecordFile(path string) (*RunRecord, error) {
 	return rec, nil
 }
 
-// CodecMismatch refuses to diff campaigns measured under different pinned
-// wire codecs: a "binary got slower than json" delta is an A/B result, not a
-// regression. Records without a pin (pre-codec baselines included) compare
-// freely — their figures either do not cross the wire or ran the A/B
-// themselves, with the codec in the series label.
-func CodecMismatch(old, cur *RunRecord) error {
-	if old.Codec != "" && cur.Codec != "" && old.Codec != cur.Codec {
-		return fmt.Errorf("bench: refusing to compare codec %q run %q against codec %q run %q — rerun with matching -codec",
-			cur.Codec, cur.Label, old.Codec, old.Label)
-	}
-	return nil
-}
-
 // EnvironmentMismatch describes how the two records' measurement
 // environments differ — Go toolchain or scheduler parallelism — and returns
-// "" when they match (or when either side predates the fields). Unlike
-// CodecMismatch it never refuses the diff: a cross-environment comparison is
-// sometimes all there is, but the reader must know the deltas may be the
-// machine, not the code.
+// "" when they match (or when either side predates the fields). It never
+// refuses the diff: a cross-environment comparison is sometimes all there
+// is, but the reader must know the deltas may be the machine, not the code.
 func EnvironmentMismatch(old, cur *RunRecord) string {
 	var diffs []string
 	if old.GoVersion != "" && cur.GoVersion != "" && old.GoVersion != cur.GoVersion {

@@ -255,12 +255,11 @@ func Fig11ef(o Options) ([]Point, error) {
 // sweep (object count × collector workers), and the crash-recovery-vs-
 // re-collection comparison of the durability subsystem. "cluster" is the
 // node-count campaign: scatter-gather augmentation over 1–4 wire-served
-// peers under the netsim capacity model. "wire" is the frame-codec A/B: the
-// warm concurrent experiment over wire-served stores, one series per codec.
+// peers under the netsim capacity model.
 // "rcache" is the result-cache A/B: warm Zipf-skewed augmentations with and
 // without the epoch-consistent cache.
 func FigureNames() []string {
-	return []string{"9", "10ab", "10cd", "11ab", "11cd", "11ef", "12", "13ab", "13cd", "cache", "ablation", "build", "recovery", "cluster", "wire", "rcache"}
+	return []string{"9", "10ab", "10cd", "11ab", "11cd", "11ef", "12", "13ab", "13cd", "cache", "ablation", "build", "recovery", "cluster", "rcache"}
 }
 
 // Run executes one figure by id.
@@ -294,8 +293,6 @@ func Run(id string, o Options) ([]Point, error) {
 		return FigRecovery(o)
 	case "cluster":
 		return FigCluster(o)
-	case "wire":
-		return FigWire(o)
 	case "rcache":
 		return FigRcache(o)
 	default:

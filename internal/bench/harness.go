@@ -45,10 +45,6 @@ type Options struct {
 	// largest polystores; the Arango emulation gets two thirds of it, its
 	// fully in-memory image being the most pressured in the paper).
 	BaselineBudget int64
-	// Codec pins the wire frame codec for the figures that cross the wire
-	// ("wire", "cluster"): "json" or "binary". Empty negotiates normally —
-	// and makes the wire figure run both series as an A/B.
-	Codec string
 	// Skew is the Zipf exponent of the skewed origin stream the rcache
 	// figure replays (must be > 1; 0 selects 1.1). Higher exponents
 	// concentrate queries on fewer origins — exactly the regime where

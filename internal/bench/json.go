@@ -27,12 +27,8 @@ type RunRecord struct {
 	Timestamp  time.Time `json:"timestamp"`
 	Seed       int64     `json:"seed"`
 	Quick      bool      `json:"quick"`
-	// Codec records the -codec pin the campaign ran under ("" when the run
-	// negotiated normally). Comparisons across records with different pinned
-	// codecs are refused: the numbers measure different wire formats.
-	Codec   string   `json:"codec,omitempty"`
-	Figures []string `json:"figures"`
-	Points  []Point  `json:"points"`
+	Figures    []string  `json:"figures"`
+	Points     []Point   `json:"points"`
 	// Profiles holds the EXPLAIN profiles sampled during the campaign when
 	// quepa-bench ran with -explain-sample (absent otherwise).
 	Profiles []*explain.Profile `json:"profiles,omitempty"`
@@ -56,7 +52,6 @@ func WriteJSON(w io.Writer, label string, opts Options, figures []string, points
 		Timestamp:  time.Now().UTC().Truncate(time.Second),
 		Seed:       opts.withDefaults().Seed,
 		Quick:      opts.Quick,
-		Codec:      opts.Codec,
 		Figures:    figures,
 		Points:     points,
 		Profiles:   ExplainProfiles(),

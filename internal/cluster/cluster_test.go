@@ -485,75 +485,6 @@ func TestScatterCacheInvalidatesOnLocalMutation(t *testing.T) {
 	}
 }
 
-// TestMixedCodecClusterScatter: the mixed-version interop acceptance test —
-// a 3-peer cluster spanning all three wire generations: one peer pinned to
-// the JSON-only v1 codec, one to the generic binary v2 layout (a peer that
-// predates the compact reach frames), and one on the full v3 codec, as in a
-// rolling deploy caught mid-flight. Negotiation must settle per peer, and
-// one many-origin traversal — whose legs carry a segment per origin in each
-// peer's own codec — must stay bitwise-equal to the single-node reference
-// index, hits and summed traversal stats alike, cold and from the cache.
-func TestMixedCodecClusterScatter(t *testing.T) {
-	const legacy = 1
-	const v2peer = 2
-	tc := startCluster(t, 3, nil)
-	tc.srvs[legacy].LimitCodec(1) // before the coordinators' lazy dials
-	tc.srvs[v2peer].LimitCodec(2)
-	rc := rcache.New(1024)
-	cached := tc.newCoordinator(t, func(c *Config) { c.Rcache = rc })
-	ctx := context.Background()
-	origins := sampleOrigins(tc.ref, 20)
-	for level := 0; level <= 2; level++ {
-		got, gotStats, degs := tc.coord.ReachScatterMany(ctx, origins, level)
-		fill, _, fillDegs := cached.ReachScatterMany(ctx, origins, level)
-		hit, _, hitDegs := cached.ReachScatterMany(ctx, origins, level)
-		if len(degs)+len(fillDegs)+len(hitDegs) != 0 {
-			t.Fatalf("mixed-codec level %d: degradations %v %v %v", level, degs, fillDegs, hitDegs)
-		}
-		var wantStats aindex.ReachStats
-		for i, origin := range origins {
-			want, st := tc.ref.Index.ReachWithStats(origin, level)
-			wantStats.Nodes += st.Nodes
-			wantStats.Edges += st.Edges
-			for name, have := range map[string][]aindex.Hit{"many": got[i], "cache-fill": fill[i], "cache-hit": hit[i]} {
-				if !sameHits(have, want) {
-					t.Fatalf("mixed-codec %s %v level %d:\n got %v\nwant %v", name, origin, level, have, want)
-				}
-			}
-		}
-		if gotStats.Nodes != wantStats.Nodes || gotStats.Edges != wantStats.Edges {
-			t.Fatalf("mixed-codec level %d: stats %d/%d, want %d/%d",
-				level, gotStats.Nodes, gotStats.Edges, wantStats.Nodes, wantStats.Edges)
-		}
-	}
-	if st := rc.Stats(); st.Hits == 0 {
-		t.Fatalf("mixed-codec result cache never hit: %+v", st)
-	}
-	// The negotiation actually split: the legacy peer's client speaks JSON,
-	// the capped binary peer still reports binary (it negotiated the v2
-	// layout, not the compact frames).
-	codecs := map[string]int{}
-	for shard, addr := range tc.addrs {
-		if shard == 0 {
-			continue // self is loopback, no wire client
-		}
-		cli, err := tc.coord.client(addr)
-		if err != nil {
-			t.Fatalf("peer %d client: %v", shard, err)
-		}
-		codecs[cli.Codec()]++
-		if shard == legacy && cli.Codec() != wire.CodecJSON {
-			t.Errorf("legacy peer negotiated %q, want json", cli.Codec())
-		}
-		if shard == v2peer && cli.Codec() != wire.CodecBinary {
-			t.Errorf("v2-capped peer negotiated %q, want binary", cli.Codec())
-		}
-	}
-	if codecs[wire.CodecBinary] == 0 {
-		t.Errorf("no peer negotiated binary: %v", codecs)
-	}
-}
-
 // TestClusterRoutedStoreEquivalence: ring-routed keyed reads return exactly
 // what the local store would — Get by Get and batch fan-out alike.
 func TestClusterRoutedStoreEquivalence(t *testing.T) {

@@ -44,15 +44,9 @@ type Client struct {
 	roundTrips  atomic.Uint64 // logical requests issued by callers
 	frames      atomic.Uint64 // physical request frames written
 	retries     atomic.Uint64
-	// Per-direction byte tallies of reach ops only (headers included):
-	// scatter traffic isolated from the get/getbatch fetches sharing the
-	// client.
-	reachSent     atomic.Uint64
-	reachReceived atomic.Uint64
-	nextID        atomic.Uint64
-	closed        atomic.Bool
-	codec         atomic.Uint32 // negotiated frame codec (codecJSON until meta agrees on v2)
-	retrier       *resilience.Retrier
+	nextID      atomic.Uint64
+	closed      atomic.Bool
+	retrier     *resilience.Retrier
 
 	poolSize int
 	rr       atomic.Uint64 // round-robin cursor over conns
@@ -68,15 +62,6 @@ type Client struct {
 // mainly spreads demux work across readers.
 const DefaultPoolSize = 16
 
-// Codec selection for ClientConfig. The default (auto) negotiates the binary
-// v2 codec and falls back to JSON against old servers; CodecJSON pins the
-// connection to JSON v1 (the A/B baseline and the escape hatch).
-const (
-	CodecAuto   = ""
-	CodecJSON   = "json"
-	CodecBinary = "binary" // explicit form of auto: negotiate v2 when the server has it
-)
-
 // ClientConfig tunes a Client's resilience and connection behaviour.
 type ClientConfig struct {
 	// Retry governs transport-failure retries and per-attempt deadlines. The
@@ -87,10 +72,6 @@ type ClientConfig struct {
 	// trades demux parallelism against file descriptors. 0 selects
 	// DefaultPoolSize.
 	PoolSize int
-	// Codec selects the frame codec: CodecAuto/CodecBinary negotiate v2 per
-	// connection (falling back to JSON against old servers), CodecJSON pins
-	// JSON. Anything else fails Dial.
-	Codec string
 }
 
 // Dial connects to a wire server with the default configuration.
@@ -110,38 +91,14 @@ func DialConfig(addr string, cfg ClientConfig) (*Client, error) {
 		retrier:   resilience.NewRetrier(cfg.Retry),
 		getQueues: map[string]*getQueue{},
 	}
-	c.codec.Store(codecJSON)
-	// The meta exchange doubles as codec negotiation: offer v2 (in a JSON
-	// frame, so any server can read it) and switch to binary only when the
-	// server confirms. A legacy server omits the echo and JSON sticks.
-	offer := 0
-	switch cfg.Codec {
-	case CodecAuto, CodecBinary:
-		offer = codecDelta
-	case CodecJSON:
-	default:
-		return nil, fmt.Errorf("wire: unknown codec %q (want %q, %q or %q)", cfg.Codec, CodecAuto, CodecJSON, CodecBinary)
-	}
-	resp, err := c.roundTrip(context.Background(), request{Op: opMeta, Codec: offer})
+	resp, err := c.roundTrip(context.Background(), request{Op: opMeta})
 	if err != nil {
 		return nil, fmt.Errorf("wire: dialing %s: %w", addr, err)
 	}
 	c.name = resp.Name
 	c.kind = core.StoreKind(resp.Kind)
 	c.collections = resp.Collections
-	if offer >= codecBinary && resp.Codec >= codecBinary {
-		c.codec.Store(uint32(min(resp.Codec, offer)))
-	}
 	return c, nil
-}
-
-// Codec reports the negotiated frame codec, "json" or "binary" (binary
-// covers both the v2 layout and the v3 compact reach frames).
-func (c *Client) Codec() string {
-	if c.codec.Load() >= codecBinary {
-		return CodecBinary
-	}
-	return CodecJSON
 }
 
 // SetSleep overrides the backoff sleeper (tests inject a recorder).
@@ -293,10 +250,6 @@ func (c *Client) roundTrip(ctx context.Context, req request) (response, error) {
 	if sent > 0 || received > 0 {
 		clientBytesOut[req.Op].Add(uint64(sent))
 		clientBytesIn[req.Op].Add(uint64(received))
-		if req.Op == opReach {
-			c.reachSent.Add(uint64(sent))
-			c.reachReceived.Add(uint64(received))
-		}
 	}
 	if err != nil {
 		if ec := clientErrs[req.Op]; ec != nil {
@@ -341,7 +294,7 @@ func (c *Client) attempt(req request) (response, int, int, error) {
 		}
 		return response{}, 0, 0, errConnBroken
 	}
-	sent, err := mc.send(req, uint8(c.codec.Load()))
+	sent, err := mc.send(req)
 	if err != nil {
 		if errors.Is(err, ErrFrameTooLarge) {
 			// The frame never hit the wire and the connection is intact; only
@@ -438,13 +391,13 @@ func (mc *muxConn) register(id uint64, ch chan wireResult) bool {
 	return true
 }
 
-// send writes one frame in the given codec. A write failure kills the
-// connection (failing every in-flight waiter, the caller's included) — except
-// a size violation, which is detected before any bytes hit the wire and
-// leaves the connection usable for everyone else.
-func (mc *muxConn) send(req request, codec uint8) (int, error) {
+// send writes one frame. A write failure kills the connection (failing every
+// in-flight waiter, the caller's included) — except a size violation, which
+// is detected before any bytes hit the wire and leaves the connection usable
+// for everyone else.
+func (mc *muxConn) send(req request) (int, error) {
 	mc.wmu.Lock()
-	n, err := writeRequestFrame(mc.c, &req, codec)
+	n, err := writeRequestFrame(mc.c, &req)
 	mc.wmu.Unlock()
 	if err != nil && !errors.Is(err, ErrFrameTooLarge) {
 		mc.kill(err)
@@ -488,7 +441,7 @@ func (mc *muxConn) kill(err error) {
 func (mc *muxConn) readLoop() {
 	for {
 		var resp response
-		n, _, err := readResponseFrame(mc.c, &resp)
+		n, err := readResponseFrame(mc.c, &resp)
 		if err != nil {
 			mc.kill(err)
 			return
@@ -509,9 +462,8 @@ func (mc *muxConn) readLoop() {
 		if ok {
 			ch <- wireResult{resp: resp, received: n}
 		}
-		// A response with no waiter (abandoned request, or a legacy server
-		// echoing ID 0) is dropped; the watchdog or the caller's retry
-		// handles the fallout.
+		// A response with no waiter (an abandoned request) is dropped; the
+		// watchdog or the caller's retry handles the fallout.
 	}
 }
 
@@ -833,45 +785,20 @@ func (c *Client) GetBatchDB(ctx context.Context, database, collection string, ke
 // (one per origin of a many-origin traversal); the returned run lengths split
 // the hits the same way, and a response segmented differently from the
 // request is rejected.
-//
-// On a negotiated codec-v3 connection the keys travel in the front-coded
-// Frontier field of a compact reach frame and the hits come back front-coded
-// in DHits — sorted global keys share long "db.collection." prefixes, so
-// this elides most key bytes, and the compact frame drops the generic
-// layout's empty slots. Against v1 JSON and v2 binary peers the exchange
-// stays on the plain Keys/Hits fields, which is what keeps mixed-codec
-// clusters interoperating.
 func (c *Client) ExpandFrontier(ctx context.Context, keys []string, probs []float64, segs []int) ([]RemoteHit, []int, ReachInfo, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, ReachInfo{}, err
 	}
-	req := request{Op: opReach, Probs: probs, Segs: segs}
-	if c.codec.Load() >= codecDelta {
-		req.Frontier = keys
-	} else {
-		req.Keys = keys
-	}
-	resp, err := c.roundTrip(ctx, req)
+	resp, err := c.roundTrip(ctx, request{Op: opReach, Keys: keys, Probs: probs, Segs: segs})
 	if err != nil {
 		return nil, nil, ReachInfo{}, err
 	}
-	hits := resp.Hits
-	if len(resp.DHits) > 0 {
-		hits = resp.DHits
-	}
-	// A peer that predates the column answers unsegmented; merging its hits
-	// into one origin would be a wrong answer, not a degraded one.
-	if len(resp.Segs) != len(segs) || checkSegs(resp.Segs, len(hits)) != nil {
+	// A peer that merges the runs into one hit list must fail the leg: handing
+	// one origin another's hits would be a wrong answer, not a degraded one.
+	if len(resp.Segs) != len(segs) {
 		return nil, nil, ReachInfo{}, fmt.Errorf("wire: %s answered %d reach segments with %d", c.name, len(segs), len(resp.Segs))
 	}
-	return hits, resp.Segs, ReachInfo{Nodes: resp.Nodes, Edges: resp.Edges}, nil
-}
-
-// ReachBytes reports the cumulative wire bytes (headers included) this
-// client's reach ops have moved, both directions: frontier traffic isolated
-// from the fetches sharing the client.
-func (c *Client) ReachBytes() (sent, received uint64) {
-	return c.reachSent.Load(), c.reachReceived.Load()
+	return resp.Hits, resp.Segs, ReachInfo{Nodes: resp.Nodes, Edges: resp.Edges}, nil
 }
 
 // FetchSnapshot downloads the peer's epoch-stamped A' shard checkpoint, the

@@ -1,26 +1,23 @@
-// Binary wire codec v2.
+// The wire format.
 //
-// Every frame on the wire is still a 4-byte big-endian length followed by a
-// body, but the body's first byte now selects the codec: JSON bodies always
-// open with '{' (0x7B), so a single reserved byte — binMagic — marks the
-// hand-rolled binary encoding. Servers sniff the byte per frame and answer
-// in the codec the request arrived in, which is what lets old JSON-only
-// clients, new binary clients and mixed-version clusters share one listener.
+// Every frame is a 4-byte big-endian length followed by a body, and every
+// body opens with one version byte, frameVersion. There is one format and no
+// negotiation: a peer that speaks anything else — a JSON document, a frame of
+// an earlier binary generation, garbage — is refused at byte 0, which a
+// client sees as a failed dial (the meta exchange is a frame like any other).
 //
-// Codec v2 is negotiated, never assumed: a client opens every connection in
-// JSON and offers its maximum version in the meta exchange (request.Codec);
-// a v2 server echoes the agreed version back (response.Codec) and only then
-// does the client switch its frames to binary. A server that predates the
-// field simply omits it, and the client stays on JSON forever.
-//
-// The binary layout is fixed-order (no field tags): every field of the
+// The layout is fixed-order (no field tags): every field of the
 // request/response structs is encoded every time, in declaration order, so
 // decode is a straight-line scan. Integers are varints, floats are 8-byte
-// little-endian IEEE bits (exact, unlike the JSON decimal detour), strings
-// are length-prefixed, and the store/collection/field-name slots run through
-// a per-frame intern table so a getbatch response naming one collection a
-// thousand times ships it once. Both sides append literals to their tables
-// under the same deterministic rule, so references always resolve.
+// little-endian IEEE bits, strings are length-prefixed, and the
+// store/collection/field-name slots run through a per-frame intern table so a
+// getbatch response naming one collection a thousand times ships it once.
+// Both sides append literals to their tables under the same deterministic
+// rule, so references always resolve. Key lists that arrive sorted — a reach
+// op's frontier, every hit list — are front-coded: each key ships the length
+// of the prefix it shares with its predecessor and the suffix, which elides
+// most of a "db.collection.key" after the first. A segment column closes both
+// frames: a run count (0 when the frame has none) and the run lengths.
 //
 // Allocation discipline: encoders serialize into sync.Pool-backed buffers
 // and issue a single Write per frame (steady-state encode is zero-alloc);
@@ -37,46 +34,10 @@ import (
 	"sync"
 )
 
-// Frame codec versions. codecJSON is the v1 compatibility codec every server
-// keeps accepting; codecBinary is the compact frame format of codec v2;
-// codecDelta is codec v3, which adds the op-specific compact reach frames
-// scatter legs ship (generic v2 frames remain valid on a v3 connection —
-// only reach traffic uses the compact form).
-const (
-	codecJSON   = 1
-	codecBinary = 2
-	codecDelta  = 3
-)
-
-// binMagic is the first body byte of every codec-v2 frame. It can never
-// collide with JSON: a JSON frame body always starts with '{' (0x7B).
-const binMagic = 0x02
-
-// binMagicDelta opens a codec-v3 compact reach frame: a reach request or
-// response stripped to the fields the op actually uses. A generic v2 frame
-// spends ~24 bytes encoding the empty slots of the full request/response
-// structs on every scatter leg; the compact form drops them, which saves
-// more reach bytes than front-coding the keys does.
-const binMagicDelta = 0x03
-
-// binMagicDeltaSeg opens a compact reach frame that carries a segment column
-// (request.Segs / response.Segs): the binMagicDelta layout followed by the
-// run lengths. Unsegmented frames keep binMagicDelta, so single-origin reach
-// traffic is byte-identical to what it was before segments existed.
-const binMagicDeltaSeg = 0x04
-
-// deltaMagic picks the compact frame's magic for a segment column.
-func deltaMagic(segs []int) byte {
-	if len(segs) > 0 {
-		return binMagicDeltaSeg
-	}
-	return binMagicDelta
-}
-
-// opSegmented, set on the op-code byte of a generic v2 request, announces a
-// segment column after the last fixed field; flagSegments does the same in a
-// v2 response's flag byte. Without them the layouts are unchanged.
-const opSegmented = 0x80
+// frameVersion is the first body byte of every frame. The values below it
+// are retired: '{' opened the JSON frames and 0x02-0x04 the three binary
+// layouts this format replaced, so none of them can be mistaken for it.
+const frameVersion = 0x05
 
 // internCap bounds the per-frame string intern table. The encoder and the
 // decoder apply the identical "append literals while the table has room"
@@ -84,7 +45,7 @@ const opSegmented = 0x80
 // dedup scan cheap on pathological frames.
 const internCap = 64
 
-// Binary op codes, fixed for wire compatibility. 0 is reserved (invalid).
+// Op codes. 0 is reserved (invalid).
 var opCodes = map[string]byte{
 	opGet:      1,
 	opGetBatch: 2,
@@ -106,10 +67,7 @@ var opNames = [...]string{
 }
 
 // Response flag bits.
-const (
-	flagNotFound = 1 << 0
-	flagSegments = 1 << 1
-)
+const flagNotFound = 1 << 0
 
 // poolableCap is the largest buffer the codec pools keep. Snapshot frames
 // can run to tens of megabytes; recycling those would pin the memory for the
@@ -216,12 +174,9 @@ func (e *encoder) frontStr(prev, s string) {
 	e.str(s[p:])
 }
 
-// segs emits a segment column — the run count, then every run length — or
-// nothing for an absent one: frames announce the column only when it exists.
+// segs emits a segment column: the run count — 0 for an absent column —
+// then every run length.
 func (e *encoder) segs(segs []int) {
-	if len(segs) == 0 {
-		return
-	}
 	e.uvarint(uint64(len(segs)))
 	for _, n := range segs {
 		e.uvarint(uint64(n))
@@ -239,24 +194,28 @@ func (e *encoder) finish(op string) ([]byte, error) {
 	return e.buf, nil
 }
 
-// encodeRequest appends req in the fixed v2 layout. Every field of the
-// request struct is encoded, in declaration order.
+// encodeRequest appends req in the fixed layout: every field of the request
+// struct, in declaration order. A reach op's Keys are its frontier, key-sorted
+// within a segment, and go out front-coded.
 func (e *encoder) encodeRequest(req *request) error {
 	code, ok := opCodes[req.Op]
 	if !ok {
-		return fmt.Errorf("wire: codec v2 cannot encode op %q", req.Op)
+		return fmt.Errorf("wire: cannot encode op %q", req.Op)
 	}
-	if len(req.Segs) > 0 {
-		code |= opSegmented
-	}
-	e.u8(binMagic)
+	e.u8(frameVersion)
 	e.u8(code)
 	e.uvarint(req.ID)
 	e.intern(req.Collection)
 	e.str(req.Key)
 	e.uvarint(uint64(len(req.Keys)))
+	prev := ""
 	for _, k := range req.Keys {
-		e.str(k)
+		if req.Op == opReach {
+			e.frontStr(prev, k)
+			prev = k
+		} else {
+			e.str(k)
+		}
 	}
 	e.str(req.Query)
 	e.intern(req.Database)
@@ -265,97 +224,19 @@ func (e *encoder) encodeRequest(req *request) error {
 		e.f64(p)
 	}
 	e.str(req.Trace)
-	e.varint(int64(req.Codec))
-	e.uvarint(uint64(len(req.Frontier)))
-	prev := ""
-	for _, k := range req.Frontier {
-		e.frontStr(prev, k)
-		prev = k
-	}
 	e.segs(req.Segs)
 	return nil
 }
 
-// encodeDeltaRequest appends req as a codec-v3 compact reach frame: ID,
-// trace, the front-coded frontier with its parallel probs and, under
-// binMagicDeltaSeg, the segment column — nothing else. Only the reach op
-// has a compact form (the magic byte itself names the op; a future compact
-// op would claim its own magic); every other op stays on the generic v2
-// layout even on a v3 connection.
-func (e *encoder) encodeDeltaRequest(req *request) error {
-	if req.Op != opReach {
-		return fmt.Errorf("wire: codec v3 has no compact frame for op %q", req.Op)
-	}
-	e.u8(deltaMagic(req.Segs))
-	e.uvarint(req.ID)
-	// The frontier count carries a has-trace flag in its low bit: scatter
-	// legs are untraced unless the query is sampled, so the common case
-	// drops the empty trace string's length byte.
-	head := uint64(len(req.Frontier)) << 1
-	if req.Trace != "" {
-		head |= 1
-	}
-	e.uvarint(head)
-	if req.Trace != "" {
-		e.str(req.Trace)
-	}
-	prev := ""
-	for _, k := range req.Frontier {
-		e.frontStr(prev, k)
-		prev = k
-	}
-	for i := range req.Frontier {
-		var p float64
-		if i < len(req.Probs) {
-			p = req.Probs[i]
-		}
-		e.f64(p)
-	}
-	e.segs(req.Segs)
-	return nil
-}
-
-// encodeDeltaResponse appends resp as a codec-v3 compact reach frame: ID,
-// error, traversal stats, the front-coded hit list and, under
-// binMagicDeltaSeg, the segment column.
-func (e *encoder) encodeDeltaResponse(resp *response) {
-	e.u8(deltaMagic(resp.Segs))
-	e.uvarint(resp.ID)
-	// Like the request's trace, the hit count carries a has-error flag in
-	// its low bit so the healthy path drops the empty string's length byte.
-	head := uint64(len(resp.DHits)) << 1
-	if resp.Error != "" {
-		head |= 1
-	}
-	e.uvarint(head)
-	if resp.Error != "" {
-		e.str(resp.Error)
-	}
-	// Traversal stats are counts, never negative: uvarint keeps the common
-	// 64..127 range in one byte where zigzag varints would need two.
-	e.uvarint(uint64(resp.Nodes))
-	e.uvarint(uint64(resp.Edges))
-	prev := ""
-	for _, h := range resp.DHits {
-		e.frontStr(prev, h.Key)
-		e.f64(h.Prob)
-		prev = h.Key
-	}
-	e.segs(resp.Segs)
-}
-
-// encodeResponse appends resp in the fixed v2 layout. The object list is
-// where interning pays: databases, collections and field names repeat across
-// a batch and are shipped once per frame.
+// encodeResponse appends resp in the fixed layout. The object list is where
+// interning pays: databases, collections and field names repeat across a
+// batch and are shipped once per frame.
 func (e *encoder) encodeResponse(resp *response) {
-	e.u8(binMagic)
+	e.u8(frameVersion)
 	e.uvarint(resp.ID)
 	var flags byte
 	if resp.NotFound {
 		flags |= flagNotFound
-	}
-	if len(resp.Segs) > 0 {
-		flags |= flagSegments
 	}
 	e.u8(flags)
 	e.str(resp.Error)
@@ -365,8 +246,8 @@ func (e *encoder) encodeResponse(resp *response) {
 		e.intern(o.Database)
 		e.intern(o.Collection)
 		e.str(o.Key)
-		// Field maps use a count+1 scheme so the nil/empty distinction the
-		// JSON codec makes ("fields" has no omitempty) survives round trips.
+		// Field maps use a count+1 scheme so a nil map and an empty one stay
+		// distinct across the wire.
 		if o.Fields == nil {
 			e.uvarint(0)
 		} else {
@@ -386,22 +267,18 @@ func (e *encoder) encodeResponse(resp *response) {
 	}
 	e.str(resp.KeyField)
 	e.uvarint(uint64(len(resp.Hits)))
-	for _, h := range resp.Hits {
-		e.str(h.Key)
-		e.f64(h.Prob)
-	}
-	e.varint(int64(resp.Nodes))
-	e.varint(int64(resp.Edges))
-	e.rawBytes(resp.Snapshot)
-	e.uvarint(resp.Epoch)
-	e.varint(int64(resp.Codec))
-	e.uvarint(uint64(len(resp.DHits)))
 	prev := ""
-	for _, h := range resp.DHits {
+	for _, h := range resp.Hits {
 		e.frontStr(prev, h.Key)
 		e.f64(h.Prob)
 		prev = h.Key
 	}
+	// Traversal stats are counts, never negative: uvarint keeps the common
+	// 64..127 range in one byte where zigzag varints would need two.
+	e.uvarint(uint64(resp.Nodes))
+	e.uvarint(uint64(resp.Edges))
+	e.rawBytes(resp.Snapshot)
+	e.uvarint(resp.Epoch)
 	e.segs(resp.Segs)
 }
 
@@ -436,11 +313,11 @@ func putDecoder(d *decoder) {
 }
 
 var (
-	errShortFrame     = errors.New("wire: truncated codec-v2 frame")
-	errVarintOverflow = errors.New("wire: codec-v2 varint overflow")
-	errTrailingBytes  = errors.New("wire: trailing bytes after codec-v2 frame")
-	errInternRange    = errors.New("wire: codec-v2 intern reference out of range")
-	errFrontPrefix    = errors.New("wire: codec-v2 front-coded prefix exceeds previous key")
+	errShortFrame     = errors.New("wire: truncated frame")
+	errVarintOverflow = errors.New("wire: varint overflow")
+	errTrailingBytes  = errors.New("wire: trailing bytes after frame")
+	errInternRange    = errors.New("wire: intern reference out of range")
+	errFrontPrefix    = errors.New("wire: front-coded prefix exceeds previous key")
 )
 
 func (d *decoder) u8() (byte, error) {
@@ -576,17 +453,25 @@ func (d *decoder) count(minSize int) (int, error) {
 	return int(n), nil
 }
 
-// segs reads the segment column of a frame that announced one and checks it
-// against the length of the list it splits. An announced column with no runs
-// is rejected: the encoders never write it, so accepting it would give one
-// request two encodings.
+// version consumes the frame's first byte and refuses anything but
+// frameVersion, so no other format is ever parsed past byte 0.
+func (d *decoder) version() error {
+	b, err := d.u8()
+	if err != nil {
+		return err
+	}
+	if b != frameVersion {
+		return fmt.Errorf("wire: unknown frame version byte 0x%02x", b)
+	}
+	return nil
+}
+
+// segs reads a frame's segment column and checks it against the length of
+// the list it splits. A run count of 0 is an absent column.
 func (d *decoder) segs(total int) ([]int, error) {
 	n, err := d.count(1)
-	if err != nil {
+	if err != nil || n == 0 {
 		return nil, err
-	}
-	if n == 0 {
-		return nil, errSegments
 	}
 	segs := make([]int, 0, min(n, sliceCap))
 	for i := 0; i < n; i++ {
@@ -609,26 +494,22 @@ func (d *decoder) segs(total int) ([]int, error) {
 // it grow by append.
 const sliceCap = 4096
 
-// decodeRequestV2 parses a codec-v2 request body. The result matches what a
-// JSON round trip of the same struct produces field for field (empty slices
-// decode to nil like omitempty does), which is what the equivalence
-// properties pin.
-func decodeRequestV2(body string, req *request) error {
-	if len(body) == 0 || body[0] != binMagic {
-		return fmt.Errorf("wire: not a codec-v2 frame")
-	}
+// decodeRequest parses a request body. Empty slices decode to nil, which is
+// what a JSON round trip of the same struct produces (every slice field is
+// omitempty) and what the equivalence properties pin.
+func decodeRequest(body string, req *request) error {
 	d := getDecoder(body)
 	defer putDecoder(d)
-	d.off = 1
 	*req = request{}
+	if err := d.version(); err != nil {
+		return err
+	}
 	code, err := d.u8()
 	if err != nil {
 		return err
 	}
-	segmented := code&opSegmented != 0
-	code &^= opSegmented
 	if int(code) >= len(opNames) || opNames[code] == "" {
-		return fmt.Errorf("wire: codec-v2 frame with unknown op code %d", code)
+		return fmt.Errorf("wire: frame with unknown op code %d", code)
 	}
 	req.Op = opNames[code]
 	if req.ID, err = d.uvarint(); err != nil {
@@ -646,8 +527,15 @@ func decodeRequestV2(body string, req *request) error {
 	}
 	if nkeys > 0 {
 		keys := make([]string, 0, min(nkeys, sliceCap))
+		prev := ""
 		for i := 0; i < nkeys; i++ {
-			k, err := d.str()
+			var k string
+			if req.Op == opReach {
+				k, err = d.frontStr(prev)
+				prev = k
+			} else {
+				k, err = d.str()
+			}
 			if err != nil {
 				return err
 			}
@@ -679,32 +567,8 @@ func decodeRequestV2(body string, req *request) error {
 	if req.Trace, err = d.str(); err != nil {
 		return err
 	}
-	codecField, err := d.varint()
-	if err != nil {
+	if req.Segs, err = d.segs(len(req.Keys)); err != nil {
 		return err
-	}
-	req.Codec = int(codecField)
-	nfront, err := d.count(2)
-	if err != nil {
-		return err
-	}
-	if nfront > 0 {
-		frontier := make([]string, 0, min(nfront, sliceCap))
-		prev := ""
-		for i := 0; i < nfront; i++ {
-			k, err := d.frontStr(prev)
-			if err != nil {
-				return err
-			}
-			frontier = append(frontier, k)
-			prev = k
-		}
-		req.Frontier = frontier
-	}
-	if segmented {
-		if req.Segs, err = d.segs(segmentedLen(len(req.Frontier), len(req.Keys))); err != nil {
-			return err
-		}
 	}
 	if d.off != len(d.s) {
 		return errTrailingBytes
@@ -712,146 +576,15 @@ func decodeRequestV2(body string, req *request) error {
 	return nil
 }
 
-// decodeDeltaRequest parses a codec-v3 compact reach frame into the same
-// request struct the generic decoders fill, so the server dispatch path is
-// codec-blind.
-func decodeDeltaRequest(body string, req *request) error {
-	if len(body) == 0 || body[0] != binMagicDelta && body[0] != binMagicDeltaSeg {
-		return fmt.Errorf("wire: not a codec-v3 frame")
-	}
+// decodeResponse parses a response body with the same JSON-equivalent
+// semantics as decodeRequest.
+func decodeResponse(body string, resp *response) error {
 	d := getDecoder(body)
 	defer putDecoder(d)
-	d.off = 1
-	*req = request{}
-	req.Op = opReach
-	var err error
-	if req.ID, err = d.uvarint(); err != nil {
-		return err
-	}
-	head, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	if head&1 != 0 {
-		if req.Trace, err = d.str(); err != nil {
-			return err
-		}
-	}
-	// Min element size 10: a front-coded key (prefix uvarint + suffix
-	// length) plus its 8-byte prob in the parallel block — the same sanity
-	// bound count() applies, checked by hand because of the flag bit.
-	n := int(head >> 1)
-	if n > (len(d.s)-d.off)/10 {
-		return errShortFrame
-	}
-	if n > 0 {
-		frontier := make([]string, 0, min(n, sliceCap))
-		prev := ""
-		for i := 0; i < n; i++ {
-			k, err := d.frontStr(prev)
-			if err != nil {
-				return err
-			}
-			frontier = append(frontier, k)
-			prev = k
-		}
-		probs := make([]float64, 0, min(n, sliceCap))
-		for i := 0; i < n; i++ {
-			p, err := d.f64()
-			if err != nil {
-				return err
-			}
-			probs = append(probs, p)
-		}
-		req.Frontier = frontier
-		req.Probs = probs
-	}
-	if body[0] == binMagicDeltaSeg {
-		if req.Segs, err = d.segs(n); err != nil {
-			return err
-		}
-	}
-	if d.off != len(d.s) {
-		return errTrailingBytes
-	}
-	return nil
-}
-
-// decodeDeltaResponse parses a codec-v3 compact reach response.
-func decodeDeltaResponse(body string, resp *response) error {
-	if len(body) == 0 || body[0] != binMagicDelta && body[0] != binMagicDeltaSeg {
-		return fmt.Errorf("wire: not a codec-v3 frame")
-	}
-	d := getDecoder(body)
-	defer putDecoder(d)
-	d.off = 1
 	*resp = response{}
-	var err error
-	if resp.ID, err = d.uvarint(); err != nil {
+	if err := d.version(); err != nil {
 		return err
 	}
-	head, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	if head&1 != 0 {
-		if resp.Error, err = d.str(); err != nil {
-			return err
-		}
-	}
-	nodes, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	resp.Nodes = int(nodes)
-	edges, err := d.uvarint()
-	if err != nil {
-		return err
-	}
-	resp.Edges = int(edges)
-	// Same 10-byte-per-hit sanity bound as the request, checked by hand
-	// because of the flag bit.
-	ndhits := int(head >> 1)
-	if ndhits > (len(d.s)-d.off)/10 {
-		return errShortFrame
-	}
-	if ndhits > 0 {
-		dhits := make([]RemoteHit, 0, min(ndhits, sliceCap))
-		prev := ""
-		for i := 0; i < ndhits; i++ {
-			var h RemoteHit
-			if h.Key, err = d.frontStr(prev); err != nil {
-				return err
-			}
-			if h.Prob, err = d.f64(); err != nil {
-				return err
-			}
-			dhits = append(dhits, h)
-			prev = h.Key
-		}
-		resp.DHits = dhits
-	}
-	if body[0] == binMagicDeltaSeg {
-		if resp.Segs, err = d.segs(ndhits); err != nil {
-			return err
-		}
-	}
-	if d.off != len(d.s) {
-		return errTrailingBytes
-	}
-	return nil
-}
-
-// decodeResponseV2 parses a codec-v2 response body with the same JSON-
-// equivalent semantics as decodeRequestV2.
-func decodeResponseV2(body string, resp *response) error {
-	if len(body) == 0 || body[0] != binMagic {
-		return fmt.Errorf("wire: not a codec-v2 frame")
-	}
-	d := getDecoder(body)
-	defer putDecoder(d)
-	d.off = 1
-	*resp = response{}
 	var err error
 	if resp.ID, err = d.uvarint(); err != nil {
 		return err
@@ -929,30 +662,34 @@ func decodeResponseV2(body string, resp *response) error {
 	if resp.KeyField, err = d.str(); err != nil {
 		return err
 	}
-	nhits, err := d.count(9)
+	// Min element size 10: a front-coded key (prefix uvarint + suffix length)
+	// plus its 8-byte prob.
+	nhits, err := d.count(10)
 	if err != nil {
 		return err
 	}
 	if nhits > 0 {
 		hits := make([]RemoteHit, 0, min(nhits, sliceCap))
+		prev := ""
 		for i := 0; i < nhits; i++ {
 			var h RemoteHit
-			if h.Key, err = d.str(); err != nil {
+			if h.Key, err = d.frontStr(prev); err != nil {
 				return err
 			}
 			if h.Prob, err = d.f64(); err != nil {
 				return err
 			}
 			hits = append(hits, h)
+			prev = h.Key
 		}
 		resp.Hits = hits
 	}
-	nodes, err := d.varint()
+	nodes, err := d.uvarint()
 	if err != nil {
 		return err
 	}
 	resp.Nodes = int(nodes)
-	edges, err := d.varint()
+	edges, err := d.uvarint()
 	if err != nil {
 		return err
 	}
@@ -963,35 +700,8 @@ func decodeResponseV2(body string, resp *response) error {
 	if resp.Epoch, err = d.uvarint(); err != nil {
 		return err
 	}
-	codecField, err := d.varint()
-	if err != nil {
+	if resp.Segs, err = d.segs(len(resp.Hits)); err != nil {
 		return err
-	}
-	resp.Codec = int(codecField)
-	ndhits, err := d.count(10)
-	if err != nil {
-		return err
-	}
-	if ndhits > 0 {
-		dhits := make([]RemoteHit, 0, min(ndhits, sliceCap))
-		prev := ""
-		for i := 0; i < ndhits; i++ {
-			var h RemoteHit
-			if h.Key, err = d.frontStr(prev); err != nil {
-				return err
-			}
-			if h.Prob, err = d.f64(); err != nil {
-				return err
-			}
-			dhits = append(dhits, h)
-			prev = h.Key
-		}
-		resp.DHits = dhits
-	}
-	if flags&flagSegments != 0 {
-		if resp.Segs, err = d.segs(segmentedLen(ndhits, nhits)); err != nil {
-			return err
-		}
 	}
 	if d.off != len(d.s) {
 		return errTrailingBytes

@@ -188,7 +188,7 @@ func TestClientRetryAttemptDeadline(t *testing.T) {
 		}
 	}()
 
-	start := time.Now()
+	framesBefore, timeoutsBefore := clientFrames[opMeta].Value(), clientTimeouts[opMeta].Value()
 	_, err = DialConfig(ln.Addr().String(), ClientConfig{
 		Retry: resilience.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, Jitter: 0, AttemptTimeout: 50 * time.Millisecond},
 	})
@@ -199,9 +199,15 @@ func TestClientRetryAttemptDeadline(t *testing.T) {
 	if !errors.As(err, &ne) || !ne.Timeout() {
 		t.Errorf("want a timeout error, got %v", err)
 	}
-	// Two attempts at 50ms each plus one backoff: well under a second.
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Errorf("deadline did not bound the attempts: %v", elapsed)
+	// The deadline, not the caller's patience, ended each attempt: exactly the
+	// policy's two frames went out and the round trip is counted as timed out.
+	// (Counters rather than a wall-clock ceiling, which a loaded machine
+	// stretches.)
+	if frames := clientFrames[opMeta].Value() - framesBefore; frames != 2 {
+		t.Errorf("stalled dial wrote %d meta frames, want the policy's 2 attempts", frames)
+	}
+	if timeouts := clientTimeouts[opMeta].Value() - timeoutsBefore; timeouts != 1 {
+		t.Errorf("stalled dial counted %d timed-out round trips, want 1", timeouts)
 	}
 }
 

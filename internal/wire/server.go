@@ -18,13 +18,6 @@ type Server struct {
 	store core.Store
 	ln    net.Listener
 
-	// maxCodec caps the frame codec this server negotiates (codecDelta by
-	// default). LimitCodec(1) turns the server into a JSON-only v1 peer,
-	// LimitCodec(2) into a binary peer that predates the compact reach
-	// frames, which is how the mixed-version cluster tests emulate old
-	// binaries.
-	maxCodec uint8
-
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
 	closed bool
@@ -45,17 +38,11 @@ func Serve(store core.Store, addr string) (*Server, error) {
 // uses it to reserve every peer's port before any peer starts dialing, so a
 // topology's addresses are known to all members ahead of time.
 func ServeOn(store core.Store, ln net.Listener) *Server {
-	s := &Server{store: store, ln: ln, maxCodec: codecDelta, conns: map[net.Conn]struct{}{}}
+	s := &Server{store: store, ln: ln, conns: map[net.Conn]struct{}{}}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s
 }
-
-// LimitCodec caps the frame codec the server will negotiate or accept.
-// LimitCodec(1) pins it to JSON (a v1 peer), LimitCodec(2) to the generic
-// binary layout (a v2 peer); the default is codec v3.
-// Call it before the first client connects.
-func (s *Server) LimitCodec(v uint8) { s.maxCodec = v }
 
 // Optional store capabilities a wire server forwards when the wrapped store
 // implements them. A cluster shard node implements all three; plain stores
@@ -119,11 +106,9 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// handle serves one connection. Frames with a non-zero ID are dispatched
-// concurrently — each in its own goroutine, responses serialized by a write
-// mutex and tagged with the request's ID so the client can demux them out of
-// order. ID-0 frames keep the legacy in-order exchange: the read loop blocks
-// on the dispatch, so an old sequential client never sees a reordered reply.
+// handle serves one connection. Every frame is dispatched in its own
+// goroutine, responses serialized by a write mutex and tagged with the
+// request's ID so the client can demux them out of order.
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
 	var (
@@ -139,51 +124,36 @@ func (s *Server) handle(conn net.Conn) {
 	}()
 	for {
 		var req request
-		reqBytes, codec, err := readRequestFrame(conn, &req)
+		reqBytes, err := readRequestFrame(conn, &req)
 		if err != nil {
-			return // connection closed or corrupted: drop it
+			return // closed, corrupted or not this format: drop the connection
 		}
 		serverBytesIn.Add(uint64(reqBytes))
-		if codec > s.maxCodec {
-			return // binary frame at a JSON-only server: protocol violation
-		}
-		if req.ID == 0 {
-			ctx, sp := s.continueTrace(req, reqBytes)
-			resp := s.dispatch(ctx, req)
-			finishServerSpan(sp, resp)
-			n, err := s.writeResponse(conn, &resp, codec, req.Op)
-			sp.AddBytes(int64(n), 0)
-			sp.End()
-			if err != nil {
-				return
-			}
-			continue
-		}
 		reqWG.Add(1)
-		go func(req request, reqBytes int, codec uint8) {
+		go func(req request, reqBytes int) {
 			defer reqWG.Done()
 			ctx, sp := s.continueTrace(req, reqBytes)
 			resp := s.dispatch(ctx, req)
 			resp.ID = req.ID
 			finishServerSpan(sp, resp)
 			wmu.Lock()
-			n, _ := s.writeResponse(conn, &resp, codec, req.Op) //nolint:errcheck // a dead conn fails the read loop too
+			n, _ := s.writeResponse(conn, &resp, req.Op) //nolint:errcheck // a dead conn fails the read loop too
 			wmu.Unlock()
 			sp.AddBytes(int64(n), 0)
 			sp.End()
-		}(req, reqBytes, codec)
+		}(req, reqBytes)
 	}
 }
 
-// writeResponse sends resp in the codec the request arrived in. A response
-// that overflows maxFrame (a snapshot of an oversized shard, say) is replaced
-// by a small error frame naming the violation, so the client gets a definite
-// non-retryable remote error instead of a dead connection.
-func (s *Server) writeResponse(conn net.Conn, resp *response, codec uint8, op string) (int, error) {
-	n, err := writeResponseFrame(conn, resp, codec, op)
+// writeResponse sends resp. A response that overflows maxFrame (a snapshot of
+// an oversized shard, say) is replaced by a small error frame naming the
+// violation, so the client gets a definite non-retryable remote error instead
+// of a dead connection.
+func (s *Server) writeResponse(conn net.Conn, resp *response, op string) (int, error) {
+	n, err := writeResponseFrame(conn, resp, op)
 	if errors.Is(err, ErrFrameTooLarge) {
 		small := response{ID: resp.ID, Error: err.Error()}
-		n, err = writeResponseFrame(conn, &small, codec, op)
+		n, err = writeResponseFrame(conn, &small, op)
 	}
 	serverBytesOut.Add(uint64(n))
 	return n, err
@@ -191,7 +161,7 @@ func (s *Server) writeResponse(conn net.Conn, resp *response, codec uint8, op st
 
 // continueTrace opens the server-side segment of the caller's distributed
 // trace when the frame carries a traceparent. Untraced frames get no span at
-// all, so legacy peers cost nothing.
+// all.
 func (s *Server) continueTrace(req request, reqBytes int) (context.Context, *telemetry.Span) {
 	if req.Trace == "" {
 		return context.Background(), nil
@@ -228,19 +198,11 @@ func (s *Server) dispatch(ctx context.Context, req request) response {
 	}
 	switch req.Op {
 	case opMeta:
-		resp := response{
+		return response{
 			Name:        s.store.Name(),
 			Kind:        int(s.store.Kind()),
 			Collections: s.store.Collections(),
 		}
-		// Codec negotiation: confirm the highest version both sides speak,
-		// but only when the client offered binary and this server isn't
-		// capped to JSON. Legacy clients omit the field (Codec 0) and get no
-		// echo, pinning the connection to JSON.
-		if req.Codec >= codecBinary && s.maxCodec >= codecBinary {
-			resp.Codec = min(req.Codec, int(s.maxCodec))
-		}
-		return resp
 	case opGet:
 		if req.Database != "" {
 			return s.dispatchGetDB(ctx, req)
@@ -267,37 +229,22 @@ func (s *Server) dispatch(ctx context.Context, req request) response {
 		if !ok {
 			return response{Error: "wire: store cannot expand reach frontiers"}
 		}
-		// A frontier in the front-coded field (codec-v2 clients) is answered
-		// front-coded; plain Keys (v1 peers) get plain Hits. Expansion output
-		// is key-sorted, which is what makes the response front-coding pay.
-		keys := req.Keys
-		delta := len(req.Frontier) > 0
-		if delta {
-			keys = req.Frontier
+		// The frame layout does not tie probs to the key count: a malformed
+		// frontier is refused whole rather than expanded in part.
+		if len(req.Probs) != len(req.Keys) {
+			return response{Error: fmt.Sprintf("wire: reach frontier of %d keys with %d probs", len(req.Keys), len(req.Probs))}
 		}
-		// A JSON frame reaches here unvalidated, and no codec ties probs to
-		// the key count: a malformed frontier is refused whole rather than
-		// expanded in part.
-		if len(req.Probs) != len(keys) {
-			return response{Error: fmt.Sprintf("wire: reach frontier of %d keys with %d probs", len(keys), len(req.Probs))}
-		}
-		if err := checkSegs(req.Segs, len(keys)); err != nil {
+		if err := checkSegs(req.Segs, len(req.Keys)); err != nil {
 			return response{Error: err.Error()}
 		}
-		hits, hitSegs, info, err := fr.ExpandFrontier(ctx, keys, req.Probs, req.Segs)
+		hits, hitSegs, info, err := fr.ExpandFrontier(ctx, req.Keys, req.Probs, req.Segs)
 		if err != nil {
 			return response{Error: err.Error()}
 		}
 		if len(hitSegs) != len(req.Segs) || checkSegs(hitSegs, len(hits)) != nil {
 			return response{Error: fmt.Sprintf("wire: store answered %d reach segments with %d", len(req.Segs), len(hitSegs))}
 		}
-		resp := response{Nodes: info.Nodes, Edges: info.Edges, Segs: hitSegs}
-		if delta {
-			resp.DHits = hits
-		} else {
-			resp.Hits = hits
-		}
-		return resp
+		return response{Hits: hits, Nodes: info.Nodes, Edges: info.Edges, Segs: hitSegs}
 	case opSnapshot:
 		sn, ok := s.store.(Snapshotter)
 		if !ok {

@@ -1,10 +1,9 @@
 // Package wire exposes any core.Store over TCP so that a polystore can span
 // machines, the way the paper's distributed deployment spreads its stores
 // over EC2 regions. Each request and response is one length-prefixed frame
-// (4-byte big-endian length followed by the body); the body is either a JSON
-// document (codec v1, the compatibility format every server keeps accepting)
-// or the compact binary encoding of codec v2 (see codec.go), negotiated per
-// connection through the meta exchange.
+// (4-byte big-endian length followed by the body) in the one binary format
+// of codec.go — like the paper's stores, each of which has exactly one driver
+// protocol, a peer speaks this format or fails at dial.
 //
 // The Server wraps a store and serves any number of concurrent connections;
 // the Client implements core.Store over a small connection pool so the
@@ -14,7 +13,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -128,46 +126,34 @@ func init() {
 		"requests dispatched by wire servers", telemetry.L("op", "unknown"))
 }
 
+// request is one frame a client sends. The json tags serve the tests'
+// reference round trip only; nothing outside _test.go encodes JSON.
 type request struct {
-	// ID tags the frame for multiplexing: a non-zero ID tells the server it
-	// may dispatch concurrently and reply out of order, echoing the ID on the
-	// response. ID 0 selects the legacy one-at-a-time exchange, so old
-	// clients keep working against new servers and vice versa (a server that
-	// ignores IDs echoes ID 0, which a mux client treats as a broken conn and
-	// retries sequentially-compatible ops on a fresh one).
-	ID         uint64   `json:"id,omitempty"`
-	Op         string   `json:"op"`
-	Collection string   `json:"collection,omitempty"`
-	Key        string   `json:"key,omitempty"`
-	Keys       []string `json:"keys,omitempty"`
-	Query      string   `json:"query,omitempty"`
+	// ID tags the frame for multiplexing: the server dispatches every frame
+	// concurrently and may reply out of order, echoing the ID on the response
+	// so the client's demux reader can route it to its waiter.
+	ID         uint64 `json:"id,omitempty"`
+	Op         string `json:"op"`
+	Collection string `json:"collection,omitempty"`
+	Key        string `json:"key,omitempty"`
+	// Keys are a getbatch's keys or a reach op's frontier (parallel to Probs,
+	// key-sorted within a segment, front-coded on the wire).
+	Keys  []string `json:"keys,omitempty"`
+	Query string   `json:"query,omitempty"`
 	// Database routes get/getbatch on a cluster peer that serves several
-	// databases behind one listener (a shard node). Empty selects the classic
-	// single-store dispatch, so legacy clients and servers interoperate.
+	// databases behind one listener (a shard node). Empty selects the
+	// single-store dispatch.
 	Database string `json:"db,omitempty"`
 	// Probs carries the frontier weights parallel to Keys for the reach op:
 	// the best path probability accumulated at each frontier key so far.
 	Probs []float64 `json:"probs,omitempty"`
 	// Trace carries the caller's traceparent ("00-<trace>-<span>-01") so the
-	// server continues the distributed trace. Optional: legacy peers ignore
-	// the extra field, and an empty value means "untraced".
+	// server continues the distributed trace; empty means "untraced".
 	Trace string `json:"tp,omitempty"`
-	// Codec offers the client's maximum frame codec on the meta exchange
-	// (the codec-v2 negotiation). Legacy peers ignore it and omit the echo,
-	// which pins the connection to JSON.
-	Codec int `json:"codec,omitempty"`
-	// Frontier is the front-coded form of a reach op's frontier: like Keys
-	// (parallel to Probs), but sent only on codec-v3 connections, where the
-	// binary layout elides the prefix each key shares with its predecessor
-	// (frontiers are key-sorted within a segment). v1 JSON and v2 binary
-	// peers keep receiving plain Keys.
-	Frontier []string `json:"fr,omitempty"`
-	// Segs splits a reach frontier (Keys or Frontier, with Probs) into
-	// consecutive runs, one per origin of a many-origin traversal: the peer
-	// expands each run on its own, so probabilities never merge across
-	// origins, and answers with its hits split the same way. Absent means one
-	// segment, which keeps single-origin frames byte-identical to what peers
-	// exchanged before the column existed.
+	// Segs splits a reach frontier (Keys with Probs) into consecutive runs,
+	// one per origin of a many-origin traversal: the peer expands each run on
+	// its own, so probabilities never merge across origins, and answers with
+	// its hits split the same way. Absent means one segment.
 	Segs []int `json:"segs,omitempty"`
 }
 
@@ -179,7 +165,7 @@ type wireObject struct {
 }
 
 type response struct {
-	// ID echoes the request's frame ID (0 on the legacy sequential path).
+	// ID echoes the request's frame ID.
 	ID          uint64       `json:"id,omitempty"`
 	Objects     []wireObject `json:"objects,omitempty"`
 	Error       string       `json:"error,omitempty"`
@@ -189,36 +175,20 @@ type response struct {
 	Collections []string     `json:"collections,omitempty"`
 	KeyField    string       `json:"keyField,omitempty"`
 	// Hits answer a reach op: the one-hop expansion of the request frontier
-	// over the peer's A' shard, deduplicated by max probability.
+	// over the peer's A' shard, deduplicated by max probability. Expansion
+	// output is key-sorted, which is what makes front-coding it pay.
 	Hits []RemoteHit `json:"hits,omitempty"`
 	// Nodes and Edges report the traversal work of a reach op, so the
 	// coordinator can attribute index effort to the profiled query.
 	Nodes int `json:"nodes,omitempty"`
 	Edges int `json:"edges,omitempty"`
 	// Snapshot answers a snapshot op: the peer's A' shard in the binary
-	// checkpoint format (base64 over JSON), stamped with its WAL epoch.
+	// checkpoint format, stamped with its WAL epoch.
 	Snapshot []byte `json:"snapshot,omitempty"`
 	Epoch    uint64 `json:"epoch,omitempty"`
-	// Codec echoes the agreed frame codec on the meta exchange: a v2 server
-	// answering a client that offered codec 2 confirms it here, and the
-	// client switches its frames to binary from the next request on.
-	Codec int `json:"codec,omitempty"`
-	// DHits answer a front-coded reach op (request.Frontier): the same
-	// payload as Hits, but the binary layout front-codes the key-sorted hit
-	// list the same way the request front-codes its frontier.
-	DHits []RemoteHit `json:"dhits,omitempty"`
-	// Segs splits Hits/DHits into one run per request segment, in request
-	// order (a run may be empty). Absent when the request carried no Segs.
+	// Segs splits Hits into one run per request segment, in request order (a
+	// run may be empty). Absent when the request carried no Segs.
 	Segs []int `json:"segs,omitempty"`
-}
-
-// segmentedLen is the length of the list a generic frame's segment column
-// splits: the front-coded list when the frame carries one, else the plain.
-func segmentedLen(front, plain int) int {
-	if front > 0 {
-		return front
-	}
-	return plain
 }
 
 // errSegments rejects a segment column that does not partition its list.
@@ -296,150 +266,64 @@ func putBody(bb *bodyBuf) {
 	bodyPool.Put(bb)
 }
 
-// writeJSONFrame sends one length-prefixed JSON frame — the v1 codec,
-// preserved byte for byte so legacy peers interoperate.
-func writeJSONFrame(w io.Writer, v any, op string) (int, error) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return 0, fmt.Errorf("wire: encoding frame: %w", err)
-	}
-	if len(body) > maxFrame {
-		return 0, &FrameTooLargeError{Op: op, Len: len(body)}
-	}
-	var head [4]byte
-	binary.BigEndian.PutUint32(head[:], uint32(len(body)))
-	if _, err := w.Write(head[:]); err != nil {
-		return 0, err
-	}
-	if _, err := w.Write(body); err != nil {
-		return 0, err
-	}
-	return len(head) + len(body), nil
-}
-
-// writeRequestFrame sends req in the given codec, returning the bytes put on
-// the wire (header included) so the explain layer can account for them.
-// Binary frames serialize into a pooled buffer and go out in one Write.
-func writeRequestFrame(w io.Writer, req *request, codec uint8) (int, error) {
-	if codec < codecBinary {
-		return writeJSONFrame(w, req, req.Op)
-	}
+// writeRequestFrame sends req, returning the bytes put on the wire (header
+// included) so the explain layer can account for them. The frame serializes
+// into a pooled buffer and goes out in one Write.
+func writeRequestFrame(w io.Writer, req *request) (int, error) {
 	e := getEncoder()
 	defer putEncoder(e)
-	// On a v3 connection only delta reach traffic uses the compact frame;
-	// every other op stays on the generic v2 layout.
-	if codec >= codecDelta && req.Op == opReach && len(req.Frontier) > 0 {
-		if err := e.encodeDeltaRequest(req); err != nil {
-			return 0, err
-		}
-	} else if err := e.encodeRequest(req); err != nil {
+	if err := e.encodeRequest(req); err != nil {
 		return 0, err
 	}
 	frame, err := e.finish(req.Op)
 	if err != nil {
 		return 0, err
 	}
-	n, err := w.Write(frame)
-	return n, err
+	return w.Write(frame)
 }
 
-// writeResponseFrame sends resp in the given codec; op names the dispatched
-// operation in size-violation errors.
-func writeResponseFrame(w io.Writer, resp *response, codec uint8, op string) (int, error) {
-	if codec < codecBinary {
-		return writeJSONFrame(w, resp, op)
-	}
+// writeResponseFrame sends resp; op names the dispatched operation in
+// size-violation errors.
+func writeResponseFrame(w io.Writer, resp *response, op string) (int, error) {
 	e := getEncoder()
 	defer putEncoder(e)
-	// A request that arrived as a compact v3 reach frame is answered in
-	// kind: the compact response carries exactly the fields a reach answer
-	// uses (error, stats, hits).
-	if codec >= codecDelta {
-		e.encodeDeltaResponse(resp)
-	} else {
-		e.encodeResponse(resp)
-	}
+	e.encodeResponse(resp)
 	frame, err := e.finish(op)
 	if err != nil {
 		return 0, err
 	}
-	n, err := w.Write(frame)
-	return n, err
+	return w.Write(frame)
 }
 
-// readFrameInto receives one length-prefixed frame and decodes it through
-// decodeJSON/decodeBinary depending on the body's first byte. The body lands
-// in a pooled buffer that is recycled before returning, so the decoders must
-// copy what they keep (the binary decoders copy once into a string and slice
-// it; encoding/json copies inherently).
-func readFrameInto(r io.Reader, decodeJSON func([]byte) error, decodeBinary func(string) error) (int, uint8, error) {
+// readFrame receives one length-prefixed frame and hands its body to decode.
+// The body lands in a pooled buffer that is recycled before returning, so it
+// is copied once into a string the decoder slices what it keeps out of.
+func readFrame(r io.Reader, decode func(body string) error) (int, error) {
 	var head [4]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	n := binary.BigEndian.Uint32(head[:])
 	if int64(n) > int64(maxFrame) {
-		return 0, 0, &FrameTooLargeError{Len: int(n)}
-	}
-	if n == 0 {
-		return 0, 0, fmt.Errorf("wire: empty frame")
+		return 0, &FrameTooLargeError{Len: int(n)}
 	}
 	bb := getBody(int(n))
 	defer putBody(bb)
 	if _, err := io.ReadFull(r, bb.b); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	total := len(head) + int(n)
-	switch bb.b[0] {
-	case '{':
-		if err := decodeJSON(bb.b); err != nil {
-			return 0, codecJSON, fmt.Errorf("wire: decoding frame: %w", err)
-		}
-		return total, codecJSON, nil
-	case binMagic:
-		if err := decodeBinary(string(bb.b)); err != nil {
-			return 0, codecBinary, fmt.Errorf("wire: decoding frame: %w", err)
-		}
-		return total, codecBinary, nil
-	case binMagicDelta, binMagicDeltaSeg:
-		if err := decodeBinary(string(bb.b)); err != nil {
-			return 0, codecDelta, fmt.Errorf("wire: decoding frame: %w", err)
-		}
-		return total, codecDelta, nil
-	default:
-		return 0, 0, fmt.Errorf("wire: unknown frame codec byte 0x%02x", bb.b[0])
+	if err := decode(string(bb.b)); err != nil {
+		return 0, fmt.Errorf("wire: decoding frame: %w", err)
 	}
+	return len(head) + int(n), nil
 }
 
-// readRequestFrame receives one request frame, reporting the codec it
-// arrived in so the server can answer in kind.
-func readRequestFrame(r io.Reader, req *request) (int, uint8, error) {
-	return readFrameInto(r,
-		func(b []byte) error {
-			*req = request{}
-			return json.Unmarshal(b, req)
-		},
-		func(body string) error {
-			if body[0] == binMagic {
-				return decodeRequestV2(body, req)
-			}
-			return decodeDeltaRequest(body, req)
-		},
-	)
+// readRequestFrame receives one request frame.
+func readRequestFrame(r io.Reader, req *request) (int, error) {
+	return readFrame(r, func(body string) error { return decodeRequest(body, req) })
 }
 
-// readResponseFrame receives one response frame in either codec.
-func readResponseFrame(r io.Reader, resp *response) (int, uint8, error) {
-	return readFrameInto(r,
-		func(b []byte) error {
-			*resp = response{}
-			return json.Unmarshal(b, resp)
-		},
-		func(body string) error {
-			if body[0] == binMagic {
-				return decodeResponseV2(body, resp)
-			}
-			return decodeDeltaResponse(body, resp)
-		},
-	)
+// readResponseFrame receives one response frame.
+func readResponseFrame(r io.Reader, resp *response) (int, error) {
+	return readFrame(r, func(body string) error { return decodeResponse(body, resp) })
 }

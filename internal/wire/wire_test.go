@@ -162,26 +162,24 @@ func TestServerClose(t *testing.T) {
 
 func TestFrameRoundTrip(t *testing.T) {
 	in := request{Op: opGetBatch, Collection: "c", Keys: []string{"a", "b"}}
-	for _, codec := range []uint8{codecJSON, codecBinary} {
-		var buf bytes.Buffer
-		wrote, err := writeRequestFrame(&buf, &in, codec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out request
-		read, gotCodec, err := readRequestFrame(&buf, &out)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wrote != read || wrote <= 4 {
-			t.Errorf("codec %d frame byte counts: wrote %d, read %d", codec, wrote, read)
-		}
-		if gotCodec != codec {
-			t.Errorf("sniffed codec = %d, want %d", gotCodec, codec)
-		}
-		if out.Op != in.Op || out.Collection != in.Collection || len(out.Keys) != 2 {
-			t.Errorf("codec %d frame round trip = %+v", codec, out)
-		}
+	var buf bytes.Buffer
+	wrote, err := writeRequestFrame(&buf, &in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first := buf.Bytes()[4]; first != frameVersion {
+		t.Errorf("frame body opens with 0x%02x, want the version byte 0x%02x", first, frameVersion)
+	}
+	var out request
+	read, err := readRequestFrame(&buf, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wrote != read || wrote <= 4 {
+		t.Errorf("frame byte counts: wrote %d, read %d", wrote, read)
+	}
+	if out.Op != in.Op || out.Collection != in.Collection || len(out.Keys) != 2 {
+		t.Errorf("frame round trip = %+v", out)
 	}
 }
 
@@ -191,7 +189,7 @@ func TestFrameLimit(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	var out request
-	_, _, err := readRequestFrame(&buf, &out)
+	_, err := readRequestFrame(&buf, &out)
 	if !errors.Is(err, ErrFrameTooLarge) {
 		t.Errorf("oversized frame = %v, want ErrFrameTooLarge", err)
 	}
@@ -281,8 +279,7 @@ func TestWireBytesRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := rec.Finish(4)
-	// Two round trips, each at least a 4-byte header + JSON body per
-	// direction.
+	// Two round trips, each at least a 4-byte header + body per direction.
 	if p.Totals.BytesSent <= 16 || p.Totals.BytesReceived <= 16 {
 		t.Errorf("wire bytes = %d sent / %d received", p.Totals.BytesSent, p.Totals.BytesReceived)
 	}
