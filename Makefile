@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench bench-hotpath bench-build bench-compare bench-recovery bench-trace bench-cluster bench-rcache chaos cluster crashtest fuzz figures promlint loc clean
+.PHONY: all build vet test race cover bench bench-hotpath bench-build bench-recovery bench-trace ledger ledger-compare chaos cluster crashtest fuzz figures promlint loc clean
 
 all: build vet test
 
@@ -50,24 +50,20 @@ bench-build:
 	$(GO) run ./cmd/quepa-bench -fig build
 	$(GO) test -bench='ReachSnapshot|ReachLockedFallback|BulkLoad|SnapshotFull|SnapshotPatch' -benchmem -run='^$$' ./internal/aindex/
 
-# Bench-regression guard: rerun figure 9 (best of 3) and fail on any point
-# more than 30% slower than the committed baseline.
-BASELINE ?= BENCH_PR4.json
-bench-compare:
-	$(GO) run ./cmd/quepa-bench -fig 9 -best-of 3 -json bench_ci.json -label ci > /dev/null
-	$(GO) run ./cmd/quepa-bench -compare $(BASELINE) -tolerance 0.30 bench_ci.json
+# The performance ledger — the only harness that records, compares or guards
+# a performance number: builds quepa-server, replays the BENCHMARK.json
+# workloads over HTTP, writes .bench_build/ledger/results.json (see
+# benchmark/README.md).
+ledger:
+	$(GO) run ./benchmark
 
-# Result-cache regression guard: rerun the rcache A/B figure (warm skewed
-# stream cache-on vs cache-off, best of 3) and fail on any point more than
-# 30% slower than the committed PR 10 baseline — past the 2ms noise floor.
-# Catches a cache that stopped hitting. (The baseline's scatter-bytes points
-# compared two scatter engines that no longer exist; -compare reports them as
-# baseline-only and moves on. Reach bytes are on the ledger now:
-# wire.bytes_per_op.reach on cluster_keyed.)
-RCACHE_BASELINE ?= BENCH_PR10.json
-bench-rcache:
-	$(GO) run ./cmd/quepa-bench -fig rcache -best-of 3 -json bench_rcache.json -label ci > /dev/null
-	$(GO) run ./cmd/quepa-bench -compare $(RCACHE_BASELINE) -tolerance 0.30 bench_rcache.json
+# Judge two ledger result files against the BENCHMARK.json bounds:
+# make ledger-compare A=parent.json B=change.json
+ledger-compare:
+ifeq ($(and $(A),$(B)),)
+	$(error usage: make ledger-compare A=<results.json> B=<results.json>)
+endif
+	$(GO) run ./benchmark compare $(A) $(B)
 
 # Distributed-tracing overhead gate: rerun the traced-vs-untraced hot-path
 # search pair and fail if tracing costs more than +30% and a 2ms noise floor.
@@ -83,20 +79,12 @@ promlint:
 # Multi-peer cluster suite under the race detector (the CI cluster job runs
 # exactly this): ring property tests, scatter-gather equivalence against the
 # single-node index, peer-down -> "peer-open" degradation, slow-shard
-# timeouts, snapshot bootstrap and ring rebalance, the 3-peer HTTP server
-# acceptance test, and the node-count scaling check of the cluster figure.
-# Every scenario runs over in-process netsim peers with deterministic fault
-# plans, so the lane replays bit-for-bit on any runner.
+# timeouts, snapshot bootstrap and ring rebalance, and the 3-peer HTTP server
+# acceptance test. Every scenario runs over in-process netsim peers with
+# deterministic fault plans, so the lane replays bit-for-bit on any runner.
 cluster:
 	$(GO) test -race -run 'Cluster|Ring|Scatter|Rebalance|Snapshot' \
 		./internal/cluster/ ./cmd/quepa-server/
-	QUEPA_CLUSTER_SCALING=1 $(GO) test -race -run 'FigClusterScaling' ./internal/bench/
-
-# Node-count campaign: the cluster figure sweeps 1/2/4 netsim peers under the
-# per-peer capacity model and reports scatter-gather throughput. The sweep
-# verifies every scattered answer against the single-node index before timing.
-bench-cluster:
-	$(GO) run ./cmd/quepa-bench -fig cluster
 
 # Crash-recovery suite: SIGKILL a re-exec'd process mid-write (both the raw
 # WAL writer and a live quepa-server under load) and verify the reopened data
@@ -136,3 +124,4 @@ loc:
 clean:
 	$(GO) clean ./...
 	rm -f cover.out
+	rm -rf .bench_build/

@@ -6,7 +6,8 @@
 // Usage:
 //
 //	quepa-loadgen -replicas 2 -scale 1          # print dataset statistics
-//	quepa-loadgen -serve 127.0.0.1:0            # serve all stores over TCP
+//	quepa-loadgen -serve 127.0.0.1:0            # serve all stores over TCP, any port each
+//	quepa-loadgen -serve 127.0.0.1:7000         # ... on consecutive ports 7000, 7001, ...
 //
 // The -fault-* flags wrap every served store in a deterministic chaos layer
 // (internal/netsim): seeded random errors, down windows, and stall windows,
@@ -20,13 +21,12 @@
 // instead: it builds the workload, carves this peer's slice of the A' index
 // along the consistent-hash ring, and serves the shard node (database-routed
 // reads, frontier expansion, snapshots) on its own -cluster address — the
-// peer a quepa-server coordinator scatters to. The -fault-* flags and the
-// -peer-capacity/-peer-service cost model apply to the served shard, so
-// multi-node chaos and node-count scaling runs can be driven from real
+// peer a quepa-server coordinator scatters to. The -fault-* flags apply to
+// the served shard, so multi-node chaos runs can be driven from real
 // processes:
 //
 //	quepa-loadgen -cluster 127.0.0.1:7101,127.0.0.1:7102 -shard-id 1
-//	quepa-loadgen -cluster ... -shard-id 1 -fault-down 1: -peer-capacity 4 -peer-service 2ms
+//	quepa-loadgen -cluster ... -shard-id 1 -fault-down 1:
 package main
 
 import (
@@ -34,13 +34,13 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"math/rand"
+	"net"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"time"
 
-	"quepa/internal/augment"
 	"quepa/internal/cluster"
 	"quepa/internal/core"
 	"quepa/internal/middleware"
@@ -53,7 +53,8 @@ func main() {
 	replicas := flag.Int("replicas", 0, "replication rounds (0 -> 4 databases, 3 -> 13)")
 	scale := flag.Float64("scale", 1, "workload scale factor")
 	seed := flag.Int64("seed", 1, "generation seed")
-	serve := flag.String("serve", "", "serve every database over TCP from this base address (e.g. 127.0.0.1:0)")
+	serve := flag.String("serve", "",
+		"serve every database over TCP from this base address: consecutive ports from a non-zero port, any free port per store from port 0 (e.g. 127.0.0.1:0)")
 	faultRate := flag.Float64("fault-rate", 0, "probability that any served request fails (deterministic by -fault-seed)")
 	faultSeed := flag.Uint64("fault-seed", 1, "seed for the fault draws")
 	faultDown := flag.String("fault-down", "", "down windows as request ranges from:to[,from:to...] (to exclusive, empty to = forever)")
@@ -65,19 +66,7 @@ func main() {
 	clusterVnodes := flag.Int("cluster-vnodes", cluster.DefaultVnodes,
 		"virtual nodes per peer on the consistent-hash ring (all peers must agree)")
 	clusterSeed := flag.Uint64("cluster-seed", 0, "ring hash seed, 0 selects the built-in default (all peers must agree)")
-	peerCapacity := flag.Int("peer-capacity", 0,
-		"simulated service capacity of the served shard: concurrent requests (0 disables; with -cluster)")
-	peerService := flag.Duration("peer-service", 0,
-		"simulated service time per object under -peer-capacity")
-	queries := flag.Int("queries", 0,
-		"replay this many Zipf-skewed single-origin augmentations against the built polystore and print throughput (0 disables)")
-	skew := flag.Float64("skew", 1.1, "Zipf exponent of the -queries origin stream (must be > 1)")
-	queryLevel := flag.Int("query-level", 2, "augmentation level the -queries stream runs at")
 	flag.Parse()
-
-	if *skew <= 1 {
-		log.Fatalf("quepa-loadgen: -skew %g: the Zipf exponent must be > 1", *skew)
-	}
 
 	down, err := netsim.ParseWindows(*faultDown)
 	if err != nil {
@@ -118,15 +107,8 @@ func main() {
 	}
 	fmt.Printf("  %-16s %d global keys, %d p-relations\n", "A' index:", built.Index.NodeCount(), built.Index.EdgeCount())
 
-	if *queries > 0 {
-		if err := replaySkewed(built, *queries, *skew, *queryLevel, *seed); err != nil {
-			log.Fatal(err)
-		}
-	}
-
 	if *clusterPeers != "" {
-		serveClusterPeer(built, *clusterPeers, *shardID, *clusterVnodes, *clusterSeed, plan,
-			netsim.PeerProfile{Capacity: *peerCapacity, Service: *peerService})
+		serveClusterPeer(built, *clusterPeers, *shardID, *clusterVnodes, *clusterSeed, plan)
 		return
 	}
 
@@ -134,11 +116,15 @@ func main() {
 		return
 	}
 
+	addrs, err := serveAddrs(*serve, len(built.Databases()))
+	if err != nil {
+		log.Fatal(err)
+	}
 	if plan.Active() {
 		fmt.Printf("serving with injected faults: %s\n", plan)
 	}
 	var servers []*wire.Server
-	for _, name := range built.Databases() {
+	for i, name := range built.Databases() {
 		s, err := built.Poly.Database(name)
 		if err != nil {
 			log.Fatal(err)
@@ -149,7 +135,7 @@ func main() {
 			// sequence), all driven by the same plan and seed.
 			store = netsim.NewChaos(s, plan, time.Sleep)
 		}
-		srv, err := wire.Serve(store, *serve)
+		srv, err := wire.Serve(store, addrs[i])
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -165,55 +151,36 @@ func main() {
 	}
 }
 
-// replaySkewed drives a Zipf-skewed single-origin augmentation stream
-// against the built polystore — the hot-key access pattern exploration
-// sessions produce, and the workload the result cache optimizes — and
-// prints its throughput.
-func replaySkewed(built *workload.Built, queries int, skew float64, level int, seed int64) error {
-	seen := map[core.GlobalKey]bool{}
-	var objs []core.Object
-	ctx := context.Background()
-	for _, r := range built.Relations() {
-		if len(objs) >= 64 {
-			break
-		}
-		if seen[r.From] {
-			continue
-		}
-		seen[r.From] = true
-		obj, err := built.Poly.Fetch(ctx, r.From)
-		if err != nil {
-			continue
-		}
-		objs = append(objs, obj)
+// serveAddrs derives the listen address of each of n served stores from the
+// -serve base address: port 0 asks the kernel for any free port per store,
+// a non-zero port p binds the consecutive ports p, p+1, ..., p+n-1.
+func serveAddrs(base string, n int) ([]string, error) {
+	host, portStr, err := net.SplitHostPort(base)
+	if err != nil {
+		return nil, fmt.Errorf("quepa-loadgen: -serve %q: %v", base, err)
 	}
-	if len(objs) < 2 {
-		return fmt.Errorf("quepa-loadgen: workload has %d fetchable origins", len(objs))
+	first, err := strconv.ParseUint(portStr, 10, 16)
+	if err != nil {
+		return nil, fmt.Errorf("quepa-loadgen: -serve %q: port must be a number in 0..65535", base)
 	}
-	z := rand.NewZipf(rand.New(rand.NewSource(seed)), skew, 1, uint64(len(objs)-1))
-	aug := augment.New(built.Poly, built.Index, augment.Config{Strategy: augment.Sequential})
-	distinct := map[int]bool{}
-	start := time.Now()
-	for i := 0; i < queries; i++ {
-		j := int(z.Uint64())
-		distinct[j] = true
-		if _, _, err := aug.AugmentObjects(ctx, []core.Object{objs[j]}, level); err != nil {
-			return err
-		}
+	port, step := int(first), 1
+	if port == 0 {
+		step = 0
+	} else if last := port + n - 1; last > 65535 {
+		return nil, fmt.Errorf("quepa-loadgen: -serve %q: %d stores need ports %d..%d, past 65535", base, n, port, last)
 	}
-	elapsed := time.Since(start)
-	fmt.Printf("replayed %d augmentations (level %d, skew %g, %d distinct of %d origins) in %v: %.0f q/s\n",
-		queries, level, skew, len(distinct), len(objs), elapsed.Round(time.Millisecond),
-		float64(queries)/elapsed.Seconds())
-	return nil
+	addrs := make([]string, n)
+	for i := range addrs {
+		addrs[i] = net.JoinHostPort(host, strconv.Itoa(port+i*step))
+	}
+	return addrs, nil
 }
 
 // serveClusterPeer serves one shard of a distributed deployment: this peer's
 // A' slice plus its databases, on the address -cluster lists for -shard-id.
-// The fault plan and the capacity/service cost model wrap the node when
-// active, so chaos and scaling scenarios run against real processes.
-func serveClusterPeer(built *workload.Built, peerList string, shardID, vnodes int, seed uint64,
-	plan netsim.FaultPlan, prof netsim.PeerProfile) {
+// The fault plan wraps the node when active, so chaos scenarios run against
+// real processes.
+func serveClusterPeer(built *workload.Built, peerList string, shardID, vnodes int, seed uint64, plan netsim.FaultPlan) {
 	var peers []string
 	for _, p := range strings.Split(peerList, ",") {
 		if p = strings.TrimSpace(p); p == "" {
@@ -234,9 +201,9 @@ func serveClusterPeer(built *workload.Built, peerList string, shardID, vnodes in
 	}
 	node := cluster.NewNode(shardID, idx, built.Poly)
 	var store core.Store = node
-	if plan.Active() || prof.Capacity > 0 || prof.Profile.RoundTrip > 0 {
-		store = netsim.NewChaosNode(node, prof, plan, time.Sleep)
-		fmt.Printf("serving shard with %s, capacity %d × %v service\n", plan, prof.Capacity, prof.Service)
+	if plan.Active() {
+		store = netsim.NewChaosNode(node, plan, time.Sleep)
+		fmt.Printf("serving shard with injected faults: %s\n", plan)
 	}
 	srv, err := wire.Serve(store, peers[shardID])
 	if err != nil {

@@ -50,8 +50,7 @@ func TestTraceOverheadGuard(t *testing.T) {
 		return time.Duration(res.NsPerOp())
 	}
 
-	// Interleave and keep the best of each, shedding scheduler noise the way
-	// the figure benchmarks do with -best-of.
+	// Interleave and keep the best of each, shedding scheduler noise.
 	best := func(a, b time.Duration) time.Duration {
 		if a < b {
 			return a

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -171,8 +170,19 @@ func TestRunDispatch(t *testing.T) {
 			t.Errorf("Run(%s) returned no points", id)
 		}
 	}
-	if _, err := Run("nope", quick()); err == nil {
-		t.Error("unknown figure should fail")
+	// Unknown ids — the retired A/B figures included — fail with the list of
+	// the surviving names.
+	for _, id := range []string{"nope", "cluster", "rcache", "wire"} {
+		_, err := Run(id, quick())
+		if err == nil {
+			t.Errorf("Run(%s) should fail as an unknown figure", id)
+			continue
+		}
+		for _, name := range FigureNames() {
+			if !strings.Contains(err.Error(), name) {
+				t.Errorf("Run(%s) error %q does not list figure %s", id, err, name)
+			}
+		}
 	}
 }
 
@@ -225,55 +235,6 @@ func TestExtraAblation(t *testing.T) {
 	}
 	if matReach < rawReach {
 		t.Errorf("materialized reach %g < raw %g", matReach, rawReach)
-	}
-}
-
-// TestExplainSampling verifies -explain-sample plumbing: with sampling on,
-// a figure run collects profiles and WriteJSON attaches them to the record.
-func TestExplainSampling(t *testing.T) {
-	SetExplainSampling(2)
-	defer SetExplainSampling(0)
-	points, err := Fig9(quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	profiles := ExplainProfiles()
-	if len(profiles) == 0 {
-		t.Fatal("sampling collected no profiles")
-	}
-	if len(profiles) > maxExplainProfiles {
-		t.Errorf("profiles = %d, exceeds cap %d", len(profiles), maxExplainProfiles)
-	}
-	for _, p := range profiles {
-		if p.Route != "bench/search" || p.Totals.Objects < 0 {
-			t.Errorf("profile = %+v", p)
-		}
-	}
-
-	var sb strings.Builder
-	if err := WriteJSON(&sb, "test", quick(), []string{"9"}, points); err != nil {
-		t.Fatal(err)
-	}
-	var rec RunRecord
-	if err := json.Unmarshal([]byte(sb.String()), &rec); err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.Profiles) != len(profiles) {
-		t.Errorf("record has %d profiles, want %d", len(rec.Profiles), len(profiles))
-	}
-
-	// Resetting sampling drops collected profiles.
-	SetExplainSampling(0)
-	if got := ExplainProfiles(); len(got) != 0 {
-		t.Errorf("profiles after reset = %d", len(got))
-	}
-
-	// With sampling off, nothing accumulates.
-	if _, err := Fig9(quick()); err != nil {
-		t.Fatal(err)
-	}
-	if got := ExplainProfiles(); len(got) != 0 {
-		t.Errorf("profiles with sampling off = %d", len(got))
 	}
 }
 

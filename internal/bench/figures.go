@@ -253,13 +253,9 @@ func Fig11ef(o Options) ([]Point, error) {
 // plotted figures: the memory-based study Section VII-B(c) describes without
 // a plot, the consistency-materialization ablation, the A' construction
 // sweep (object count × collector workers), and the crash-recovery-vs-
-// re-collection comparison of the durability subsystem. "cluster" is the
-// node-count campaign: scatter-gather augmentation over 1–4 wire-served
-// peers under the netsim capacity model.
-// "rcache" is the result-cache A/B: warm Zipf-skewed augmentations with and
-// without the epoch-consistent cache.
+// re-collection comparison of the durability subsystem.
 func FigureNames() []string {
-	return []string{"9", "10ab", "10cd", "11ab", "11cd", "11ef", "12", "13ab", "13cd", "cache", "ablation", "build", "recovery", "cluster", "rcache"}
+	return []string{"9", "10ab", "10cd", "11ab", "11cd", "11ef", "12", "13ab", "13cd", "cache", "ablation", "build", "recovery"}
 }
 
 // Run executes one figure by id.
@@ -291,10 +287,6 @@ func Run(id string, o Options) ([]Point, error) {
 		return FigBuild(o)
 	case "recovery":
 		return FigRecovery(o)
-	case "cluster":
-		return FigCluster(o)
-	case "rcache":
-		return FigRcache(o)
 	default:
 		return nil, fmt.Errorf("bench: unknown figure %q (known: %v)", id, FigureNames())
 	}

@@ -24,13 +24,13 @@ import (
 
 // Point is one measured value of one series of one figure.
 type Point struct {
-	Figure string  `json:"figure"`  // e.g. "9a"
-	Series string  `json:"series"`  // e.g. "BATCH"
-	XLabel string  `json:"x_label"` // e.g. "BATCH_SIZE"
-	X      float64 `json:"x"`       // x coordinate
-	Millis float64 `json:"millis"`  // measured end-to-end time
-	OOM    bool    `json:"oom"`     // the run died out of memory (Fig. 13's red X)
-	Size   int     `json:"size"`    // objects in the augmented answer
+	Figure string  // e.g. "9a"
+	Series string  // e.g. "BATCH"
+	XLabel string  // e.g. "BATCH_SIZE"
+	X      float64 // x coordinate
+	Millis float64 // measured end-to-end time
+	OOM    bool    // the run died out of memory (Fig. 13's red X)
+	Size   int     // objects in the augmented answer
 }
 
 // Options scales the harness. The zero value is ready for full benchmark
@@ -45,11 +45,6 @@ type Options struct {
 	// largest polystores; the Arango emulation gets two thirds of it, its
 	// fully in-memory image being the most pressured in the paper).
 	BaselineBudget int64
-	// Skew is the Zipf exponent of the skewed origin stream the rcache
-	// figure replays (must be > 1; 0 selects 1.1). Higher exponents
-	// concentrate queries on fewer origins — exactly the regime where
-	// result memoization pays.
-	Skew float64
 }
 
 func (o Options) withDefaults() Options {
@@ -58,9 +53,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BaselineBudget == 0 {
 		o.BaselineBudget = 12 << 20
-	}
-	if o.Skew == 0 {
-		o.Skew = 1.1
 	}
 	return o
 }
@@ -132,16 +124,9 @@ func (o Options) build(rounds int, deploy workload.Deployment) (*workload.Built,
 
 // runSearch measures one augmented search end to end.
 func runSearch(aug *augment.Augmenter, db, query string, level int) (time.Duration, *augment.Answer, error) {
-	ctx, rec := explainCtx(context.Background())
 	start := time.Now()
-	answer, err := aug.Search(ctx, db, query, level)
-	elapsed := time.Since(start)
-	if err != nil {
-		keepProfile(rec.Finish(0))
-		return elapsed, nil, err
-	}
-	keepProfile(rec.Finish(answer.Size()))
-	return elapsed, answer, nil
+	answer, err := aug.Search(context.Background(), db, query, level)
+	return time.Since(start), answer, err
 }
 
 // coldWarm measures a query cold (fresh cache) and warm (immediately after).

@@ -403,8 +403,7 @@ func TestScatterManyPeerDown(t *testing.T) {
 		if shard != down {
 			return nil
 		}
-		return netsim.NewChaosNode(node, netsim.PeerProfile{},
-			netsim.FaultPlan{Down: []netsim.Window{{From: 1}}}, func(time.Duration) {})
+		return netsim.NewChaosNode(node, netsim.FaultPlan{Down: []netsim.Window{{From: 1}}}, func(time.Duration) {})
 	})
 	rc := rcache.New(1024)
 	tc.coord.SetResultCache(rc)
@@ -544,8 +543,7 @@ func TestClusterPeerDownDegradesPeerOpen(t *testing.T) {
 		if shard != down {
 			return nil
 		}
-		return netsim.NewChaosNode(node, netsim.PeerProfile{},
-			netsim.FaultPlan{Down: []netsim.Window{{From: 1}}}, func(time.Duration) {})
+		return netsim.NewChaosNode(node, netsim.FaultPlan{Down: []netsim.Window{{From: 1}}}, func(time.Duration) {})
 	})
 	ctx := context.Background()
 	origins := sampleOrigins(tc.ref, 30)
@@ -592,8 +590,7 @@ func TestClusterAugmenterPeerOpen(t *testing.T) {
 		if shard != down {
 			return nil
 		}
-		return netsim.NewChaosNode(node, netsim.PeerProfile{},
-			netsim.FaultPlan{Down: []netsim.Window{{From: 1}}}, func(time.Duration) {})
+		return netsim.NewChaosNode(node, netsim.FaultPlan{Down: []netsim.Window{{From: 1}}}, func(time.Duration) {})
 	})
 	routed, err := RoutePolystore(tc.ref.Poly, tc.coord)
 	if err != nil {
@@ -633,7 +630,7 @@ func TestClusterSlowShardDegrades(t *testing.T) {
 		if shard != slow {
 			return nil
 		}
-		return netsim.NewChaosNode(node, netsim.PeerProfile{},
+		return netsim.NewChaosNode(node,
 			netsim.FaultPlan{Stall: 500 * time.Millisecond, StallIn: []netsim.Window{{From: 1}}}, nil)
 	})
 	tc.coord.ccfg.Retry.AttemptTimeout = 100 * time.Millisecond
