@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench bench-hotpath bench-build bench-recovery bench-trace ledger ledger-compare chaos cluster crashtest fuzz figures promlint loc clean
+.PHONY: all build vet test race cover bench bench-hotpath bench-stores bench-build bench-recovery bench-trace ledger ledger-compare chaos cluster crashtest fuzz figures promlint loc clean
 
 all: build vet test
 
@@ -35,6 +35,13 @@ bench:
 bench-hotpath:
 	$(GO) test -bench='CacheGet|Follower|Mux|HotPath' -benchmem -run='^$$' \
 		./internal/cache/ ./internal/coalesce/ ./internal/wire/ ./internal/augment/
+
+# The scan stores' range selection (50 seq values of 10,000 rows), read
+# through each store's ordered index and by a scan: relstore, docstore and
+# graphstore.
+bench-stores:
+	$(GO) test -bench='SelectRange' -benchmem -run='^$$' \
+		./internal/stores/relstore/ ./internal/stores/docstore/ ./internal/stores/graphstore/
 
 # Fault-injection suite under the race detector: every chaos, fault, breaker
 # and retry test across the tree (the CI chaos job runs exactly this).
@@ -100,11 +107,13 @@ crashtest:
 bench-recovery:
 	$(GO) run ./cmd/quepa-bench -fig recovery
 
-# Short fuzzing pass over the parsers, the index persistence formats, the
-# wire-frame decoders, and the response encoder against encoding/json.
+# Short fuzzing pass over the parsers, the relational store's ordered index
+# against its scan, the index persistence formats, the wire-frame decoders,
+# and the response encoder against encoding/json.
 fuzz:
 	$(GO) test ./internal/core -fuzz=FuzzParseGlobalKey -fuzztime=15s -run='^$$'
 	$(GO) test ./internal/stores/relstore -fuzz=FuzzParse -fuzztime=15s -run='^$$'
+	$(GO) test ./internal/stores/relstore -fuzz=FuzzRangeIndex -fuzztime=15s -run='^$$'
 	$(GO) test ./internal/stores/docstore -fuzz=FuzzParseFilter -fuzztime=15s -run='^$$'
 	$(GO) test ./internal/aindex -fuzz=FuzzJSONRoundTrip -fuzztime=15s -run='^$$'
 	$(GO) test ./internal/aindex -fuzz=FuzzReadSnapshot -fuzztime=15s -run='^$$'

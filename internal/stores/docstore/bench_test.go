@@ -9,8 +9,8 @@ func benchStore(b *testing.B, n int) *Store {
 	b.Helper()
 	s := New("bench")
 	for i := 0; i < n; i++ {
-		doc := fmt.Sprintf(`{"_id": "d%d", "title": "Album %d", "year": %d, "label": {"name": "L%d"}}`,
-			i, i, 1970+i%55, i%20)
+		doc := fmt.Sprintf(`{"_id": "d%d", "seq": %d, "title": "Album %d", "year": %d, "label": {"name": "L%d"}}`,
+			i, i, i, 1970+i%55, i%20)
 		if _, err := s.Insert("albums", doc); err != nil {
 			b.Fatal(err)
 		}
@@ -37,6 +37,35 @@ func BenchmarkFindRange(b *testing.B) {
 		if _, err := s.Find("albums", `{"year": {"$gte": 1990, "$lt": 2000}}`); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSelectRange is the test bed's range selection: 50 consecutive
+// seq values out of 10,000 documents, read through CreateIndex("albums",
+// "seq") and by the scan an unindexed path gets.
+func BenchmarkSelectRange(b *testing.B) {
+	for _, indexed := range []bool{true, false} {
+		name := "scan"
+		if indexed {
+			name = "index"
+		}
+		b.Run(name, func(b *testing.B) {
+			s := benchStore(b, 10000)
+			if indexed {
+				if err := s.CreateIndex("albums", "seq"); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lo := i * 50 % 9950
+				docs, err := s.Query(fmt.Sprintf(`albums.find({"seq": {"$gte": %d, "$lt": %d}})`, lo, lo+50))
+				if err != nil || len(docs) != 50 {
+					b.Fatalf("%d docs, %v", len(docs), err)
+				}
+			}
+		})
 	}
 }
 

@@ -13,6 +13,13 @@
 // comparison operators ({"year": {"$gt": 1990}} with $gt/$gte/$lt/$lte/$ne/
 // $regex/$in) and the logical operators {"$and": [...]} / {"$or": [...]}.
 // Nested fields are addressed with dot paths ("label.name").
+//
+// CreateIndex declares an ordered index on a path, as MongoDB's createIndex
+// does. A filter that AND-s $eq/$gt/$gte/$lt/$lte on an indexed path against
+// a number (or $eq against a string that is not one) reads the index's
+// candidates instead of every document; every other filter scans. The full
+// filter is evaluated on each document read either way, so the answer and
+// its order are the scan's.
 package docstore
 
 import (
@@ -25,24 +32,28 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"quepa/internal/stores/ordindex"
 	"quepa/internal/telemetry"
 )
 
 // Document is a stored JSON object plus its identifier.
 type Document struct {
-	ID     string
-	Body   map[string]any
-	fields map[string]string // lazily built flattened view
+	ID   string
+	Body map[string]any
+
+	flatten sync.Once
+	fields  map[string]string // flattened view, built on first Fields call
 }
 
 // Fields returns a flattened field/value view of the document: nested objects
 // use dot paths, arrays use numeric path components, scalars are rendered
-// with JSON formatting conventions (no quotes on strings).
+// with JSON formatting conventions (no quotes on strings). It is built once,
+// on first use, and safe to call from concurrent readers.
 func (d *Document) Fields() map[string]string {
-	if d.fields == nil {
+	d.flatten.Do(func() {
 		d.fields = map[string]string{}
 		flattenInto(d.fields, "", d.Body)
-	}
+	})
 	return d.fields
 }
 
@@ -110,8 +121,9 @@ type Store struct {
 }
 
 type collection struct {
-	docs  map[string]*Document
-	order []string
+	docs    map[string]*Document
+	order   []string
+	indexes map[string]*ordindex.Index // dot path -> ordered index
 }
 
 // New creates an empty document database with the given name.
@@ -164,11 +176,7 @@ func (s *Store) InsertMap(collectionName string, body map[string]any) (string, e
 	s.roundTrips.Add(1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	c, ok := s.collections[collectionName]
-	if !ok {
-		c = &collection{docs: map[string]*Document{}}
-		s.collections[collectionName] = c
-	}
+	c := s.collection(collectionName)
 	var id string
 	if raw, ok := body["_id"]; ok {
 		id, ok = raw.(string)
@@ -185,7 +193,41 @@ func (s *Store) InsertMap(collectionName string, body map[string]any) (string, e
 	}
 	c.docs[id] = &Document{ID: id, Body: body}
 	c.order = append(c.order, id)
+	for path, idx := range c.indexes {
+		idx.Insert(id, indexValue(body, path))
+	}
 	return id, nil
+}
+
+// collection returns the named collection, creating it empty if absent.
+// The caller holds the write lock.
+func (s *Store) collection(name string) *collection {
+	c, ok := s.collections[name]
+	if !ok {
+		c = &collection{docs: map[string]*Document{}, indexes: map[string]*ordindex.Index{}}
+		s.collections[name] = c
+	}
+	return c
+}
+
+// CreateIndex declares an ordered index on a dot path of a collection,
+// creating the collection if it does not exist: the equivalent of MongoDB's
+// createIndex. Indexing the same path twice is an error.
+func (s *Store) CreateIndex(collectionName, path string) error {
+	s.roundTrips.Add(1)
+	if path == "" {
+		return fmt.Errorf("docstore: index path must be non-empty")
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c := s.collection(collectionName)
+	if _, dup := c.indexes[path]; dup {
+		return fmt.Errorf("docstore: index on %s.%s already exists", collectionName, path)
+	}
+	c.indexes[path] = ordindex.Build(c.order, func(id string) ordindex.Value {
+		return indexValue(c.docs[id].Body, path)
+	})
+	return nil
 }
 
 // Get retrieves one document by id. The boolean reports presence.
@@ -241,6 +283,9 @@ func (s *Store) Delete(collectionName, id string) bool {
 			break
 		}
 	}
+	for _, idx := range c.indexes {
+		idx.Retain(func(k string) bool { return k != id })
+	}
 	return true
 }
 
@@ -259,7 +304,7 @@ func (s *Store) Find(collectionName, filterJSON string) ([]*Document, error) {
 		return nil, fmt.Errorf("docstore: unknown collection %q", collectionName)
 	}
 	var out []*Document
-	for _, id := range c.order {
+	for _, id := range c.candidates(f) {
 		d := c.docs[id]
 		match, err := f.matches(d)
 		if err != nil {

@@ -130,9 +130,13 @@ func TestFindErrors(t *testing.T) {
 	if _, err := s.Find("ghosts", `{}`); err == nil {
 		t.Error("Find on unknown collection should fail")
 	}
-	// $in with a non-array arg fails at match time.
+	// $in with a non-array arg fails when the filter compiles, so even an
+	// empty collection (or an index that yields no candidate) rejects it.
 	if _, err := s.Find("albums", `{"year": {"$in": 1992}}`); err == nil {
 		t.Error("$in with non-array should fail")
+	}
+	if _, err := New("db").Find("albums", `{"year": {"$in": 1992}}`); err == nil {
+		t.Error("$in with non-array should fail on an unknown collection too")
 	}
 }
 

@@ -4,7 +4,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"regexp"
+	"strconv"
 	"strings"
+
+	"quepa/internal/stores/ordindex"
 )
 
 // filter is a compiled document predicate.
@@ -73,36 +76,24 @@ func (f fieldFilter) matches(d *Document) (bool, error) {
 		if !present {
 			return false, nil
 		}
-		list, ok := f.arg.([]any)
-		if !ok {
-			return false, fmt.Errorf("docstore: $in requires an array")
-		}
-		for _, cand := range list {
+		for _, cand := range f.arg.([]any) {
 			if compareAny(v, cand) == 0 {
 				return true, nil
 			}
 		}
 		return false, nil
 	case "$nin":
-		list, ok := f.arg.([]any)
-		if !ok {
-			return false, fmt.Errorf("docstore: $nin requires an array")
-		}
 		if !present {
 			return true, nil // Mongo: $nin matches absent fields
 		}
-		for _, cand := range list {
+		for _, cand := range f.arg.([]any) {
 			if compareAny(v, cand) == 0 {
 				return false, nil
 			}
 		}
 		return true, nil
 	case "$exists":
-		want, ok := f.arg.(bool)
-		if !ok {
-			return false, fmt.Errorf("docstore: $exists requires a boolean")
-		}
-		return present == want, nil
+		return present == f.arg.(bool), nil
 	case "$regex":
 		if !present {
 			return false, nil
@@ -252,7 +243,15 @@ func compileField(path string, val any) ([]filter, error) {
 	for op, arg := range ops {
 		ff := fieldFilter{path: path, op: op, arg: arg}
 		switch op {
-		case "$eq", "$ne", "$gt", "$gte", "$lt", "$lte", "$in", "$nin", "$exists":
+		case "$eq", "$ne", "$gt", "$gte", "$lt", "$lte":
+		case "$in", "$nin":
+			if _, ok := arg.([]any); !ok {
+				return nil, fmt.Errorf("docstore: %s requires an array", op)
+			}
+		case "$exists":
+			if _, ok := arg.(bool); !ok {
+				return nil, fmt.Errorf("docstore: $exists requires a boolean")
+			}
 		case "$regex":
 			pat, ok := arg.(string)
 			if !ok {
@@ -269,4 +268,73 @@ func compileField(path string, val any) ([]filter, error) {
 		out = append(out, ff)
 	}
 	return out, nil
+}
+
+// candidates returns the ids of the documents that can satisfy f, in
+// insertion order: an ordered index's candidates when f AND-s a condition on
+// an indexed path that the index serves, every document otherwise.
+func (c *collection) candidates(f filter) []string {
+	var plan ordindex.Plan
+	for _, sub := range conjuncts(f, nil) {
+		ff, ok := sub.(fieldFilter)
+		if !ok || c.indexes[ff.path] == nil {
+			continue
+		}
+		if r, ok := ff.indexRange(); ok {
+			plan.And(c.indexes[ff.path], r)
+		}
+	}
+	if ids, ok := plan.Keys(); ok {
+		return ids
+	}
+	return c.order
+}
+
+// conjuncts appends the AND-ed terms of f to out.
+func conjuncts(f filter, out []filter) []filter {
+	if a, ok := f.(andFilter); ok {
+		for _, sub := range a.subs {
+			out = conjuncts(sub, out)
+		}
+		return out
+	}
+	return append(out, f)
+}
+
+var indexOps = map[string]ordindex.Op{
+	"$eq": ordindex.Eq, "$lt": ordindex.Lt, "$lte": ordindex.Le, "$gt": ordindex.Gt, "$gte": ordindex.Ge,
+}
+
+// indexRange returns the index Range of the documents f can match under
+// compareAny; ok is false for conditions an index cannot serve. A string
+// argument that reads as a number is one of them: a number's rendering can
+// equal it ("5").
+func (f fieldFilter) indexRange() (ordindex.Range, bool) {
+	op, ok := indexOps[f.op]
+	if !ok {
+		return ordindex.Range{}, false
+	}
+	switch a := f.arg.(type) {
+	case float64:
+		return ordindex.ForLiteral(op, scalarString(a), a, true)
+	case string:
+		if _, err := strconv.ParseFloat(a, 64); err != nil {
+			return ordindex.ForLiteral(op, a, 0, false)
+		}
+	}
+	return ordindex.Range{}, false
+}
+
+// indexValue places a document's value at path the way compareAny orders
+// it: numbers by value, strings bytewise, and everything else (absent,
+// arrays, objects, booleans, null) in the residual.
+func indexValue(body map[string]any, path string) ordindex.Value {
+	v, _ := lookupPath(body, path)
+	switch x := v.(type) {
+	case float64:
+		return ordindex.Number(x)
+	case string:
+		return ordindex.Text(x)
+	}
+	return ordindex.Value{}
 }

@@ -50,6 +50,35 @@ func BenchmarkMatchScan(b *testing.B) {
 	}
 }
 
+// BenchmarkSelectRange is the test bed's range selection: 50 consecutive
+// seq values out of 10,000 nodes, read through CreateIndex("items", "seq")
+// and by the scan an unindexed property gets.
+func BenchmarkSelectRange(b *testing.B) {
+	for _, indexed := range []bool{true, false} {
+		name := "scan"
+		if indexed {
+			name = "index"
+		}
+		b.Run(name, func(b *testing.B) {
+			s := benchGraph(b, 10000, 2)
+			if indexed {
+				if err := s.CreateIndex("items", "seq"); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lo := i * 50 % 9950
+				nodes, err := s.Query(fmt.Sprintf(`MATCH (n:items) WHERE n.seq >= %d AND n.seq < %d RETURN n`, lo, lo+50))
+				if err != nil || len(nodes) != 50 {
+					b.Fatalf("%d nodes, %v", len(nodes), err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkGetNodes(b *testing.B) {
 	s := benchGraph(b, 5000, 1)
 	ids := make([]string, 100)

@@ -16,6 +16,13 @@
 // WHERE supports the operators =, !=, <, >, <=, >= and CONTAINS, combined
 // with AND. Property comparisons are numeric when both sides parse as
 // numbers, string otherwise (CONTAINS is case-insensitive substring).
+//
+// CreateIndex declares an ordered index on one property of one label, as
+// Neo4j's CREATE INDEX does. A MATCH whose conditions on that label's
+// variable include =, <, <=, > or >= on the property against a number (or =
+// against text) reads the index's candidates instead of every node of the
+// label. Every condition is evaluated on each node read either way, so the
+// answer, its order and LIMIT are the scan's.
 package graphstore
 
 import (
@@ -27,6 +34,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"quepa/internal/stores/ordindex"
 	"quepa/internal/telemetry"
 )
 
@@ -50,7 +58,8 @@ type Store struct {
 	name       string
 	mu         sync.RWMutex
 	nodes      map[string]*Node
-	byLabel    map[string][]string // label -> node ids in insertion order
+	byLabel    map[string][]string                   // label -> node ids in insertion order
+	indexes    map[string]map[string]*ordindex.Index // label -> property -> ordered index
 	out        map[string][]Edge
 	in         map[string][]Edge
 	edgeCount  int
@@ -64,6 +73,7 @@ func New(name string) *Store {
 		name:    name,
 		nodes:   map[string]*Node{},
 		byLabel: map[string][]string{},
+		indexes: map[string]map[string]*ordindex.Index{},
 		out:     map[string][]Edge{},
 		in:      map[string][]Edge{},
 		tel:     telemetry.NewStoreOps(name),
@@ -116,9 +126,54 @@ func (s *Store) AddNode(id, label string, props map[string]string) error {
 	if _, dup := s.nodes[id]; dup {
 		return fmt.Errorf("graphstore: duplicate node id %q", id)
 	}
-	s.nodes[id] = &Node{ID: id, Label: label, Props: props}
+	n := &Node{ID: id, Label: label, Props: props}
+	s.nodes[id] = n
 	s.byLabel[label] = append(s.byLabel[label], id)
+	for prop, idx := range s.indexes[label] {
+		idx.Insert(id, n.indexValue(prop))
+	}
 	return nil
+}
+
+// CreateIndex declares an ordered index on one property of the nodes of one
+// label: the equivalent of Neo4j's CREATE INDEX FOR (n:label) ON (n.prop).
+// Indexing the same label and property twice is an error.
+func (s *Store) CreateIndex(label, prop string) error {
+	s.roundTrips.Add(1)
+	if label == "" || prop == "" {
+		return fmt.Errorf("graphstore: index label and property must be non-empty")
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, dup := s.indexes[label][prop]; dup {
+		return fmt.Errorf("graphstore: index on :%s(%s) already exists", label, prop)
+	}
+	if s.indexes[label] == nil {
+		s.indexes[label] = map[string]*ordindex.Index{}
+	}
+	s.indexes[label][prop] = ordindex.Build(s.byLabel[label], func(id string) ordindex.Value {
+		return s.nodes[id].indexValue(prop)
+	})
+	return nil
+}
+
+// prop returns a property value; "id" falls back to the node id.
+func (n *Node) prop(name string) (string, bool) {
+	v, ok := n.Props[name]
+	if name == "id" && !ok {
+		return n.ID, true
+	}
+	return v, ok
+}
+
+// indexValue places a property the way compareProps orders it; an absent
+// property is residual.
+func (n *Node) indexValue(prop string) ordindex.Value {
+	v, ok := n.prop(prop)
+	if !ok {
+		return ordindex.Value{}
+	}
+	return ordindex.ParseValue(v)
 }
 
 // AddEdge inserts a typed edge; both endpoints must exist.
@@ -185,6 +240,9 @@ func (s *Store) DeleteNode(id string) bool {
 			s.byLabel[n.Label] = append(ids[:i], ids[i+1:]...)
 			break
 		}
+	}
+	for _, idx := range s.indexes[n.Label] {
+		idx.Retain(func(k string) bool { return k != id })
 	}
 	for _, e := range s.out[id] {
 		s.in[e.To] = removeEdge(s.in[e.To], e)
@@ -295,7 +353,7 @@ func (s *Store) Query(q string) ([]*Node, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var out []*Node
-	for _, id := range s.byLabel[label] {
+	for _, id := range s.candidates(label, conds) {
 		n := s.nodes[id]
 		ok, err := conds.eval(n)
 		if err != nil {
@@ -323,10 +381,7 @@ type conditions []condition
 
 func (cs conditions) eval(n *Node) (bool, error) {
 	for _, c := range cs {
-		v, present := n.Props[c.prop]
-		if c.prop == "id" && !present {
-			v, present = n.ID, true
-		}
+		v, present := n.prop(c.prop)
 		if !present {
 			return false, nil
 		}
@@ -364,6 +419,28 @@ func (cs conditions) eval(n *Node) (bool, error) {
 		}
 	}
 	return true, nil
+}
+
+// candidates returns the ids of label's nodes that can satisfy cs, in
+// insertion order: an ordered index's candidates when a condition on an
+// indexed property allows it, every node of the label otherwise.
+func (s *Store) candidates(label string, cs conditions) []string {
+	var plan ordindex.Plan
+	for _, c := range cs {
+		idx := s.indexes[label][c.prop]
+		if idx == nil {
+			continue
+		}
+		if op, ok := ordindex.SymbolOp(c.op); ok {
+			if r, ok := ordindex.ParseLiteral(op, c.value); ok {
+				plan.And(idx, r)
+			}
+		}
+	}
+	if ids, ok := plan.Keys(); ok {
+		return ids
+	}
+	return s.byLabel[label]
 }
 
 func compareProps(a, b string) int {

@@ -82,7 +82,7 @@ func (s *Store) queryEdgePattern(p *edgePattern) ([]*Node, error) {
 
 	seen := map[string]bool{}
 	var out []*Node
-	for _, srcID := range s.byLabel[p.srcLabel] {
+	for _, srcID := range s.candidates(p.srcLabel, p.conds[p.srcVar]) {
 		src := s.nodes[srcID]
 		if ok, err := p.conds[p.srcVar].eval(src); err != nil {
 			return nil, err

@@ -54,6 +54,35 @@ func BenchmarkSelectFullScan(b *testing.B) {
 	}
 }
 
+// BenchmarkSelectRange is the test bed's range selection: 50 consecutive
+// seq values out of 10,000 rows, read through CREATE INDEX ON t (seq) and
+// by the scan an unindexed column gets.
+func BenchmarkSelectRange(b *testing.B) {
+	for _, indexed := range []bool{true, false} {
+		name := "scan"
+		if indexed {
+			name = "index"
+		}
+		b.Run(name, func(b *testing.B) {
+			s := benchTable(b, 10000)
+			if indexed {
+				if _, err := s.Exec(`CREATE INDEX ON t (seq)`); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lo := i * 50 % 9950
+				rows, err := s.Select(fmt.Sprintf(`SELECT * FROM t WHERE seq >= %d AND seq < %d`, lo, lo+50))
+				if err != nil || len(rows) != 50 {
+					b.Fatalf("%d rows, %v", len(rows), err)
+				}
+			}
+		})
+	}
+}
+
 func BenchmarkSelectLike(b *testing.B) {
 	s := benchTable(b, 10000)
 	b.ReportAllocs()

@@ -1,8 +1,8 @@
 // Package relstore implements an embedded relational engine with a small SQL
 // dialect. It stands in for the MySQL instance of the paper's polystore: the
 // sales department's transactions database, queried with SQL, with primary
-// keys and secondary indexes providing the key-based access paths the
-// augmentation operator needs.
+// keys providing the key-based access paths the augmentation operator needs
+// and ordered secondary indexes serving range selections.
 //
 // The engine is deliberately self-contained (stdlib only) and safe for
 // concurrent use. DDL and DML go through Exec, queries through Select; both
@@ -11,7 +11,7 @@
 // Grammar (informal):
 //
 //	CREATE TABLE t (col TEXT|INT|FLOAT [PRIMARY KEY], ...)
-//	CREATE INDEX ON t (col)
+//	CREATE INDEX ON t (col)      -- ordered; serves =, <, <=, >, >=, BETWEEN
 //	INSERT INTO t [(cols)] VALUES (lit, ...), (...)
 //	UPDATE t SET col = lit [, ...] [WHERE expr]
 //	DELETE FROM t [WHERE expr]
@@ -19,6 +19,12 @@
 //
 // with expr combining comparisons (=, !=, <>, <, >, <=, >=, LIKE, IN) with
 // AND, OR, NOT and parentheses. Aggregates are COUNT, SUM, AVG, MIN, MAX.
+//
+// An index changes how rows are found, never which: a SELECT whose WHERE
+// AND-s a comparison or BETWEEN on an indexed column against a numeric
+// literal (or '=' against a text one) reads the index's candidates, and
+// every other WHERE scans. Either way the full WHERE is evaluated on each
+// row read, so the answer and its row order are the scan's.
 package relstore
 
 import (
@@ -28,6 +34,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"quepa/internal/stores/ordindex"
 	"quepa/internal/telemetry"
 )
 
@@ -52,10 +59,10 @@ type table struct {
 	name      string
 	cols      []columnDef
 	colIdx    map[string]int
-	pk        int                            // index into cols, -1 when the table has a synthetic rowid
-	rows      map[string][]string            // key -> values (parallel to cols)
-	order     []string                       // insertion order of keys for deterministic scans
-	indexes   map[string]map[string][]string // column -> value -> keys
+	pk        int                        // index into cols, -1 when the table has a synthetic rowid
+	rows      map[string][]string        // key -> values (parallel to cols)
+	order     []string                   // insertion order of keys for deterministic scans
+	indexes   map[string]*ordindex.Index // column -> ordered index
 	nextRowID uint64
 }
 
@@ -269,7 +276,7 @@ func (s *Store) createTable(st *createTableStmt) error {
 		colIdx:  map[string]int{},
 		pk:      -1,
 		rows:    map[string][]string{},
-		indexes: map[string]map[string][]string{},
+		indexes: map[string]*ordindex.Index{},
 	}
 	for i, c := range st.columns {
 		if _, dup := t.colIdx[c.name]; dup {
@@ -299,12 +306,9 @@ func (s *Store) createIndex(st *createIndexStmt) error {
 	if _, dup := t.indexes[st.column]; dup {
 		return fmt.Errorf("relstore: index on %s(%s) already exists", st.table, st.column)
 	}
-	idx := map[string][]string{}
-	for _, key := range t.order {
-		v := t.rows[key][ci]
-		idx[v] = append(idx[v], key)
-	}
-	t.indexes[st.column] = idx
+	t.indexes[st.column] = ordindex.Build(t.order, func(key string) ordindex.Value {
+		return ordindex.ParseValue(t.rows[key][ci])
+	})
 	return nil
 }
 
@@ -353,8 +357,7 @@ func (s *Store) insert(st *insertStmt) (int, error) {
 		t.rows[key] = vals
 		t.order = append(t.order, key)
 		for col, idx := range t.indexes {
-			v := vals[t.colIdx[col]]
-			idx[v] = append(idx[v], key)
+			idx.Insert(key, ordindex.ParseValue(vals[t.colIdx[col]]))
 		}
 		inserted++
 	}
@@ -382,14 +385,18 @@ func (s *Store) delete(st *deleteStmt) (int, error) {
 			kept = append(kept, key)
 			continue
 		}
-		for col, idx := range t.indexes {
-			v := vals[t.colIdx[col]]
-			idx[v] = removeKey(idx[v], key)
-		}
 		delete(t.rows, key)
 		deleted++
 	}
 	t.order = kept
+	if deleted > 0 {
+		for _, idx := range t.indexes {
+			idx.Retain(func(key string) bool {
+				_, ok := t.rows[key]
+				return ok
+			})
+		}
+	}
 	return deleted, nil
 }
 
@@ -423,24 +430,13 @@ func (s *Store) update(st *updateStmt) (int, error) {
 		for col, newVal := range st.set {
 			ci := t.colIdx[col]
 			if idx, indexed := t.indexes[col]; indexed {
-				old := vals[ci]
-				idx[old] = removeKey(idx[old], key)
-				idx[newVal] = append(idx[newVal], key)
+				idx.Move(key, ordindex.ParseValue(vals[ci]), ordindex.ParseValue(newVal))
 			}
 			vals[ci] = newVal
 		}
 		updated++
 	}
 	return updated, nil
-}
-
-func removeKey(keys []string, key string) []string {
-	for i, k := range keys {
-		if k == key {
-			return append(keys[:i], keys[i+1:]...)
-		}
-	}
-	return keys
 }
 
 // lookupFunc builds the column resolver used by expression evaluation.
@@ -474,24 +470,15 @@ func (s *Store) runSelect(sel *selectStmt) ([]Row, error) {
 		}
 	}
 
-	keys, scanned, err := t.candidateKeys(sel.where)
-	if err != nil {
-		return nil, err
-	}
-
 	var matched []string
-	for _, key := range keys {
+	for _, key := range t.candidateKeys(sel.where) {
 		vals, ok := t.rows[key]
 		if !ok {
 			continue
 		}
 		match := true
-		// When candidateKeys already applied the full predicate via an index
-		// fast path, scanned is false and the predicate must still be checked
-		// because index candidates are a superset only for partial pushdown;
-		// we re-evaluate unconditionally for correctness (cheap, in-memory).
-		_ = scanned
 		if sel.where != nil {
+			var err error
 			match, err = evalExpr(sel.where, t.lookupFunc(key, vals))
 			if err != nil {
 				return nil, err
@@ -546,37 +533,6 @@ func (s *Store) runSelect(sel *selectStmt) ([]Row, error) {
 		out = append(out, row)
 	}
 	return out, nil
-}
-
-// candidateKeys returns the keys to examine for a WHERE clause, using the
-// primary key or a secondary index when the clause's top level allows it.
-// The boolean reports whether a full scan was used.
-func (t *table) candidateKeys(where expr) ([]string, bool, error) {
-	if where != nil {
-		if cmp, ok := where.(*compareExpr); ok && cmp.op == "=" {
-			if t.pk >= 0 && t.colIdx[cmp.column] == t.pk {
-				if _, exists := t.rows[cmp.value]; exists {
-					return []string{cmp.value}, false, nil
-				}
-				return nil, false, nil
-			}
-			if idx, ok := t.indexes[cmp.column]; ok {
-				return append([]string(nil), idx[cmp.value]...), false, nil
-			}
-		}
-		if in, ok := where.(*inExpr); ok && !in.negate {
-			if t.pk >= 0 && t.colIdx[in.column] == t.pk {
-				var keys []string
-				for _, v := range in.values {
-					if _, exists := t.rows[v]; exists {
-						keys = append(keys, v)
-					}
-				}
-				return keys, false, nil
-			}
-		}
-	}
-	return t.order, true, nil
 }
 
 func (t *table) project(sel *selectStmt, key string) Row {

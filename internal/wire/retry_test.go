@@ -259,6 +259,9 @@ func TestClientCloseRaceWithRetries(t *testing.T) {
 // support adds zero allocations to the fault-free round trip beyond what the
 // frame codec already costs.
 func TestClientRetryNoFaultZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; alloc gate is plain-build only")
+	}
 	srv := servedBackend(t)
 	plain, err := Dial(srv.Addr())
 	if err != nil {
