@@ -108,14 +108,13 @@ bench-recovery:
 	$(GO) run ./cmd/quepa-bench -fig recovery
 
 # Short fuzzing pass over the parsers, the relational store's ordered index
-# against its scan, the index persistence formats, the wire-frame decoders,
-# and the response encoder against encoding/json.
+# against its scan, the A' binary snapshot loader, the wire-frame decoders,
+# and the server's response encoder against encoding/json.
 fuzz:
 	$(GO) test ./internal/core -fuzz=FuzzParseGlobalKey -fuzztime=15s -run='^$$'
 	$(GO) test ./internal/stores/relstore -fuzz=FuzzParse -fuzztime=15s -run='^$$'
 	$(GO) test ./internal/stores/relstore -fuzz=FuzzRangeIndex -fuzztime=15s -run='^$$'
 	$(GO) test ./internal/stores/docstore -fuzz=FuzzParseFilter -fuzztime=15s -run='^$$'
-	$(GO) test ./internal/aindex -fuzz=FuzzJSONRoundTrip -fuzztime=15s -run='^$$'
 	$(GO) test ./internal/aindex -fuzz=FuzzReadSnapshot -fuzztime=15s -run='^$$'
 	$(GO) test ./internal/wire -fuzz=FuzzDecodeFrame -fuzztime=15s -run='^$$'
 	$(GO) test ./cmd/quepa-server -fuzz=FuzzEncodeObject -fuzztime=15s -run='^$$'

@@ -18,6 +18,7 @@ import (
 	"os"
 	"time"
 
+	"quepa/internal/aindex"
 	"quepa/internal/collector"
 	"quepa/internal/core"
 	"quepa/internal/middleware"
@@ -33,7 +34,7 @@ func main() {
 	maxBlock := flag.Int("maxblock", 64, "max block size (frequency stop tokens)")
 	workers := flag.Int("workers", 0, "scoring goroutines (0 = GOMAXPROCS)")
 	verbose := flag.Bool("v", false, "print every discovered p-relation")
-	out := flag.String("out", "", "write the built A' index as JSON lines to this file")
+	out := flag.String("out", "", "write the built A' index to this file as a binary snapshot (what quepa-server -index loads)")
 	dataDir := flag.String("data-dir", "",
 		"seed a durable data directory with the built index (checkpoint + WAL, as quepa-server -data-dir expects); must be fresh")
 	flag.Parse()
@@ -91,7 +92,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if _, err := index.WriteTo(f); err != nil {
+		if _, err := aindex.WriteSnapshot(f, index.Edges(), 0); err != nil {
 			log.Fatal(err)
 		}
 		if err := f.Close(); err != nil {

@@ -63,9 +63,6 @@ func main() {
 	clusterPeers := flag.String("cluster", "",
 		"serve one cluster shard instead: comma-separated wire addresses of every peer ordered by shard id")
 	shardID := flag.Int("shard-id", 0, "this peer's shard id: the index of its own address in -cluster")
-	clusterVnodes := flag.Int("cluster-vnodes", cluster.DefaultVnodes,
-		"virtual nodes per peer on the consistent-hash ring (all peers must agree)")
-	clusterSeed := flag.Uint64("cluster-seed", 0, "ring hash seed, 0 selects the built-in default (all peers must agree)")
 	flag.Parse()
 
 	down, err := netsim.ParseWindows(*faultDown)
@@ -108,7 +105,7 @@ func main() {
 	fmt.Printf("  %-16s %d global keys, %d p-relations\n", "A' index:", built.Index.NodeCount(), built.Index.EdgeCount())
 
 	if *clusterPeers != "" {
-		serveClusterPeer(built, *clusterPeers, *shardID, *clusterVnodes, *clusterSeed, plan)
+		serveClusterPeer(built, *clusterPeers, *shardID, plan)
 		return
 	}
 
@@ -180,7 +177,7 @@ func serveAddrs(base string, n int) ([]string, error) {
 // A' slice plus its databases, on the address -cluster lists for -shard-id.
 // The fault plan wraps the node when active, so chaos scenarios run against
 // real processes.
-func serveClusterPeer(built *workload.Built, peerList string, shardID, vnodes int, seed uint64, plan netsim.FaultPlan) {
+func serveClusterPeer(built *workload.Built, peerList string, shardID int, plan netsim.FaultPlan) {
 	var peers []string
 	for _, p := range strings.Split(peerList, ",") {
 		if p = strings.TrimSpace(p); p == "" {
@@ -191,7 +188,7 @@ func serveClusterPeer(built *workload.Built, peerList string, shardID, vnodes in
 	if shardID < 0 || shardID >= len(peers) {
 		log.Fatalf("quepa-loadgen: -shard-id %d outside peer list of %d", shardID, len(peers))
 	}
-	ring, err := cluster.NewRing(len(peers), vnodes, seed)
+	ring, err := cluster.NewRing(len(peers), cluster.DefaultVnodes, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,10 +7,9 @@ import (
 	"testing"
 	"time"
 
-	"quepa/internal/augment"
-	"quepa/internal/explain"
 	"quepa/internal/netsim"
 	"quepa/internal/resilience"
+	"quepa/internal/server"
 	"quepa/internal/workload"
 )
 
@@ -30,6 +29,21 @@ func (c *fakeClock) advance(d time.Duration) {
 	c.mu.Lock()
 	c.t = c.t.Add(d)
 	c.mu.Unlock()
+}
+
+// storeBreaker returns the circuit breaker server.New put in front of a
+// database of the workload it took over.
+func storeBreaker(t *testing.T, built *workload.Built, name string) *resilience.Breaker {
+	t.Helper()
+	st, err := built.Poly.Database(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, ok := st.(*resilience.GuardedStore)
+	if !ok {
+		t.Fatalf("%s is not behind a breaker: %T", name, st)
+	}
+	return g.Breaker()
 }
 
 // degradedStores extracts the store names of a response's degraded section.
@@ -79,16 +93,13 @@ func TestServerChaosBreakerLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Sequential, cache off: every search fetches from the stores afresh, and
-	// the first catalogue failure degrades the store so each search charges
-	// exactly one request against the chaos plan.
+	// Failed fetches are never cached, and the first catalogue failure
+	// degrades the store, so each search charges exactly one request against
+	// the chaos plan until the breaker takes over.
 	clock := &fakeClock{t: time.Unix(1_700_000_000, 0)}
-	s, err := newServer(built, augment.Config{Strategy: augment.Sequential, CacheSize: 0},
-		explain.DefaultBufferCapacity, 0,
-		resilience.BreakerConfig{FailureThreshold: 3, Cooldown: time.Minute, Now: clock.now})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustNew(t, server.Config{Workload: built,
+		Breaker: resilience.BreakerConfig{FailureThreshold: 3, Cooldown: time.Minute, Now: clock.now}})
+	breaker := storeBreaker(t, built, "catalogue")
 
 	query, err := built.Query("transactions", 4)
 	if err != nil {
@@ -97,7 +108,7 @@ func TestServerChaosBreakerLifecycle(t *testing.T) {
 	search := "/search?db=transactions&q=" + url.QueryEscape(query)
 
 	// Healthy server: /healthz is green before any traffic.
-	if code, body := do(t, s.handleHealthz, "GET", "/healthz"); code != http.StatusOK || body["status"] != "ok" {
+	if code, body := do(t, s.Handler(), "GET", "/healthz"); code != http.StatusOK || body["status"] != "ok" {
 		t.Fatalf("pre-fault healthz = %d %v", code, body)
 	}
 
@@ -105,7 +116,7 @@ func TestServerChaosBreakerLifecycle(t *testing.T) {
 	// catalogue store in the degraded section, and each burns exactly one
 	// chaos request thanks to skip-after-first-failure.
 	for i := 1; i <= 3; i++ {
-		code, body := do(t, s.handleSearch, "GET", search)
+		code, body := do(t, s.Handler(), "GET", search)
 		if code != http.StatusOK {
 			t.Fatalf("faulted search %d = %d %v, want 200 with partial answer", i, code, body)
 		}
@@ -121,13 +132,13 @@ func TestServerChaosBreakerLifecycle(t *testing.T) {
 	}
 
 	// Three consecutive failures: the catalogue breaker is now open.
-	if st := s.res.Breaker("catalogue").State(); st != resilience.Open {
+	if st := breaker.State(); st != resilience.Open {
 		t.Fatalf("breaker state after 3 failures = %v, want open", st)
 	}
-	if code, body := do(t, s.handleHealthz, "GET", "/healthz"); code != http.StatusServiceUnavailable || body["status"] != "degraded" {
+	if code, body := do(t, s.Handler(), "GET", "/healthz"); code != http.StatusServiceUnavailable || body["status"] != "degraded" {
 		t.Fatalf("healthz with open breaker = %d %v, want 503 degraded", code, body)
 	}
-	code, stats := do(t, s.handleStats, "GET", "/stats")
+	code, stats := do(t, s.Handler(), "GET", "/stats")
 	if code != http.StatusOK {
 		t.Fatalf("stats = %d", code)
 	}
@@ -151,7 +162,7 @@ func TestServerChaosBreakerLifecycle(t *testing.T) {
 
 	// While open and inside the cooldown, searches short-circuit: still 200 +
 	// degraded, but the store itself is never consulted.
-	code, body := do(t, s.handleSearch, "GET", search)
+	code, body := do(t, s.Handler(), "GET", search)
 	if code != http.StatusOK {
 		t.Fatalf("open-breaker search = %d %v", code, body)
 	}
@@ -166,17 +177,17 @@ func TestServerChaosBreakerLifecycle(t *testing.T) {
 	// the down window has ended, so the probe succeeds, the breaker closes,
 	// and the answer is whole again.
 	clock.advance(2 * time.Minute)
-	code, body = do(t, s.handleSearch, "GET", search)
+	code, body = do(t, s.Handler(), "GET", search)
 	if code != http.StatusOK {
 		t.Fatalf("recovery search = %d %v", code, body)
 	}
 	if got := degradedStores(t, body); got != nil {
 		t.Fatalf("recovered search still degraded: %v", got)
 	}
-	if st := s.res.Breaker("catalogue").State(); st != resilience.Closed {
+	if st := breaker.State(); st != resilience.Closed {
 		t.Fatalf("breaker state after successful probe = %v, want closed", st)
 	}
-	if code, body := do(t, s.handleHealthz, "GET", "/healthz"); code != http.StatusOK || body["status"] != "ok" {
+	if code, body := do(t, s.Handler(), "GET", "/healthz"); code != http.StatusOK || body["status"] != "ok" {
 		t.Fatalf("post-recovery healthz = %d %v", code, body)
 	}
 	if chaos.Requests() <= 3 {
@@ -205,17 +216,13 @@ func TestExploreStepFaultReportsDegraded(t *testing.T) {
 	if err := built.Poly.Register(chaos); err != nil {
 		t.Fatal(err)
 	}
-	s, err := newServer(built, augment.Config{Strategy: augment.Sequential, CacheSize: 0},
-		explain.DefaultBufferCapacity, 0, resilience.BreakerConfig{FailureThreshold: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustNew(t, server.Config{Workload: built, Breaker: resilience.BreakerConfig{FailureThreshold: 100}})
 
 	query, err := built.Query("transactions", 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	code, body := do(t, s.handleExploreStart, "POST", "/explore?db=transactions&q="+url.QueryEscape(query))
+	code, body := do(t, s.Handler(), "POST", "/explore?db=transactions&q="+url.QueryEscape(query))
 	if code != http.StatusOK {
 		t.Fatalf("explore start = %d %v", code, body)
 	}
@@ -226,7 +233,7 @@ func TestExploreStepFaultReportsDegraded(t *testing.T) {
 	}
 	first := objects[0].(map[string]any)["key"].(string)
 
-	code, body = do(t, s.handleExploreStep, "POST", "/explore/step?session="+session+"&key="+url.QueryEscape(first))
+	code, body = do(t, s.Handler(), "POST", "/explore/step?session="+session+"&key="+url.QueryEscape(first))
 	if code != http.StatusOK {
 		t.Fatalf("step over dead store = %d %v, want 200 partial", code, body)
 	}

@@ -2,13 +2,14 @@ package main
 
 // The cluster acceptance suite: three in-process peers — peers 1 and 2 are
 // bare shard nodes behind real wire listeners, peer 0 is a full HTTP server
-// assembled through main's own cluster wiring (setupCluster + newServer +
-// installCluster). It checks the headline behaviours of the distributed
-// deployment: healthy searches answer through scatter-gather, killing a peer
-// keeps /search at 200 with a "peer-open" degradation once the breaker
-// opens, and /healthz and /stats expose the cluster sections.
+// assembled by server.New in cluster mode, as main assembles it. It checks
+// the headline behaviours of the distributed deployment: healthy searches
+// answer through scatter-gather, killing a peer keeps /search at 200 with a
+// "peer-open" degradation once the breaker opens, and /healthz and /stats
+// expose the cluster sections.
 
 import (
+	"fmt"
 	"net"
 	"net/http"
 	"net/url"
@@ -16,17 +17,17 @@ import (
 	"testing"
 	"time"
 
-	"quepa/internal/augment"
 	"quepa/internal/cluster"
-	"quepa/internal/explain"
 	"quepa/internal/resilience"
+	"quepa/internal/server"
 	"quepa/internal/wire"
 	"quepa/internal/workload"
 )
 
 // startClusterServer brings up the 3-peer deployment and returns peer 0's
-// HTTP server plus the other peers' wire servers (for the test to kill).
-func startClusterServer(t *testing.T) (*server, []*wire.Server) {
+// HTTP server, the workload it serves, and the other peers' wire servers
+// (for the test to kill).
+func startClusterServer(t *testing.T) (*server.Server, *workload.Built, []*wire.Server) {
 	t.Helper()
 	spec := workload.DefaultSpec()
 	spec.Artists = 12
@@ -34,17 +35,19 @@ func startClusterServer(t *testing.T) (*server, []*wire.Server) {
 	spec.Customers = 20
 
 	const peers = 3
+	// Peer 0 binds its own wire address; no peer here ever dials it, so any
+	// free port will do.
+	addrs := []string{"127.0.0.1:0"}
 	lns := make([]net.Listener, peers)
-	addrs := make([]string, peers)
-	for i := range lns {
+	for i := 1; i < peers; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		lns[i] = ln
-		addrs[i] = ln.Addr().String()
+		addrs = append(addrs, ln.Addr().String())
 	}
-	ring, err := cluster.NewRing(peers, 16, 0)
+	ring, err := cluster.NewRing(peers, cluster.DefaultVnodes, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,25 +70,16 @@ func startClusterServer(t *testing.T) (*server, []*wire.Server) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bcfg := resilience.BreakerConfig{FailureThreshold: 2, Cooldown: time.Hour}
-	rt, err := setupCluster(built, strings.Join(addrs, ","), 0, 16, 0, bcfg, 2, lns[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rt.close() })
-	// Tight single-attempt deadlines so a killed peer fails fast in tests.
-	s, err := newServer(built, augment.Config{Strategy: augment.OuterBatch, CacheSize: 0},
-		explain.DefaultBufferCapacity, 0, bcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.installCluster(rt)
-	return s, remotes
+	// A short failure run and no cooldown inside the test: a killed peer
+	// opens its breaker fast and stays open.
+	s := mustNew(t, server.Config{Workload: built, Cluster: strings.Join(addrs, ","), ShardID: 0, Pool: 2,
+		Breaker: resilience.BreakerConfig{FailureThreshold: 2, Cooldown: time.Hour}})
+	return s, built, remotes
 }
 
 func TestServerClusterSearchAndPeerDown(t *testing.T) {
-	s, remotes := startClusterServer(t)
-	query, err := s.built.Query("transactions", 4)
+	s, built, remotes := startClusterServer(t)
+	query, err := built.Query("transactions", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +87,7 @@ func TestServerClusterSearchAndPeerDown(t *testing.T) {
 
 	// Healthy cluster: searches answer 200 with no degraded section, and the
 	// status pages carry the cluster identity.
-	code, body := do(t, s.handleSearch, "GET", search)
+	code, body := do(t, s.Handler(), "GET", search)
 	if code != http.StatusOK {
 		t.Fatalf("healthy cluster search = %d %v", code, body)
 	}
@@ -103,7 +97,7 @@ func TestServerClusterSearchAndPeerDown(t *testing.T) {
 	if orig, _ := body["original"].([]any); len(orig) == 0 {
 		t.Fatal("healthy cluster search returned no originals")
 	}
-	code, health := do(t, s.handleHealthz, "GET", "/healthz")
+	code, health := do(t, s.Handler(), "GET", "/healthz")
 	if code != http.StatusOK {
 		t.Fatalf("healthy cluster healthz = %d %v", code, health)
 	}
@@ -117,7 +111,7 @@ func TestServerClusterSearchAndPeerDown(t *testing.T) {
 	if list, _ := cl["peer_list"].([]any); len(list) != 3 {
 		t.Fatalf("healthz peer list = %v", cl["peer_list"])
 	}
-	code, stats := do(t, s.handleStats, "GET", "/stats")
+	code, stats := do(t, s.Handler(), "GET", "/stats")
 	if code != http.StatusOK {
 		t.Fatalf("stats = %d", code)
 	}
@@ -134,15 +128,17 @@ func TestServerClusterSearchAndPeerDown(t *testing.T) {
 	// Kill peer 1. The first searches after the kill fail its scatter legs
 	// (recording breaker failures); once the breaker opens, searches keep
 	// answering 200 with a "peer-open" degradation — the acceptance
-	// behaviour of the cluster CI lane.
+	// behaviour of the cluster CI lane. Each search starts from an origin
+	// not searched before, so neither its reach nor its objects sit in a
+	// cache that would spare it the dead peer.
 	remotes[0].Close()
-	deadline := time.Now().Add(30 * time.Second)
 	sawPeerOpen := false
-	for !sawPeerOpen {
-		if time.Now().After(deadline) {
-			t.Fatal("no peer-open degradation within 30s of killing peer 1")
+	for seq := 4; !sawPeerOpen; seq++ {
+		if seq >= built.Spec.Albums() {
+			t.Fatal("no peer-open degradation after searching from every origin")
 		}
-		code, body := do(t, s.handleSearch, "GET", search)
+		q := fmt.Sprintf("SELECT * FROM inventory WHERE seq >= %d AND seq < %d", seq, seq+1)
+		code, body := do(t, s.Handler(), "GET", "/search?db=transactions&level=2&q="+url.QueryEscape(q))
 		if code != http.StatusOK {
 			t.Fatalf("post-kill search = %d %v, want 200 with degradation", code, body)
 		}
@@ -159,7 +155,7 @@ func TestServerClusterSearchAndPeerDown(t *testing.T) {
 	}
 
 	// The probe and the stats page agree: the peer's breaker is open.
-	code, health = do(t, s.handleHealthz, "GET", "/healthz")
+	code, health = do(t, s.Handler(), "GET", "/healthz")
 	if code != http.StatusServiceUnavailable || health["status"] != "degraded" {
 		t.Fatalf("healthz with dead peer = %d %v", code, health)
 	}

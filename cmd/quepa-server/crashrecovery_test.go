@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"reflect"
@@ -13,9 +14,8 @@ import (
 	"testing"
 	"time"
 
-	"quepa/internal/augment"
 	"quepa/internal/core"
-	"quepa/internal/resilience"
+	"quepa/internal/server"
 	"quepa/internal/wal"
 	"quepa/internal/workload"
 )
@@ -25,8 +25,8 @@ import (
 // state after some committed prefix of the load — at least everything the
 // child acknowledged before dying. The child is this same test binary
 // re-executed with QUEPA_SERVER_CRASH_CHILD set (the standard re-exec
-// pattern), running the real openDurable + routes() wiring with
-// -fsync always, so every acknowledged mutation is on stable storage.
+// pattern), running the server main assembles with -fsync always, so every
+// acknowledged mutation is on stable storage.
 //
 // `make crashtest` and the CI crash job run exactly this plus the WAL-level
 // kill test in internal/wal.
@@ -101,7 +101,7 @@ func TestServerCrashRecovery(t *testing.T) {
 	if !m.Recovered() {
 		t.Fatal("nothing recovered after SIGKILL")
 	}
-	base := crashWorkload(t).Index
+	base := smallWorkload(t).Index // the same deterministic spec the child serves
 	got := m.Index().Edges()
 	k := -1
 	for i := 0; i <= seen+5000; i++ {
@@ -124,20 +124,6 @@ func TestServerCrashRecovery(t *testing.T) {
 	t.Logf("child acked %d ops, recovery found prefix %d", seen+1, k)
 }
 
-// crashWorkload builds the small deterministic workload both processes use;
-// identical spec + seed means identical seed index on both sides.
-func crashWorkload(t *testing.T) *workload.Built {
-	t.Helper()
-	spec := workload.DefaultSpec()
-	spec.Artists = 10
-	spec.AlbumsPerArtist = 2
-	built, err := workload.Build(spec, workload.Colocated())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return built
-}
-
 // crashRel is the deterministic write load: distinct identity relations, so
 // every op grows the index and prefixes are distinguishable.
 func crashRel(i int) core.PRelation {
@@ -148,9 +134,9 @@ func crashRel(i int) core.PRelation {
 }
 
 // serverCrashChild is the process the parent kills: a durable server with
-// fsync=always, serving HTTP while a mutation load flows through the
-// journaled index. It only returns if something is broken — the parent's
-// SIGKILL is the expected exit.
+// fsync=always, assembled by server.New as main assembles it, serving HTTP
+// while a mutation load flows through the journaled index. It only returns
+// if something is broken — the parent's SIGKILL is the expected exit.
 func serverCrashChild(dir string) {
 	spec := workload.DefaultSpec()
 	spec.Artists = 10
@@ -160,35 +146,9 @@ func serverCrashChild(dir string) {
 		fmt.Println("child build:", err)
 		os.Exit(1)
 	}
-	m, err := openDurable(built, durableOptions{DataDir: dir, Fsync: wal.FsyncAlways})
+	s, err := server.New(server.Config{Workload: built, DataDir: dir, Fsync: wal.FsyncAlways})
 	if err != nil {
-		fmt.Println("child openDurable:", err)
-		os.Exit(1)
-	}
-	srv := httptestServer(built)
-	fmt.Println("listening", srv)
-	for i := 0; i < 1_000_000; i++ {
-		if err := built.Index.Insert(crashRel(i)); err != nil {
-			fmt.Println("child insert:", err)
-			os.Exit(1)
-		}
-		if err := m.Err(); err != nil {
-			fmt.Println("child wal error:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("committed %d\n", i)
-	}
-	time.Sleep(time.Minute) // parent should have killed us long ago
-	os.Exit(1)
-}
-
-// httptestServer starts the real route mux on a random port and returns its
-// address; errors are fatal for the child.
-func httptestServer(built *workload.Built) string {
-	s, err := newServer(built, augment.Config{Strategy: augment.Batch, BatchSize: 32, CacheSize: 128},
-		4, 0, resilience.BreakerConfig{})
-	if err != nil {
-		fmt.Println("child newServer:", err)
+		fmt.Println("child server.New:", err)
 		os.Exit(1)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -196,6 +156,22 @@ func httptestServer(built *workload.Built) string {
 		fmt.Println("child listen:", err)
 		os.Exit(1)
 	}
-	go http.Serve(ln, s.routes())
-	return ln.Addr().String()
+	go http.Serve(ln, s.Handler())
+	fmt.Println("listening", ln.Addr())
+	for i := 0; i < 1_000_000; i++ {
+		if err := built.Index.Insert(crashRel(i)); err != nil {
+			fmt.Println("child insert:", err)
+			os.Exit(1)
+		}
+		// A sticky WAL error turns /healthz into a 503 naming it.
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
+		if rec.Code != http.StatusOK {
+			fmt.Println("child healthz:", rec.Body)
+			os.Exit(1)
+		}
+		fmt.Printf("committed %d\n", i)
+	}
+	time.Sleep(time.Minute) // parent should have killed us long ago
+	os.Exit(1)
 }

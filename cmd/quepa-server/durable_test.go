@@ -2,34 +2,17 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"net"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"quepa/internal/augment"
 	"quepa/internal/core"
-	"quepa/internal/explain"
-	"quepa/internal/resilience"
+	"quepa/internal/server"
 	"quepa/internal/wal"
-	"quepa/internal/workload"
 )
-
-func buildSmall(t *testing.T) *workload.Built {
-	t.Helper()
-	spec := workload.DefaultSpec()
-	spec.Artists = 10
-	spec.AlbumsPerArtist = 2
-	built, err := workload.Build(spec, workload.Colocated())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return built
-}
 
 // TestOpenDurableSeedsThenRecovers pins the startup contract: a fresh
 // directory is seeded from the built index, and a second boot on the same
@@ -37,18 +20,13 @@ func buildSmall(t *testing.T) *workload.Built {
 // the seed — instead of using the freshly generated one.
 func TestOpenDurableSeedsThenRecovers(t *testing.T) {
 	dir := t.TempDir()
-	built := buildSmall(t)
-	opts := durableOptions{DataDir: dir, Fsync: wal.FsyncAlways}
-
-	m, err := openDurable(built, opts)
-	if err != nil {
-		t.Fatal(err)
+	built := smallWorkload(t)
+	s := mustNew(t, server.Config{Workload: built, DataDir: dir, Fsync: wal.FsyncAlways})
+	if rec := durability(t, s)["recovery"].(map[string]any); rec["recovered"] != false {
+		t.Fatalf("fresh dir recovered: %v", rec)
 	}
-	if m == nil || m.Recovered() {
-		t.Fatalf("fresh dir: manager=%v recovered=%v", m, m != nil && m.Recovered())
-	}
-	// Mutate through the index the server would use: the journal must pick
-	// this up without any explicit WAL call at the mutation site.
+	// Mutate through the index the server uses: the journal must pick this
+	// up without any explicit WAL call at the mutation site.
 	rel := core.NewIdentity(
 		core.MustParseGlobalKey("durable.probe.a"),
 		core.MustParseGlobalKey("durable.probe.b"), 0.9)
@@ -56,65 +34,47 @@ func TestOpenDurableSeedsThenRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := built.Index.Edges()
-	if err := m.Close(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Second boot: generator output differs in object but the durable state
 	// must win.
-	built2 := buildSmall(t)
-	m2, err := openDurable(built2, opts)
-	if err != nil {
-		t.Fatal(err)
+	built2 := smallWorkload(t)
+	fresh := built2.Index
+	s2 := mustNew(t, server.Config{Workload: built2, DataDir: dir, Fsync: wal.FsyncAlways})
+	rec := durability(t, s2)["recovery"].(map[string]any)
+	if rec["recovered"] != true {
+		t.Fatalf("second boot did not recover: %v", rec)
 	}
-	defer m2.Close()
-	if !m2.Recovered() {
-		t.Fatal("second boot did not recover")
-	}
-	if built2.Index != m2.Index() {
+	if built2.Index == fresh {
 		t.Fatal("recovered index was not installed into the workload")
 	}
 	if !reflect.DeepEqual(built2.Index.Edges(), want) {
 		t.Fatalf("recovered edges:\n got %v\nwant %v", built2.Index.Edges(), want)
 	}
 	// Clean shutdown means nothing to replay.
-	if rec := m2.Recovery(); rec.ReplayedBatches != 0 {
-		t.Fatalf("clean restart replayed %d batches", rec.ReplayedBatches)
+	if rec["replayed_batches"] != float64(0) {
+		t.Fatalf("clean restart replayed %v batches", rec["replayed_batches"])
 	}
 }
 
-// TestOpenDurableDisabled: no data dir, no manager, no error.
+// TestOpenDurableDisabled: no data dir, no WAL.
 func TestOpenDurableDisabled(t *testing.T) {
-	m, err := openDurable(buildSmall(t), durableOptions{})
-	if err != nil || m != nil {
-		t.Fatalf("openDurable without dir = (%v, %v), want (nil, nil)", m, err)
+	s := newTestServer(t)
+	if dur := durability(t, s); dur["enabled"] != false {
+		t.Fatalf("durability without a data dir = %v, want disabled", dur)
 	}
 }
 
-// TestCheckpointLoopBoundsReplay drives the ticker and verifies checkpoints
-// actually land (Stats.Checkpoints grows beyond the seed checkpoint).
-func TestCheckpointLoopBoundsReplay(t *testing.T) {
-	dir := t.TempDir()
-	built := buildSmall(t)
-	m, err := openDurable(built, durableOptions{DataDir: dir, Fsync: wal.FsyncOff})
-	if err != nil {
-		t.Fatal(err)
+// durability returns the /stats durability section.
+func durability(t *testing.T, s *server.Server) map[string]any {
+	t.Helper()
+	dur, ok := stats(t, s)["durability"].(map[string]any)
+	if !ok {
+		t.Fatal("stats missing durability section")
 	}
-	defer m.Close()
-	base := m.Stats().Checkpoints
-
-	stop := startCheckpointLoop(m, 5*time.Millisecond)
-	deadline := time.Now().Add(5 * time.Second)
-	for m.Stats().Checkpoints < base+2 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	stop()
-	if got := m.Stats().Checkpoints; got < base+2 {
-		t.Fatalf("checkpoint loop wrote %d checkpoints, want >= %d", got, base+2)
-	}
-	// Nil manager / zero interval are no-ops, not panics.
-	startCheckpointLoop(nil, time.Second)()
-	startCheckpointLoop(m, 0)()
+	return dur
 }
 
 // TestServeUntilDrainsThenFlushes is the shutdown-ordering test: cancelling
@@ -123,11 +83,7 @@ func TestCheckpointLoopBoundsReplay(t *testing.T) {
 // next boot replays nothing.
 func TestServeUntilDrainsThenFlushes(t *testing.T) {
 	dir := t.TempDir()
-	built := buildSmall(t)
-	m, err := openDurable(built, durableOptions{DataDir: dir, Fsync: wal.FsyncOff})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustNew(t, server.Config{Workload: smallWorkload(t), DataDir: dir, Fsync: wal.FsyncOff})
 
 	inHandler := make(chan struct{})
 	release := make(chan struct{})
@@ -154,7 +110,7 @@ func TestServeUntilDrainsThenFlushes(t *testing.T) {
 				hookAfterDrain.Store(handlerFinished.Load())
 				return nil
 			},
-			m.Close)
+			s.Close)
 	}()
 
 	go func() {
@@ -192,55 +148,27 @@ func TestServeUntilDrainsThenFlushes(t *testing.T) {
 // TestStatsAndHealthzExposeDurability checks the HTTP surface in both modes.
 func TestStatsAndHealthzExposeDurability(t *testing.T) {
 	dir := t.TempDir()
-	built := buildSmall(t)
-	m, err := openDurable(built, durableOptions{DataDir: dir, Fsync: wal.FsyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
-	s, err := newServer(built, augment.Config{Strategy: augment.Batch, BatchSize: 32, CacheSize: 128},
-		explain.DefaultBufferCapacity, 0, resilience.BreakerConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.wal = m
+	s := mustNew(t, server.Config{Workload: smallWorkload(t), DataDir: dir, Fsync: wal.FsyncAlways})
 
-	rec := httptest.NewRecorder()
-	s.handleStats(rec, httptest.NewRequest("GET", "/stats", nil))
-	var stats map[string]any
-	if err := json.NewDecoder(rec.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
-	dur, ok := stats["durability"].(map[string]any)
-	if !ok {
-		t.Fatalf("stats missing durability section: %v", stats["durability"])
-	}
+	dur := durability(t, s)
 	if dur["dir"] != dir || dur["fsync"] != wal.FsyncAlways {
 		t.Fatalf("durability section = %v", dur)
 	}
 
-	rec = httptest.NewRecorder()
-	s.handleHealthz(rec, httptest.NewRequest("GET", "/healthz", nil))
-	if rec.Code != http.StatusOK {
-		t.Fatalf("healthz with healthy WAL = %d", rec.Code)
-	}
-	var hz map[string]any
-	if err := json.NewDecoder(rec.Body).Decode(&hz); err != nil {
-		t.Fatal(err)
+	code, hz := do(t, s.Handler(), "GET", "/healthz")
+	if code != http.StatusOK {
+		t.Fatalf("healthz with healthy WAL = %d", code)
 	}
 	if _, ok := hz["durable_epoch"]; !ok {
 		t.Fatalf("healthz missing durable_epoch: %v", hz)
 	}
 
 	// Without a WAL the sections degrade gracefully.
-	s.wal = nil
-	rec = httptest.NewRecorder()
-	s.handleStats(rec, httptest.NewRequest("GET", "/stats", nil))
-	stats = map[string]any{}
-	if err := json.NewDecoder(rec.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
+	s = newTestServer(t)
+	if dur := durability(t, s); dur["enabled"] != false {
+		t.Fatalf("in-memory durability section = %v", dur)
 	}
-	if dur, ok := stats["durability"].(map[string]any); !ok || dur["enabled"] != false {
-		t.Fatalf("in-memory durability section = %v", stats["durability"])
+	if _, hz := do(t, s.Handler(), "GET", "/healthz"); hz["durable_epoch"] != nil {
+		t.Fatalf("in-memory healthz reports a durable epoch: %v", hz)
 	}
 }

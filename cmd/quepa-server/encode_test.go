@@ -14,14 +14,16 @@ import (
 	"quepa/internal/augment"
 	"quepa/internal/core"
 	"quepa/internal/explain"
+	"quepa/internal/optimizer"
 	"quepa/internal/resilience"
+	"quepa/internal/server"
 	"quepa/internal/workload"
 )
 
-// The reference encoder: the serving path as it was before encode.go — the
-// answer copied into objectJSON slices, held in a map[string]any and rendered
-// by encoding/json with a two-space indent. encode.go must reproduce its
-// output byte for byte.
+// The reference encoder: the serving path as it was before the server's
+// encoder (internal/server/encode.go) — the answer copied into objectJSON
+// slices, held in a map[string]any and rendered by encoding/json with a
+// two-space indent. The encoder must reproduce its output byte for byte.
 
 type objectJSON struct {
 	Key    string            `json:"key"`
@@ -127,24 +129,25 @@ func sameBytes(t testing.TB, what string, got, want []byte) {
 		what, i, len(got), len(want), got[from:min(i+60, len(got))], want[from:min(i+60, len(want))])
 }
 
-// scaleOneServer builds a server over the full scale-1 dataset; breakers open
-// on the first failure so tests can force a degraded answer.
-func scaleOneServer(t testing.TB) *server {
+// scaleOneServer builds a server over the full scale-1 dataset, breakers
+// opening on the first failure so tests can force a degraded answer. It also
+// returns the workload the server took over and a reference augmenter over
+// it, at the server's base configuration, that computes the answers the
+// bodies must encode.
+func scaleOneServer(t testing.TB) (*server.Server, *workload.Built, *augment.Augmenter) {
 	t.Helper()
 	built, err := workload.Build(workload.DefaultSpec(), workload.Colocated())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := newServer(built, augment.Config{Strategy: augment.OuterBatch, BatchSize: 64, ThreadsSize: 8, CacheSize: 4096},
-		explain.DefaultBufferCapacity, 0, resilience.BreakerConfig{FailureThreshold: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
+	s := mustNew(t, server.Config{Workload: built, Breaker: resilience.BreakerConfig{FailureThreshold: 1}})
+	ref := augment.New(built.Poly, built.Index,
+		augment.Config{Strategy: augment.OuterBatch, BatchSize: 64, ThreadsSize: 8, CacheSize: 4096})
+	return s, built, ref
 }
 
 // get serves one request through the full mux and returns the raw body.
-func get(t testing.TB, mux *http.ServeMux, method, target string) []byte {
+func get(t testing.TB, mux http.Handler, method, target string) []byte {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest(method, target, nil))
@@ -176,23 +179,23 @@ func reindented(t testing.TB, body []byte) []byte {
 // to an empty augmentation, plus every other hot route's body, through the
 // handlers — bytes equal to the reference encoder's.
 func TestEncodeMatchesReference(t *testing.T) {
-	s := scaleOneServer(t)
-	mux := s.routes()
+	s, built, ref := scaleOneServer(t)
+	mux := s.Handler()
 	ctx := context.Background()
 	ranks := []struct {
 		minp float64
 		topk int
 	}{{0, 0}, {0.8, 0}, {0, 3}, {0.5, 10}, {1, 1}}
 
-	for _, db := range s.built.QueryTargets() {
-		query, err := s.built.Query(db, 7)
+	for _, db := range built.QueryTargets() {
+		query, err := built.Query(db, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
 		target := "/search?db=" + db + "&q=" + url.QueryEscape(query)
 		var answer *augment.Answer
 		for level := 0; level <= 2; level++ {
-			if answer, err = s.aug.Search(ctx, db, query, level); err != nil {
+			if answer, err = ref.Search(ctx, db, query, level); err != nil {
 				t.Fatal(err)
 			}
 			if len(answer.Original) == 0 || len(answer.Augmented) == 0 {
@@ -205,7 +208,7 @@ func TestEncodeMatchesReference(t *testing.T) {
 			}
 			// Nothing ranks above a probability of 1: the empty augmentation.
 			none := answer.Rank(2, 0)
-			got, err := appendSearch(nil, answer.Original, none, nil, nil)
+			got, err := server.AppendSearch(nil, answer.Original, none, nil, nil)
 			if err != nil || len(none) != 0 {
 				t.Fatalf("empty augmentation: %d objects, %v", len(none), err)
 			}
@@ -214,7 +217,7 @@ func TestEncodeMatchesReference(t *testing.T) {
 
 		// /object for an object with neighbours.
 		origin := answer.Original[0]
-		rels := s.built.Index.Neighbors(origin.GK)
+		rels := built.Index.Neighbors(origin.GK)
 		if len(rels) == 0 {
 			t.Fatalf("%v has no p-relations", origin.GK)
 		}
@@ -229,14 +232,14 @@ func TestEncodeMatchesReference(t *testing.T) {
 			t.Fatalf("explore start: %v: %s", err, start)
 		}
 		sameBytes(t, db+" /explore", start, refExploreStart(t, started.Session, answer.Original))
-		ref, _, err := s.aug.Explore(ctx, db, query, nil)
+		sess, _, err := ref.Explore(ctx, db, query, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		next := origin.GK
 		var path []core.GlobalKey
 		for step := 0; step < 2; step++ {
-			links, err := ref.Step(ctx, next)
+			links, err := sess.Step(ctx, next)
 			if err != nil || len(links) == 0 {
 				t.Fatalf("reference step %d from %v: %d links, %v", step, next, len(links), err)
 			}
@@ -252,11 +255,11 @@ func TestEncodeMatchesReference(t *testing.T) {
 
 	// Shapes the dataset does not produce.
 	lonely := core.Object{GK: core.NewGlobalKey("catalogue", "albums", "lonely"), Fields: map[string]string{}}
-	sameBytes(t, "/object without links", appendObjectLinks(nil, lonely, nil), refObjectLinks(t, lonely, nil))
+	sameBytes(t, "/object without links", server.AppendObjectLinks(nil, lonely, nil), refObjectLinks(t, lonely, nil))
 	sameBytes(t, "/explore/finish, empty path promoted",
-		appendExploreFinish(nil, true, nil), refExploreFinish(t, true, nil))
-	sameBytes(t, "/explore without objects", appendExploreStart(nil, "7", nil), refExploreStart(t, "7", nil))
-	got, err := appendStep(nil, nil, nil, nil)
+		server.AppendExploreFinish(nil, true, nil), refExploreFinish(t, true, nil))
+	sameBytes(t, "/explore without objects", server.AppendExploreStart(nil, "7", nil), refExploreStart(t, "7", nil))
+	got, err := server.AppendStep(nil, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,14 +269,15 @@ func TestEncodeMatchesReference(t *testing.T) {
 // TestEncodeSectionsMatchReference: the spliced "degraded" and "explain"
 // sections, alone and together, on both routes that carry them.
 func TestEncodeSectionsMatchReference(t *testing.T) {
-	s := scaleOneServer(t)
-	query, err := s.built.Query("transactions", 3)
+	_, built, ref := scaleOneServer(t)
+	query, err := built.Query("transactions", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, rec := explain.WithRecorder(context.Background(), "/search")
-	rec.SetOptimizer(s.chooseConfig("transactions", query, 1))
-	answer, err := s.aug.Search(ctx, "transactions", query, 1)
+	_, dec := optimizer.NewAdaptive().ChooseExplained(optimizer.QueryFeatures{Level: 1, NumStores: built.Poly.Size()}, 4096)
+	rec.SetOptimizer(dec)
+	answer, err := ref.Search(ctx, "transactions", query, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,18 +298,18 @@ func TestEncodeSectionsMatchReference(t *testing.T) {
 		{"explain", nil, profile},
 		{"degraded+explain", degraded, profile},
 	} {
-		got, err := appendSearch(nil, answer.Original, answer.Augmented, c.degraded, c.profile)
+		got, err := server.AppendSearch(nil, answer.Original, answer.Augmented, c.degraded, c.profile)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameBytes(t, "/search "+c.name, got, refSearch(t, answer.Original, answer.Augmented, c.degraded, c.profile))
-		got, err = appendStep(nil, answer.Augmented, c.degraded, c.profile)
+		got, err = server.AppendStep(nil, answer.Augmented, c.degraded, c.profile)
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameBytes(t, "/explore/step "+c.name, got, refStep(t, answer.Augmented, c.degraded, c.profile))
 		// With the only array empty the sections are all there is.
-		got, err = appendStep(nil, nil, c.degraded, c.profile)
+		got, err = server.AppendStep(nil, nil, c.degraded, c.profile)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,13 +321,14 @@ func TestEncodeSectionsMatchReference(t *testing.T) {
 // the degraded /search body as a client receives it, with and without
 // explain=1.
 func TestDegradedSearchBodyLayout(t *testing.T) {
-	s := scaleOneServer(t)
-	mux := s.routes()
-	s.res.Breaker("catalogue").RecordFailure()
-	if !s.res.AnyOpen() {
+	s, built, ref := scaleOneServer(t)
+	mux := s.Handler()
+	breaker := storeBreaker(t, built, "catalogue")
+	breaker.RecordFailure()
+	if breaker.State() != resilience.Open {
 		t.Fatal("catalogue breaker did not open")
 	}
-	query, err := s.built.Query("transactions", 3)
+	query, err := built.Query("transactions", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +341,7 @@ func TestDegradedSearchBodyLayout(t *testing.T) {
 	if !bytes.Contains(body, []byte("\n  \"degraded\":")) {
 		t.Fatalf("degraded body lacks the depth-1 marker benchmark/load.go scans for:\n%s", body)
 	}
-	answer, err := s.aug.Search(context.Background(), "transactions", query, 1)
+	answer, err := ref.Search(context.Background(), "transactions", query, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +365,7 @@ func encodeOne(t testing.TB, o core.Object, prob float64, dist int) (got, want [
 	t.Helper()
 	original := []core.Object{o}
 	ranked := []augment.AugmentedObject{{Object: o, Prob: prob, Dist: dist}}
-	got, err := appendSearch(nil, original, ranked, nil, nil)
+	got, err := server.AppendSearch(nil, original, ranked, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,13 +419,13 @@ func TestEncodeWideObject(t *testing.T) {
 // benchAnswer returns n objects of a real level-2 answer, a fifth of them in
 // the original result — the proportions of the ledger's point and range
 // bodies.
-func benchAnswer(tb testing.TB, s *server, n int) ([]core.Object, []augment.AugmentedObject) {
+func benchAnswer(tb testing.TB, built *workload.Built, ref *augment.Augmenter, n int) ([]core.Object, []augment.AugmentedObject) {
 	tb.Helper()
-	query, err := s.built.Query("transactions", 50)
+	query, err := built.Query("transactions", 50)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	answer, err := s.aug.Search(context.Background(), "transactions", query, 2)
+	answer, err := ref.Search(context.Background(), "transactions", query, 2)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -431,23 +436,23 @@ func benchAnswer(tb testing.TB, s *server, n int) ([]core.Object, []augment.Augm
 	return answer.Original[:orig], answer.Augmented[:n-orig]
 }
 
-// TestEncoderAllocatesNothingWarm: with a buffer from the warm pool the
-// encoder itself makes no allocation, whatever the body size.
+// TestEncoderAllocatesNothingWarm: into a warm buffer — what the server's
+// buffer pool hands it — the encoder itself makes no allocation, whatever
+// the body size.
 func TestEncoderAllocatesNothingWarm(t *testing.T) {
 	if raceEnabled {
-		t.Skip("sync.Pool drops items and allocation counts are skewed under -race")
+		t.Skip("allocation counts are skewed under -race")
 	}
-	s := scaleOneServer(t)
+	_, built, ref := scaleOneServer(t)
 	for _, n := range []int{5, 225} {
-		original, ranked := benchAnswer(t, s, n)
+		original, ranked := benchAnswer(t, built, ref, n)
+		var buf []byte
 		encode := func() {
-			buf := bodyPool.Get().(*[]byte)
-			body, err := appendSearch(*buf, original, ranked, nil, nil)
+			body, err := server.AppendSearch(buf[:0], original, ranked, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			*buf = body[:0]
-			bodyPool.Put(buf)
+			buf = body
 		}
 		encode() // grow the pooled buffer once
 		if allocs := testing.AllocsPerRun(200, encode); allocs != 0 {
@@ -461,15 +466,15 @@ var benchSink []byte
 // BenchmarkEncodeSearch times the encoder alone at the ledger's two body
 // sizes: point_hot answers hold 5 objects, range_cold answers about 225.
 func BenchmarkEncodeSearch(b *testing.B) {
-	s := scaleOneServer(b)
+	_, built, ref := scaleOneServer(b)
 	for _, n := range []int{5, 225} {
-		original, ranked := benchAnswer(b, s, n)
+		original, ranked := benchAnswer(b, built, ref, n)
 		b.Run(fmt.Sprint(n), func(b *testing.B) {
 			var buf []byte
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				buf, _ = appendSearch(buf[:0], original, ranked, nil, nil)
+				buf, _ = server.AppendSearch(buf[:0], original, ranked, nil, nil)
 			}
 			benchSink = buf
 			b.SetBytes(int64(len(buf)))
@@ -488,8 +493,8 @@ func (d *discardWriter) WriteHeader(int)             {}
 // primary-key query at level 2 answered from the result cache, through the
 // real mux and its instrumentation, into a writer that discards the body.
 func BenchmarkHandleSearchWarm(b *testing.B) {
-	s := scaleOneServer(b)
-	mux := s.routes()
+	s, _, _ := scaleOneServer(b)
+	mux := s.Handler()
 	req := httptest.NewRequest("GET", "/search?level=2&db=transactions&q="+
 		url.QueryEscape("SELECT * FROM inventory WHERE id = 'a7'"), nil)
 	w := &discardWriter{header: http.Header{}}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"quepa/internal/server"
 	"quepa/internal/telemetry"
 )
 
@@ -21,7 +22,7 @@ func TestSearchExplainProfile(t *testing.T) {
 	before := reg.CounterValue("quepa_optimizer_fallback_total", telemetry.L("reason", "untrained"))
 
 	q := url.QueryEscape(searchQuery)
-	code, body := do(t, s.handleSearch, "GET", "/search?db=transactions&q="+q+"&level=1&explain=1")
+	code, body := do(t, s.Handler(), "GET", "/search?db=transactions&q="+q+"&level=1&explain=1")
 	if code != http.StatusOK {
 		t.Fatalf("status = %d: %v", code, body)
 	}
@@ -61,7 +62,7 @@ func TestSearchExplainProfile(t *testing.T) {
 		t.Fatalf("profile has no augmentation traces: %v", p)
 	}
 	a0 := augs[0].(map[string]any)
-	if a0["strategy"] != "BATCH" || a0["origins"].(float64) < 1 {
+	if a0["strategy"] != "OUTER-BATCH" || a0["origins"].(float64) < 1 {
 		t.Errorf("trace = %v", a0)
 	}
 	if a0["candidate_keys"].(float64) <= 0 || a0["index_nodes"].(float64) <= 0 {
@@ -76,7 +77,7 @@ func TestSearchExplainProfile(t *testing.T) {
 	}
 
 	// The profile also landed in the /debug/explain ring.
-	code, dbg := do(t, s.handleExplain, "GET", "/debug/explain")
+	code, dbg := do(t, s.Handler(), "GET", "/debug/explain")
 	if code != http.StatusOK {
 		t.Fatalf("debug status = %d", code)
 	}
@@ -86,23 +87,21 @@ func TestSearchExplainProfile(t *testing.T) {
 	}
 }
 
-// TestExplainTrainedDecision drives enough traffic through the server to
-// train the optimizer, then checks a trained decision's provenance: feature
+// TestExplainTrainedDecision drives enough traffic through the server for
+// the optimizer to train, then checks a trained decision's provenance: feature
 // vector, all four trees consulted or annotated, no fallback.
 func TestExplainTrainedDecision(t *testing.T) {
 	s := newTestServer(t)
-	s.opt.RetrainEvery = 0
 	q := url.QueryEscape(searchQuery)
-	for i := 0; i < 3; i++ {
-		if code, _ := do(t, s.handleSearch, "GET", "/search?db=transactions&q="+q+"&level=1"); code != http.StatusOK {
+	// The optimizer retrains itself every 256 logged runs; searchQuery has
+	// two origins, so no answer comes whole from the result cache unlogged.
+	for i := 0; i < 256; i++ {
+		if code, _ := do(t, s.Handler(), "GET", "/search?db=transactions&q="+q+"&level=1"); code != http.StatusOK {
 			t.Fatalf("warmup search failed")
 		}
 	}
-	if err := s.opt.Train(); err != nil {
-		t.Fatal(err)
-	}
 
-	code, body := do(t, s.handleSearch, "GET", "/search?db=transactions&q="+q+"&level=1&explain=1")
+	code, body := do(t, s.Handler(), "GET", "/search?db=transactions&q="+q+"&level=1&explain=1")
 	if code != http.StatusOK {
 		t.Fatalf("status = %d: %v", code, body)
 	}
@@ -147,7 +146,7 @@ func TestSearchExplainParamValidation(t *testing.T) {
 		{"&explain=yes", http.StatusBadRequest},
 		{"&explain=", http.StatusBadRequest},
 	} {
-		code, body := do(t, s.handleSearch, "GET", base+tc.extra)
+		code, body := do(t, s.Handler(), "GET", base+tc.extra)
 		if code != tc.code {
 			t.Errorf("%s: status = %d, want %d (%v)", tc.extra, code, tc.code, body)
 		}
@@ -161,14 +160,14 @@ func TestSearchExplainParamValidation(t *testing.T) {
 func TestExploreStepExplain(t *testing.T) {
 	s := newTestServer(t)
 	q := url.QueryEscape(`SELECT * FROM sales WHERE seq < 1`)
-	code, body := do(t, s.handleExploreStart, "POST", "/explore?db=transactions&q="+q)
+	code, body := do(t, s.Handler(), "POST", "/explore?db=transactions&q="+q)
 	if code != http.StatusOK {
 		t.Fatalf("start status = %d: %v", code, body)
 	}
 	session := body["session"].(string)
 	first := body["objects"].([]any)[0].(map[string]any)["key"].(string)
 
-	code, body = do(t, s.handleExploreStep, "POST",
+	code, body = do(t, s.Handler(), "POST",
 		"/explore/step?session="+session+"&key="+url.QueryEscape(first)+"&explain=1")
 	if code != http.StatusOK {
 		t.Fatalf("step status = %d: %v", code, body)
@@ -193,18 +192,18 @@ func TestDebugExplainRouteFilter(t *testing.T) {
 	s := newTestServer(t)
 	q := url.QueryEscape(searchQuery)
 	for i := 0; i < 2; i++ {
-		if code, _ := do(t, s.handleSearch, "GET", "/search?db=transactions&q="+q+"&explain=1"); code != http.StatusOK {
+		if code, _ := do(t, s.Handler(), "GET", "/search?db=transactions&q="+q+"&explain=1"); code != http.StatusOK {
 			t.Fatalf("search failed")
 		}
 	}
 	sq := url.QueryEscape(`SELECT * FROM sales WHERE seq < 1`)
-	code, body := do(t, s.handleExploreStart, "POST", "/explore?db=transactions&q="+sq)
+	code, body := do(t, s.Handler(), "POST", "/explore?db=transactions&q="+sq)
 	if code != http.StatusOK {
 		t.Fatalf("start status = %d", code)
 	}
 	session := body["session"].(string)
 	first := body["objects"].([]any)[0].(map[string]any)["key"].(string)
-	if code, _ = do(t, s.handleExploreStep, "POST",
+	if code, _ = do(t, s.Handler(), "POST",
 		"/explore/step?session="+session+"&key="+url.QueryEscape(first)+"&explain=1"); code != http.StatusOK {
 		t.Fatalf("step failed")
 	}
@@ -214,7 +213,7 @@ func TestDebugExplainRouteFilter(t *testing.T) {
 		if route != "" {
 			target += "?route=" + url.QueryEscape(route)
 		}
-		code, dbg := do(t, s.handleExplain, "GET", target)
+		code, dbg := do(t, s.Handler(), "GET", target)
 		if code != http.StatusOK {
 			t.Fatalf("%s: status = %d", target, code)
 		}
@@ -228,11 +227,10 @@ func TestDebugExplainRouteFilter(t *testing.T) {
 // TestExplainSampling exercises -explain-sample: with K=2 every second
 // request is profiled into the ring even without explain=1.
 func TestExplainSampling(t *testing.T) {
-	s := newTestServer(t)
-	s.explainEvery = 2
+	s := mustNew(t, server.Config{Workload: smallWorkload(t), ExplainSample: 2})
 	q := url.QueryEscape(searchQuery)
 	for i := 0; i < 4; i++ {
-		code, body := do(t, s.handleSearch, "GET", "/search?db=transactions&q="+q)
+		code, body := do(t, s.Handler(), "GET", "/search?db=transactions&q="+q)
 		if code != http.StatusOK {
 			t.Fatalf("search failed")
 		}
@@ -240,8 +238,8 @@ func TestExplainSampling(t *testing.T) {
 			t.Error("sampled profile leaked into the response body")
 		}
 	}
-	if seen := s.explainBuf.Seen(); seen != 2 {
-		t.Errorf("sampled profiles = %d, want 2 of 4", seen)
+	if _, dbg := do(t, s.Handler(), "GET", "/debug/explain"); dbg["seen"] != float64(2) {
+		t.Errorf("sampled profiles = %v, want 2 of 4", dbg["seen"])
 	}
 }
 
@@ -249,23 +247,22 @@ func TestExplainSampling(t *testing.T) {
 // advance the sampler too, so -explain-sample=K means every K-th request of
 // any kind — not every K-th non-explain request.
 func TestExplainSamplingCountsExplainRequests(t *testing.T) {
-	s := newTestServer(t)
-	s.explainEvery = 2
+	s := mustNew(t, server.Config{Workload: smallWorkload(t), ExplainSample: 2})
 	q := url.QueryEscape(searchQuery)
 	for i := 0; i < 4; i++ {
 		target := "/search?db=transactions&q=" + q
 		if i%2 == 1 {
 			target += "&explain=1"
 		}
-		if code, _ := do(t, s.handleSearch, "GET", target); code != http.StatusOK {
+		if code, _ := do(t, s.Handler(), "GET", target); code != http.StatusOK {
 			t.Fatalf("search %d failed", i)
 		}
 	}
 	// Requests 2 and 4 are both explain=1 AND the sampled ones; the plain
 	// requests 1 and 3 fall between the sampling points. If explain requests
 	// skipped the counter, request 3 would be sampled and Seen would be 3.
-	if seen := s.explainBuf.Seen(); seen != 2 {
-		t.Errorf("profiles seen = %d, want 2 of 4", seen)
+	if _, dbg := do(t, s.Handler(), "GET", "/debug/explain"); dbg["seen"] != float64(2) {
+		t.Errorf("profiles seen = %v, want 2 of 4", dbg["seen"])
 	}
 }
 
@@ -282,7 +279,7 @@ func TestHandleTracesFilters(t *testing.T) {
 	tracer.Reset()
 	defer tracer.Reset()
 
-	mux := s.routes()
+	mux := s.Handler()
 	q := url.QueryEscape(searchQuery)
 	for _, target := range []string{"/databases", "/search?db=transactions&q=" + q} {
 		rec := httptest.NewRecorder()
@@ -312,7 +309,7 @@ func TestHandleTracesFilters(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			code, body := do(t, s.handleTraces, "GET", tc.target)
+			code, body := do(t, s.Handler(), "GET", tc.target)
 			if code != tc.code {
 				t.Fatalf("status = %d, want %d (%v)", code, tc.code, body)
 			}
@@ -332,7 +329,7 @@ func TestHandleTracesFilters(t *testing.T) {
 
 func TestStatsBuildAndOptimizerSections(t *testing.T) {
 	s := newTestServer(t)
-	code, body := do(t, s.handleStats, "GET", "/stats")
+	code, body := do(t, s.Handler(), "GET", "/stats")
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}
@@ -358,7 +355,7 @@ func TestStatsBuildAndOptimizerSections(t *testing.T) {
 }
 
 func TestBuildVersionString(t *testing.T) {
-	v := buildVersion()
+	v := server.Version()
 	if !strings.HasPrefix(v, "quepa-server ") || !strings.Contains(v, "go") {
 		t.Errorf("buildVersion = %q", v)
 	}

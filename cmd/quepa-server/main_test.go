@@ -5,19 +5,17 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
-	"quepa/internal/augment"
-	"quepa/internal/explain"
-	"quepa/internal/resilience"
+	"quepa/internal/server"
 	"quepa/internal/telemetry"
 	"quepa/internal/workload"
 )
 
-func newTestServer(t *testing.T) *server {
+// smallWorkload builds the 10-artist dataset most tests serve.
+func smallWorkload(t testing.TB) *workload.Built {
 	t.Helper()
 	spec := workload.DefaultSpec()
 	spec.Artists = 10
@@ -26,19 +24,32 @@ func newTestServer(t *testing.T) *server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := newServer(built, augment.Config{Strategy: augment.Batch, BatchSize: 32, CacheSize: 128},
-		explain.DefaultBufferCapacity, 0, resilience.BreakerConfig{})
+	return built
+}
+
+// mustNew assembles a server through server.New, as main does, and closes
+// it when the test ends.
+func mustNew(t testing.TB, cfg server.Config) *server.Server {
+	t.Helper()
+	s, err := server.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { s.Close() })
 	return s
 }
 
-func do(t *testing.T, h http.HandlerFunc, method, target string) (int, map[string]any) {
+func newTestServer(t *testing.T) *server.Server {
+	t.Helper()
+	return mustNew(t, server.Config{Workload: smallWorkload(t)})
+}
+
+// do serves one request through h and decodes the JSON object it answered.
+func do(t testing.TB, h http.Handler, method, target string) (int, map[string]any) {
 	t.Helper()
 	req := httptest.NewRequest(method, target, nil)
 	rec := httptest.NewRecorder()
-	h(rec, req)
+	h.ServeHTTP(rec, req)
 	var body map[string]any
 	if err := json.NewDecoder(rec.Body).Decode(&body); err != nil {
 		// Arrays decode differently; retry generically.
@@ -47,11 +58,21 @@ func do(t *testing.T, h http.HandlerFunc, method, target string) (int, map[strin
 	return rec.Code, body
 }
 
+// stats returns the server's /stats body.
+func stats(t testing.TB, s *server.Server) map[string]any {
+	t.Helper()
+	code, body := do(t, s.Handler(), "GET", "/stats")
+	if code != http.StatusOK {
+		t.Fatalf("/stats = %d %v", code, body)
+	}
+	return body
+}
+
 func TestHandleDatabases(t *testing.T) {
 	s := newTestServer(t)
 	req := httptest.NewRequest("GET", "/databases", nil)
 	rec := httptest.NewRecorder()
-	s.handleDatabases(rec, req)
+	s.Handler().ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
@@ -67,7 +88,7 @@ func TestHandleDatabases(t *testing.T) {
 func TestHandleSearch(t *testing.T) {
 	s := newTestServer(t)
 	q := url.QueryEscape(`SELECT * FROM inventory WHERE seq < 2`)
-	code, body := do(t, s.handleSearch, "GET", "/search?db=transactions&q="+q+"&level=0")
+	code, body := do(t, s.Handler(), "GET", "/search?db=transactions&q="+q+"&level=0")
 	if code != http.StatusOK {
 		t.Fatalf("status = %d: %v", code, body)
 	}
@@ -86,7 +107,7 @@ func TestHandleSearch(t *testing.T) {
 		"/search?db=ghost&q=" + q,                                                        // unknown database
 		"/search?db=transactions&q=" + url.QueryEscape("SELECT COUNT(*) FROM inventory"), // aggregate
 	} {
-		if code, _ := do(t, s.handleSearch, "GET", target); code != http.StatusBadRequest {
+		if code, _ := do(t, s.Handler(), "GET", target); code != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", target, code)
 		}
 	}
@@ -94,7 +115,7 @@ func TestHandleSearch(t *testing.T) {
 
 func TestHandleObject(t *testing.T) {
 	s := newTestServer(t)
-	code, body := do(t, s.handleObject, "GET", "/object?key=catalogue.albums.d0")
+	code, body := do(t, s.Handler(), "GET", "/object?key=catalogue.albums.d0")
 	if code != http.StatusOK {
 		t.Fatalf("status = %d: %v", code, body)
 	}
@@ -104,10 +125,10 @@ func TestHandleObject(t *testing.T) {
 	if links, ok := body["links"].([]any); !ok || len(links) == 0 {
 		t.Errorf("links = %v", body["links"])
 	}
-	if code, _ := do(t, s.handleObject, "GET", "/object?key=bogus"); code != http.StatusBadRequest {
+	if code, _ := do(t, s.Handler(), "GET", "/object?key=bogus"); code != http.StatusBadRequest {
 		t.Errorf("bad key status = %d", code)
 	}
-	if code, _ := do(t, s.handleObject, "GET", "/object?key=catalogue.albums.ghost"); code != http.StatusNotFound {
+	if code, _ := do(t, s.Handler(), "GET", "/object?key=catalogue.albums.ghost"); code != http.StatusNotFound {
 		t.Errorf("missing object status = %d", code)
 	}
 }
@@ -115,7 +136,7 @@ func TestHandleObject(t *testing.T) {
 func TestExplorationFlow(t *testing.T) {
 	s := newTestServer(t)
 	q := url.QueryEscape(`SELECT * FROM sales WHERE seq < 1`)
-	code, body := do(t, s.handleExploreStart, "POST", "/explore?db=transactions&q="+q)
+	code, body := do(t, s.Handler(), "POST", "/explore?db=transactions&q="+q)
 	if code != http.StatusOK {
 		t.Fatalf("start status = %d: %v", code, body)
 	}
@@ -126,7 +147,7 @@ func TestExplorationFlow(t *testing.T) {
 	objects := body["objects"].([]any)
 	first := objects[0].(map[string]any)["key"].(string)
 
-	code, body = do(t, s.handleExploreStep, "POST", "/explore/step?session="+session+"&key="+url.QueryEscape(first))
+	code, body = do(t, s.Handler(), "POST", "/explore/step?session="+session+"&key="+url.QueryEscape(first))
 	if code != http.StatusOK {
 		t.Fatalf("step status = %d: %v", code, body)
 	}
@@ -135,14 +156,14 @@ func TestExplorationFlow(t *testing.T) {
 	}
 
 	// Stepping with a bad session or key fails.
-	if code, _ := do(t, s.handleExploreStep, "POST", "/explore/step?session=zzz&key="+url.QueryEscape(first)); code != http.StatusNotFound {
+	if code, _ := do(t, s.Handler(), "POST", "/explore/step?session=zzz&key="+url.QueryEscape(first)); code != http.StatusNotFound {
 		t.Errorf("bad session status = %d", code)
 	}
-	if code, _ := do(t, s.handleExploreStep, "POST", "/explore/step?session="+session+"&key=bogus"); code != http.StatusBadRequest {
+	if code, _ := do(t, s.Handler(), "POST", "/explore/step?session="+session+"&key=bogus"); code != http.StatusBadRequest {
 		t.Errorf("bad key status = %d", code)
 	}
 
-	code, body = do(t, s.handleExploreFinish, "POST", "/explore/finish?session="+session)
+	code, body = do(t, s.Handler(), "POST", "/explore/finish?session="+session)
 	if code != http.StatusOK {
 		t.Fatalf("finish status = %d: %v", code, body)
 	}
@@ -150,14 +171,14 @@ func TestExplorationFlow(t *testing.T) {
 		t.Errorf("finish body = %v", body)
 	}
 	// The session is gone afterwards.
-	if code, _ := do(t, s.handleExploreFinish, "POST", "/explore/finish?session="+session); code != http.StatusNotFound {
+	if code, _ := do(t, s.Handler(), "POST", "/explore/finish?session="+session); code != http.StatusNotFound {
 		t.Errorf("finished session still reachable: %d", code)
 	}
 }
 
 func TestHandleStats(t *testing.T) {
 	s := newTestServer(t)
-	code, body := do(t, s.handleStats, "GET", "/stats")
+	code, body := do(t, s.Handler(), "GET", "/stats")
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}
@@ -173,14 +194,14 @@ func TestHandleStats(t *testing.T) {
 func TestSearchRankingParams(t *testing.T) {
 	s := newTestServer(t)
 	q := url.QueryEscape(`SELECT * FROM inventory WHERE seq < 3`)
-	code, body := do(t, s.handleSearch, "GET", "/search?db=transactions&q="+q+"&topk=1")
+	code, body := do(t, s.Handler(), "GET", "/search?db=transactions&q="+q+"&topk=1")
 	if code != http.StatusOK {
 		t.Fatalf("status = %d: %v", code, body)
 	}
 	if aug, _ := body["augmented"].([]any); len(aug) != 1 {
 		t.Errorf("topk=1 returned %d augmented", len(body["augmented"].([]any)))
 	}
-	code, body = do(t, s.handleSearch, "GET", "/search?db=transactions&q="+q+"&minp=0.999999")
+	code, body = do(t, s.Handler(), "GET", "/search?db=transactions&q="+q+"&minp=0.999999")
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}
@@ -193,7 +214,7 @@ func TestSearchRankingParams(t *testing.T) {
 		"/search?db=transactions&q=" + q + "&topk=-1",
 		"/search?db=transactions&q=" + q + "&topk=x",
 	} {
-		if code, _ := do(t, s.handleSearch, "GET", target); code != http.StatusBadRequest {
+		if code, _ := do(t, s.Handler(), "GET", target); code != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", target, code)
 		}
 	}
@@ -233,7 +254,7 @@ func TestSearchParamValidation(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			code, body := do(t, s.handleSearch, "GET", base+tc.extra)
+			code, body := do(t, s.Handler(), "GET", base+tc.extra)
 			if code != tc.code {
 				t.Fatalf("status = %d, want %d (%v)", code, tc.code, body)
 			}
@@ -252,14 +273,14 @@ func TestHandleMetrics(t *testing.T) {
 	// miss (first) and hits (second), and the strategy histogram is non-empty.
 	q := url.QueryEscape(`SELECT * FROM inventory WHERE seq < 2`)
 	for i := 0; i < 2; i++ {
-		if code, body := do(t, s.handleSearch, "GET", "/search?db=transactions&q="+q+"&level=1"); code != http.StatusOK {
+		if code, body := do(t, s.Handler(), "GET", "/search?db=transactions&q="+q+"&level=1"); code != http.StatusOK {
 			t.Fatalf("search status = %d: %v", code, body)
 		}
 	}
 
 	req := httptest.NewRequest("GET", "/metrics", nil)
 	rec := httptest.NewRecorder()
-	s.handleMetrics(rec, req)
+	s.Handler().ServeHTTP(rec, req)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
@@ -269,8 +290,8 @@ func TestHandleMetrics(t *testing.T) {
 	out := rec.Body.String()
 	for _, want := range []string{
 		"# TYPE quepa_augment_duration_seconds histogram",
-		`quepa_augment_duration_seconds_bucket{strategy="BATCH",le="+Inf"}`,
-		`quepa_augment_duration_seconds_count{strategy="BATCH"}`,
+		`quepa_augment_duration_seconds_bucket{strategy="OUTER-BATCH",le="+Inf"}`,
+		`quepa_augment_duration_seconds_count{strategy="OUTER-BATCH"}`,
 		"# TYPE quepa_cache_hits_total counter",
 		"quepa_cache_hits_total",
 		"quepa_cache_misses_total",
@@ -282,7 +303,7 @@ func TestHandleMetrics(t *testing.T) {
 		}
 	}
 	// The cache saw traffic: hits + misses > 0 must be visible in the text.
-	if hits, _ := s.aug.Cache().Stats(); hits == 0 {
+	if hits, _ := stats(t, s)["cache_hits"].(float64); hits == 0 {
 		t.Error("expected cache hits after repeated search")
 	}
 }
@@ -291,7 +312,7 @@ func TestHandleTraces(t *testing.T) {
 	s := newTestServer(t)
 	// Everything below the slow threshold: the endpoint must still answer
 	// with a well-formed envelope.
-	code, body := do(t, s.handleTraces, "GET", "/debug/traces")
+	code, body := do(t, s.Handler(), "GET", "/debug/traces")
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}
@@ -306,11 +327,11 @@ func TestStatsTelemetry(t *testing.T) {
 	s := newTestServer(t)
 	q := url.QueryEscape(`SELECT * FROM inventory WHERE seq < 2`)
 	for i := 0; i < 2; i++ {
-		if code, _ := do(t, s.handleSearch, "GET", "/search?db=transactions&q="+q+"&level=1"); code != http.StatusOK {
+		if code, _ := do(t, s.Handler(), "GET", "/search?db=transactions&q="+q+"&level=1"); code != http.StatusOK {
 			t.Fatalf("search failed")
 		}
 	}
-	code, body := do(t, s.handleStats, "GET", "/stats")
+	code, body := do(t, s.Handler(), "GET", "/stats")
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}
@@ -326,15 +347,15 @@ func TestStatsTelemetry(t *testing.T) {
 	if !ok {
 		t.Fatalf("telemetry missing strategies: %v", tel)
 	}
-	batch, ok := strategies["BATCH"].(map[string]any)
+	batch, ok := strategies["OUTER-BATCH"].(map[string]any)
 	if !ok {
-		t.Fatalf("strategies missing BATCH: %v", strategies)
+		t.Fatalf("strategies missing OUTER-BATCH: %v", strategies)
 	}
 	if n, _ := batch["count"].(float64); n < 2 {
-		t.Errorf("BATCH count = %v, want >= 2", batch["count"])
+		t.Errorf("OUTER-BATCH count = %v, want >= 2", batch["count"])
 	}
 	if _, ok := batch["p50_ms"]; !ok {
-		t.Errorf("BATCH snapshot missing p50_ms: %v", batch)
+		t.Errorf("OUTER-BATCH snapshot missing p50_ms: %v", batch)
 	}
 	for _, key := range []string{"slow_queries_seen", "slow_queries_kept"} {
 		if _, ok := tel[key]; !ok {
@@ -347,7 +368,7 @@ func TestStatsTelemetry(t *testing.T) {
 // (status capture, request counter, root span) runs over a real request.
 func TestRoutesInstrumented(t *testing.T) {
 	s := newTestServer(t)
-	mux := s.routes()
+	mux := s.Handler()
 
 	rec := httptest.NewRecorder()
 	mux.ServeHTTP(rec, httptest.NewRequest("GET", "/databases", nil))
@@ -379,21 +400,20 @@ func TestRoutesInstrumented(t *testing.T) {
 }
 
 // TestRoutesConcurrent serves good and bad searches from several goroutines
-// at once — the per-route counter table fills on first sight of a status and
-// the optimizer's ring log wraps, both under contention — and checks no
-// request went uncounted. Meant for -race.
+// at once — the per-route counter table fills on first sight of a status,
+// and the optimizer logs every run and retrains once, all under contention —
+// and checks no request went uncounted. Meant for -race.
 func TestRoutesConcurrent(t *testing.T) {
 	s := newTestServer(t)
-	s.opt.MaxLogs = 16
-	s.opt.RetrainEvery = 8
-	mux := s.routes()
+	mux := s.Handler()
+	// Two origins: never an outcome-cache hit, so every answer is logged.
 	good := "/search?db=transactions&level=1&q=" + url.QueryEscape("SELECT * FROM inventory WHERE seq < 2")
 	count := func(code string) uint64 {
 		return telemetry.Default().CounterValue("quepa_http_requests_total",
 			telemetry.L("route", "/search"), telemetry.L("code", code))
 	}
 	ok0, bad0 := count("200"), count("400")
-	const workers, each = 8, 25
+	const workers, each = 8, 40 // 320 logged runs: one retrain at 256
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -417,33 +437,8 @@ func TestRoutesConcurrent(t *testing.T) {
 	if got := count("400") - bad0; got != workers*each {
 		t.Errorf("counted %d 400s, served %d", got, workers*each)
 	}
-	if n := s.opt.LogCount(); n != 16 {
-		t.Errorf("ring holds %d runs after %d searches, want 16", n, workers*each)
-	}
-}
-
-// TestLastSeenBounded: the per-signature feature memory must not grow past
-// maxLastSeen under high-cardinality query traffic; the oldest (first-seen)
-// signatures are evicted, updates to known signatures don't consume slots.
-func TestLastSeenBounded(t *testing.T) {
-	s := newTestServer(t)
-	s.opt.RetrainEvery = 1 << 30 // keep observe() cheap for this loop
-	answer := &augment.Answer{}
-	for i := 0; i < maxLastSeen+10; i++ {
-		s.observe("transactions", "SELECT "+strconv.Itoa(i), 0, answer, 0)
-	}
-	// Re-observing a known signature must not evict anything further.
-	s.observe("transactions", "SELECT "+strconv.Itoa(maxLastSeen), 0, answer, 0)
-
-	s.optMu.Lock()
-	defer s.optMu.Unlock()
-	if len(s.lastSeen) != maxLastSeen || len(s.lastSeenOrder) != maxLastSeen {
-		t.Fatalf("lastSeen size = %d (order %d), want %d", len(s.lastSeen), len(s.lastSeenOrder), maxLastSeen)
-	}
-	if _, ok := s.lastSeen[queryKey{"transactions", "SELECT 0", 0}]; ok {
-		t.Error("oldest signature survived past the bound")
-	}
-	if _, ok := s.lastSeen[queryKey{"transactions", "SELECT " + strconv.Itoa(maxLastSeen), 0}]; !ok {
-		t.Error("newest signature missing")
+	opt := stats(t, s)["optimizer"].(map[string]any)
+	if opt["runs"] != float64(workers*each) || opt["trained"] != true {
+		t.Errorf("optimizer after %d searches = %v, want every run logged and a retrain", workers*each, opt)
 	}
 }

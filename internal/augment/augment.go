@@ -162,6 +162,9 @@ type Answer struct {
 	Original  []core.Object
 	Augmented []AugmentedObject
 	Degraded  []Degradation
+	// Memoized reports an augmentation served whole from the result cache's
+	// outcome entry: no strategy ran, so its time says nothing about one.
+	Memoized bool
 }
 
 // Size returns the total number of data objects in the answer.
@@ -216,10 +219,11 @@ type Augmenter struct {
 	// misses don't stampede the stores while the A' index catches up.
 	neg *coalesce.NegativeCache
 
-	// cfgMu guards cfg: the adaptive optimizer swaps configurations via
-	// SetConfig while request goroutines are inside Search/AugmentObjects.
+	// cfgMu guards cfg, the configuration Search and AugmentObjects run:
+	// SetConfig may swap it while request goroutines are inside them.
 	// Readers snapshot the whole Config once (Config()) and work off the
-	// copy, so a query runs one coherent configuration end to end.
+	// copy, so a query runs one coherent configuration end to end. SearchWith
+	// bypasses it with a configuration chosen per query.
 	cfgMu sync.RWMutex
 	cfg   Config
 
@@ -312,8 +316,16 @@ func (a *Augmenter) ClearCache() { a.cache.Clear() }
 // Search executes a query in augmented mode (Definition 3): the query is
 // validated (and possibly rewritten to expose identifiers), executed against
 // its database with the local language, and its result is augmented at the
-// given level.
+// given level under the augmenter's current configuration.
 func (a *Augmenter) Search(ctx context.Context, database, query string, level int) (*Answer, error) {
+	return a.SearchWith(ctx, a.Config(), database, query, level)
+}
+
+// SearchWith is Search under a configuration chosen for this one query — the
+// adaptive optimizer's decision travels with its request instead of through
+// the shared configuration. cfg.CacheSize is not applied: the object cache is
+// shared, and resizing it is the caller's business.
+func (a *Augmenter) SearchWith(ctx context.Context, cfg Config, database, query string, level int) (*Answer, error) {
 	ctx, span := telemetry.StartSpan(ctx, "augment.search")
 	defer span.End()
 	span.SetAttr("db", database)
@@ -342,11 +354,11 @@ func (a *Augmenter) Search(ctx context.Context, database, query string, level in
 		return nil, err
 	}
 	qspan.SetAttr("objects", itoa(len(original)))
-	augmented, degraded, err := a.AugmentObjects(ctx, original, level)
+	augmented, degraded, memoized, err := a.augment(ctx, cfg.withDefaults(), original, level)
 	if err != nil {
 		return nil, err
 	}
-	return &Answer{Original: original, Augmented: augmented, Degraded: degraded}, nil
+	return &Answer{Original: original, Augmented: augmented, Degraded: degraded, Memoized: memoized}, nil
 }
 
 // AugmentObjects applies the augmentation construct of level n to a set of
@@ -360,10 +372,17 @@ func (a *Augmenter) Search(ctx context.Context, database, query string, level in
 // Degradation list while the healthy stores' results come back intact. Only
 // context cancellation and deadline expiry abort the whole call.
 func (a *Augmenter) AugmentObjects(ctx context.Context, origins []core.Object, level int) ([]AugmentedObject, []Degradation, error) {
+	out, degraded, _, err := a.augment(ctx, a.Config(), origins, level)
+	return out, degraded, err
+}
+
+// augment is AugmentObjects under cfg, one coherent configuration for the
+// whole augmentation. memoized reports an outcome served whole from the
+// result cache, which no strategy ran.
+func (a *Augmenter) augment(ctx context.Context, cfg Config, origins []core.Object, level int) (out []AugmentedObject, degraded []Degradation, memoized bool, err error) {
 	if level < 0 {
-		return nil, nil, fmt.Errorf("augment: negative level %d", level)
+		return nil, nil, false, fmt.Errorf("augment: negative level %d", level)
 	}
-	cfg := a.Config() // one coherent snapshot for the whole augmentation
 	strategy := cfg.Strategy
 	ctx, span := telemetry.StartSpan(ctx, "augment.objects")
 	defer span.End()
@@ -394,7 +413,7 @@ func (a *Augmenter) AugmentObjects(ctx context.Context, origins []core.Object, l
 			if rec != nil {
 				rec.EndAugmentation(len(out), time.Since(recStart), nil)
 			}
-			return out, nil, nil
+			return out, nil, true, nil
 		}
 		memoize = true
 	}
@@ -413,9 +432,8 @@ func (a *Augmenter) AugmentObjects(ctx context.Context, origins []core.Object, l
 		if rec != nil {
 			rec.EndAugmentation(0, time.Since(recStart), nil)
 		}
-		return nil, sink.degradations(), nil
+		return nil, sink.degradations(), false, nil
 	}
-	var err error
 	switch cfg.Strategy {
 	case Sequential:
 		err = a.runSequential(ctx, cfg, plan, sink)
@@ -440,9 +458,9 @@ func (a *Augmenter) AugmentObjects(ctx context.Context, origins []core.Object, l
 		if rec != nil {
 			rec.EndAugmentation(0, time.Since(recStart), err)
 		}
-		return nil, nil, err
+		return nil, nil, false, err
 	}
-	out := plan.answer(sink)
+	out = plan.answer(sink)
 	// Only clean outcomes are cacheable: a degraded answer reflects a
 	// transient store failure and must not outlive it.
 	if memoize && sink.nDegraded.Load() == 0 {
@@ -451,7 +469,7 @@ func (a *Augmenter) AugmentObjects(ctx context.Context, origins []core.Object, l
 	if rec != nil {
 		rec.EndAugmentation(len(out), time.Since(recStart), nil)
 	}
-	return out, sink.degradations(), nil
+	return out, sink.degradations(), false, nil
 }
 
 // plan is the resolved fetch work of one augmentation: the unique global

@@ -10,9 +10,9 @@ import (
 
 // This file contains the six execution strategies of Section IV. They all
 // consume a plan (the deduplicated fetch work) and fill a sink; they differ
-// only in scheduling. Each runner receives the Config snapshot taken at
-// AugmentObjects entry rather than reading a.cfg, so a concurrent SetConfig
-// from the optimizer cannot change parameters mid-run:
+// only in scheduling. Each runner receives the Config the augmentation runs
+// with rather than reading a.cfg, so a concurrent SetConfig cannot change
+// parameters mid-run:
 //
 //	SEQUENTIAL   one direct-access query per key, in order (Fig. 6(a))
 //	BATCH        keys grouped per store, flushed at BATCH_SIZE (Fig. 6(b))

@@ -52,13 +52,8 @@ type Config struct {
 	// Self is this peer's shard ID.
 	Self int
 	// Node is the local shard service, consulted directly (no wire hop) for
-	// self-owned work unless LoopbackSelf is set.
+	// self-owned work.
 	Node *Node
-	// LoopbackSelf routes self-owned work through the wire client too, so
-	// every shard pays the same simulated network cost — the node-count
-	// scaling benchmarks and the netsim chaos suite set it; production
-	// deployments leave it false.
-	LoopbackSelf bool
 	// Breaker configures the per-peer circuit breakers.
 	Breaker resilience.BreakerConfig
 	// Client configures the pooled wire client dialed to each peer.
@@ -82,7 +77,6 @@ type Coordinator struct {
 
 	self     int
 	node     *Node
-	loopback bool
 	breakers *resilience.Set
 	ccfg     wire.ClientConfig
 	rc       *rcache.Cache
@@ -104,15 +98,14 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if cfg.Self < 0 || cfg.Self >= cfg.Ring.Peers() {
 		return nil, fmt.Errorf("cluster: shard id %d outside ring of %d peers", cfg.Self, cfg.Ring.Peers())
 	}
-	if cfg.Node == nil && !cfg.LoopbackSelf {
-		return nil, errors.New("cluster: coordinator needs a local node (or LoopbackSelf)")
+	if cfg.Node == nil {
+		return nil, errors.New("cluster: coordinator needs a local node")
 	}
 	return &Coordinator{
 		ring:     cfg.Ring,
 		peers:    append([]string(nil), cfg.Peers...),
 		self:     cfg.Self,
 		node:     cfg.Node,
-		loopback: cfg.LoopbackSelf,
 		breakers: resilience.NewSet(cfg.Breaker),
 		ccfg:     cfg.Client,
 		rc:       cfg.Rcache,
@@ -302,7 +295,7 @@ type scatterResult struct {
 }
 
 // expandLeg runs one scatter leg: the local node directly for self-owned
-// legs (unless loopback is forced), the peer's wire client — guarded by its
+// legs, the peer's wire client — guarded by its
 // breaker — otherwise. Each remote leg runs under a cluster.scatter span
 // tagged with the shard, continuing the caller's trace over the wire.
 func (c *Coordinator) expandLeg(ctx context.Context, peers []string, l *leg) (res scatterResult) {
@@ -313,7 +306,7 @@ func (c *Coordinator) expandLeg(ctx context.Context, peers []string, l *leg) (re
 		start = time.Now()
 		defer func() { res.wall = time.Since(start) }()
 	}
-	if l.shard == c.self && !c.loopback {
+	if l.shard == c.self {
 		res.hits, res.segs, res.info, res.err = c.node.ExpandFrontier(ctx, l.keys, l.probs, l.wireSegs())
 		return res
 	}

@@ -55,7 +55,7 @@ func (r *RoutedStore) KeyField(ctx context.Context, collection string) (string, 
 func (r *RoutedStore) Get(ctx context.Context, collection, key string) (core.Object, error) {
 	ring, _ := r.coord.topo()
 	owner := ring.Owner(core.NewGlobalKey(r.database, collection, key))
-	if owner == r.coord.self && !r.coord.loopback {
+	if owner == r.coord.self {
 		return r.local.Get(ctx, collection, key)
 	}
 	return r.coord.PeerGet(ctx, owner, r.database, collection, key)
@@ -114,7 +114,7 @@ func (r *RoutedStore) GetBatch(ctx context.Context, collection string, keys []st
 }
 
 func (r *RoutedStore) fetchShard(ctx context.Context, shard int, collection string, keys []string) ([]core.Object, error) {
-	if shard == r.coord.self && !r.coord.loopback {
+	if shard == r.coord.self {
 		return r.local.GetBatch(ctx, collection, keys)
 	}
 	return r.coord.PeerGetBatch(ctx, shard, r.database, collection, keys)

@@ -20,6 +20,8 @@ func TestPRelationValidate(t *testing.T) {
 		{"zero probability", NewIdentity(a, b, 0), true},
 		{"negative probability", NewIdentity(a, b, -0.1), true},
 		{"probability above one", NewIdentity(a, b, 1.01), true},
+		{"NaN probability", NewIdentity(a, b, math.NaN()), true},
+		{"infinite probability", NewMatching(a, b, math.Inf(1)), true},
 		{"self relation", NewIdentity(a, a, 0.9), true},
 		{"invalid endpoint", NewIdentity(GlobalKey{}, b, 0.9), true},
 		{"unknown type", PRelation{From: a, To: b, Type: RelType(7), Prob: 0.5}, true},

@@ -1,4 +1,4 @@
-package main
+package server
 
 import (
 	"bufio"
@@ -12,28 +12,14 @@ import (
 	"time"
 
 	"quepa/internal/augment"
-	"quepa/internal/explain"
 	"quepa/internal/optimizer"
-	"quepa/internal/resilience"
-	"quepa/internal/workload"
 )
 
-// decisionServer is a fresh server at main's base configuration with the
-// result cache off, so every search runs a strategy and is logged.
-func decisionServer(t *testing.T) *server {
+// decisionServer is a fresh server with the result cache off, so every
+// search runs a strategy and is logged.
+func decisionServer(t *testing.T) *Server {
 	t.Helper()
-	spec := workload.DefaultSpec()
-	spec.Artists = 10
-	spec.AlbumsPerArtist = 2
-	built, err := workload.Build(spec, workload.Colocated())
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := newServer(built, augment.Config{Strategy: augment.OuterBatch, BatchSize: 64, ThreadsSize: 8, CacheSize: 4096},
-		explain.DefaultBufferCapacity, 0, resilience.BreakerConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustNew(t, Config{Workload: smallWorkload(t)})
 	s.rcache.Resize(0)
 	return s
 }
@@ -59,9 +45,9 @@ func runLogs(t *testing.T, opt *optimizer.Adaptive) []map[string]any {
 
 // explained runs one /search?explain=1 and returns the optimizer's chosen
 // config and the strategy the first augmentation ran.
-func explained(t *testing.T, s *server, query string, level int) (chosen map[string]any, ran string) {
+func explained(t *testing.T, s *Server, query string, level int) (chosen map[string]any, ran string) {
 	t.Helper()
-	code, body := do(t, s.handleSearch, "GET",
+	code, body := do(t, s, "GET",
 		"/search?explain=1&db=transactions&level="+strconv.Itoa(level)+"&q="+url.QueryEscape(query))
 	if code != http.StatusOK {
 		t.Errorf("level %d search = %d %v", level, code, body)

@@ -1,4 +1,4 @@
-package main
+package server
 
 import (
 	"encoding/json"
@@ -22,8 +22,9 @@ import (
 // answer held in a map[string]any: top-level and "fields" keys sorted,
 // two-space indent, HTML-escaped strings, ES6-style floats, trailing newline.
 // Clients and the ledger's failure detector (benchmark/load.go scans for a
-// depth-1 "degraded" key) read that layout, so it is a contract; the
-// differential and fuzz tests in encode_test.go pin it against encoding/json.
+// depth-1 "degraded" key) read that layout, so it is a contract. The Append
+// functions are exported so the differential and fuzz tests beside the
+// quepa-server command pin each body against encoding/json.
 
 // bodyPool recycles response buffers; a warm encoder allocates nothing.
 var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
@@ -39,9 +40,9 @@ func sendBody(w http.ResponseWriter, buf *[]byte, body []byte) {
 	bodyPool.Put(buf)
 }
 
-// appendSearch encodes a /search answer. profile is nil unless the client
+// AppendSearch encodes a /search answer. profile is nil unless the client
 // asked for explain=1.
-func appendSearch(b []byte, original []core.Object, ranked []augment.AugmentedObject,
+func AppendSearch(b []byte, original []core.Object, ranked []augment.AugmentedObject,
 	degraded []augment.Degradation, profile *explain.Profile) ([]byte, error) {
 	b = append(b, "{\n  \"augmented\": "...)
 	b = appendAugmented(b, ranked)
@@ -55,8 +56,8 @@ func appendSearch(b []byte, original []core.Object, ranked []augment.AugmentedOb
 	return append(b, "\n}\n"...), nil
 }
 
-// appendStep encodes an /explore/step answer.
-func appendStep(b []byte, links []augment.AugmentedObject,
+// AppendStep encodes an /explore/step answer.
+func AppendStep(b []byte, links []augment.AugmentedObject,
 	degraded []augment.Degradation, profile *explain.Profile) ([]byte, error) {
 	b = append(b, '{')
 	b, err := appendSections(b, degraded, profile)
@@ -68,8 +69,8 @@ func appendStep(b []byte, links []augment.AugmentedObject,
 	return append(b, "\n}\n"...), nil
 }
 
-// appendExploreStart encodes the /explore answer.
-func appendExploreStart(b []byte, session string, objects []core.Object) []byte {
+// AppendExploreStart encodes the /explore answer.
+func AppendExploreStart(b []byte, session string, objects []core.Object) []byte {
 	b = append(b, "{\n  \"objects\": "...)
 	b = appendObjects(b, objects)
 	b = append(b, ",\n  \"session\": \""...)
@@ -77,8 +78,8 @@ func appendExploreStart(b []byte, session string, objects []core.Object) []byte 
 	return append(b, "\"\n}\n"...)
 }
 
-// appendExploreFinish encodes the /explore/finish answer.
-func appendExploreFinish(b []byte, promoted bool, path []core.GlobalKey) []byte {
+// AppendExploreFinish encodes the /explore/finish answer.
+func AppendExploreFinish(b []byte, promoted bool, path []core.GlobalKey) []byte {
 	b = append(b, "{\n  \"path\": "...)
 	b = appendArray(b, len(path), func(b []byte, i int) []byte { return appendKey(b, path[i]) })
 	b = append(b, ",\n  \"promoted\": "...)
@@ -86,10 +87,10 @@ func appendExploreFinish(b []byte, promoted bool, path []core.GlobalKey) []byte 
 	return append(b, "\n}\n"...)
 }
 
-// appendObjectLinks encodes the /object answer: the object and its
+// AppendObjectLinks encodes the /object answer: the object and its
 // p-relations. An object without neighbours has "links": null, as the nil
 // slice of the old encoder did.
-func appendObjectLinks(b []byte, obj core.Object, rels []core.PRelation) []byte {
+func AppendObjectLinks(b []byte, obj core.Object, rels []core.PRelation) []byte {
 	b = append(b, "{\n  \"links\": "...)
 	if len(rels) == 0 {
 		b = append(b, "null"...)

@@ -1,4 +1,4 @@
-package main
+package server
 
 import (
 	"net/http"
@@ -10,37 +10,27 @@ import (
 	"quepa/internal/telemetry"
 )
 
-// TestSLOFastBurnHealthzAndProfiles drives the full alerting path the server
-// wires in main: a route burns its error budget fast, /healthz flips to 503
-// naming the route, /stats grows the slo section, and the engine's one-shot
-// trip hook drops goroutine+heap pprof snapshots into the data dir. The
-// engine is driven with explicit Sample timestamps, so the test is
+// TestSLOFastBurnHealthzAndProfiles drives the full alerting path New
+// wires: a route burns its error budget fast, /healthz flips to 503 naming
+// the route, /stats grows the slo section, and the engine's one-shot trip
+// hook drops goroutine+heap pprof snapshots into the data dir. The engine is
+// driven with explicit Sample timestamps (its own sampler ticks every
+// slo.DefaultInterval, long after the test is done), so the test is
 // deterministic and never sleeps.
 func TestSLOFastBurnHealthzAndProfiles(t *testing.T) {
 	prev := telemetry.SetEnabled(true)
 	defer telemetry.SetEnabled(prev)
 
-	s := newTestServer(t)
 	dir := t.TempDir()
-	reg := telemetry.NewRegistry()
-	engine, err := slo.New(slo.Config{
-		Objectives:  []slo.Objective{{Route: "/search", Latency: 25 * time.Millisecond, Target: 0.99}},
-		ShortWindow: 5 * time.Second,
-		LongWindow:  60 * time.Second,
-		Registry:    reg,
-		OnFastBurn:  captureFastBurnProfiles(dir),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.installSLO(engine)
+	s := mustNew(t, Config{Workload: smallWorkload(t), DataDir: dir, SLOSearchP99: 25 * time.Millisecond, SLOTarget: 0.99})
+	engine := s.slo
 
 	// Healthy before any traffic: /healthz is 200 and /stats lists the
 	// objective with no burn.
-	if code, body := do(t, s.handleHealthz, "GET", "/healthz"); code != http.StatusOK {
+	if code, body := do(t, s, "GET", "/healthz"); code != http.StatusOK {
 		t.Fatalf("healthy /healthz = %d %v", code, body)
 	}
-	_, stats := do(t, s.handleStats, "GET", "/stats")
+	_, stats := do(t, s, "GET", "/stats")
 	sloSec, ok := stats["slo"].(map[string]any)
 	if !ok {
 		t.Fatalf("/stats has no slo section: %v", stats["slo"])
@@ -51,7 +41,7 @@ func TestSLOFastBurnHealthzAndProfiles(t *testing.T) {
 
 	// Every request blows the 25ms objective: burn = 1/budget = 100 in both
 	// windows, far over the default threshold of 14.
-	hist := reg.Histogram(slo.RequestHistogram, "latency of HTTP requests by route",
+	hist := telemetry.Default().Histogram(slo.RequestHistogram, "latency of HTTP requests by route",
 		nil, telemetry.L("route", "/search"))
 	t0 := time.Now()
 	engine.Sample(t0)
@@ -63,7 +53,7 @@ func TestSLOFastBurnHealthzAndProfiles(t *testing.T) {
 	if !engine.Tripped() {
 		t.Fatal("engine did not trip on all-bad traffic")
 	}
-	code, body := do(t, s.handleHealthz, "GET", "/healthz")
+	code, body := do(t, s, "GET", "/healthz")
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("/healthz during fast burn = %d %v", code, body)
 	}
@@ -76,7 +66,7 @@ func TestSLOFastBurnHealthzAndProfiles(t *testing.T) {
 	}
 
 	// /stats reflects the burn on the same objective.
-	_, stats = do(t, s.handleStats, "GET", "/stats")
+	_, stats = do(t, s, "GET", "/stats")
 	objectives, _ := stats["slo"].(map[string]any)["objectives"].([]any)
 	if len(objectives) != 1 {
 		t.Fatalf("slo objectives = %v, want one", objectives)
