@@ -33,6 +33,7 @@ import (
 	"quepa/internal/augment"
 	"quepa/internal/core"
 	"quepa/internal/explain"
+	"quepa/internal/telemetry"
 	"quepa/internal/workload"
 )
 
@@ -121,9 +122,9 @@ func (sh *shell) execute(line string) {
 		}
 		db := fields[1]
 		query := strings.TrimSpace(strings.TrimPrefix(strings.TrimPrefix(line, "q"), " "+db))
-		ctx, rec := explain.WithRecorder(ctx, "explore")
+		ctx, root := telemetry.StartSpan(ctx, "explore")
 		sess, starts, err := sh.aug.Explore(ctx, db, query, sh.tracker)
-		sh.lastProfile = rec.Finish(len(starts))
+		sh.lastProfile = profile(root, len(starts))
 		if err != nil {
 			fmt.Fprintf(sh.out, "error: %v\n", err)
 			return
@@ -150,14 +151,14 @@ func (sh *shell) execute(line string) {
 			return
 		}
 		query := strings.Join(fields[3:], " ")
-		ctx, rec := explain.WithRecorder(ctx, "search")
+		ctx, root := telemetry.StartSpan(ctx, "search")
 		answer, err := sh.aug.Search(ctx, fields[1], query, level)
 		if err != nil {
-			sh.lastProfile = rec.Finish(0)
+			sh.lastProfile = profile(root, 0)
 			fmt.Fprintf(sh.out, "error: %v\n", err)
 			return
 		}
-		sh.lastProfile = rec.Finish(len(answer.Original) + len(answer.Augmented))
+		sh.lastProfile = profile(root, len(answer.Original)+len(answer.Augmented))
 		fmt.Fprintf(sh.out, "  %d local, %d augmented\n", len(answer.Original), len(answer.Augmented))
 		for i, ao := range answer.Augmented {
 			if i == 10 {
@@ -222,9 +223,9 @@ func (sh *shell) follow(ctx context.Context, n int) {
 		}
 		target = sh.links[n].Object.GK
 	}
-	ctx, rec := explain.WithRecorder(ctx, "step")
+	ctx, root := telemetry.StartSpan(ctx, "step")
 	links, err := sh.session.Step(ctx, target)
-	sh.lastProfile = rec.Finish(len(links))
+	sh.lastProfile = profile(root, len(links))
 	if err != nil {
 		fmt.Fprintf(sh.out, "error: %v\n", err)
 		return
@@ -241,4 +242,12 @@ func (sh *shell) follow(ctx context.Context, n int) {
 		}
 		fmt.Fprintf(sh.out, "  [%d] p=%.2f %s\n", i, l.Prob, l.Object)
 	}
+}
+
+// profile closes a command's root span and derives its EXPLAIN profile from
+// the span tree (nil with telemetry off).
+func profile(root *telemetry.Span, objects int) *explain.Profile {
+	defer root.End()
+	root.SetAttr("objects", strconv.Itoa(objects))
+	return explain.FromSpan(root)
 }

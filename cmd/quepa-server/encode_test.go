@@ -17,6 +17,7 @@ import (
 	"quepa/internal/optimizer"
 	"quepa/internal/resilience"
 	"quepa/internal/server"
+	"quepa/internal/telemetry"
 	"quepa/internal/workload"
 )
 
@@ -274,17 +275,18 @@ func TestEncodeSectionsMatchReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, rec := explain.WithRecorder(context.Background(), "/search")
-	_, dec := optimizer.NewAdaptive().ChooseExplained(optimizer.QueryFeatures{Level: 1, NumStores: built.Poly.Size()}, 4096)
-	rec.SetOptimizer(dec)
+	ctx, root := telemetry.StartSpan(context.Background(), "http /search")
 	answer, err := ref.Search(ctx, "transactions", query, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	profile := rec.Finish(answer.Size())
+	profile := explain.FromSpan(root)
+	root.End()
 	if profile == nil || len(profile.Augmentations) == 0 {
 		t.Fatalf("no profile recorded: %+v", profile)
 	}
+	_, dec := optimizer.NewAdaptive().ChooseExplained(optimizer.QueryFeatures{Level: 1, NumStores: built.Poly.Size()}, 4096)
+	profile.Optimizer = &dec
 	degraded := []augment.Degradation{
 		{Store: "catalogue", Reason: "breaker_open", Level: 1},
 		{Store: "similar-<items>", Reason: `dial tcp: "refused" & gone`, Level: 0},

@@ -1,12 +1,15 @@
 package main
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"strings"
 	"testing"
+	"time"
 
+	"quepa/internal/netsim"
 	"quepa/internal/server"
 	"quepa/internal/telemetry"
 )
@@ -15,9 +18,11 @@ const searchQuery = `SELECT * FROM inventory WHERE seq < 2`
 
 // TestSearchExplainProfile checks the full EXPLAIN artifact on a /search
 // response: identity, optimizer provenance (untrained fallback on a fresh
-// server), the augmentation trace, and the totals.
+// server), the augmentation trace, and the totals — and that /debug/explain
+// derives the same profile, less the optimizer section, from the kept trace.
 func TestSearchExplainProfile(t *testing.T) {
 	s := newTestServer(t)
+	withKeepEverythingTracer(t)
 	reg := telemetry.Default()
 	before := reg.CounterValue("quepa_optimizer_fallback_total", telemetry.L("reason", "untrained"))
 
@@ -76,15 +81,40 @@ func TestSearchExplainProfile(t *testing.T) {
 		t.Errorf("totals = %v", totals)
 	}
 
-	// The profile also landed in the /debug/explain ring.
+	// The kept trace of the same request derives the same profile in
+	// /debug/explain, except for the decision, which is not in the tree.
 	code, dbg := do(t, s.Handler(), "GET", "/debug/explain")
 	if code != http.StatusOK {
 		t.Fatalf("debug status = %d", code)
 	}
 	profiles, _ := dbg["profiles"].([]any)
-	if len(profiles) != 1 || dbg["seen"].(float64) != 1 {
-		t.Errorf("/debug/explain = %v", dbg)
+	if len(profiles) != 1 {
+		t.Fatalf("/debug/explain = %v", dbg)
 	}
+	if sampling, _ := dbg["sampling"].(map[string]any); sampling["kept"].(float64) < 1 {
+		t.Errorf("sampling = %v", dbg["sampling"])
+	}
+	kept := profiles[0].(map[string]any)
+	if _, ok := kept["optimizer"]; ok {
+		t.Errorf("a profile derived from a kept trace has an optimizer section: %v", kept["optimizer"])
+	}
+	// The response's wall time ran to the moment it was derived; the kept
+	// root's runs to its end. Every span below had ended in both.
+	delete(p, "optimizer")
+	delete(p, "wall_ms")
+	delete(kept, "wall_ms")
+	if got, want := mustJSON(t, kept), mustJSON(t, p); got != want {
+		t.Errorf("/debug/explain profile differs from the response's:\n got  %s\n want %s", got, want)
+	}
+}
+
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // TestExplainTrainedDecision drives enough traffic through the server for
@@ -190,6 +220,7 @@ func TestExploreStepExplain(t *testing.T) {
 
 func TestDebugExplainRouteFilter(t *testing.T) {
 	s := newTestServer(t)
+	withKeepEverythingTracer(t)
 	q := url.QueryEscape(searchQuery)
 	for i := 0; i < 2; i++ {
 		if code, _ := do(t, s.Handler(), "GET", "/search?db=transactions&q="+q+"&explain=1"); code != http.StatusOK {
@@ -224,45 +255,64 @@ func TestDebugExplainRouteFilter(t *testing.T) {
 	}
 }
 
-// TestExplainSampling exercises -explain-sample: with K=2 every second
-// request is profiled into the ring even without explain=1.
+// TestExplainSampling: the tracer's keep policy samples what /debug/explain
+// profiles. With the probabilistic sample off and a slow threshold no search
+// reaches, a fast clean search leaves no profile, while a degraded one is
+// kept for its flag — and its profile never leaks into a response that did
+// not ask with explain=1.
 func TestExplainSampling(t *testing.T) {
-	s := mustNew(t, server.Config{Workload: smallWorkload(t), ExplainSample: 2})
-	q := url.QueryEscape(searchQuery)
-	for i := 0; i < 4; i++ {
-		code, body := do(t, s.Handler(), "GET", "/search?db=transactions&q="+q)
+	built := smallWorkload(t)
+	cat, err := built.Poly.Database("catalogue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	built.Poly.Deregister("catalogue")
+	// The catalogue fails only inside its down window: requests 2 onward.
+	if err := built.Poly.Register(netsim.NewChaos(cat, netsim.FaultPlan{Down: []netsim.Window{{From: 2}}}, nil)); err != nil {
+		t.Fatal(err)
+	}
+	s := mustNew(t, server.Config{Workload: built, Slow: time.Hour})
+	tracer := withKeepEverythingTracer(t)
+	tracer.SetSlowThreshold(time.Hour)
+
+	profiles := func() []any {
+		_, dbg := do(t, s.Handler(), "GET", "/debug/explain?route=/search")
+		p, _ := dbg["profiles"].([]any)
+		return p
+	}
+	for i, q := range []string{`SELECT * FROM inventory WHERE seq < 1`, `SELECT * FROM inventory WHERE seq < 2`} {
+		code, body := do(t, s.Handler(), "GET", "/search?db=transactions&level=1&q="+url.QueryEscape(q))
 		if code != http.StatusOK {
-			t.Fatalf("search failed")
+			t.Fatalf("search %d = %d %v", i, code, body)
 		}
 		if _, ok := body["explain"]; ok {
-			t.Error("sampled profile leaked into the response body")
+			t.Errorf("search %d: a profile leaked into a response without explain=1", i)
 		}
-	}
-	if _, dbg := do(t, s.Handler(), "GET", "/debug/explain"); dbg["seen"] != float64(2) {
-		t.Errorf("sampled profiles = %v, want 2 of 4", dbg["seen"])
+		_, degraded := body["degraded"]
+		if want := i == 1; degraded != want {
+			t.Fatalf("search %d degraded = %v, want %v (fixture broken)", i, degraded, want)
+		}
+		if got, want := len(profiles()), i; got != want {
+			t.Errorf("after search %d: %d profiles, want %d", i, got, want)
+		}
 	}
 }
 
-// TestExplainSamplingCountsExplainRequests: explicit explain=1 requests
-// advance the sampler too, so -explain-sample=K means every K-th request of
-// any kind — not every K-th non-explain request.
-func TestExplainSamplingCountsExplainRequests(t *testing.T) {
-	s := mustNew(t, server.Config{Workload: smallWorkload(t), ExplainSample: 2})
-	q := url.QueryEscape(searchQuery)
-	for i := 0; i < 4; i++ {
-		target := "/search?db=transactions&q=" + q
-		if i%2 == 1 {
-			target += "&explain=1"
-		}
-		if code, _ := do(t, s.Handler(), "GET", target); code != http.StatusOK {
-			t.Fatalf("search %d failed", i)
-		}
+// TestSearchExplainTelemetryOff: with the kill switch off there is no span
+// tree, so explain=1 returns no explain section and the request still works.
+func TestSearchExplainTelemetryOff(t *testing.T) {
+	s := newTestServer(t)
+	prev := telemetry.SetEnabled(false)
+	defer telemetry.SetEnabled(prev)
+	code, body := do(t, s.Handler(), "GET", "/search?db=transactions&level=1&explain=1&q="+url.QueryEscape(searchQuery))
+	if code != http.StatusOK {
+		t.Fatalf("status = %d: %v", code, body)
 	}
-	// Requests 2 and 4 are both explain=1 AND the sampled ones; the plain
-	// requests 1 and 3 fall between the sampling points. If explain requests
-	// skipped the counter, request 3 would be sampled and Seen would be 3.
-	if _, dbg := do(t, s.Handler(), "GET", "/debug/explain"); dbg["seen"] != float64(2) {
-		t.Errorf("profiles seen = %v, want 2 of 4", dbg["seen"])
+	if _, ok := body["explain"]; ok {
+		t.Errorf("explain section with telemetry off: %v", body["explain"])
+	}
+	if objs, _ := body["augmented"].([]any); len(objs) == 0 {
+		t.Errorf("answer lost with telemetry off: %v", body)
 	}
 }
 

@@ -87,7 +87,6 @@ func defineFlags(fs *flag.FlagSet, cfg *server.Config) (addr *string, version *b
 	fs.StringVar(&cfg.LogLevel, "log-level", "info", "minimum structured log level: debug, info, warn, error")
 	fs.DurationVar(&cfg.Slow, "slow", telemetry.DefaultSlowThreshold, "queries slower than this are kept in /debug/traces")
 	fs.StringVar(&cfg.TraceLog, "trace-log", "", "append kept traces as JSON lines to this file (rotated once at 16 MiB)")
-	fs.IntVar(&cfg.ExplainSample, "explain-sample", 0, "profile every K-th request even without explain=1 (0 disables)")
 	fs.DurationVar(&cfg.SLOSearchP99, "slo-search-p99", 0,
 		"latency objective for /search: -slo-target of requests must finish within this (0 disables)")
 	fs.DurationVar(&cfg.SLOStepP99, "slo-step-p99", 0, "latency objective for /explore/step (0 disables)")

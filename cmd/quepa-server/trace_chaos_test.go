@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"net/http"
 	"net/url"
 	"strings"
@@ -193,5 +194,59 @@ func TestChaosTraceContinuity(t *testing.T) {
 	}
 	if st.Kept < 2 {
 		t.Errorf("kept %d traces, want at least the two searches", st.Kept)
+	}
+}
+
+// TestChaosTraceNamesEveryDegradedStore: with two stores down, the kept
+// trace of one search names both on its augment.objects span, one
+// degraded.<store> attribute each, as /debug/traces serves it.
+func TestChaosTraceNamesEveryDegradedStore(t *testing.T) {
+	built := smallWorkload(t)
+	for _, name := range []string{"catalogue", "discount"} {
+		st, err := built.Poly.Database(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		built.Poly.Deregister(name)
+		if err := built.Poly.Register(netsim.NewChaos(st, netsim.FaultPlan{Down: []netsim.Window{{From: 1}}}, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := mustNew(t, server.Config{Workload: built})
+	withKeepEverythingTracer(t)
+
+	q := url.QueryEscape(`SELECT * FROM inventory WHERE seq < 2`)
+	if code, body := do(t, s.Handler(), "GET", "/search?db=transactions&level=1&q="+q); code != http.StatusOK {
+		t.Fatalf("search = %d %v", code, body)
+	}
+	code, body := do(t, s.Handler(), "GET", "/debug/traces?route=/search")
+	if code != http.StatusOK {
+		t.Fatalf("/debug/traces = %d", code)
+	}
+	traces, _ := body["traces"].([]any)
+	if len(traces) != 1 {
+		t.Fatalf("kept /search traces = %d, want 1", len(traces))
+	}
+	raw, err := json.Marshal(traces[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var root telemetry.SpanJSON
+	if err := json.Unmarshal(raw, &root); err != nil {
+		t.Fatal(err)
+	}
+	var aug *telemetry.SpanJSON
+	for _, sp := range collectSpans(root) {
+		if sp.Name == "augment.objects" {
+			aug = &sp
+		}
+	}
+	if aug == nil {
+		t.Fatalf("trace has no augment.objects span: %+v", root)
+	}
+	for _, name := range []string{"catalogue", "discount"} {
+		if aug.Attrs["degraded."+name] == "" {
+			t.Errorf("augment.objects attrs %v do not name degraded store %s", aug.Attrs, name)
+		}
 	}
 }

@@ -350,7 +350,7 @@ type Hit struct {
 
 // ReachStats summarizes the work of one reachability traversal: index nodes
 // expanded (frontier entries processed, including the start) and adjacency
-// edges scanned. The explain Recorder attributes them to the profiled query.
+// edges scanned. The augmenter reports them on its augment.objects span.
 type ReachStats struct {
 	Nodes int
 	Edges int
@@ -370,7 +370,7 @@ func (ix *Index) Reach(gk core.GlobalKey, level int) []Hit {
 }
 
 // ReachWithStats is Reach plus a count of the traversal work performed —
-// the augmenter uses it when a query is being profiled.
+// the augmenter's plan building uses it to report that work.
 func (ix *Index) ReachWithStats(gk core.GlobalKey, level int) ([]Hit, ReachStats) {
 	var stats ReachStats
 	hits := ix.reach(gk, level, &stats)

@@ -24,13 +24,11 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"quepa/internal/aindex"
 	"quepa/internal/cache"
 	"quepa/internal/coalesce"
 	"quepa/internal/core"
-	"quepa/internal/explain"
 	"quepa/internal/rcache"
 	"quepa/internal/resilience"
 	"quepa/internal/telemetry"
@@ -329,9 +327,8 @@ func (a *Augmenter) SearchWith(ctx context.Context, cfg Config, database, query 
 	ctx, span := telemetry.StartSpan(ctx, "augment.search")
 	defer span.End()
 	span.SetAttr("db", database)
+	span.SetAttr("q", query)
 	span.SetAttr("level", itoa(level))
-	rec := explain.FromContext(ctx)
-	rec.SetQuery(database, query, level)
 	store, err := a.poly.Database(database)
 	if err != nil {
 		return nil, err
@@ -341,19 +338,15 @@ func (a *Augmenter) SearchWith(ctx context.Context, cfg Config, database, query 
 		return nil, err
 	}
 	qctx, qspan := telemetry.StartSpan(ctx, "store.query")
-	var qstart time.Time
-	if rec != nil {
-		qstart = time.Now()
-	}
 	original, err := store.Query(qctx, v.Query)
-	qspan.End()
-	if rec != nil {
-		rec.LocalQuery(database, len(original), time.Since(qstart), err != nil)
-	}
 	if err != nil {
+		qspan.Mark(telemetry.FlagError)
+		qspan.SetAttr("error", err.Error())
+		qspan.End()
 		return nil, err
 	}
 	qspan.SetAttr("objects", itoa(len(original)))
+	qspan.End()
 	augmented, degraded, memoized, err := a.augment(ctx, cfg.withDefaults(), original, level)
 	if err != nil {
 		return nil, err
@@ -387,12 +380,8 @@ func (a *Augmenter) augment(ctx context.Context, cfg Config, origins []core.Obje
 	ctx, span := telemetry.StartSpan(ctx, "augment.objects")
 	defer span.End()
 	span.SetAttr("strategy", strategy.String())
-	rec := explain.FromContext(ctx)
-	var recStart time.Time
-	if rec != nil {
-		rec.BeginAugmentation(level, len(origins), strategy.String())
-		recStart = time.Now()
-	}
+	span.SetAttr("level", itoa(level))
+	span.SetAttr("origins", itoa(len(origins)))
 	start := telemetry.Now()
 	// Single-origin, locally-indexed augmentations are whole-outcome
 	// memoizable. The epoch is read before any index or store consultation,
@@ -409,18 +398,17 @@ func (a *Augmenter) augment(ctx context.Context, cfg Config, origins []core.Obje
 		outEpoch = a.index.Epoch()
 		if v, ok := a.rc.GetOutcome(outKey, outEpoch); ok {
 			out := v.([]AugmentedObject)
-			rec.RcacheHits(1)
-			if rec != nil {
-				rec.EndAugmentation(len(out), time.Since(recStart), nil)
+			if span != nil {
+				span.SetAttr("rcache_hits", "1")
+				span.SetAttr("fetched", itoa(len(out)))
 			}
 			return out, nil, true, nil
 		}
 		memoize = true
 	}
-	plan := a.buildPlan(ctx, rec, origins, level)
-	span.SetAttr("origins", itoa(len(origins)))
-	span.SetAttr("keys", itoa(len(plan.order)))
 	sink := newSink()
+	plan := a.buildPlan(ctx, sink, origins, level)
+	span.SetAttr("keys", itoa(len(plan.order)))
 	// Shards a scatter-gather reach dropped degrade the answer exactly like
 	// failing stores do — before any fetch work, so even an empty plan
 	// reports the peers whose contribution is missing.
@@ -429,9 +417,7 @@ func (a *Augmenter) augment(ctx context.Context, cfg Config, origins []core.Obje
 	}
 	if len(plan.order) == 0 {
 		strategyHist(strategy).Since(start)
-		if rec != nil {
-			rec.EndAugmentation(0, time.Since(recStart), nil)
-		}
+		sink.report(span, 0, nil)
 		return nil, sink.degradations(), false, nil
 	}
 	switch cfg.Strategy {
@@ -455,9 +441,7 @@ func (a *Augmenter) augment(ctx context.Context, cfg Config, origins []core.Obje
 		if c := strategyErr(strategy); c != nil {
 			c.Inc()
 		}
-		if rec != nil {
-			rec.EndAugmentation(0, time.Since(recStart), err)
-		}
+		sink.report(span, 0, err)
 		return nil, nil, false, err
 	}
 	out = plan.answer(sink)
@@ -466,9 +450,7 @@ func (a *Augmenter) augment(ctx context.Context, cfg Config, origins []core.Obje
 	if memoize && sink.nDegraded.Load() == 0 {
 		a.rc.PutOutcome(outKey, outEpoch, out)
 	}
-	if rec != nil {
-		rec.EndAugmentation(len(out), time.Since(recStart), nil)
-	}
+	sink.report(span, len(out), nil)
 	return out, sink.degradations(), false, nil
 }
 
@@ -488,15 +470,13 @@ type plan struct {
 // reachable keys, keeping the best probability. Each unique key is assigned
 // to the first origin that reaches it, which partitions the fetch work for
 // the per-result (outer) strategies. Origins themselves are never fetched.
-// With a non-nil recorder, the index traversal work is counted and
-// attributed to the profiled query.
-func (a *Augmenter) buildPlan(ctx context.Context, rec *explain.Recorder, origins []core.Object, level int) *plan {
+// The index traversal work is counted into s for the augmentation's span.
+func (a *Augmenter) buildPlan(ctx context.Context, s *sink, origins []core.Object, level int) *plan {
 	p := &plan{hits: map[core.GlobalKey]aindex.Hit{}}
 	originSet := make(map[core.GlobalKey]bool, len(origins))
 	for _, o := range origins {
 		originSet[o.GK] = true
 	}
-	var nodes, edges, skipped, snapshots, rcacheHits int
 	// Reach memoization is local-index only: the cluster coordinator keys
 	// its own entries by the scatter epoch. The epoch is read once before
 	// any traversal, so a mutation racing the loop strands the entries at
@@ -516,43 +496,37 @@ func (a *Augmenter) buildPlan(ctx context.Context, rec *explain.Recorder, origin
 		}
 		var st aindex.ReachStats
 		scattered, st, p.degraded = a.reacher.ReachScatterMany(ctx, gks, level)
-		nodes, edges = st.Nodes, st.Edges
+		s.nodes, s.edges = st.Nodes, st.Edges
 	}
 	for i, o := range origins {
 		var mine []core.GlobalKey
 		var hits []aindex.Hit
+		rkey := rcache.Key{GK: o.GK, Level: level, Kind: rcache.KindReach}
 		switch {
 		case a.reacher != nil:
 			hits = scattered[i]
 		case useRcache:
-			rkey := rcache.Key{GK: o.GK, Level: level, Kind: rcache.KindReach}
-			if cached, _, ok := a.rc.GetReach(rkey, reachEpoch); ok {
-				hits = cached
-				rcacheHits++
+			var cached bool
+			if hits, _, cached = a.rc.GetReach(rkey, reachEpoch); cached {
+				s.rcacheHits++
 				break
 			}
-			var st aindex.ReachStats
-			hits, st = a.index.ReachWithStats(o.GK, level)
-			nodes += st.Nodes
-			edges += st.Edges
-			if st.Snapshot {
-				snapshots++
-			}
-			a.rc.PutReach(rkey, reachEpoch, hits, st)
-		case rec == nil:
-			hits = a.index.Reach(o.GK, level)
+			fallthrough
 		default:
 			var st aindex.ReachStats
 			hits, st = a.index.ReachWithStats(o.GK, level)
-			nodes += st.Nodes
-			edges += st.Edges
+			s.nodes += st.Nodes
+			s.edges += st.Edges
 			if st.Snapshot {
-				snapshots++
+				s.snapshots++
+			}
+			if useRcache {
+				a.rc.PutReach(rkey, reachEpoch, hits, st)
 			}
 		}
 		for _, h := range hits {
 			if originSet[h.Key] {
-				skipped++
+				s.skipped++
 				continue
 			}
 			old, seen := p.hits[h.Key]
@@ -567,11 +541,6 @@ func (a *Augmenter) buildPlan(ctx context.Context, rec *explain.Recorder, origin
 			}
 		}
 		p.byOrigin = append(p.byOrigin, mine)
-	}
-	if rec != nil {
-		rec.PlanStats(len(p.order), nodes, edges, skipped)
-		rec.SnapshotReaches(snapshots)
-		rec.RcacheHits(rcacheHits)
 	}
 	return p
 }
@@ -610,8 +579,9 @@ func (p *plan) groupDist(g group, keys []string) int {
 	return min
 }
 
-// sink collects fetched objects from concurrent workers, plus the stores
-// whose contribution had to be dropped.
+// sink collects fetched objects from concurrent workers, the stores whose
+// contribution had to be dropped, and the augmentation's counts, which
+// report sets on its span as it ends.
 type sink struct {
 	mu      sync.Mutex
 	objects map[core.GlobalKey]core.Object
@@ -620,6 +590,11 @@ type sink struct {
 	// load instead of a mutex acquisition.
 	nDegraded atomic.Int32
 	degraded  map[string]Degradation // lazily allocated; keyed by store
+
+	// A' work of plan building, counted by buildPlan alone.
+	nodes, edges, skipped, snapshots, rcacheHits int
+	// Cache traffic, counted by the strategy workers.
+	cacheHits, cacheMisses, coalesced, negative atomic.Int64
 }
 
 func newSink() *sink {
@@ -672,8 +647,9 @@ func (s *sink) absorb(ctx context.Context, store string, level int, err error) e
 }
 
 // note registers one degradation (first reason per store wins), feeding the
-// counter, the explain profile and the tail-sampling span flag. It is the
-// shared marking path of absorb and of plan-level scatter degradations.
+// counter, the tail-sampling span flag and one degraded.<store> attribute
+// per store. It is the shared marking path of absorb and of plan-level
+// scatter degradations.
 func (s *sink) note(ctx context.Context, d Degradation) {
 	s.mu.Lock()
 	_, seen := s.degraded[d.Store]
@@ -687,13 +663,43 @@ func (s *sink) note(ctx context.Context, d Degradation) {
 	s.mu.Unlock()
 	if !seen {
 		degradedTotal.Inc()
-		explain.FromContext(ctx).Degraded(d.Store, d.Reason, d.Level)
 		// A degraded answer is exactly what tail sampling wants to keep, no
 		// matter how fast the request finished without the dropped store.
 		if sp := telemetry.SpanFromContext(ctx); sp != nil {
 			sp.Mark(telemetry.FlagDegraded)
-			sp.SetAttr("degraded_store", d.Store)
+			sp.SetAttr("degraded."+d.Store, d.Reason)
+			sp.SetAttr("degraded_level."+d.Store, itoa(d.Level))
 		}
+	}
+}
+
+// report sets the augmentation's counts on its span, each once and only
+// when non-zero, plus the fetched object count and the aborting error.
+func (s *sink) report(span *telemetry.Span, fetched int, err error) {
+	if span == nil {
+		return
+	}
+	for _, c := range [...]struct {
+		key string
+		n   int64
+	}{
+		{"index_nodes", int64(s.nodes)},
+		{"index_edges", int64(s.edges)},
+		{"origins_skipped", int64(s.skipped)},
+		{"snapshot_reaches", int64(s.snapshots)},
+		{"rcache_hits", int64(s.rcacheHits)},
+		{"cache_hits", s.cacheHits.Load()},
+		{"cache_misses", s.cacheMisses.Load()},
+		{"coalesced_hits", s.coalesced.Load()},
+		{"negative_hits", s.negative.Load()},
+		{"fetched", int64(fetched)},
+	} {
+		if c.n != 0 {
+			span.SetAttr(c.key, strconv.FormatInt(c.n, 10))
+		}
+	}
+	if err != nil {
+		span.SetAttr("error", err.Error())
 	}
 }
 
@@ -712,25 +718,26 @@ func (s *sink) degradations() []Degradation {
 	return out
 }
 
-// lookup is THE single-key read path every strategy funnels through: object
-// cache, then the miss pipeline (negative cache, coalesced store fetch). The
+// lookup is the single-key read path outside an augmentation: object cache,
+// then the miss pipeline (negative cache, coalesced store fetch). The
 // boolean reports whether the object exists.
 func (a *Augmenter) lookup(ctx context.Context, cfg Config, gk core.GlobalKey) (core.Object, bool, error) {
 	if obj, ok := a.cache.Get(gk); ok {
-		explain.FromContext(ctx).CacheHits(1)
 		return obj, true, nil
 	}
-	explain.FromContext(ctx).CacheMisses(1)
-	return a.fetchMiss(ctx, cfg, gk)
+	return a.fetchMiss(ctx, cfg, gk, nil)
 }
 
 // fetchMiss resolves a key the cache does not hold. The negative cache
 // answers recently-confirmed-missing keys without a round trip; everything
 // else goes to the store under the key's flight, so concurrent misses of one
-// hot key cost one round trip. Callers have already accounted the cache miss.
-func (a *Augmenter) fetchMiss(ctx context.Context, cfg Config, gk core.GlobalKey) (core.Object, bool, error) {
+// hot key cost one round trip. Callers have already counted the cache miss;
+// s, nil outside an augmentation, counts negative and coalesced hits.
+func (a *Augmenter) fetchMiss(ctx context.Context, cfg Config, gk core.GlobalKey, s *sink) (core.Object, bool, error) {
 	if a.neg.Has(gk) {
-		explain.FromContext(ctx).NegativeHits(1)
+		if s != nil {
+			s.negative.Add(1)
+		}
 		negativeHitCounter(gk.Database).Inc()
 		return core.Object{}, false, nil
 	}
@@ -739,7 +746,9 @@ func (a *Augmenter) fetchMiss(ctx context.Context, cfg Config, gk core.GlobalKey
 	}
 	obj, ok, shared, err := a.flight.Do(ctx, gk, a.fetchFn)
 	if shared {
-		explain.FromContext(ctx).CoalescedHits(1)
+		if s != nil {
+			s.coalesced.Add(1)
+		}
 		coalescedHitCounter(gk.Database).Inc()
 	}
 	return obj, ok, err
@@ -749,48 +758,40 @@ func (a *Augmenter) fetchMiss(ctx context.Context, cfg Config, gk core.GlobalKey
 // authoritative misses and feeding both caches. With coalescing on it is the
 // flight body — exactly one caller per in-flight key runs it.
 func (a *Augmenter) fetchStore(ctx context.Context, gk core.GlobalKey) (core.Object, bool, error) {
-	rec := explain.FromContext(ctx)
-	var start time.Time
-	if rec != nil {
-		start = time.Now()
-	}
-	// The fetch span is created only under an already-traced caller, so the
-	// cache-hit and tracing-disabled paths stay allocation-free.
-	fctx := ctx
-	var sp *telemetry.Span
-	if telemetry.SpanFromContext(ctx) != nil {
-		fctx, sp = telemetry.StartSpan(ctx, "store.fetch")
-		sp.SetAttr("store", gk.Database)
-	}
-	obj, err := a.poly.Fetch(fctx, gk)
+	obj, err := a.fetch(ctx, gk)
 	if err != nil {
 		if errors.Is(err, core.ErrNotFound) {
-			if rec != nil {
-				rec.StoreOp(gk.Database, "get", 1, 0, time.Since(start), false)
-			}
-			a.index.RemoveObjectCtx(fctx, gk)
+			a.index.RemoveObjectCtx(ctx, gk)
 			a.cache.Remove(gk)
 			a.neg.Put(gk)
-			sp.End()
 			return core.Object{}, false, nil
-		}
-		if rec != nil {
-			rec.StoreOp(gk.Database, "get", 1, 0, time.Since(start), true)
-		}
-		if sp != nil {
-			sp.Mark(telemetry.FlagError)
-			sp.SetAttr("error", err.Error())
-			sp.End()
 		}
 		return core.Object{}, false, err
 	}
-	if rec != nil {
-		rec.StoreOp(gk.Database, "get", 1, 1, time.Since(start), false)
-	}
 	a.cache.Put(obj)
 	a.neg.Forget(gk)
-	sp.End()
 	return obj, true, nil
+}
+
+// fetch is one store round trip for gk, under a store.fetch span when the
+// caller is traced: "objects" 1 when found, "error" when the store failed
+// (an authoritative miss is not a failure). Untraced callers pay no span.
+func (a *Augmenter) fetch(ctx context.Context, gk core.GlobalKey) (core.Object, error) {
+	if telemetry.SpanFromContext(ctx) == nil {
+		return a.poly.Fetch(ctx, gk)
+	}
+	fctx, sp := telemetry.StartSpan(ctx, "store.fetch")
+	defer sp.End()
+	sp.SetAttr("store", gk.Database)
+	obj, err := a.poly.Fetch(fctx, gk)
+	switch {
+	case err == nil:
+		sp.SetAttr("objects", "1")
+	case !errors.Is(err, core.ErrNotFound):
+		sp.Mark(telemetry.FlagError)
+		sp.SetAttr("error", err.Error())
+	}
+	return obj, err
 }
 
 // sweepBuf bounds the stack buffer one cache sweep flushes hits from.
@@ -823,9 +824,8 @@ func (a *Augmenter) sweepCache(ctx context.Context, keys []core.GlobalKey, s *si
 	if n > 0 {
 		s.addAll(buf[:n])
 	}
-	rec := explain.FromContext(ctx)
-	rec.CacheHits(hits)
-	rec.CacheMisses(len(misses))
+	s.cacheHits.Add(int64(hits))
+	s.cacheMisses.Add(int64(len(misses)))
 	return misses
 }
 
@@ -836,7 +836,6 @@ func (a *Augmenter) sweepCache(ctx context.Context, keys []core.GlobalKey, s *si
 // same key set — but their per-key misses still feed the negative cache, so
 // single-key strategies and later batches benefit.
 func (a *Augmenter) fetchGroup(ctx context.Context, database, collection string, keys []string, s *sink) error {
-	rec := explain.FromContext(ctx)
 	var buf [sweepBuf]core.Object
 	n, hits, negHits := 0, 0, 0
 	missing := keys[:0:0]
@@ -861,18 +860,14 @@ func (a *Augmenter) fetchGroup(ctx context.Context, database, collection string,
 	if n > 0 {
 		s.addAll(buf[:n])
 	}
-	rec.CacheHits(hits)
-	rec.CacheMisses(len(keys) - hits)
+	s.cacheHits.Add(int64(hits))
+	s.cacheMisses.Add(int64(len(keys) - hits))
 	if negHits > 0 {
-		rec.NegativeHits(negHits)
+		s.negative.Add(int64(negHits))
 		negativeHitCounter(database).Add(uint64(negHits))
 	}
 	if len(missing) == 0 {
 		return nil
-	}
-	var start time.Time
-	if rec != nil {
-		start = time.Now()
 	}
 	fctx := ctx
 	var sp *telemetry.Span
@@ -882,9 +877,6 @@ func (a *Augmenter) fetchGroup(ctx context.Context, database, collection string,
 		sp.SetAttr("keys", strconv.Itoa(len(missing)))
 	}
 	objs, err := a.poly.FetchBatch(fctx, database, collection, missing)
-	if rec != nil {
-		rec.StoreOp(database, "getbatch", len(missing), len(objs), time.Since(start), err != nil)
-	}
 	if err != nil {
 		if sp != nil {
 			sp.Mark(telemetry.FlagError)
@@ -908,7 +900,10 @@ func (a *Augmenter) fetchGroup(ctx context.Context, database, collection string,
 			a.neg.Put(gk)
 		}
 	}
-	sp.End()
+	if sp != nil {
+		sp.SetAttr("objects", itoa(len(objs)))
+		sp.End()
+	}
 	return nil
 }
 

@@ -2,26 +2,40 @@ package augment
 
 import (
 	"context"
+	"strconv"
 	"testing"
 
 	"quepa/internal/explain"
+	"quepa/internal/telemetry"
 )
 
-// TestSearchRecordsProfile runs Lucy's query with an explain Recorder on the
-// context and checks every layer attributed its work to the profile.
+// profiled runs fn under an "http <route>" root span, as the server does,
+// and derives the EXPLAIN profile from the span tree it left.
+func profiled(t *testing.T, route string, fn func(ctx context.Context) int) *explain.Profile {
+	t.Helper()
+	ctx, root := telemetry.StartSpan(context.Background(), "http "+route)
+	if root == nil {
+		t.Fatal("no root span (telemetry disabled?)")
+	}
+	defer root.End()
+	root.SetAttr("objects", strconv.Itoa(fn(ctx)))
+	return explain.FromSpan(root)
+}
+
+// TestSearchRecordsProfile runs Lucy's query under a root span and checks
+// every layer left its work in the profile derived from the trace.
 func TestSearchRecordsProfile(t *testing.T) {
 	poly, ix := polyphony(t)
 	aug := New(poly, ix, Config{Strategy: Batch, BatchSize: 16, CacheSize: 64})
 
-	rctx, rec := explain.WithRecorder(context.Background(), "/search")
-	answer, err := aug.Search(rctx, "transactions", `SELECT * FROM inventory WHERE name LIKE '%wish%'`, 0)
-	if err != nil {
-		t.Fatal(err)
+	search := func(ctx context.Context) int {
+		answer, err := aug.Search(ctx, "transactions", `SELECT * FROM inventory WHERE name LIKE '%wish%'`, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return answer.Size()
 	}
-	p := rec.Finish(answer.Size())
-	if p == nil {
-		t.Fatal("no profile")
-	}
+	p := profiled(t, "/search", search)
 
 	if p.Database != "transactions" || p.Query == "" || p.Level != 0 {
 		t.Errorf("identity = %q %q %d", p.Database, p.Query, p.Level)
@@ -63,11 +77,7 @@ func TestSearchRecordsProfile(t *testing.T) {
 
 	// A warm re-run of the same query is served from the cache: no store
 	// calls beyond the local query, all candidates hits.
-	rctx2, rec2 := explain.WithRecorder(context.Background(), "/search")
-	if _, err := aug.Search(rctx2, "transactions", `SELECT * FROM inventory WHERE name LIKE '%wish%'`, 0); err != nil {
-		t.Fatal(err)
-	}
-	p2 := rec2.Finish(0)
+	p2 := profiled(t, "/search", search)
 	a2 := p2.Augmentations[0]
 	if a2.CacheHits != 4 || a2.CacheMisses != 0 {
 		t.Errorf("warm cache hits/misses = %d/%d", a2.CacheHits, a2.CacheMisses)
@@ -80,8 +90,8 @@ func TestSearchRecordsProfile(t *testing.T) {
 	}
 }
 
-// TestSearchWithoutRecorderUnchanged pins the off path: no recorder on the
-// context leaves results identical and records nothing anywhere.
+// TestSearchWithoutRecorderUnchanged pins the off path: an untraced context
+// (no span to record into) leaves results identical.
 func TestSearchWithoutRecorderUnchanged(t *testing.T) {
 	poly, ix := polyphony(t)
 	aug := New(poly, ix, Config{Strategy: Sequential})
@@ -104,13 +114,14 @@ func TestExploreStepRecordsFetch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rctx, rec := explain.WithRecorder(context.Background(), "/explore/step")
-	links, err := sess.Step(rctx, starts[0].GK)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := rec.Finish(len(links))
-	if p.Query == "" || p.Database != "transactions" {
+	p := profiled(t, "/explore/step", func(ctx context.Context) int {
+		links, err := sess.Step(ctx, starts[0].GK)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(links)
+	})
+	if p.Query != "step "+starts[0].GK.String() || p.Database != "transactions" {
 		t.Errorf("identity = %q %q", p.Database, p.Query)
 	}
 	// The origin fetch happens outside any augmentation trace.

@@ -2,13 +2,11 @@ package augment
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"time"
 
 	"quepa/internal/aindex"
 	"quepa/internal/core"
-	"quepa/internal/explain"
+	"quepa/internal/telemetry"
 )
 
 // Exploration is an augmented-exploration session (Definition 4): starting
@@ -67,20 +65,11 @@ func (e *Exploration) Step(ctx context.Context, gk core.GlobalKey) ([]AugmentedO
 			return nil, fmt.Errorf("augment: %v was not among the objects of the previous step", gk)
 		}
 	}
-	rec := explain.FromContext(ctx)
-	var start time.Time
-	if rec != nil {
-		rec.SetQuery(gk.Database, "step "+gk.String(), 0)
-		start = time.Now()
-	}
-	origin, err := e.aug.Polystore().Fetch(ctx, gk)
-	if rec != nil {
-		objects := 1
-		if err != nil {
-			objects = 0
-		}
-		rec.StoreOp(gk.Database, "get", 1, objects, time.Since(start), err != nil && !errors.Is(err, core.ErrNotFound))
-	}
+	ctx, span := telemetry.StartSpan(ctx, "augment.step")
+	defer span.End()
+	span.SetAttr("db", gk.Database)
+	span.SetAttr("key", gk.String())
+	origin, err := e.aug.fetch(ctx, gk)
 	if err != nil {
 		return nil, err
 	}

@@ -1,10 +1,12 @@
 package augment
 
 import (
+	"context"
 	"testing"
 
 	"quepa/internal/aindex"
 	"quepa/internal/core"
+	"quepa/internal/telemetry"
 )
 
 // TestExplorationSession walks the paper's Example 5 pattern: start from a
@@ -139,5 +141,45 @@ func TestStepFetchesFreshOrigin(t *testing.T) {
 	// object fails at fetch.
 	if _, err := sess.Step(ctx, core.MustParseGlobalKey("transactions.sales.ghost")); err == nil {
 		t.Error("step to missing object should fail")
+	}
+}
+
+// TestExploreStepTraceHasOriginFetch: a step's trace holds the fetch of the
+// selected origin as a store.fetch span outside the augmentation, beside the
+// augment.objects span of its level-0 expansion.
+func TestExploreStepTraceHasOriginFetch(t *testing.T) {
+	poly, ix := polyphony(t)
+	aug := New(poly, ix, Config{Strategy: Sequential, CacheSize: 16})
+	sess, start, err := aug.Explore(ctx, "transactions", `SELECT * FROM sales WHERE total > 15`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sctx, root := telemetry.StartSpan(context.Background(), "http /explore/step")
+	if root == nil {
+		t.Fatal("no root span (telemetry disabled?)")
+	}
+	if _, err := sess.Step(sctx, start[0].GK); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	var origin, expansion int
+	var walk func(s telemetry.SpanJSON)
+	walk = func(s telemetry.SpanJSON) {
+		switch s.Name {
+		case "augment.objects":
+			expansion++
+			return // fetches below here are the expansion's, not the origin's
+		case "store.fetch":
+			if s.Attrs["store"] == "transactions" {
+				origin++
+			}
+		}
+		for _, c := range s.Children {
+			walk(c)
+		}
+	}
+	walk(root.JSON())
+	if origin != 1 || expansion != 1 {
+		t.Errorf("step trace has %d origin fetches and %d expansions, want 1 and 1", origin, expansion)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"quepa/internal/core"
-	"quepa/internal/explain"
 	"quepa/internal/rcache"
 )
 
@@ -37,15 +36,17 @@ func TestResultCacheMemoizesOutcome(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rctx, rec := explain.WithRecorder(context.Background(), "/search")
-	warm, _, err := aug.AugmentObjects(rctx, []core.Object{obj}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var warm []AugmentedObject
+	p := profiled(t, "/search", func(ctx context.Context) int {
+		var err error
+		if warm, _, err = aug.AugmentObjects(ctx, []core.Object{obj}, 2); err != nil {
+			t.Fatal(err)
+		}
+		return len(warm)
+	})
 	if !reflect.DeepEqual(warm, cold) {
 		t.Fatalf("memoized answer diverges:\ncold %v\nwarm %v", cold, warm)
 	}
-	p := rec.Finish(len(warm))
 	if p == nil || p.Totals.RcacheHits == 0 {
 		t.Fatalf("no rcache hit attributed to the profile: %+v", p)
 	}

@@ -40,7 +40,7 @@ func (a *Augmenter) fetchMissesInto(ctx context.Context, cfg Config, p *plan, s 
 		if s.isDegraded(gk.Database) {
 			continue
 		}
-		obj, ok, err := a.fetchMiss(ctx, cfg, gk)
+		obj, ok, err := a.fetchMiss(ctx, cfg, gk, s)
 		if err != nil {
 			if err := s.absorb(ctx, gk.Database, p.dist(gk), err); err != nil {
 				return err
@@ -282,7 +282,7 @@ func (a *Augmenter) parallelFetch(ctx context.Context, cfg Config, p *plan, keys
 				if s.isDegraded(gk.Database) {
 					continue
 				}
-				obj, ok, err := a.fetchMiss(ctx, cfg, gk)
+				obj, ok, err := a.fetchMiss(ctx, cfg, gk, s)
 				if err != nil {
 					if err := s.absorb(ctx, gk.Database, p.dist(gk), err); err != nil {
 						errOnce.set(err)

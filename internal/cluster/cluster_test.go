@@ -17,6 +17,7 @@ import (
 	"quepa/internal/netsim"
 	"quepa/internal/rcache"
 	"quepa/internal/resilience"
+	"quepa/internal/telemetry"
 	"quepa/internal/wire"
 	"quepa/internal/workload"
 )
@@ -811,8 +812,56 @@ func TestRebalanceInvalidatesReachCache(t *testing.T) {
 	}
 }
 
-// TestClusterExplainScatter: profiled cluster searches expose the per-shard
-// fan-out — one ShardFanout row per contacted shard, totals counted.
+// TestClusterScatterSpansMatchCounter: on a 2-peer cluster every scatter leg
+// of a request — the self-owned legs served by the local node included — is
+// a cluster.scatter span in the request's trace, so the span count equals
+// the request's delta of quepa_cluster_scatter_total.
+func TestClusterScatterSpansMatchCounter(t *testing.T) {
+	tc := startCluster(t, 2, nil)
+	routed, err := RoutePolystore(tc.ref.Poly, tc.coord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aug := augment.New(routed, tc.nodes[0].Index(), augment.Config{})
+	aug.SetReacher(tc.coord)
+	ctx, root := telemetry.StartSpan(context.Background(), "http /search")
+	if root == nil {
+		t.Fatal("no root span (telemetry disabled?)")
+	}
+	legs := counterDelta(scatterCalls, func() {
+		if _, err := aug.Search(ctx, "transactions", `SELECT * FROM inventory WHERE seq < 4`, 2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	root.End()
+	spans, self := 0, 0
+	var walk func(s telemetry.SpanJSON)
+	walk = func(s telemetry.SpanJSON) {
+		if s.Name == "cluster.scatter" {
+			spans++
+			if s.Attrs["shard"] == "0" {
+				self++
+			}
+		}
+		for _, c := range s.Children {
+			walk(c)
+		}
+	}
+	walk(root.JSON())
+	if legs == 0 {
+		t.Fatal("fixture broken: the search fanned out no scatter legs")
+	}
+	if uint64(spans) != legs {
+		t.Errorf("request fanned out %d scatter legs but its trace has %d cluster.scatter spans", legs, spans)
+	}
+	if self == 0 {
+		t.Error("no cluster.scatter span for a self-owned leg")
+	}
+}
+
+// TestClusterExplainScatter: the profile derived from a cluster search's
+// trace exposes the per-shard fan-out — one ShardFanout row per contacted
+// shard, totals counted.
 func TestClusterExplainScatter(t *testing.T) {
 	tc := startCluster(t, 3, nil)
 	routed, err := RoutePolystore(tc.ref.Poly, tc.coord)
@@ -826,11 +875,12 @@ func TestClusterExplainScatter(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		ctx, rec := explain.WithRecorder(context.Background(), "search")
+		ctx, root := telemetry.StartSpan(context.Background(), "search")
 		if _, _, err := aug.AugmentObjects(ctx, []core.Object{obj}, 2); err != nil {
 			t.Fatal(err)
 		}
-		p := rec.Finish(0)
+		p := explain.FromSpan(root)
+		root.End()
 		if len(p.Augmentations) != 1 {
 			t.Fatalf("profile has %d augmentation traces", len(p.Augmentations))
 		}

@@ -8,12 +8,10 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"time"
 
 	"quepa/internal/aindex"
 	"quepa/internal/augment"
 	"quepa/internal/core"
-	"quepa/internal/explain"
 	"quepa/internal/rcache"
 	"quepa/internal/resilience"
 	"quepa/internal/telemetry"
@@ -290,35 +288,31 @@ type scatterResult struct {
 	hits []wire.RemoteHit
 	segs []int // run lengths splitting hits per leg segment; nil for one segment
 	info wire.ReachInfo
-	wall time.Duration // measured only for profiled queries
 	err  error
 }
 
 // expandLeg runs one scatter leg: the local node directly for self-owned
-// legs, the peer's wire client — guarded by its
-// breaker — otherwise. Each remote leg runs under a cluster.scatter span
-// tagged with the shard, continuing the caller's trace over the wire.
+// legs, the peer's wire client — guarded by its breaker — otherwise. Every
+// leg of a traced request runs under a cluster.scatter span tagged with the
+// shard; a remote leg continues the caller's trace over the wire.
 func (c *Coordinator) expandLeg(ctx context.Context, peers []string, l *leg) (res scatterResult) {
 	scatterCalls.Inc()
 	scatterKeys.Add(uint64(len(l.keys)))
-	var start time.Time
-	if explain.FromContext(ctx) != nil {
-		start = time.Now()
-		defer func() { res.wall = time.Since(start) }()
-	}
-	if l.shard == c.self {
-		res.hits, res.segs, res.info, res.err = c.node.ExpandFrontier(ctx, l.keys, l.probs, l.wireSegs())
-		return res
-	}
 	sctx := ctx
 	var sp *telemetry.Span
 	if telemetry.SpanFromContext(ctx) != nil {
 		sctx, sp = telemetry.StartSpan(ctx, "cluster.scatter")
 		sp.SetAttr("shard", strconv.Itoa(l.shard))
-		sp.SetAttr("peer", peers[l.shard])
+		sp.SetAttr("peer", PeerName(l.shard))
+		sp.SetAttr("addr", peers[l.shard])
 		sp.SetAttr("keys", strconv.Itoa(len(l.keys)))
 	}
 	res.err = func() error {
+		if l.shard == c.self {
+			var err error
+			res.hits, res.segs, res.info, err = c.node.ExpandFrontier(sctx, l.keys, l.probs, l.wireSegs())
+			return err
+		}
 		b := c.breakers.Breaker(PeerName(l.shard))
 		if err := b.Allow(); err != nil {
 			peerOpenRejects.Inc()
@@ -342,7 +336,7 @@ func (c *Coordinator) expandLeg(ctx context.Context, peers []string, l *leg) (re
 		}
 		sp.End()
 	}
-	if res.err != nil && !errors.Is(res.err, resilience.ErrPeerOpen) {
+	if res.err != nil && l.shard != c.self && !errors.Is(res.err, resilience.ErrPeerOpen) {
 		scatterErrors.Inc()
 	}
 	return res
@@ -409,12 +403,14 @@ func (c *Coordinator) ReachScatterMany(ctx context.Context, origins []core.Globa
 			frontier: map[core.GlobalKey]float64{o: 1},
 		})
 	}
-	rec := explain.FromContext(ctx)
-	rec.RcacheHits(cacheHit)
+	// The scatter cache's hits count toward the augmentation that asked.
+	if sp := telemetry.SpanFromContext(ctx); sp != nil && cacheHit > 0 {
+		sp.SetAttr("rcache_hits", strconv.Itoa(cacheHit))
+	}
 	if len(slots) == 0 {
 		return out, aindex.ReachStats{}, nil
 	}
-	stats, degs := c.traverse(ctx, rec, ring, peers, slots, level)
+	stats, degs := c.traverse(ctx, ring, peers, slots, level)
 	reached := make([][]aindex.Hit, len(slots))
 	for si, s := range slots {
 		hits := make([]aindex.Hit, 0, len(s.best)-1)
@@ -464,7 +460,7 @@ func (c *Coordinator) scatterEpoch(ring *Ring) uint64 {
 // exact (a key's first improving arrival is its shortest chain) and, with
 // every peer healthy, the summed traversal stats equal the single-node
 // reference traversals'.
-func (c *Coordinator) traverse(ctx context.Context, rec *explain.Recorder, ring *Ring, peers []string, slots []*originSlot, level int) (aindex.ReachStats, []augment.Degradation) {
+func (c *Coordinator) traverse(ctx context.Context, ring *Ring, peers []string, slots []*originSlot, level int) (aindex.ReachStats, []augment.Degradation) {
 	var (
 		stats               aindex.ReachStats
 		shipped, suppressed int
@@ -492,9 +488,6 @@ func (c *Coordinator) traverse(ctx context.Context, rec *explain.Recorder, ring 
 		for i, res := range results {
 			l := legs[i]
 			shipped += len(l.keys)
-			if rec != nil {
-				rec.ShardScatter(l.shard, PeerName(l.shard), len(l.keys), len(res.hits), res.wall, res.err != nil)
-			}
 			if res.err != nil {
 				degraded[l.shard] = augment.Degradation{
 					Store:  PeerName(l.shard),
@@ -518,7 +511,6 @@ func (c *Coordinator) traverse(ctx context.Context, rec *explain.Recorder, ring 
 	}
 	deltaKeysShipped.Add(uint64(shipped))
 	deltaSuppressed.Add(uint64(suppressed))
-	rec.DeltaFrontierKeys(shipped)
 	degs := make([]augment.Degradation, 0, len(degraded))
 	for _, d := range degraded {
 		degs = append(degs, d)

@@ -7,7 +7,7 @@ import (
 
 // WriteTree pretty-prints the profile as an indented tree — the rendering of
 // quepa-explore's `explain` verb. Writing a nil profile prints a placeholder
-// so callers can pass a Finish result through unconditionally.
+// so callers can pass a FromSpan result through unconditionally.
 func (p *Profile) WriteTree(w io.Writer) {
 	if p == nil {
 		fmt.Fprintln(w, "(no profile)")

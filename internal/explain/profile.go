@@ -14,7 +14,8 @@ type Profile struct {
 	Start    time.Time `json:"start"`
 	WallMS   float64   `json:"wall_ms"`
 
-	// Optimizer is the decision provenance, when an optimizer ran.
+	// Optimizer is the decision provenance, attached by the handler that ran
+	// the optimizer; a profile derived from a kept trace has none.
 	Optimizer *Decision `json:"optimizer,omitempty"`
 	// LocalQuery is the native-language query producing the original result.
 	LocalQuery *StoreFanout `json:"local_query,omitempty"`
@@ -58,7 +59,7 @@ type DegradedStore struct {
 //
 // The type deliberately carries plain strings and numbers rather than
 // augment/optimizer types: explain sits below both packages in the import
-// graph so a Recorder can thread through the augmenter.
+// graph, so the optimizer can build one and the server can attach it.
 type Decision struct {
 	Optimizer      string       `json:"optimizer"`
 	Trained        bool         `json:"trained"`
@@ -102,14 +103,14 @@ type AugmentationTrace struct {
 	SnapshotReaches int `json:"snapshot_reaches,omitempty"`
 	// RcacheHits counts reach/outcome lookups of this augmentation served
 	// from the epoch-consistent result cache instead of recomputed.
-	RcacheHits  int `json:"rcache_hits,omitempty"`
-	CacheHits   int `json:"cache_hits"`
-	CacheMisses int `json:"cache_misses"`
-	CoalescedHits   int     `json:"coalesced_hits,omitempty"`
-	NegativeHits    int     `json:"negative_hits,omitempty"`
-	Fetched         int     `json:"fetched"`
-	WallMS          float64 `json:"wall_ms"`
-	Error           string  `json:"error,omitempty"`
+	RcacheHits    int     `json:"rcache_hits,omitempty"`
+	CacheHits     int     `json:"cache_hits"`
+	CacheMisses   int     `json:"cache_misses"`
+	CoalescedHits int     `json:"coalesced_hits,omitempty"`
+	NegativeHits  int     `json:"negative_hits,omitempty"`
+	Fetched       int     `json:"fetched"`
+	WallMS        float64 `json:"wall_ms"`
+	Error         string  `json:"error,omitempty"`
 
 	Stores []StoreFanout `json:"stores,omitempty"`
 	// Scatter lists the per-shard fan-out of a clustered augmentation: one

@@ -205,16 +205,42 @@ func TestDistributedBatchingSavesTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	timeOf := func(cfg augment.Config) time.Duration {
+	// frames counts the request frames every wire client has written.
+	frames := func() (n uint64) {
+		for _, name := range remote.Databases() {
+			st, err := remote.Database(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += st.(*netsim.Store).Unwrap().(*wire.Client).Frames()
+		}
+		return n
+	}
+	run := func(cfg augment.Config) (time.Duration, uint64) {
 		aug := augment.New(remote, index, cfg)
+		before := frames()
 		start := time.Now()
 		if _, err := aug.Search(ctx, "transactions", query, 0); err != nil {
 			t.Fatal(err)
 		}
-		return time.Since(start)
+		return time.Since(start), frames() - before
 	}
-	seq := timeOf(augment.Config{Strategy: augment.Sequential})
-	batch := timeOf(augment.Config{Strategy: augment.Batch, BatchSize: 1000})
+	seq, seqFrames := run(augment.Config{Strategy: augment.Sequential})
+	batch, batchFrames := run(augment.Config{Strategy: augment.Batch, BatchSize: 1000})
+	t.Logf("sequential %v in %d frames, batch %v in %d frames", seq, seqFrames, batch, batchFrames)
+	// The deterministic half of the claim: one query frame plus one get per
+	// candidate key (120 frames on this fixture), against one query frame
+	// plus one getbatch per (store, collection) (10 frames).
+	if seqFrames < 6*batchFrames {
+		t.Errorf("batching saved too few round trips: sequential %d frames vs batch %d", seqFrames, batchFrames)
+	}
+	// The timing half, and why 3× is safe. Both strategies send their frames
+	// one after another and each frame sleeps RoundTrip (2 ms), so sequential
+	// takes at least 2 ms × 120 = 240 ms and batch 2 ms × 10 = 20 ms plus CPU.
+	// Failing needs batch > seq/3 ≥ 80 ms: 60 ms of CPU and loopback I/O on
+	// top of its 20 ms of sleeps, for a few dozen in-process lookups. With
+	// seqFrames ≥ 6 × batchFrames in general, batch must spend over a whole
+	// extra round trip per frame outside its sleeps.
 	if batch*3 > seq {
 		t.Errorf("batching saved too little over TCP: sequential %v vs batch %v", seq, batch)
 	}

@@ -16,7 +16,7 @@
 //     outcome into a breaker, plus the registry the server exposes through
 //     GET /healthz and GET /stats.
 //
-// The cost contract mirrors internal/telemetry and internal/explain: on the
+// The cost contract mirrors internal/telemetry: on the
 // no-fault hot path nothing here allocates — the retrier's first attempt and
 // the breaker's closed-state bookkeeping are a mutex and a few integer ops.
 // Kill-switch-style AllocsPerRun tests pin this.

@@ -215,13 +215,15 @@ func treeHasAttr(t telemetry.SpanJSON, key, val string) bool {
 	return false
 }
 
-// handleExplain serves the EXPLAIN profile ring, slowest first, optionally
-// restricted to one route with ?route=/search.
+// handleExplain serves the EXPLAIN profiles of the kept /search and
+// /explore/step traces, slowest first, optionally restricted to one route
+// with ?route=/search. The tracer's keep policy decides which requests have
+// one; "sampling" reports its decisions.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
+	tracer := telemetry.DefaultTracer()
 	writeJSON(w, http.StatusOK, map[string]any{
-		"capacity": s.explainBuf.Capacity(),
-		"seen":     s.explainBuf.Seen(),
-		"profiles": s.explainBuf.Snapshot(r.URL.Query().Get("route")),
+		"sampling": tracer.SamplingStats(),
+		"profiles": explain.Profiles(tracer.Snapshot(), r.URL.Query().Get("route")),
 	})
 }
 
@@ -347,27 +349,22 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	ctx := r.Context()
-	var rec *explain.Recorder
-	// sampled() must run unconditionally so explain=1 requests advance the
-	// sampler too: -explain-sample profiles every K-th request, full stop.
-	if sampled := s.sampled(); explainOn || sampled {
-		ctx, rec = explain.WithRecorder(ctx, "/search")
-	}
 	cfg, dec := s.chooseConfig(db, q, level)
-	rec.SetOptimizer(dec)
 	start := time.Now()
-	answer, err := s.aug.SearchWith(ctx, cfg, db, q, level)
+	answer, err := s.aug.SearchWith(r.Context(), cfg, db, q, level)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	s.observe(db, q, level, cfg, answer, time.Since(start))
 	ranked := answer.Rank(minProb, topK)
-	rec.RankPruned(len(answer.Augmented) - len(ranked))
+	profile := explainProfile(r, len(answer.Original)+len(ranked), len(answer.Augmented)-len(ranked), explainOn)
+	if profile != nil {
+		d := dec
+		profile.Optimizer = &d
+	}
 	buf := bodyPool.Get().(*[]byte)
-	body, err := AppendSearch(*buf, answer.Original, ranked, answer.Degraded,
-		s.finishProfile(rec, len(answer.Original)+len(ranked), explainOn))
+	body, err := AppendSearch(*buf, answer.Original, ranked, answer.Degraded, profile)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
@@ -375,25 +372,23 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	sendBody(w, buf, body)
 }
 
-// finishProfile closes a request's EXPLAIN recorder (nil when the request is
-// not profiled), files the profile in the /debug/explain ring, and returns
-// it for the response only when the client asked with explain=1.
-func (s *Server) finishProfile(rec *explain.Recorder, objects int, attach bool) *explain.Profile {
-	p := rec.Finish(objects)
-	if p == nil {
+// explainProfile records the answer's size on the request's root span, where
+// /debug/explain reads it, and when the client asked with explain=1 derives
+// the request's EXPLAIN profile from its span tree. With telemetry off there
+// is no tree and no profile.
+func explainProfile(r *http.Request, objects, pruned int, attach bool) *explain.Profile {
+	root := telemetry.SpanFromContext(r.Context())
+	if root == nil {
 		return nil
 	}
-	s.explainBuf.Add(p)
+	root.SetAttr("objects", strconv.Itoa(objects))
+	if pruned > 0 {
+		root.SetAttr("rank_pruned", strconv.Itoa(pruned))
+	}
 	if !attach {
 		return nil
 	}
-	return p
-}
-
-// sampled implements -explain-sample: profile every K-th request even when
-// the client did not ask for explain=1, feeding the /debug/explain ring.
-func (s *Server) sampled() bool {
-	return s.explainEvery > 0 && s.reqSeq.Add(1)%uint64(s.explainEvery) == 0
+	return explain.FromSpan(root)
 }
 
 // chooseConfig runs the adaptive optimizer for one query and returns the
@@ -517,20 +512,13 @@ func (s *Server) handleExploreStep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	ctx := r.Context()
-	var rec *explain.Recorder
-	// As in handleSearch: evaluate sampled() before the short-circuit so
-	// every request advances the -explain-sample counter.
-	if sampled := s.sampled(); explainOn || sampled {
-		ctx, rec = explain.WithRecorder(ctx, "/explore/step")
-	}
-	links, err := sess.Step(ctx, gk)
+	links, err := sess.Step(r.Context(), gk)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	buf := bodyPool.Get().(*[]byte)
-	body, err := AppendStep(*buf, links, sess.Degraded(), s.finishProfile(rec, len(links), explainOn))
+	body, err := AppendStep(*buf, links, sess.Degraded(), explainProfile(r, len(links), 0, explainOn))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return

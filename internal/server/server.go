@@ -55,14 +55,12 @@ import (
 	"path/filepath"
 	rpprof "runtime/pprof"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"quepa/internal/aindex"
 	"quepa/internal/augment"
 	"quepa/internal/cluster"
 	"quepa/internal/core"
-	"quepa/internal/explain"
 	"quepa/internal/optimizer"
 	"quepa/internal/rcache"
 	"quepa/internal/resilience"
@@ -89,11 +87,10 @@ type Config struct {
 	Cluster string // comma-separated wire addresses of every peer, by shard id (-cluster)
 	ShardID int    // this peer's index in Cluster (-shard-id)
 
-	Debug         bool          // expose net/http/pprof under /debug/pprof/ (-debug)
-	LogLevel      string        // minimum structured log level (-log-level; "" means info)
-	Slow          time.Duration // slow-query threshold of /debug/traces (-slow; 0 means telemetry.DefaultSlowThreshold)
-	TraceLog      string        // append kept traces as JSON lines to this file (-trace-log)
-	ExplainSample int           // profile every K-th request even without explain=1 (-explain-sample; 0 disables)
+	Debug    bool          // expose net/http/pprof under /debug/pprof/ (-debug)
+	LogLevel string        // minimum structured log level (-log-level; "" means info)
+	Slow     time.Duration // slow-query threshold of /debug/traces (-slow; 0 means telemetry.DefaultSlowThreshold)
+	TraceLog string        // append kept traces as JSON lines to this file (-trace-log)
 
 	SLOSearchP99 time.Duration // latency objective for /search (-slo-search-p99; 0 disables)
 	SLOStepP99   time.Duration // latency objective for /explore/step (-slo-step-p99; 0 disables)
@@ -169,11 +166,6 @@ type Server struct {
 	lastSeen      map[queryKey]lastRun
 	lastSeenOrder []queryKey
 
-	// EXPLAIN profile ring plus the 1-in-K background sampler.
-	explainBuf   *explain.Buffer
-	explainEvery int
-	reqSeq       atomic.Uint64
-
 	mu       sync.Mutex
 	sessions map[string]*augment.Exploration
 	nextID   int
@@ -209,12 +201,10 @@ const maxLastSeen = 4096
 // already opened is closed again.
 func New(cfg Config) (*Server, error) {
 	s := &Server{
-		rcache:       rcache.New(resultCacheCap),
-		opt:          &optimizer.Adaptive{RetrainEvery: retrainEvery, MaxLogs: maxRunLogs},
-		lastSeen:     map[queryKey]lastRun{},
-		explainBuf:   explain.NewBuffer(explain.DefaultBufferCapacity),
-		explainEvery: cfg.ExplainSample,
-		sessions:     map[string]*augment.Exploration{},
+		rcache:   rcache.New(resultCacheCap),
+		opt:      &optimizer.Adaptive{RetrainEvery: retrainEvery, MaxLogs: maxRunLogs},
+		lastSeen: map[queryKey]lastRun{},
+		sessions: map[string]*augment.Exploration{},
 	}
 	if err := s.assemble(cfg); err != nil {
 		s.Close()
@@ -452,8 +442,6 @@ func (s *Server) registerMetrics() {
 		})
 	reg.GaugeFunc("quepa_optimizer_runs", "run logs recorded by the adaptive optimizer",
 		func() float64 { return float64(s.opt.LogCount()) })
-	reg.GaugeFunc("quepa_explain_profiles_seen", "EXPLAIN profiles recorded since start",
-		func() float64 { return float64(s.explainBuf.Seen()) })
 	reg.GaugeFunc("quepa_breakers_open", "stores whose circuit breaker is currently open",
 		func() float64 {
 			var open float64

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"quepa/internal/core"
-	"quepa/internal/explain"
 	"quepa/internal/resilience"
 	"quepa/internal/telemetry"
 )
@@ -218,9 +217,6 @@ func (c *Client) roundTrip(ctx context.Context, req request) (response, error) {
 		// above stays allocation-free: no closure, no context wrapping.
 		for attempt := 1; attempt < c.retrier.Policy().MaxAttempts && transient(err) && ctx.Err() == nil; attempt++ {
 			d := c.retrier.Backoff(attempt)
-			if rec := explain.FromContext(ctx); rec != nil {
-				rec.WireRetry(c.name, req.Op, attempt, d, err)
-			}
 			c.retries.Add(1)
 			clientRetries[req.Op].Inc()
 			c.retrier.Sleep(d)
@@ -228,7 +224,7 @@ func (c *Client) roundTrip(ctx context.Context, req request) (response, error) {
 			if sp != nil {
 				sp.Mark(telemetry.FlagRetry)
 				_, rsp = telemetry.StartSpan(sctx, "wire.retry")
-				rsp.SetAttr("attempt", strconv.Itoa(attempt))
+				c.tagRetry(rsp, req.Op, attempt, d, err)
 				// The server segment of a retried attempt hangs off the
 				// attempt span, so the trace shows which attempt paid.
 				req.Trace = rsp.TraceParent()
@@ -260,9 +256,6 @@ func (c *Client) roundTrip(ctx context.Context, req request) (response, error) {
 			clientTimeouts[req.Op].Inc()
 		}
 	}
-	if rec := explain.FromContext(ctx); rec != nil {
-		rec.WireBytes(sent, received)
-	}
 	if sp != nil {
 		sp.AddBytes(int64(sent), int64(received))
 		if err != nil {
@@ -272,6 +265,17 @@ func (c *Client) roundTrip(ctx context.Context, req request) (response, error) {
 		sp.End()
 	}
 	return resp, err
+}
+
+// tagRetry labels a wire.retry span: the store and op, the attempt that
+// failed, the error that failed it (cause) and the backoff chosen before the
+// next attempt.
+func (c *Client) tagRetry(sp *telemetry.Span, op string, attempt int, backoff time.Duration, cause error) {
+	sp.SetAttr("store", c.name)
+	sp.SetAttr("op", op)
+	sp.SetAttr("attempt", strconv.Itoa(attempt))
+	sp.SetAttr("cause", cause.Error())
+	sp.SetAttr("backoff_ms", strconv.FormatFloat(float64(backoff.Nanoseconds())/1e6, 'f', -1, 64))
 }
 
 // attempt performs one physical round trip: tag the request with a fresh
@@ -585,9 +589,6 @@ func (c *Client) flyGetBatch(ctx context.Context, collection string, batch []*ge
 		req.Trace = sp.TraceParent()
 	}
 	resp, sent, received, err := c.attempt(req)
-	if rec := explain.FromContext(ctx); rec != nil {
-		rec.WireBytes(sent, received)
-	}
 	if sp != nil {
 		sp.AddBytes(int64(sent), int64(received))
 		if err != nil {
@@ -669,14 +670,10 @@ func (c *Client) groupGet(ctx context.Context, collection, key string) (core.Obj
 			return core.Object{}, false, out.err
 		}
 		d := c.retrier.Backoff(attempt + 1)
-		if rec := explain.FromContext(ctx); rec != nil {
-			rec.WireRetry(c.name, opGet, attempt+1, d, out.err)
-		}
 		if psp := telemetry.SpanFromContext(ctx); psp != nil {
 			psp.Mark(telemetry.FlagRetry)
 			_, rsp := telemetry.StartSpan(ctx, "wire.retry")
-			rsp.SetAttr("attempt", strconv.Itoa(attempt+1))
-			rsp.SetAttr("error", out.err.Error())
+			c.tagRetry(rsp, opGet, attempt+1, d, out.err)
 			c.retries.Add(1)
 			clientRetries[opGet].Inc()
 			c.retrier.Sleep(d)

@@ -16,6 +16,7 @@ import (
 	"quepa/internal/explain"
 	"quepa/internal/resilience"
 	"quepa/internal/stores/kvstore"
+	"quepa/internal/telemetry"
 )
 
 // chaosProxy fronts a wire server and kills the first kill accepted
@@ -93,22 +94,23 @@ func TestClientRetriesTransportFault(t *testing.T) {
 		t.Errorf("retries after dial = %d, want 1", cli.Retries())
 	}
 
-	rctx, rec := explain.WithRecorder(context.Background(), "/search")
-	if rec == nil {
-		t.Fatal("no recorder (telemetry disabled?)")
+	rctx, root := telemetry.StartSpan(context.Background(), "http /search")
+	if root == nil {
+		t.Fatal("no root span (telemetry disabled?)")
 	}
 	o, err := cli.Get(rctx, "drop", "k1")
 	if err != nil || o.Fields[core.ValueField] != "40%" {
 		t.Fatalf("Get through proxy = %v, %v", o, err)
 	}
-	p := rec.Finish(1)
+	p := explain.FromSpan(root)
+	root.End()
 	if p.Totals.WireRetries != 0 {
 		t.Errorf("healthy Get recorded %d retries", p.Totals.WireRetries)
 	}
 }
 
-// TestClientRetryTraceRecorded: a retried request lands in the profile with
-// store, op, attempt and backoff.
+// TestClientRetryTraceRecorded: a retried request lands in the profile
+// derived from its trace with store, op, attempt, cause and backoff.
 func TestClientRetryTraceRecorded(t *testing.T) {
 	srv := servedBackend(t)
 	cli, err := DialConfig(srv.Addr(), ClientConfig{Retry: resilience.DefaultRetryPolicy(), PoolSize: 1})
@@ -135,14 +137,15 @@ func TestClientRetryTraceRecorded(t *testing.T) {
 		old.kill(errConnBroken)
 	}
 
-	rctx, rec := explain.WithRecorder(context.Background(), "/search")
-	if rec == nil {
-		t.Fatal("no recorder")
+	rctx, root := telemetry.StartSpan(context.Background(), "http /search")
+	if root == nil {
+		t.Fatal("no root span (telemetry disabled?)")
 	}
 	if _, err := cli.Get(rctx, "drop", "k1"); err != nil {
 		t.Fatalf("Get did not recover from dead pooled conn: %v", err)
 	}
-	p := rec.Finish(1)
+	p := explain.FromSpan(root)
+	root.End()
 	if p.Totals.WireRetries != 1 || len(p.Retries) != 1 {
 		t.Fatalf("retry totals = %d, traces = %d, want 1/1", p.Totals.WireRetries, len(p.Retries))
 	}

@@ -146,7 +146,7 @@ func TestClientGetRetrySpanShape(t *testing.T) {
 	if retries[0].Attrs["attempt"] != "1" {
 		t.Errorf("retry attempt attr = %q, want 1", retries[0].Attrs["attempt"])
 	}
-	if retries[0].Attrs["error"] == "" {
+	if retries[0].Attrs["cause"] == "" {
 		t.Error("retry span does not record the error that caused it")
 	}
 	// First flight failed, second carried the answer home.

@@ -267,8 +267,8 @@ func putBody(bb *bodyBuf) {
 }
 
 // writeRequestFrame sends req, returning the bytes put on the wire (header
-// included) so the explain layer can account for them. The frame serializes
-// into a pooled buffer and goes out in one Write.
+// included) so the caller's span and byte counters can account for them. The
+// frame serializes into a pooled buffer and goes out in one Write.
 func writeRequestFrame(w io.Writer, req *request) (int, error) {
 	e := getEncoder()
 	defer putEncoder(e)

@@ -13,6 +13,7 @@ import (
 	"quepa/internal/explain"
 	"quepa/internal/stores/kvstore"
 	"quepa/internal/stores/relstore"
+	"quepa/internal/telemetry"
 )
 
 var _ core.Store = (*Client)(nil)
@@ -265,12 +266,13 @@ func TestServerToleratesGarbageFrames(t *testing.T) {
 }
 
 // TestWireBytesRecorded verifies a client round trip attributes its frame
-// sizes to the explain recorder on the context.
+// sizes to the span on the context, and the profile derived from the trace
+// sums them.
 func TestWireBytesRecorded(t *testing.T) {
 	_, cli := newServedKV(t)
-	rctx, rec := explain.WithRecorder(context.Background(), "/search")
-	if rec == nil {
-		t.Fatal("no recorder (telemetry disabled?)")
+	rctx, root := telemetry.StartSpan(context.Background(), "http /search")
+	if root == nil {
+		t.Fatal("no root span (telemetry disabled?)")
 	}
 	if _, err := cli.Get(rctx, "drop", "k1"); err != nil {
 		t.Fatal(err)
@@ -278,17 +280,18 @@ func TestWireBytesRecorded(t *testing.T) {
 	if _, err := cli.GetBatch(rctx, "drop", []string{"k1", "k2", "k3"}); err != nil {
 		t.Fatal(err)
 	}
-	p := rec.Finish(4)
+	p := explain.FromSpan(root)
+	root.End()
 	// Two round trips, each at least a 4-byte header + body per direction.
 	if p.Totals.BytesSent <= 16 || p.Totals.BytesReceived <= 16 {
 		t.Errorf("wire bytes = %d sent / %d received", p.Totals.BytesSent, p.Totals.BytesReceived)
 	}
-	if p.Totals.BytesReceived <= p.Totals.BytesSent {
-		t.Errorf("responses (%dB) should outweigh requests (%dB) here",
-			p.Totals.BytesReceived, p.Totals.BytesSent)
+	// Traced requests carry the caller's traceparent; responses do not.
+	if tp := int64(len(root.TraceParent())); p.Totals.BytesSent < 2*tp {
+		t.Errorf("requests (%dB) too small to carry two %dB traceparents", p.Totals.BytesSent, tp)
 	}
 
-	// Without a recorder nothing panics and nothing is recorded anywhere.
+	// Without a span nothing panics and nothing is recorded anywhere.
 	if _, err := cli.Get(context.Background(), "drop", "k1"); err != nil {
 		t.Fatal(err)
 	}
