@@ -5,19 +5,22 @@ package main
 // assembled by server.New in cluster mode, as main assembles it. It checks
 // the headline behaviours of the distributed deployment: healthy searches
 // answer through scatter-gather, killing a peer keeps /search at 200 with a
-// "peer-open" degradation once the breaker opens, and /healthz and /stats
-// expose the cluster sections.
+// "peer-open" degradation once the breaker opens and loses nothing but the
+// reach that peer owns, and /healthz and /stats expose the cluster sections.
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"net/http"
 	"net/url"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
 	"quepa/internal/cluster"
+	"quepa/internal/core"
 	"quepa/internal/resilience"
 	"quepa/internal/server"
 	"quepa/internal/wire"
@@ -131,6 +134,11 @@ func TestServerClusterSearchAndPeerDown(t *testing.T) {
 	// behaviour of the cluster CI lane. Each search starts from an origin
 	// not searched before, so neither its reach nor its objects sit in a
 	// cache that would spare it the dead peer.
+	//
+	// A dead peer costs only the reach it owns: every store is a full local
+	// replica, so no degradation may name a database, and every key the
+	// degraded scatter returned is in the answer, as the local replica holds
+	// it.
 	remotes[0].Close()
 	sawPeerOpen := false
 	for seq := 4; !sawPeerOpen; seq++ {
@@ -138,20 +146,21 @@ func TestServerClusterSearchAndPeerDown(t *testing.T) {
 			t.Fatal("no peer-open degradation after searching from every origin")
 		}
 		q := fmt.Sprintf("SELECT * FROM inventory WHERE seq >= %d AND seq < %d", seq, seq+1)
-		code, body := do(t, s.Handler(), "GET", "/search?db=transactions&level=2&q="+url.QueryEscape(q))
+		code, body := do(t, s.Handler(), "GET", "/search?db=transactions&level=2&explain=1&q="+url.QueryEscape(q))
 		if code != http.StatusOK {
 			t.Fatalf("post-kill search = %d %v, want 200 with degradation", code, body)
 		}
 		raw, _ := body["degraded"].([]any)
 		for _, e := range raw {
 			entry, _ := e.(map[string]any)
+			if name, _ := entry["store"].(string); !peerName.MatchString(name) {
+				t.Fatalf("seq %d: degradation %v names a database, want only peer-N", seq, entry)
+			}
 			if entry["reason"] == "peer-open" {
 				sawPeerOpen = true
-				if entry["store"] == "" {
-					t.Fatalf("peer-open degradation without a store: %v", entry)
-				}
 			}
 		}
+		checkLocalAnswer(t, built, seq, body)
 	}
 
 	// The probe and the stats page agree: the peer's breaker is open.
@@ -171,5 +180,36 @@ func TestServerClusterSearchAndPeerDown(t *testing.T) {
 	}
 	if !open {
 		t.Fatalf("no open peer breaker in healthz cluster section: %v", cl)
+	}
+}
+
+var peerName = regexp.MustCompile(`^peer-\d+$`)
+
+// checkLocalAnswer asserts that a search answered every key its reach
+// planned: the profile's candidate keys were all fetched, all of them are in
+// the answer, and each answered object is the local replica's.
+func checkLocalAnswer(t *testing.T, built *workload.Built, seq int, body map[string]any) {
+	t.Helper()
+	profile, _ := body["explain"].(map[string]any)
+	augs, _ := profile["augmentations"].([]any)
+	if len(augs) != 1 {
+		t.Fatalf("seq %d: profile has %d augmentations, want 1", seq, len(augs))
+	}
+	aug, _ := augs[0].(map[string]any)
+	planned, fetched := aug["candidate_keys"], aug["fetched"]
+	answered, _ := body["augmented"].([]any)
+	if planned != fetched || planned != float64(len(answered)) {
+		t.Fatalf("seq %d: reach planned %v keys, %v fetched, %d answered", seq, planned, fetched, len(answered))
+	}
+	for _, e := range answered {
+		obj, _ := e.(map[string]any)
+		key, _ := obj["key"].(string)
+		want, err := built.Poly.Fetch(context.Background(), core.MustParseGlobalKey(key))
+		if err != nil {
+			t.Fatalf("seq %d: answered %s, which the local replica lacks: %v", seq, key, err)
+		}
+		if fields, _ := obj["fields"].(map[string]any); len(fields) != len(want.Fields) {
+			t.Fatalf("seq %d: %s answered with fields %v, local replica holds %v", seq, key, fields, want.Fields)
+		}
 	}
 }
