@@ -14,7 +14,6 @@ import (
 	"net"
 	"net/http"
 	"net/url"
-	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -136,9 +135,9 @@ func TestServerClusterSearchAndPeerDown(t *testing.T) {
 	// cache that would spare it the dead peer.
 	//
 	// A dead peer costs only the reach it owns: every store is a full local
-	// replica, so no degradation may name a database, and every key the
-	// degraded scatter returned is in the answer, as the local replica holds
-	// it.
+	// replica, so the dead peer is the only degradation (never a database),
+	// and every key the degraded scatter returned is in the answer, as the
+	// local replica holds it.
 	remotes[0].Close()
 	sawPeerOpen := false
 	for seq := 4; !sawPeerOpen; seq++ {
@@ -153,8 +152,8 @@ func TestServerClusterSearchAndPeerDown(t *testing.T) {
 		raw, _ := body["degraded"].([]any)
 		for _, e := range raw {
 			entry, _ := e.(map[string]any)
-			if name, _ := entry["store"].(string); !peerName.MatchString(name) {
-				t.Fatalf("seq %d: degradation %v names a database, want only peer-N", seq, entry)
+			if entry["store"] != cluster.PeerName(1) {
+				t.Fatalf("seq %d: degradation %v, want only the dead %s", seq, entry, cluster.PeerName(1))
 			}
 			if entry["reason"] == "peer-open" {
 				sawPeerOpen = true
@@ -183,8 +182,6 @@ func TestServerClusterSearchAndPeerDown(t *testing.T) {
 	}
 }
 
-var peerName = regexp.MustCompile(`^peer-\d+$`)
-
 // checkLocalAnswer asserts that a search answered every key its reach
 // planned: the profile's candidate keys were all fetched, all of them are in
 // the answer, and each answered object is the local replica's.
@@ -208,8 +205,11 @@ func checkLocalAnswer(t *testing.T, built *workload.Built, seq int, body map[str
 		if err != nil {
 			t.Fatalf("seq %d: answered %s, which the local replica lacks: %v", seq, key, err)
 		}
-		if fields, _ := obj["fields"].(map[string]any); len(fields) != len(want.Fields) {
-			t.Fatalf("seq %d: %s answered with fields %v, local replica holds %v", seq, key, fields, want.Fields)
+		fields, _ := obj["fields"].(map[string]any)
+		for name, v := range want.Fields {
+			if fields[name] != v || len(fields) != len(want.Fields) {
+				t.Fatalf("seq %d: %s answered with fields %v, local replica holds %v", seq, key, fields, want.Fields)
+			}
 		}
 	}
 }

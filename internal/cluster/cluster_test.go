@@ -485,55 +485,6 @@ func TestScatterCacheInvalidatesOnLocalMutation(t *testing.T) {
 	}
 }
 
-// TestClusterRoutedStoreEquivalence: ring-routed keyed reads return exactly
-// what the local store would — Get by Get and batch fan-out alike.
-func TestClusterRoutedStoreEquivalence(t *testing.T) {
-	tc := startCluster(t, 3, nil)
-	ctx := context.Background()
-	routed, err := RoutePolystore(tc.ref.Poly, tc.coord)
-	if err != nil {
-		t.Fatal(err)
-	}
-	origins := sampleOrigins(tc.ref, 40)
-	remote := 0
-	byColl := map[[2]string][]string{}
-	for _, gk := range origins {
-		direct, err1 := tc.ref.Poly.Fetch(ctx, gk)
-		rst, err := routed.Database(gk.Database)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err2 := rst.Get(ctx, gk.Collection, gk.Key)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("%v: direct err %v, routed err %v", gk, err1, err2)
-		}
-		if err1 == nil && !reflect.DeepEqual(got, direct) {
-			t.Fatalf("%v: routed object differs", gk)
-		}
-		if tc.ring.Owner(gk) != 0 {
-			remote++
-		}
-		byColl[[2]string{gk.Database, gk.Collection}] = append(byColl[[2]string{gk.Database, gk.Collection}], gk.Key)
-	}
-	if remote == 0 {
-		t.Fatal("no sampled key was remote-owned; routing untested")
-	}
-	for dc, keys := range byColl {
-		direct, err := tc.ref.Poly.FetchBatch(ctx, dc[0], dc[1], keys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rst, _ := routed.Database(dc[0])
-		got, err := rst.GetBatch(ctx, dc[1], keys)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, direct) {
-			t.Fatalf("%s.%s: routed batch of %d keys differs from direct", dc[0], dc[1], len(keys))
-		}
-	}
-}
-
 // TestClusterPeerDownDegradesPeerOpen: a peer failing every request trips
 // its circuit breaker; once open, scatter legs are rejected fast and the
 // traversal reports the peer as degraded with reason "peer-open" instead of
@@ -584,7 +535,8 @@ func TestClusterPeerDownDegradesPeerOpen(t *testing.T) {
 
 // TestClusterAugmenterPeerOpen: the full search-path behaviour — an
 // augmenter wired to the scatter coordinator over a cluster with one dead
-// peer answers successfully and reports "peer-open" in its degradations.
+// peer answers successfully and reports "peer-open" in its degradations,
+// naming only the dead peer: objects come from the local replica.
 func TestClusterAugmenterPeerOpen(t *testing.T) {
 	const down = 1
 	tc := startCluster(t, 2, func(shard int, node *Node) core.Store {
@@ -593,11 +545,7 @@ func TestClusterAugmenterPeerOpen(t *testing.T) {
 		}
 		return netsim.NewChaosNode(node, netsim.FaultPlan{Down: []netsim.Window{{From: 1}}}, func(time.Duration) {})
 	})
-	routed, err := RoutePolystore(tc.ref.Poly, tc.coord)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aug := augment.New(routed, tc.nodes[0].Index(), augment.Config{})
+	aug := augment.New(tc.ref.Poly, tc.nodes[0].Index(), augment.Config{})
 	aug.SetReacher(tc.coord)
 	ctx := context.Background()
 	origins := sampleOrigins(tc.ref, 20)
@@ -612,6 +560,9 @@ func TestClusterAugmenterPeerOpen(t *testing.T) {
 			t.Fatalf("augmenting %v: %v", gk, err)
 		}
 		for _, d := range degs {
+			if d.Store != PeerName(down) {
+				t.Fatalf("augmenting %v: degradation %+v, want only %s", gk, d, PeerName(down))
+			}
 			if d.Reason == "peer-open" {
 				sawOpen = true
 			}
@@ -818,11 +769,7 @@ func TestRebalanceInvalidatesReachCache(t *testing.T) {
 // the request's delta of quepa_cluster_scatter_total.
 func TestClusterScatterSpansMatchCounter(t *testing.T) {
 	tc := startCluster(t, 2, nil)
-	routed, err := RoutePolystore(tc.ref.Poly, tc.coord)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aug := augment.New(routed, tc.nodes[0].Index(), augment.Config{})
+	aug := augment.New(tc.ref.Poly, tc.nodes[0].Index(), augment.Config{})
 	aug.SetReacher(tc.coord)
 	ctx, root := telemetry.StartSpan(context.Background(), "http /search")
 	if root == nil {
@@ -864,11 +811,7 @@ func TestClusterScatterSpansMatchCounter(t *testing.T) {
 // shard, totals counted.
 func TestClusterExplainScatter(t *testing.T) {
 	tc := startCluster(t, 3, nil)
-	routed, err := RoutePolystore(tc.ref.Poly, tc.coord)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aug := augment.New(routed, tc.nodes[0].Index(), augment.Config{})
+	aug := augment.New(tc.ref.Poly, tc.nodes[0].Index(), augment.Config{})
 	aug.SetReacher(tc.coord)
 	for _, gk := range sampleOrigins(tc.ref, 20) {
 		obj, err := tc.ref.Poly.Fetch(context.Background(), gk)

@@ -29,8 +29,6 @@ var (
 		"scatter legs that failed (transport or remote error, breaker rejections excluded)")
 	peerOpenRejects = telemetry.NewCounter("quepa_cluster_peer_open_total",
 		"scatter legs rejected fast by an open per-peer circuit breaker")
-	remoteFetches = telemetry.NewCounter("quepa_cluster_remote_fetch_total",
-		"keyed fetches routed to a remote peer by ring ownership")
 	rebalanceTotal = telemetry.NewCounter("quepa_cluster_rebalance_total",
 		"topology swaps applied by SetTopology")
 	deltaKeysShipped = telemetry.NewCounter("quepa_cluster_delta_keys_total",
@@ -65,9 +63,9 @@ type Config struct {
 
 // Coordinator owns this peer's view of the cluster: the ring, one pooled
 // multiplexed wire client per remote peer, and one circuit breaker per peer.
-// It implements augment.Reacher — scatter-gather reachability — and backs
-// the RoutedStore fetch path. A peer whose breaker is open costs one fast
-// rejection and a "peer-open" degradation, never a failed query.
+// It implements augment.Reacher — scatter-gather reachability. A peer whose
+// breaker is open costs one fast rejection and a "peer-open" degradation,
+// never a failed query.
 type Coordinator struct {
 	mu    sync.RWMutex // guards ring+peers (swapped by SetTopology)
 	ring  *Ring
@@ -546,44 +544,12 @@ func (s *originSlot) merge(hits []wire.RemoteHit, hop int) (suppressed int) {
 	return suppressed
 }
 
-// PeerGet fetches one remote-owned key from the peer owning shard, guarded
-// by its breaker. Failures come back wrapped so the augmenter's degradation
-// machinery classifies an open breaker as "peer-open".
-func (c *Coordinator) PeerGet(ctx context.Context, shard int, database, collection, key string) (core.Object, error) {
-	_, peers := c.topo()
-	b := c.breakers.Breaker(PeerName(shard))
-	if err := b.Allow(); err != nil {
-		peerOpenRejects.Inc()
-		return core.Object{}, fmt.Errorf("cluster: %s: %w", PeerName(shard), resilience.ErrPeerOpen)
-	}
-	cl, err := c.client(peers[shard])
-	if err != nil {
-		b.Record(err)
-		return core.Object{}, err
-	}
-	remoteFetches.Inc()
-	o, err := cl.GetDB(ctx, database, collection, key)
-	b.Record(err)
-	return o, err
-}
-
-// PeerGetBatch fetches a batch of remote-owned keys from one peer.
-func (c *Coordinator) PeerGetBatch(ctx context.Context, shard int, database, collection string, keys []string) ([]core.Object, error) {
-	_, peers := c.topo()
-	b := c.breakers.Breaker(PeerName(shard))
-	if err := b.Allow(); err != nil {
-		peerOpenRejects.Inc()
-		return nil, fmt.Errorf("cluster: %s: %w", PeerName(shard), resilience.ErrPeerOpen)
-	}
-	cl, err := c.client(peers[shard])
-	if err != nil {
-		b.Record(err)
-		return nil, err
-	}
-	remoteFetches.Inc()
-	objs, err := cl.GetBatchDB(ctx, database, collection, keys)
-	b.Record(err)
-	return objs, err
+// RoutePolystore returns poly unchanged: every peer holds a full replica of
+// every store, so keyed reads stay local and only reachability is scattered.
+// It exists only for benchmark/stack.go, until the ledger assembles its stack
+// through server.New.
+func RoutePolystore(poly *core.Polystore, _ *Coordinator) (*core.Polystore, error) {
+	return poly, nil
 }
 
 // FetchPeerSnapshot downloads the epoch-stamped A' shard checkpoint of one

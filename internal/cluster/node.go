@@ -16,12 +16,13 @@ import (
 // in breaker snapshots, degradation reasons and trace attributes.
 func PeerName(shard int) string { return fmt.Sprintf("peer-%d", shard) }
 
-// Node is the peer-local half of the cluster: one shard of the A' index plus
-// the full local polystore, served over the wire protocol. It implements
-// core.Store (so wire.Serve accepts it) and the three cluster capabilities
-// the wire server forwards: database-routed reads, frontier expansion and
-// index snapshots. The index pointer is swapped atomically on snapshot
-// installs, so rebalances never block in-flight expansions.
+// Node is the peer-local half of the cluster: one shard of the A' index,
+// served over the wire protocol. It implements core.Store (so wire.Serve
+// accepts it) and the two cluster capabilities the wire server forwards:
+// frontier expansion and index snapshots. Objects are never read through a
+// node: every peer holds a full replica of every store and reads its own.
+// The index pointer is swapped atomically on snapshot installs, so
+// rebalances never block in-flight expansions.
 type Node struct {
 	shard int
 	name  string
@@ -46,44 +47,28 @@ func (n *Node) Index() *aindex.Index { return n.index.Load() }
 // Name identifies the node in meta responses and status pages.
 func (n *Node) Name() string { return n.name }
 
-// Kind reports key-value: the node's own surface is keyed reads; the real
-// store kinds live behind the database routing.
+// Kind reports key-value; the real store kinds live in the peer's
+// polystore.
 func (n *Node) Kind() core.StoreKind { return core.KindKeyValue }
 
-// Collections lists the databases the node can route to — the closest
-// meta-level analogue a multi-database shard has to collections.
+// Collections lists the peer's databases — the closest meta-level analogue a
+// multi-database shard has to collections.
 func (n *Node) Collections() []string { return n.poly.Databases() }
 
-// Get is unsupported: a shard node serves several databases, so reads must
-// carry the database (wire routes them to GetDB).
+// Get is unsupported: every peer reads objects from its own replica.
 func (n *Node) Get(ctx context.Context, collection, key string) (core.Object, error) {
-	return core.Object{}, fmt.Errorf("cluster: %s requires database-routed reads", n.name)
+	return core.Object{}, fmt.Errorf("cluster: %s serves no object reads", n.name)
 }
 
 // GetBatch is unsupported for the same reason as Get.
 func (n *Node) GetBatch(ctx context.Context, collection string, keys []string) ([]core.Object, error) {
-	return nil, fmt.Errorf("cluster: %s requires database-routed reads", n.name)
+	return nil, fmt.Errorf("cluster: %s serves no object reads", n.name)
 }
 
 // Query is unsupported: native-language queries run on the coordinator's
-// local replica, only keyed fetches are routed by ownership.
+// local replica.
 func (n *Node) Query(ctx context.Context, query string) ([]core.Object, error) {
 	return nil, fmt.Errorf("cluster: %s does not serve native queries", n.name)
-}
-
-// GetDB serves one locally-owned key of the named database.
-func (n *Node) GetDB(ctx context.Context, database, collection, key string) (core.Object, error) {
-	store, err := n.poly.Database(database)
-	if err != nil {
-		return core.Object{}, err
-	}
-	return store.Get(ctx, collection, key)
-}
-
-// GetBatchDB serves a batch of locally-owned keys of one database's
-// collection.
-func (n *Node) GetBatchDB(ctx context.Context, database, collection string, keys []string) ([]core.Object, error) {
-	return n.poly.FetchBatch(ctx, database, collection, keys)
 }
 
 // ExpandFrontier expands a weighted frontier one hop over the node's A'

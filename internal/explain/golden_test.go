@@ -248,8 +248,8 @@ func wireRetryPolystore(t *testing.T, built *workload.Built) *core.Polystore {
 }
 
 // twoPeerAugmenter brings up a 2-peer cluster — peer 1 served over a real
-// wire listener, peer 0 local — and returns peer 0's augmenter: ring-routed
-// stores, scatter-gather reach, and a scatter result cache.
+// wire listener, peer 0 local — and returns peer 0's augmenter: its own
+// replica of every store, scatter-gather reach, and a scatter result cache.
 func twoPeerAugmenter(t *testing.T) *augment.Augmenter {
 	t.Helper()
 	spec := workload.DefaultSpec()
@@ -300,11 +300,7 @@ func twoPeerAugmenter(t *testing.T) *augment.Augmenter {
 		t.Fatal(err)
 	}
 	t.Cleanup(coord.Close)
-	routed, err := cluster.RoutePolystore(local.Poly, coord)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aug := augment.New(routed, nodes[0].Index(), augment.Config{Strategy: augment.Batch, BatchSize: 4, CacheSize: 1024})
+	aug := augment.New(local.Poly, nodes[0].Index(), augment.Config{Strategy: augment.Batch, BatchSize: 4, CacheSize: 1024})
 	aug.SetReacher(coord)
 	return aug
 }

@@ -1,10 +1,10 @@
 package netsim
 
 // Multi-node faults: the cluster analogue of the per-store Chaos wrapper. A
-// ChaosNode decorates one cluster peer (a shard node serving database-routed
-// reads, frontier expansions and index snapshots over the wire) with a
-// per-peer FaultPlan, so peer-down, flapping and slow-shard scenarios replay
-// deterministically against in-process or real peers.
+// ChaosNode decorates one cluster peer (a shard node serving frontier
+// expansions and index snapshots over the wire) with a per-peer FaultPlan, so
+// peer-down, flapping and slow-shard scenarios replay deterministically
+// against in-process or real peers.
 
 import (
 	"context"
@@ -15,18 +15,16 @@ import (
 )
 
 // PeerNode is the store surface a cluster peer serves: plain store metadata
-// plus the three wire cluster capabilities.
+// plus the two wire cluster capabilities.
 type PeerNode interface {
 	core.Store
-	wire.DBStore
 	wire.FrontierReacher
 	wire.Snapshotter
 }
 
 // ChaosNode wraps a PeerNode with a fault plan. Faults and stalls charge the
-// data ops (database-routed reads and frontier expansions); snapshot
-// transfers are never faulted, so bootstrap tests stay deterministic under
-// any retry schedule.
+// data op (frontier expansion); snapshot transfers are never faulted, so
+// bootstrap tests stay deterministic under any retry schedule.
 type ChaosNode struct {
 	inner PeerNode
 	g     gate
@@ -75,23 +73,6 @@ func (n *ChaosNode) GetBatch(ctx context.Context, collection string, keys []stri
 // Query forwards to the wrapped peer.
 func (n *ChaosNode) Query(ctx context.Context, query string) ([]core.Object, error) {
 	return n.inner.Query(ctx, query)
-}
-
-// GetDB serves one database-routed read unless the plan faults the request.
-func (n *ChaosNode) GetDB(ctx context.Context, database, collection, key string) (core.Object, error) {
-	if err := n.g.admit(); err != nil {
-		return core.Object{}, err
-	}
-	return n.inner.GetDB(ctx, database, collection, key)
-}
-
-// GetBatchDB serves one database-routed batch read unless the plan faults
-// the request.
-func (n *ChaosNode) GetBatchDB(ctx context.Context, database, collection string, keys []string) ([]core.Object, error) {
-	if err := n.g.admit(); err != nil {
-		return nil, err
-	}
-	return n.inner.GetBatchDB(ctx, database, collection, keys)
 }
 
 // ExpandFrontier serves one scatter leg unless the plan faults the request.

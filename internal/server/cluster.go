@@ -6,10 +6,10 @@ package server
 // partitioned), carves its shard of the A' index along the consistent-hash
 // ring, serves it to the other peers over the wire protocol, and answers its
 // own HTTP traffic through a scatter-gather coordinator: reachability fans
-// out to the shard owners, keyed fetches route to them, and a burning peer
-// degrades the answer with reason "peer-open" instead of failing it. The
-// ring uses cluster.DefaultVnodes and the default seed, so every peer agrees
-// on it by construction.
+// out to the shard owners, keyed reads stay on the local replica, and a
+// burning peer degrades the answer with reason "peer-open" instead of
+// failing it. The ring uses cluster.DefaultVnodes and the default seed, so
+// every peer agrees on it by construction.
 
 import (
 	"fmt"
@@ -36,10 +36,10 @@ func parsePeers(s string) ([]string, error) {
 }
 
 // joinCluster turns the workload into one cluster peer: shard the A' index,
-// serve the shard node over the wire on this peer's address, build the
-// coordinator (memoizing scatter traversals in the server's result cache),
-// and swap the polystore for its ring-routed counterpart so the whole
-// augmenter stack fetches by ownership. It returns the local shard.
+// serve the shard node over the wire on this peer's address, and build the
+// coordinator (memoizing scatter traversals in the server's result cache).
+// Keyed reads keep going to the polystore as built: every peer holds a full
+// replica of every store. It returns the local shard.
 func (s *Server) joinCluster(peerList string, shardID, pool int, bcfg resilience.BreakerConfig) (*aindex.Index, error) {
 	peers, err := parsePeers(peerList)
 	if err != nil {
@@ -75,11 +75,6 @@ func (s *Server) joinCluster(peerList string, shardID, pool int, bcfg resilience
 		return nil, err
 	}
 	s.closers = append(s.closers, func() error { coord.Close(); return nil })
-	routed, err := cluster.RoutePolystore(s.built.Poly, coord)
-	if err != nil {
-		return nil, err
-	}
-	s.built.Poly = routed
 	s.cluster = coord
 	st := coord.Status(false)
 	log.Printf("quepa-server: cluster shard %d of %d, A' shard %d keys / %d p-relations on %s, ring version %x",

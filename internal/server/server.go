@@ -39,7 +39,8 @@
 // With Cluster (host:port,...) and ShardID the server runs as one peer of a
 // sharded deployment: a consistent-hash ring partitions A' ownership across
 // the listed peers, each peer serves its shard over the wire protocol, and
-// augmentation becomes scatter-gather across the owners. /healthz and /stats
+// reachability becomes scatter-gather across the owners while objects are
+// read from the peer's own replica of every store. /healthz and /stats
 // grow a "cluster" section (ring version, per-peer breakers, owned ranges);
 // a peer whose breaker is open shows up in answers as degraded with reason
 // "peer-open" instead of failing the query.

@@ -740,41 +740,6 @@ func (c *Client) KeyField(ctx context.Context, collection string) (string, error
 	return resp.KeyField, nil
 }
 
-// GetDB retrieves one object from a cluster peer that shards several
-// databases behind one listener, routing by database name. Missing keys
-// return core.ErrNotFound like Get does.
-func (c *Client) GetDB(ctx context.Context, database, collection, key string) (core.Object, error) {
-	if err := ctx.Err(); err != nil {
-		return core.Object{}, err
-	}
-	resp, err := c.roundTrip(ctx, request{Op: opGet, Database: database, Collection: collection, Key: key})
-	if err != nil {
-		return core.Object{}, err
-	}
-	if resp.NotFound || len(resp.Objects) == 0 {
-		return core.Object{}, fmt.Errorf("%s.%s.%s: %w", database, collection, key, core.ErrNotFound)
-	}
-	return fromWire(resp.Objects[0]), nil
-}
-
-// GetBatchDB retrieves many objects of one database's collection from a
-// cluster peer in a single round trip. Like GetBatch, missing keys are
-// silently absent from the result.
-func (c *Client) GetBatchDB(ctx context.Context, database, collection string, keys []string) ([]core.Object, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	resp, err := c.roundTrip(ctx, request{Op: opGetBatch, Database: database, Collection: collection, Keys: keys})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]core.Object, len(resp.Objects))
-	for i, w := range resp.Objects {
-		out[i] = fromWire(w)
-	}
-	return out, nil
-}
-
 // ExpandFrontier asks the peer to expand a weighted key frontier one hop
 // over its A' shard — the scatter leg of a distributed Reach. keys and probs
 // are parallel; the returned hits carry the accumulated path probabilities.

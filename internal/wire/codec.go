@@ -35,9 +35,9 @@ import (
 )
 
 // frameVersion is the first body byte of every frame. The values below it
-// are retired: '{' opened the JSON frames and 0x02-0x04 the three binary
+// are retired: '{' opened the JSON frames and 0x02-0x05 the four binary
 // layouts this format replaced, so none of them can be mistaken for it.
-const frameVersion = 0x05
+const frameVersion = 0x06
 
 // internCap bounds the per-frame string intern table. The encoder and the
 // decoder apply the identical "append literals while the table has room"
@@ -218,7 +218,6 @@ func (e *encoder) encodeRequest(req *request) error {
 		}
 	}
 	e.str(req.Query)
-	e.intern(req.Database)
 	e.uvarint(uint64(len(req.Probs)))
 	for _, p := range req.Probs {
 		e.f64(p)
@@ -544,9 +543,6 @@ func decodeRequest(body string, req *request) error {
 		req.Keys = keys
 	}
 	if req.Query, err = d.str(); err != nil {
-		return err
-	}
-	if req.Database, err = d.intern(); err != nil {
 		return err
 	}
 	nprobs, err := d.count(8)

@@ -31,6 +31,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{frameVersion})
 	f.Add([]byte{frameVersion, 2, 0, 0})
 	f.Add([]byte{0x04, 1, 0, 0}) // a retired format's first byte
+	f.Add([]byte(oldFormatFrames[0x05].reachReq))
 	f.Add([]byte(nil))
 
 	f.Fuzz(func(t *testing.T, body []byte) {

@@ -305,7 +305,7 @@ func corruptionFrames() []framePair {
 		{"every field", &request{
 			ID: 7, Op: opGetBatch, Collection: "drop", Key: "k1",
 			Keys: []string{"a", "bb", "ccc"}, Query: "SCAN drop",
-			Database: "discount", Probs: []float64{0.5, 0.25, 1},
+			Probs: []float64{0.5, 0.25, 1},
 			Trace: testTrace, Segs: []int{1, 0, 2},
 		}, &response{
 			ID: 7, Objects: []wireObject{
@@ -885,7 +885,7 @@ func TestClientRejectsUnsegmentedAnswer(t *testing.T) {
 	}
 }
 
-// oldFormatFrames are well-formed frames of the four formats this one
+// oldFormatFrames are well-formed frames of the five formats this one
 // replaced, keyed by their first body byte: bytes produced by the encoders of
 // the last commit that had them.
 var oldFormatFrames = map[byte]struct{ metaReq, reachReq, resp string }{
@@ -906,6 +906,12 @@ var oldFormatFrames = map[byte]struct{ metaReq, reachReq, resp string }{
 	0x04: {
 		reachReq: "\x04\x02\x04\x00\x06d.c.k1\x05\x012\x00\x00\x00\x00\x00\x00\xf0?\x00\x00\x00\x00\x00\x00\xe0?\x02\x01\x01",
 		resp:     "\x04\x02\x02\x03\x04\x00\x06d.c.k9\x00\x00\x00\x00\x00\x00\xd0?\x02\x00\x01",
+	},
+	// 0x05 is this layout plus a request db column after the query.
+	0x05: {
+		metaReq:  "\x05\x04\x01\x00\x00\x00\x00\x00\x01\x00\x00\x00",
+		reachReq: "\x05\x06\x02\x00\x00\x00\x02\x00\x06d.c.k1\x05\x012\x00\x01\x02\x00\x00\x00\x00\x00\x00\xf0?\x00\x00\x00\x00\x00\x00\xe0?\x00\x02\x01\x01",
+		resp:     "\x05\x01\x00\x00\x00\bold-peer\x02\x01\x04drop\x00\x00\x00\x00\x00\x00\x00",
 	},
 }
 

@@ -45,15 +45,9 @@ func ServeOn(store core.Store, ln net.Listener) *Server {
 }
 
 // Optional store capabilities a wire server forwards when the wrapped store
-// implements them. A cluster shard node implements all three; plain stores
-// implement none and the corresponding ops fail with a remote error.
+// implements them. A cluster shard node implements both; plain stores
+// implement neither and the corresponding ops fail with a remote error.
 type (
-	// DBStore routes keyed reads by database — a shard node serves every
-	// database's locally-owned keys behind one listener.
-	DBStore interface {
-		GetDB(ctx context.Context, database, collection, key string) (core.Object, error)
-		GetBatchDB(ctx context.Context, database, collection string, keys []string) ([]core.Object, error)
-	}
 	// FrontierReacher expands a weighted key frontier one hop over the
 	// store's A' shard (the scatter-gather reach primitive). segs splits the
 	// frontier into consecutive runs expanded independently of each other —
@@ -204,9 +198,6 @@ func (s *Server) dispatch(ctx context.Context, req request) response {
 			Collections: s.store.Collections(),
 		}
 	case opGet:
-		if req.Database != "" {
-			return s.dispatchGetDB(ctx, req)
-		}
 		o, err := s.store.Get(ctx, req.Collection, req.Key)
 		if err != nil {
 			if errors.Is(err, core.ErrNotFound) {
@@ -216,9 +207,6 @@ func (s *Server) dispatch(ctx context.Context, req request) response {
 		}
 		return response{Objects: []wireObject{toWire(o)}}
 	case opGetBatch:
-		if req.Database != "" {
-			return s.dispatchGetDB(ctx, req)
-		}
 		objs, err := s.store.GetBatch(ctx, req.Collection, req.Keys)
 		if err != nil {
 			return response{Error: err.Error()}
@@ -277,30 +265,6 @@ func (s *Server) dispatch(ctx context.Context, req request) response {
 	default:
 		return response{Error: "wire: unknown op " + req.Op}
 	}
-}
-
-// dispatchGetDB serves a database-routed get/getbatch frame against a store
-// that shards several databases behind one listener.
-func (s *Server) dispatchGetDB(ctx context.Context, req request) response {
-	dbs, ok := s.store.(DBStore)
-	if !ok {
-		return response{Error: "wire: store cannot route by database"}
-	}
-	if req.Op == opGet {
-		o, err := dbs.GetDB(ctx, req.Database, req.Collection, req.Key)
-		if err != nil {
-			if errors.Is(err, core.ErrNotFound) {
-				return response{NotFound: true}
-			}
-			return response{Error: err.Error()}
-		}
-		return response{Objects: []wireObject{toWire(o)}}
-	}
-	objs, err := dbs.GetBatchDB(ctx, req.Database, req.Collection, req.Keys)
-	if err != nil {
-		return response{Error: err.Error()}
-	}
-	return objectsResponse(objs)
 }
 
 func objectsResponse(objs []core.Object) response {

@@ -140,10 +140,6 @@ type request struct {
 	// key-sorted within a segment, front-coded on the wire).
 	Keys  []string `json:"keys,omitempty"`
 	Query string   `json:"query,omitempty"`
-	// Database routes get/getbatch on a cluster peer that serves several
-	// databases behind one listener (a shard node). Empty selects the
-	// single-store dispatch.
-	Database string `json:"db,omitempty"`
 	// Probs carries the frontier weights parallel to Keys for the reach op:
 	// the best path probability accumulated at each frontier key so far.
 	Probs []float64 `json:"probs,omitempty"`
