@@ -85,12 +85,13 @@ promlint:
 
 # Multi-peer cluster suite under the race detector (the CI cluster job runs
 # exactly this): ring property tests, scatter-gather equivalence against the
-# single-node index, peer-down -> "peer-open" degradation, slow-shard
-# timeouts, snapshot bootstrap and ring rebalance, and the 3-peer HTTP server
-# acceptance test. Every scenario runs over in-process netsim peers with
-# deterministic fault plans, so the lane replays bit-for-bit on any runner.
+# single-node index, the scatter cache under concurrent mutation,
+# peer-down -> "peer-open" degradation, slow-shard timeouts, and the 3-peer
+# HTTP server acceptance test. Every scenario runs over in-process netsim
+# peers with deterministic fault plans, so the lane replays bit-for-bit on
+# any runner.
 cluster:
-	$(GO) test -race -run 'Cluster|Ring|Scatter|Rebalance|Snapshot' \
+	$(GO) test -race -run 'Cluster|Ring|Scatter' \
 		./internal/cluster/ ./cmd/quepa-server/
 
 # Crash-recovery suite: SIGKILL a re-exec'd process mid-write (both the raw

@@ -78,13 +78,6 @@ type Index struct {
 	// critical section (journal.go). The WAL manager installs itself here so
 	// crash recovery can replay mutations in application order.
 	journal Journal
-
-	// invalidate, when non-nil, is called after component-level surgery
-	// (ReplaceComponent) commits — the one mutation class whose effects a
-	// purely epoch-keyed result cache must not wait out, because rebalances
-	// swap whole shards at once. Ordinary mutations rely on the epoch bump
-	// alone. Stored atomically so reads need no lock.
-	invalidate atomic.Pointer[func()]
 }
 
 // New returns an empty index with a fresh (empty) snapshot installed, so
@@ -309,25 +302,9 @@ func (ix *Index) RemoveObject(gk core.GlobalKey) bool {
 // trace of the request whose fetch revealed the stale object.
 func (ix *Index) RemoveObjectCtx(ctx context.Context, gk core.GlobalKey) bool {
 	ix.mu.Lock()
-	if !ix.removeObjectLocked(gk) {
-		ix.mu.Unlock()
-		return false
-	}
-	e := ix.epoch.Add(1)
-	if ix.journal != nil {
-		ix.logCtxLocked(ctx, []JournalOp{{Kind: OpRemove, Key: gk}}, e)
-	}
-	ix.mu.Unlock()
-	removals.Inc()
-	ix.scheduleRebuild()
-	return true
-}
-
-// removeObjectLocked deletes gk and its incident edges under the write lock,
-// without touching the epoch or the journal; the caller owns both.
-func (ix *Index) removeObjectLocked(gk core.GlobalKey) bool {
 	nbs, ok := ix.adj[gk]
 	if !ok {
+		ix.mu.Unlock()
 		return false
 	}
 	for nb := range nbs {
@@ -336,6 +313,13 @@ func (ix *Index) removeObjectLocked(gk core.GlobalKey) bool {
 	}
 	delete(ix.adj, gk)
 	ix.markAllDirtyLocked() // a key left: the snapshot's id tables are out
+	e := ix.epoch.Add(1)
+	if ix.journal != nil {
+		ix.logCtxLocked(ctx, []JournalOp{{Kind: OpRemove, Key: gk}}, e)
+	}
+	ix.mu.Unlock()
+	removals.Inc()
+	ix.scheduleRebuild()
 	return true
 }
 

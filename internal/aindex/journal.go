@@ -1,20 +1,18 @@
-// Mutation journal hook and component-level surgery.
+// Mutation journal hook.
 //
 // The durability subsystem (internal/wal) needs to observe every mutation of
-// the A' index — explicit inserts, lazy deletions triggered by the augmenter,
-// path promotions, incremental-collection deltas — in exactly the order they
-// were applied, because crash recovery replays the journal and the result
-// must be byte-identical to the pre-crash index. Rather than threading a log
-// through every caller, the index itself exposes a Journal: mutators invoke
-// it inside their write critical section, so the journal order IS the
-// application order, and the epoch passed along is the PR 5 snapshot epoch
-// the mutation produced — the WAL's batch fences align with the snapshot
-// epochs by construction.
+// the A' index — explicit inserts, path promotions, lazy deletions triggered
+// by the augmenter — in exactly the order they were applied, because crash
+// recovery replays the journal and the result must be byte-identical to the
+// pre-crash index. Rather than threading a log through every caller, the
+// index itself exposes a Journal: mutators invoke it inside their write
+// critical section, so the journal order IS the application order, and the
+// epoch passed along is the snapshot epoch the mutation produced — the WAL's
+// batch fences align with the snapshot epochs by construction.
 package aindex
 
 import (
 	"context"
-	"sort"
 
 	"quepa/internal/core"
 )
@@ -28,7 +26,7 @@ const (
 	// relation suffices.
 	OpInsert OpKind = iota + 1
 	// OpInsertRaw installs a relation verbatim (closure already materialized
-	// by the writer — bulk loads, component replacements).
+	// by the writer — snapshot loads, the ablation's raw index).
 	OpInsertRaw
 	// OpRemove deletes a global key and its incident edges.
 	OpRemove
@@ -85,20 +83,12 @@ func (ix *Index) SetJournal(j Journal) {
 // index state simply stop validating and age out of the LRU.
 func (ix *Index) Epoch() uint64 { return ix.epoch.Load() }
 
-// SetInvalidationHook installs (or, with nil, removes) a callback invoked
-// after every ReplaceComponent commits. Component surgery is the mutation
-// class where epoch aging is not enough for derived caches: a cluster
-// rebalance or an incremental-collection apply swaps a whole region of the
-// index at once, and any result computed against the old region must become
-// unservable immediately, not after LRU pressure. The hook runs outside the
-// index locks and must not call back into mutators.
-func (ix *Index) SetInvalidationHook(f func()) {
-	if f == nil {
-		ix.invalidate.Store(nil)
-		return
-	}
-	ix.invalidate.Store(&f)
-}
+// SetInvalidationHook does nothing. No mutation needs an explicit flush of a
+// derived cache: every one bumps the epoch, and epoch-stamped entries stop
+// validating at once. It exists only because benchmark/stack.go calls it, like
+// cluster.RoutePolystore, until the ledger assembles its stack through
+// server.New.
+func (ix *Index) SetInvalidationHook(func()) {}
 
 // EdgesWithEpoch returns the canonical edge list together with the mutation
 // epoch it corresponds to, read atomically under the lock. Checkpoints use
@@ -124,50 +114,4 @@ func (ix *Index) AdvanceEpoch(e uint64) {
 	ix.markAllDirtyLocked()
 	ix.mu.Unlock()
 	ix.RefreshSnapshot()
-}
-
-// ReplaceComponent atomically removes the given keys and installs every edge
-// of repl in their place, as one journaled mutation (one epoch). It is the
-// apply step of incremental collection: the collector rebuilds the affected
-// connected component offline with BulkLoad and swaps it in here, instead of
-// rebuilding the whole index. The replacement's edges are expected to be
-// disjoint from the surviving adjacency (a rebuilt component only references
-// its own keys); edges that do overlap merge under the usual
-// stronger-relation-wins rule. repl may be nil for a pure removal.
-func (ix *Index) ReplaceComponent(remove []core.GlobalKey, repl *Index) {
-	var replEdges []core.PRelation
-	if repl != nil {
-		replEdges = repl.Edges()
-	}
-	// Deterministic removal order, so the journaled batch replays the exact
-	// operation sequence this call performs.
-	removed := make([]core.GlobalKey, len(remove))
-	copy(removed, remove)
-	sort.Slice(removed, func(i, j int) bool { return removed[i].Compare(removed[j]) < 0 })
-
-	ix.mu.Lock()
-	var ops []JournalOp
-	if ix.journal != nil {
-		ops = make([]JournalOp, 0, len(removed)+len(replEdges))
-	}
-	for _, gk := range removed {
-		if ix.removeObjectLocked(gk) && ops != nil {
-			ops = append(ops, JournalOp{Kind: OpRemove, Key: gk})
-		}
-	}
-	for _, e := range replEdges {
-		ix.setEdgeLocked(e.From, e.To, e.Type, e.Prob)
-		if ops != nil {
-			ops = append(ops, JournalOp{Kind: OpInsertRaw, Rel: e})
-		}
-	}
-	e := ix.epoch.Add(1)
-	if ix.journal != nil {
-		ix.journal.Log(ops, e)
-	}
-	ix.mu.Unlock()
-	ix.scheduleRebuild()
-	if f := ix.invalidate.Load(); f != nil {
-		(*f)()
-	}
 }

@@ -98,70 +98,3 @@ func TestAdvanceEpochIsForwardOnly(t *testing.T) {
 		t.Fatalf("epoch moved backwards: %v", j.epochs)
 	}
 }
-
-func TestReplaceComponentSwapsAtomically(t *testing.T) {
-	ix := New()
-	// Two components: {1,a} and {2,y}.
-	if err := ix.Insert(prel("pg.users.1", "mongo.profiles.a", core.Identity, 0.9)); err != nil {
-		t.Fatal(err)
-	}
-	if err := ix.Insert(prel("pg.users.2", "neo.people.y", core.Matching, 0.7)); err != nil {
-		t.Fatal(err)
-	}
-	j := &memJournal{}
-	ix.SetJournal(j)
-
-	// Replace component {1,a} with a rebuilt version {1,a,b}.
-	repl, err := BulkLoad([]core.PRelation{
-		prel("pg.users.1", "mongo.profiles.a", core.Identity, 0.95),
-		prel("mongo.profiles.a", "neo.people.b", core.Identity, 0.91),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix.ReplaceComponent([]core.GlobalKey{
-		core.MustParseGlobalKey("pg.users.1"),
-		core.MustParseGlobalKey("mongo.profiles.a"),
-	}, repl)
-
-	// One journal batch, one epoch, removes before raw inserts.
-	if len(j.batches) != 1 {
-		t.Fatalf("ReplaceComponent journaled %d batches, want 1", len(j.batches))
-	}
-	sawInsert := false
-	for _, op := range j.batches[0] {
-		switch op.Kind {
-		case OpRemove:
-			if sawInsert {
-				t.Fatal("remove after insert in replacement batch")
-			}
-		case OpInsertRaw:
-			sawInsert = true
-		default:
-			t.Fatalf("unexpected op kind %d", op.Kind)
-		}
-	}
-
-	// The untouched component survives; the replaced one matches repl.
-	want := New()
-	for _, r := range repl.Edges() {
-		if err := want.InsertRaw(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := want.Insert(prel("pg.users.2", "neo.people.y", core.Matching, 0.7)); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ix.Edges(), want.Edges()) {
-		t.Fatalf("post-swap edges:\n got %v\nwant %v", ix.Edges(), want.Edges())
-	}
-
-	// Pure removal: nil replacement drops the component.
-	ix.ReplaceComponent([]core.GlobalKey{
-		core.MustParseGlobalKey("pg.users.2"),
-		core.MustParseGlobalKey("neo.people.y"),
-	}, nil)
-	if ix.Contains(core.MustParseGlobalKey("pg.users.2")) {
-		t.Fatal("pure removal left the component behind")
-	}
-}

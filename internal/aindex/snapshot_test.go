@@ -154,11 +154,6 @@ func TestSnapshotFullBuildWhenNotPatchable(t *testing.T) {
 			ix.RemoveObject(live[0])
 			ix.InsertRaw(core.NewMatching(live[1], live[2], 1))
 		},
-		"ReplaceComponent": func(ix *Index, keys []core.GlobalKey) {
-			live := ix.Keys()
-			repl := mkIndex(t, core.NewIdentity(live[0], live[1], 0.9))
-			ix.ReplaceComponent(live[:2], repl)
-		},
 		"AdvanceEpoch": func(ix *Index, keys []core.GlobalKey) {
 			ix.AdvanceEpoch(ix.Epoch() + 1000)
 		},
@@ -405,8 +400,8 @@ func TestFullRebuildWaitsOutBulkMutation(t *testing.T) {
 // TestReachDuringRebuildChurn hammers lock-free readers against concurrent
 // mutators and snapshot refreshes (run under -race). A nanosecond debounce
 // forces a refresh after virtually every mutation; inserts between live keys
-// leave it patchable, removals, re-insertions of removed keys and component
-// swaps force the full build, so both kinds install under the readers.
+// leave it patchable, removals and re-insertions of removed keys force the
+// full build, so both kinds install under the readers.
 func TestReachDuringRebuildChurn(t *testing.T) {
 	ix := New()
 	ix.SetRebuildDebounce(time.Nanosecond)
@@ -425,8 +420,10 @@ func TestReachDuringRebuildChurn(t *testing.T) {
 					ix.RemoveObject(keys[rng.Intn(len(keys))])
 					continue
 				}
-				if rng.Intn(40) == 0 {
-					ix.ReplaceComponent(keys[:1+rng.Intn(3)], nil)
+				if rng.Intn(40) == 0 { // a burst of removals over the leading keys
+					for _, k := range keys[:1+rng.Intn(3)] {
+						ix.RemoveObject(k)
+					}
 					continue
 				}
 				a, b := keys[rng.Intn(len(keys))], keys[rng.Intn(len(keys))]

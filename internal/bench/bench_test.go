@@ -248,9 +248,12 @@ func TestFigRecovery(t *testing.T) {
 	for _, p := range points {
 		series[p.Series] = p
 	}
-	for _, s := range []string{"recollect", "recover", "incremental"} {
+	for _, s := range []string{"recollect", "recover"} {
 		if _, ok := series[s]; !ok {
 			t.Fatalf("series %q missing from points %v", s, points)
 		}
+	}
+	if len(series) != 2 {
+		t.Errorf("recovery has series %v, want exactly recollect and recover", series)
 	}
 }

@@ -18,14 +18,11 @@ import (
 // must be far cheaper than re-running the collector over the polystore. The
 // sweep rebuilds the index both ways at each scale:
 //
-//	"recollect"   — full collector pipeline over the scanned objects
-//	                (blocking, pairwise scoring, dedupe, bulk load), the
-//	                only option without durability;
-//	"recover"     — wal.Open on a directory holding a checkpoint plus a
-//	                replayable log tail, as left behind by a crash;
-//	"incremental" — one object upsert applied through incremental
-//	                collection, the steady-state cost a changefeed pays
-//	                instead of any rebuild at all.
+//	"recollect" — full collector pipeline over the scanned objects
+//	              (blocking, pairwise scoring, dedupe, bulk load), the only
+//	              option without durability;
+//	"recover"   — wal.Open on a directory holding a checkpoint plus a
+//	              replayable log tail, as left behind by a crash.
 
 // recoveryTailBatches is how many journaled mutations are left un-checkpointed
 // before the simulated crash, so recovery exercises both the checkpoint load
@@ -126,25 +123,6 @@ func FigRecovery(o Options) ([]Point, error) {
 		points = append(points, Point{
 			Figure: "recovery", Series: "recover", XLabel: "objects",
 			X: float64(len(objects)), Millis: ms(recover), Size: len(gotEdges),
-		})
-
-		// Series 3: incremental collection absorbing one object upsert —
-		// the cost of staying current without any rebuild.
-		inc, err := collector.NewIncremental(ctx, coll, objects)
-		if err != nil {
-			return nil, err
-		}
-		fresh := core.NewObject(
-			core.NewGlobalKey("benchdb", "delta", "fresh1"),
-			map[string]string{"name": "delta probe object", "email": "delta@example.com"})
-		start = time.Now()
-		if _, err := inc.Apply(ctx, []collector.Change{{Kind: collector.Upsert, Object: fresh}}); err != nil {
-			return nil, err
-		}
-		incremental := time.Since(start)
-		points = append(points, Point{
-			Figure: "recovery", Series: "incremental", XLabel: "objects",
-			X: float64(len(objects)), Millis: ms(incremental), Size: inc.Index().EdgeCount(),
 		})
 	}
 	return points, nil

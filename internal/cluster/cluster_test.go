@@ -322,60 +322,48 @@ func TestScatterManyShipsOnlyMisses(t *testing.T) {
 	}
 }
 
-// TestScatterManyUnderMutationAndRebalance hammers the many-origin path from
-// several goroutines while the index every peer serves is mutated and the
-// coordinator's topology is swapped live — the ring reseeded, the peers
-// reordered, never a peer dropped (SetTopology closes a departed peer's
-// client under in-flight legs, which degrades them by design). Every peer
-// holds the full index, so any ring routes to a correct answer, and the
+// TestScatterManyUnderMutation hammers the many-origin path from several
+// goroutines while the index every peer serves is mutated. Every peer, the
+// coordinator's own node included, serves one shared full index, so each
+// insert moves the local epoch the scatter cache is stamped with. The
 // inserted relations join keys no sampled origin reaches: whatever
-// interleaving the scheduler picks, every answer must equal the reference
-// and no leg may degrade. Run under
-// -race this is also the engine's data-race check.
-func TestScatterManyUnderMutationAndRebalance(t *testing.T) {
-	tc := startCluster(t, 3, nil)
-	for _, n := range tc.nodes {
-		n.index.Store(tc.ref.Index)
+// interleaving the scheduler picks, every answer must equal the reference and
+// no leg may degrade. Run under -race this is also the engine's data-race
+// check.
+func TestScatterManyUnderMutation(t *testing.T) {
+	full, err := workload.Build(clusterSpec(), workload.Colocated())
+	if err != nil {
+		t.Fatal(err)
 	}
-	tc.coord.SetResultCache(rcache.New(1024))
+	tc := startCluster(t, 3, func(shard int, _ *Node) core.Store {
+		return NewNode(shard, full.Index, full.Poly)
+	})
+	coord := tc.newCoordinator(t, func(cfg *Config) {
+		cfg.Node = NewNode(0, full.Index, full.Poly)
+		cfg.Rcache = rcache.New(1024)
+	})
 	origins := sampleOrigins(tc.ref, 16)
 	want := make([][]aindex.Hit, len(origins))
 	for i, origin := range origins {
 		want[i] = tc.ref.Index.Reach(origin, 2)
 	}
-	reseeded, err := NewRing(3, 16, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	topologies := []struct {
-		ring  *Ring
-		addrs []string
-	}{{reseeded, tc.addrs}, {tc.ring, []string{tc.addrs[0], tc.addrs[2], tc.addrs[1]}}, {tc.ring, tc.addrs}}
-	// Reader 0 mutates the index before each of its traversals, reader 1
-	// swaps the topology before each of its own; readers 2 and 3 only read.
-	// The churn is paced by the rounds, so it overlaps the other readers'
-	// traversals without starving them.
+	// Reader 0 mutates the index before each of its traversals; readers 1-3
+	// only read. The churn is paced by the rounds, so it overlaps the other
+	// readers' traversals without starving them.
 	var readers sync.WaitGroup
 	for r := 0; r < 4; r++ {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
 			for round := 0; round < 25; round++ {
-				switch r {
-				case 0:
+				if r == 0 {
 					pad := core.NewIdentity(core.NewGlobalKey("zzz", "pad", fmt.Sprint("a", round)), core.NewGlobalKey("zzz", "pad", fmt.Sprint("b", round)), 0.5)
-					if err := tc.ref.Index.InsertRaw(pad); err != nil {
-						t.Error(err)
-						return
-					}
-				case 1:
-					topo := topologies[round%len(topologies)]
-					if err := tc.coord.SetTopology(topo.ring, topo.addrs); err != nil {
+					if err := full.Index.InsertRaw(pad); err != nil {
 						t.Error(err)
 						return
 					}
 				}
-				got, _, degs := tc.coord.ReachScatterMany(context.Background(), origins, 2)
+				got, _, degs := coord.ReachScatterMany(context.Background(), origins, 2)
 				if len(degs) != 0 {
 					t.Errorf("round %d: degradations %v", round, degs)
 					return
@@ -600,167 +588,6 @@ func TestClusterSlowShardDegrades(t *testing.T) {
 		}
 	}
 	t.Fatal("stalled peer never degraded a traversal")
-}
-
-// TestClusterSnapshotBootstrap: the snapshot wire op round-trips a shard —
-// a fresh node installing a peer's epoch-stamped checkpoint answers exactly
-// like the original.
-func TestClusterSnapshotBootstrap(t *testing.T) {
-	tc := startCluster(t, 1, nil)
-	ctx := context.Background()
-	data, epoch, err := tc.coord.FetchPeerSnapshot(ctx, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := NewNode(0, aindex.New(), tc.ref.Poly)
-	got, err := fresh.InstallSnapshot(data, tc.ring)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != epoch {
-		t.Errorf("installed epoch %d, fetched %d", got, epoch)
-	}
-	for _, origin := range sampleOrigins(tc.ref, 10) {
-		want := tc.nodes[0].Index().Reach(origin, 2)
-		have := fresh.Index().Reach(origin, 2)
-		if len(want) == 0 {
-			want = nil
-		}
-		if len(have) == 0 {
-			have = nil
-		}
-		if !reflect.DeepEqual(have, want) {
-			t.Fatalf("%v: bootstrapped shard diverges from source", origin)
-		}
-	}
-}
-
-// TestClusterRebalanceJoin: growing a live 2-peer cluster to 3 — the joiner
-// merges the members' snapshots under the new ring, the coordinator swaps
-// topology, and scatter-gather answers keep matching the single-node
-// reference with no degradations.
-func TestClusterRebalanceJoin(t *testing.T) {
-	tc := startCluster(t, 2, nil)
-	ctx := context.Background()
-	ring3, err := NewRing(3, 16, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snaps [][]byte
-	for shard := 0; shard < 2; shard++ {
-		data, _, err := tc.coord.FetchPeerSnapshot(ctx, shard)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snaps = append(snaps, data)
-	}
-	joiner := NewNode(2, aindex.New(), tc.ref.Poly)
-	if err := joiner.MergeSnapshots(snaps, ring3); err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := wire.ServeOn(joiner, ln)
-	t.Cleanup(func() { srv.Close() })
-	oldVersion := tc.coord.Status(false).RingVersion
-	if err := tc.coord.SetTopology(ring3, append(append([]string(nil), tc.addrs...), srv.Addr())); err != nil {
-		t.Fatal(err)
-	}
-	st := tc.coord.Status(true)
-	if st.RingVersion == oldVersion || st.Peers != 3 || len(st.PeerList) != 3 {
-		t.Fatalf("topology swap not visible in status: %+v", st)
-	}
-	for _, ps := range st.PeerList {
-		if ps.OwnedRanges == 0 || len(ps.Ranges) != ps.OwnedRanges {
-			t.Fatalf("peer %d owns no ranges after rebalance: %+v", ps.Shard, ps)
-		}
-	}
-	for _, origin := range sampleOrigins(tc.ref, 20) {
-		for level := 0; level <= 2; level++ {
-			want, _ := tc.ref.Index.ReachWithStats(origin, level)
-			got, _, degs := tc.coord.ReachScatter(ctx, origin, level)
-			if len(degs) != 0 {
-				t.Fatalf("post-rebalance degradations: %v", degs)
-			}
-			if len(want) == 0 {
-				want = nil
-			}
-			if len(got) == 0 {
-				got = nil
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("post-rebalance %v level %d diverges from reference", origin, level)
-			}
-		}
-	}
-}
-
-// TestRebalanceInvalidatesReachCache: the scatter cache keys carry the ring
-// version, so a live 2→3 SetTopology rebalance orphans every warm entry —
-// each post-rebalance probe lands on the old ring's fingerprint, records an
-// epoch mismatch, and recomputes against the new topology instead of serving
-// a stale routing. No flush call is involved; coherence is purely the key.
-func TestRebalanceInvalidatesReachCache(t *testing.T) {
-	tc := startCluster(t, 2, nil)
-	rc := rcache.New(1024)
-	tc.coord.SetResultCache(rc)
-	ctx := context.Background()
-	origins := sampleOrigins(tc.ref, 10)
-	for _, origin := range origins {
-		if _, _, degs := tc.coord.ReachScatter(ctx, origin, 2); len(degs) != 0 {
-			t.Fatalf("warmup %v: degradations %v", origin, degs)
-		}
-	}
-	if rc.Len() == 0 {
-		t.Fatal("warmup stored nothing")
-	}
-	ring3, err := NewRing(3, 16, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var snaps [][]byte
-	for shard := 0; shard < 2; shard++ {
-		data, _, err := tc.coord.FetchPeerSnapshot(ctx, shard)
-		if err != nil {
-			t.Fatal(err)
-		}
-		snaps = append(snaps, data)
-	}
-	joiner := NewNode(2, aindex.New(), tc.ref.Poly)
-	if err := joiner.MergeSnapshots(snaps, ring3); err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := wire.ServeOn(joiner, ln)
-	t.Cleanup(func() { srv.Close() })
-	if err := tc.coord.SetTopology(ring3, append(append([]string(nil), tc.addrs...), srv.Addr())); err != nil {
-		t.Fatal(err)
-	}
-	before := rc.Stats().EpochMismatches
-	for _, origin := range origins {
-		want := tc.ref.Index.Reach(origin, 2)
-		if len(want) == 0 {
-			want = nil
-		}
-		got, _, degs := tc.coord.ReachScatter(ctx, origin, 2)
-		if len(degs) != 0 {
-			t.Fatalf("post-rebalance %v: degradations %v", origin, degs)
-		}
-		if len(got) == 0 {
-			got = nil
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("post-rebalance %v served a stale cached result", origin)
-		}
-	}
-	if after := rc.Stats().EpochMismatches; after <= before {
-		t.Fatalf("no epoch mismatches recorded across rebalance (before %d, after %d)", before, after)
-	}
 }
 
 // TestClusterScatterSpansMatchCounter: on a 2-peer cluster every scatter leg

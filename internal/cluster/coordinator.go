@@ -29,8 +29,6 @@ var (
 		"scatter legs that failed (transport or remote error, breaker rejections excluded)")
 	peerOpenRejects = telemetry.NewCounter("quepa_cluster_peer_open_total",
 		"scatter legs rejected fast by an open per-peer circuit breaker")
-	rebalanceTotal = telemetry.NewCounter("quepa_cluster_rebalance_total",
-		"topology swaps applied by SetTopology")
 	deltaKeysShipped = telemetry.NewCounter("quepa_cluster_delta_keys_total",
 		"frontier keys shipped by scatter traversals (only arrivals that improved a key travel on)")
 	deltaSuppressed = telemetry.NewCounter("quepa_cluster_delta_suppressed_total",
@@ -55,9 +53,8 @@ type Config struct {
 	// Client configures the pooled wire client dialed to each peer.
 	Client wire.ClientConfig
 	// Rcache, when non-nil, memoizes whole per-origin scatter results keyed
-	// by (origin, level) and validated against the scatter epoch — ring
-	// version in the high bits, the local shard's index epoch in the low 48.
-	// A nil cache disables memoization.
+	// by (origin, level) and validated against the scatter epoch, the local
+	// shard's index epoch. A nil cache disables memoization.
 	Rcache *rcache.Cache
 }
 
@@ -65,12 +62,11 @@ type Config struct {
 // multiplexed wire client per remote peer, and one circuit breaker per peer.
 // It implements augment.Reacher — scatter-gather reachability. A peer whose
 // breaker is open costs one fast rejection and a "peer-open" degradation,
-// never a failed query.
+// never a failed query. The ring and peer list are fixed for the life of the
+// coordinator.
 type Coordinator struct {
-	mu    sync.RWMutex // guards ring+peers (swapped by SetTopology)
-	ring  *Ring
-	peers []string
-
+	ring     *Ring
+	peers    []string
 	self     int
 	node     *Node
 	breakers *resilience.Set
@@ -117,44 +113,6 @@ func (c *Coordinator) Self() int { return c.self }
 // coordinator. Call it before serving traffic.
 func (c *Coordinator) SetResultCache(rc *rcache.Cache) { c.rc = rc }
 
-// Ring returns the current ring.
-func (c *Coordinator) Ring() *Ring {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.ring
-}
-
-// SetTopology swaps the ring and peer list atomically — the coordinator
-// half of a rebalance. Existing wire clients to surviving addresses are
-// kept; clients to departed peers are closed.
-func (c *Coordinator) SetTopology(ring *Ring, peers []string) error {
-	if ring == nil || len(peers) != ring.Peers() {
-		return fmt.Errorf("cluster: topology of %d peers with %d addresses", ring.Peers(), len(peers))
-	}
-	keep := map[string]bool{}
-	for _, a := range peers {
-		keep[a] = true
-	}
-	c.mu.Lock()
-	c.ring = ring
-	c.peers = append([]string(nil), peers...)
-	c.mu.Unlock()
-	c.cmu.Lock()
-	var drop []*wire.Client
-	for addr, cl := range c.clients {
-		if !keep[addr] {
-			drop = append(drop, cl)
-			delete(c.clients, addr)
-		}
-	}
-	c.cmu.Unlock()
-	for _, cl := range drop {
-		cl.Close()
-	}
-	rebalanceTotal.Inc()
-	return nil
-}
-
 // Close tears down every dialed peer client.
 func (c *Coordinator) Close() {
 	c.cmu.Lock()
@@ -167,13 +125,6 @@ func (c *Coordinator) Close() {
 	for _, cl := range clients {
 		cl.Close()
 	}
-}
-
-// topo snapshots the routing state one operation works off.
-func (c *Coordinator) topo() (*Ring, []string) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.ring, c.peers
 }
 
 // client returns the pooled wire client for addr, dialing on first use.
@@ -293,7 +244,7 @@ type scatterResult struct {
 // legs, the peer's wire client — guarded by its breaker — otherwise. Every
 // leg of a traced request runs under a cluster.scatter span tagged with the
 // shard; a remote leg continues the caller's trace over the wire.
-func (c *Coordinator) expandLeg(ctx context.Context, peers []string, l *leg) (res scatterResult) {
+func (c *Coordinator) expandLeg(ctx context.Context, l *leg) (res scatterResult) {
 	scatterCalls.Inc()
 	scatterKeys.Add(uint64(len(l.keys)))
 	sctx := ctx
@@ -302,7 +253,7 @@ func (c *Coordinator) expandLeg(ctx context.Context, peers []string, l *leg) (re
 		sctx, sp = telemetry.StartSpan(ctx, "cluster.scatter")
 		sp.SetAttr("shard", strconv.Itoa(l.shard))
 		sp.SetAttr("peer", PeerName(l.shard))
-		sp.SetAttr("addr", peers[l.shard])
+		sp.SetAttr("addr", c.peers[l.shard])
 		sp.SetAttr("keys", strconv.Itoa(len(l.keys)))
 	}
 	res.err = func() error {
@@ -316,7 +267,7 @@ func (c *Coordinator) expandLeg(ctx context.Context, peers []string, l *leg) (re
 			peerOpenRejects.Inc()
 			return fmt.Errorf("cluster: %s: %w", PeerName(l.shard), resilience.ErrPeerOpen)
 		}
-		cl, err := c.client(peers[l.shard])
+		cl, err := c.client(c.peers[l.shard])
 		if err != nil {
 			b.Record(err)
 			return err
@@ -364,17 +315,18 @@ func (c *Coordinator) ReachScatter(ctx context.Context, origin core.GlobalKey, l
 // When Config.Rcache is set, origins are looked up one by one before the
 // traversal and only the misses are shipped; after a clean traversal each
 // miss is memoized against the scatter epoch, so a repeated origin costs
-// zero network legs until the topology or the local shard's index moves.
+// zero network legs until the local shard's index moves.
 // The returned stats sum the traversal work of the misses. Results of equal
 // origins share one slice; callers must not modify them.
 //
 // ReachScatterMany implements augment.Reacher.
 func (c *Coordinator) ReachScatterMany(ctx context.Context, origins []core.GlobalKey, level int) ([][]aindex.Hit, aindex.ReachStats, []augment.Degradation) {
 	out := make([][]aindex.Hit, len(origins))
-	ring, peers := c.topo()
+	// The scatter stamp is the local shard's index epoch. Mutations that land
+	// only on remote shards do not move it.
 	var epoch uint64
 	if c.rc != nil {
-		epoch = c.scatterEpoch(ring)
+		epoch = c.node.Index().Epoch()
 	}
 	var (
 		slots    []*originSlot
@@ -408,7 +360,7 @@ func (c *Coordinator) ReachScatterMany(ctx context.Context, origins []core.Globa
 	if len(slots) == 0 {
 		return out, aindex.ReachStats{}, nil
 	}
-	stats, degs := c.traverse(ctx, ring, peers, slots, level)
+	stats, degs := c.traverse(ctx, slots, level)
 	reached := make([][]aindex.Hit, len(slots))
 	for si, s := range slots {
 		hits := make([]aindex.Hit, 0, len(s.best)-1)
@@ -437,35 +389,20 @@ func scatterKey(origin core.GlobalKey, level int) rcache.Key {
 	return rcache.Key{GK: origin, Level: level, Kind: rcache.KindScatter}
 }
 
-// scatterEpoch fingerprints the cluster state a cached scatter result is
-// valid against: the ring version in the high 16 bits (a rebalance re-keys
-// every entry for free) and the local shard's index epoch in the low 48
-// (local surgery and snapshot installs re-key too). Mutations that land
-// only on remote shards are covered by the explicit Invalidate hook the
-// server wires to ReplaceComponent and WAL recovery, not by this
-// fingerprint.
-func (c *Coordinator) scatterEpoch(ring *Ring) uint64 {
-	var idx uint64
-	if c.node != nil {
-		idx = c.node.Index().Epoch()
-	}
-	return ring.Version()<<48 | idx&(1<<48-1)
-}
-
 // traverse runs the hop-synchronous traversal over slots, leaving every
 // slot's best map final. Within a hop the legs run in parallel; between hops
 // a barrier holds until every leg has merged, which is what makes distances
 // exact (a key's first improving arrival is its shortest chain) and, with
 // every peer healthy, the summed traversal stats equal the single-node
 // reference traversals'.
-func (c *Coordinator) traverse(ctx context.Context, ring *Ring, peers []string, slots []*originSlot, level int) (aindex.ReachStats, []augment.Degradation) {
+func (c *Coordinator) traverse(ctx context.Context, slots []*originSlot, level int) (aindex.ReachStats, []augment.Degradation) {
 	var (
 		stats               aindex.ReachStats
 		shipped, suppressed int
 	)
 	degraded := map[int]augment.Degradation{}
 	for hop := 1; hop <= level+1; hop++ {
-		legs := hopLegs(ring, slots, degraded)
+		legs := hopLegs(c.ring, slots, degraded)
 		if len(legs) == 0 {
 			break
 		}
@@ -475,10 +412,10 @@ func (c *Coordinator) traverse(ctx context.Context, ring *Ring, peers []string, 
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				results[i+1] = c.expandLeg(ctx, peers, l)
+				results[i+1] = c.expandLeg(ctx, l)
 			}()
 		}
-		results[0] = c.expandLeg(ctx, peers, legs[0])
+		results[0] = c.expandLeg(ctx, legs[0])
 		wg.Wait()
 		for _, s := range slots {
 			clear(s.frontier) // the legs hold what was shipped; merge refills it
@@ -552,17 +489,6 @@ func RoutePolystore(poly *core.Polystore, _ *Coordinator) (*core.Polystore, erro
 	return poly, nil
 }
 
-// FetchPeerSnapshot downloads the epoch-stamped A' shard checkpoint of one
-// peer — the transfer leg of bootstrap and rebalance.
-func (c *Coordinator) FetchPeerSnapshot(ctx context.Context, shard int) ([]byte, uint64, error) {
-	_, peers := c.topo()
-	cl, err := c.client(peers[shard])
-	if err != nil {
-		return nil, 0, err
-	}
-	return cl.FetchSnapshot(ctx)
-}
-
 // PeerStatus is one peer's row in the cluster section of /healthz and
 // /stats.
 type PeerStatus struct {
@@ -591,19 +517,18 @@ type Status struct {
 // Status snapshots the cluster for the status pages. includeRanges attaches
 // every peer's owned hash arcs (verbose; /stats wants it, /healthz doesn't).
 func (c *Coordinator) Status(includeRanges bool) Status {
-	ring, peers := c.topo()
 	byName := map[string]resilience.BreakerStatus{}
 	for _, bs := range c.breakers.Snapshot() {
 		byName[bs.Store] = bs
 	}
 	st := Status{
-		RingVersion: ring.Version(),
-		Peers:       ring.Peers(),
-		Vnodes:      ring.Vnodes(),
+		RingVersion: c.ring.Version(),
+		Peers:       c.ring.Peers(),
+		Vnodes:      c.ring.Vnodes(),
 		Self:        c.self,
 	}
-	for shard, addr := range peers {
-		ranges := ring.Ranges(shard)
+	for shard, addr := range c.peers {
+		ranges := c.ring.Ranges(shard)
 		ps := PeerStatus{Shard: shard, Addr: addr, Self: shard == c.self, OwnedRanges: len(ranges)}
 		if includeRanges {
 			ps.Ranges = ranges

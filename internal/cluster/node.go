@@ -1,11 +1,9 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"quepa/internal/aindex"
 	"quepa/internal/core"
@@ -18,31 +16,27 @@ func PeerName(shard int) string { return fmt.Sprintf("peer-%d", shard) }
 
 // Node is the peer-local half of the cluster: one shard of the A' index,
 // served over the wire protocol. It implements core.Store (so wire.Serve
-// accepts it) and the two cluster capabilities the wire server forwards:
-// frontier expansion and index snapshots. Objects are never read through a
-// node: every peer holds a full replica of every store and reads its own.
-// The index pointer is swapped atomically on snapshot installs, so
-// rebalances never block in-flight expansions.
+// accepts it) and the one cluster capability the wire server forwards:
+// frontier expansion. Objects are never read through a node: every peer
+// holds a full replica of every store and reads its own.
 type Node struct {
 	shard int
 	name  string
 	poly  *core.Polystore
-	index atomic.Pointer[aindex.Index]
+	index *aindex.Index
 }
 
 // NewNode builds the local service of one shard over its A' slice and the
 // peer's polystore.
 func NewNode(shard int, index *aindex.Index, poly *core.Polystore) *Node {
-	n := &Node{shard: shard, name: PeerName(shard), poly: poly}
-	n.index.Store(index)
-	return n
+	return &Node{shard: shard, name: PeerName(shard), poly: poly, index: index}
 }
 
 // Shard returns the shard this node owns.
 func (n *Node) Shard() int { return n.shard }
 
-// Index returns the node's current A' shard.
-func (n *Node) Index() *aindex.Index { return n.index.Load() }
+// Index returns the node's A' shard.
+func (n *Node) Index() *aindex.Index { return n.index }
 
 // Name identifies the node in meta responses and status pages.
 func (n *Node) Name() string { return n.name }
@@ -89,7 +83,6 @@ func (n *Node) ExpandFrontier(ctx context.Context, keys []string, probs []float6
 	if len(runs) == 0 {
 		runs = []int{len(keys)}
 	}
-	ix := n.index.Load()
 	var (
 		info    wire.ReachInfo
 		out     []wire.RemoteHit
@@ -110,7 +103,7 @@ func (n *Node) ExpandFrontier(ctx context.Context, keys []string, probs []float6
 			// Level 0 is exactly one hop (Definition 2), with the edge
 			// probabilities as hit probabilities — the building block the
 			// coordinator chains into multi-hop reachability.
-			hits, st := ix.ReachWithStats(gk, 0)
+			hits, st := n.index.ReachWithStats(gk, 0)
 			info.Nodes += st.Nodes
 			info.Edges += st.Edges
 			for _, h := range hits {
@@ -138,74 +131,14 @@ func (n *Node) ExpandFrontier(ctx context.Context, keys []string, probs []float6
 	return out, hitSegs, info, nil
 }
 
-// IndexSnapshot serializes the node's A' shard in the binary checkpoint
-// format, stamped with its mutation epoch — the payload of the snapshot
-// wire op.
-func (n *Node) IndexSnapshot(ctx context.Context) ([]byte, uint64, error) {
-	edges, epoch := n.index.Load().EdgesWithEpoch()
-	var buf bytes.Buffer
-	if _, err := aindex.WriteSnapshot(&buf, edges, epoch); err != nil {
-		return nil, 0, err
-	}
-	return buf.Bytes(), epoch, nil
-}
-
-// InstallSnapshot replaces the node's A' shard with the edges of a peer
-// snapshot filtered to this node's ownership under ring — the receive side
-// of bootstrap and rebalance. The swap is atomic; readers finish on the old
-// shard. It returns the snapshot's epoch.
-func (n *Node) InstallSnapshot(data []byte, ring *Ring) (uint64, error) {
-	full, epoch, err := aindex.ReadSnapshot(bytes.NewReader(data))
-	if err != nil {
-		return 0, fmt.Errorf("cluster: installing snapshot: %w", err)
-	}
-	shard, err := shardIndex(full.Edges(), ring, n.shard)
-	if err != nil {
-		return 0, err
-	}
-	n.index.Store(shard)
-	return epoch, nil
-}
-
-// MergeSnapshots installs the union of several peers' snapshots, filtered
-// to this node's ownership: what a joining peer does after fetching the
-// snapshot op from every existing member during a rebalance.
-func (n *Node) MergeSnapshots(datas [][]byte, ring *Ring) error {
-	seen := map[[2]core.GlobalKey]bool{}
-	var edges []core.PRelation
-	for _, data := range datas {
-		full, _, err := aindex.ReadSnapshot(bytes.NewReader(data))
-		if err != nil {
-			return fmt.Errorf("cluster: merging snapshots: %w", err)
-		}
-		for _, e := range full.Edges() {
-			k := [2]core.GlobalKey{e.From, e.To}
-			if !seen[k] {
-				seen[k] = true
-				edges = append(edges, e)
-			}
-		}
-	}
-	shard, err := shardIndex(edges, ring, n.shard)
-	if err != nil {
-		return err
-	}
-	n.index.Store(shard)
-	return nil
-}
-
 // BuildShard carves one shard out of a full A' index: every p-relation with
 // at least one endpoint owned by the shard. Keeping boundary edges whose far
 // endpoint lives elsewhere is what lets a frontier expansion step off the
 // shard — the coordinator routes the discovered key to its own owner on the
 // next hop.
 func BuildShard(full *aindex.Index, ring *Ring, shard int) (*aindex.Index, error) {
-	return shardIndex(full.Edges(), ring, shard)
-}
-
-func shardIndex(edges []core.PRelation, ring *Ring, shard int) (*aindex.Index, error) {
 	ix := aindex.New()
-	for _, e := range edges {
+	for _, e := range full.Edges() {
 		if ring.Owner(e.From) != shard && ring.Owner(e.To) != shard {
 			continue
 		}

@@ -1,7 +1,7 @@
 // Package cluster distributes QUEPA across quepa-server peers: a consistent-
 // hash ring partitions the core.GlobalKey space into shards, each peer owns
-// its shard of the A' index plus the locally-owned slice of every store, and
-// augmentation becomes scatter-gather — the coordinator groups each reach
+// its shard of the A' index and holds a full replica of every store, and
+// reachability becomes scatter-gather — the coordinator groups each reach
 // frontier by owning shard, fans the groups out over multiplexed wire
 // clients, and merges the hits deterministically. The paper's single-process
 // augmenter (Fig. 2) is the degenerate one-peer ring; every distributed
@@ -40,7 +40,7 @@ type point struct {
 // across peers 0..Peers()-1. Construction is deterministic: every peer that
 // builds a ring from the same (peers, vnodes, seed) gets the identical
 // partition, so there is no membership protocol to agree on — only the
-// topology flags. Rebalances build a new Ring and swap it atomically.
+// topology flags, which are fixed for the life of a process.
 type Ring struct {
 	peers  int
 	vnodes int
@@ -135,10 +135,6 @@ func (r *Ring) Ranges(shard int) []Range {
 	}
 	return out
 }
-
-// KeyHash exposes the ring's key-hash so tests can check Ranges against
-// Owner directly.
-func (r *Ring) KeyHash(key string) uint64 { return keyHash(r.seed, key) }
 
 // vnodeHash positions one virtual node. Peers and vnodes are hashed through
 // two rounds of splitmix64 finalization so adding peer n never moves the

@@ -150,7 +150,7 @@ func TestRingRangesAgreeWithOwner(t *testing.T) {
 		return h >= rg.From || h <= rg.To // wrapping arc
 	}
 	for _, k := range sampleKeys(2000) {
-		h := r.KeyHash(k)
+		h := keyHash(r.seed, k)
 		holders := []int{}
 		for s := 0; s < r.Peers(); s++ {
 			for _, rg := range ranges[s] {

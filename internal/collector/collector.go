@@ -156,9 +156,8 @@ func clampProb(p float64) float64 {
 // claimBeats is the deduplication winner order: higher probability first,
 // ties broken by the canonical (direction-normalized) endpoint pair. The
 // order is total over distinct relations, which makes dedupeIdentities a pure
-// function of the relation SET — independent of input order — so the
-// incremental collector can re-run it over its maintained raw set and land on
-// exactly the claims a from-scratch pipeline run would keep.
+// function of the relation SET — independent of input order — so no tie is
+// ever decided by which claim happened to be scored first.
 func claimBeats(a, b core.PRelation) bool {
 	if a.Prob != b.Prob {
 		return a.Prob > b.Prob

@@ -28,8 +28,6 @@ type Profile struct {
 	// Retries lists the wire round trips that had to be retried, in order
 	// (capped; Totals.WireRetries keeps the full count).
 	Retries []RetryTrace `json:"retries,omitempty"`
-	// Degraded lists stores dropped outside any augmentation.
-	Degraded []DegradedStore `json:"degraded,omitempty"`
 
 	Totals Totals `json:"totals"`
 }

@@ -2,9 +2,9 @@ package netsim
 
 // Multi-node faults: the cluster analogue of the per-store Chaos wrapper. A
 // ChaosNode decorates one cluster peer (a shard node serving frontier
-// expansions and index snapshots over the wire) with a per-peer FaultPlan, so
-// peer-down, flapping and slow-shard scenarios replay deterministically
-// against in-process or real peers.
+// expansions over the wire) with a per-peer FaultPlan, so peer-down, flapping
+// and slow-shard scenarios replay deterministically against in-process or
+// real peers.
 
 import (
 	"context"
@@ -15,16 +15,14 @@ import (
 )
 
 // PeerNode is the store surface a cluster peer serves: plain store metadata
-// plus the two wire cluster capabilities.
+// plus the wire's cluster capability, frontier expansion.
 type PeerNode interface {
 	core.Store
 	wire.FrontierReacher
-	wire.Snapshotter
 }
 
 // ChaosNode wraps a PeerNode with a fault plan. Faults and stalls charge the
-// data op (frontier expansion); snapshot transfers are never faulted, so
-// bootstrap tests stay deterministic under any retry schedule.
+// data op, frontier expansion.
 type ChaosNode struct {
 	inner PeerNode
 	g     gate
@@ -81,9 +79,4 @@ func (n *ChaosNode) ExpandFrontier(ctx context.Context, keys []string, probs []f
 		return nil, nil, wire.ReachInfo{}, err
 	}
 	return n.inner.ExpandFrontier(ctx, keys, probs, segs)
-}
-
-// IndexSnapshot serves one snapshot transfer: never faulted.
-func (n *ChaosNode) IndexSnapshot(ctx context.Context) ([]byte, uint64, error) {
-	return n.inner.IndexSnapshot(ctx)
 }

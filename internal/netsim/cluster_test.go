@@ -24,11 +24,6 @@ func (p *fakePeer) ExpandFrontier(_ context.Context, keys []string, _ []float64,
 	return make([]wire.RemoteHit, len(keys)), nil, wire.ReachInfo{Nodes: len(keys)}, nil
 }
 
-func (p *fakePeer) IndexSnapshot(context.Context) ([]byte, uint64, error) {
-	p.served++
-	return []byte("snap"), 7, nil
-}
-
 func chaosNodeFixture(plan FaultPlan, sleep func(time.Duration)) (*ChaosNode, *fakePeer) {
 	peer := &fakePeer{Store: connector.NewKeyValue(kvstore.New("peer-1"))}
 	return NewChaosNode(peer, plan, sleep), peer
@@ -59,20 +54,6 @@ func TestChaosNodeDownWindow(t *testing.T) {
 	}
 	if n.Requests() != 6 || n.Injected() != 3 || peer.served != 3 {
 		t.Errorf("requests=%d injected=%d served=%d, want 6/3/3", n.Requests(), n.Injected(), peer.served)
-	}
-}
-
-// TestChaosNodeSnapshotNeverFaulted: a permanently down peer still ships its
-// index snapshot, and the transfer does not consume a request sequence
-// number (bootstrap stays deterministic under any retry schedule).
-func TestChaosNodeSnapshotNeverFaulted(t *testing.T) {
-	n, _ := chaosNodeFixture(FaultPlan{Down: []Window{{From: 1}}}, func(time.Duration) {})
-	data, epoch, err := n.IndexSnapshot(context.Background())
-	if err != nil || string(data) != "snap" || epoch != 7 {
-		t.Errorf("IndexSnapshot = %q, %d, %v", data, epoch, err)
-	}
-	if n.Requests() != 0 || n.Injected() != 0 {
-		t.Errorf("snapshot charged the gate: requests=%d injected=%d", n.Requests(), n.Injected())
 	}
 }
 

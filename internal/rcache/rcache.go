@@ -11,13 +11,11 @@
 // which cached results a given edge change could affect — exactly the
 // property that makes result caching safe under concurrent mutation.
 //
-// Two mutation classes cannot rely on aging alone and get an explicit flush
-// (Invalidate): component surgery (ReplaceComponent — cluster rebalances and
-// incremental-collection applies swap whole index regions at once) and WAL
-// recovery (a restarted process must never serve a result computed by its
-// previous life against a different tail of the journal). The distributed
-// coordinator additionally folds the ring version into the epoch stamp, so
-// a topology change mismatches every pre-rebalance entry.
+// No mutation needs an explicit flush: inserts, promotions, lazy deletions and
+// WAL replay all bump the epoch, and a restarted process starts with an empty
+// cache. Epoch aging is the whole invalidation story. Invalidate exists for
+// callers that want to drop everything anyway; the serving path never calls
+// it.
 //
 // Structurally this is the 16-way sharded LRU of internal/cache with a
 // composite key and validate-on-read epoch checking. Storing the epoch in
@@ -54,7 +52,7 @@ const (
 	// augmented objects after fetch and min-probability filtering).
 	KindOutcome
 	// KindScatter caches a distributed ReachScatter result (the coordinator
-	// stamps it with ring version + index epoch combined).
+	// stamps it with the local shard's index epoch).
 	KindScatter
 )
 
@@ -259,8 +257,8 @@ func (c *Cache) PutOutcome(k Key, epoch uint64, v any) {
 	c.put(&entry{key: k, epoch: epoch, outcome: v})
 }
 
-// Invalidate flushes every entry. ReplaceComponent and WAL recovery are
-// wired to it; hit/miss statistics survive, and the flush is counted.
+// Invalidate flushes every entry; hit/miss statistics survive, and the flush
+// is counted.
 func (c *Cache) Invalidate() {
 	if c == nil {
 		return
@@ -356,7 +354,7 @@ func (c *Cache) RegisterMetrics(r *telemetry.Registry) {
 		func() uint64 { return c.Stats().EpochMismatches })
 	r.CounterFunc("quepa_rcache_evictions_total", "result cache entries evicted by capacity pressure",
 		func() uint64 { return c.Stats().Evictions })
-	r.CounterFunc("quepa_rcache_invalidations_total", "explicit result cache flushes (component surgery, recovery)",
+	r.CounterFunc("quepa_rcache_invalidations_total", "explicit result cache flushes (Invalidate calls)",
 		func() uint64 { return c.Stats().Invalidations })
 	r.GaugeFunc("quepa_rcache_results", "results currently cached",
 		func() float64 { return float64(c.Len()) })

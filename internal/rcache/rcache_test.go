@@ -167,31 +167,3 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-// TestInvalidationHookFlushesOnReplaceComponent: wiring the cache's
-// Invalidate as the index's invalidation hook makes component surgery flush
-// every entry immediately — epoch aging alone only catches stale entries on
-// probe, while a region swap must make them unservable at once.
-func TestInvalidationHookFlushesOnReplaceComponent(t *testing.T) {
-	ix := aindex.New()
-	if err := ix.Insert(core.NewIdentity(gk("a"), gk("b"), 0.9)); err != nil {
-		t.Fatal(err)
-	}
-	c := New(8)
-	ix.SetInvalidationHook(c.Invalidate)
-	c.PutReach(reachKey("a", 2), ix.Epoch(), []aindex.Hit{{Key: gk("b"), Prob: 0.9, Dist: 1}}, aindex.ReachStats{})
-	if c.Len() != 1 {
-		t.Fatal("entry not stored")
-	}
-	repl := aindex.New()
-	if err := repl.Insert(core.NewIdentity(gk("a"), gk("c"), 0.8)); err != nil {
-		t.Fatal(err)
-	}
-	ix.ReplaceComponent([]core.GlobalKey{gk("a"), gk("b")}, repl)
-	if c.Len() != 0 {
-		t.Fatalf("cache holds %d entries after component surgery", c.Len())
-	}
-	if st := c.Stats(); st.Invalidations != 1 {
-		t.Fatalf("Invalidations = %d, want 1", st.Invalidations)
-	}
-}

@@ -16,7 +16,6 @@ import (
 	"log"
 	"strings"
 
-	"quepa/internal/aindex"
 	"quepa/internal/cluster"
 	"quepa/internal/resilience"
 	"quepa/internal/wire"
@@ -39,27 +38,27 @@ func parsePeers(s string) ([]string, error) {
 // serve the shard node over the wire on this peer's address, and build the
 // coordinator (memoizing scatter traversals in the server's result cache).
 // Keyed reads keep going to the polystore as built: every peer holds a full
-// replica of every store. It returns the local shard.
-func (s *Server) joinCluster(peerList string, shardID, pool int, bcfg resilience.BreakerConfig) (*aindex.Index, error) {
+// replica of every store.
+func (s *Server) joinCluster(peerList string, shardID, pool int, bcfg resilience.BreakerConfig) error {
 	peers, err := parsePeers(peerList)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if shardID < 0 || shardID >= len(peers) {
-		return nil, fmt.Errorf("cluster: -shard-id %d outside peer list of %d", shardID, len(peers))
+		return fmt.Errorf("cluster: -shard-id %d outside peer list of %d", shardID, len(peers))
 	}
 	ring, err := cluster.NewRing(len(peers), cluster.DefaultVnodes, 0)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	shard, err := cluster.BuildShard(s.built.Index, ring, shardID)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	node := cluster.NewNode(shardID, shard, s.built.Poly)
 	srv, err := wire.Serve(node, peers[shardID])
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.closers = append(s.closers, srv.Close)
 	coord, err := cluster.NewCoordinator(cluster.Config{
@@ -72,12 +71,12 @@ func (s *Server) joinCluster(peerList string, shardID, pool int, bcfg resilience
 		Rcache:  s.rcache,
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	s.closers = append(s.closers, func() error { coord.Close(); return nil })
 	s.cluster = coord
 	st := coord.Status(false)
 	log.Printf("quepa-server: cluster shard %d of %d, A' shard %d keys / %d p-relations on %s, ring version %x",
 		st.Self, st.Peers, shard.NodeCount(), shard.EdgeCount(), srv.Addr(), st.RingVersion)
-	return shard, nil
+	return nil
 }

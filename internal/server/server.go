@@ -261,15 +261,13 @@ func (s *Server) assemble(cfg Config) error {
 	if pool == 0 {
 		pool = wire.DefaultPoolSize
 	}
-	var shard *aindex.Index
 	switch {
 	case cfg.Wire:
 		if err := s.rehomeOverWire(pool); err != nil {
 			return err
 		}
 	case cfg.Cluster != "":
-		var err error
-		if shard, err = s.joinCluster(cfg.Cluster, cfg.ShardID, pool, cfg.Breaker); err != nil {
+		if err := s.joinCluster(cfg.Cluster, cfg.ShardID, pool, cfg.Breaker); err != nil {
 			return err
 		}
 	}
@@ -281,15 +279,8 @@ func (s *Server) assemble(cfg Config) error {
 	s.aug = augment.New(built.Poly, built.Index, baseConfig)
 	s.aug.SetResultCache(s.rcache)
 	s.tracker = aindex.NewPathTracker(built.Index, aindex.DefaultPromotionPolicy)
-	// Component-level index surgery (ReplaceComponent) flushes the result
-	// cache explicitly; ordinary mutations invalidate for free through the
-	// epoch in every entry's validation key.
-	built.Index.SetInvalidationHook(s.rcache.Invalidate)
 	if s.cluster != nil {
-		// Reach goes scatter-gather; surgery on the local shard flushes the
-		// result cache the coordinator memoizes whole traversals in.
-		s.aug.SetReacher(s.cluster)
-		shard.SetInvalidationHook(s.rcache.Invalidate)
+		s.aug.SetReacher(s.cluster) // reach goes scatter-gather
 	}
 	s.registerMetrics()
 

@@ -4,12 +4,12 @@
 //
 // The design in one paragraph: the Manager installs itself as the index's
 // aindex.Journal, so every mutation — explicit inserts, the augmenter's lazy
-// deletions, path promotions, incremental-collection component swaps — is
-// appended to the log as one CRC-framed batch record carrying the mutation's
-// snapshot epoch, from inside the index write critical section (log order is
-// application order). Checkpoints persist the canonical edge list in the
-// versioned binary snapshot format of internal/aindex/persist.go, stamped
-// with the epoch read atomically with the edges. Recovery loads the newest
+// deletions, path promotions — is appended to the log as one CRC-framed batch
+// record carrying the mutation's snapshot epoch, from inside the index write
+// critical section (log order is application order). Checkpoints persist the
+// canonical edge list in the versioned binary snapshot format of
+// internal/aindex/persist.go, stamped with the epoch read atomically with the
+// edges. Recovery loads the newest
 // valid checkpoint, replays exactly the log batches with epoch greater than
 // the checkpoint's fence, truncates the log at the first torn record, and
 // advances the index epoch past everything replayed — so a crash at any

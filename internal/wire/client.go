@@ -179,11 +179,11 @@ func (c *Client) conn() (*muxConn, error) {
 }
 
 // retryableOp marks the idempotent ops: a replayed read returns the same
-// answer, so a transport failure is safe to retry. The cluster ops qualify
-// too — a frontier expansion and a snapshot fetch are pure reads.
+// answer, so a transport failure is safe to retry. The cluster op qualifies
+// too — a frontier expansion is a pure read.
 func retryableOp(op string) bool {
 	switch op {
-	case opMeta, opGet, opGetBatch, opQuery, opKeyField, opReach, opSnapshot:
+	case opMeta, opGet, opGetBatch, opQuery, opKeyField, opReach:
 		return true
 	}
 	return false
@@ -761,19 +761,6 @@ func (c *Client) ExpandFrontier(ctx context.Context, keys []string, probs []floa
 		return nil, nil, ReachInfo{}, fmt.Errorf("wire: %s answered %d reach segments with %d", c.name, len(segs), len(resp.Segs))
 	}
 	return resp.Hits, resp.Segs, ReachInfo{Nodes: resp.Nodes, Edges: resp.Edges}, nil
-}
-
-// FetchSnapshot downloads the peer's epoch-stamped A' shard checkpoint, the
-// bootstrap/rebalance payload a joining node loads with aindex.ReadSnapshot.
-func (c *Client) FetchSnapshot(ctx context.Context) ([]byte, uint64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
-	resp, err := c.roundTrip(ctx, request{Op: opSnapshot})
-	if err != nil {
-		return nil, 0, err
-	}
-	return resp.Snapshot, resp.Epoch, nil
 }
 
 // Query executes a native-language query on the remote store.

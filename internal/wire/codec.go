@@ -35,9 +35,9 @@ import (
 )
 
 // frameVersion is the first body byte of every frame. The values below it
-// are retired: '{' opened the JSON frames and 0x02-0x05 the four binary
+// are retired: '{' opened the JSON frames and 0x02-0x06 the five binary
 // layouts this format replaced, so none of them can be mistaken for it.
-const frameVersion = 0x06
+const frameVersion = 0x07
 
 // internCap bounds the per-frame string intern table. The encoder and the
 // decoder apply the identical "append literals while the table has room"
@@ -53,7 +53,6 @@ var opCodes = map[string]byte{
 	opMeta:     4,
 	opKeyField: 5,
 	opReach:    6,
-	opSnapshot: 7,
 }
 
 var opNames = [...]string{
@@ -63,15 +62,15 @@ var opNames = [...]string{
 	4: opMeta,
 	5: opKeyField,
 	6: opReach,
-	7: opSnapshot,
 }
 
 // Response flag bits.
 const flagNotFound = 1 << 0
 
-// poolableCap is the largest buffer the codec pools keep. Snapshot frames
-// can run to tens of megabytes; recycling those would pin the memory for the
-// life of the pool, so oversized buffers are dropped to the collector.
+// poolableCap is the largest buffer the codec pools keep. A large getbatch or
+// query answer can run to tens of megabytes; recycling those buffers would
+// pin the memory for the life of the pool, so oversized ones are dropped to
+// the collector.
 const poolableCap = 1 << 20
 
 // ---------------------------------------------------------------------------
@@ -116,11 +115,6 @@ func (e *encoder) varint(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
 func (e *encoder) str(s string) {
 	e.uvarint(uint64(len(s)))
 	e.buf = append(e.buf, s...)
-}
-
-func (e *encoder) rawBytes(b []byte) {
-	e.uvarint(uint64(len(b)))
-	e.buf = append(e.buf, b...)
 }
 
 func (e *encoder) f64(f float64) {
@@ -276,8 +270,6 @@ func (e *encoder) encodeResponse(resp *response) {
 	// 64..127 range in one byte where zigzag varints would need two.
 	e.uvarint(uint64(resp.Nodes))
 	e.uvarint(uint64(resp.Edges))
-	e.rawBytes(resp.Snapshot)
-	e.uvarint(resp.Epoch)
 	e.segs(resp.Segs)
 }
 
@@ -372,16 +364,6 @@ func (d *decoder) str() (string, error) {
 	s := d.s[d.off : d.off+int(n)]
 	d.off += int(n)
 	return s, nil
-}
-
-// rawBytes decodes a length-prefixed byte field. Unlike strings, the result
-// must be a mutable copy (zero-length decodes to nil, matching omitempty).
-func (d *decoder) rawBytes() ([]byte, error) {
-	s, err := d.str()
-	if err != nil || len(s) == 0 {
-		return nil, err
-	}
-	return []byte(s), nil
 }
 
 func (d *decoder) f64() (float64, error) {
@@ -690,12 +672,6 @@ func decodeResponse(body string, resp *response) error {
 		return err
 	}
 	resp.Edges = int(edges)
-	if resp.Snapshot, err = d.rawBytes(); err != nil {
-		return err
-	}
-	if resp.Epoch, err = d.uvarint(); err != nil {
-		return err
-	}
 	if resp.Segs, err = d.segs(len(resp.Hits)); err != nil {
 		return err
 	}

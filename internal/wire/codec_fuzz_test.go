@@ -32,6 +32,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{frameVersion, 2, 0, 0})
 	f.Add([]byte{0x04, 1, 0, 0}) // a retired format's first byte
 	f.Add([]byte(oldFormatFrames[0x05].reachReq))
+	f.Add([]byte(oldFormatFrames[0x06].reachReq))
+	f.Add([]byte(oldFormatFrames[0x06].resp))
 	f.Add([]byte(nil))
 
 	f.Fuzz(func(t *testing.T, body []byte) {

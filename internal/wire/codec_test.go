@@ -159,7 +159,7 @@ func TestQuickRequestEquivalence(t *testing.T) {
 }
 
 // TestQuickResponseEquivalence is the response-side property, covering the
-// object lists, hits, snapshot payloads and the nil/empty field-map split.
+// object lists, hits and the nil/empty field-map split.
 func TestQuickResponseEquivalence(t *testing.T) {
 	f := func(resp response) bool {
 		for i := range resp.Hits {
@@ -314,7 +314,7 @@ func corruptionFrames() []framePair {
 			},
 			Name: "discount", Kind: 2, Collections: []string{"drop", "promo"},
 			KeyField: "id", Hits: []RemoteHit{{Key: "d.c.k1", Prob: 0.5}},
-			Nodes: 9, Edges: 4, Snapshot: []byte{1, 2, 3}, Epoch: 41, Segs: []int{0, 1},
+			Nodes: 9, Edges: 4, Segs: []int{0, 1},
 		}},
 		{"reach", plainReq, plainResp},
 		{"segmented reach", segReq, segResp},
@@ -885,7 +885,7 @@ func TestClientRejectsUnsegmentedAnswer(t *testing.T) {
 	}
 }
 
-// oldFormatFrames are well-formed frames of the five formats this one
+// oldFormatFrames are well-formed frames of the six formats this one
 // replaced, keyed by their first body byte: bytes produced by the encoders of
 // the last commit that had them.
 var oldFormatFrames = map[byte]struct{ metaReq, reachReq, resp string }{
@@ -907,11 +907,18 @@ var oldFormatFrames = map[byte]struct{ metaReq, reachReq, resp string }{
 		reachReq: "\x04\x02\x04\x00\x06d.c.k1\x05\x012\x00\x00\x00\x00\x00\x00\xf0?\x00\x00\x00\x00\x00\x00\xe0?\x02\x01\x01",
 		resp:     "\x04\x02\x02\x03\x04\x00\x06d.c.k9\x00\x00\x00\x00\x00\x00\xd0?\x02\x00\x01",
 	},
-	// 0x05 is this layout plus a request db column after the query.
+	// 0x05 is 0x06's layout plus a request db column after the query.
 	0x05: {
 		metaReq:  "\x05\x04\x01\x00\x00\x00\x00\x00\x01\x00\x00\x00",
 		reachReq: "\x05\x06\x02\x00\x00\x00\x02\x00\x06d.c.k1\x05\x012\x00\x01\x02\x00\x00\x00\x00\x00\x00\xf0?\x00\x00\x00\x00\x00\x00\xe0?\x00\x02\x01\x01",
 		resp:     "\x05\x01\x00\x00\x00\bold-peer\x02\x01\x04drop\x00\x00\x00\x00\x00\x00\x00",
+	},
+	// 0x06 is this layout plus the snapshot op (code 7) and a response
+	// snapshot + epoch column pair after the edge count.
+	0x06: {
+		metaReq:  "\x06\x04\x01\x00\x00\x00\x00\x00\x00\x00\x00",
+		reachReq: "\x06\x06\x02\x00\x00\x00\x02\x00\x06d.c.k1\x05\x012\x00\x02\x00\x00\x00\x00\x00\x00\xf0?\x00\x00\x00\x00\x00\x00\xe0?\x00\x02\x01\x01",
+		resp:     "\x06\x01\x00\x00\x00\bold-peer\x02\x01\x04drop\x00\x00\x00\x00\x00\x00\x00",
 	},
 }
 

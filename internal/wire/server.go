@@ -44,24 +44,17 @@ func ServeOn(store core.Store, ln net.Listener) *Server {
 	return s
 }
 
-// Optional store capabilities a wire server forwards when the wrapped store
-// implements them. A cluster shard node implements both; plain stores
-// implement neither and the corresponding ops fail with a remote error.
-type (
-	// FrontierReacher expands a weighted key frontier one hop over the
-	// store's A' shard (the scatter-gather reach primitive). segs splits the
-	// frontier into consecutive runs expanded independently of each other —
-	// one per origin of a many-origin traversal — and the returned run
-	// lengths split the hits the same way; nil segs is one segment and
-	// returns nil run lengths.
-	FrontierReacher interface {
-		ExpandFrontier(ctx context.Context, keys []string, probs []float64, segs []int) ([]RemoteHit, []int, ReachInfo, error)
-	}
-	// Snapshotter ships the store's epoch-stamped A' shard checkpoint.
-	Snapshotter interface {
-		IndexSnapshot(ctx context.Context) ([]byte, uint64, error)
-	}
-)
+// FrontierReacher is the optional store capability a wire server forwards
+// for the reach op. A cluster shard node implements it; on a plain store the
+// op fails with a remote error. It expands a weighted key frontier one hop
+// over the store's A' shard (the scatter-gather reach primitive). segs splits
+// the frontier into consecutive runs expanded independently of each other —
+// one per origin of a many-origin traversal — and the returned run lengths
+// split the hits the same way; nil segs is one segment and returns nil run
+// lengths.
+type FrontierReacher interface {
+	ExpandFrontier(ctx context.Context, keys []string, probs []float64, segs []int) ([]RemoteHit, []int, ReachInfo, error)
+}
 
 // Addr returns the server's listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
@@ -139,10 +132,10 @@ func (s *Server) handle(conn net.Conn) {
 	}
 }
 
-// writeResponse sends resp. A response that overflows maxFrame (a snapshot of
-// an oversized shard, say) is replaced by a small error frame naming the
-// violation, so the client gets a definite non-retryable remote error instead
-// of a dead connection.
+// writeResponse sends resp. A response that overflows maxFrame (a getbatch or
+// query answer too large to ship, say) is replaced by a small error frame
+// naming the violation, so the client gets a definite non-retryable remote
+// error instead of a dead connection.
 func (s *Server) writeResponse(conn net.Conn, resp *response, op string) (int, error) {
 	n, err := writeResponseFrame(conn, resp, op)
 	if errors.Is(err, ErrFrameTooLarge) {
@@ -233,16 +226,6 @@ func (s *Server) dispatch(ctx context.Context, req request) response {
 			return response{Error: fmt.Sprintf("wire: store answered %d reach segments with %d", len(req.Segs), len(hitSegs))}
 		}
 		return response{Hits: hits, Nodes: info.Nodes, Edges: info.Edges, Segs: hitSegs}
-	case opSnapshot:
-		sn, ok := s.store.(Snapshotter)
-		if !ok {
-			return response{Error: "wire: store cannot snapshot its index"}
-		}
-		data, epoch, err := sn.IndexSnapshot(ctx)
-		if err != nil {
-			return response{Error: err.Error()}
-		}
-		return response{Snapshot: data, Epoch: epoch}
 	case opQuery:
 		objs, err := s.store.Query(ctx, req.Query)
 		if err != nil {

@@ -63,12 +63,9 @@ const (
 	// opReach expands a weighted key frontier one hop over the peer's A'
 	// shard: the cluster coordinator's scatter-gather primitive.
 	opReach = "reach"
-	// opSnapshot ships the peer's epoch-stamped A' shard in the binary
-	// checkpoint format, for shard bootstrap and ring rebalance.
-	opSnapshot = "snapshot"
 )
 
-var wireOps = []string{opGet, opGetBatch, opQuery, opMeta, opKeyField, opReach, opSnapshot}
+var wireOps = []string{opGet, opGetBatch, opQuery, opMeta, opKeyField, opReach}
 
 // Per-op client round-trip histograms and error counters, plus the server's
 // request tally, resolved once at init so the RPC path does a single
@@ -178,10 +175,6 @@ type response struct {
 	// coordinator can attribute index effort to the profiled query.
 	Nodes int `json:"nodes,omitempty"`
 	Edges int `json:"edges,omitempty"`
-	// Snapshot answers a snapshot op: the peer's A' shard in the binary
-	// checkpoint format, stamped with its WAL epoch.
-	Snapshot []byte `json:"snapshot,omitempty"`
-	Epoch    uint64 `json:"epoch,omitempty"`
 	// Segs splits Hits into one run per request segment, in request order (a
 	// run may be empty). Absent when the request carried no Segs.
 	Segs []int `json:"segs,omitempty"`
