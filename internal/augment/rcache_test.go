@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"quepa/internal/core"
@@ -99,7 +101,9 @@ func TestResultCacheStaleAfterMutation(t *testing.T) {
 // between brand-new keys unreachable from the origin, so the correct answer
 // is invariant throughout — every answer served during the race must equal
 // the reference, and after quiescing the cached augmenter must still agree
-// with an uncached one bitwise.
+// with an uncached one bitwise. Those mutations land on islands of their
+// own, so they must not invalidate the origin's entry either: after the cold
+// first call every probe is a hit, and none finds a stale stamp.
 func TestResultCacheConcurrentMutationEquivalence(t *testing.T) {
 	poly, ix := polyphony(t)
 	aug := New(poly, ix, Config{Strategy: Sequential})
@@ -111,6 +115,7 @@ func TestResultCacheConcurrentMutationEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	stop := make(chan struct{})
+	var inserted atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -127,9 +132,17 @@ func TestResultCacheConcurrentMutationEquivalence(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			inserted.Add(1)
 		}
 	}()
-	for i := 0; i < 200; i++ {
+	const rounds = 200
+	before := rc.Stats()
+	for i := 0; i < rounds; i++ {
+		// Interleave for sure: every round starts after at least one more
+		// mutation than the last.
+		for inserted.Load() <= int64(i) {
+			runtime.Gosched()
+		}
 		got, _, err := aug.AugmentObjects(ctx, []core.Object{obj}, 2)
 		if err != nil {
 			t.Fatal(err)
@@ -138,8 +151,16 @@ func TestResultCacheConcurrentMutationEquivalence(t *testing.T) {
 			t.Fatalf("iteration %d: answer diverged under concurrent mutation", i)
 		}
 	}
+	after := rc.Stats()
 	close(stop)
 	wg.Wait()
+	if hits := after.Hits - before.Hits; hits < rounds-1 {
+		t.Errorf("origin served from the cache %d of %d times during the race, want >= %d: mutations on other islands invalidated it",
+			hits, rounds, rounds-1)
+	}
+	if m := after.EpochMismatches - before.EpochMismatches; m != 0 {
+		t.Errorf("%d stale-stamp probes during the race: mutations on other islands moved the origin's stamp", m)
+	}
 	got, _, err := aug.AugmentObjects(ctx, []core.Object{obj}, 2)
 	if err != nil {
 		t.Fatal(err)
