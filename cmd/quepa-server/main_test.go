@@ -297,6 +297,8 @@ func TestHandleMetrics(t *testing.T) {
 		"quepa_cache_misses_total",
 		"quepa_store_op_duration_seconds_bucket",
 		"quepa_index_keys",
+		"# TYPE quepa_aindex_components gauge",
+		"quepa_aindex_component_max_keys",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("metrics output missing %q", want)

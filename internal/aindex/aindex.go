@@ -78,12 +78,21 @@ type Index struct {
 	// critical section (journal.go). The WAL manager installs itself here so
 	// crash recovery can replay mutations in application order.
 	journal Journal
+
+	// comp tracks the connected components behind Stamp (component.go). Nil
+	// only in the bulk loader's private shards, whose adjacency the merge
+	// re-reads.
+	comp *components
 }
 
 // New returns an empty index with a fresh (empty) snapshot installed, so
 // reads on an unmutated index take the lock-free path from the start.
 func New() *Index {
-	ix := &Index{adj: map[core.GlobalKey]map[core.GlobalKey]edge{}, dirty: map[core.GlobalKey]struct{}{}}
+	ix := &Index{
+		adj:   map[core.GlobalKey]map[core.GlobalKey]edge{},
+		dirty: map[core.GlobalKey]struct{}{},
+		comp:  newComponents(),
+	}
 	ix.snap.Store(buildSnapshot(ix.adj, 0, 0))
 	return ix
 }
@@ -114,6 +123,7 @@ func (ix *Index) Insert(r core.PRelation) error {
 	ix.mu.Lock()
 	ix.insertLocked(r)
 	e := ix.epoch.Add(1)
+	ix.comp.publish(e)
 	if ix.journal != nil {
 		ix.journal.Log([]JournalOp{{Kind: OpInsert, Rel: r}}, e)
 	}
@@ -264,6 +274,10 @@ func (ix *Index) setEdgeLocked(a, b core.GlobalKey, typ core.RelType, prob float
 	e := edge{typ: typ, prob: prob}
 	ix.adj[a][b] = e
 	ix.adj[b][a] = e
+	if ix.comp != nil {
+		// Queued, not applied: the caller publishes after its epoch bump.
+		ix.comp.pending = append(ix.comp.pending, [2]core.GlobalKey{a, b})
+	}
 }
 
 func (ix *Index) edgeLocked(a, b core.GlobalKey) (edge, bool) {
@@ -314,6 +328,10 @@ func (ix *Index) RemoveObjectCtx(ctx context.Context, gk core.GlobalKey) bool {
 	delete(ix.adj, gk)
 	ix.markAllDirtyLocked() // a key left: the snapshot's id tables are out
 	e := ix.epoch.Add(1)
+	// After the bump, like publish. gk keeps its cell: components never split.
+	if cell := ix.comp.lookup(gk); cell != nil {
+		root(cell).stamp.Store(e)
+	}
 	if ix.journal != nil {
 		ix.logCtxLocked(ctx, []JournalOp{{Kind: OpRemove, Key: gk}}, e)
 	}
@@ -597,6 +615,7 @@ func (ix *Index) InsertRaw(r core.PRelation) error {
 	ix.mu.Lock()
 	ix.setEdgeLocked(r.From, r.To, r.Type, r.Prob)
 	e := ix.epoch.Add(1)
+	ix.comp.publish(e)
 	if ix.journal != nil {
 		ix.journal.Log([]JournalOp{{Kind: OpInsertRaw, Rel: r}}, e)
 	}
@@ -620,6 +639,7 @@ func (ix *Index) Clone() *Index {
 		out.adj[a] = m
 	}
 	ix.mu.RUnlock()
+	out.comp.rebuild(out.adj, out.epoch.Load())
 	// The empty snapshot New installed does not describe the copied
 	// adjacency; freeze a real one so the replica reads lock-free at once.
 	out.markAllDirtyLocked()

@@ -139,10 +139,11 @@ func BenchmarkSnapshotFull(b *testing.B) {
 
 // BenchmarkSnapshotPatch is what a promotion pays instead: one flat copy of
 // the CSR columns plus a re-read of the dirty rows. One promotion between two
-// singleton identity classes dirties 2 rows.
+// singleton identity classes dirties 2 rows; a re-promotion that changes no
+// edge dirties none, and its refresh only restamps the predecessor.
 func BenchmarkSnapshotPatch(b *testing.B) {
 	ix, keys := scale16Index()
-	for _, rows := range []int{1, 16, 256, maxDirtyRows} {
+	for _, rows := range []int{0, 1, 16, 256, maxDirtyRows} {
 		b.Run(fmt.Sprint(rows), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(int64(rows)))
 			before := ix.SnapshotInfo().Patches
@@ -158,6 +159,25 @@ func BenchmarkSnapshotPatch(b *testing.B) {
 			}
 			if got := ix.SnapshotInfo().Patches - before; got != uint64(b.N) {
 				b.Fatalf("%d of %d refreshes were patches", got, b.N)
+			}
+		})
+	}
+}
+
+// BenchmarkStamp is the price of validating one result-cache entry at the
+// ledger's index size: a shard probe plus a parent walk. "hot" cycles over 64
+// keys, as a skewed query stream does; "cold" over all 52,847, so every probe
+// misses the CPU caches.
+func BenchmarkStamp(b *testing.B) {
+	ix, keys := scale16Index()
+	for _, n := range []struct {
+		name string
+		keys []core.GlobalKey
+	}{{"hot", keys[:64]}, {"cold", keys}} {
+		b.Run(n.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ix.Stamp(n.keys[i%len(n.keys)])
 			}
 		})
 	}

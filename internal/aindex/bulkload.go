@@ -105,6 +105,7 @@ func BulkLoadWorkers(rels []core.PRelation, workers int) (*Index, error) {
 		go func(w int) {
 			defer wg.Done()
 			shard := New()
+			shard.comp = nil // the merge rebuilds the cells from adj
 			for {
 				i := int(cursor.Add(1)) - 1
 				if i >= len(roots) {
@@ -127,7 +128,7 @@ func BulkLoadWorkers(rels []core.PRelation, workers int) (*Index, error) {
 		out.edges += shard.edges
 	}
 	out.markAllDirtyLocked()
-	out.epoch.Add(1)
+	out.comp.rebuild(out.adj, out.epoch.Add(1))
 	out.mu.Unlock()
 	out.RefreshSnapshot()
 	return out, nil

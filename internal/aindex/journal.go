@@ -78,16 +78,17 @@ func (ix *Index) SetJournal(j Journal) {
 	ix.mu.Unlock()
 }
 
-// Epoch returns the current mutation epoch. Result caches key their entries
-// by it: any mutation bumps the epoch, so entries computed against an older
-// index state simply stop validating and age out of the LRU.
+// Epoch returns the current mutation epoch: every mutation bumps it. Snapshot
+// freshness, WAL fences, checkpoints and the cluster's scatter-cache stamp
+// read it; the augmenter's result cache reads the finer Stamp, which moves
+// only for the component a mutation touched.
 func (ix *Index) Epoch() uint64 { return ix.epoch.Load() }
 
 // SetInvalidationHook does nothing. No mutation needs an explicit flush of a
-// derived cache: every one bumps the epoch, and epoch-stamped entries stop
-// validating at once. It exists only because benchmark/stack.go calls it, like
-// cluster.RoutePolystore, until the ledger assembles its stack through
-// server.New.
+// derived cache: every one moves the epoch and the stamp of the component it
+// touched, and entries stamped with either stop validating at once. It exists
+// only because benchmark/stack.go calls it, like cluster.RoutePolystore, until
+// the ledger assembles its stack through server.New.
 func (ix *Index) SetInvalidationHook(func()) {}
 
 // EdgesWithEpoch returns the canonical edge list together with the mutation

@@ -252,6 +252,7 @@ func ReadSnapshot(r io.Reader) (*Index, uint64, error) {
 		}
 		ix.mu.Lock()
 		ix.setEdgeLocked(rel.From, rel.To, typ, prob)
+		ix.comp.publish(ix.epoch.Load())
 		ix.mu.Unlock()
 	}
 	sum := cr.crc

@@ -131,7 +131,16 @@ func buildSnapshot(adj map[core.GlobalKey]map[core.GlobalKey]edge, edges int, ep
 // buildSnapshot(adj, _, epoch) field for field (TestSnapshotPatchMatchesFull).
 // The caller holds the index read lock and guarantees that every key of adj
 // is in s.ids and every row that differs from s is in dirty.
+//
+// With nothing dirty — a mutation that changed no edge, such as a
+// re-promotion at the same probability, still bumps the epoch — the
+// successor shares every column and only restamps the epoch.
 func (s *snapshot) patch(adj map[core.GlobalKey]map[core.GlobalKey]edge, dirty map[core.GlobalKey]struct{}, epoch uint64) *snapshot {
+	if len(dirty) == 0 {
+		out := *s
+		out.epoch = epoch
+		return &out
+	}
 	rows := make([]int32, 0, len(dirty))
 	total := len(s.nbr)
 	for k := range dirty {

@@ -90,7 +90,8 @@ func TestSnapshotPatchMatchesFull(t *testing.T) {
 		for round := 0; round < 20; round++ {
 			base := ix.snap.Load()
 			before, fullBefore := ix.SnapshotInfo().Patches, fullBuilds(ix)
-			for n := rng.Intn(30); n > 0; n-- { // an empty batch patches too
+			batch := rng.Intn(30)
+			for n := batch; n > 0; n-- { // an empty batch patches too
 				a, b := keys[rng.Intn(len(keys))], keys[rng.Intn(len(keys))]
 				if a == b || !ix.Contains(a) || !ix.Contains(b) {
 					continue
@@ -117,7 +118,37 @@ func TestSnapshotPatchMatchesFull(t *testing.T) {
 			if s.pool != base.pool || &s.keys[0] != &base.keys[0] {
 				t.Fatalf("%s: patched snapshot does not share its predecessor's tables", when)
 			}
+			if batch == 0 {
+				requireSharedColumns(t, base, s, when+" (empty batch)")
+			}
+
+			// A re-insert of an existing edge at a lower probability — what a
+			// re-promotion at the same average amounts to — changes no edge
+			// but still bumps the epoch: the successor is the predecessor
+			// restamped. (InsertRaw: the batches above leave the closure
+			// open, so a closing Insert could add edges.)
+			base = s
+			e := ix.Edges()[rng.Intn(ix.EdgeCount())]
+			e.Prob /= 2
+			if err := ix.InsertRaw(e); err != nil {
+				t.Fatal(err)
+			}
+			ix.RefreshSnapshot()
+			requireInstalledEqualsFull(t, ix, when+" (no-op re-insert)")
+			requireSharedColumns(t, base, ix.snap.Load(), when+" (no-op re-insert)")
 		}
+	}
+}
+
+// requireSharedColumns fails unless next is prev restamped: same CSR
+// columns, an epoch no earlier.
+func requireSharedColumns(t *testing.T, prev, next *snapshot, when string) {
+	t.Helper()
+	if next.epoch < prev.epoch {
+		t.Fatalf("%s: successor epoch %d, predecessor %d", when, next.epoch, prev.epoch)
+	}
+	if &next.off[0] != &prev.off[0] || &next.nbr[0] != &prev.nbr[0] || &next.prob[0] != &prev.prob[0] {
+		t.Fatalf("%s: a refresh with no dirty rows copied the columns", when)
 	}
 }
 
@@ -461,6 +492,17 @@ func TestReachDuringRebuildChurn(t *testing.T) {
 			}
 		}
 	}()
+	// Readers bracket every Reach between two Stamp reads, the way the
+	// augmenter fills its result cache. Whatever the interleaving, two reads
+	// bracketed by the same stamp must return the same hits — or a cache
+	// would serve one of them as the other.
+	type stamped struct {
+		key   core.GlobalKey
+		level int
+		stamp uint64
+	}
+	var seenMu sync.Mutex
+	seen := map[stamped][]Hit{}
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
 		go func(r int) {
@@ -469,15 +511,30 @@ func TestReachDuringRebuildChurn(t *testing.T) {
 			for i := 0; i < 500; i++ {
 				k := keys[rng.Intn(len(keys))]
 				level := rng.Intn(3)
+				s1 := ix.Stamp(k)
+				var hits []Hit
 				if rng.Intn(2) == 0 {
-					ix.Reach(k, level)
+					hits = ix.Reach(k, level)
 				} else {
-					hits, _ := ix.ReachWithStats(k, level)
+					hits, _ = ix.ReachWithStats(k, level)
 					for j := 1; j < len(hits); j++ {
 						if hitLess(hits[j], hits[j-1]) {
 							t.Errorf("unsorted hits under churn: %+v", hits)
 						}
 					}
+				}
+				if s2 := ix.Stamp(k); s2 != s1 {
+					continue
+				}
+				key := stamped{k, level, s1}
+				seenMu.Lock()
+				first, ok := seen[key]
+				if !ok {
+					seen[key] = hits
+				}
+				seenMu.Unlock()
+				if ok && !slices.Equal(first, hits) {
+					t.Errorf("%v level %d under stamp %d: hits %v, earlier under the same stamp %v", k, level, s1, hits, first)
 				}
 			}
 		}(r)

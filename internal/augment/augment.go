@@ -231,10 +231,11 @@ type Augmenter struct {
 	reacher Reacher
 
 	// rc, when set, memoizes Reach result sets and single-origin
-	// augmentation outcomes against the index epoch. Epoch validation makes
-	// invalidation free: every mutator bumps the epoch, so stale entries
-	// become unaddressable and age out of the LRU. Set once at startup,
-	// before serving.
+	// augmentation outcomes, each stamped with its origin's component stamp
+	// (aindex.Index.Stamp). Stamp validation makes invalidation free: a
+	// mutation moves the stamp of the island it touched, so that island's
+	// entries become unaddressable and age out of the LRU while every other
+	// island's stay valid. Set once at startup, before serving.
 	rc *rcache.Cache
 }
 
@@ -384,19 +385,21 @@ func (a *Augmenter) augment(ctx context.Context, cfg Config, origins []core.Obje
 	span.SetAttr("origins", itoa(len(origins)))
 	start := telemetry.Now()
 	// Single-origin, locally-indexed augmentations are whole-outcome
-	// memoizable. The epoch is read before any index or store consultation,
-	// so a mutation racing this call leaves the entry unaddressable at the
-	// new epoch rather than serving stale data; Rank filters by minProb
-	// after the fact, so one entry serves every threshold.
+	// memoizable. The origin's component stamp is read before any index or
+	// store consultation, so a mutation of its island racing this call
+	// leaves the entry unaddressable at the new stamp rather than serving
+	// stale data; Rank filters by minProb after the fact, so one entry
+	// serves every threshold. Only single-origin outcomes are memoized, so
+	// an entry never depends on more than one component.
 	var (
 		outKey   rcache.Key
-		outEpoch uint64
+		outStamp uint64
 		memoize  bool
 	)
 	if a.rc != nil && a.reacher == nil && len(origins) == 1 {
 		outKey = rcache.Key{GK: origins[0].GK, Level: level, Kind: rcache.KindOutcome}
-		outEpoch = a.index.Epoch()
-		if v, ok := a.rc.GetOutcome(outKey, outEpoch); ok {
+		outStamp = a.index.Stamp(origins[0].GK)
+		if v, ok := a.rc.GetOutcome(outKey, outStamp); ok {
 			out := v.([]AugmentedObject)
 			if span != nil {
 				span.SetAttr("rcache_hits", "1")
@@ -448,7 +451,7 @@ func (a *Augmenter) augment(ctx context.Context, cfg Config, origins []core.Obje
 	// Only clean outcomes are cacheable: a degraded answer reflects a
 	// transient store failure and must not outlive it.
 	if memoize && sink.nDegraded.Load() == 0 {
-		a.rc.PutOutcome(outKey, outEpoch, out)
+		a.rc.PutOutcome(outKey, outStamp, out)
 	}
 	sink.report(span, len(out), nil)
 	return out, sink.degradations(), false, nil
@@ -478,14 +481,11 @@ func (a *Augmenter) buildPlan(ctx context.Context, s *sink, origins []core.Objec
 		originSet[o.GK] = true
 	}
 	// Reach memoization is local-index only: the cluster coordinator keys
-	// its own entries by the scatter epoch. The epoch is read once before
-	// any traversal, so a mutation racing the loop strands the entries at
-	// the pre-mutation epoch instead of mislabeling post-mutation results.
+	// its own entries by the scatter epoch. Each origin's component stamp is
+	// read before its traversal, so a mutation racing the loop strands the
+	// entry at the pre-mutation stamp instead of mislabeling post-mutation
+	// results.
 	useRcache := a.rc != nil && a.reacher == nil
-	var reachEpoch uint64
-	if useRcache {
-		reachEpoch = a.index.Epoch()
-	}
 	// A cluster reacher takes the whole request in one call, so its round
 	// trips group by destination peer instead of multiplying by origin.
 	var scattered [][]aindex.Hit
@@ -501,13 +501,15 @@ func (a *Augmenter) buildPlan(ctx context.Context, s *sink, origins []core.Objec
 	for i, o := range origins {
 		var mine []core.GlobalKey
 		var hits []aindex.Hit
+		var stamp uint64
 		rkey := rcache.Key{GK: o.GK, Level: level, Kind: rcache.KindReach}
 		switch {
 		case a.reacher != nil:
 			hits = scattered[i]
 		case useRcache:
+			stamp = a.index.Stamp(o.GK)
 			var cached bool
-			if hits, _, cached = a.rc.GetReach(rkey, reachEpoch); cached {
+			if hits, _, cached = a.rc.GetReach(rkey, stamp); cached {
 				s.rcacheHits++
 				break
 			}
@@ -521,7 +523,7 @@ func (a *Augmenter) buildPlan(ctx context.Context, s *sink, origins []core.Objec
 				s.snapshots++
 			}
 			if useRcache {
-				a.rc.PutReach(rkey, reachEpoch, hits, st)
+				a.rc.PutReach(rkey, stamp, hits, st)
 			}
 		}
 		for _, h := range hits {

@@ -2,10 +2,12 @@ package augment
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"quepa/internal/aindex"
 	"quepa/internal/core"
+	"quepa/internal/rcache"
 	"quepa/internal/telemetry"
 )
 
@@ -181,5 +183,80 @@ func TestExploreStepTraceHasOriginFetch(t *testing.T) {
 	walk(root.JSON())
 	if origin != 1 || expansion != 1 {
 		t.Errorf("step trace has %d origin fetches and %d expansions, want 1 and 1", origin, expansion)
+	}
+}
+
+// TestPromotionInvalidatesOnlyItsIsland: step outcomes are cached per A'
+// component. A promotion on the running example's island leaves the cached
+// step of a second island (a33 ≡ n2) in place, and the promoted island's
+// own step is recomputed — to exactly what an uncached augmenter answers.
+func TestPromotionInvalidatesOnlyItsIsland(t *testing.T) {
+	poly, ix := polyphony(t)
+	gk := core.MustParseGlobalKey
+	s8, a32, n1 := gk("transactions.sales.s8"), gk("transactions.inventory.a32"), gk("similar-items.items.n1")
+	a33 := gk("transactions.inventory.a33")
+	if err := ix.Insert(core.NewIdentity(a33, gk("similar-items.items.n2"), 0.75)); err != nil {
+		t.Fatal(err)
+	}
+	aug := New(poly, ix, Config{Strategy: Sequential})
+	rc := rcache.New(64)
+	aug.SetResultCache(rc)
+	tracker := aindex.NewPathTracker(ix, aindex.PromotionPolicy{BaseThreshold: 2, Decay: 0, MinThreshold: 2})
+
+	// step starts a session on one object and expands it: the session's
+	// start (a level-0 search) and the step probe the same outcome entry.
+	step := func(aug *Augmenter, query string, key core.GlobalKey) []AugmentedObject {
+		t.Helper()
+		sess, _, err := aug.Explore(ctx, "transactions", query, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := sess.Step(ctx, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	const otherQ, sameQ = `SELECT * FROM inventory WHERE id = 'a33'`, `SELECT * FROM sales WHERE id = 's8'`
+	other := step(aug, otherQ, a33)
+	same := step(aug, sameQ, s8)
+
+	for walk := 0; walk < 2; walk++ {
+		sess, _, err := aug.Explore(ctx, "transactions", sameQ, tracker)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []core.GlobalKey{s8, a32, n1} {
+			if _, err := sess.Step(ctx, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sess.Finish()
+	}
+	if _, ok := ix.Relation(s8, n1); !ok {
+		t.Fatal("the walked path was not promoted")
+	}
+
+	before := rc.Stats()
+	if got := step(aug, otherQ, a33); !reflect.DeepEqual(got, other) {
+		t.Fatalf("other island's step changed:\n got %v\nwant %v", got, other)
+	}
+	after := rc.Stats()
+	if after.Hits-before.Hits != 2 || after.EpochMismatches != before.EpochMismatches {
+		t.Errorf("other island after a promotion: %d hits, %d stale probes; want 2 and 0",
+			after.Hits-before.Hits, after.EpochMismatches-before.EpochMismatches)
+	}
+
+	before = rc.Stats()
+	got := step(aug, sameQ, s8)
+	if after := rc.Stats(); after.EpochMismatches == before.EpochMismatches {
+		t.Error("the promoted island's cached step was served without a stale-stamp probe")
+	}
+	want := step(New(poly, ix, Config{Strategy: Sequential}), sameQ, s8)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("recomputed step diverges from an uncached augmenter:\n got %v\nwant %v", got, want)
+	}
+	if reflect.DeepEqual(got, same) {
+		t.Error("the promoted shortcut does not show in the recomputed step")
 	}
 }

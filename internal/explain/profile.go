@@ -100,7 +100,7 @@ type AugmentationTrace struct {
 	// fell back to the locked traversal because a mutation was in flight).
 	SnapshotReaches int `json:"snapshot_reaches,omitempty"`
 	// RcacheHits counts reach/outcome lookups of this augmentation served
-	// from the epoch-consistent result cache instead of recomputed.
+	// from the stamp-validated result cache instead of recomputed.
 	RcacheHits    int     `json:"rcache_hits,omitempty"`
 	CacheHits     int     `json:"cache_hits"`
 	CacheMisses   int     `json:"cache_misses"`
@@ -159,7 +159,7 @@ type Totals struct {
 	WireRetries   int   `json:"wire_retries"`
 	Degraded      int   `json:"degraded_stores"`
 	ScatterCalls  int   `json:"scatter_calls,omitempty"`
-	// RcacheHits counts results served from the epoch-consistent result
+	// RcacheHits counts results served from the stamp-validated result
 	// cache (reach sets, whole augmentation outcomes, scatter results).
 	RcacheHits int `json:"rcache_hits,omitempty"`
 	// DeltaFrontierKeys counts the frontier keys scatter traversals shipped

@@ -1,27 +1,32 @@
-// Package rcache implements the epoch-consistent result cache of the read
+// Package rcache implements the stamp-validated result cache of the read
 // path: memoized A' Reach result sets and whole per-level augmentation
 // outcomes, keyed by (global key, level, min probability, kind) and stamped
-// with the index snapshot epoch they were computed at.
+// with a number the caller reads before computing them. The cache compares
+// stamps and nothing else; what a stamp means is the caller's business.
 //
-// Invalidation is free by construction. Every mutation of the A' index bumps
-// its snapshot epoch (PR 5), so an entry computed at epoch E simply stops
-// validating once the index moves to E+1: the probe compares the stored
-// stamp against the caller's current epoch and treats a mismatch as a miss,
-// evicting the stale entry on the spot. No mutator ever has to enumerate
-// which cached results a given edge change could affect — exactly the
-// property that makes result caching safe under concurrent mutation.
+// The augmenter stamps with aindex.Index.Stamp of the entry's origin: the
+// epoch of the last mutation that changed an edge of the origin's connected
+// component. If that stamp reads the same value twice, no reach from the
+// origin changed in between, so an entry stamped S stays exact for as long
+// as the origin's component stays at S. A promotion or lazy deletion moves
+// only its own island's stamp: the probe compares the stored stamp against
+// the caller's current one and treats a mismatch as a miss, evicting the
+// stale entry on the spot, while every other island's entries keep serving.
+// No mutator ever has to enumerate which cached results a given edge change
+// could affect. (The cluster coordinator stamps its scatter entries with the
+// local shard's global epoch instead.)
 //
 // No mutation needs an explicit flush: inserts, promotions, lazy deletions and
-// WAL replay all bump the epoch, and a restarted process starts with an empty
-// cache. Epoch aging is the whole invalidation story. Invalidate exists for
-// callers that want to drop everything anyway; the serving path never calls
-// it.
+// WAL replay all move the stamps they affect, and a restarted process starts
+// with an empty cache. Stamp aging is the whole invalidation story.
+// Invalidate exists for callers that want to drop everything anyway; the
+// serving path never calls it.
 //
 // Structurally this is the 16-way sharded LRU of internal/cache with a
-// composite key and validate-on-read epoch checking. Storing the epoch in
-// the entry rather than the key keeps dead epochs from accumulating (a hot
-// key occupies one slot, not one per epoch it was ever cached at) and gives
-// the coherence tests an observable epoch-mismatch counter.
+// composite key and validate-on-read stamp checking. Storing the stamp in
+// the entry rather than the key keeps dead stamps from accumulating (a hot
+// key occupies one slot, not one per stamp it was ever cached at) and gives
+// the coherence tests an observable mismatch counter.
 package rcache
 
 import (
@@ -76,7 +81,7 @@ type Stats struct {
 	Len             int
 }
 
-// Cache is the sharded epoch-validating result cache. Safe for concurrent
+// Cache is the sharded stamp-validating result cache. Safe for concurrent
 // use; a capacity of zero disables it (every probe misses, every store is
 // dropped).
 //
@@ -102,7 +107,7 @@ type shard struct {
 
 type entry struct {
 	key   Key
-	epoch uint64
+	stamp uint64
 	hits  []aindex.Hit
 	stats aindex.ReachStats
 	// outcome carries KindOutcome payloads. It is `any` so the cache does not
@@ -167,11 +172,11 @@ func (c *Cache) shardFor(k Key) *shard {
 	return c.shards[h%shardCount]
 }
 
-// get probes for k at the given epoch. A present entry stamped with a
-// different epoch counts as a miss AND an epoch mismatch, and is evicted on
-// the spot: the index state it described is no longer reachable (epochs are
+// get probes for k at the given stamp. A present entry stamped with a
+// different value counts as a miss AND an epoch mismatch, and is evicted on
+// the spot: the index state it described is no longer reachable (stamps are
 // monotonic), so keeping it would only displace live entries.
-func (c *Cache) get(k Key, epoch uint64) (*entry, bool) {
+func (c *Cache) get(k Key, stamp uint64) (*entry, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -184,7 +189,7 @@ func (c *Cache) get(k Key, epoch uint64) (*entry, bool) {
 		return nil, false
 	}
 	e := el.Value.(*entry)
-	if e.epoch != epoch {
+	if e.stamp != stamp {
 		s.epochMismatches++
 		s.misses++
 		s.ll.Remove(el)
@@ -228,33 +233,33 @@ func (s *shard) evictLocked() {
 }
 
 // GetReach returns the memoized hit list for k if one was stored at exactly
-// the given epoch. The returned slice is shared — do not mutate it.
-func (c *Cache) GetReach(k Key, epoch uint64) ([]aindex.Hit, aindex.ReachStats, bool) {
-	e, ok := c.get(k, epoch)
+// the given stamp. The returned slice is shared — do not mutate it.
+func (c *Cache) GetReach(k Key, stamp uint64) ([]aindex.Hit, aindex.ReachStats, bool) {
+	e, ok := c.get(k, stamp)
 	if !ok {
 		return nil, aindex.ReachStats{}, false
 	}
 	return e.hits, e.stats, true
 }
 
-// PutReach memoizes a reach result computed at the given epoch. The cache
+// PutReach memoizes a reach result computed at the given stamp. The cache
 // retains hits without copying; the caller must not mutate it afterwards.
-func (c *Cache) PutReach(k Key, epoch uint64, hits []aindex.Hit, stats aindex.ReachStats) {
-	c.put(&entry{key: k, epoch: epoch, hits: hits, stats: stats})
+func (c *Cache) PutReach(k Key, stamp uint64, hits []aindex.Hit, stats aindex.ReachStats) {
+	c.put(&entry{key: k, stamp: stamp, hits: hits, stats: stats})
 }
 
-// GetOutcome returns a memoized augmentation outcome stored at the epoch.
-func (c *Cache) GetOutcome(k Key, epoch uint64) (any, bool) {
-	e, ok := c.get(k, epoch)
+// GetOutcome returns a memoized augmentation outcome stored at the stamp.
+func (c *Cache) GetOutcome(k Key, stamp uint64) (any, bool) {
+	e, ok := c.get(k, stamp)
 	if !ok {
 		return nil, false
 	}
 	return e.outcome, true
 }
 
-// PutOutcome memoizes an augmentation outcome computed at the given epoch.
-func (c *Cache) PutOutcome(k Key, epoch uint64, v any) {
-	c.put(&entry{key: k, epoch: epoch, outcome: v})
+// PutOutcome memoizes an augmentation outcome computed at the given stamp.
+func (c *Cache) PutOutcome(k Key, stamp uint64, v any) {
+	c.put(&entry{key: k, stamp: stamp, outcome: v})
 }
 
 // Invalidate flushes every entry; hit/miss statistics survive, and the flush
@@ -313,7 +318,7 @@ func (c *Cache) Len() int {
 }
 
 // Stats reports the cumulative counters. EpochMismatches counts probes that
-// found an entry from another epoch — the observable trace of epoch-based
+// found an entry with a stale stamp — the observable trace of stamp-based
 // invalidation doing its job (every mismatch is also a miss).
 func (c *Cache) Stats() Stats {
 	if c == nil {
@@ -350,7 +355,7 @@ func (c *Cache) RegisterMetrics(r *telemetry.Registry) {
 		func() uint64 { return c.Stats().Hits })
 	r.CounterFunc("quepa_rcache_misses_total", "result cache probes that recomputed",
 		func() uint64 { return c.Stats().Misses })
-	r.CounterFunc("quepa_rcache_epoch_mismatch_total", "result cache probes that found an entry from another snapshot epoch",
+	r.CounterFunc("quepa_rcache_epoch_mismatch_total", "result cache probes that found an entry with a stale stamp (an A' mutation reached what it was computed from)",
 		func() uint64 { return c.Stats().EpochMismatches })
 	r.CounterFunc("quepa_rcache_evictions_total", "result cache entries evicted by capacity pressure",
 		func() uint64 { return c.Stats().Evictions })

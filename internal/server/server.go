@@ -426,6 +426,12 @@ func (s *Server) registerMetrics() {
 		func() float64 { return float64(s.built.Index.NodeCount()) })
 	reg.GaugeFunc("quepa_index_edges", "p-relations in the A' index",
 		func() float64 { return float64(s.built.Index.EdgeCount()) })
+	// The units of result-cache invalidation: in one giant component every
+	// promotion would invalidate every cached result.
+	reg.GaugeFunc("quepa_aindex_components", "connected components of the A' index (never split by lazy deletion)",
+		func() float64 { n, _ := s.built.Index.Components(); return float64(n) })
+	reg.GaugeFunc("quepa_aindex_component_max_keys", "global keys in the largest connected component of the A' index",
+		func() float64 { _, m := s.built.Index.Components(); return float64(m) })
 	reg.GaugeFunc("quepa_sessions_active", "open exploration sessions",
 		func() float64 {
 			s.mu.Lock()
