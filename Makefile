@@ -85,15 +85,16 @@ promlint:
 	$(GO) test -run PromLint -count=1 ./internal/telemetry/
 
 # Multi-peer cluster suite under the race detector (the CI cluster job runs
-# exactly this): ring property tests, scatter-gather equivalence against the
-# single-node index, the scatter cache under concurrent mutation,
-# peer-down -> "peer-open" degradation, slow-shard timeouts, and the 3-peer
-# HTTP server acceptance test. Every scenario runs over in-process netsim
-# peers with deterministic fault plans, so the lane replays bit-for-bit on
-# any runner.
+# exactly this): the island carve a shard is built from (Islands), ring
+# property tests, scatter equivalence against the single-node index, the
+# scatter cache under concurrent mutation, peer-down -> "peer-open"
+# degradation scoped to the dead peer's origins, slow-shard timeouts, and
+# the 3-peer HTTP server acceptance test. Every scenario runs over
+# in-process netsim peers with deterministic fault plans, so the lane
+# replays bit-for-bit on any runner.
 cluster:
-	$(GO) test -race -run 'Cluster|Ring|Scatter' \
-		./internal/cluster/ ./cmd/quepa-server/
+	$(GO) test -race -run 'Cluster|Ring|Scatter|Islands' \
+		./internal/aindex/ ./internal/cluster/ ./cmd/quepa-server/
 
 # Crash-recovery suite: SIGKILL a re-exec'd process mid-write (both the raw
 # WAL writer and a live quepa-server under load) and verify the reopened data

@@ -19,8 +19,8 @@
 //
 // With -cluster the process serves one shard of a distributed QUEPA cluster
 // instead: it builds the workload, carves this peer's slice of the A' index
-// along the consistent-hash ring, and serves the shard node (meta, frontier
-// expansion, snapshots) on its own -cluster address — the
+// along the consistent-hash ring, and serves the shard node (meta and reach)
+// on its own -cluster address — the
 // peer a quepa-server coordinator scatters to. The -fault-* flags apply to
 // the served shard, so multi-node chaos runs can be driven from real
 // processes:

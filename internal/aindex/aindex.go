@@ -629,20 +629,39 @@ func (ix *Index) InsertRaw(r core.PRelation) error {
 // from a master index built once (by the collector or a ReadSnapshot load).
 func (ix *Index) Clone() *Index {
 	ix.mu.RLock()
+	out := ix.copyRowsLocked(nil)
+	ix.mu.RUnlock()
+	return out.freeze()
+}
+
+// copyRowsLocked copies every adjacency row whose key take accepts (every
+// row for a nil take) into a new index, row by row, with the edge count the
+// copied rows hold. The caller holds at least the read lock and freezes the
+// copy before it serves.
+func (ix *Index) copyRowsLocked(take func(core.GlobalKey) bool) *Index {
 	out := New()
-	out.edges = ix.edges
+	ends := 0
 	for a, nbs := range ix.adj {
+		if take != nil && !take(a) {
+			continue
+		}
 		m := make(map[core.GlobalKey]edge, len(nbs))
 		for b, e := range nbs {
 			m[b] = e
 		}
 		out.adj[a] = m
+		ends += len(m)
 	}
-	ix.mu.RUnlock()
-	out.comp.rebuild(out.adj, out.epoch.Load())
-	// The empty snapshot New installed does not describe the copied
-	// adjacency; freeze a real one so the replica reads lock-free at once.
-	out.markAllDirtyLocked()
-	out.RefreshSnapshot()
+	out.edges = ends / 2 // every edge is stored at both endpoints
 	return out
+}
+
+// freeze readies an index whose adjacency was written wholesale: it
+// rebuilds the components and installs a real snapshot in place of the
+// empty one New installed, so the copy reads lock-free at once.
+func (ix *Index) freeze() *Index {
+	ix.comp.rebuild(ix.adj, ix.epoch.Load())
+	ix.markAllDirtyLocked()
+	ix.RefreshSnapshot()
+	return ix
 }

@@ -218,3 +218,40 @@ func (ix *Index) Stamp(gk core.GlobalKey) uint64 {
 func (ix *Index) Components() (count, maxKeys int) {
 	return int(ix.comp.count.Load()), int(ix.comp.maxKeys.Load())
 }
+
+// rootOf returns the root of gk's tracked component, or nil for a key that
+// never had an edge. The caller holds the index lock, so no union is half
+// applied.
+func (c *components) rootOf(gk core.GlobalKey) *compCell {
+	if cell := c.lookup(gk); cell != nil {
+		return root(cell)
+	}
+	return nil
+}
+
+// Islands returns a copy of every connected component that holds a key keep
+// accepts. A cluster peer's shard is Islands(owned by the peer): the owner
+// of an origin then holds the origin's whole island and answers any reach
+// from it with one local traversal.
+//
+// Rows are copied wholesale, as Clone copies them, and the copy's
+// components and snapshot are rebuilt before it is returned. Reach(gk, L)
+// only follows edges of gk's component, and the copy holds all of them with
+// the same rows in the same key order, so for every key of the copy its
+// hits, probabilities, distances and ReachStats equal this index's bitwise.
+//
+// The tracked components never split, so after lazy deletions a carved
+// component may be the union of several true ones: the carve is
+// conservative, never short.
+func (ix *Index) Islands(keep func(core.GlobalKey) bool) *Index {
+	ix.mu.RLock()
+	kept := map[*compCell]bool{}
+	for k := range ix.adj {
+		if keep(k) {
+			kept[ix.comp.rootOf(k)] = true
+		}
+	}
+	out := ix.copyRowsLocked(func(k core.GlobalKey) bool { return kept[ix.comp.rootOf(k)] })
+	ix.mu.RUnlock()
+	return out.freeze()
+}

@@ -272,3 +272,115 @@ func TestStampAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestIslands: the carve a cluster shard is built from. On small islands
+// joined by random Inserts, with a cut vertex lazily deleted, the copy holds
+// exactly the tracked components with a key keep accepts — a deletion's
+// split halves both, since components never split — and for every key of
+// the copy Reach and ReachWithStats at levels 0–3 equal the source's
+// bitwise, served from the copy's snapshot. EdgeCount is the kept
+// components' sum, and Stamp moves on the copy like on any index.
+func TestIslands(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3, 4, 5} {
+		rng := rand.New(rand.NewSource(seed))
+		islands, _ := islandKeys(10, 5)
+		src := New()
+		seedIslands(t, src, islands)
+		// The test's own never-splitting view of the components: every
+		// relation ever inserted joins its endpoints.
+		label := map[core.GlobalKey]core.GlobalKey{}
+		var find func(k core.GlobalKey) core.GlobalKey
+		find = func(k core.GlobalKey) core.GlobalKey {
+			if p, ok := label[k]; ok && p != k {
+				return find(p)
+			}
+			return k
+		}
+		join := func(a, b core.GlobalKey) { label[find(a)] = find(b) }
+		for _, isl := range islands {
+			for j := 0; j+1 < len(isl); j++ {
+				join(isl[j], isl[j+1])
+			}
+		}
+		for i := 0; i < 3; i++ {
+			a := islands[1+rng.Intn(9)][rng.Intn(5)]
+			b := islands[1+rng.Intn(9)][rng.Intn(5)]
+			if a == b {
+				continue
+			}
+			typ := core.Matching
+			if rng.Intn(2) == 0 {
+				typ = core.Identity
+			}
+			if err := src.Insert(core.PRelation{From: a, To: b, Type: typ, Prob: 0.5 + rng.Float64()/2}); err != nil {
+				t.Fatal(err)
+			}
+			join(a, b)
+		}
+		// Island 0 is a matching chain k0-k1-k2-k3-k4 no union touched:
+		// deleting k2 really splits it, and only k0 is kept.
+		src.RemoveObject(islands[0][2])
+		keep := map[core.GlobalKey]bool{islands[0][0]: true}
+		kept := map[core.GlobalKey]bool{find(islands[0][0]): true}
+		for i := 1; i < len(islands); i += 2 {
+			k := islands[i][rng.Intn(5)]
+			keep[k], kept[find(k)] = true, true
+		}
+		isl := src.Islands(func(k core.GlobalKey) bool { return keep[k] })
+		src.RefreshSnapshot()
+
+		when := fmt.Sprintf("seed %d", seed)
+		if !isl.Contains(islands[0][4]) {
+			t.Fatalf("%s: the split-off half of a kept component was dropped", when)
+		}
+		edges := 0
+		for _, e := range src.Edges() {
+			if kept[find(e.From)] {
+				edges++
+			}
+		}
+		if isl.EdgeCount() != edges {
+			t.Fatalf("%s: EdgeCount %d, want the kept components' %d", when, isl.EdgeCount(), edges)
+		}
+		dropped := 0
+		for _, k := range src.Keys() {
+			if !kept[find(k)] {
+				dropped++
+				if isl.Contains(k) {
+					t.Fatalf("%s: %v of an unkept component is in the copy", when, k)
+				}
+				continue
+			}
+			if !isl.Contains(k) {
+				t.Fatalf("%s: %v of a kept component is missing", when, k)
+			}
+			for level := 0; level <= 3; level++ {
+				want, wantSt := src.ReachWithStats(k, level)
+				got, gotSt := isl.ReachWithStats(k, level)
+				if !slices.Equal(got, want) || gotSt != wantSt || !gotSt.Snapshot {
+					t.Fatalf("%s: %v level %d:\n got %v %+v\nwant %v %+v", when, k, level, got, gotSt, want, wantSt)
+				}
+				if !slices.Equal(isl.Reach(k, level), want) {
+					t.Fatalf("%s: %v level %d: Reach diverges from ReachWithStats", when, k, level)
+				}
+			}
+		}
+		if dropped == 0 {
+			t.Fatalf("%s: every component was kept; the carve is untested", when)
+		}
+		if err := isl.Validate(); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		// Stamp on the copy: a mutation moves its own component's stamp and
+		// no other's.
+		a, other := islands[0][0], islands[0][4]
+		before := isl.Stamp(other)
+		if err := isl.Insert(core.NewMatching(a, core.NewGlobalKey("i0", "c", "fresh"), 0.5)); err != nil {
+			t.Fatal(err)
+		}
+		if isl.Stamp(a) != isl.Epoch() || isl.Stamp(other) != before {
+			t.Fatalf("%s: after an insert Stamp(%v) = %d (epoch %d), Stamp(%v) %d -> %d",
+				when, a, isl.Stamp(a), isl.Epoch(), other, before, isl.Stamp(other))
+		}
+	}
+}

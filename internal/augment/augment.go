@@ -240,12 +240,12 @@ type Augmenter struct {
 }
 
 // Reacher abstracts the A' reachability consulted while planning an
-// augmentation. The cluster coordinator implements it with one scatter-gather
-// traversal over the sharded index for all origins of the request: result i
-// is the reach of origins[i], the stats sum the traversal work, and the
-// returned Degradations report shards dropped mid-traversal (an open peer
-// breaker yields reason "peer-open"), which the augmenter folds into the
-// answer's degraded section.
+// augmentation. The cluster coordinator implements it with one scatter over
+// the sharded index for all origins of the request: result i is the reach
+// of origins[i], the stats sum the traversal work, and the returned
+// Degradations name the peers whose legs failed (an open peer breaker yields
+// reason "peer-open"), which the augmenter folds into the answer's degraded
+// section.
 type Reacher interface {
 	ReachScatterMany(ctx context.Context, origins []core.GlobalKey, level int) ([][]aindex.Hit, aindex.ReachStats, []Degradation)
 }
@@ -412,7 +412,7 @@ func (a *Augmenter) augment(ctx context.Context, cfg Config, origins []core.Obje
 	sink := newSink()
 	plan := a.buildPlan(ctx, sink, origins, level)
 	span.SetAttr("keys", itoa(len(plan.order)))
-	// Shards a scatter-gather reach dropped degrade the answer exactly like
+	// Peers whose scatter legs failed degrade the answer exactly like
 	// failing stores do — before any fetch work, so even an empty plan
 	// reports the peers whose contribution is missing.
 	for _, d := range plan.degraded {
@@ -464,8 +464,8 @@ type plan struct {
 	hits     map[core.GlobalKey]aindex.Hit
 	order    []core.GlobalKey   // deterministic fetch order
 	byOrigin [][]core.GlobalKey // keys grouped by the origin that reached them first
-	// degraded lists shards a scatter-gather reach dropped mid-traversal;
-	// the augmentation carries them into the answer's degraded section.
+	// degraded lists the peers whose scatter legs failed; the augmentation
+	// carries them into the answer's degraded section.
 	degraded []Degradation
 }
 

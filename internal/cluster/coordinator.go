@@ -18,21 +18,17 @@ import (
 	"quepa/internal/wire"
 )
 
-// Scatter-gather telemetry: fan-out volume, merge traffic and the failure
-// modes a burning peer produces.
+// Scatter telemetry: fan-out volume and the failure modes a burning peer
+// produces.
 var (
 	scatterCalls = telemetry.NewCounter("quepa_cluster_scatter_total",
-		"frontier-expansion calls fanned out by cluster coordinators (local and remote)")
+		"scatter legs fanned out by cluster coordinators (local and remote)")
 	scatterKeys = telemetry.NewCounter("quepa_cluster_scatter_keys_total",
-		"frontier keys shipped in scatter-gather expansions")
+		"origins shipped in scatter legs")
 	scatterErrors = telemetry.NewCounter("quepa_cluster_scatter_errors_total",
 		"scatter legs that failed (transport or remote error, breaker rejections excluded)")
 	peerOpenRejects = telemetry.NewCounter("quepa_cluster_peer_open_total",
 		"scatter legs rejected fast by an open per-peer circuit breaker")
-	deltaKeysShipped = telemetry.NewCounter("quepa_cluster_delta_keys_total",
-		"frontier keys shipped by scatter traversals (only arrivals that improved a key travel on)")
-	deltaSuppressed = telemetry.NewCounter("quepa_cluster_delta_suppressed_total",
-		"frontier arrivals dropped by scatter traversals because they improved nothing")
 )
 
 // Config assembles a Coordinator. Ring, Peers and Self are required; every
@@ -60,10 +56,10 @@ type Config struct {
 
 // Coordinator owns this peer's view of the cluster: the ring, one pooled
 // multiplexed wire client per remote peer, and one circuit breaker per peer.
-// It implements augment.Reacher — scatter-gather reachability. A peer whose
-// breaker is open costs one fast rejection and a "peer-open" degradation,
-// never a failed query. The ring and peer list are fixed for the life of the
-// coordinator.
+// It implements augment.Reacher — scattered reachability: each origin is
+// answered whole by its owner. A peer whose breaker is open costs one fast
+// rejection and a "peer-open" degradation, never a failed query. The ring
+// and peer list are fixed for the life of the coordinator.
 type Coordinator struct {
 	ring     *Ring
 	peers    []string
@@ -163,90 +159,41 @@ func peerReason(err error) string {
 	}
 }
 
-// originSlot is the traversal state of one distinct uncached origin of a
-// request. Slots never share state: two origins inside the same A' island
-// reach the same keys with different probabilities.
-type originSlot struct {
-	origin   core.GlobalKey
-	best     map[core.GlobalKey]aindex.Hit
-	frontier map[core.GlobalKey]float64
-}
-
-// leg is one peer's share of one hop: the sub-frontier of every slot that
-// has keys owned by the shard, concatenated in slot order as one segment per
-// slot, keys sorted within a segment for deterministic, front-codable frames.
+// leg is one peer's share of a request: the distinct uncached origins the
+// peer owns, and the result slot each one fills.
 type leg struct {
-	shard int
-	slots []int // slot index of each segment
-	segs  []int // run length of each segment, parallel to slots
-	keys  []string
-	probs []float64
+	shard   int
+	origins []core.GlobalKey
+	slots   []int
 }
 
-// wireSegs is the segment column the leg ships: absent for a single segment,
-// so a one-origin leg is the frame it was before segments existed.
-func (l *leg) wireSegs() []int {
-	if len(l.segs) > 1 {
-		return l.segs
+// wireOrigins returns the leg's origins in wire form, sorted so the frame
+// front-codes them, and reorders slots to match.
+func (l *leg) wireOrigins() []string {
+	type origin struct {
+		key  string
+		slot int
 	}
-	return nil
-}
-
-// hopLegs groups every slot's frontier by ring ownership into one leg per
-// owning shard, legs ordered by shard. Shards already dropped this traversal
-// get no leg: their sub-frontier is lost, the healthy shards keep going.
-func hopLegs(ring *Ring, slots []*originSlot, dead map[int]augment.Degradation) []*leg {
-	byShard := make([]*leg, ring.Peers())
-	var sorted []core.GlobalKey
-	for si, s := range slots {
-		sorted = sorted[:0]
-		for k := range s.frontier {
-			sorted = append(sorted, k)
-		}
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Compare(sorted[j]) < 0 })
-		for _, k := range sorted {
-			shard := ring.Owner(k)
-			if _, gone := dead[shard]; gone {
-				continue
-			}
-			l := byShard[shard]
-			if l == nil {
-				l = &leg{shard: shard}
-				byShard[shard] = l
-			}
-			if n := len(l.slots); n == 0 || l.slots[n-1] != si {
-				l.slots = append(l.slots, si)
-				l.segs = append(l.segs, 0)
-			}
-			l.segs[len(l.segs)-1]++
-			l.keys = append(l.keys, k.String())
-			l.probs = append(l.probs, s.frontier[k])
-		}
+	sorted := make([]origin, len(l.origins))
+	for i, o := range l.origins {
+		sorted[i] = origin{o.String(), l.slots[i]}
 	}
-	legs := byShard[:0]
-	for _, l := range byShard {
-		if l != nil {
-			legs = append(legs, l)
-		}
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].key < sorted[j].key })
+	keys := make([]string, len(sorted))
+	for i, o := range sorted {
+		keys[i], l.slots[i] = o.key, o.slot
 	}
-	return legs
+	return keys
 }
 
-// scatterResult is one leg's answer.
-type scatterResult struct {
-	hits []wire.RemoteHit
-	segs []int // run lengths splitting hits per leg segment; nil for one segment
-	info wire.ReachInfo
-	err  error
-}
-
-// expandLeg runs one scatter leg: the local node directly for self-owned
-// legs, the peer's wire client — guarded by its breaker — otherwise. Every
-// leg of a traced request runs under a cluster.scatter span tagged with the
-// shard; a remote leg continues the caller's trace over the wire.
-func (c *Coordinator) expandLeg(ctx context.Context, l *leg) (res scatterResult) {
+// reachLeg runs one scatter leg and fills its origins' slots of out: the
+// local shard's index directly for the self leg, the peer's wire client —
+// guarded by its breaker — otherwise. A failed leg leaves its slots empty.
+// Every leg of a traced request runs under a cluster.scatter span tagged
+// with the shard; a remote leg continues the caller's trace over the wire.
+func (c *Coordinator) reachLeg(ctx context.Context, l *leg, level int, out [][]aindex.Hit) (stats aindex.ReachStats, err error) {
 	scatterCalls.Inc()
-	scatterKeys.Add(uint64(len(l.keys)))
+	scatterKeys.Add(uint64(len(l.origins)))
 	sctx := ctx
 	var sp *telemetry.Span
 	if telemetry.SpanFromContext(ctx) != nil {
@@ -254,48 +201,77 @@ func (c *Coordinator) expandLeg(ctx context.Context, l *leg) (res scatterResult)
 		sp.SetAttr("shard", strconv.Itoa(l.shard))
 		sp.SetAttr("peer", PeerName(l.shard))
 		sp.SetAttr("addr", c.peers[l.shard])
-		sp.SetAttr("keys", strconv.Itoa(len(l.keys)))
+		sp.SetAttr("keys", strconv.Itoa(len(l.origins)))
 	}
-	res.err = func() error {
-		if l.shard == c.self {
-			var err error
-			res.hits, res.segs, res.info, err = c.node.ExpandFrontier(sctx, l.keys, l.probs, l.wireSegs())
-			return err
+	hits := 0
+	if l.shard == c.self {
+		for i, o := range l.origins {
+			h, st := c.node.Index().ReachWithStats(o, level)
+			out[l.slots[i]] = h
+			hits += len(h)
+			stats.Nodes += st.Nodes
+			stats.Edges += st.Edges
 		}
-		b := c.breakers.Breaker(PeerName(l.shard))
-		if err := b.Allow(); err != nil {
-			peerOpenRejects.Inc()
-			return fmt.Errorf("cluster: %s: %w", PeerName(l.shard), resilience.ErrPeerOpen)
-		}
-		cl, err := c.client(c.peers[l.shard])
-		if err != nil {
-			b.Record(err)
-			return err
-		}
-		res.hits, res.segs, res.info, err = cl.ExpandFrontier(sctx, l.keys, l.probs, l.wireSegs())
-		b.Record(err)
-		return err
-	}()
+	} else {
+		hits, stats, err = c.remoteLeg(sctx, l, level, out)
+	}
 	if sp != nil {
-		if res.err != nil {
+		if err != nil {
 			sp.Mark(telemetry.FlagError)
-			sp.SetAttr("error", res.err.Error())
+			sp.SetAttr("error", err.Error())
 		} else {
-			sp.SetAttr("hits", strconv.Itoa(len(res.hits)))
+			sp.SetAttr("hits", strconv.Itoa(hits))
 		}
 		sp.End()
 	}
-	if res.err != nil && l.shard != c.self && !errors.Is(res.err, resilience.ErrPeerOpen) {
+	if err != nil && l.shard != c.self && !errors.Is(err, resilience.ErrPeerOpen) {
 		scatterErrors.Inc()
 	}
-	return res
+	return stats, err
+}
+
+// remoteLeg ships a leg's origins to their owner in one reach frame and
+// decodes one segment of hits per origin into its slot. It returns the hit
+// count and the traversal work the peer reported.
+func (c *Coordinator) remoteLeg(ctx context.Context, l *leg, level int, out [][]aindex.Hit) (int, aindex.ReachStats, error) {
+	b := c.breakers.Breaker(PeerName(l.shard))
+	if err := b.Allow(); err != nil {
+		peerOpenRejects.Inc()
+		return 0, aindex.ReachStats{}, fmt.Errorf("cluster: %s: %w", PeerName(l.shard), resilience.ErrPeerOpen)
+	}
+	cl, err := c.client(c.peers[l.shard])
+	if err != nil {
+		b.Record(err)
+		return 0, aindex.ReachStats{}, err
+	}
+	hits, segs, info, err := cl.ReachMany(ctx, l.wireOrigins(), level)
+	b.Record(err)
+	if err != nil {
+		return 0, aindex.ReachStats{}, err
+	}
+	// Every hit parses before any slot is written: a leg fails whole.
+	reached := make([]aindex.Hit, len(hits))
+	for i, h := range hits {
+		gk, err := core.ParseGlobalKey(h.Key)
+		if err != nil {
+			return 0, aindex.ReachStats{}, fmt.Errorf("cluster: %s answered key %q: %w", PeerName(l.shard), h.Key, err)
+		}
+		reached[i] = aindex.Hit{Key: gk, Prob: h.Prob, Dist: h.Dist}
+	}
+	for i, n := range segs {
+		seg := reached[:n:n]
+		reached = reached[n:]
+		// Segments travel key-sorted for front-coding; Reach orders by
+		// probability.
+		aindex.SortHits(seg)
+		out[l.slots[i]] = seg
+	}
+	return len(hits), aindex.ReachStats{Nodes: info.Nodes, Edges: info.Edges}, nil
 }
 
 // ReachScatter is ReachScatterMany for one origin. A result served from the
 // scatter cache reports zero traversal nodes and edges, as the augmenter's
-// local-index cache path does: no traversal ran, and it is what lets cached
-// entries be filled per origin from a many-origin traversal whose peers
-// report their work per leg, not per origin.
+// local-index cache path does: no traversal ran.
 func (c *Coordinator) ReachScatter(ctx context.Context, origin core.GlobalKey, level int) ([]aindex.Hit, aindex.ReachStats, []augment.Degradation) {
 	hits, stats, degs := c.ReachScatterMany(ctx, []core.GlobalKey{origin}, level)
 	return hits[0], stats, degs
@@ -303,21 +279,27 @@ func (c *Coordinator) ReachScatter(ctx context.Context, origin core.GlobalKey, l
 
 // ReachScatterMany is the distributed α of Definition 2 for every origin of
 // a request at once: result i holds the hits, probabilities and distances of
-// aindex.Index.Reach(origins[i], level) over the unsharded index whenever
-// every peer is healthy. The traversal is hop-synchronous across the whole
-// request — each hop ships one leg per owning peer, carrying every origin's
-// sub-frontier for that peer as its own segment, and merges the answers per
-// origin behind a barrier — so a request costs at most (level+1) × peers
-// legs however many origins it has. A shard that fails mid-traversal is
-// dropped from the remainder of it and reported as a Degradation, shared by
-// all origins, instead of failing the query.
+// aindex.Index.Reach(origins[i], level) over the unsharded index, and the
+// stats sum the single-node traversals' work.
 //
-// When Config.Rcache is set, origins are looked up one by one before the
-// traversal and only the misses are shipped; after a clean traversal each
-// miss is memoized against the scatter epoch, so a repeated origin costs
-// zero network legs until the local shard's index moves.
-// The returned stats sum the traversal work of the misses. Results of equal
-// origins share one slice; callers must not modify them.
+// Every peer's shard holds the whole island of every key it owns
+// (BuildShard), so the owner of an origin answers its reach with one local
+// traversal. A request is therefore one round: each distinct uncached
+// origin goes to its owner, one leg per owning peer, the legs run in
+// parallel and each fills its own origins' results as it lands. The self
+// leg reads the local shard directly. A request costs at most one leg per
+// peer, whatever the level and however many origins it has.
+//
+// A failed leg degrades exactly the origins its peer owns: they get no
+// hits, and the peer is reported once as a Degradation (an open breaker
+// yields "peer-open"). Every other origin keeps its full answer.
+//
+// When Config.Rcache is set, origins are looked up one by one first and
+// only the misses are shipped. After a call with no failed leg each miss is
+// memoized against the scatter epoch (the local shard's index epoch), so a
+// repeated origin costs no leg until that epoch moves; nothing of a
+// degraded call is memoized. Results of equal origins share one slice;
+// callers must not modify them.
 //
 // ReachScatterMany implements augment.Reacher.
 func (c *Coordinator) ReachScatterMany(ctx context.Context, origins []core.GlobalKey, level int) ([][]aindex.Hit, aindex.ReachStats, []augment.Degradation) {
@@ -329,57 +311,79 @@ func (c *Coordinator) ReachScatterMany(ctx context.Context, origins []core.Globa
 		epoch = c.node.Index().Epoch()
 	}
 	var (
-		slots    []*originSlot
-		slotOf   = make([]int, len(origins)) // slot of origins[i]; -1: served from the cache
-		slotFor  = make(map[core.GlobalKey]int, len(origins))
+		legs     = make([]*leg, c.ring.Peers())
+		first    = make(map[core.GlobalKey]int, len(origins)) // slot of an origin's first occurrence
+		misses   []int
 		cacheHit int
 	)
 	for i, o := range origins {
-		if si, dup := slotFor[o]; dup {
-			slotOf[i] = si
+		if _, dup := first[o]; dup {
 			continue
 		}
+		first[o] = i
 		if c.rc != nil {
 			if hits, _, ok := c.rc.GetReach(scatterKey(o, level), epoch); ok {
-				out[i], slotOf[i] = hits, -1
+				out[i] = hits
 				cacheHit++
 				continue
 			}
 		}
-		slotFor[o], slotOf[i] = len(slots), len(slots)
-		slots = append(slots, &originSlot{
-			origin:   o,
-			best:     map[core.GlobalKey]aindex.Hit{o: {Key: o, Prob: 1, Dist: 0}},
-			frontier: map[core.GlobalKey]float64{o: 1},
-		})
+		shard := c.ring.Owner(o)
+		if legs[shard] == nil {
+			legs[shard] = &leg{shard: shard}
+		}
+		legs[shard].origins = append(legs[shard].origins, o)
+		legs[shard].slots = append(legs[shard].slots, i)
+		misses = append(misses, i)
 	}
 	// The scatter cache's hits count toward the augmentation that asked.
 	if sp := telemetry.SpanFromContext(ctx); sp != nil && cacheHit > 0 {
 		sp.SetAttr("rcache_hits", strconv.Itoa(cacheHit))
 	}
-	if len(slots) == 0 {
-		return out, aindex.ReachStats{}, nil
+
+	type result struct {
+		stats aindex.ReachStats
+		err   error
 	}
-	stats, degs := c.traverse(ctx, slots, level)
-	reached := make([][]aindex.Hit, len(slots))
-	for si, s := range slots {
-		hits := make([]aindex.Hit, 0, len(s.best)-1)
-		for k, h := range s.best {
-			if k != s.origin {
-				hits = append(hits, h)
-			}
+	results := make([]result, len(legs))
+	var wg sync.WaitGroup
+	for shard, l := range legs {
+		if l == nil || shard == c.self {
+			continue
 		}
-		aindex.SortHits(hits)
-		reached[si] = hits
-		// Only clean traversals are cacheable: a degraded result reflects a
-		// transient peer failure, not the index, and must not outlive it.
-		if c.rc != nil && len(degs) == 0 {
-			c.rc.PutReach(scatterKey(s.origin, level), epoch, hits, aindex.ReachStats{})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[shard].stats, results[shard].err = c.reachLeg(ctx, l, level, out)
+		}()
+	}
+	if l := legs[c.self]; l != nil {
+		results[c.self].stats, results[c.self].err = c.reachLeg(ctx, l, level, out)
+	}
+	wg.Wait()
+
+	var (
+		stats aindex.ReachStats
+		degs  []augment.Degradation
+	)
+	for shard, r := range results {
+		if r.err != nil {
+			degs = append(degs, augment.Degradation{Store: PeerName(shard), Reason: peerReason(r.err), Level: level})
+			continue
+		}
+		stats.Nodes += r.stats.Nodes
+		stats.Edges += r.stats.Edges
+	}
+	// Only clean calls are cacheable: a degraded call reflects a transient
+	// peer failure, not the index, and must not outlive it.
+	if c.rc != nil && len(degs) == 0 {
+		for _, i := range misses {
+			c.rc.PutReach(scatterKey(origins[i], level), epoch, out[i], aindex.ReachStats{})
 		}
 	}
-	for i, si := range slotOf {
-		if si >= 0 {
-			out[i] = reached[si]
+	for i, o := range origins {
+		if j := first[o]; j != i {
+			out[i] = out[j]
 		}
 	}
 	return out, stats, degs
@@ -387,98 +391,6 @@ func (c *Coordinator) ReachScatterMany(ctx context.Context, origins []core.Globa
 
 func scatterKey(origin core.GlobalKey, level int) rcache.Key {
 	return rcache.Key{GK: origin, Level: level, Kind: rcache.KindScatter}
-}
-
-// traverse runs the hop-synchronous traversal over slots, leaving every
-// slot's best map final. Within a hop the legs run in parallel; between hops
-// a barrier holds until every leg has merged, which is what makes distances
-// exact (a key's first improving arrival is its shortest chain) and, with
-// every peer healthy, the summed traversal stats equal the single-node
-// reference traversals'.
-func (c *Coordinator) traverse(ctx context.Context, slots []*originSlot, level int) (aindex.ReachStats, []augment.Degradation) {
-	var (
-		stats               aindex.ReachStats
-		shipped, suppressed int
-	)
-	degraded := map[int]augment.Degradation{}
-	for hop := 1; hop <= level+1; hop++ {
-		legs := hopLegs(c.ring, slots, degraded)
-		if len(legs) == 0 {
-			break
-		}
-		results := make([]scatterResult, len(legs))
-		var wg sync.WaitGroup
-		for i, l := range legs[1:] {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				results[i+1] = c.expandLeg(ctx, l)
-			}()
-		}
-		results[0] = c.expandLeg(ctx, legs[0])
-		wg.Wait()
-		for _, s := range slots {
-			clear(s.frontier) // the legs hold what was shipped; merge refills it
-		}
-		for i, res := range results {
-			l := legs[i]
-			shipped += len(l.keys)
-			if res.err != nil {
-				degraded[l.shard] = augment.Degradation{
-					Store:  PeerName(l.shard),
-					Reason: peerReason(res.err),
-					Level:  level,
-				}
-				continue
-			}
-			stats.Nodes += res.info.Nodes
-			stats.Edges += res.info.Edges
-			at := 0
-			for j, si := range l.slots {
-				run := len(res.hits)
-				if len(l.segs) > 1 {
-					run = res.segs[j]
-				}
-				suppressed += slots[si].merge(res.hits[at:at+run], hop)
-				at += run
-			}
-		}
-	}
-	deltaKeysShipped.Add(uint64(shipped))
-	deltaSuppressed.Add(uint64(suppressed))
-	degs := make([]augment.Degradation, 0, len(degraded))
-	for _, d := range degraded {
-		degs = append(degs, d)
-	}
-	sort.Slice(degs, func(i, j int) bool { return degs[i].Store < degs[j].Store })
-	return stats, degs
-}
-
-// merge folds one leg segment's hits, discovered at hop, into the slot: an
-// arrival that beats the key's best probability updates it and joins the
-// next frontier; the rest are counted and dropped. It returns the dropped
-// count.
-func (s *originSlot) merge(hits []wire.RemoteHit, hop int) (suppressed int) {
-	for _, h := range hits {
-		gk, err := core.ParseGlobalKey(h.Key)
-		if err != nil {
-			continue // a peer speaking garbage cannot poison the merge
-		}
-		old, seen := s.best[gk]
-		if seen && h.Prob <= old.Prob {
-			suppressed++
-			continue
-		}
-		dist := hop
-		if seen && old.Dist < hop {
-			dist = old.Dist
-		}
-		s.best[gk] = aindex.Hit{Key: gk, Prob: h.Prob, Dist: dist}
-		if h.Prob > s.frontier[gk] {
-			s.frontier[gk] = h.Prob
-		}
-	}
-	return suppressed
 }
 
 // RoutePolystore returns poly unchanged: every peer holds a full replica of

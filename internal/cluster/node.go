@@ -16,9 +16,9 @@ func PeerName(shard int) string { return fmt.Sprintf("peer-%d", shard) }
 
 // Node is the peer-local half of the cluster: one shard of the A' index,
 // served over the wire protocol. It implements core.Store (so wire.Serve
-// accepts it) and the one cluster capability the wire server forwards:
-// frontier expansion. Objects are never read through a node: every peer
-// holds a full replica of every store and reads its own.
+// accepts it) and the one cluster capability the wire server forwards: the
+// reach op. Objects are never read through a node: every peer holds a full
+// replica of every store and reads its own.
 type Node struct {
 	shard int
 	name  string
@@ -65,86 +65,47 @@ func (n *Node) Query(ctx context.Context, query string) ([]core.Object, error) {
 	return nil, fmt.Errorf("cluster: %s does not serve native queries", n.name)
 }
 
-// ExpandFrontier expands a weighted frontier one hop over the node's A'
-// shard: for every (key, prob) pair, the direct p-relations of key
-// contribute prob×edge hits, deduplicated by maximum probability and
-// returned in key order so merges are deterministic on any peer.
-//
-// segs splits the frontier into consecutive runs, one per origin of a
-// many-origin traversal. Each run is expanded and deduplicated on its own —
-// two origins reaching the same key keep their own probabilities — and the
-// returned run lengths split the hits the same way, key-sorted within each
-// run. Nil segs is one run and returns nil run lengths.
-func (n *Node) ExpandFrontier(ctx context.Context, keys []string, probs []float64, segs []int) ([]wire.RemoteHit, []int, wire.ReachInfo, error) {
-	if len(keys) != len(probs) {
-		return nil, nil, wire.ReachInfo{}, fmt.Errorf("cluster: frontier of %d keys with %d probs", len(keys), len(probs))
-	}
-	runs := segs
-	if len(runs) == 0 {
-		runs = []int{len(keys)}
-	}
+// ReachMany answers Reach(origin, level) over the node's A' shard for every
+// origin, in origin order: hits holds one run per origin, key-sorted within
+// the run so the frame front-codes it, and segs the run lengths. The shard
+// holds the whole island of every key the node owns, so for an owned origin
+// the answer is the single-node one.
+func (n *Node) ReachMany(ctx context.Context, origins []string, level int) ([]wire.RemoteHit, []int, wire.ReachInfo, error) {
 	var (
-		info    wire.ReachInfo
-		out     []wire.RemoteHit
-		hitSegs []int
-		at      int
+		info wire.ReachInfo
+		out  []wire.RemoteHit
 	)
-	best := make(map[string]float64, len(keys))
-	for _, run := range runs {
-		if run < 0 || run > len(keys)-at {
-			return nil, nil, wire.ReachInfo{}, fmt.Errorf("cluster: frontier segments overrun %d keys", len(keys))
+	segs := make([]int, len(origins))
+	for i, o := range origins {
+		gk, err := core.ParseGlobalKey(o)
+		if err != nil {
+			return nil, nil, wire.ReachInfo{}, fmt.Errorf("cluster: reach origin %q: %w", o, err)
 		}
-		clear(best)
-		for i := at; i < at+run; i++ {
-			gk, err := core.ParseGlobalKey(keys[i])
-			if err != nil {
-				return nil, nil, wire.ReachInfo{}, fmt.Errorf("cluster: frontier key %q: %w", keys[i], err)
-			}
-			// Level 0 is exactly one hop (Definition 2), with the edge
-			// probabilities as hit probabilities — the building block the
-			// coordinator chains into multi-hop reachability.
-			hits, st := n.index.ReachWithStats(gk, 0)
-			info.Nodes += st.Nodes
-			info.Edges += st.Edges
-			for _, h := range hits {
-				p := probs[i] * h.Prob
-				ks := h.Key.String()
-				if p > best[ks] {
-					best[ks] = p
-				}
-			}
-		}
-		at += run
+		hits, st := n.index.ReachWithStats(gk, level)
+		info.Nodes += st.Nodes
+		info.Edges += st.Edges
 		start := len(out)
-		for k, p := range best {
-			out = append(out, wire.RemoteHit{Key: k, Prob: p})
+		for _, h := range hits {
+			out = append(out, wire.RemoteHit{Key: h.Key.String(), Prob: h.Prob, Dist: h.Dist})
 		}
 		seg := out[start:]
 		sort.Slice(seg, func(i, j int) bool { return seg[i].Key < seg[j].Key })
-		if len(segs) > 0 {
-			hitSegs = append(hitSegs, len(seg))
-		}
+		segs[i] = len(seg)
 	}
-	if at != len(keys) {
-		return nil, nil, wire.ReachInfo{}, fmt.Errorf("cluster: frontier segments cover %d of %d keys", at, len(keys))
-	}
-	return out, hitSegs, info, nil
+	return out, segs, info, nil
 }
 
-// BuildShard carves one shard out of a full A' index: every p-relation with
-// at least one endpoint owned by the shard. Keeping boundary edges whose far
-// endpoint lives elsewhere is what lets a frontier expansion step off the
-// shard — the coordinator routes the discovered key to its own owner on the
-// next hop.
+// BuildShard carves one shard out of a full A' index: every connected
+// component that holds a key the shard owns on the ring, whole
+// (aindex.Index.Islands). A reach never leaves its origin's component, so
+// the owner of an origin answers its reach alone, exactly as the full
+// index would. An island whose keys straddle owners is replicated on each
+// of them; at ledger scale that grows a shard from 49–66% of A' edges to
+// 84–95%, but by at most 1.2k keys. Routing stays by key
+// (Ring.Owner), not by island: a union-find root is a per-process pointer
+// no two peers agree on, and a giant island would pile all its origins
+// onto one peer. A one-component A' makes every shard the full index, and
+// origins still spread over the ring.
 func BuildShard(full *aindex.Index, ring *Ring, shard int) (*aindex.Index, error) {
-	ix := aindex.New()
-	for _, e := range full.Edges() {
-		if ring.Owner(e.From) != shard && ring.Owner(e.To) != shard {
-			continue
-		}
-		if err := ix.InsertRaw(e); err != nil {
-			return nil, fmt.Errorf("cluster: building shard %d: %w", shard, err)
-		}
-	}
-	return ix, nil
+	return full.Islands(func(gk core.GlobalKey) bool { return ring.Owner(gk) == shard }), nil
 }

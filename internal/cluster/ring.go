@@ -1,15 +1,18 @@
 // Package cluster distributes QUEPA across quepa-server peers: a consistent-
-// hash ring partitions the core.GlobalKey space into shards, each peer owns
-// its shard of the A' index and holds a full replica of every store, and
-// reachability becomes scatter-gather — the coordinator groups each reach
-// frontier by owning shard, fans the groups out over multiplexed wire
-// clients, and merges the hits deterministically. The paper's single-process
-// augmenter (Fig. 2) is the degenerate one-peer ring; every distributed
-// answer is required (and tested) to equal the single-node one.
+// hash ring partitions the core.GlobalKey space into shards, and every peer
+// holds a full replica of every store plus its shard of the A' index —
+// every connected component (island) that holds a key the peer owns, whole.
+// A reach never leaves its origin's island, so the origin's owner answers it
+// alone: the coordinator groups a request's origins by owner, sends one leg
+// per owning peer over multiplexed wire clients, all in one round, and each
+// leg's answers are final as they land. The paper's single-process augmenter
+// (Fig. 2) is the degenerate one-peer ring; every distributed answer is
+// required (and tested) to equal the single-node one.
 //
-// Failure follows the repo's degradation philosophy: a peer whose circuit
-// breaker is open costs one fast rejection and a "peer-open" entry in the
-// answer's degraded section, never a failed query.
+// Failure follows the repo's degradation philosophy: a failed leg costs the
+// origins its peer owns and a "peer-…" entry in the answer's degraded
+// section (one fast rejection, "peer-open", once the peer's circuit breaker
+// is open), never a failed query.
 package cluster
 
 import (

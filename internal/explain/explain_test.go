@@ -107,8 +107,8 @@ func TestRecorderLifecycle(t *testing.T) {
 	if tot.BytesSent != 100 || tot.BytesReceived != 2000 {
 		t.Errorf("wire bytes = %d sent / %d received, want 100 / 2000", tot.BytesSent, tot.BytesReceived)
 	}
-	if tot.ScatterCalls != 3 || tot.DeltaFrontierKeys != 11 {
-		t.Errorf("scatter totals = %d calls, %d keys", tot.ScatterCalls, tot.DeltaFrontierKeys)
+	if tot.ScatterCalls != 3 {
+		t.Errorf("scatter totals = %d calls", tot.ScatterCalls)
 	}
 }
 

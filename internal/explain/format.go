@@ -91,9 +91,8 @@ func (p *Profile) WriteTree(w io.Writer) {
 	if p.Totals.RankPruned > 0 {
 		fmt.Fprintf(w, "  rank pruned %d augmented objects below the presentation threshold\n", p.Totals.RankPruned)
 	}
-	if p.Totals.RcacheHits > 0 || p.Totals.DeltaFrontierKeys > 0 {
-		fmt.Fprintf(w, "  rcache %d hits  delta-frontier %d keys shipped to peers\n",
-			p.Totals.RcacheHits, p.Totals.DeltaFrontierKeys)
+	if p.Totals.RcacheHits > 0 {
+		fmt.Fprintf(w, "  rcache %d hits\n", p.Totals.RcacheHits)
 	}
 }
 

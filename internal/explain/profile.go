@@ -119,9 +119,9 @@ type AugmentationTrace struct {
 	Degraded []DegradedStore `json:"degraded,omitempty"`
 }
 
-// ShardFanout aggregates this query's scatter-gather traffic to one cluster
-// peer: frontier-expansion calls issued, frontier keys shipped, hits merged
-// back, and calls that failed (breaker-open rejections included).
+// ShardFanout aggregates this query's scatter traffic to one cluster peer:
+// reach legs issued, origins shipped, hits answered, and legs that failed
+// (breaker-open rejections included).
 type ShardFanout struct {
 	Shard  int     `json:"shard"`
 	Peer   string  `json:"peer"`
@@ -162,8 +162,4 @@ type Totals struct {
 	// RcacheHits counts results served from the stamp-validated result
 	// cache (reach sets, whole augmentation outcomes, scatter results).
 	RcacheHits int `json:"rcache_hits,omitempty"`
-	// DeltaFrontierKeys counts the frontier keys scatter traversals shipped
-	// to peers: each hop ships only the keys the previous hop improved, for
-	// all of the request's uncached origins together.
-	DeltaFrontierKeys int `json:"delta_frontier_keys,omitempty"`
 }

@@ -93,7 +93,6 @@ func (p *Profile) walk(s telemetry.SpanJSON, aug *AugmentationTrace, db string) 
 	case "cluster.scatter":
 		leg := ShardFanout{Shard: num(a, "shard"), Peer: a["peer"], Calls: 1, Keys: num(a, "keys"), Hits: num(a, "hits"), Errors: failed(a), WallMS: s.DurationMS}
 		p.Totals.ScatterCalls++
-		p.Totals.DeltaFrontierKeys += leg.Keys
 		if aug != nil {
 			aug.Scatter = mergeShard(aug.Scatter, leg)
 		}

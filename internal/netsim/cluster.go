@@ -1,8 +1,8 @@
 package netsim
 
 // Multi-node faults: the cluster analogue of the per-store Chaos wrapper. A
-// ChaosNode decorates one cluster peer (a shard node serving frontier
-// expansions over the wire) with a per-peer FaultPlan, so peer-down, flapping
+// ChaosNode decorates one cluster peer (a shard node serving reach ops over
+// the wire) with a per-peer FaultPlan, so peer-down, flapping
 // and slow-shard scenarios replay deterministically against in-process or
 // real peers.
 
@@ -15,14 +15,14 @@ import (
 )
 
 // PeerNode is the store surface a cluster peer serves: plain store metadata
-// plus the wire's cluster capability, frontier expansion.
+// plus the wire's cluster capability, the reach op.
 type PeerNode interface {
 	core.Store
-	wire.FrontierReacher
+	wire.ShardReacher
 }
 
 // ChaosNode wraps a PeerNode with a fault plan. Faults and stalls charge the
-// data op, frontier expansion.
+// data op, the reach.
 type ChaosNode struct {
 	inner PeerNode
 	g     gate
@@ -73,10 +73,10 @@ func (n *ChaosNode) Query(ctx context.Context, query string) ([]core.Object, err
 	return n.inner.Query(ctx, query)
 }
 
-// ExpandFrontier serves one scatter leg unless the plan faults the request.
-func (n *ChaosNode) ExpandFrontier(ctx context.Context, keys []string, probs []float64, segs []int) ([]wire.RemoteHit, []int, wire.ReachInfo, error) {
+// ReachMany serves one scatter leg unless the plan faults the request.
+func (n *ChaosNode) ReachMany(ctx context.Context, origins []string, level int) ([]wire.RemoteHit, []int, wire.ReachInfo, error) {
 	if err := n.g.admit(); err != nil {
 		return nil, nil, wire.ReachInfo{}, err
 	}
-	return n.inner.ExpandFrontier(ctx, keys, probs, segs)
+	return n.inner.ReachMany(ctx, origins, level)
 }

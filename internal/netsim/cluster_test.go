@@ -19,9 +19,13 @@ type fakePeer struct {
 	served int
 }
 
-func (p *fakePeer) ExpandFrontier(_ context.Context, keys []string, _ []float64, _ []int) ([]wire.RemoteHit, []int, wire.ReachInfo, error) {
+func (p *fakePeer) ReachMany(_ context.Context, origins []string, _ int) ([]wire.RemoteHit, []int, wire.ReachInfo, error) {
 	p.served++
-	return make([]wire.RemoteHit, len(keys)), nil, wire.ReachInfo{Nodes: len(keys)}, nil
+	segs := make([]int, len(origins))
+	for i := range segs {
+		segs[i] = 1
+	}
+	return make([]wire.RemoteHit, len(origins)), segs, wire.ReachInfo{Nodes: len(origins)}, nil
 }
 
 func chaosNodeFixture(plan FaultPlan, sleep func(time.Duration)) (*ChaosNode, *fakePeer) {
@@ -35,7 +39,7 @@ func chaosNodeFixture(plan FaultPlan, sleep func(time.Duration)) (*ChaosNode, *f
 func TestChaosNodeDownWindow(t *testing.T) {
 	n, peer := chaosNodeFixture(FaultPlan{Down: []Window{{From: 1, To: 4}}}, func(time.Duration) {})
 	ctx := context.Background()
-	expand := func() error { _, _, _, err := n.ExpandFrontier(ctx, []string{"db.c.k"}, []float64{1}, nil); return err }
+	expand := func() error { _, _, _, err := n.ReachMany(ctx, []string{"db.c.k"}, 2); return err }
 	for i := 1; i <= 3; i++ {
 		if err := expand(); !errors.Is(err, ErrInjected) {
 			t.Errorf("leg %d in down window: want injected fault, got %v", i, err)
@@ -62,9 +66,9 @@ func TestChaosNodeDownWindow(t *testing.T) {
 func TestChaosNodeInactivePlanIsTransparent(t *testing.T) {
 	n, peer := chaosNodeFixture(FaultPlan{}, func(time.Duration) { t.Error("slept with inactive plan") })
 	ctx := context.Background()
-	hits, _, info, err := n.ExpandFrontier(ctx, []string{"x", "y", "z"}, []float64{1, 1, 1}, nil)
-	if err != nil || len(hits) != 3 || info.Nodes != 3 {
-		t.Errorf("ExpandFrontier = %v, %+v, %v", hits, info, err)
+	hits, segs, info, err := n.ReachMany(ctx, []string{"x", "y", "z"}, 2)
+	if err != nil || len(hits) != 3 || len(segs) != 3 || info.Nodes != 3 {
+		t.Errorf("ReachMany = %v, %v, %+v, %v", hits, segs, info, err)
 	}
 	if n.Requests() != 1 || n.Injected() != 0 || n.Stalled() != 0 || peer.served != 1 {
 		t.Errorf("requests=%d injected=%d stalled=%d served=%d, want 1/0/0/1",

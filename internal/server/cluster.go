@@ -3,12 +3,12 @@ package server
 // Cluster mode (Config.Cluster host:port,... and Config.ShardID): the server
 // becomes one peer of a distributed QUEPA deployment. Every peer builds the
 // identical workload (the stores are replicated; only A' ownership is
-// partitioned), carves its shard of the A' index along the consistent-hash
-// ring, serves it to the other peers over the wire protocol, and answers its
-// own HTTP traffic through a scatter-gather coordinator: reachability fans
-// out to the shard owners, keyed reads stay on the local replica, and a
-// burning peer degrades the answer with reason "peer-open" instead of
-// failing it. The ring uses cluster.DefaultVnodes and the default seed, so
+// partitioned), carves its shard of the A' index — every island holding a
+// key this peer owns on the consistent-hash ring — serves it to the other
+// peers over the wire protocol, and answers its own HTTP traffic through a
+// scatter coordinator: each origin's reach goes to its owner, keyed reads
+// stay on the local replica, and a burning peer degrades the origins it
+// owns with reason "peer-open" instead of failing the answer. The ring uses cluster.DefaultVnodes and the default seed, so
 // every peer agrees on it by construction.
 
 import (
@@ -36,7 +36,7 @@ func parsePeers(s string) ([]string, error) {
 
 // joinCluster turns the workload into one cluster peer: shard the A' index,
 // serve the shard node over the wire on this peer's address, and build the
-// coordinator (memoizing scatter traversals in the server's result cache).
+// coordinator (memoizing scatter results in the server's result cache).
 // Keyed reads keep going to the polystore as built: every peer holds a full
 // replica of every store.
 func (s *Server) joinCluster(peerList string, shardID, pool int, bcfg resilience.BreakerConfig) error {
@@ -76,7 +76,8 @@ func (s *Server) joinCluster(peerList string, shardID, pool int, bcfg resilience
 	s.closers = append(s.closers, func() error { coord.Close(); return nil })
 	s.cluster = coord
 	st := coord.Status(false)
-	log.Printf("quepa-server: cluster shard %d of %d, A' shard %d keys / %d p-relations on %s, ring version %x",
-		st.Self, st.Peers, shard.NodeCount(), shard.EdgeCount(), srv.Addr(), st.RingVersion)
+	edges, all := shard.EdgeCount(), s.built.Index.EdgeCount()
+	log.Printf("quepa-server: cluster shard %d of %d, A' shard %d keys / %d p-relations (%.1f%% of A') on %s, ring version %x",
+		st.Self, st.Peers, shard.NodeCount(), edges, 100*float64(edges)/float64(max(all, 1)), srv.Addr(), st.RingVersion)
 	return nil
 }

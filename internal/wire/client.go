@@ -180,7 +180,7 @@ func (c *Client) conn() (*muxConn, error) {
 
 // retryableOp marks the idempotent ops: a replayed read returns the same
 // answer, so a transport failure is safe to retry. The cluster op qualifies
-// too — a frontier expansion is a pure read.
+// too — a reach is a pure read.
 func retryableOp(op string) bool {
 	switch op {
 	case opMeta, opGet, opGetBatch, opQuery, opKeyField, opReach:
@@ -740,25 +740,23 @@ func (c *Client) KeyField(ctx context.Context, collection string) (string, error
 	return resp.KeyField, nil
 }
 
-// ExpandFrontier asks the peer to expand a weighted key frontier one hop
-// over its A' shard — the scatter leg of a distributed Reach. keys and probs
-// are parallel; the returned hits carry the accumulated path probabilities.
-// A non-nil segs splits the frontier into runs the peer expands independently
-// (one per origin of a many-origin traversal); the returned run lengths split
-// the hits the same way, and a response segmented differently from the
-// request is rejected.
-func (c *Client) ExpandFrontier(ctx context.Context, keys []string, probs []float64, segs []int) ([]RemoteHit, []int, ReachInfo, error) {
+// ReachMany asks the peer for Reach(origin, level) over its A' shard for
+// every origin — one scatter leg of a distributed reach. The frame
+// front-codes origins, so sorted ones travel smallest. The answer holds one
+// run of hits per origin, in origin order, and segs holds the run lengths;
+// an answer split any other way is refused.
+func (c *Client) ReachMany(ctx context.Context, origins []string, level int) ([]RemoteHit, []int, ReachInfo, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, nil, ReachInfo{}, err
 	}
-	resp, err := c.roundTrip(ctx, request{Op: opReach, Keys: keys, Probs: probs, Segs: segs})
+	resp, err := c.roundTrip(ctx, request{Op: opReach, Keys: origins, Level: uint64(level)})
 	if err != nil {
 		return nil, nil, ReachInfo{}, err
 	}
-	// A peer that merges the runs into one hit list must fail the leg: handing
-	// one origin another's hits would be a wrong answer, not a degraded one.
-	if len(resp.Segs) != len(segs) {
-		return nil, nil, ReachInfo{}, fmt.Errorf("wire: %s answered %d reach segments with %d", c.name, len(segs), len(resp.Segs))
+	// Handing one origin another's hits would be a wrong answer, not a
+	// degraded one: the leg fails instead.
+	if len(resp.Segs) != len(origins) {
+		return nil, nil, ReachInfo{}, fmt.Errorf("wire: %s answered %d reach origins with %d segments", c.name, len(origins), len(resp.Segs))
 	}
 	return resp.Hits, resp.Segs, ReachInfo{Nodes: resp.Nodes, Edges: resp.Edges}, nil
 }

@@ -14,10 +14,12 @@
 // getbatch response naming one collection a thousand times ships it once.
 // Both sides append literals to their tables under the same deterministic
 // rule, so references always resolve. Key lists that arrive sorted — a reach
-// op's frontier, every hit list — are front-coded: each key ships the length
-// of the prefix it shares with its predecessor and the suffix, which elides
-// most of a "db.collection.key" after the first. A segment column closes both
-// frames: a run count (0 when the frame has none) and the run lengths.
+// op's origins, every segment of its hits — are front-coded: each key ships
+// the length of the prefix it shares with its predecessor and the suffix,
+// which elides most of a "db.collection.key" after the first. A reach
+// request carries its level as a uvarint after the query; each hit carries
+// its probability and its hop distance; a segment column closes the
+// response: a run count, then one run length per origin.
 //
 // Allocation discipline: encoders serialize into sync.Pool-backed buffers
 // and issue a single Write per frame (steady-state encode is zero-alloc);
@@ -35,9 +37,9 @@ import (
 )
 
 // frameVersion is the first body byte of every frame. The values below it
-// are retired: '{' opened the JSON frames and 0x02-0x06 the five binary
+// are retired: '{' opened the JSON frames and 0x02-0x07 the six binary
 // layouts this format replaced, so none of them can be mistaken for it.
-const frameVersion = 0x07
+const frameVersion = 0x08
 
 // internCap bounds the per-frame string intern table. The encoder and the
 // decoder apply the identical "append literals while the table has room"
@@ -168,8 +170,7 @@ func (e *encoder) frontStr(prev, s string) {
 	e.str(s[p:])
 }
 
-// segs emits a segment column: the run count — 0 for an absent column —
-// then every run length.
+// segs emits a segment column: the run count, then every run length.
 func (e *encoder) segs(segs []int) {
 	e.uvarint(uint64(len(segs)))
 	for _, n := range segs {
@@ -189,8 +190,8 @@ func (e *encoder) finish(op string) ([]byte, error) {
 }
 
 // encodeRequest appends req in the fixed layout: every field of the request
-// struct, in declaration order. A reach op's Keys are its frontier, key-sorted
-// within a segment, and go out front-coded.
+// struct, in declaration order. A reach op's Keys are its origins, sorted,
+// and go out front-coded.
 func (e *encoder) encodeRequest(req *request) error {
 	code, ok := opCodes[req.Op]
 	if !ok {
@@ -212,12 +213,8 @@ func (e *encoder) encodeRequest(req *request) error {
 		}
 	}
 	e.str(req.Query)
-	e.uvarint(uint64(len(req.Probs)))
-	for _, p := range req.Probs {
-		e.f64(p)
-	}
+	e.uvarint(req.Level)
 	e.str(req.Trace)
-	e.segs(req.Segs)
 	return nil
 }
 
@@ -264,6 +261,7 @@ func (e *encoder) encodeResponse(resp *response) {
 	for _, h := range resp.Hits {
 		e.frontStr(prev, h.Key)
 		e.f64(h.Prob)
+		e.uvarint(uint64(h.Dist))
 		prev = h.Key
 	}
 	// Traversal stats are counts, never negative: uvarint keeps the common
@@ -448,11 +446,18 @@ func (d *decoder) version() error {
 }
 
 // segs reads a frame's segment column and checks it against the length of
-// the list it splits. A run count of 0 is an absent column.
+// the list it splits. A run count of 0 is an empty column, which splits only
+// an empty list.
 func (d *decoder) segs(total int) ([]int, error) {
 	n, err := d.count(1)
-	if err != nil || n == 0 {
+	if err != nil {
 		return nil, err
+	}
+	if n == 0 {
+		if total != 0 {
+			return nil, errSegments
+		}
+		return nil, nil
 	}
 	segs := make([]int, 0, min(n, sliceCap))
 	for i := 0; i < n; i++ {
@@ -527,25 +532,10 @@ func decodeRequest(body string, req *request) error {
 	if req.Query, err = d.str(); err != nil {
 		return err
 	}
-	nprobs, err := d.count(8)
-	if err != nil {
+	if req.Level, err = d.uvarint(); err != nil {
 		return err
-	}
-	if nprobs > 0 {
-		probs := make([]float64, 0, min(nprobs, sliceCap))
-		for i := 0; i < nprobs; i++ {
-			p, err := d.f64()
-			if err != nil {
-				return err
-			}
-			probs = append(probs, p)
-		}
-		req.Probs = probs
 	}
 	if req.Trace, err = d.str(); err != nil {
-		return err
-	}
-	if req.Segs, err = d.segs(len(req.Keys)); err != nil {
 		return err
 	}
 	if d.off != len(d.s) {
@@ -640,9 +630,9 @@ func decodeResponse(body string, resp *response) error {
 	if resp.KeyField, err = d.str(); err != nil {
 		return err
 	}
-	// Min element size 10: a front-coded key (prefix uvarint + suffix length)
-	// plus its 8-byte prob.
-	nhits, err := d.count(10)
+	// Min element size 11: a front-coded key (prefix uvarint + suffix length),
+	// its 8-byte prob and its distance uvarint.
+	nhits, err := d.count(11)
 	if err != nil {
 		return err
 	}
@@ -657,6 +647,11 @@ func decodeResponse(body string, resp *response) error {
 			if h.Prob, err = d.f64(); err != nil {
 				return err
 			}
+			dist, err := d.uvarint()
+			if err != nil {
+				return err
+			}
+			h.Dist = int(dist)
 			hits = append(hits, h)
 			prev = h.Key
 		}

@@ -35,6 +35,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte(oldFormatFrames[0x06].reachReq))
 	f.Add([]byte(oldFormatFrames[0x06].resp))
 	f.Add([]byte(nil))
+	f.Add([]byte(oldFormatFrames[0x07].reachReq))
+	f.Add([]byte(oldFormatFrames[0x07].resp))
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		checkReencode(t, "request", body, decodeRequest, (*encoder).encodeRequest)

@@ -97,27 +97,18 @@ func encodeRespBody(t *testing.T, resp *response) []byte {
 	return append([]byte(nil), frame[4:]...)
 }
 
-// sanitizeFloats replaces non-finite values: the JSON reference cannot carry
-// them at all (json.Marshal rejects NaN/Inf), so they are out of scope for
-// the equivalence property. testing/quick does not generate them, but the
-// guard keeps the property honest if that ever changes.
-func sanitizeFloats(ps []float64) {
-	for i, p := range ps {
-		if math.IsNaN(p) || math.IsInf(p, 0) {
-			ps[i] = float64(i)
-		}
-	}
-}
-
 // validSegs turns quick's arbitrary ints into a segment column the decoders
-// accept — len(raw) non-negative runs summing to total — keeping quick's
-// choice of how many segments there are and roughly where they cut. JSON
-// carries any ints; what a malformed column does is pinned by
-// TestSegmentValidation and TestCompactReachCorruption, not by the
-// equivalence properties.
+// accept — len(raw) non-negative runs summing to total (one run when raw is
+// empty and total is not) — keeping quick's choice of how many segments
+// there are and roughly where they cut. JSON carries any ints; what a
+// malformed column does is pinned by TestSegmentValidation and
+// TestCompactReachCorruption, not by the equivalence properties.
 func validSegs(raw []int, total int) []int {
 	if len(raw) == 0 {
-		return nil
+		if total == 0 {
+			return nil
+		}
+		return []int{total}
 	}
 	segs := make([]int, len(raw))
 	left := total
@@ -133,7 +124,7 @@ func validSegs(raw []int, total int) []int {
 }
 
 // TestQuickRequestEquivalence pins the wire format to the JSON reference for
-// every op: an arbitrary request — segment column included — must round-trip
+// every op: an arbitrary request — reach level included — must round-trip
 // through both to the same struct.
 func TestQuickRequestEquivalence(t *testing.T) {
 	for _, op := range wireOps {
@@ -141,8 +132,6 @@ func TestQuickRequestEquivalence(t *testing.T) {
 		t.Run(op, func(t *testing.T) {
 			f := func(req request) bool {
 				req.Op = op
-				sanitizeFloats(req.Probs)
-				req.Segs = validSegs(req.Segs, len(req.Keys))
 				viaJSON := jsonRoundTripReq(t, &req)
 				viaWire := wireRoundTripReq(t, &req)
 				if !reflect.DeepEqual(viaJSON, viaWire) {
@@ -159,13 +148,15 @@ func TestQuickRequestEquivalence(t *testing.T) {
 }
 
 // TestQuickResponseEquivalence is the response-side property, covering the
-// object lists, hits and the nil/empty field-map split.
+// object lists, hits with their distances, the segment column and the
+// nil/empty field-map split.
 func TestQuickResponseEquivalence(t *testing.T) {
 	f := func(resp response) bool {
 		for i := range resp.Hits {
 			if math.IsNaN(resp.Hits[i].Prob) || math.IsInf(resp.Hits[i].Prob, 0) {
 				resp.Hits[i].Prob = float64(i)
 			}
+			resp.Hits[i].Dist &= math.MaxInt32 // distances are hop counts, never negative
 		}
 		resp.Segs = validSegs(resp.Segs, len(resp.Hits))
 		viaJSON := jsonRoundTripResp(t, &resp)
@@ -205,8 +196,8 @@ func TestNilEmptyFieldMap(t *testing.T) {
 	}
 }
 
-// TestFrontCodedFrontier pins the shared-prefix elision of a reach op's keys
-// and of every hit list: a sorted global-key list must round-trip exactly and
+// TestFrontCodedFrontier pins the shared-prefix elision of a reach op's
+// origins and of every hit list: a sorted global-key list must round-trip exactly and
 // encode smaller than the same keys under an op that ships them plain, and
 // corrupt prefix claims must be rejected.
 func TestFrontCodedFrontier(t *testing.T) {
@@ -214,25 +205,25 @@ func TestFrontCodedFrontier(t *testing.T) {
 	for i := range keys {
 		keys[i] = "warehouse.transactions.tx-" + strings.Repeat("0", 4) + string(rune('a'+i%26)) + string(rune('a'+i/26))
 	}
-	front := &request{Op: opReach, Keys: keys, Probs: make([]float64, len(keys))}
-	plain := &request{Op: opGetBatch, Keys: keys, Probs: make([]float64, len(keys))}
+	front := &request{Op: opReach, Keys: keys, Level: 2}
+	plain := &request{Op: opGetBatch, Keys: keys, Level: 2}
 	out := wireRoundTripReq(t, front)
 	if !reflect.DeepEqual(out.Keys, keys) {
-		t.Fatalf("frontier round trip mangled keys: %v", out.Keys)
+		t.Fatalf("origins round trip mangled keys: %v", out.Keys)
 	}
 	fb, pb := encodeReqBody(t, front), encodeReqBody(t, plain)
 	if len(fb) >= len(pb) {
 		t.Errorf("front-coded frame (%d bytes) not smaller than plain keys (%d bytes)", len(fb), len(pb))
 	}
 	if !reflect.DeepEqual(jsonRoundTripReq(t, front), out) {
-		t.Error("wire and reference disagree on the frontier")
+		t.Error("wire and reference disagree on the origins")
 	}
 
 	hits := make([]RemoteHit, len(keys))
 	for i, k := range keys {
-		hits[i] = RemoteHit{Key: k, Prob: 1 / float64(i+1)}
+		hits[i] = RemoteHit{Key: k, Prob: 1 / float64(i+1), Dist: 1 + i%3}
 	}
-	if rout := wireRoundTripResp(t, &response{Hits: hits}); !reflect.DeepEqual(rout.Hits, hits) {
+	if rout := wireRoundTripResp(t, &response{Hits: hits, Segs: []int{len(hits)}}); !reflect.DeepEqual(rout.Hits, hits) {
 		t.Fatalf("hits round trip mangled hits")
 	}
 
@@ -286,44 +277,41 @@ type framePair struct {
 }
 
 // corruptionFrames are the request/response pairs every corruption table
-// runs over: one pair exercising every field, and a reach exchange in its
-// unsegmented and segmented forms.
+// runs over: one pair exercising every field, and a reach exchange of one
+// origin and of two.
 func corruptionFrames() []framePair {
-	reach := func(segs []int) (*request, *response) {
+	reach := func(origins []string, segs []int) (*request, *response) {
 		return &request{
-				Op: opReach, ID: 9, Trace: testTrace,
-				Keys:  []string{"catalogue.albums.d1", "catalogue.albums.d2"},
-				Probs: []float64{1, 0.5}, Segs: segs,
+				Op: opReach, ID: 9, Trace: testTrace, Keys: origins, Level: 2,
 			}, &response{ID: 9, Nodes: 70, Edges: 128, Segs: segs, Hits: []RemoteHit{
-				{Key: "catalogue.albums.d3", Prob: 0.9},
-				{Key: "catalogue.albums.d31", Prob: 0.45},
+				{Key: "catalogue.albums.d3", Prob: 0.9, Dist: 1},
+				{Key: "catalogue.albums.d31", Prob: 0.45, Dist: 3},
 			}}
 	}
-	plainReq, plainResp := reach(nil)
-	segReq, segResp := reach([]int{1, 1})
+	oneReq, oneResp := reach([]string{"catalogue.albums.d1"}, []int{2})
+	segReq, segResp := reach([]string{"catalogue.albums.d1", "catalogue.albums.d2"}, []int{1, 1})
 	return []framePair{
 		{"every field", &request{
 			ID: 7, Op: opGetBatch, Collection: "drop", Key: "k1",
 			Keys: []string{"a", "bb", "ccc"}, Query: "SCAN drop",
-			Probs: []float64{0.5, 0.25, 1},
-			Trace: testTrace, Segs: []int{1, 0, 2},
+			Level: 300, Trace: testTrace,
 		}, &response{
 			ID: 7, Objects: []wireObject{
 				{Database: "d", Collection: "c", Key: "k1", Fields: map[string]string{"a": "1", "b": "2"}},
 				{Database: "d", Collection: "c", Key: "k2", Fields: nil},
 			},
 			Name: "discount", Kind: 2, Collections: []string{"drop", "promo"},
-			KeyField: "id", Hits: []RemoteHit{{Key: "d.c.k1", Prob: 0.5}},
+			KeyField: "id", Hits: []RemoteHit{{Key: "d.c.k1", Prob: 0.5, Dist: 2}},
 			Nodes: 9, Edges: 4, Segs: []int{0, 1},
 		}},
-		{"reach", plainReq, plainResp},
+		{"reach", oneReq, oneResp},
 		{"segmented reach", segReq, segResp},
 	}
 }
 
 // TestCorruptionTruncation: every strict prefix of a valid frame must be
-// rejected — all fields are always encoded, so any cut lands mid-field or
-// loses the segment column's run count.
+// rejected — all fields are always encoded, so any cut lands mid-field,
+// inside the request's trace or the response's segment column.
 func TestCorruptionTruncation(t *testing.T) {
 	for _, f := range corruptionFrames() {
 		reqBody := encodeReqBody(t, f.req)
@@ -370,8 +358,8 @@ func TestCorruptionBitFlips(t *testing.T) {
 }
 
 // TestCorruptionTrailingBytes: a frame with appended garbage must be
-// rejected, not silently under-read. The segment column is the last thing in
-// a frame; what follows it is garbage whether the column has runs or not.
+// rejected, not silently under-read. The trace closes a request and the
+// segment column a response; what follows either is garbage.
 func TestCorruptionTrailingBytes(t *testing.T) {
 	for _, f := range corruptionFrames() {
 		var req request
@@ -403,38 +391,29 @@ func TestCorruptionRandomBodies(t *testing.T) {
 }
 
 // TestCompactReachCorruption is the bad-segment-column table: the column is
-// the last thing in a reach frame, and one that does not partition its list,
-// or claims more runs than bytes remain, is refused by the decoder.
+// the last thing in a reach response, and one that does not partition the
+// hits — an empty column under hits included — or claims more runs than
+// bytes remain, is refused by the decoder.
 func TestCompactReachCorruption(t *testing.T) {
 	f := corruptionFrames()[2]
 	// The column is the frame's last three bytes: count 2, runs 1 and 1.
-	reqBody := encodeReqBody(t, f.req)
 	respBody := encodeRespBody(t, f.resp)
-	if !bytes.HasSuffix(reqBody, []byte{2, 1, 1}) || !bytes.HasSuffix(respBody, []byte{2, 1, 1}) {
-		t.Fatalf("segment column is not the frame's tail: % x / % x", reqBody, respBody)
+	if !bytes.HasSuffix(respBody, []byte{2, 1, 1}) {
+		t.Fatalf("segment column is not the frame's tail: % x", respBody)
 	}
 	for _, tail := range [][]byte{
 		{2, 1, 0},          // sums short of the list
 		{2, 2, 1},          // sums past it
 		{2, 3, 0},          // a run longer than the whole list
+		{0},                // no runs for two hits
 		{200, 1, 1, 1},     // claims more runs than bytes remain
 		{1, 0xFF, 0xFF, 3}, // a run far beyond any frame
 	} {
-		var out request
-		mut := append(append([]byte(nil), reqBody[:len(reqBody)-3]...), tail...)
-		if err := decodeRequest(string(mut), &out); err == nil {
-			t.Errorf("request with segment column %v decoded to %v", tail, out.Segs)
-		}
 		var rout response
-		mut = append(append([]byte(nil), respBody[:len(respBody)-3]...), tail...)
+		mut := append(append([]byte(nil), respBody[:len(respBody)-3]...), tail...)
 		if err := decodeResponse(string(mut), &rout); err == nil {
 			t.Errorf("response with segment column %v decoded to %v", tail, rout.Segs)
 		}
-	}
-	// A run count of 0 is the absent column: the same frame, unsegmented.
-	var out request
-	if err := decodeRequest(string(append(reqBody[:len(reqBody)-3:len(reqBody)-3], 0)), &out); err != nil || out.Segs != nil {
-		t.Errorf("run count 0 decoded to %v, %v; want no segments", out.Segs, err)
 	}
 }
 
@@ -660,81 +639,86 @@ func TestWireByteCounters(t *testing.T) {
 // ---------------------------------------------------------------------------
 // Reach exchanges.
 
-// TestCompactReachRoundTrip pins the reach frames: a reach request (frontier
-// with parallel probs, traced and untraced) and a reach response (hits, stats,
-// clean and errored) must round-trip exactly.
+// TestCompactReachRoundTrip pins the reach frames: a reach request (origins
+// and level, traced and untraced) and a reach response (per-origin hits with
+// distances, stats, clean and errored) must round-trip exactly.
 func TestCompactReachRoundTrip(t *testing.T) {
 	keys := []string{
 		"catalogue.albums.d1", "catalogue.albums.d12", "catalogue.albums.d2",
 		"similar-items.items.n4", "transactions.inventory.a7",
 	}
-	probs := []float64{1, 0.81, 0.72, 0.5, 0.25}
 	for _, trace := range []string{"", testTrace} {
-		req := request{Op: opReach, ID: 42, Trace: trace, Keys: keys, Probs: probs}
-		if out := wireRoundTripReq(t, &req); !reflect.DeepEqual(out, req) {
-			t.Fatalf("trace %q: round trip = %#v, want %#v", trace, out, req)
+		for _, level := range []uint64{0, 3, math.MaxUint64} {
+			req := request{Op: opReach, ID: 42, Trace: trace, Keys: keys, Level: level}
+			if out := wireRoundTripReq(t, &req); !reflect.DeepEqual(out, req) {
+				t.Fatalf("trace %q level %d: round trip = %#v, want %#v", trace, level, out, req)
+			}
 		}
 	}
 
 	hits := []RemoteHit{
-		{Key: "catalogue.albums.d3", Prob: 0.9},
-		{Key: "catalogue.albums.d31", Prob: 0.45},
-		{Key: "transactions.sales.s9", Prob: 0.4},
+		{Key: "catalogue.albums.d3", Prob: 0.9, Dist: 1},
+		{Key: "catalogue.albums.d31", Prob: 0.45, Dist: 2},
+		{Key: "transactions.sales.s9", Prob: 0.4, Dist: 300},
 	}
 	for _, errMsg := range []string{"", "reach: shard detached"} {
-		resp := response{ID: 42, Error: errMsg, Nodes: 70, Edges: 128, Hits: hits}
+		resp := response{ID: 42, Error: errMsg, Nodes: 70, Edges: 128, Hits: hits, Segs: []int{2, 0, 1}}
 		if out := wireRoundTripResp(t, &resp); !reflect.DeepEqual(out, resp) {
 			t.Fatalf("error %q: round trip = %#v, want %#v", errMsg, out, resp)
 		}
 	}
 
-	// An empty frontier and an empty hit list (degenerate but legal).
-	if out := wireRoundTripReq(t, &request{Op: opReach, ID: 1}); out.Keys != nil || out.Probs != nil {
-		t.Errorf("empty frontier decoded to %#v", out)
+	// No origins and no hits (degenerate but legal).
+	if out := wireRoundTripReq(t, &request{Op: opReach, ID: 1}); out.Keys != nil || out.Level != 0 {
+		t.Errorf("empty reach decoded to %#v", out)
 	}
-	if rout := wireRoundTripResp(t, &response{ID: 1}); rout.Hits != nil {
+	if rout := wireRoundTripResp(t, &response{ID: 1}); rout.Hits != nil || rout.Segs != nil {
 		t.Errorf("empty response decoded to %#v", rout)
 	}
 }
 
 // TestQuickCompactReachEquivalence is the quick-check property for reach
-// frames: any reach-shaped request (sorted or not, arbitrary probs, segmented
-// or not) must survive the round trip bit for bit.
+// frames: any reach-shaped request (sorted or not, any level) and any reach
+// answer (arbitrary probs and distances, split into any runs) must survive
+// the round trip bit for bit.
 func TestQuickCompactReachEquivalence(t *testing.T) {
-	f := func(keys []string, rawSegs []int, seed int64, traced bool) bool {
+	f := func(keys []string, level uint64, rawSegs []int, seed int64, traced bool) bool {
 		rng := rand.New(rand.NewSource(seed))
-		probs := make([]float64, len(keys))
-		for i := range probs {
-			probs[i] = rng.Float64()
+		req := request{Op: opReach, ID: rng.Uint64(), Keys: keys, Level: level}
+		resp := response{ID: req.ID, Nodes: rng.Intn(1000), Edges: rng.Intn(1000)}
+		for _, k := range keys {
+			resp.Hits = append(resp.Hits, RemoteHit{Key: k, Prob: rng.Float64(), Dist: rng.Intn(1 << 20)})
 		}
-		req := request{Op: opReach, ID: rng.Uint64(), Keys: keys, Probs: probs, Segs: validSegs(rawSegs, len(keys))}
+		resp.Segs = validSegs(rawSegs, len(resp.Hits))
 		if len(keys) == 0 {
-			req.Keys, req.Probs = nil, nil
+			req.Keys = nil
 		}
 		if traced {
 			req.Trace = testTrace
 		}
-		return reflect.DeepEqual(wireRoundTripReq(t, &req), req)
+		return reflect.DeepEqual(wireRoundTripReq(t, &req), req) && reflect.DeepEqual(wireRoundTripResp(t, &resp), resp)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }
 
-// reachEcho wraps a plain store with a deterministic FrontierReacher so the
-// tests can drive reach exchanges without a cluster: every key expands
-// to key+".x" at half its probability.
+// reachEcho wraps a plain store with a deterministic ShardReacher so the
+// tests can drive reach exchanges without a cluster: every origin reaches
+// origin+".x" at distance level+1 and probability 1/(level+2).
 type reachEcho struct {
 	core.Store
 }
 
-// One hit per key means the hits split exactly where the frontier did.
-func (reachEcho) ExpandFrontier(ctx context.Context, keys []string, probs []float64, segs []int) ([]RemoteHit, []int, ReachInfo, error) {
-	hits := make([]RemoteHit, len(keys))
-	for i, k := range keys {
-		hits[i] = RemoteHit{Key: k + ".x", Prob: probs[i] / 2}
+// One hit per origin: the hits split into runs of one.
+func (reachEcho) ReachMany(ctx context.Context, origins []string, level int) ([]RemoteHit, []int, ReachInfo, error) {
+	hits := make([]RemoteHit, len(origins))
+	segs := make([]int, len(origins))
+	for i, o := range origins {
+		hits[i] = RemoteHit{Key: o + ".x", Prob: 1 / float64(level+2), Dist: level + 1}
+		segs[i] = 1
 	}
-	return hits, segs, ReachInfo{Nodes: len(keys), Edges: 2 * len(keys)}, nil
+	return hits, segs, ReachInfo{Nodes: len(origins), Edges: 2 * len(origins)}, nil
 }
 
 func servedReachEcho(t *testing.T) *Server {
@@ -749,13 +733,12 @@ func servedReachEcho(t *testing.T) *Server {
 	return srv
 }
 
-// TestSegmentedReachExchange drives one segmented reach exchange through a
-// real server and checks the column arrives, is honoured and comes back, and
-// that what the client put on the wire is exactly the one encoding of the
-// request.
+// TestSegmentedReachExchange drives one many-origin reach exchange through a
+// real server and checks the level arrives, one run per origin comes back
+// with the hits' distances, and what the client put on the wire is exactly
+// the one encoding of the request.
 func TestSegmentedReachExchange(t *testing.T) {
-	keys := []string{"d.c.k1", "d.c.k2", "d.c.k1"}
-	probs := []float64{1, 0.5, 0.25}
+	origins := []string{"d.c.k1", "d.c.k2", "d.c.k3"}
 	srv := servedReachEcho(t)
 	cli, err := DialConfig(srv.Addr(), ClientConfig{})
 	if err != nil {
@@ -763,63 +746,65 @@ func TestSegmentedReachExchange(t *testing.T) {
 	}
 	defer cli.Close()
 	sentBefore := clientBytesOut[opReach].Value()
-	hits, hitSegs, info, err := cli.ExpandFrontier(context.Background(), keys, probs, []int{2, 0, 1})
+	hits, segs, info, err := cli.ReachMany(context.Background(), origins, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(hitSegs, []int{2, 0, 1}) || len(hits) != 3 || hits[2] != (RemoteHit{Key: "d.c.k1.x", Prob: 0.125}) || info.Edges != 6 {
-		t.Errorf("hits %v segs %v info %+v", hits, hitSegs, info)
+	if !reflect.DeepEqual(segs, []int{1, 1, 1}) || len(hits) != 3 || hits[2] != (RemoteHit{Key: "d.c.k3.x", Prob: 0.25, Dist: 3}) || info.Edges != 6 {
+		t.Errorf("hits %v segs %v info %+v", hits, segs, info)
 	}
 	// ID 2: the meta exchange took ID 1.
-	want := encodeReqBody(t, &request{Op: opReach, ID: 2, Keys: keys, Probs: probs, Segs: []int{2, 0, 1}})
+	want := encodeReqBody(t, &request{Op: opReach, ID: 2, Keys: origins, Level: 2})
 	if sent := clientBytesOut[opReach].Value() - sentBefore; sent != uint64(4+len(want)) {
 		t.Errorf("reach sent %d bytes, want the frame's %d", sent, 4+len(want))
 	}
 }
 
-// shortSegs answers every reach with one run fewer than it was asked for.
+// shortSegs answers every reach with all its hits in one run, however many
+// origins it was asked for.
 type shortSegs struct{ reachEcho }
 
-func (s shortSegs) ExpandFrontier(ctx context.Context, keys []string, probs []float64, segs []int) ([]RemoteHit, []int, ReachInfo, error) {
-	hits, _, info, err := s.reachEcho.ExpandFrontier(ctx, keys, probs, segs)
+func (s shortSegs) ReachMany(ctx context.Context, origins []string, level int) ([]RemoteHit, []int, ReachInfo, error) {
+	hits, _, info, err := s.reachEcho.ReachMany(ctx, origins, level)
 	return hits, []int{len(hits)}, info, err
 }
 
-// TestSegmentValidation: a malformed segmentation — in the request, or from
-// the store behind the server — is answered with an error frame, never
-// expanded in part and never a panic.
+// TestSegmentValidation: a level that does not fit an int, or an answer from
+// the store behind the server that is not split one run per origin, is
+// answered with an error frame, never with hits and never a panic.
 func TestSegmentValidation(t *testing.T) {
 	srv := servedReachEcho(t)
 	ctx := context.Background()
 	for name, req := range map[string]request{
-		"runs sum short":  {Op: opReach, Keys: []string{"a", "b", "c"}, Probs: []float64{1, 1, 1}, Segs: []int{1, 1}},
-		"runs sum past":   {Op: opReach, Keys: []string{"a", "b"}, Probs: []float64{1, 1}, Segs: []int{2, 1}},
-		"negative run":    {Op: opReach, Keys: []string{"a", "b"}, Probs: []float64{1, 1}, Segs: []int{3, -1}},
-		"probs too short": {Op: opReach, Keys: []string{"a", "b"}, Probs: []float64{1}},
-		"probs too long":  {Op: opReach, Keys: []string{"a"}, Probs: []float64{1, 1}, Segs: []int{1}},
+		"level past MaxInt": {Op: opReach, Keys: []string{"a"}, Level: math.MaxInt + 1},
+		"level MaxUint64":   {Op: opReach, Keys: []string{"a", "b"}, Level: math.MaxUint64},
 	} {
 		if resp := srv.dispatch(ctx, req); resp.Error == "" || len(resp.Hits) != 0 {
 			t.Errorf("%s: dispatched to %+v, want an error frame", name, resp)
 		}
 	}
-	if resp := srv.dispatch(ctx, request{Op: opReach, Keys: []string{"a", "b"}, Probs: []float64{1, 1}, Segs: []int{1, 1}}); resp.Error != "" {
-		t.Errorf("well-formed segmented reach refused: %s", resp.Error)
+	if resp := srv.dispatch(ctx, request{Op: opReach, Keys: []string{"a", "b"}, Level: 2}); resp.Error != "" || !reflect.DeepEqual(resp.Segs, []int{1, 1}) {
+		t.Errorf("well-formed reach answered %+v", resp)
 	}
 
-	// A store that loses a segment must not reach the client as an answer.
+	// A store that merges two origins' runs must not reach the client as an
+	// answer.
 	db := kvstore.New("discount")
 	bad, err := Serve(shortSegs{reachEcho{Store: connector.NewKeyValue(db)}}, "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer bad.Close()
+	if resp := bad.dispatch(ctx, request{Op: opReach, Keys: []string{"a", "b"}}); resp.Error == "" || len(resp.Hits) != 0 {
+		t.Errorf("one run for two origins dispatched to %+v, want an error frame", resp)
+	}
 	cli, err := DialConfig(bad.Addr(), ClientConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	if _, _, _, err := cli.ExpandFrontier(ctx, []string{"a", "b"}, []float64{1, 1}, []int{1, 1}); err == nil {
-		t.Error("a response with one segment for a two-segment request was accepted")
+	if _, _, _, err := cli.ReachMany(ctx, []string{"a", "b"}, 1); err == nil {
+		t.Error("a response with one segment for two origins was accepted")
 	}
 }
 
@@ -860,14 +845,16 @@ func frame(body []byte) []byte {
 	return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
 }
 
-// TestClientRejectsUnsegmentedAnswer: a peer that ignores the segment column
-// answers one merged hit list. The client must fail the leg — which degrades
-// the traversal — rather than hand one origin another's hits.
+// TestClientRejectsUnsegmentedAnswer: a peer that merges its origins'
+// answers into one run sends a well-formed frame. The client must fail the
+// leg — which degrades those origins — rather than hand one origin
+// another's hits.
 func TestClientRejectsUnsegmentedAnswer(t *testing.T) {
 	ln := fakePeer(t, func(req *request) []byte {
 		resp := response{ID: req.ID, Name: "merging-peer"}
 		if req.Op == opReach {
-			resp.Hits = []RemoteHit{{Key: "d.c.x", Prob: 0.5}, {Key: "d.c.y", Prob: 0.5}}
+			resp.Hits = []RemoteHit{{Key: "d.c.x", Prob: 0.5, Dist: 1}, {Key: "d.c.y", Prob: 0.5, Dist: 1}}
+			resp.Segs = []int{2}
 		}
 		return frame(encodeRespBody(t, &resp))
 	})
@@ -877,15 +864,15 @@ func TestClientRejectsUnsegmentedAnswer(t *testing.T) {
 	}
 	defer cli.Close()
 	ctx := context.Background()
-	if _, _, _, err := cli.ExpandFrontier(ctx, []string{"d.c.a", "d.c.b"}, []float64{1, 1}, []int{1, 1}); err == nil {
-		t.Error("unsegmented answer to a segmented request was accepted")
+	if _, _, _, err := cli.ReachMany(ctx, []string{"d.c.a", "d.c.b"}, 1); err == nil {
+		t.Error("one run for two origins was accepted")
 	}
-	if hits, _, _, err := cli.ExpandFrontier(ctx, []string{"d.c.a"}, []float64{1}, nil); err != nil || len(hits) != 2 {
-		t.Errorf("unsegmented exchange = %v, %v; want it to keep working", hits, err)
+	if hits, _, _, err := cli.ReachMany(ctx, []string{"d.c.a"}, 1); err != nil || len(hits) != 2 {
+		t.Errorf("one run for one origin = %v, %v; want it to keep working", hits, err)
 	}
 }
 
-// oldFormatFrames are well-formed frames of the six formats this one
+// oldFormatFrames are well-formed frames of the seven formats this one
 // replaced, keyed by their first body byte: bytes produced by the encoders of
 // the last commit that had them.
 var oldFormatFrames = map[byte]struct{ metaReq, reachReq, resp string }{
@@ -919,6 +906,14 @@ var oldFormatFrames = map[byte]struct{ metaReq, reachReq, resp string }{
 		metaReq:  "\x06\x04\x01\x00\x00\x00\x00\x00\x00\x00\x00",
 		reachReq: "\x06\x06\x02\x00\x00\x00\x02\x00\x06d.c.k1\x05\x012\x00\x02\x00\x00\x00\x00\x00\x00\xf0?\x00\x00\x00\x00\x00\x00\xe0?\x00\x02\x01\x01",
 		resp:     "\x06\x01\x00\x00\x00\bold-peer\x02\x01\x04drop\x00\x00\x00\x00\x00\x00\x00",
+	},
+	// 0x07 shipped a reach frontier: a request probs column where this
+	// layout has the level, a request segment column after the trace, and no
+	// hit distance.
+	0x07: {
+		metaReq:  "\a\x04\x01\x00\x00\x00\x00\x00\x00\x00\x00",
+		reachReq: "\a\x06\x02\x00\x00\x00\x02\x00\x06d.c.k1\x05\x012\x00\x02\x00\x00\x00\x00\x00\x00\xf0?\x00\x00\x00\x00\x00\x00\xe0?\x00\x02\x01\x01",
+		resp:     "\a\x01\x00\x00\x00\bold-peer\x02\x01\x04drop\x00\x00\x00\x00\x00",
 	},
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 
@@ -44,16 +45,13 @@ func ServeOn(store core.Store, ln net.Listener) *Server {
 	return s
 }
 
-// FrontierReacher is the optional store capability a wire server forwards
-// for the reach op. A cluster shard node implements it; on a plain store the
-// op fails with a remote error. It expands a weighted key frontier one hop
-// over the store's A' shard (the scatter-gather reach primitive). segs splits
-// the frontier into consecutive runs expanded independently of each other —
-// one per origin of a many-origin traversal — and the returned run lengths
-// split the hits the same way; nil segs is one segment and returns nil run
-// lengths.
-type FrontierReacher interface {
-	ExpandFrontier(ctx context.Context, keys []string, probs []float64, segs []int) ([]RemoteHit, []int, ReachInfo, error)
+// ShardReacher is the optional store capability a wire server forwards for
+// the reach op. A cluster shard node implements it; on a plain store the op
+// fails with a remote error. ReachMany answers Reach(origin, level) for
+// every origin over the store's A' shard: hits holds one run per origin, in
+// origin order and key-sorted within a run, and segs holds the run lengths.
+type ShardReacher interface {
+	ReachMany(ctx context.Context, origins []string, level int) (hits []RemoteHit, segs []int, info ReachInfo, err error)
 }
 
 // Addr returns the server's listen address.
@@ -206,26 +204,23 @@ func (s *Server) dispatch(ctx context.Context, req request) response {
 		}
 		return objectsResponse(objs)
 	case opReach:
-		fr, ok := s.store.(FrontierReacher)
+		sr, ok := s.store.(ShardReacher)
 		if !ok {
-			return response{Error: "wire: store cannot expand reach frontiers"}
+			return response{Error: "wire: store cannot answer reach ops"}
 		}
-		// The frame layout does not tie probs to the key count: a malformed
-		// frontier is refused whole rather than expanded in part.
-		if len(req.Probs) != len(req.Keys) {
-			return response{Error: fmt.Sprintf("wire: reach frontier of %d keys with %d probs", len(req.Keys), len(req.Probs))}
+		if req.Level > math.MaxInt {
+			return response{Error: fmt.Sprintf("wire: reach level %d does not fit an int", req.Level)}
 		}
-		if err := checkSegs(req.Segs, len(req.Keys)); err != nil {
-			return response{Error: err.Error()}
-		}
-		hits, hitSegs, info, err := fr.ExpandFrontier(ctx, req.Keys, req.Probs, req.Segs)
+		hits, segs, info, err := sr.ReachMany(ctx, req.Keys, int(req.Level))
 		if err != nil {
 			return response{Error: err.Error()}
 		}
-		if len(hitSegs) != len(req.Segs) || checkSegs(hitSegs, len(hits)) != nil {
-			return response{Error: fmt.Sprintf("wire: store answered %d reach segments with %d", len(req.Segs), len(hitSegs))}
+		// Handing one origin another's hits would be a wrong answer, not a
+		// degraded one: an answer not split one run per origin is refused.
+		if len(segs) != len(req.Keys) || checkSegs(segs, len(hits)) != nil {
+			return response{Error: fmt.Sprintf("wire: store answered %d reach origins with %d segments", len(req.Keys), len(segs))}
 		}
-		return response{Hits: hits, Nodes: info.Nodes, Edges: info.Edges, Segs: hitSegs}
+		return response{Hits: hits, Nodes: info.Nodes, Edges: info.Edges, Segs: segs}
 	case opQuery:
 		objs, err := s.store.Query(ctx, req.Query)
 		if err != nil {

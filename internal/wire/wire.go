@@ -60,8 +60,8 @@ const (
 	opQuery    = "query"
 	opMeta     = "meta"
 	opKeyField = "keyfield"
-	// opReach expands a weighted key frontier one hop over the peer's A'
-	// shard: the cluster coordinator's scatter-gather primitive.
+	// opReach answers Reach(origin, level) for every origin of the frame
+	// over the peer's A' shard: the cluster coordinator's scatter leg.
 	opReach = "reach"
 )
 
@@ -133,21 +133,16 @@ type request struct {
 	Op         string `json:"op"`
 	Collection string `json:"collection,omitempty"`
 	Key        string `json:"key,omitempty"`
-	// Keys are a getbatch's keys or a reach op's frontier (parallel to Probs,
-	// key-sorted within a segment, front-coded on the wire).
+	// Keys are a getbatch's keys or a reach op's origins (sorted, and
+	// front-coded on the wire).
 	Keys  []string `json:"keys,omitempty"`
 	Query string   `json:"query,omitempty"`
-	// Probs carries the frontier weights parallel to Keys for the reach op:
-	// the best path probability accumulated at each frontier key so far.
-	Probs []float64 `json:"probs,omitempty"`
+	// Level is a reach op's augmentation level. The server refuses one that
+	// does not fit an int.
+	Level uint64 `json:"level,omitempty"`
 	// Trace carries the caller's traceparent ("00-<trace>-<span>-01") so the
 	// server continues the distributed trace; empty means "untraced".
 	Trace string `json:"tp,omitempty"`
-	// Segs splits a reach frontier (Keys with Probs) into consecutive runs,
-	// one per origin of a many-origin traversal: the peer expands each run on
-	// its own, so probabilities never merge across origins, and answers with
-	// its hits split the same way. Absent means one segment.
-	Segs []int `json:"segs,omitempty"`
 }
 
 type wireObject struct {
@@ -167,16 +162,16 @@ type response struct {
 	Kind        int          `json:"kind,omitempty"`
 	Collections []string     `json:"collections,omitempty"`
 	KeyField    string       `json:"keyField,omitempty"`
-	// Hits answer a reach op: the one-hop expansion of the request frontier
-	// over the peer's A' shard, deduplicated by max probability. Expansion
-	// output is key-sorted, which is what makes front-coding it pay.
+	// Hits answer a reach op: every origin's reach over the peer's A' shard,
+	// one segment per origin. Hits are key-sorted within a segment, which is
+	// what makes front-coding them pay.
 	Hits []RemoteHit `json:"hits,omitempty"`
 	// Nodes and Edges report the traversal work of a reach op, so the
 	// coordinator can attribute index effort to the profiled query.
 	Nodes int `json:"nodes,omitempty"`
 	Edges int `json:"edges,omitempty"`
-	// Segs splits Hits into one run per request segment, in request order (a
-	// run may be empty). Absent when the request carried no Segs.
+	// Segs splits Hits into one run per request origin, in request order (a
+	// run may be empty).
 	Segs []int `json:"segs,omitempty"`
 }
 
@@ -184,12 +179,8 @@ type response struct {
 var errSegments = errors.New("wire: reach segments do not sum to the list they split")
 
 // checkSegs validates a segment column against the length of the list it
-// splits: every run non-negative, the runs summing exactly to total. An
-// absent column is the one-segment default and always valid.
+// splits: every run non-negative, the runs summing exactly to total.
 func checkSegs(segs []int, total int) error {
-	if len(segs) == 0 {
-		return nil
-	}
 	left := total
 	for _, n := range segs {
 		if n < 0 || n > left {
@@ -203,15 +194,16 @@ func checkSegs(segs []int, total int) error {
 	return nil
 }
 
-// RemoteHit is one key produced by a frontier expansion on a remote shard:
-// the key in its "db.coll.key" form and the best path probability through
-// the expanded hop (source frontier weight times edge probability).
+// RemoteHit is one key an origin reaches on a remote shard: the key in its
+// "db.coll.key" form, the probability of the best path to it and the hop
+// distance at which it was first reached — an aindex.Hit in wire form.
 type RemoteHit struct {
 	Key  string  `json:"k"`
 	Prob float64 `json:"p"`
+	Dist int     `json:"d,omitempty"`
 }
 
-// ReachInfo reports the traversal work one frontier expansion performed.
+// ReachInfo reports the traversal work of one reach op.
 type ReachInfo struct {
 	Nodes int
 	Edges int
