@@ -9,8 +9,11 @@ all: build vet test
 build:
 	$(GO) build ./...
 
+# go vet, and fail if gofmt would rewrite any file (CI's Vet step runs this).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l lists files that need formatting:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	$(GO) test ./...

@@ -78,17 +78,9 @@ func newComponents() *components {
 	return c
 }
 
-// shard hashes gk over the shards (FNV-1a, inlined so Stamp does not
-// allocate).
+// shard places gk on its shard.
 func (c *components) shard(gk core.GlobalKey) *compShard {
-	h := uint32(2166136261)
-	for _, s := range [3]string{gk.Database, gk.Collection, gk.Key} {
-		for i := 0; i < len(s); i++ {
-			h = (h ^ uint32(s[i])) * 16777619
-		}
-		h = (h ^ '.') * 16777619
-	}
-	return &c.shards[h%componentShards]
+	return &c.shards[gk.Hash()%componentShards]
 }
 
 // lookup returns gk's cell, or nil if gk never had an edge.

@@ -262,10 +262,6 @@ func (a *Augmenter) SetReacher(r Reacher) { a.reacher = r }
 // by the scatter epoch; the local cache then only serves outcome entries.
 func (a *Augmenter) SetResultCache(rc *rcache.Cache) { a.rc = rc }
 
-// ResultCache exposes the reach/outcome memoization cache (nil when
-// disabled), for the status pages and tests.
-func (a *Augmenter) ResultCache() *rcache.Cache { return a.rc }
-
 // New creates an augmenter with the given configuration.
 func New(poly *core.Polystore, index *aindex.Index, cfg Config) *Augmenter {
 	cfg = cfg.withDefaults()
@@ -509,7 +505,7 @@ func (a *Augmenter) buildPlan(ctx context.Context, s *sink, origins []core.Objec
 		case useRcache:
 			stamp = a.index.Stamp(o.GK)
 			var cached bool
-			if hits, _, cached = a.rc.GetReach(rkey, stamp); cached {
+			if hits, cached = a.rc.GetReach(rkey, stamp); cached {
 				s.rcacheHits++
 				break
 			}
@@ -523,7 +519,7 @@ func (a *Augmenter) buildPlan(ctx context.Context, s *sink, origins []core.Objec
 				s.snapshots++
 			}
 			if useRcache {
-				a.rc.PutReach(rkey, stamp, hits, st)
+				a.rc.PutReach(rkey, stamp, hits)
 			}
 		}
 		for _, h := range hits {

@@ -327,11 +327,11 @@ func TestCacheServesRepeatQueries(t *testing.T) {
 	if _, err := aug.Search(ctx, "transactions", q, 0); err != nil {
 		t.Fatal(err)
 	}
-	hitsBefore, _ := aug.Cache().Stats()
+	hitsBefore := aug.Cache().Counts().Hits
 	if _, err := aug.Search(ctx, "transactions", q, 0); err != nil {
 		t.Fatal(err)
 	}
-	hitsAfter, _ := aug.Cache().Stats()
+	hitsAfter := aug.Cache().Counts().Hits
 	if hitsAfter <= hitsBefore {
 		t.Errorf("second run produced no cache hits: %d -> %d", hitsBefore, hitsAfter)
 	}
@@ -348,7 +348,7 @@ func TestZeroCacheNeverHits(t *testing.T) {
 	q := `SELECT * FROM inventory WHERE name LIKE '%wish%'`
 	aug.Search(ctx, "transactions", q, 0)
 	aug.Search(ctx, "transactions", q, 0)
-	hits, _ := aug.Cache().Stats()
+	hits := aug.Cache().Counts().Hits
 	if hits != 0 {
 		t.Errorf("cache hits with CACHE_SIZE=0: %d", hits)
 	}

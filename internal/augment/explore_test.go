@@ -242,14 +242,14 @@ func TestPromotionInvalidatesOnlyItsIsland(t *testing.T) {
 		t.Fatalf("other island's step changed:\n got %v\nwant %v", got, other)
 	}
 	after := rc.Stats()
-	if after.Hits-before.Hits != 2 || after.EpochMismatches != before.EpochMismatches {
+	if after.Hits-before.Hits != 2 || after.Mismatches != before.Mismatches {
 		t.Errorf("other island after a promotion: %d hits, %d stale probes; want 2 and 0",
-			after.Hits-before.Hits, after.EpochMismatches-before.EpochMismatches)
+			after.Hits-before.Hits, after.Mismatches-before.Mismatches)
 	}
 
 	before = rc.Stats()
 	got := step(aug, sameQ, s8)
-	if after := rc.Stats(); after.EpochMismatches == before.EpochMismatches {
+	if after := rc.Stats(); after.Mismatches == before.Mismatches {
 		t.Error("the promoted island's cached step was served without a stale-stamp probe")
 	}
 	want := step(New(poly, ix, Config{Strategy: Sequential}), sameQ, s8)

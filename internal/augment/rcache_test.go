@@ -79,7 +79,7 @@ func TestResultCacheStaleAfterMutation(t *testing.T) {
 	if err := ix.Insert(rel); err != nil {
 		t.Fatal(err)
 	}
-	before := rc.Stats().EpochMismatches
+	before := rc.Stats().Mismatches
 	got, _, err := aug.AugmentObjects(ctx, []core.Object{obj}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestResultCacheStaleAfterMutation(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("post-mutation cached answer diverges:\n got %v\nwant %v", got, want)
 	}
-	if after := rc.Stats().EpochMismatches; after <= before {
+	if after := rc.Stats().Mismatches; after <= before {
 		t.Fatalf("no epoch mismatch recorded (before %d, after %d)", before, after)
 	}
 }
@@ -158,7 +158,7 @@ func TestResultCacheConcurrentMutationEquivalence(t *testing.T) {
 		t.Errorf("origin served from the cache %d of %d times during the race, want >= %d: mutations on other islands invalidated it",
 			hits, rounds, rounds-1)
 	}
-	if m := after.EpochMismatches - before.EpochMismatches; m != 0 {
+	if m := after.Mismatches - before.Mismatches; m != 0 {
 		t.Errorf("%d stale-stamp probes during the race: mutations on other islands moved the origin's stamp", m)
 	}
 	got, _, err := aug.AugmentObjects(ctx, []core.Object{obj}, 2)

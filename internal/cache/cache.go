@@ -4,253 +4,42 @@
 // polystore for an object; it pays off in augmented exploration (users
 // revisit objects) and in level > 0 searches (augmented results overlap).
 //
-// The cache is sharded: at production capacities (>= shardThreshold) the key
-// space is hashed over 16 independent LRU shards so that the worker pools of
-// the concurrent strategies stop convoying on a single mutex. Small caches
-// keep a single shard, which preserves exact global LRU ordering — the
-// semantics every eviction property below the threshold is specified (and
-// tested) against. Sharded caches are LRU per shard; the capacity bound and
-// the hit/miss/eviction accounting are global either way.
+// The LRU itself is Sharded, the one bounded map of the read path: the
+// object cache here, the result cache (internal/rcache) and the negative
+// cache (internal/coalesce) are all built on it. At production capacities
+// (>= shardThreshold) the key space is hashed over 16 independent LRU shards
+// so that the worker pools of the concurrent strategies stop convoying on a
+// single mutex. Small caches keep a single shard, which preserves exact
+// global LRU ordering — the semantics every eviction property below the
+// threshold is specified (and tested) against. Sharded caches are LRU per
+// shard; the capacity bound and the counters are global either way.
 package cache
 
 import (
-	"container/list"
-	"sync"
-	"sync/atomic"
-
 	"quepa/internal/core"
 	"quepa/internal/telemetry"
 )
 
-const (
-	// shardCount is the number of independent LRU shards of a large cache.
-	shardCount = 16
-	// shardThreshold is the construction-time capacity at which a cache
-	// becomes sharded. Below it a single shard keeps exact LRU order; tiny
-	// per-shard capacities would make eviction near-random anyway.
-	shardThreshold = 256
-)
-
-// LRU is a fixed-capacity least-recently-used object cache, safe for
-// concurrent use. A capacity of zero disables caching (every Get misses,
-// every Put is dropped): the cold-cache experiments rely on this.
-//
-// The shard count is fixed at construction from the initial capacity;
-// Resize redistributes capacity across the existing shards.
+// LRU is the object cache: a Sharded of objects by global key, all stored
+// and probed at stamp 0 (an object is valid until removed or evicted). A
+// capacity of zero disables caching (every Get misses, every Put is
+// dropped): the cold-cache experiments rely on this.
 type LRU struct {
-	shards   []*shard
-	capacity atomic.Int64 // configured total capacity
-	resizeMu sync.Mutex   // serializes Resize redistributions
-}
-
-type shard struct {
-	mu        sync.Mutex
-	capacity  int
-	ll        *list.List // front = most recently used
-	items     map[core.GlobalKey]*list.Element
-	hits      uint64
-	misses    uint64
-	evictions uint64
-}
-
-type lruEntry struct {
-	key core.GlobalKey
-	obj core.Object
+	*Sharded[core.GlobalKey, core.Object]
 }
 
 // NewLRU creates a cache holding at most capacity objects. Negative
 // capacities are treated as zero.
 func NewLRU(capacity int) *LRU {
-	if capacity < 0 {
-		capacity = 0
-	}
-	n := 1
-	if capacity >= shardThreshold {
-		n = shardCount
-	}
-	c := &LRU{shards: make([]*shard, n)}
-	c.capacity.Store(int64(capacity))
-	for i := range c.shards {
-		c.shards[i] = &shard{
-			capacity: shardShare(capacity, i, n),
-			ll:       list.New(),
-			items:    map[core.GlobalKey]*list.Element{},
-		}
-	}
-	return c
+	return &LRU{NewSharded[core.GlobalKey, core.Object](capacity)}
 }
-
-// shardShare splits a total capacity over n shards, spreading the remainder
-// over the first shards so the shares sum exactly to the total.
-func shardShare(capacity, i, n int) int {
-	share := capacity / n
-	if i < capacity%n {
-		share++
-	}
-	return share
-}
-
-// shardFor hashes the global key over the shards (FNV-1a over the three key
-// components, inlined so the hot path does not allocate).
-func (c *LRU) shardFor(gk core.GlobalKey) *shard {
-	if len(c.shards) == 1 {
-		return c.shards[0]
-	}
-	h := uint32(2166136261)
-	for i := 0; i < len(gk.Database); i++ {
-		h = (h ^ uint32(gk.Database[i])) * 16777619
-	}
-	h = (h ^ '.') * 16777619
-	for i := 0; i < len(gk.Collection); i++ {
-		h = (h ^ uint32(gk.Collection[i])) * 16777619
-	}
-	h = (h ^ '.') * 16777619
-	for i := 0; i < len(gk.Key); i++ {
-		h = (h ^ uint32(gk.Key[i])) * 16777619
-	}
-	return c.shards[h%shardCount]
-}
-
-// Shards returns the number of independent LRU shards (1 or 16).
-func (c *LRU) Shards() int { return len(c.shards) }
 
 // Get returns the cached object for gk, marking it most recently used.
-func (c *LRU) Get(gk core.GlobalKey) (core.Object, bool) {
-	s := c.shardFor(gk)
-	s.mu.Lock()
-	el, ok := s.items[gk]
-	if !ok {
-		s.misses++
-		s.mu.Unlock()
-		return core.Object{}, false
-	}
-	s.hits++
-	s.ll.MoveToFront(el)
-	obj := el.Value.(*lruEntry).obj
-	s.mu.Unlock()
-	return obj, true
-}
+func (c *LRU) Get(gk core.GlobalKey) (core.Object, bool) { return c.Sharded.Get(gk, 0) }
 
 // Put inserts or refreshes an object, evicting the least recently used entry
 // of its shard when the shard is full.
-func (c *LRU) Put(obj core.Object) {
-	s := c.shardFor(obj.GK)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.capacity == 0 {
-		return
-	}
-	if el, ok := s.items[obj.GK]; ok {
-		el.Value.(*lruEntry).obj = obj
-		s.ll.MoveToFront(el)
-		return
-	}
-	s.items[obj.GK] = s.ll.PushFront(&lruEntry{key: obj.GK, obj: obj})
-	s.evictLocked()
-}
-
-// Remove drops an object from the cache, reporting whether it was present.
-// The augmenter calls it when lazy deletion discovers a vanished object.
-func (c *LRU) Remove(gk core.GlobalKey) bool {
-	s := c.shardFor(gk)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	el, ok := s.items[gk]
-	if !ok {
-		return false
-	}
-	s.ll.Remove(el)
-	delete(s.items, gk)
-	return true
-}
-
-// Resize changes the capacity, evicting LRU entries if the cache shrank.
-// The adaptive optimizer adjusts CACHE_SIZE in small steps through this.
-// The shard count is fixed at construction; Resize redistributes the new
-// capacity over the existing shards.
-func (c *LRU) Resize(capacity int) {
-	if capacity < 0 {
-		capacity = 0
-	}
-	c.resizeMu.Lock()
-	defer c.resizeMu.Unlock()
-	c.capacity.Store(int64(capacity))
-	n := len(c.shards)
-	for i, s := range c.shards {
-		s.mu.Lock()
-		s.capacity = shardShare(capacity, i, n)
-		s.evictLocked()
-		s.mu.Unlock()
-	}
-}
-
-// Clear empties the cache without touching the hit/miss statistics.
-func (c *LRU) Clear() {
-	for _, s := range c.shards {
-		s.mu.Lock()
-		s.ll.Init()
-		s.items = map[core.GlobalKey]*list.Element{}
-		s.mu.Unlock()
-	}
-}
-
-func (s *shard) evictLocked() {
-	for s.ll.Len() > s.capacity {
-		back := s.ll.Back()
-		if back == nil {
-			return
-		}
-		s.ll.Remove(back)
-		delete(s.items, back.Value.(*lruEntry).key)
-		s.evictions++
-	}
-}
-
-// Len returns the number of cached objects.
-func (c *LRU) Len() int {
-	total := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		total += s.ll.Len()
-		s.mu.Unlock()
-	}
-	return total
-}
-
-// Capacity returns the configured capacity.
-func (c *LRU) Capacity() int { return int(c.capacity.Load()) }
-
-// Stats reports cumulative hits and misses.
-func (c *LRU) Stats() (hits, misses uint64) {
-	for _, s := range c.shards {
-		s.mu.Lock()
-		hits += s.hits
-		misses += s.misses
-		s.mu.Unlock()
-	}
-	return hits, misses
-}
-
-// Evictions reports how many entries capacity pressure has pushed out.
-func (c *LRU) Evictions() uint64 {
-	var total uint64
-	for _, s := range c.shards {
-		s.mu.Lock()
-		total += s.evictions
-		s.mu.Unlock()
-	}
-	return total
-}
-
-// HitRatio returns hits/(hits+misses), or 0 before any lookup.
-func (c *LRU) HitRatio() float64 {
-	hits, misses := c.Stats()
-	total := hits + misses
-	if total == 0 {
-		return 0
-	}
-	return float64(hits) / float64(total)
-}
+func (c *LRU) Put(obj core.Object) { c.Sharded.Put(obj.GK, 0, obj) }
 
 // RegisterMetrics exports the cache on a telemetry registry as
 // function-backed series read at scrape time — the hot path keeps its single
@@ -258,11 +47,11 @@ func (c *LRU) HitRatio() float64 {
 // (e.g. a rebuilt server) points the series at the new instance.
 func (c *LRU) RegisterMetrics(r *telemetry.Registry) {
 	r.CounterFunc("quepa_cache_hits_total", "object cache lookups served from memory",
-		func() uint64 { h, _ := c.Stats(); return h })
+		func() uint64 { return c.Counts().Hits })
 	r.CounterFunc("quepa_cache_misses_total", "object cache lookups that fell through to the polystore",
-		func() uint64 { _, m := c.Stats(); return m })
+		func() uint64 { return c.Counts().Misses })
 	r.CounterFunc("quepa_cache_evictions_total", "cache entries evicted by capacity pressure",
-		func() uint64 { return c.Evictions() })
+		func() uint64 { return c.Counts().Evictions })
 	r.GaugeFunc("quepa_cache_objects", "objects currently cached",
 		func() float64 { return float64(c.Len()) })
 	r.GaugeFunc("quepa_cache_capacity", "configured cache capacity",

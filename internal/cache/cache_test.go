@@ -133,9 +133,8 @@ func TestClearAndStats(t *testing.T) {
 	if c.Len() != 0 {
 		t.Errorf("Len after Clear = %d", c.Len())
 	}
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 1 {
-		t.Errorf("Stats = %d hits, %d misses", hits, misses)
+	if n := c.Counts(); n.Hits != 1 || n.Misses != 1 {
+		t.Errorf("Counts = %+v, want 1 hit, 1 miss", n)
 	}
 }
 

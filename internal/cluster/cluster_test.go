@@ -418,7 +418,7 @@ func TestScatterCacheInvalidatesOnLocalMutation(t *testing.T) {
 	if err := tc.nodes[0].Index().InsertRaw(pad); err != nil {
 		t.Fatal(err)
 	}
-	before := rc.Stats().EpochMismatches
+	before := rc.Stats().Mismatches
 	for _, origin := range origins {
 		want := tc.ref.Index.Reach(origin, 2)
 		if len(want) == 0 {
@@ -435,7 +435,7 @@ func TestScatterCacheInvalidatesOnLocalMutation(t *testing.T) {
 			t.Fatalf("%v: post-mutation result diverges from reference", origin)
 		}
 	}
-	if after := rc.Stats().EpochMismatches; after <= before {
+	if after := rc.Stats().Mismatches; after <= before {
 		t.Fatalf("no epoch mismatches recorded after mutation (before %d, after %d)", before, after)
 	}
 }

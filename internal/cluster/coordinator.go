@@ -322,7 +322,7 @@ func (c *Coordinator) ReachScatterMany(ctx context.Context, origins []core.Globa
 		}
 		first[o] = i
 		if c.rc != nil {
-			if hits, _, ok := c.rc.GetReach(scatterKey(o, level), epoch); ok {
+			if hits, ok := c.rc.GetReach(scatterKey(o, level), epoch); ok {
 				out[i] = hits
 				cacheHit++
 				continue
@@ -378,7 +378,7 @@ func (c *Coordinator) ReachScatterMany(ctx context.Context, origins []core.Globa
 	// peer failure, not the index, and must not outlive it.
 	if c.rc != nil && len(degs) == 0 {
 		for _, i := range misses {
-			c.rc.PutReach(scatterKey(origins[i], level), epoch, out[i], aindex.ReachStats{})
+			c.rc.PutReach(scatterKey(origins[i], level), epoch, out[i])
 		}
 	}
 	for i, o := range origins {

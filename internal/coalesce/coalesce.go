@@ -6,8 +6,8 @@
 // load (every in-flight query augments the same popular object).
 //
 // The implementation is a small singleflight typed for core.GlobalKey. The
-// call table is sharded 16 ways by the same FNV-1a placement the object
-// cache uses, so registering a flight does not convoy on one mutex; the
+// call table is sharded 16 ways by core.GlobalKey.Hash, the placement the
+// caches use too, so registering a flight does not convoy on one mutex; the
 // follower path (join an existing flight, wait, read the result) performs no
 // heap allocation.
 //
@@ -71,19 +71,7 @@ func NewGroup() *Group {
 }
 
 func (g *Group) shardFor(gk core.GlobalKey) *groupShard {
-	h := uint32(2166136261)
-	for i := 0; i < len(gk.Database); i++ {
-		h = (h ^ uint32(gk.Database[i])) * 16777619
-	}
-	h = (h ^ '.') * 16777619
-	for i := 0; i < len(gk.Collection); i++ {
-		h = (h ^ uint32(gk.Collection[i])) * 16777619
-	}
-	h = (h ^ '.') * 16777619
-	for i := 0; i < len(gk.Key); i++ {
-		h = (h ^ uint32(gk.Key[i])) * 16777619
-	}
-	return &g.shards[h%groupShards]
+	return &g.shards[gk.Hash()%groupShards]
 }
 
 // Do executes fetch under the key's flight: the first caller (the leader)

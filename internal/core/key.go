@@ -106,3 +106,25 @@ func (gk GlobalKey) Compare(other GlobalKey) int {
 	}
 	return strings.Compare(gk.Key, other.Key)
 }
+
+// Hash is the 32-bit FNV-1a hash of the key's textual form, computed without
+// building the string. It places keys over in-process shards (the caches, the
+// fetch coalescer, the A' component table); it is not the cluster ring's
+// placement, which keeps its own seeded hash. Three explicit loops are faster
+// than ranging over the components.
+func (gk GlobalKey) Hash() uint32 {
+	const prime = 16777619
+	h := uint32(2166136261)
+	for i := 0; i < len(gk.Database); i++ {
+		h = (h ^ uint32(gk.Database[i])) * prime
+	}
+	h = (h ^ '.') * prime
+	for i := 0; i < len(gk.Collection); i++ {
+		h = (h ^ uint32(gk.Collection[i])) * prime
+	}
+	h = (h ^ '.') * prime
+	for i := 0; i < len(gk.Key); i++ {
+		h = (h ^ uint32(gk.Key[i])) * prime
+	}
+	return h
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"hash/fnv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -115,5 +116,19 @@ func TestGlobalKeyIsZero(t *testing.T) {
 	}
 	if (GlobalKey{Database: "d"}).IsZero() {
 		t.Error("non-zero value should not report IsZero")
+	}
+}
+
+// TestGlobalKeyHashIsFNV1a: Hash equals FNV-1a over the textual form, so the
+// three loops skip building the string and nothing else.
+func TestGlobalKeyHashIsFNV1a(t *testing.T) {
+	f := func(db, coll, key string) bool {
+		gk := GlobalKey{db, coll, key}
+		h := fnv.New32a()
+		h.Write([]byte(gk.String()))
+		return gk.Hash() == h.Sum32()
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }

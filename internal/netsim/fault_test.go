@@ -102,7 +102,7 @@ func TestFaultPlanParseWindows(t *testing.T) {
 		t.Fatalf("ParseWindows = %v, %v", ws, err)
 	}
 	ws, err = ParseWindows("10:")
-	if err != nil || len(ws) != 1 || !ws[0].contains(1 << 40) || ws[0].contains(9) {
+	if err != nil || len(ws) != 1 || !ws[0].contains(1<<40) || ws[0].contains(9) {
 		t.Fatalf("open-ended window = %v, %v", ws, err)
 	}
 	if ws, err := ParseWindows(""); err != nil || ws != nil {

@@ -15,9 +15,9 @@ type State int32
 
 // The three breaker states.
 const (
-	Closed State = iota // calls flow, consecutive failures counted
-	Open                // calls rejected until the cooldown elapses
-	HalfOpen            // one probe in flight decides reopen vs close
+	Closed   State = iota // calls flow, consecutive failures counted
+	Open                  // calls rejected until the cooldown elapses
+	HalfOpen              // one probe in flight decides reopen vs close
 )
 
 // String returns the conventional lowercase state name.

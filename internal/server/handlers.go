@@ -542,7 +542,7 @@ func (s *Server) handleExploreFinish(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	hits, misses := s.aug.Cache().Stats()
+	oc := s.aug.Cache().Counts()
 
 	// Per-strategy query counts and latency quantiles from the telemetry
 	// registry; only strategies that actually ran are listed.
@@ -598,7 +598,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"hits":             rcStats.Hits,
 			"misses":           rcStats.Misses,
 			"hit_ratio":        s.rcache.HitRatio(),
-			"epoch_mismatches": rcStats.EpochMismatches,
+			"epoch_mismatches": rcStats.Mismatches,
 			"evictions":        rcStats.Evictions,
 			"invalidations":    rcStats.Invalidations,
 		},
@@ -606,8 +606,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"index_keys":  s.built.Index.NodeCount(),
 		"index_edges": s.built.Index.EdgeCount(),
 		"cache_len":   s.aug.Cache().Len(),
-		"cache_hits":  hits,
-		"cache_miss":  misses,
+		"cache_hits":  oc.Hits,
+		"cache_miss":  oc.Misses,
 		"config":      baseCfg.String(),
 		"build":       buildSection(),
 		"aindex": map[string]any{
@@ -631,7 +631,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		},
 		"telemetry": map[string]any{
 			"cache_hit_ratio":   s.aug.Cache().HitRatio(),
-			"cache_evictions":   s.aug.Cache().Evictions(),
+			"cache_evictions":   oc.Evictions,
 			"strategies":        strategies,
 			"aindex_reach_keys": reg.CounterValue("quepa_aindex_reach_keys_total"),
 			"aindex_removals":   reg.CounterValue("quepa_aindex_removals_total"),

@@ -228,4 +228,3 @@ func TestStartStop(t *testing.T) {
 	})
 	eng2.Stop()
 }
-
