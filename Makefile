@@ -34,9 +34,10 @@ bench:
 
 # Concurrency microbenchmarks of the fetch hot path (sharded cache,
 # coalescing, wire mux) with allocation counts — the numbers the PR 4
-# overhaul moves.
+# overhaul moves — and the per-request working set of a 50-origin range
+# augmentation (SearchRange50).
 bench-hotpath:
-	$(GO) test -bench='CacheGet|Follower|Mux|HotPath' -benchmem -run='^$$' \
+	$(GO) test -bench='CacheGet|Follower|Mux|HotPath|SearchRange50' -benchmem -run='^$$' \
 		./internal/cache/ ./internal/coalesce/ ./internal/wire/ ./internal/augment/
 
 # The scan stores' range selection (50 seq values of 10,000 rows), read

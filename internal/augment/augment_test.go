@@ -295,28 +295,113 @@ func TestLazyDeletionSingleFetch(t *testing.T) {
 	}
 }
 
+// TestLazyDeletionBatchFetch drives lazy deletion through the batched
+// strategies with one batch group that mixes a key the store dropped with a
+// key it still has: the dropped key leaves A' and the object cache and enters
+// the negative cache, the kept key stays in the answer.
 func TestLazyDeletionBatchFetch(t *testing.T) {
-	poly, ix := polyphony(t)
-	disc := core.MustParseGlobalKey("discount.drop.k1:cure:wish")
-	s, err := poly.Database("discount")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Query(ctx, "DEL drop k1:cure:wish"); err != nil {
-		t.Fatal(err)
-	}
-	aug := New(poly, ix, Config{Strategy: Batch, BatchSize: 10})
-	answer, err := aug.Search(ctx, "transactions", `SELECT * FROM inventory WHERE name LIKE '%wish%'`, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ao := range answer.Augmented {
-		if ao.Object.GK == disc {
-			t.Error("vanished object still in batched answer")
+	gk := core.MustParseGlobalKey
+	disc, kept := gk("discount.drop.k1:cure:wish"), gk("discount.drop.k2:cure:wish")
+	for _, cfg := range []Config{
+		{Strategy: Batch, BatchSize: 10},
+		{Strategy: OuterBatch, BatchSize: 10, ThreadsSize: 3},
+	} {
+		poly, ix := polyphony(t)
+		s, err := poly.Database("discount")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Query(ctx, "SET drop k2:cure:wish 10%"); err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.Insert(core.NewMatching(gk("transactions.inventory.a32"), kept, 0.6)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Query(ctx, "DEL drop k1:cure:wish"); err != nil {
+			t.Fatal(err)
+		}
+		cfg.CacheSize = 100
+		aug := New(poly, ix, cfg)
+		answer, err := aug.Search(ctx, "transactions", `SELECT * FROM inventory WHERE name LIKE '%wish%'`, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inAnswer := map[core.GlobalKey]bool{}
+		for _, ao := range answer.Augmented {
+			inAnswer[ao.Object.GK] = true
+		}
+		if inAnswer[disc] {
+			t.Errorf("%v: vanished object still in batched answer", cfg)
+		}
+		if !inAnswer[kept] {
+			t.Errorf("%v: the group's surviving key left the answer", cfg)
+		}
+		if ix.Contains(disc) {
+			t.Errorf("%v: vanished object not lazily removed from index", cfg)
+		}
+		if !ix.Contains(kept) {
+			t.Errorf("%v: surviving key removed from index", cfg)
+		}
+		if _, ok := aug.Cache().Get(disc); ok {
+			t.Errorf("%v: vanished object in the object cache", cfg)
+		}
+		if _, ok := aug.Cache().Get(kept); !ok {
+			t.Errorf("%v: surviving key not cached", cfg)
+		}
+		if !aug.neg.Has(disc) {
+			t.Errorf("%v: vanished object not in the negative cache", cfg)
 		}
 	}
-	if ix.Contains(disc) {
-		t.Error("vanished object not lazily removed from index (batch path)")
+}
+
+// strayStore answers every batch with the asked objects plus extra ones:
+// an object the query never reached, and one of the query's own results.
+type strayStore struct {
+	core.Store
+	extra []string
+}
+
+func (s strayStore) GetBatch(ctx context.Context, collection string, keys []string) ([]core.Object, error) {
+	objs, err := s.Store.GetBatch(ctx, collection, append(keys[:len(keys):len(keys)], s.extra...))
+	return objs, err
+}
+
+// TestBatchDropsUnaskedObjects pins what the augmentation does with objects
+// a store returns without being asked: they are not answered. Only keys the
+// plan reached through A' have a probability and a distance to rank them by
+// (Definition 2); an extra object, or one of the query's own results, has
+// neither. The asked keys are answered as usual.
+func TestBatchDropsUnaskedObjects(t *testing.T) {
+	kv := kvstore.New("kv")
+	for _, k := range []string{"o", "a", "b", "stray"} {
+		kv.Set("main", k, "v-"+k)
+	}
+	poly := core.NewPolystore()
+	if err := poly.Register(strayStore{Store: connector.NewKeyValue(kv), extra: []string{"stray", "o"}}); err != nil {
+		t.Fatal(err)
+	}
+	gk := func(k string) core.GlobalKey { return core.NewGlobalKey("kv", "main", k) }
+	ix := aindex.New()
+	for _, r := range []core.PRelation{
+		core.NewMatching(gk("o"), gk("a"), 0.9),
+		core.NewMatching(gk("o"), gk("b"), 0.8),
+	} {
+		if err := ix.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, cfg := range []Config{{Strategy: Batch}, {Strategy: OuterBatch}} {
+		answer, err := New(poly, ix, cfg).Search(ctx, "kv", "GET main o", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, ao := range answer.Augmented {
+			got = append(got, fmt.Sprintf("%s:%g", ao.Object.GK.Key, ao.Prob))
+		}
+		if fmt.Sprint(got) != "[a:0.9 b:0.8]" {
+			t.Errorf("%v: augmented = %v, want [a:0.9 b:0.8]", cfg, got)
+		}
 	}
 }
 

@@ -1,11 +1,14 @@
 package augment
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"quepa/internal/aindex"
+	"quepa/internal/connector"
 	"quepa/internal/core"
+	"quepa/internal/stores/kvstore"
 	"quepa/internal/telemetry"
 )
 
@@ -135,6 +138,73 @@ func BenchmarkTraceOverhead(b *testing.B) {
 				sp.End()
 			}
 		})
+	}
+}
+
+// BenchmarkSearchRange50 is the augmentation of a range selection, shaped
+// like the ledger's range_cold: each search selects 50 origins and augments
+// them at level 2 under OUTER-BATCH, reaching four keys per origin in four
+// other databases. Successive searches walk eight disjoint ranges, 1,600
+// reachable keys in all, through a 256-object cache, so every search misses
+// and fetches most of its keys. Its B/op and allocs/op are the per-request
+// working set of plan building, fetching and ranking.
+func BenchmarkSearchRange50(b *testing.B) {
+	const ranges, width = 8, 50
+	poly := core.NewPolystore()
+	stores := map[string]*kvstore.Store{}
+	for _, name := range []string{"orig", "s1", "s2", "s3", "s4"} {
+		stores[name] = kvstore.New(name)
+	}
+	ix := aindex.New()
+	// Origin i lives in bucket r<i/width> of orig, so "SCAN r<n>" selects
+	// one range; its island lives in bucket main of s1, s2 and s3.
+	bucket := func(db string, i int) string {
+		if db == "orig" {
+			return fmt.Sprintf("r%d", i/width)
+		}
+		return "main"
+	}
+	gk := func(db string, i int) core.GlobalKey {
+		return core.NewGlobalKey(db, bucket(db, i), fmt.Sprintf("k%d", i))
+	}
+	for i := 0; i < ranges*width; i++ {
+		for name, kv := range stores {
+			kv.Set(bucket(name, i), fmt.Sprintf("k%d", i), fmt.Sprintf("%s-%d", name, i))
+		}
+		// origin -> s1 -> s2 -> s3 is three hops (level 2), plus a direct
+		// origin -> s4 edge: one island per origin, as in range_cold, whose
+		// origins reach few keys in common.
+		for _, r := range []core.PRelation{
+			core.NewMatching(gk("orig", i), gk("s1", i), 0.9),
+			core.NewMatching(gk("s1", i), gk("s2", i), 0.8),
+			core.NewMatching(gk("s2", i), gk("s3", i), 0.7),
+			core.NewMatching(gk("orig", i), gk("s4", i), 0.6),
+		} {
+			if err := ix.Insert(r); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	for _, kv := range stores {
+		if err := poly.Register(connector.NewKeyValue(kv)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	queries := make([]string, ranges)
+	for r := range queries {
+		queries[r] = fmt.Sprintf("SCAN r%d", r)
+	}
+	aug := New(poly, ix, Config{Strategy: OuterBatch, BatchSize: 64, ThreadsSize: 4, CacheSize: 256})
+	answer, err := aug.Search(ctx, "orig", queries[0], 2)
+	if err != nil || len(answer.Original) != width || len(answer.Augmented) < 4*width {
+		b.Fatalf("fixture: %d origins, %d augmented, %v", len(answer.Original), len(answer.Augmented), err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := aug.Search(ctx, "orig", queries[i%ranges], 2); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -61,41 +61,17 @@ type group struct {
 }
 
 func (a *Augmenter) runBatch(ctx context.Context, cfg Config, p *plan, s *sink) error {
-	flush := func(g group, keys []string) error {
+	var err error
+	p.eachGroup(cfg.BatchSize, func(g group, keys []string) bool {
 		if s.isDegraded(g.database) {
-			return nil
+			return true
 		}
-		if err := a.fetchGroup(ctx, g.database, g.collection, keys, s); err != nil {
-			return s.absorb(ctx, g.database, p.groupDist(g, keys), err)
+		if ferr := a.fetchGroup(ctx, g.database, g.collection, keys, s); ferr != nil {
+			err = s.absorb(ctx, g.database, p.groupDist(g, keys), ferr)
 		}
-		return nil
-	}
-	groups := map[group][]string{}
-	for _, gk := range p.order {
-		g := group{database: gk.Database, collection: gk.Collection}
-		groups[g] = append(groups[g], gk.Key)
-		if len(groups[g]) >= cfg.BatchSize {
-			keys := groups[g]
-			delete(groups, g)
-			if err := flush(g, keys); err != nil {
-				return err
-			}
-		}
-	}
-	// Flush the incomplete groups at process end, iterating in the
-	// deterministic order of first appearance.
-	for _, gk := range p.order {
-		g := group{database: gk.Database, collection: gk.Collection}
-		keys, ok := groups[g]
-		if !ok {
-			continue
-		}
-		delete(groups, g)
-		if err := flush(g, keys); err != nil {
-			return err
-		}
-	}
-	return nil
+		return err == nil
+	})
+	return err
 }
 
 // runInner iterates over the origins in the main goroutine; the keys of each
@@ -148,38 +124,14 @@ func (a *Augmenter) runOuterBatch(ctx context.Context, cfg Config, p *plan, s *s
 		}()
 	}
 
-	groups := map[group][]string{}
-	submit := func(g group, keys []string) bool {
+	p.eachGroup(cfg.BatchSize, func(g group, keys []string) bool {
 		select {
 		case jobs <- job{g: g, keys: keys}:
 			return true
 		case <-ctx.Done():
 			return false
 		}
-	}
-produce:
-	for _, gk := range p.order {
-		g := group{database: gk.Database, collection: gk.Collection}
-		groups[g] = append(groups[g], gk.Key)
-		if len(groups[g]) >= cfg.BatchSize {
-			keys := groups[g]
-			delete(groups, g)
-			if !submit(g, keys) {
-				break produce
-			}
-		}
-	}
-	for _, gk := range p.order {
-		g := group{database: gk.Database, collection: gk.Collection}
-		keys, ok := groups[g]
-		if !ok {
-			continue
-		}
-		delete(groups, g)
-		if !submit(g, keys) {
-			break
-		}
-	}
+	})
 	close(jobs)
 	wg.Wait()
 	if err := errOnce.get(); err != nil {
