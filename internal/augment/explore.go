@@ -3,6 +3,7 @@ package augment
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"quepa/internal/aindex"
 	"quepa/internal/core"
@@ -19,11 +20,13 @@ import (
 // that popular explorations become matching shortcuts (Section III-D(a)).
 //
 // An Exploration is not safe for concurrent use: it models one user's
-// interactive session. Run independent sessions on separate Explorations —
-// the underlying Augmenter is safe to share.
+// interactive session. A caller that shares one across goroutines holds its
+// own lock around each call. Run independent sessions on separate
+// Explorations — the underlying Augmenter is safe to share.
 type Exploration struct {
 	aug      *Augmenter
 	tracker  *aindex.PathTracker // may be nil: no promotion
+	start    []core.GlobalKey    // the start result: the first Step's choices
 	path     []core.GlobalKey
 	current  []AugmentedObject
 	degraded []Degradation // stores dropped by the last Step
@@ -40,7 +43,11 @@ func (a *Augmenter) Explore(ctx context.Context, database, query string, tracker
 	}
 	// Only the local result is exposed at session start: augmentation
 	// happens one selected object at a time.
-	e := &Exploration{aug: a, tracker: tracker}
+	start := make([]core.GlobalKey, len(answer.Original))
+	for i, o := range answer.Original {
+		start[i] = o.GK
+	}
+	e := &Exploration{aug: a, tracker: tracker, start: start}
 	return e, answer.Original, nil
 }
 
@@ -53,17 +60,12 @@ func (e *Exploration) Step(ctx context.Context, gk core.GlobalKey) ([]AugmentedO
 	if e.done {
 		return nil, fmt.Errorf("augment: exploration session already finished")
 	}
-	if len(e.path) > 0 {
-		allowed := false
-		for _, c := range e.current {
-			if c.Object.GK == gk {
-				allowed = true
-				break
-			}
+	if len(e.path) == 0 {
+		if !slices.Contains(e.start, gk) {
+			return nil, fmt.Errorf("augment: %v is not an object of the start result", gk)
 		}
-		if !allowed {
-			return nil, fmt.Errorf("augment: %v was not among the objects of the previous step", gk)
-		}
+	} else if !slices.ContainsFunc(e.current, func(c AugmentedObject) bool { return c.Object.GK == gk }) {
+		return nil, fmt.Errorf("augment: %v was not among the objects of the previous step", gk)
 	}
 	ctx, span := telemetry.StartSpan(ctx, "augment.step")
 	defer span.End()

@@ -139,8 +139,9 @@ func TestStepFetchesFreshOrigin(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// First step may target any object of the start result; an unknown
-	// object fails at fetch.
+	// The first step must select an object of the start result, so a key
+	// the store does not hold is refused by the membership check before any
+	// fetch.
 	if _, err := sess.Step(ctx, core.MustParseGlobalKey("transactions.sales.ghost")); err == nil {
 		t.Error("step to missing object should fail")
 	}

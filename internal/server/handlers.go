@@ -479,13 +479,13 @@ func (s *Server) handleExploreStart(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.nextID++
 	id := strconv.Itoa(s.nextID)
-	s.sessions[id] = sess
+	s.sessions[id] = &session{e: sess}
 	s.mu.Unlock()
 	buf := bodyPool.Get().(*[]byte)
 	sendBody(w, buf, AppendExploreStart(*buf, id, start))
 }
 
-func (s *Server) session(id string) (*augment.Exploration, error) {
+func (s *Server) session(id string) (*session, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	sess, ok := s.sessions[id]
@@ -512,13 +512,15 @@ func (s *Server) handleExploreStep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	links, err := sess.Step(r.Context(), gk)
+	sess.mu.Lock()
+	defer sess.mu.Unlock()
+	links, err := sess.e.Step(r.Context(), gk)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	buf := bodyPool.Get().(*[]byte)
-	body, err := AppendStep(*buf, links, sess.Degraded(), explainProfile(r, len(links), 0, explainOn))
+	body, err := AppendStep(*buf, links, sess.e.Degraded(), explainProfile(r, len(links), 0, explainOn))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
@@ -533,12 +535,14 @@ func (s *Server) handleExploreFinish(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, err)
 		return
 	}
-	promoted := sess.Finish()
+	sess.mu.Lock()
+	promoted, path := sess.e.Finish(), sess.e.Path()
+	sess.mu.Unlock()
 	s.mu.Lock()
 	delete(s.sessions, id)
 	s.mu.Unlock()
 	buf := bodyPool.Get().(*[]byte)
-	sendBody(w, buf, AppendExploreFinish(*buf, promoted, sess.Path()))
+	sendBody(w, buf, AppendExploreFinish(*buf, promoted, path))
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

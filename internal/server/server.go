@@ -168,13 +168,21 @@ type Server struct {
 	lastSeenOrder []queryKey
 
 	mu       sync.Mutex
-	sessions map[string]*augment.Exploration
+	sessions map[string]*session
 	nextID   int
 
 	// closers tear the stack down in reverse order of assembly.
 	closers   []func() error
 	closeOnce sync.Once
 	closeErr  error
+}
+
+// session is one open exploration. Its mutex serialises the requests that
+// name it, so a step's response carries that step's own degraded list and a
+// finish never interleaves with a step.
+type session struct {
+	mu sync.Mutex
+	e  *augment.Exploration
 }
 
 type lastRun struct {
@@ -205,7 +213,7 @@ func New(cfg Config) (*Server, error) {
 		rcache:   rcache.New(resultCacheCap),
 		opt:      &optimizer.Adaptive{RetrainEvery: retrainEvery, MaxLogs: maxRunLogs},
 		lastSeen: map[queryKey]lastRun{},
-		sessions: map[string]*augment.Exploration{},
+		sessions: map[string]*session{},
 	}
 	if err := s.assemble(cfg); err != nil {
 		s.Close()
