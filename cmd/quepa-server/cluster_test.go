@@ -1,12 +1,13 @@
 package main
 
-// The cluster acceptance suite: three in-process peers — peers 1 and 2 are
-// bare shard nodes behind real wire listeners, peer 0 is a full HTTP server
-// assembled by server.New in cluster mode, as main assembles it. It checks
-// the headline behaviours of the distributed deployment: healthy searches
-// answer through scatter-gather, killing a peer keeps /search at 200 with a
-// "peer-open" degradation once the breaker opens and loses nothing but the
-// reach that peer owns, and /healthz and /stats expose the cluster sections.
+// The cluster acceptance suite: the README walkthrough in one process. Three
+// peers, each a full server assembled by server.New in cluster mode exactly
+// as main assembles it, each serving its shard on its own wire address. It
+// checks the headline behaviours of the distributed deployment: any peer's
+// front end answers a search through scatter-gather with the single-node
+// answer, killing a peer keeps /search at 200 with a "peer-open"
+// degradation once the breaker opens and loses nothing but the reach that
+// peer owns, and /healthz and /stats expose the cluster sections.
 
 import (
 	"context"
@@ -14,6 +15,7 @@ import (
 	"net"
 	"net/http"
 	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -22,70 +24,91 @@ import (
 	"quepa/internal/core"
 	"quepa/internal/resilience"
 	"quepa/internal/server"
-	"quepa/internal/wire"
 	"quepa/internal/workload"
 )
 
-// startClusterServer brings up the 3-peer deployment and returns peer 0's
-// HTTP server, the workload it serves, and the other peers' wire servers
-// (for the test to kill).
-func startClusterServer(t *testing.T) (*server.Server, *workload.Built, []*wire.Server) {
-	t.Helper()
+// clusterSpec is the dataset every peer of the acceptance cluster builds.
+func clusterSpec() workload.Spec {
 	spec := workload.DefaultSpec()
 	spec.Artists = 12
 	spec.AlbumsPerArtist = 2
 	spec.Customers = 20
+	return spec
+}
 
-	const peers = 3
-	// Peer 0 binds its own wire address; no peer here ever dials it, so any
-	// free port will do.
-	addrs := []string{"127.0.0.1:0"}
-	lns := make([]net.Listener, peers)
-	for i := 1; i < peers; i++ {
+// freeAddrs reserves n loopback addresses by listening on port 0 and
+// closing again, so each peer can bind the address the others dial.
+func freeAddrs(t *testing.T, n int) []string {
+	t.Helper()
+	addrs := make([]string, n)
+	for i := range addrs {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		lns[i] = ln
-		addrs = append(addrs, ln.Addr().String())
+		addrs[i] = ln.Addr().String()
+		ln.Close()
 	}
-	ring, err := cluster.NewRing(peers, cluster.DefaultVnodes, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var remotes []*wire.Server
-	for shard := 1; shard < peers; shard++ {
-		built, err := workload.Build(spec, workload.Colocated())
-		if err != nil {
-			t.Fatal(err)
-		}
-		idx, err := cluster.BuildShard(built.Index, ring, shard)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := wire.ServeOn(cluster.NewNode(shard, idx, built.Poly), lns[shard])
-		remotes = append(remotes, srv)
-		t.Cleanup(func() { srv.Close() })
-	}
+	return addrs
+}
 
-	built, err := workload.Build(spec, workload.Colocated())
-	if err != nil {
-		t.Fatal(err)
+// startCluster brings up the 3-peer deployment and returns each peer's
+// server and the workload peer 0 serves.
+func startCluster(t *testing.T) ([]*server.Server, *workload.Built) {
+	t.Helper()
+	peers := strings.Join(freeAddrs(t, 3), ",")
+	servers := make([]*server.Server, 3)
+	var built0 *workload.Built
+	for shard := range servers {
+		built, err := workload.Build(clusterSpec(), workload.Colocated())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shard == 0 {
+			built0 = built
+		}
+		// A short failure run and no cooldown inside the test: a killed
+		// peer opens its breaker fast and stays open.
+		servers[shard] = mustNew(t, server.Config{Workload: built, Cluster: peers, ShardID: shard, Pool: 2,
+			Breaker: resilience.BreakerConfig{FailureThreshold: 2, Cooldown: time.Hour}})
 	}
-	// A short failure run and no cooldown inside the test: a killed peer
-	// opens its breaker fast and stays open.
-	s := mustNew(t, server.Config{Workload: built, Cluster: strings.Join(addrs, ","), ShardID: 0, Pool: 2,
-		Breaker: resilience.BreakerConfig{FailureThreshold: 2, Cooldown: time.Hour}})
-	return s, built, remotes
+	return servers, built0
+}
+
+// answerSections returns a search's original and augmented sections.
+func answerSections(t *testing.T, s *server.Server, target string) [2]any {
+	t.Helper()
+	code, body := do(t, s.Handler(), "GET", target)
+	if code != http.StatusOK {
+		t.Fatalf("GET %s = %d %v", target, code, body)
+	}
+	return [2]any{body["original"], body["augmented"]}
 }
 
 func TestServerClusterSearchAndPeerDown(t *testing.T) {
-	s, built, remotes := startClusterServer(t)
+	servers, built := startCluster(t)
+	s := servers[0]
 	query, err := built.Query("transactions", 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	search := "/search?db=transactions&q=" + url.QueryEscape(query) + "&level=2"
+
+	// Any peer takes /search: the three front ends answer the same level-2
+	// search identically, and exactly as one node over the same spec does.
+	single, err := workload.Build(clusterSpec(), workload.Colocated())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := answerSections(t, mustNew(t, server.Config{Workload: single}), search)
+	if aug, _ := want[1].([]any); len(aug) == 0 {
+		t.Fatal("single-node search augmented nothing; the comparison would be vacuous")
+	}
+	for i, peer := range servers {
+		if got := answerSections(t, peer, search); !reflect.DeepEqual(got, want) {
+			t.Fatalf("peer %d answers\n%v\nsingle node answers\n%v", i, got, want)
+		}
+	}
 
 	// Healthy cluster: searches answer 200 with no degraded section, and the
 	// status pages carry the cluster identity.
@@ -138,7 +161,7 @@ func TestServerClusterSearchAndPeerDown(t *testing.T) {
 	// replica, so the dead peer is the only degradation (never a database),
 	// and every key the degraded scatter returned is in the answer, as the
 	// local replica holds it.
-	remotes[0].Close()
+	servers[1].Close()
 	sawPeerOpen := false
 	for seq := 4; !sawPeerOpen; seq++ {
 		if seq >= built.Spec.Albums() {

@@ -13,8 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -36,36 +34,6 @@ func (w Window) contains(n uint64) bool {
 	return n >= w.From && (w.To == 0 || n < w.To)
 }
 
-// ParseWindows parses a flag-friendly window list: "from:to[,from:to...]",
-// e.g. "1:50,200:250". An empty string is an empty schedule; "from:" leaves
-// the window open-ended.
-func ParseWindows(s string) ([]Window, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var out []Window
-	for _, part := range strings.Split(s, ",") {
-		from, to, ok := strings.Cut(strings.TrimSpace(part), ":")
-		if !ok {
-			return nil, fmt.Errorf("netsim: window %q must be from:to", part)
-		}
-		f, err := strconv.ParseUint(from, 10, 64)
-		if err != nil || f == 0 {
-			return nil, fmt.Errorf("netsim: window %q: from must be a positive request index", part)
-		}
-		w := Window{From: f}
-		if to != "" {
-			t, err := strconv.ParseUint(to, 10, 64)
-			if err != nil || t <= f {
-				return nil, fmt.Errorf("netsim: window %q: to must exceed from", part)
-			}
-			w.To = t
-		}
-		out = append(out, w)
-	}
-	return out, nil
-}
-
 // FaultPlan describes the failure behaviour of one store. The zero value
 // injects nothing.
 type FaultPlan struct {
@@ -81,17 +49,6 @@ type FaultPlan struct {
 	StallIn []Window
 	// Stall is the added latency inside StallIn windows.
 	Stall time.Duration
-}
-
-// Active reports whether the plan injects anything at all.
-func (p FaultPlan) Active() bool {
-	return p.ErrorRate > 0 || len(p.Down) > 0 || (len(p.StallIn) > 0 && p.Stall > 0)
-}
-
-// String renders the plan compactly for logs.
-func (p FaultPlan) String() string {
-	return fmt.Sprintf("faults(seed=%d,rate=%g,down=%d,stall=%v×%d)",
-		p.Seed, p.ErrorRate, len(p.Down), p.Stall, len(p.StallIn))
 }
 
 // gate charges requests against one FaultPlan: a seeded error draw, down
@@ -160,9 +117,6 @@ func (c *Chaos) Collections() []string { return c.inner.Collections() }
 
 // Unwrap returns the underlying store.
 func (c *Chaos) Unwrap() core.Store { return c.inner }
-
-// Plan returns the fault plan the store charges requests against.
-func (c *Chaos) Plan() FaultPlan { return c.g.plan }
 
 // Requests returns how many data requests reached the chaos layer.
 func (c *Chaos) Requests() uint64 { return c.g.seq.Load() }
