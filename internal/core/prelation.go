@@ -77,12 +77,6 @@ func (r PRelation) Validate() error {
 	return nil
 }
 
-// Reverse returns the p-relation with its endpoints swapped. Because
-// p-relations are symmetric, the reversed relation carries the same meaning.
-func (r PRelation) Reverse() PRelation {
-	return PRelation{From: r.To, To: r.From, Type: r.Type, Prob: r.Prob}
-}
-
 // String renders the p-relation as "from ~(p) to" or "from ≡(p) to".
 func (r PRelation) String() string {
 	op := "~"

@@ -3,16 +3,13 @@ package optimizer
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
-	"time"
-
-	"quepa/internal/augment"
 )
 
-// This file persists run logs as JSON lines so a long-lived deployment can
-// accumulate training data across restarts (the paper trains on the logs of
-// ~2 million runs collected over time; Phase 1 of Section V).
+// This file writes run logs out as JSON lines, the form of the training data
+// the paper collects over time (the logs of ~2 million runs; Phase 1 of
+// Section V). Nothing reads them back in: the server's decision tests read
+// the logged configurations through SaveLogs.
 
 // persistedLog is the on-disk form of one RunLog.
 type persistedLog struct {
@@ -54,59 +51,4 @@ func (a *Adaptive) SaveLogs(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// LoadLogs appends run logs from the JSON-lines form produced by SaveLogs,
-// as if each had been logged in file order: with MaxLogs set, the newest
-// MaxLogs runs are kept.
-// Automatic retraining is suppressed during the load; call Train afterwards.
-func (a *Adaptive) LoadLogs(r io.Reader) (int, error) {
-	scanner := bufio.NewScanner(r)
-	scanner.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	line, loaded := 0, 0
-	var batch []RunLog
-	for scanner.Scan() {
-		line++
-		raw := scanner.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var rec persistedLog
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return loaded, fmt.Errorf("optimizer: line %d: %w", line, err)
-		}
-		strategy, err := augment.ParseStrategy(rec.Strategy)
-		if err != nil {
-			return loaded, fmt.Errorf("optimizer: line %d: %w", line, err)
-		}
-		if rec.DurationNS < 0 {
-			return loaded, fmt.Errorf("optimizer: line %d: negative duration", line)
-		}
-		batch = append(batch, RunLog{
-			Features: QueryFeatures{
-				ResultSize:    rec.ResultSize,
-				AugmentedSize: rec.AugmentedSize,
-				Level:         rec.Level,
-				NumStores:     rec.NumStores,
-				Distributed:   rec.Distributed,
-			},
-			Config: augment.Config{
-				Strategy:    strategy,
-				BatchSize:   rec.BatchSize,
-				ThreadsSize: rec.ThreadsSize,
-				CacheSize:   rec.CacheSize,
-			},
-			Duration: time.Duration(rec.DurationNS),
-		})
-		loaded++
-	}
-	if err := scanner.Err(); err != nil {
-		return loaded, err
-	}
-	a.mu.Lock()
-	for _, r := range batch {
-		a.record(r)
-	}
-	a.mu.Unlock()
-	return loaded, nil
 }

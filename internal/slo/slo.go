@@ -299,9 +299,6 @@ func (rs *routeState) burnLocked(now time.Time, window time.Duration) float64 {
 	return (float64(bad) / float64(total)) / budget
 }
 
-// Healthy reports whether no route is fast-burning.
-func (e *Engine) Healthy() bool { return len(e.FastBurning()) == 0 }
-
 // FastBurning lists the routes currently in fast burn.
 func (e *Engine) FastBurning() []string {
 	var out []string

@@ -129,8 +129,8 @@ func TestFastBurnRequiresBothWindows(t *testing.T) {
 	if !eng.Tripped() {
 		t.Fatal("sustained outage did not trip fast burn")
 	}
-	if eng.Healthy() {
-		t.Fatal("Healthy() true while fast-burning")
+	if len(eng.FastBurning()) == 0 {
+		t.Fatal("no route fast-burning during the outage")
 	}
 	if len(trips) != 1 || trips[0] != "/search" {
 		t.Fatalf("OnFastBurn calls = %v, want exactly one for /search", trips)
@@ -143,7 +143,7 @@ func TestFastBurnRequiresBothWindows(t *testing.T) {
 		now = now.Add(time.Second)
 		eng.Sample(now)
 	}
-	if !eng.Healthy() {
+	if len(eng.FastBurning()) != 0 {
 		st := eng.Snapshot()[0]
 		t.Fatalf("did not recover: short=%v long=%v", st.BurnShort, st.BurnLong)
 	}

@@ -89,21 +89,6 @@ func (s *Store) Tables() []string {
 	return names
 }
 
-// Columns returns the declared column names of a table in declaration order.
-func (s *Store) Columns(tableName string) ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	t, ok := s.tables[tableName]
-	if !ok {
-		return nil, fmt.Errorf("relstore: unknown table %q", tableName)
-	}
-	names := make([]string, len(t.cols))
-	for i, c := range t.cols {
-		names[i] = c.name
-	}
-	return names, nil
-}
-
 // Exec parses and executes a DDL or DML statement, returning the number of
 // affected rows (0 for DDL).
 func (s *Store) Exec(sql string) (int, error) {
@@ -200,22 +185,6 @@ func (st Statement) Table() string {
 		return n.table
 	}
 	return ""
-}
-
-// SelectsStar reports whether the statement is a SELECT * query, i.e. one
-// that already projects every column including the primary key. The
-// validator rewrites other SELECTs to include the key.
-func (st Statement) SelectsStar() bool {
-	sel, ok := st.inner.(*selectStmt)
-	if !ok {
-		return false
-	}
-	for _, it := range sel.items {
-		if it.star && it.agg == aggNone {
-			return true
-		}
-	}
-	return false
 }
 
 // Get retrieves one row by primary key. The boolean reports presence.

@@ -389,21 +389,6 @@ func (r *Registry) CounterValue(name string, labels ...Label) uint64 {
 	return 0
 }
 
-// FindHistogram returns a registered histogram series, or nil.
-func (r *Registry) FindHistogram(name string, labels ...Label) *Histogram {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	f, ok := r.families[name]
-	if !ok {
-		return nil
-	}
-	s, ok := f.series[labelsKey(sortLabels(labels))]
-	if !ok {
-		return nil
-	}
-	return s.h
-}
-
 // escapeLabel escapes a label value per the Prometheus text format.
 func escapeLabel(v string) string {
 	v = strings.ReplaceAll(v, `\`, `\\`)

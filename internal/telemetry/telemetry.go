@@ -31,9 +31,6 @@ func init() { enabled.Store(true) }
 // state. Benchmarks use it to measure the uninstrumented hot path.
 func SetEnabled(on bool) bool { return enabled.Swap(on) }
 
-// Enabled reports whether instrumentation is currently recording.
-func Enabled() bool { return enabled.Load() }
-
 // std is the process-wide registry every instrumented package records into.
 var std = NewRegistry()
 
@@ -46,26 +43,8 @@ func NewCounter(name, help string, labels ...Label) *Counter {
 	return std.Counter(name, help, labels...)
 }
 
-// NewGauge returns the named gauge from the default registry.
-func NewGauge(name, help string, labels ...Label) *Gauge {
-	return std.Gauge(name, help, labels...)
-}
-
 // NewHistogram returns the named histogram from the default registry. A nil
 // bucket slice selects LatencyBuckets.
 func NewHistogram(name, help string, buckets []float64, labels ...Label) *Histogram {
 	return std.Histogram(name, help, buckets, labels...)
-}
-
-// NewCounterFunc registers a function-backed counter on the default registry:
-// the value is read at exposition time, so components that already maintain a
-// cumulative count (e.g. the cache's hit/miss tally) are exported with zero
-// extra hot-path cost. Re-registering the same series replaces the function.
-func NewCounterFunc(name, help string, fn func() uint64, labels ...Label) {
-	std.CounterFunc(name, help, fn, labels...)
-}
-
-// NewGaugeFunc registers a function-backed gauge on the default registry.
-func NewGaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	std.GaugeFunc(name, help, fn, labels...)
 }
