@@ -28,7 +28,6 @@ import (
 
 	"quepa/internal/aindex"
 	"quepa/internal/cache"
-	"quepa/internal/coalesce"
 	"quepa/internal/core"
 	"quepa/internal/rcache"
 	"quepa/internal/resilience"
@@ -112,12 +111,6 @@ type Config struct {
 	BatchSize   int // max global keys per batched query (BATCH, OUTER-BATCH)
 	ThreadsSize int // max simultaneous fetch goroutines (concurrent strategies)
 	CacheSize   int // LRU capacity; 0 disables caching
-
-	// DisableCoalesce turns off in-flight request coalescing, making every
-	// cache miss pay its own store round trip. The zero value (coalescing
-	// on) is right for production; the equivalence tests sweep both settings
-	// and the ablation benchmarks measure the difference.
-	DisableCoalesce bool
 }
 
 // Defaults used when Config fields are left zero or negative.
@@ -205,15 +198,9 @@ type Augmenter struct {
 	index *aindex.Index
 	cache *cache.LRU
 
-	// flight coalesces concurrent fetches of the same global key: N
-	// in-flight queries augmenting one hot object cost one store round trip.
-	flight *coalesce.Group
-	// fetchFn is fetchStore bound once at construction, so joining or
-	// leading a flight never allocates a per-call closure.
-	fetchFn coalesce.Fetch
 	// neg remembers keys recently confirmed missing, so lazy-deletion
 	// misses don't stampede the stores while the A' index catches up.
-	neg *coalesce.NegativeCache
+	neg *negativeCache
 
 	// cfgMu guards cfg, the configuration Search and AugmentObjects run:
 	// SetConfig may swap it while request goroutines are inside them.
@@ -263,16 +250,13 @@ func (a *Augmenter) SetResultCache(rc *rcache.Cache) { a.rc = rc }
 // New creates an augmenter with the given configuration.
 func New(poly *core.Polystore, index *aindex.Index, cfg Config) *Augmenter {
 	cfg = cfg.withDefaults()
-	a := &Augmenter{
-		poly:   poly,
-		index:  index,
-		cfg:    cfg,
-		cache:  cache.NewLRU(cfg.CacheSize),
-		flight: coalesce.NewGroup(),
-		neg:    coalesce.NewNegativeCache(0, 0), // package defaults
+	return &Augmenter{
+		poly:  poly,
+		index: index,
+		cfg:   cfg,
+		cache: cache.NewLRU(cfg.CacheSize),
+		neg:   newNegativeCache(),
 	}
-	a.fetchFn = a.fetchStore
-	return a
 }
 
 // Config returns the augmenter's current configuration.
@@ -666,7 +650,7 @@ type sink struct {
 	// A' work of plan building, counted by buildPlan alone.
 	nodes, edges, skipped, snapshots, rcacheHits int
 	// Cache traffic, counted by the strategy workers.
-	cacheHits, cacheMisses, coalesced, negative atomic.Int64
+	cacheHits, cacheMisses, negative atomic.Int64
 }
 
 // bind gives the sink one slot per key of p. It runs before any strategy
@@ -787,7 +771,6 @@ func (s *sink) report(span *telemetry.Span, fetched int, err error) {
 		{"rcache_hits", int64(s.rcacheHits)},
 		{"cache_hits", s.cacheHits.Load()},
 		{"cache_misses", s.cacheMisses.Load()},
-		{"coalesced_hits", s.coalesced.Load()},
 		{"negative_hits", s.negative.Load()},
 		{"fetched", int64(fetched)},
 	} {
@@ -815,45 +798,21 @@ func (s *sink) degradations() []Degradation {
 	return out
 }
 
-// lookup is the single-key read path outside an augmentation: object cache,
-// then the miss pipeline (negative cache, coalesced store fetch). The
-// boolean reports whether the object exists.
-func (a *Augmenter) lookup(ctx context.Context, cfg Config, gk core.GlobalKey) (core.Object, bool, error) {
-	if obj, ok := a.cache.Get(gk); ok {
-		return obj, true, nil
-	}
-	return a.fetchMiss(ctx, cfg, gk, nil)
-}
-
 // fetchMiss resolves a key the cache does not hold. The negative cache
-// answers recently-confirmed-missing keys without a round trip; everything
-// else goes to the store under the key's flight, so concurrent misses of one
-// hot key cost one round trip. Callers have already counted the cache miss;
-// s, nil outside an augmentation, counts negative and coalesced hits.
-func (a *Augmenter) fetchMiss(ctx context.Context, cfg Config, gk core.GlobalKey, s *sink) (core.Object, bool, error) {
+// answers recently-confirmed-missing keys without a round trip; every other
+// miss pays its own store round trip. Callers have already counted the cache
+// miss; s counts the negative hits.
+func (a *Augmenter) fetchMiss(ctx context.Context, gk core.GlobalKey, s *sink) (core.Object, bool, error) {
 	if a.neg.Has(gk) {
-		if s != nil {
-			s.negative.Add(1)
-		}
+		s.negative.Add(1)
 		negativeHitCounter(gk.Database).Inc()
 		return core.Object{}, false, nil
 	}
-	if cfg.DisableCoalesce {
-		return a.fetchStore(ctx, gk)
-	}
-	obj, ok, shared, err := a.flight.Do(ctx, gk, a.fetchFn)
-	if shared {
-		if s != nil {
-			s.coalesced.Add(1)
-		}
-		coalescedHitCounter(gk.Database).Inc()
-	}
-	return obj, ok, err
+	return a.fetchStore(ctx, gk)
 }
 
 // fetchStore pays one store round trip for gk, applying lazy deletion on
-// authoritative misses and feeding both caches. With coalescing on it is the
-// flight body — exactly one caller per in-flight key runs it.
+// authoritative misses and feeding both caches.
 func (a *Augmenter) fetchStore(ctx context.Context, gk core.GlobalKey) (core.Object, bool, error) {
 	obj, err := a.fetch(ctx, gk)
 	if err != nil {
@@ -928,10 +887,9 @@ func (a *Augmenter) sweepCache(ctx context.Context, keys []core.GlobalKey, s *si
 
 // fetchGroup retrieves a group of keys belonging to one database and
 // collection with a single batched query, consulting the object and negative
-// caches first and lazily deleting keys the store no longer has. Batched
-// round trips are not coalesced — two concurrent groups rarely carry the
-// same key set — but their per-key misses still feed the negative cache, so
-// single-key strategies and later batches benefit.
+// caches first and lazily deleting keys the store no longer has. Its per-key
+// misses feed the negative cache, so later fetches of a lazily deleted key
+// skip the store until the entry expires.
 func (a *Augmenter) fetchGroup(ctx context.Context, database, collection string, keys []string, s *sink) error {
 	var buf [sweepBuf]core.Object
 	n, hits, negHits := 0, 0, 0

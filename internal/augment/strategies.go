@@ -26,21 +26,21 @@ import (
 // and lets the healthy stores complete. Only a dead caller context still
 // propagates (absorb returns it), which is what errOnce now carries.
 
-func (a *Augmenter) runSequential(ctx context.Context, cfg Config, p *plan, s *sink) error {
-	return a.fetchMissesInto(ctx, cfg, p, s, a.sweepCache(ctx, p.order, s))
+func (a *Augmenter) runSequential(ctx context.Context, _ Config, p *plan, s *sink) error {
+	return a.fetchMissesInto(ctx, p, s, a.sweepCache(ctx, p.order, s))
 }
 
-// fetchMissesInto resolves cache-missed keys in order — one (coalesced) store
-// round trip each — degrading failing stores instead of aborting. It is the
+// fetchMissesInto resolves cache-missed keys in order — one store round trip
+// each — degrading failing stores instead of aborting. It is the
 // shared tail of every single-key strategy: the sweep already served the
 // hits, so only the misses reach here. A non-nil return means the caller's
 // context died.
-func (a *Augmenter) fetchMissesInto(ctx context.Context, cfg Config, p *plan, s *sink, misses []core.GlobalKey) error {
+func (a *Augmenter) fetchMissesInto(ctx context.Context, p *plan, s *sink, misses []core.GlobalKey) error {
 	for _, gk := range misses {
 		if s.isDegraded(gk.Database) {
 			continue
 		}
-		obj, ok, err := a.fetchMiss(ctx, cfg, gk, s)
+		obj, ok, err := a.fetchMiss(ctx, gk, s)
 		if err != nil {
 			if err := s.absorb(ctx, gk.Database, p.dist(gk), err); err != nil {
 				return err
@@ -78,7 +78,7 @@ func (a *Augmenter) runBatch(ctx context.Context, cfg Config, p *plan, s *sink) 
 // origin are fetched by a pool of THREADS_SIZE workers before moving on.
 func (a *Augmenter) runInner(ctx context.Context, cfg Config, p *plan, s *sink) error {
 	for _, keys := range p.byOrigin {
-		if err := a.parallelFetch(ctx, cfg, p, keys, cfg.ThreadsSize, s); err != nil {
+		if err := a.parallelFetch(ctx, p, keys, cfg.ThreadsSize, s); err != nil {
 			return err
 		}
 	}
@@ -89,7 +89,7 @@ func (a *Augmenter) runInner(ctx context.Context, cfg Config, p *plan, s *sink) 
 // sweeps its keys through the cache, then fetches the misses sequentially.
 func (a *Augmenter) runOuter(ctx context.Context, cfg Config, p *plan, s *sink) error {
 	return a.forEachOrigin(ctx, p, cfg.ThreadsSize, func(ctx context.Context, keys []core.GlobalKey) error {
-		return a.fetchMissesInto(ctx, cfg, p, s, a.sweepCache(ctx, keys, s))
+		return a.fetchMissesInto(ctx, p, s, a.sweepCache(ctx, keys, s))
 	})
 }
 
@@ -153,7 +153,7 @@ func (a *Augmenter) runOuterInner(ctx context.Context, cfg Config, p *plan, s *s
 		inner = 1
 	}
 	return a.forEachOrigin(ctx, p, outer, func(ctx context.Context, keys []core.GlobalKey) error {
-		return a.parallelFetch(ctx, cfg, p, keys, inner, s)
+		return a.parallelFetch(ctx, p, keys, inner, s)
 	})
 }
 
@@ -199,7 +199,7 @@ func (a *Augmenter) forEachOrigin(ctx context.Context, p *plan, workers int, fn 
 // whole list resolves without spawning anything, and only the misses are
 // handed to workers. Workers claim misses by bumping a shared atomic index —
 // no feed channel, no per-key channel handoff.
-func (a *Augmenter) parallelFetch(ctx context.Context, cfg Config, p *plan, keys []core.GlobalKey, workers int, s *sink) error {
+func (a *Augmenter) parallelFetch(ctx context.Context, p *plan, keys []core.GlobalKey, workers int, s *sink) error {
 	if len(keys) == 0 {
 		return nil
 	}
@@ -211,7 +211,7 @@ func (a *Augmenter) parallelFetch(ctx context.Context, cfg Config, p *plan, keys
 		workers = len(misses)
 	}
 	if workers <= 1 {
-		if err := a.fetchMissesInto(ctx, cfg, p, s, misses); err != nil {
+		if err := a.fetchMissesInto(ctx, p, s, misses); err != nil {
 			return err
 		}
 		return ctx.Err()
@@ -234,7 +234,7 @@ func (a *Augmenter) parallelFetch(ctx context.Context, cfg Config, p *plan, keys
 				if s.isDegraded(gk.Database) {
 					continue
 				}
-				obj, ok, err := a.fetchMiss(ctx, cfg, gk, s)
+				obj, ok, err := a.fetchMiss(ctx, gk, s)
 				if err != nil {
 					if err := s.absorb(ctx, gk.Database, p.dist(gk), err); err != nil {
 						errOnce.set(err)

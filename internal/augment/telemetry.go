@@ -42,48 +42,32 @@ func init() {
 	}
 }
 
-// Per-store hot-path counters, resolved lazily because the store set is only
-// known at runtime. A plain map under an RWMutex beats sync.Map here: the
-// read path dominates and interface boxing of string keys would allocate on
-// every hit.
-const (
-	coalesceHitsName = "quepa_coalesce_hits_total"
-	negativeHitsName = "quepa_coalesce_negative_hits_total"
-)
-
+// The per-store negative-cache counters, resolved lazily because the store
+// set is only known at runtime. A plain map under an RWMutex beats sync.Map
+// here: the read path dominates and interface boxing of string keys would
+// allocate on every hit. The series keeps the quepa_coalesce_ prefix it was
+// published under, so scrapes that read it keep working.
 var (
-	storeCtrMu    sync.RWMutex
-	coalescedCtrs = map[string]*telemetry.Counter{}
+	negativeCtrMu sync.RWMutex
 	negativeCtrs  = map[string]*telemetry.Counter{}
 )
 
-func storeCounter(ctrs map[string]*telemetry.Counter, name, help, store string) *telemetry.Counter {
-	storeCtrMu.RLock()
-	c := ctrs[store]
-	storeCtrMu.RUnlock()
+// negativeHitCounter counts fetches answered by the negative cache, per store.
+func negativeHitCounter(store string) *telemetry.Counter {
+	negativeCtrMu.RLock()
+	c := negativeCtrs[store]
+	negativeCtrMu.RUnlock()
 	if c != nil {
 		return c
 	}
-	storeCtrMu.Lock()
-	defer storeCtrMu.Unlock()
-	if c = ctrs[store]; c == nil {
-		c = telemetry.NewCounter(name, help, telemetry.L("store", store))
-		ctrs[store] = c
+	negativeCtrMu.Lock()
+	defer negativeCtrMu.Unlock()
+	if c = negativeCtrs[store]; c == nil {
+		c = telemetry.NewCounter("quepa_coalesce_negative_hits_total",
+			"fetches answered 'missing' by the negative-result cache, per store", telemetry.L("store", store))
+		negativeCtrs[store] = c
 	}
 	return c
-}
-
-// coalescedHitCounter counts fetches that joined another request's in-flight
-// store round trip instead of paying their own, per store.
-func coalescedHitCounter(store string) *telemetry.Counter {
-	return storeCounter(coalescedCtrs, coalesceHitsName,
-		"fetches served by joining an in-flight store round trip, per store", store)
-}
-
-// negativeHitCounter counts fetches answered by the negative cache, per store.
-func negativeHitCounter(store string) *telemetry.Counter {
-	return storeCounter(negativeCtrs, negativeHitsName,
-		"fetches answered 'missing' by the negative-result cache, per store", store)
 }
 
 func strategyHist(s Strategy) *telemetry.Histogram {

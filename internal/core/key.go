@@ -108,8 +108,8 @@ func (gk GlobalKey) Compare(other GlobalKey) int {
 }
 
 // Hash is the 32-bit FNV-1a hash of the key's textual form, computed without
-// building the string. It places keys over in-process shards (the caches, the
-// fetch coalescer, the A' component table); it is not the cluster ring's
+// building the string. It places keys over in-process shards (the caches and
+// the A' component table); it is not the cluster ring's
 // placement, which keeps its own seeded hash. Three explicit loops are faster
 // than ranging over the components.
 func (gk GlobalKey) Hash() uint32 {

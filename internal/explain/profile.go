@@ -101,14 +101,13 @@ type AugmentationTrace struct {
 	SnapshotReaches int `json:"snapshot_reaches,omitempty"`
 	// RcacheHits counts reach/outcome lookups of this augmentation served
 	// from the stamp-validated result cache instead of recomputed.
-	RcacheHits    int     `json:"rcache_hits,omitempty"`
-	CacheHits     int     `json:"cache_hits"`
-	CacheMisses   int     `json:"cache_misses"`
-	CoalescedHits int     `json:"coalesced_hits,omitempty"`
-	NegativeHits  int     `json:"negative_hits,omitempty"`
-	Fetched       int     `json:"fetched"`
-	WallMS        float64 `json:"wall_ms"`
-	Error         string  `json:"error,omitempty"`
+	RcacheHits   int     `json:"rcache_hits,omitempty"`
+	CacheHits    int     `json:"cache_hits"`
+	CacheMisses  int     `json:"cache_misses"`
+	NegativeHits int     `json:"negative_hits,omitempty"`
+	Fetched      int     `json:"fetched"`
+	WallMS       float64 `json:"wall_ms"`
+	Error        string  `json:"error,omitempty"`
 
 	Stores []StoreFanout `json:"stores,omitempty"`
 	// Scatter lists the per-shard fan-out of a clustered augmentation: one
@@ -151,7 +150,6 @@ type Totals struct {
 	StoreErrors   int   `json:"store_errors"`
 	CacheHits     int   `json:"cache_hits"`
 	CacheMisses   int   `json:"cache_misses"`
-	CoalescedHits int   `json:"coalesced_hits"`
 	NegativeHits  int   `json:"negative_hits"`
 	RankPruned    int   `json:"rank_pruned"`
 	BytesSent     int64 `json:"wire_bytes_sent"`

@@ -36,13 +36,6 @@ var flagNames = []struct {
 	{FlagDegraded, "degraded"},
 }
 
-// Link is a causal reference to a span that is not an ancestor — e.g. a
-// coalesced follower linking to the leader fetch it piggybacked on.
-type Link struct {
-	Trace TraceID
-	Span  SpanID
-}
-
 // Span is one timed operation in a trace tree. Spans are created with
 // StartSpan, which threads them through the context so nested operations
 // attach as children automatically. A nil *Span is valid: every method is a
@@ -69,7 +62,6 @@ type Span struct {
 	ended    bool
 	attrs    []Label
 	children []*Span
-	links    []Link
 }
 
 // spanKey is the context key under which the active span travels.
@@ -130,17 +122,6 @@ func (s *Span) Flags() Flag {
 	return Flag(s.root.flags.Load())
 }
 
-// AddLink records a causal reference to another span (same or different
-// trace) that is not an ancestor of s.
-func (s *Span) AddLink(trace TraceID, span SpanID) {
-	if s == nil || trace.IsZero() || span == 0 {
-		return
-	}
-	s.mu.Lock()
-	s.links = append(s.links, Link{Trace: trace, Span: span})
-	s.mu.Unlock()
-}
-
 // AddBytes accumulates wire bytes attributed to this span (one hop's frame
 // sizes). Safe for concurrent use.
 func (s *Span) AddBytes(sent, received int64) {
@@ -153,22 +134,6 @@ func (s *Span) AddBytes(sent, received int64) {
 	if received != 0 {
 		s.bytesRecv.Add(received)
 	}
-}
-
-// TraceID returns the span's 128-bit trace ID (zero for nil spans).
-func (s *Span) TraceID() TraceID {
-	if s == nil {
-		return TraceID{}
-	}
-	return s.traceID
-}
-
-// SpanID returns the span's 64-bit span ID (zero for nil spans).
-func (s *Span) SpanID() SpanID {
-	if s == nil {
-		return 0
-	}
-	return s.id
 }
 
 // TraceParent renders the traceparent value a remote peer should continue
@@ -218,12 +183,6 @@ func (s *Span) addChild(c *Span) {
 	s.mu.Unlock()
 }
 
-// LinkJSON is the JSON rendering of a span link.
-type LinkJSON struct {
-	TraceID string `json:"trace_id"`
-	SpanID  string `json:"span_id"`
-}
-
 // SpanJSON is the JSON rendering of a finished span tree, served by the
 // server's /debug/traces endpoint and the JSONL trace log.
 type SpanJSON struct {
@@ -237,7 +196,6 @@ type SpanJSON struct {
 	BytesSent    int64             `json:"bytes_sent,omitempty"`
 	BytesRecv    int64             `json:"bytes_recv,omitempty"`
 	Attrs        map[string]string `json:"attrs,omitempty"`
-	Links        []LinkJSON        `json:"links,omitempty"`
 	Children     []SpanJSON        `json:"children,omitempty"`
 }
 
@@ -269,9 +227,6 @@ func (s *Span) JSON() SpanJSON {
 		for _, a := range s.attrs {
 			out.Attrs[a.Key] = a.Value
 		}
-	}
-	for _, l := range s.links {
-		out.Links = append(out.Links, LinkJSON{TraceID: l.Trace.String(), SpanID: l.Span.String()})
 	}
 	children := append([]*Span(nil), s.children...)
 	s.mu.Unlock()

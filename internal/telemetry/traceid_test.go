@@ -63,20 +63,20 @@ func TestSpanIdentityPropagation(t *testing.T) {
 
 	ctx, root := tr.StartSpan(context.Background(), "root")
 	_, child := tr.StartSpan(ctx, "child")
-	if child.TraceID() != root.TraceID() {
-		t.Fatalf("child trace %v != root trace %v", child.TraceID(), root.TraceID())
+	if child.traceID != root.traceID {
+		t.Fatalf("child trace %v != root trace %v", child.traceID, root.traceID)
 	}
-	if child.SpanID() == root.SpanID() || child.SpanID() == 0 {
-		t.Fatalf("span IDs not distinct: %v vs %v", child.SpanID(), root.SpanID())
+	if child.id == root.id || child.id == 0 {
+		t.Fatalf("span IDs not distinct: %v vs %v", child.id, root.id)
 	}
 	child.End()
 	root.End()
 	got := tr.Snapshot()[0]
-	if got.TraceID != root.TraceID().String() || got.SpanID != root.SpanID().String() {
+	if got.TraceID != root.traceID.String() || got.SpanID != root.id.String() {
 		t.Errorf("root JSON identity = %q/%q", got.TraceID, got.SpanID)
 	}
-	if got.Children[0].ParentSpanID != root.SpanID().String() {
-		t.Errorf("child parent_span_id = %q, want %q", got.Children[0].ParentSpanID, root.SpanID())
+	if got.Children[0].ParentSpanID != root.id.String() {
+		t.Errorf("child parent_span_id = %q, want %q", got.Children[0].ParentSpanID, root.id)
 	}
 }
 
@@ -90,8 +90,8 @@ func TestRemoteSpanContinuesTrace(t *testing.T) {
 	_, client := tr.StartSpan(context.Background(), "client")
 	tp := client.TraceParent()
 	_, server := tr.StartRemoteSpan(context.Background(), "server", tp)
-	if server.TraceID() != client.TraceID() {
-		t.Fatalf("server segment trace %v != client %v", server.TraceID(), client.TraceID())
+	if server.traceID != client.traceID {
+		t.Fatalf("server segment trace %v != client %v", server.traceID, client.traceID)
 	}
 	server.End()
 	client.End()
@@ -101,14 +101,14 @@ func TestRemoteSpanContinuesTrace(t *testing.T) {
 			seg = s
 		}
 	}
-	if seg.ParentSpanID != client.SpanID().String() {
-		t.Errorf("server segment parent = %q, want client span %q", seg.ParentSpanID, client.SpanID())
+	if seg.ParentSpanID != client.id.String() {
+		t.Errorf("server segment parent = %q, want client span %q", seg.ParentSpanID, client.id)
 	}
 
 	// Malformed traceparent degrades to a fresh root trace.
 	_, orphan := tr.StartRemoteSpan(context.Background(), "orphan", "garbage")
-	if orphan.TraceID() == client.TraceID() || orphan.TraceID().IsZero() {
-		t.Errorf("orphan trace = %v", orphan.TraceID())
+	if orphan.traceID == client.traceID || orphan.traceID.IsZero() {
+		t.Errorf("orphan trace = %v", orphan.traceID)
 	}
 	orphan.End()
 }
@@ -217,32 +217,20 @@ func TestProbabilisticSamplingDeterministic(t *testing.T) {
 	}
 }
 
-func TestSpanBytesAndLinks(t *testing.T) {
+func TestSpanBytes(t *testing.T) {
 	prev := SetEnabled(true)
 	defer SetEnabled(prev)
 	tr := NewTracer(8)
 	tr.SetSlowThreshold(0)
 
-	_, leader := tr.StartSpan(context.Background(), "leader")
-	_, follower := tr.StartSpan(context.Background(), "follower")
-	follower.AddLink(leader.TraceID(), leader.SpanID())
-	follower.AddBytes(120, 4096)
-	follower.AddBytes(10, 0)
-	follower.End()
-	leader.End()
+	_, span := tr.StartSpan(context.Background(), "hop")
+	span.AddBytes(120, 4096)
+	span.AddBytes(10, 0)
+	span.End()
 
-	var got SpanJSON
-	for _, s := range tr.Snapshot() {
-		if s.Name == "follower" {
-			got = s
-		}
-	}
+	got := tr.Snapshot()[0]
 	if got.BytesSent != 130 || got.BytesRecv != 4096 {
 		t.Errorf("bytes = %d/%d", got.BytesSent, got.BytesRecv)
-	}
-	if len(got.Links) != 1 || got.Links[0].SpanID != leader.SpanID().String() ||
-		got.Links[0].TraceID != leader.TraceID().String() {
-		t.Errorf("links = %+v", got.Links)
 	}
 }
 

@@ -32,9 +32,8 @@ func (e *remoteError) Error() string { return "wire: remote error: " + e.msg }
 // multiplexed: each of the PoolSize TCP connections carries any number of
 // in-flight frames tagged with IDs, demuxed by a per-connection reader, so
 // concurrent augmenter goroutines share connections instead of convoying on
-// a checkout pool. Concurrent Gets against one collection additionally
-// aggregate into single getbatch frames (see groupGet). Transport failures
-// of idempotent ops are retried per logical request under the RetryPolicy.
+// a checkout pool. Transport failures of idempotent ops are retried per
+// logical request under the RetryPolicy.
 type Client struct {
 	addr        string
 	name        string
@@ -51,9 +50,6 @@ type Client struct {
 	rr       atomic.Uint64 // round-robin cursor over conns
 	connMu   sync.Mutex
 	conns    []*muxConn // lazily dialed; slots replaced when dead
-
-	gmu       sync.Mutex
-	getQueues map[string]*getQueue // natural get-batching, keyed by collection
 }
 
 // DefaultPoolSize is the connection cap used when ClientConfig.PoolSize is
@@ -84,11 +80,10 @@ func DialConfig(addr string, cfg ClientConfig) (*Client, error) {
 		cfg.PoolSize = DefaultPoolSize
 	}
 	c := &Client{
-		addr:      addr,
-		poolSize:  cfg.PoolSize,
-		conns:     make([]*muxConn, cfg.PoolSize),
-		retrier:   resilience.NewRetrier(cfg.Retry),
-		getQueues: map[string]*getQueue{},
+		addr:     addr,
+		poolSize: cfg.PoolSize,
+		conns:    make([]*muxConn, cfg.PoolSize),
+		retrier:  resilience.NewRetrier(cfg.Retry),
 	}
 	resp, err := c.roundTrip(context.Background(), request{Op: opMeta})
 	if err != nil {
@@ -132,8 +127,8 @@ func (c *Client) Kind() core.StoreKind { return c.kind }
 func (c *Client) Collections() []string { return c.collections }
 
 // RoundTrips returns the number of logical requests issued by this client's
-// callers. With multiplexed batching several logical requests may share one
-// frame; Frames reports the physical count.
+// callers. A retried request writes more than one frame; Frames reports the
+// physical count.
 func (c *Client) RoundTrips() uint64 { return c.roundTrips.Load() }
 
 // Frames returns the number of request frames actually written to the wire.
@@ -471,243 +466,19 @@ func (mc *muxConn) readLoop() {
 	}
 }
 
-// getQueue is the natural-batching state of one collection: whether a get
-// flight is in the air, and the waiters that arrived while it was.
-type getQueue struct {
-	busy    bool
-	waiters []*getWaiter
-}
-
-// getWaiter is one logical Get waiting to fly or to be served by a flight.
-type getWaiter struct {
-	key string
-	ch  chan getOutcome // buffered (1): flights never block on delivery
-}
-
-// getOutcome is what a waiter receives: its object (or authoritative
-// absence), a flight failure to retry, or — batch non-nil — leadership of
-// the next flight, drained queue attached. Served members also receive the
-// identity of the leader's flight span so their own trace links to the frame
-// that actually carried their answer.
-type getOutcome struct {
-	obj   core.Object
-	found bool
-	err   error
-	batch []*getWaiter
-
-	ltid telemetry.TraceID // leader flight span identity (zero when untraced)
-	lsid telemetry.SpanID
-}
-
-// submitGet enrolls w for collection. When no flight is in the air the
-// caller becomes leader of a solo flight; otherwise it queues behind the
-// current one and will be batched into the next.
-func (c *Client) submitGet(collection string, w *getWaiter) (lead bool, batch []*getWaiter) {
-	c.gmu.Lock()
-	q := c.getQueues[collection]
-	if q == nil {
-		q = &getQueue{}
-		c.getQueues[collection] = q
-	}
-	if !q.busy {
-		q.busy = true
-		c.gmu.Unlock()
-		return true, []*getWaiter{w}
-	}
-	q.waiters = append(q.waiters, w)
-	c.gmu.Unlock()
-	return false, nil
-}
-
-// releaseGetLeadership ends a flight: if waiters queued up behind it they
-// become the next batch, leadership handed to the first of them; otherwise
-// the collection goes idle.
-func (c *Client) releaseGetLeadership(collection string) {
-	c.gmu.Lock()
-	q := c.getQueues[collection]
-	if len(q.waiters) == 0 {
-		q.busy = false
-		c.gmu.Unlock()
-		return
-	}
-	batch := q.waiters
-	q.waiters = nil
-	c.gmu.Unlock()
-	batch[0].ch <- getOutcome{batch: batch}
-}
-
-// abandonGet withdraws w (caller's context died) and reports whether it was
-// still queued. False means a flight already drained it: a delivery — maybe
-// a leadership handover — is imminent on w.ch and must be consumed.
-func (c *Client) abandonGet(collection string, w *getWaiter) bool {
-	c.gmu.Lock()
-	defer c.gmu.Unlock()
-	q := c.getQueues[collection]
-	for i, m := range q.waiters {
-		if m == w {
-			q.waiters = append(q.waiters[:i], q.waiters[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// flyGetBatch performs one flight for the batch (batch[0] is the caller):
-// one get frame for a single key, one getbatch frame for several. The
-// results are distributed to every member; leadership is released first so
-// the next batch takes off while this one fans out. A member whose key came
-// back empty gets an authoritative not-found, mirroring solo-get semantics.
-func (c *Client) flyGetBatch(ctx context.Context, collection string, batch []*getWaiter) getOutcome {
-	var req request
-	if len(batch) == 1 {
-		req = request{Op: opGet, Collection: collection, Key: batch[0].key}
-	} else {
-		keys := make([]string, 0, len(batch))
-		seen := make(map[string]struct{}, len(batch))
-		for _, m := range batch {
-			if _, dup := seen[m.key]; !dup {
-				seen[m.key] = struct{}{}
-				keys = append(keys, m.key)
-			}
-		}
-		if len(keys) == 1 {
-			req = request{Op: opGet, Collection: collection, Key: keys[0]}
-		} else {
-			req = request{Op: opGetBatch, Collection: collection, Keys: keys}
-		}
-	}
-	// The leader's flight span covers the shared frame; members that were
-	// served by it link to this span from their own traces.
-	var sp *telemetry.Span
-	if telemetry.SpanFromContext(ctx) != nil {
-		_, sp = telemetry.StartSpan(ctx, "wire."+req.Op)
-		sp.SetAttr("store", c.name)
-		sp.SetAttr("collection", collection)
-		if len(batch) > 1 {
-			sp.SetAttr("batched", strconv.Itoa(len(batch)))
-		}
-		req.Trace = sp.TraceParent()
-	}
-	resp, sent, received, err := c.attempt(req)
-	if sp != nil {
-		sp.AddBytes(int64(sent), int64(received))
-		if err != nil {
-			sp.Mark(telemetry.FlagError)
-			sp.SetAttr("error", err.Error())
-		}
-		sp.End()
-	}
-	c.releaseGetLeadership(collection)
-
-	var found map[string]core.Object
-	if err == nil && req.Op == opGetBatch {
-		found = make(map[string]core.Object, len(resp.Objects))
-		for _, wo := range resp.Objects {
-			found[wo.Key] = fromWire(wo)
-		}
-	}
-	ltid, lsid := sp.TraceID(), sp.SpanID()
-	outcomeFor := func(m *getWaiter) getOutcome {
-		if err != nil {
-			return getOutcome{err: err, ltid: ltid, lsid: lsid}
-		}
-		if req.Op == opGet {
-			if resp.NotFound || len(resp.Objects) == 0 {
-				return getOutcome{ltid: ltid, lsid: lsid}
-			}
-			return getOutcome{obj: fromWire(resp.Objects[0]), found: true, ltid: ltid, lsid: lsid}
-		}
-		obj, ok := found[m.key]
-		return getOutcome{obj: obj, found: ok, ltid: ltid, lsid: lsid}
-	}
-	for _, m := range batch[1:] {
-		m.ch <- outcomeFor(m)
-	}
-	return outcomeFor(batch[0])
-}
-
-// groupGet resolves one logical Get through the natural-batching machinery,
-// retrying transport failures per logical request (each member of a failed
-// batch re-submits under its own retry budget, so the PR-level retry,
-// breaker and deadline semantics hold per request, not per frame). A leader
-// whose own context died still flies its batch — bounded by the attempt
-// watchdog — so innocent members are not poisoned, then returns its own
-// context error.
-func (c *Client) groupGet(ctx context.Context, collection, key string) (core.Object, bool, error) {
-	w := &getWaiter{key: key, ch: make(chan getOutcome, 1)}
-	for attempt := 0; ; attempt++ {
-		var out getOutcome
-		if lead, batch := c.submitGet(collection, w); lead {
-			out = c.flyGetBatch(ctx, collection, batch)
-		} else {
-			select {
-			case r := <-w.ch:
-				if r.batch != nil {
-					out = c.flyGetBatch(ctx, collection, r.batch)
-				} else {
-					out = r
-					// Served by another goroutine's flight: link our span to
-					// the leader's flight span so the shared frame is visible
-					// from this trace too.
-					if r.lsid != 0 {
-						telemetry.SpanFromContext(ctx).AddLink(r.ltid, r.lsid)
-					}
-				}
-			case <-ctx.Done():
-				if c.abandonGet(collection, w) {
-					return core.Object{}, false, ctx.Err()
-				}
-				if r := <-w.ch; r.batch != nil {
-					c.flyGetBatch(ctx, collection, r.batch)
-				}
-				return core.Object{}, false, ctx.Err()
-			}
-		}
-		if out.err == nil {
-			return out.obj, out.found, nil
-		}
-		if attempt+1 >= c.retrier.Policy().MaxAttempts || !transient(out.err) || ctx.Err() != nil {
-			return core.Object{}, false, out.err
-		}
-		d := c.retrier.Backoff(attempt + 1)
-		if psp := telemetry.SpanFromContext(ctx); psp != nil {
-			psp.Mark(telemetry.FlagRetry)
-			_, rsp := telemetry.StartSpan(ctx, "wire.retry")
-			c.tagRetry(rsp, opGet, attempt+1, d, out.err)
-			c.retries.Add(1)
-			clientRetries[opGet].Inc()
-			c.retrier.Sleep(d)
-			rsp.End()
-			continue
-		}
-		c.retries.Add(1)
-		clientRetries[opGet].Inc()
-		c.retrier.Sleep(d)
-	}
-}
-
-// Get retrieves one object from the remote store. Concurrent Gets against
-// the same collection aggregate into shared getbatch frames.
+// Get retrieves one object from the remote store in one get frame.
 func (c *Client) Get(ctx context.Context, collection, key string) (core.Object, error) {
 	if err := ctx.Err(); err != nil {
 		return core.Object{}, err
 	}
-	c.roundTrips.Add(1)
-	start := telemetry.Now()
-	obj, found, err := c.groupGet(ctx, collection, key)
-	clientHists[opGet].Since(start)
+	resp, err := c.roundTrip(ctx, request{Op: opGet, Collection: collection, Key: key})
 	if err != nil {
-		clientErrs[opGet].Inc()
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			clientTimeouts[opGet].Inc()
-		}
 		return core.Object{}, err
 	}
-	if !found {
+	if resp.NotFound || len(resp.Objects) == 0 {
 		return core.Object{}, fmt.Errorf("%s.%s.%s: %w", c.name, collection, key, core.ErrNotFound)
 	}
-	return obj, nil
+	return fromWire(resp.Objects[0]), nil
 }
 
 // GetBatch retrieves many objects in one remote round trip.

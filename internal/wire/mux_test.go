@@ -98,12 +98,13 @@ func TestMuxOutOfOrderResponses(t *testing.T) {
 	}
 }
 
-// TestConcurrentGetsShareFrames pins the natural get-batching: while one Get
-// of a collection is in flight, further Gets queue up and fly as a single
-// getbatch frame, so N logical requests cost far fewer physical frames.
-func TestConcurrentGetsShareFrames(t *testing.T) {
+// TestConcurrentGetsOwnFrames: Gets queued behind a parked Get on the one
+// connection each fly their own get frame and each come back with their own
+// object. Nothing aggregates them: every frame is written while the first
+// Get is still parked in the server.
+func TestConcurrentGetsOwnFrames(t *testing.T) {
 	kv := kvstore.New("stall")
-	kv.Set("slow", "k", "leader")
+	kv.Set("slow", "k", "first")
 	const members = 16
 	for i := 0; i < members; i++ {
 		kv.Set("slow", key(i), "v"+key(i))
@@ -120,12 +121,12 @@ func TestConcurrentGetsShareFrames(t *testing.T) {
 	}
 	defer cli.Close()
 
-	leaderDone := make(chan error, 1)
+	firstDone := make(chan error, 1)
 	go func() {
 		_, err := cli.Get(context.Background(), "slow", "k")
-		leaderDone <- err
+		firstDone <- err
 	}()
-	<-st.entered // leader's solo get frame is parked in the server
+	<-st.entered // the first get frame is parked in the server
 
 	var wg sync.WaitGroup
 	for i := 0; i < members; i++ {
@@ -138,36 +139,21 @@ func TestConcurrentGetsShareFrames(t *testing.T) {
 			}
 		}(i)
 	}
-	// Wait until every member is queued behind the in-flight leader.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		cli.gmu.Lock()
-		q := cli.getQueues["slow"]
-		queued := 0
-		if q != nil {
-			queued = len(q.waiters)
-		}
-		cli.gmu.Unlock()
-		if queued == members {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d members queued", queued, members)
-		}
+	// Wait until every member's frame is on the wire behind the parked one.
+	for deadline := time.Now().Add(5 * time.Second); cli.Frames() < members+2 && time.Now().Before(deadline); {
 		time.Sleep(100 * time.Microsecond)
 	}
 	close(st.release)
-	if err := <-leaderDone; err != nil {
-		t.Fatalf("leader Get = %v", err)
+	if err := <-firstDone; err != nil {
+		t.Fatalf("first Get = %v", err)
 	}
 	wg.Wait()
 
-	// meta + the leader's solo get + one getbatch for all members.
-	if f := cli.Frames(); f != 3 {
-		t.Errorf("frames = %d, want 3 (meta + get + getbatch for %d members)", f, members)
+	if f := cli.Frames(); f != members+2 {
+		t.Errorf("frames = %d, want %d (meta + one get per caller)", f, members+2)
 	}
 	if rt := cli.RoundTrips(); rt != members+2 {
-		t.Errorf("round trips = %d, want %d (logical count is per caller)", rt, members+2)
+		t.Errorf("round trips = %d, want %d", rt, members+2)
 	}
 }
 
@@ -175,8 +161,7 @@ func key(i int) string { return "m" + string(rune('a'+i)) }
 
 // BenchmarkMuxConcurrentGets drives many goroutines' Gets through one
 // multiplexed client against a loopback server — the wire-level shape of a
-// concurrent augmentation. Frame sharing and demux both show up in the
-// ns/op and allocs/op here.
+// concurrent augmentation. Demux shows up in the ns/op and allocs/op here.
 func BenchmarkMuxConcurrentGets(b *testing.B) {
 	kv := kvstore.New("bench")
 	const nkeys = 256
