@@ -79,9 +79,8 @@ var (
 	serverBadOps   *telemetry.Counter
 
 	// clientFrames counts the frames clients actually put on the wire, per
-	// op. With multiplexing and get-batching, this runs well below the
-	// logical request count (Client.RoundTrips); the per-op breakdown is
-	// what lets the frames-saved-vs-round-trips story be told per op.
+	// op. Retries run it above the logical request count
+	// (Client.RoundTrips); the per-op breakdown shows which op retried.
 	clientFrames = map[string]*telemetry.Counter{}
 
 	// Per-op client byte accounting, both directions (headers included) — the
