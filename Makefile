@@ -33,11 +33,12 @@ bench:
 	$(GO) test -bench=. -benchmem
 
 # Concurrency microbenchmarks of the fetch hot path (sharded cache, wire
-# mux) with allocation counts, and the per-request working set of a
-# 50-origin range augmentation (SearchRange50).
+# mux) with allocation counts, the per-request working set of a 50-origin
+# range augmentation (SearchRange50), and the allocations of one warm
+# /search through the server's handler (HandleSearchWarm).
 bench-hotpath:
-	$(GO) test -bench='CacheGet|Mux|SearchRange50' -benchmem -run='^$$' \
-		./internal/cache/ ./internal/wire/ ./internal/augment/
+	$(GO) test -bench='CacheGet|Mux|SearchRange50|HandleSearchWarm' -benchmem -run='^$$' \
+		./internal/cache/ ./internal/wire/ ./internal/augment/ ./cmd/quepa-server/
 
 # The scan stores' range selection (50 seq values of 10,000 rows), read
 # through each store's ordered index and by a scan: relstore, docstore and

@@ -14,7 +14,6 @@ import (
 	"quepa/internal/augment"
 	"quepa/internal/core"
 	"quepa/internal/explain"
-	"quepa/internal/optimizer"
 	"quepa/internal/resilience"
 	"quepa/internal/server"
 	"quepa/internal/telemetry"
@@ -285,8 +284,6 @@ func TestEncodeSectionsMatchReference(t *testing.T) {
 	if profile == nil || len(profile.Augmentations) == 0 {
 		t.Fatalf("no profile recorded: %+v", profile)
 	}
-	_, dec := optimizer.NewAdaptive().ChooseExplained(optimizer.QueryFeatures{Level: 1, NumStores: built.Poly.Size()}, 4096)
-	profile.Optimizer = &dec
 	degraded := []augment.Degradation{
 		{Store: "catalogue", Reason: "breaker_open", Level: 1},
 		{Store: "similar-<items>", Reason: `dial tcp: "refused" & gone`, Level: 0},

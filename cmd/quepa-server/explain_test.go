@@ -17,14 +17,11 @@ import (
 const searchQuery = `SELECT * FROM inventory WHERE seq < 2`
 
 // TestSearchExplainProfile checks the full EXPLAIN artifact on a /search
-// response: identity, optimizer provenance (untrained fallback on a fresh
-// server), the augmentation trace, and the totals — and that /debug/explain
-// derives the same profile, less the optimizer section, from the kept trace.
+// response: identity, the augmentation trace, and the totals — and that
+// /debug/explain derives the same profile from the kept trace.
 func TestSearchExplainProfile(t *testing.T) {
 	s := newTestServer(t)
 	withKeepEverythingTracer(t)
-	reg := telemetry.Default()
-	before := reg.CounterValue("quepa_optimizer_fallback_total", telemetry.L("reason", "untrained"))
 
 	q := url.QueryEscape(searchQuery)
 	code, body := do(t, s.Handler(), "GET", "/search?db=transactions&q="+q+"&level=1&explain=1")
@@ -40,26 +37,6 @@ func TestSearchExplainProfile(t *testing.T) {
 	}
 	if q, _ := p["query"].(string); !strings.Contains(q, "inventory") {
 		t.Errorf("profile query = %q", q)
-	}
-
-	// A fresh server's optimizer is untrained: the decision must say so
-	// explicitly — both in the profile and on the fallback counter.
-	opt, ok := p["optimizer"].(map[string]any)
-	if !ok {
-		t.Fatalf("profile has no optimizer decision: %v", p)
-	}
-	if opt["optimizer"] != "ADAPTIVE" || opt["trained"] != false {
-		t.Errorf("decision = %v", opt)
-	}
-	if reason, _ := opt["fallback_reason"].(string); !strings.Contains(reason, "not trained") {
-		t.Errorf("fallback_reason = %v", opt["fallback_reason"])
-	}
-	chosen, _ := opt["chosen"].(map[string]any)
-	if chosen["strategy"] != "OUTER-BATCH" {
-		t.Errorf("chosen = %v", chosen)
-	}
-	if got := reg.CounterValue("quepa_optimizer_fallback_total", telemetry.L("reason", "untrained")); got != before+1 {
-		t.Errorf("optimizer_fallback_total = %d, want %d", got, before+1)
 	}
 
 	augs, ok := p["augmentations"].([]any)
@@ -82,7 +59,7 @@ func TestSearchExplainProfile(t *testing.T) {
 	}
 
 	// The kept trace of the same request derives the same profile in
-	// /debug/explain, except for the decision, which is not in the tree.
+	// /debug/explain.
 	code, dbg := do(t, s.Handler(), "GET", "/debug/explain")
 	if code != http.StatusOK {
 		t.Fatalf("debug status = %d", code)
@@ -95,12 +72,8 @@ func TestSearchExplainProfile(t *testing.T) {
 		t.Errorf("sampling = %v", dbg["sampling"])
 	}
 	kept := profiles[0].(map[string]any)
-	if _, ok := kept["optimizer"]; ok {
-		t.Errorf("a profile derived from a kept trace has an optimizer section: %v", kept["optimizer"])
-	}
 	// The response's wall time ran to the moment it was derived; the kept
 	// root's runs to its end. Every span below had ended in both.
-	delete(p, "optimizer")
 	delete(p, "wall_ms")
 	delete(kept, "wall_ms")
 	if got, want := mustJSON(t, kept), mustJSON(t, p); got != want {
@@ -115,50 +88,6 @@ func mustJSON(t *testing.T, v any) string {
 		t.Fatal(err)
 	}
 	return string(b)
-}
-
-// TestExplainTrainedDecision drives enough traffic through the server for
-// the optimizer to train, then checks a trained decision's provenance: feature
-// vector, all four trees consulted or annotated, no fallback.
-func TestExplainTrainedDecision(t *testing.T) {
-	s := newTestServer(t)
-	q := url.QueryEscape(searchQuery)
-	// The optimizer retrains itself every 256 logged runs; searchQuery has
-	// two origins, so no answer comes whole from the result cache unlogged.
-	for i := 0; i < 256; i++ {
-		if code, _ := do(t, s.Handler(), "GET", "/search?db=transactions&q="+q+"&level=1"); code != http.StatusOK {
-			t.Fatalf("warmup search failed")
-		}
-	}
-
-	code, body := do(t, s.Handler(), "GET", "/search?db=transactions&q="+q+"&level=1&explain=1")
-	if code != http.StatusOK {
-		t.Fatalf("status = %d: %v", code, body)
-	}
-	opt := body["explain"].(map[string]any)["optimizer"].(map[string]any)
-	if opt["trained"] != true {
-		t.Fatalf("decision = %v", opt)
-	}
-	if _, ok := opt["fallback_reason"]; ok {
-		t.Errorf("trained decision has fallback_reason: %v", opt)
-	}
-	names, _ := opt["feature_names"].([]any)
-	features, _ := opt["features"].([]any)
-	if len(names) != 5 || len(features) != 5 || names[0] != "result_size" {
-		t.Errorf("features = %v %v", names, features)
-	}
-	// The previous run of this query signature supplied the sizes.
-	if features[0].(float64) <= 0 {
-		t.Errorf("result_size feature = %v, want the last observed size", features[0])
-	}
-	trees, _ := opt["trees"].([]any)
-	if len(trees) != 4 {
-		t.Fatalf("trees = %v", trees)
-	}
-	t1 := trees[0].(map[string]any)
-	if t1["tree"] != "T1" || t1["consulted"] != true || t1["raw"] == "" {
-		t.Errorf("T1 = %v", t1)
-	}
 }
 
 func TestSearchExplainParamValidation(t *testing.T) {
@@ -377,6 +306,8 @@ func TestHandleTracesFilters(t *testing.T) {
 	}
 }
 
+// TestStatsBuildAndOptimizerSections: /stats reports how the binary was
+// built, and has no optimizer section, since the server makes no decision.
 func TestStatsBuildAndOptimizerSections(t *testing.T) {
 	s := newTestServer(t)
 	code, body := do(t, s.Handler(), "GET", "/stats")
@@ -390,17 +321,8 @@ func TestStatsBuildAndOptimizerSections(t *testing.T) {
 	if goVer, _ := build["go"].(string); !strings.HasPrefix(goVer, "go") {
 		t.Errorf("build.go = %v", build["go"])
 	}
-	opt, ok := body["optimizer"].(map[string]any)
-	if !ok {
-		t.Fatalf("stats missing optimizer section: %v", body)
-	}
-	if opt["name"] != "ADAPTIVE" || opt["trained"] != false {
-		t.Errorf("optimizer section = %v", opt)
-	}
-	for _, key := range []string{"runs", "fallbacks", "retrains"} {
-		if _, ok := opt[key]; !ok {
-			t.Errorf("optimizer section missing %q: %v", key, opt)
-		}
+	if opt, ok := body["optimizer"]; ok {
+		t.Errorf("stats has an optimizer section: %v", opt)
 	}
 }
 

@@ -32,7 +32,6 @@ var keepUnreached = map[string]string{
 	"memlimit.Accountant.Peak":          "test seam of the OOM model behind Fig. 13",
 	"memlimit.Accountant.Budget":        "test seam of the OOM model behind Fig. 13",
 	"c45.Tree.Leaves":                   "test seam: the pruning assertions",
-	"optimizer.Adaptive.SaveLogs":       "test seam: the server's decision tests read the logged configs through it",
 	"slo.Engine.Tripped":                "test seam: the once-only trip",
 	"graphstore.Store.DeleteNode":       "test seam: the ordered-index equivalence histories delete nodes",
 	"telemetry.DefaultLogger":           "test seam: the default logger redirect",

@@ -154,9 +154,6 @@ type Answer struct {
 	Original  []core.Object
 	Augmented []AugmentedObject
 	Degraded  []Degradation
-	// Memoized reports an augmentation served whole from the result cache's
-	// outcome entry: no strategy ran, so its time says nothing about one.
-	Memoized bool
 }
 
 // Size returns the total number of data objects in the answer.
@@ -205,8 +202,7 @@ type Augmenter struct {
 	// cfgMu guards cfg, the configuration Search and AugmentObjects run:
 	// SetConfig may swap it while request goroutines are inside them.
 	// Readers snapshot the whole Config once (Config()) and work off the
-	// copy, so a query runs one coherent configuration end to end. SearchWith
-	// bypasses it with a configuration chosen per query.
+	// copy, so a query runs one coherent configuration end to end.
 	cfgMu sync.RWMutex
 	cfg   Config
 
@@ -295,14 +291,6 @@ func (a *Augmenter) ClearCache() { a.cache.Clear() }
 // its database with the local language, and its result is augmented at the
 // given level under the augmenter's current configuration.
 func (a *Augmenter) Search(ctx context.Context, database, query string, level int) (*Answer, error) {
-	return a.SearchWith(ctx, a.Config(), database, query, level)
-}
-
-// SearchWith is Search under a configuration chosen for this one query — the
-// adaptive optimizer's decision travels with its request instead of through
-// the shared configuration. cfg.CacheSize is not applied: the object cache is
-// shared, and resizing it is the caller's business.
-func (a *Augmenter) SearchWith(ctx context.Context, cfg Config, database, query string, level int) (*Answer, error) {
 	ctx, span := telemetry.StartSpan(ctx, "augment.search")
 	defer span.End()
 	span.SetAttr("db", database)
@@ -326,11 +314,11 @@ func (a *Augmenter) SearchWith(ctx context.Context, cfg Config, database, query 
 	}
 	qspan.SetAttr("objects", itoa(len(original)))
 	qspan.End()
-	augmented, degraded, memoized, err := a.augment(ctx, cfg.withDefaults(), original, level)
+	augmented, degraded, err := a.augment(ctx, a.Config(), original, level)
 	if err != nil {
 		return nil, err
 	}
-	return &Answer{Original: original, Augmented: augmented, Degraded: degraded, Memoized: memoized}, nil
+	return &Answer{Original: original, Augmented: augmented, Degraded: degraded}, nil
 }
 
 // AugmentObjects applies the augmentation construct of level n to a set of
@@ -344,16 +332,14 @@ func (a *Augmenter) SearchWith(ctx context.Context, cfg Config, database, query 
 // Degradation list while the healthy stores' results come back intact. Only
 // context cancellation and deadline expiry abort the whole call.
 func (a *Augmenter) AugmentObjects(ctx context.Context, origins []core.Object, level int) ([]AugmentedObject, []Degradation, error) {
-	out, degraded, _, err := a.augment(ctx, a.Config(), origins, level)
-	return out, degraded, err
+	return a.augment(ctx, a.Config(), origins, level)
 }
 
 // augment is AugmentObjects under cfg, one coherent configuration for the
-// whole augmentation. memoized reports an outcome served whole from the
-// result cache, which no strategy ran.
-func (a *Augmenter) augment(ctx context.Context, cfg Config, origins []core.Object, level int) (out []AugmentedObject, degraded []Degradation, memoized bool, err error) {
+// whole augmentation.
+func (a *Augmenter) augment(ctx context.Context, cfg Config, origins []core.Object, level int) (out []AugmentedObject, degraded []Degradation, err error) {
 	if level < 0 {
-		return nil, nil, false, fmt.Errorf("augment: negative level %d", level)
+		return nil, nil, fmt.Errorf("augment: negative level %d", level)
 	}
 	strategy := cfg.Strategy
 	ctx, span := telemetry.StartSpan(ctx, "augment.objects")
@@ -383,7 +369,7 @@ func (a *Augmenter) augment(ctx context.Context, cfg Config, origins []core.Obje
 				span.SetAttr("rcache_hits", "1")
 				span.SetAttr("fetched", itoa(len(out)))
 			}
-			return out, nil, true, nil
+			return out, nil, nil
 		}
 		memoize = true
 	}
@@ -400,7 +386,7 @@ func (a *Augmenter) augment(ctx context.Context, cfg Config, origins []core.Obje
 	if len(plan.order) == 0 {
 		strategyHist(strategy).Since(start)
 		sink.report(span, 0, nil)
-		return nil, sink.degradations(), false, nil
+		return nil, sink.degradations(), nil
 	}
 	switch cfg.Strategy {
 	case Sequential:
@@ -424,7 +410,7 @@ func (a *Augmenter) augment(ctx context.Context, cfg Config, origins []core.Obje
 			c.Inc()
 		}
 		sink.report(span, 0, err)
-		return nil, nil, false, err
+		return nil, nil, err
 	}
 	out = plan.answer(sink)
 	// Only clean outcomes are cacheable: a degraded answer reflects a
@@ -433,7 +419,7 @@ func (a *Augmenter) augment(ctx context.Context, cfg Config, origins []core.Obje
 		a.rc.PutOutcome(outKey, outStamp, out)
 	}
 	sink.report(span, len(out), nil)
-	return out, sink.degradations(), false, nil
+	return out, sink.degradations(), nil
 }
 
 // plan is the resolved fetch work of one augmentation, laid out by slot:

@@ -55,9 +55,6 @@ func TestRecorderLifecycle(t *testing.T) {
 	if p.Route != "/search" || p.Database != "transactions" || p.Query != "SELECT * FROM sales" || p.Level != 2 || p.WallMS != 9 {
 		t.Errorf("identity = %q %q %q %d %v", p.Route, p.Database, p.Query, p.Level, p.WallMS)
 	}
-	if p.Optimizer != nil {
-		t.Errorf("a trace carries no optimizer decision, got %+v", p.Optimizer)
-	}
 	if lq := p.LocalQuery; lq == nil || lq.Store != "transactions" || lq.Calls != 1 || lq.Objects != 5 || lq.MaxBatch != 5 {
 		t.Errorf("local query = %+v", p.LocalQuery)
 	}
@@ -287,26 +284,12 @@ func TestBufferEvictionAndOrdering(t *testing.T) {
 
 func TestWriteTree(t *testing.T) {
 	p := FromTrace(searchTrace())
-	p.Optimizer = &Decision{
-		Optimizer:    "ADAPTIVE",
-		Trained:      true,
-		FeatureNames: []string{"result_size"},
-		Features:     []float64{5},
-		Trees: []TreeVote{
-			{Tree: "T1", Consulted: true, Raw: "BATCH", Clamped: "BATCH"},
-			{Tree: "T3", Note: "strategy not concurrent"},
-		},
-		Chosen: ChosenConfig{Strategy: "BATCH", BatchSize: 64},
-	}
 
 	var sb strings.Builder
 	p.WriteTree(&sb)
 	out := sb.String()
 	for _, want := range []string{
 		"/search", "db=transactions", "SELECT * FROM sales",
-		"optimizer ADAPTIVE", "result_size=5",
-		"T1 raw=BATCH", "T3 skipped (strategy not concurrent)",
-		"chosen BATCH",
 		"augment level=2 strategy=OUTER-BATCH",
 		"candidates=12",
 		"catalogue getbatch",

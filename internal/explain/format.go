@@ -25,41 +25,6 @@ func (p *Profile) WriteTree(w io.Writer) {
 		p.WallMS, p.Totals.Objects, p.Totals.StoreCalls, p.Totals.StoreErrors,
 		p.Totals.BytesSent, p.Totals.BytesReceived)
 
-	if o := p.Optimizer; o != nil {
-		fmt.Fprintf(w, "  optimizer %s", o.Optimizer)
-		if !o.Trained {
-			fmt.Fprint(w, " (untrained)")
-		}
-		fmt.Fprintln(w)
-		if len(o.FeatureNames) == len(o.Features) && len(o.Features) > 0 {
-			fmt.Fprint(w, "    features")
-			for i, name := range o.FeatureNames {
-				fmt.Fprintf(w, " %s=%g", name, o.Features[i])
-			}
-			fmt.Fprintln(w)
-		}
-		for _, t := range o.Trees {
-			fmt.Fprintf(w, "    %s", t.Tree)
-			if !t.Consulted {
-				fmt.Fprintf(w, " skipped (%s)\n", t.Note)
-				continue
-			}
-			fmt.Fprintf(w, " raw=%s", t.Raw)
-			if t.Clamped != "" {
-				fmt.Fprintf(w, " -> %s", t.Clamped)
-			}
-			if t.Note != "" {
-				fmt.Fprintf(w, " (%s)", t.Note)
-			}
-			fmt.Fprintln(w)
-		}
-		fmt.Fprintf(w, "    chosen %s(batch=%d,threads=%d,cache=%d)\n",
-			o.Chosen.Strategy, o.Chosen.BatchSize, o.Chosen.ThreadsSize, o.Chosen.CacheSize)
-		if o.FallbackReason != "" {
-			fmt.Fprintf(w, "    fallback: %s\n", o.FallbackReason)
-		}
-	}
-
 	if lq := p.LocalQuery; lq != nil {
 		fmt.Fprintf(w, "  local query %s: %d objects in %.3fms", lq.Store, lq.Objects, lq.WallMS)
 		if lq.Errors > 0 {

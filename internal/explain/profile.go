@@ -2,10 +2,9 @@ package explain
 
 import "time"
 
-// Profile is the structured EXPLAIN artifact of one query: identity, the
-// optimizer's decision provenance, one trace per augmentation call, and the
-// end-to-end totals. It marshals to the JSON embedded in `?explain=1`
-// responses and served by /debug/explain.
+// Profile is the structured EXPLAIN artifact of one query: identity, one
+// trace per augmentation call, and the end-to-end totals. It marshals to the
+// JSON embedded in `?explain=1` responses and served by /debug/explain.
 type Profile struct {
 	Route    string    `json:"route"`
 	Database string    `json:"db,omitempty"`
@@ -14,9 +13,6 @@ type Profile struct {
 	Start    time.Time `json:"start"`
 	WallMS   float64   `json:"wall_ms"`
 
-	// Optimizer is the decision provenance, attached by the handler that ran
-	// the optimizer; a profile derived from a kept trace has none.
-	Optimizer *Decision `json:"optimizer,omitempty"`
 	// LocalQuery is the native-language query producing the original result.
 	LocalQuery *StoreFanout `json:"local_query,omitempty"`
 	// Augmentations holds one trace per AugmentObjects call — one for a
@@ -57,7 +53,7 @@ type DegradedStore struct {
 //
 // The type deliberately carries plain strings and numbers rather than
 // augment/optimizer types: explain sits below both packages in the import
-// graph, so the optimizer can build one and the server can attach it.
+// graph, so the optimizer can build one without an import cycle.
 type Decision struct {
 	Optimizer      string       `json:"optimizer"`
 	Trained        bool         `json:"trained"`

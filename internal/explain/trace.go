@@ -18,8 +18,7 @@ import (
 const maxRetryTraces = 32
 
 // FromTrace derives the profile of one request from its span tree: the route
-// is the root's name without "http ", the wall time the root's duration. The
-// optimizer decision is not in the tree; the caller attaches it.
+// is the root's name without "http ", the wall time the root's duration.
 func FromTrace(root telemetry.SpanJSON) *Profile {
 	p := &Profile{Route: strings.TrimPrefix(root.Name, "http "), Start: root.Start, WallMS: root.DurationMS}
 	p.Totals.Objects, p.Totals.RankPruned = num(root.Attrs, "objects"), num(root.Attrs, "rank_pruned")

@@ -159,20 +159,6 @@ func (a *Adaptive) chronological() []RunLog {
 	return append(out, a.logs[:a.head]...)
 }
 
-// LogCount returns the number of recorded runs.
-func (a *Adaptive) LogCount() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.logs)
-}
-
-// Trained reports whether models are available.
-func (a *Adaptive) Trained() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.t1 != nil
-}
-
 // Train fits T1–T4 on the recorded logs (Phase 2). For every distinct query
 // (grouped by features) the fastest run provides the training example: its
 // strategy labels T1, and its parameters feed the regression trees. The

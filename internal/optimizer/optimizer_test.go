@@ -87,8 +87,8 @@ func TestTrainRequiresLogs(t *testing.T) {
 	if err := a.Train(); err == nil {
 		t.Error("training without logs should fail")
 	}
-	if a.Trained() {
-		t.Error("untrained optimizer reports trained")
+	if _, d := a.ChooseExplained(QueryFeatures{}, 0); d.Trained {
+		t.Error("untrained optimizer reports a trained decision")
 	}
 }
 
@@ -106,8 +106,8 @@ func TestAdaptiveLearnsCostStructure(t *testing.T) {
 	if err := a.Train(); err != nil {
 		t.Fatal(err)
 	}
-	if !a.Trained() {
-		t.Fatal("not trained after Train")
+	if _, d := a.ChooseExplained(QueryFeatures{}, 0); !d.Trained {
+		t.Fatal("no trained decision after Train")
 	}
 
 	// Distributed large query: a batched augmenter must be chosen.
@@ -204,14 +204,14 @@ func TestAutoRetrain(t *testing.T) {
 			Duration: time.Millisecond,
 		})
 	}
-	if !a.Trained() {
+	if _, d := a.ChooseExplained(f, 0); !d.Trained {
 		t.Fatal("auto-retrain did not fire")
 	}
 	if got := a.Choose(f, 0).Strategy; got != augment.Outer {
 		t.Errorf("after auto-retrain chose %v", got)
 	}
-	if a.LogCount() != 10 {
-		t.Errorf("LogCount = %d", a.LogCount())
+	if n := len(keptRuns(a)); n != 10 {
+		t.Errorf("log holds %d runs, want 10", n)
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"quepa/internal/augment"
 	"quepa/internal/core"
 	"quepa/internal/explain"
-	"quepa/internal/optimizer"
 	"quepa/internal/slo"
 	"quepa/internal/telemetry"
 )
@@ -349,20 +348,13 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	cfg, dec := s.chooseConfig(db, q, level)
-	start := time.Now()
-	answer, err := s.aug.SearchWith(r.Context(), cfg, db, q, level)
+	answer, err := s.aug.Search(r.Context(), db, q, level)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.observe(db, q, level, cfg, answer, time.Since(start))
 	ranked := answer.Rank(minProb, topK)
 	profile := explainProfile(r, len(answer.Original)+len(ranked), len(answer.Augmented)-len(ranked), explainOn)
-	if profile != nil {
-		d := dec
-		profile.Optimizer = &d
-	}
 	buf := bodyPool.Get().(*[]byte)
 	body, err := AppendSearch(*buf, answer.Original, ranked, answer.Degraded, profile)
 	if err != nil {
@@ -389,69 +381,6 @@ func explainProfile(r *http.Request, objects, pruned int, attach bool) *explain.
 		return nil
 	}
 	return explain.FromSpan(root)
-}
-
-// chooseConfig runs the adaptive optimizer for one query and returns the
-// configuration that query runs, with the decision's provenance. Its
-// features — result and augmentation sizes — are only known once the query
-// ran, so the previous observation of the same query signature stands in
-// (zeroes on first sight). An untrained decision runs the base
-// configuration. The decision travels with the request; the one piece of it
-// that is shared, CACHE_SIZE, resizes the object cache here.
-func (s *Server) chooseConfig(db, q string, level int) (augment.Config, explain.Decision) {
-	s.optMu.Lock()
-	last := s.lastSeen[queryKey{db, q, level}]
-	s.optMu.Unlock()
-	f := optimizer.QueryFeatures{
-		ResultSize:    last.result,
-		AugmentedSize: last.augmented,
-		Level:         level,
-		NumStores:     s.built.Poly.Size(),
-	}
-	cache := s.aug.Cache()
-	cfg, dec := s.opt.ChooseExplained(f, cache.Capacity())
-	if !dec.Trained {
-		cfg = baseConfig
-		cfg.CacheSize = cache.Capacity()
-		dec.Chosen = explain.ChosenConfig{Strategy: cfg.Strategy.String(),
-			BatchSize: cfg.BatchSize, ThreadsSize: cfg.ThreadsSize, CacheSize: cfg.CacheSize}
-	} else if cfg.CacheSize != cache.Capacity() {
-		cache.Resize(cfg.CacheSize)
-	}
-	return cfg, dec
-}
-
-// observe feeds a completed search back into the optimizer (Phase 1) under
-// the configuration it ran, and remembers its observed sizes for the next
-// decision on the same query. An augmentation served whole from the result
-// cache is remembered but not logged: its time measures the cache, not cfg.
-func (s *Server) observe(db, q string, level int, cfg augment.Config, answer *augment.Answer, elapsed time.Duration) {
-	f := optimizer.QueryFeatures{
-		ResultSize:    len(answer.Original),
-		AugmentedSize: len(answer.Augmented),
-		Level:         level,
-		NumStores:     s.built.Poly.Size(),
-	}
-	s.remember(queryKey{db, q, level}, lastRun{result: f.ResultSize, augmented: f.AugmentedSize})
-	if !answer.Memoized {
-		s.opt.Log(optimizer.RunLog{Features: f, Config: cfg, Duration: elapsed})
-	}
-}
-
-// remember records a signature's last observed sizes, evicting the
-// first-seen signature once maxLastSeen are held.
-func (s *Server) remember(sig queryKey, run lastRun) {
-	s.optMu.Lock()
-	defer s.optMu.Unlock()
-	if _, known := s.lastSeen[sig]; !known {
-		if len(s.lastSeenOrder) >= maxLastSeen {
-			oldest := s.lastSeenOrder[0]
-			s.lastSeenOrder = s.lastSeenOrder[1:]
-			delete(s.lastSeen, oldest)
-		}
-		s.lastSeenOrder = append(s.lastSeenOrder, sig)
-	}
-	s.lastSeen[sig] = run
 }
 
 func (s *Server) handleObject(w http.ResponseWriter, r *http.Request) {
@@ -564,8 +493,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	seen, kept := telemetry.DefaultTracer().Stats()
 	reg := telemetry.Default()
-	fallbacks := reg.CounterValue("quepa_optimizer_fallback_total", telemetry.L("reason", "untrained")) +
-		reg.CounterValue("quepa_optimizer_fallback_total", telemetry.L("reason", "parse_strategy"))
 	var durability any
 	if s.wal != nil {
 		durability = s.wal.Stats()
@@ -588,10 +515,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		clusterSection = map[string]any{"enabled": false}
 	}
 	rcStats := s.rcache.Stats()
-	// The base configuration, with the cache at the size the optimizer's
-	// decisions have moved it to; a trained decision picks the rest per query.
-	baseCfg := s.aug.Config()
-	baseCfg.CacheSize = s.aug.Cache().Capacity()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"cluster":    clusterSection,
 		"slo":        sloSection,
@@ -612,7 +535,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"cache_len":   s.aug.Cache().Len(),
 		"cache_hits":  oc.Hits,
 		"cache_miss":  oc.Misses,
-		"config":      baseCfg.String(),
+		"config":      s.aug.Config().String(),
 		"build":       buildSection(),
 		"aindex": map[string]any{
 			"snapshot":        s.built.Index.SnapshotInfo(),
@@ -625,13 +548,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"breakers":         s.res.Snapshot(),
 			"any_open":         s.res.AnyOpen(),
 			"degraded_answers": reg.CounterValue("quepa_augment_degraded_total"),
-		},
-		"optimizer": map[string]any{
-			"name":      s.opt.Name(),
-			"trained":   s.opt.Trained(),
-			"runs":      s.opt.LogCount(),
-			"fallbacks": fallbacks,
-			"retrains":  reg.CounterValue("quepa_optimizer_retrain_total"),
 		},
 		"telemetry": map[string]any{
 			"cache_hit_ratio":   s.aug.Cache().HitRatio(),

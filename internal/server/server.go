@@ -25,10 +25,11 @@
 //	GET /debug/explain?route=…             recent EXPLAIN profiles, slowest first
 //	GET /debug/pprof/…                     net/http/pprof profiles (only with Debug)
 //
-// Every search consults the adaptive optimizer (Section V), runs the
-// configuration it chose for that request, and logs the completed run back
-// into it, so the server's configuration converges as traffic flows;
-// explain=1 exposes each decision's provenance.
+// Every search and every exploration step runs one configuration,
+// OUTER-BATCH with 64-key batches and 8 threads. The adaptive optimizer of
+// Section V (internal/optimizer) learns from runs of different
+// configurations, which a server that runs one never produces, so the
+// server has no decision step (DESIGN.md §3.13).
 //
 // With DataDir the server runs durably: index mutations (removals from
 // degraded scans, path promotions) are journaled to a write-ahead log, the
@@ -62,7 +63,6 @@ import (
 	"quepa/internal/augment"
 	"quepa/internal/cluster"
 	"quepa/internal/core"
-	"quepa/internal/optimizer"
 	"quepa/internal/rcache"
 	"quepa/internal/resilience"
 	"quepa/internal/slo"
@@ -114,14 +114,10 @@ const (
 	resultCacheCap = 4096
 	// checkpointEvery bounds the log tail a crash has to replay.
 	checkpointEvery = 5 * time.Minute
-	// retrainEvery and maxRunLogs pace and bound the optimizer's training.
-	retrainEvery = 256
-	maxRunLogs   = 4096
 )
 
-// baseConfig is the configuration a search runs until the optimizer has
-// trained — and, because the run log then only ever holds it, the one the
-// trained trees keep choosing.
+// baseConfig is the one configuration every search and exploration runs:
+// OUTER-BATCH, the paper's best augmenter (Fig. 11), with its object cache.
 var baseConfig = augment.Config{Strategy: augment.OuterBatch, BatchSize: 64, ThreadsSize: 8, CacheSize: 4096}
 
 // Server is one assembled QUEPA serving stack.
@@ -131,9 +127,10 @@ type Server struct {
 	tracker *aindex.PathTracker
 	mux     *http.ServeMux
 
-	// rcache memoizes Reach result sets and augmentation outcomes, keyed by
-	// the index's snapshot epoch so mutations invalidate for free. It is
-	// shared with the cluster coordinator in sharded mode.
+	// rcache memoizes Reach result sets and augmentation outcomes. Each entry
+	// carries its origin's component stamp (aindex.Index.Stamp), so a
+	// mutation invalidates only the island it touched. It is shared with the
+	// cluster coordinator in sharded mode.
 	rcache *rcache.Cache
 
 	// wal is the durability manager with DataDir; nil in the default
@@ -154,19 +151,6 @@ type Server struct {
 	// objectives; nil otherwise.
 	slo *slo.Engine
 
-	// Adaptive optimizer state: the optimizer itself, and the last observed
-	// result/augmentation sizes per query signature — a query's features are
-	// only known after it ran, so the previous run of the same query provides
-	// the feature vector for the next decision. The map is bounded at
-	// maxLastSeen signatures (first-seen order eviction, lastSeenOrder) so
-	// high-cardinality query traffic cannot grow it for the life of the
-	// server; an evicted signature simply decides from zero features again.
-	// optMu guards the map and its order, nothing else.
-	opt           *optimizer.Adaptive
-	optMu         sync.Mutex
-	lastSeen      map[queryKey]lastRun
-	lastSeenOrder []queryKey
-
 	mu       sync.Mutex
 	sessions map[string]*session
 	nextID   int
@@ -185,34 +169,17 @@ type session struct {
 	e  *augment.Exploration
 }
 
-type lastRun struct {
-	result, augmented int
-}
-
-// queryKey identifies a query for lastSeen: comparable, so looking it up
-// builds no string.
-type queryKey struct {
-	db, q string
-	level int
-}
-
-// maxLastSeen bounds the per-signature feature memory, mirroring the
-// optimizer's MaxLogs bound on its run log.
-const maxLastSeen = 4096
-
 // New assembles a server: telemetry settings, the workload (generated, from
 // Config.Workload, with an -index snapshot, or recovered from DataDir), the
 // wire or cluster mode, per-store circuit breakers, the augmenter with its
-// caches and optimizer, the SLO engine and the checkpoint loop. Every store
-// is re-registered behind a circuit breaker before the augmenter captures
-// it, so a store that keeps failing costs one fast rejection per query
-// instead of a doomed round trip per fetch. On error, whatever New had
-// already opened is closed again.
+// caches, the SLO engine and the checkpoint loop. Every store is
+// re-registered behind a circuit breaker before the augmenter captures it,
+// so a store that keeps failing costs one fast rejection per query instead
+// of a doomed round trip per fetch. On error, whatever New had already
+// opened is closed again.
 func New(cfg Config) (*Server, error) {
 	s := &Server{
 		rcache:   rcache.New(resultCacheCap),
-		opt:      &optimizer.Adaptive{RetrainEvery: retrainEvery, MaxLogs: maxRunLogs},
-		lastSeen: map[queryKey]lastRun{},
 		sessions: map[string]*session{},
 	}
 	if err := s.assemble(cfg); err != nil {
@@ -446,8 +413,6 @@ func (s *Server) registerMetrics() {
 			defer s.mu.Unlock()
 			return float64(len(s.sessions))
 		})
-	reg.GaugeFunc("quepa_optimizer_runs", "run logs recorded by the adaptive optimizer",
-		func() float64 { return float64(s.opt.LogCount()) })
 	reg.GaugeFunc("quepa_breakers_open", "stores whose circuit breaker is currently open",
 		func() float64 {
 			var open float64

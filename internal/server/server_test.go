@@ -4,11 +4,11 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strconv"
 	"testing"
 	"time"
 
-	"quepa/internal/augment"
 	"quepa/internal/workload"
 )
 
@@ -53,36 +53,6 @@ func do(t testing.TB, s *Server, method, target string) (int, map[string]any) {
 	return rec.Code, body
 }
 
-// TestLastSeenBounded: the per-signature feature memory must not grow past
-// maxLastSeen under high-cardinality query traffic; the oldest (first-seen)
-// signatures are evicted, updates to known signatures don't consume slots.
-func TestLastSeenBounded(t *testing.T) {
-	s := mustNew(t, Config{Workload: smallWorkload(t)})
-	// Memoized answers are remembered but not logged: the loop stays clear
-	// of the optimizer.
-	answer := &augment.Answer{Memoized: true}
-	for i := 0; i < maxLastSeen+10; i++ {
-		s.observe("transactions", "SELECT "+strconv.Itoa(i), 0, baseConfig, answer, 0)
-	}
-	// Re-observing a known signature must not evict anything further.
-	s.observe("transactions", "SELECT "+strconv.Itoa(maxLastSeen), 0, baseConfig, answer, 0)
-
-	s.optMu.Lock()
-	defer s.optMu.Unlock()
-	if len(s.lastSeen) != maxLastSeen || len(s.lastSeenOrder) != maxLastSeen {
-		t.Fatalf("lastSeen size = %d (order %d), want %d", len(s.lastSeen), len(s.lastSeenOrder), maxLastSeen)
-	}
-	if _, ok := s.lastSeen[queryKey{"transactions", "SELECT 0", 0}]; ok {
-		t.Error("oldest signature survived past the bound")
-	}
-	if _, ok := s.lastSeen[queryKey{"transactions", "SELECT " + strconv.Itoa(maxLastSeen), 0}]; !ok {
-		t.Error("newest signature missing")
-	}
-	if n := s.opt.LogCount(); n != 0 {
-		t.Errorf("memoized answers logged %d runs", n)
-	}
-}
-
 // TestCheckpointLoopBoundsReplay drives the ticker and verifies checkpoints
 // actually land (Stats.Checkpoints grows beyond the seed checkpoint).
 func TestCheckpointLoopBoundsReplay(t *testing.T) {
@@ -104,5 +74,39 @@ func TestCheckpointLoopBoundsReplay(t *testing.T) {
 	startCheckpointLoop(m, 0)()
 	if code, _ := do(t, s, "GET", "/healthz"); code != http.StatusOK {
 		t.Errorf("healthz after the checkpoint loop = %d", code)
+	}
+}
+
+// TestSearchRunsBaseConfig: every search runs the server's one
+// configuration, OUTER-BATCH with 64-key batches, 8 threads and a
+// 4096-object cache. With the result cache off every search runs a
+// strategy; 300 of them go past the 256 runs after which the server's
+// former optimizer loop retrained, and neither the strategy the profile
+// reports nor the configuration /stats reports may move.
+func TestSearchRunsBaseConfig(t *testing.T) {
+	s := mustNew(t, Config{Workload: smallWorkload(t)})
+	s.rcache.Resize(0)
+	const want = "OUTER-BATCH(batch=64,threads=8,cache=4096)"
+	for i := 0; i < 300; i++ {
+		level := 1 + i%2
+		q := "SELECT * FROM inventory WHERE seq < " + strconv.Itoa(1+i%5)
+		code, body := do(t, s, "GET",
+			"/search?explain=1&db=transactions&level="+strconv.Itoa(level)+"&q="+url.QueryEscape(q))
+		if code != http.StatusOK {
+			t.Fatalf("search %d = %d %v", i, code, body)
+		}
+		p, _ := body["explain"].(map[string]any)
+		augs, _ := p["augmentations"].([]any)
+		if len(augs) == 0 {
+			t.Fatalf("search %d: no augmentation in the profile", i)
+		}
+		for _, a := range augs {
+			if ran := a.(map[string]any)["strategy"]; ran != "OUTER-BATCH" {
+				t.Fatalf("search %d ran %v, want OUTER-BATCH", i, ran)
+			}
+		}
+		if _, stats := do(t, s, "GET", "/stats"); stats["config"] != want {
+			t.Fatalf("after search %d /stats config = %v, want %s", i, stats["config"], want)
+		}
 	}
 }
