@@ -69,8 +69,8 @@ func degradedStores(t *testing.T, body map[string]any) []string {
 // through the HTTP surface with a deterministic fault plan and clock: the
 // catalogue store fails its first three requests (netsim down window), each
 // failed search returns 200 with a degraded section instead of an error, the
-// third failure opens the breaker (visible in /stats and as a 503 from
-// /healthz), an open breaker short-circuits without touching the store, and
+// third failure opens the breaker (visible in quepa_breakers_open and as a
+// 503 from /healthz), an open breaker short-circuits without touching the store, and
 // after the cooldown a half-open probe finds the store healthy again and
 // closes the breaker.
 func TestServerChaosBreakerLifecycle(t *testing.T) {
@@ -135,29 +135,22 @@ func TestServerChaosBreakerLifecycle(t *testing.T) {
 	if st := breaker.State(); st != resilience.Open {
 		t.Fatalf("breaker state after 3 failures = %v, want open", st)
 	}
-	if code, body := do(t, s.Handler(), "GET", "/healthz"); code != http.StatusServiceUnavailable || body["status"] != "degraded" {
-		t.Fatalf("healthz with open breaker = %d %v, want 503 degraded", code, body)
+	code, health := do(t, s.Handler(), "GET", "/healthz")
+	if code != http.StatusServiceUnavailable || health["status"] != "degraded" {
+		t.Fatalf("healthz with open breaker = %d %v, want 503 degraded", code, health)
 	}
-	code, stats := do(t, s.Handler(), "GET", "/stats")
-	if code != http.StatusOK {
-		t.Fatalf("stats = %d", code)
-	}
-	res, ok := stats["resilience"].(map[string]any)
-	if !ok {
-		t.Fatalf("stats missing resilience section: %v", stats)
-	}
-	if open, _ := res["any_open"].(bool); !open {
-		t.Errorf("stats resilience.any_open = %v, want true", res["any_open"])
+	if open := metric(t, s.Handler(), "quepa_breakers_open"); open != 1 {
+		t.Errorf("quepa_breakers_open = %v, want 1", open)
 	}
 	foundOpen := false
-	for _, b := range res["breakers"].([]any) {
+	for _, b := range health["breakers"].([]any) {
 		snap := b.(map[string]any)
 		if snap["store"] == "catalogue" && snap["state"] == "open" {
 			foundOpen = true
 		}
 	}
 	if !foundOpen {
-		t.Errorf("stats breakers missing open catalogue: %v", res["breakers"])
+		t.Errorf("healthz breakers missing open catalogue: %v", health["breakers"])
 	}
 
 	// While open and inside the cooldown, searches short-circuit: still 200 +

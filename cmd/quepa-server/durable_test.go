@@ -21,9 +21,10 @@ import (
 func TestOpenDurableSeedsThenRecovers(t *testing.T) {
 	dir := t.TempDir()
 	built := smallWorkload(t)
+	seeded := built.Index
 	s := mustNew(t, server.Config{Workload: built, DataDir: dir, Fsync: wal.FsyncAlways})
-	if rec := durability(t, s)["recovery"].(map[string]any); rec["recovered"] != false {
-		t.Fatalf("fresh dir recovered: %v", rec)
+	if built.Index != seeded {
+		t.Fatal("fresh dir replaced the built index: it recovered instead of seeding")
 	}
 	// Mutate through the index the server uses: the journal must pick this
 	// up without any explicit WAL call at the mutation site.
@@ -33,7 +34,8 @@ func TestOpenDurableSeedsThenRecovers(t *testing.T) {
 	if err := built.Index.Insert(rel); err != nil {
 		t.Fatal(err)
 	}
-	want := built.Index.Edges()
+	want, wantEpoch := built.Index.Edges(), built.Index.Epoch()
+	replayed := metric(t, s.Handler(), "quepa_recovery_replayed_records_total")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -43,38 +45,33 @@ func TestOpenDurableSeedsThenRecovers(t *testing.T) {
 	built2 := smallWorkload(t)
 	fresh := built2.Index
 	s2 := mustNew(t, server.Config{Workload: built2, DataDir: dir, Fsync: wal.FsyncAlways})
-	rec := durability(t, s2)["recovery"].(map[string]any)
-	if rec["recovered"] != true {
-		t.Fatalf("second boot did not recover: %v", rec)
-	}
 	if built2.Index == fresh {
 		t.Fatal("recovered index was not installed into the workload")
 	}
 	if !reflect.DeepEqual(built2.Index.Edges(), want) {
 		t.Fatalf("recovered edges:\n got %v\nwant %v", built2.Index.Edges(), want)
 	}
-	// Clean shutdown means nothing to replay.
-	if rec["replayed_batches"] != float64(0) {
-		t.Fatalf("clean restart replayed %v batches", rec["replayed_batches"])
+	// The recovered state is durable up to the mutation's epoch.
+	if _, hz := do(t, s2.Handler(), "GET", "/healthz"); hz["durable_epoch"] != float64(wantEpoch) {
+		t.Fatalf("healthz durable_epoch after recovery = %v, want %d", hz["durable_epoch"], wantEpoch)
+	}
+	// Clean shutdown means nothing to replay: the shutdown checkpoint covers
+	// the whole log.
+	h := s2.Handler()
+	if got := metric(t, h, "quepa_recovery_replayed_records_total"); got != replayed {
+		t.Fatalf("clean restart replayed %v batches", got-replayed)
+	}
+	if ckpt, last := metric(t, h, "quepa_wal_checkpoint_epoch"), metric(t, h, "quepa_wal_last_epoch"); ckpt != last || ckpt != float64(wantEpoch) {
+		t.Fatalf("checkpoint epoch %v, last epoch %v, want both %d", ckpt, last, wantEpoch)
 	}
 }
 
-// TestOpenDurableDisabled: no data dir, no WAL.
+// TestOpenDurableDisabled: no data dir, no WAL, so no durable epoch.
 func TestOpenDurableDisabled(t *testing.T) {
 	s := newTestServer(t)
-	if dur := durability(t, s); dur["enabled"] != false {
-		t.Fatalf("durability without a data dir = %v, want disabled", dur)
+	if _, hz := do(t, s.Handler(), "GET", "/healthz"); hz["durable_epoch"] != nil {
+		t.Fatalf("in-memory healthz reports a durable epoch: %v", hz)
 	}
-}
-
-// durability returns the /stats durability section.
-func durability(t *testing.T, s *server.Server) map[string]any {
-	t.Helper()
-	dur, ok := stats(t, s)["durability"].(map[string]any)
-	if !ok {
-		t.Fatal("stats missing durability section")
-	}
-	return dur
 }
 
 // TestServeUntilDrainsThenFlushes is the shutdown-ordering test: cancelling
@@ -145,29 +142,32 @@ func TestServeUntilDrainsThenFlushes(t *testing.T) {
 	}
 }
 
-// TestStatsAndHealthzExposeDurability checks the HTTP surface in both modes.
+// TestStatsAndHealthzExposeDurability checks the HTTP surface in both modes:
+// the WAL's state is on /metrics and /healthz, never on /stats.
 func TestStatsAndHealthzExposeDurability(t *testing.T) {
 	dir := t.TempDir()
 	s := mustNew(t, server.Config{Workload: smallWorkload(t), DataDir: dir, Fsync: wal.FsyncAlways})
+	h := s.Handler()
 
-	dur := durability(t, s)
-	if dur["dir"] != dir || dur["fsync"] != wal.FsyncAlways {
-		t.Fatalf("durability section = %v", dur)
-	}
-
-	code, hz := do(t, s.Handler(), "GET", "/healthz")
+	code, hz := do(t, h, "GET", "/healthz")
 	if code != http.StatusOK {
 		t.Fatalf("healthz with healthy WAL = %d", code)
 	}
-	if _, ok := hz["durable_epoch"]; !ok {
-		t.Fatalf("healthz missing durable_epoch: %v", hz)
+	if durable := metric(t, h, "quepa_wal_durable_epoch"); hz["durable_epoch"] != durable {
+		t.Fatalf("healthz durable_epoch = %v, quepa_wal_durable_epoch = %v", hz["durable_epoch"], durable)
+	}
+	if segments := metric(t, h, "quepa_wal_segments"); segments < 1 {
+		t.Errorf("quepa_wal_segments = %v, want the active segment", segments)
+	}
+	if bytes := metric(t, h, "quepa_wal_last_checkpoint_bytes"); bytes == 0 {
+		t.Error("quepa_wal_last_checkpoint_bytes = 0 after the seed checkpoint")
+	}
+	if _, ok := stats(t, s)["durability"]; ok {
+		t.Error("/stats still carries a durability section")
 	}
 
-	// Without a WAL the sections degrade gracefully.
+	// Without a WAL /healthz carries no durable epoch.
 	s = newTestServer(t)
-	if dur := durability(t, s); dur["enabled"] != false {
-		t.Fatalf("in-memory durability section = %v", dur)
-	}
 	if _, hz := do(t, s.Handler(), "GET", "/healthz"); hz["durable_epoch"] != nil {
 		t.Fatalf("in-memory healthz reports a durable epoch: %v", hz)
 	}

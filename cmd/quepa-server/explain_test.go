@@ -306,13 +306,17 @@ func TestHandleTracesFilters(t *testing.T) {
 	}
 }
 
-// TestStatsBuildAndOptimizerSections: /stats reports how the binary was
-// built, and has no optimizer section, since the server makes no decision.
-func TestStatsBuildAndOptimizerSections(t *testing.T) {
+// TestStatsIsConfigAndBuild: /stats reports the one configuration every
+// search runs and how the binary was built, and nothing else. Every number
+// the server keeps is a series on /metrics.
+func TestStatsIsConfigAndBuild(t *testing.T) {
 	s := newTestServer(t)
-	code, body := do(t, s.Handler(), "GET", "/stats")
-	if code != http.StatusOK {
-		t.Fatalf("status = %d", code)
+	body := stats(t, s)
+	if len(body) != 2 {
+		t.Errorf("stats keys = %v, want exactly config and build", body)
+	}
+	if cfg := body["config"]; cfg != "OUTER-BATCH(batch=64,threads=8,cache=4096)" {
+		t.Errorf("config = %v", cfg)
 	}
 	build, ok := body["build"].(map[string]any)
 	if !ok {
@@ -320,9 +324,6 @@ func TestStatsBuildAndOptimizerSections(t *testing.T) {
 	}
 	if goVer, _ := build["go"].(string); !strings.HasPrefix(goVer, "go") {
 		t.Errorf("build.go = %v", build["go"])
-	}
-	if opt, ok := body["optimizer"]; ok {
-		t.Errorf("stats has an optimizer section: %v", opt)
 	}
 }
 

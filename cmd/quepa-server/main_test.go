@@ -5,9 +5,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"quepa/internal/server"
 	"quepa/internal/telemetry"
@@ -66,6 +71,27 @@ func stats(t testing.TB, s *server.Server) map[string]any {
 		t.Fatalf("/stats = %d %v", code, body)
 	}
 	return body
+}
+
+// metric scrapes /metrics through h and returns the sample of series: a
+// name with its label set as the exposition renders it, labels in key order
+// and le last, e.g. `quepa_http_requests_total{code="200",route="/search"}`.
+// It fails the test when the series is absent.
+func metric(t testing.TB, h http.Handler, series string) float64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, series+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("/metrics %s: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("/metrics has no series %s", series)
+	return 0
 }
 
 func TestHandleDatabases(t *testing.T) {
@@ -273,18 +299,68 @@ func TestExploreFirstStepOutsideStart(t *testing.T) {
 
 func TestHandleStats(t *testing.T) {
 	s := newTestServer(t)
-	code, body := do(t, s.Handler(), "GET", "/stats")
-	if code != http.StatusOK {
-		t.Fatalf("status = %d", code)
+	if cfg := stats(t, s)["config"]; cfg != "OUTER-BATCH(batch=64,threads=8,cache=4096)" {
+		t.Errorf("config = %v", cfg)
 	}
-	if body["databases"].(float64) != 4 {
-		t.Errorf("stats = %v", body)
+	h := s.Handler()
+	if keys := metric(t, h, "quepa_index_keys"); keys == 0 {
+		t.Error("quepa_index_keys = 0 on a built index")
 	}
-	cfg, _ := body["config"].(string)
-	if !strings.Contains(cfg, "BATCH") {
-		t.Errorf("config = %q", cfg)
+	if edges := metric(t, h, "quepa_index_edges"); edges == 0 {
+		t.Error("quepa_index_edges = 0 on a built index")
 	}
 }
+
+// TestStatsKeysHaveSeries: every series DESIGN §3.1's old-key table names
+// as the new home of a /stats number is on /metrics of a durable server with
+// an SLO objective, after one search and one exploration.
+func TestStatsKeysHaveSeries(t *testing.T) {
+	design, err := os.ReadFile(filepath.Join("..", "..", "DESIGN.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(design), "| Old `/stats` key | New home |\n")
+	if !ok {
+		t.Fatal("DESIGN.md has no old /stats key table")
+	}
+	table, _, _ = strings.Cut(table, "\n\n")
+	homes := map[string]bool{}
+	for _, row := range strings.Split(table, "\n") {
+		cells := strings.Split(row, "|")
+		if len(cells) != 4 {
+			t.Fatalf("table row %q does not have two cells", row)
+		}
+		for _, m := range seriesInCell.FindAllStringSubmatch(cells[2], -1) {
+			homes[m[1]] = true
+		}
+	}
+	if len(homes) < 30 {
+		t.Fatalf("found %d series in the table, want the whole table: %v", len(homes), homes)
+	}
+
+	s := mustNew(t, server.Config{Workload: smallWorkload(t), DataDir: t.TempDir(), SLOSearchP99: 25 * time.Millisecond})
+	h := s.Handler()
+	q := url.QueryEscape(`SELECT * FROM inventory WHERE seq < 2`)
+	if code, body := do(t, h, "GET", "/search?db=transactions&level=1&q="+q); code != http.StatusOK {
+		t.Fatalf("search = %d %v", code, body)
+	}
+	id, first := startSession(t, h, `SELECT * FROM sales WHERE seq < 1`)
+	if code, body := do(t, h, "POST", "/explore/step?session="+id+"&key="+url.QueryEscape(first)); code != http.StatusOK {
+		t.Fatalf("step = %d %v", code, body)
+	}
+	if code, body := do(t, h, "POST", "/explore/finish?session="+id); code != http.StatusOK {
+		t.Fatalf("finish = %d %v", code, body)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	for name := range homes {
+		if !strings.Contains(rec.Body.String(), "# TYPE "+name+" ") {
+			t.Errorf("%s: named in DESIGN's /stats table, absent from /metrics", name)
+		}
+	}
+}
+
+var seriesInCell = regexp.MustCompile("`(quepa_[a-z0-9_]+)`")
 
 func TestSearchRankingParams(t *testing.T) {
 	s := newTestServer(t)
@@ -400,7 +476,7 @@ func TestHandleMetrics(t *testing.T) {
 		}
 	}
 	// The cache saw traffic: hits + misses > 0 must be visible in the text.
-	if hits, _ := stats(t, s)["cache_hits"].(float64); hits == 0 {
+	if hits := metric(t, s.Handler(), "quepa_cache_hits_total"); hits == 0 {
 		t.Error("expected cache hits after repeated search")
 	}
 }
@@ -413,51 +489,46 @@ func TestHandleTraces(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("status = %d", code)
 	}
-	for _, key := range []string{"slow_threshold_ms", "roots_seen", "roots_kept", "traces"} {
+	for _, key := range []string{"slow_threshold_ms", "sampling", "traces"} {
 		if _, ok := body[key]; !ok {
 			t.Errorf("traces body missing %q: %v", key, body)
 		}
 	}
+	for _, key := range []string{"roots_seen", "roots_kept"} {
+		if _, ok := body[key]; ok {
+			t.Errorf("traces body repeats sampling as %q", key)
+		}
+	}
+	sampling, _ := body["sampling"].(map[string]any)
+	for _, key := range []string{"seen", "kept"} {
+		if _, ok := sampling[key].(float64); !ok {
+			t.Errorf("sampling missing %q: %v", key, sampling)
+		}
+	}
 }
 
+// TestStatsTelemetry: the numbers the old /stats telemetry section
+// printed are series, and the ratios and quantiles follow from them.
 func TestStatsTelemetry(t *testing.T) {
 	s := newTestServer(t)
+	h := s.Handler()
 	q := url.QueryEscape(`SELECT * FROM inventory WHERE seq < 2`)
+	runs := metric(t, h, `quepa_augment_duration_seconds_count{strategy="OUTER-BATCH"}`)
 	for i := 0; i < 2; i++ {
-		if code, _ := do(t, s.Handler(), "GET", "/search?db=transactions&q="+q+"&level=1"); code != http.StatusOK {
+		if code, _ := do(t, h, "GET", "/search?db=transactions&q="+q+"&level=1"); code != http.StatusOK {
 			t.Fatalf("search failed")
 		}
 	}
-	code, body := do(t, s.Handler(), "GET", "/stats")
-	if code != http.StatusOK {
-		t.Fatalf("status = %d", code)
+	hits, misses := metric(t, h, "quepa_cache_hits_total"), metric(t, h, "quepa_cache_misses_total")
+	if hits+misses == 0 || hits/(hits+misses) <= 0 {
+		t.Errorf("cache hits %v, misses %v: want a positive hit ratio after repeated search", hits, misses)
 	}
-	tel, ok := body["telemetry"].(map[string]any)
-	if !ok {
-		t.Fatalf("stats missing telemetry section: %v", body)
+	// Two origins: no outcome-cache hit, so both searches ran the strategy.
+	if got := metric(t, h, `quepa_augment_duration_seconds_count{strategy="OUTER-BATCH"}`) - runs; got < 2 {
+		t.Errorf("OUTER-BATCH ran %v times, want >= 2", got)
 	}
-	ratio, ok := tel["cache_hit_ratio"].(float64)
-	if !ok || ratio <= 0 {
-		t.Errorf("cache_hit_ratio = %v, want > 0 after repeated search", tel["cache_hit_ratio"])
-	}
-	strategies, ok := tel["strategies"].(map[string]any)
-	if !ok {
-		t.Fatalf("telemetry missing strategies: %v", tel)
-	}
-	batch, ok := strategies["OUTER-BATCH"].(map[string]any)
-	if !ok {
-		t.Fatalf("strategies missing OUTER-BATCH: %v", strategies)
-	}
-	if n, _ := batch["count"].(float64); n < 2 {
-		t.Errorf("OUTER-BATCH count = %v, want >= 2", batch["count"])
-	}
-	if _, ok := batch["p50_ms"]; !ok {
-		t.Errorf("OUTER-BATCH snapshot missing p50_ms: %v", batch)
-	}
-	for _, key := range []string{"slow_queries_seen", "slow_queries_kept"} {
-		if _, ok := tel[key]; !ok {
-			t.Errorf("telemetry missing %q", key)
-		}
+	if inf := metric(t, h, `quepa_augment_duration_seconds_bucket{strategy="OUTER-BATCH",le="+Inf"}`); inf < 2 {
+		t.Errorf("OUTER-BATCH +Inf bucket = %v, want >= 2", inf)
 	}
 }
 
@@ -505,8 +576,8 @@ func TestRoutesConcurrent(t *testing.T) {
 	// Two origins: never an outcome-cache hit, so every search runs a strategy.
 	good := "/search?db=transactions&level=1&q=" + url.QueryEscape("SELECT * FROM inventory WHERE seq < 2")
 	count := func(code string) uint64 {
-		return telemetry.Default().CounterValue("quepa_http_requests_total",
-			telemetry.L("route", "/search"), telemetry.L("code", code))
+		return telemetry.Default().Counter("quepa_http_requests_total", "",
+			telemetry.L("route", "/search"), telemetry.L("code", code)).Value()
 	}
 	ok0, bad0 := count("200"), count("400")
 	const workers, each = 8, 40

@@ -392,7 +392,7 @@ func (s *snapshot) reach(gk core.GlobalKey, level int, stats *ReachStats) []Hit 
 }
 
 // SnapshotInfo reports the state of the read-optimized snapshot for
-// diagnostics (GET /stats): whether it is current with the mutation epoch,
+// diagnostics and tests: whether it is current with the mutation epoch,
 // its size, how many snapshots this index has installed (Rebuilds), how many
 // of those were patches, and what the latest one took to build.
 type SnapshotInfo struct {

@@ -84,15 +84,4 @@ func strategyErr(s Strategy) *telemetry.Counter {
 	return strategyErrs[s]
 }
 
-// StrategyStats returns a snapshot of the per-strategy augmentation latency
-// histograms, keyed by strategy name. The server's /stats endpoint exposes
-// it; strategies that never ran report a zero snapshot.
-func StrategyStats() map[string]telemetry.HistogramSnapshot {
-	out := make(map[string]telemetry.HistogramSnapshot, len(Strategies))
-	for _, s := range Strategies {
-		out[s.String()] = strategyHists[s].Snapshot()
-	}
-	return out
-}
-
 func itoa(n int) string { return strconv.Itoa(n) }

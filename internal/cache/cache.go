@@ -56,6 +56,4 @@ func (c *LRU) RegisterMetrics(r *telemetry.Registry) {
 		func() float64 { return float64(c.Len()) })
 	r.GaugeFunc("quepa_cache_capacity", "configured cache capacity",
 		func() float64 { return float64(c.Capacity()) })
-	r.GaugeFunc("quepa_cache_hit_ratio", "hits / (hits + misses) since process start",
-		func() float64 { return c.HitRatio() })
 }

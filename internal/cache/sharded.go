@@ -212,15 +212,6 @@ func (c *Sharded[K, V]) Counts() Counts {
 	return t
 }
 
-// HitRatio returns hits/(hits+misses), or 0 before any lookup.
-func (c *Sharded[K, V]) HitRatio() float64 {
-	t := c.Counts()
-	if t.Hits+t.Misses == 0 {
-		return 0
-	}
-	return float64(t.Hits) / float64(t.Hits+t.Misses)
-}
-
 func (s *shard[K, V]) reset() {
 	s.head.prev, s.head.next = &s.head, &s.head
 	s.items = map[K]*entry[K, V]{}

@@ -476,7 +476,7 @@ func TestClusterPeerDownDegradesPeerOpen(t *testing.T) {
 	if !tc.coord.AnyPeerOpen() {
 		t.Error("AnyPeerOpen is false with a burning peer")
 	}
-	st := tc.coord.Status(false)
+	st := tc.coord.Status()
 	var found *resilience.BreakerStatus
 	for _, ps := range st.PeerList {
 		if ps.Shard == down {

@@ -401,8 +401,7 @@ func RoutePolystore(poly *core.Polystore, _ *Coordinator) (*core.Polystore, erro
 	return poly, nil
 }
 
-// PeerStatus is one peer's row in the cluster section of /healthz and
-// /stats.
+// PeerStatus is one peer's row in the cluster section of /healthz.
 type PeerStatus struct {
 	Shard int    `json:"shard"`
 	Addr  string `json:"addr"`
@@ -410,14 +409,13 @@ type PeerStatus struct {
 	// Breaker is the coordinator's circuit view of the peer; absent for
 	// self (a peer does not guard itself) and for peers never yet called.
 	Breaker *resilience.BreakerStatus `json:"breaker,omitempty"`
-	// OwnedRanges counts the hash-space arcs the peer owns; Ranges carries
-	// them when the caller asked for detail (/stats does, /healthz doesn't).
-	OwnedRanges int     `json:"owned_ranges"`
-	Ranges      []Range `json:"ranges,omitempty"`
+	// OwnedRanges counts the hash-space arcs the peer owns. The arcs
+	// themselves follow from the peer list, DefaultVnodes and DefaultSeed.
+	OwnedRanges int `json:"owned_ranges"`
 }
 
-// Status is the cluster section of /healthz and /stats: ring identity plus
-// one row per peer.
+// Status is the cluster section of /healthz: ring identity plus one row per
+// peer.
 type Status struct {
 	RingVersion uint64       `json:"ring_version"`
 	Peers       int          `json:"peers"`
@@ -426,9 +424,8 @@ type Status struct {
 	PeerList    []PeerStatus `json:"peer_list"`
 }
 
-// Status snapshots the cluster for the status pages. includeRanges attaches
-// every peer's owned hash arcs (verbose; /stats wants it, /healthz doesn't).
-func (c *Coordinator) Status(includeRanges bool) Status {
+// Status snapshots the cluster for /healthz and the startup log.
+func (c *Coordinator) Status() Status {
 	byName := map[string]resilience.BreakerStatus{}
 	for _, bs := range c.breakers.Snapshot() {
 		byName[bs.Store] = bs
@@ -440,11 +437,7 @@ func (c *Coordinator) Status(includeRanges bool) Status {
 		Self:        c.self,
 	}
 	for shard, addr := range c.peers {
-		ranges := c.ring.Ranges(shard)
-		ps := PeerStatus{Shard: shard, Addr: addr, Self: shard == c.self, OwnedRanges: len(ranges)}
-		if includeRanges {
-			ps.Ranges = ranges
-		}
+		ps := PeerStatus{Shard: shard, Addr: addr, Self: shard == c.self, OwnedRanges: len(c.ring.Ranges(shard))}
 		if bs, ok := byName[PeerName(shard)]; ok && shard != c.self {
 			b := bs
 			ps.Breaker = &b

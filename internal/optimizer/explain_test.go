@@ -12,8 +12,8 @@ import (
 )
 
 func fallbackCount(reason string) uint64 {
-	return telemetry.Default().CounterValue("quepa_optimizer_fallback_total",
-		telemetry.L("reason", reason))
+	return telemetry.Default().Counter("quepa_optimizer_fallback_total", "",
+		telemetry.L("reason", reason)).Value()
 }
 
 func TestUntrainedFallbackExplained(t *testing.T) {
@@ -278,14 +278,14 @@ func TestTrainDeterministic(t *testing.T) {
 }
 
 func TestRetrainCounter(t *testing.T) {
-	reg := telemetry.Default()
-	before := reg.CounterValue("quepa_optimizer_retrain_total")
+	retrains := telemetry.Default().Counter("quepa_optimizer_retrain_total", "")
+	before := retrains.Value()
 	a := NewAdaptive()
 	trainOn(a)
 	if err := a.Train(); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.CounterValue("quepa_optimizer_retrain_total"); got <= before {
+	if got := retrains.Value(); got <= before {
 		t.Errorf("optimizer_retrain_total = %d, want > %d", got, before)
 	}
 }

@@ -169,14 +169,6 @@ func (c *Cache) Stats() Stats {
 	return Stats{Counts: c.lru.Counts(), Invalidations: c.invalidations.Load(), Len: c.lru.Len()}
 }
 
-// HitRatio returns hits/(hits+misses), or 0 before any probe.
-func (c *Cache) HitRatio() float64 {
-	if c == nil {
-		return 0
-	}
-	return c.lru.HitRatio()
-}
-
 // RegisterMetrics exports the cache on a telemetry registry as
 // function-backed series read at scrape time, mirroring the object cache's
 // export: the hot path pays nothing for it.
@@ -195,6 +187,4 @@ func (c *Cache) RegisterMetrics(r *telemetry.Registry) {
 		func() float64 { return float64(c.Len()) })
 	r.GaugeFunc("quepa_rcache_capacity", "configured result cache capacity",
 		func() float64 { return float64(c.Capacity()) })
-	r.GaugeFunc("quepa_rcache_hit_ratio", "result cache hits / (hits + misses) since process start",
-		func() float64 { return c.HitRatio() })
 }

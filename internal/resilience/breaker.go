@@ -191,8 +191,7 @@ func (b *Breaker) State() State {
 	return b.state
 }
 
-// BreakerStatus is one breaker's snapshot, JSON-shaped for /healthz and
-// /stats.
+// BreakerStatus is one breaker's snapshot, JSON-shaped for /healthz.
 type BreakerStatus struct {
 	Store               string    `json:"store"`
 	State               string    `json:"state"`

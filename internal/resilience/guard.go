@@ -112,7 +112,7 @@ func (g *GuardedStore) RoundTrips() uint64 {
 }
 
 // Set is a registry of breakers, one per store name, sharing one config. The
-// server owns one and serves it through /healthz and /stats.
+// server owns one and serves it through /healthz and quepa_breakers_open.
 type Set struct {
 	cfg BreakerConfig
 

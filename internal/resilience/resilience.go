@@ -14,7 +14,7 @@
 //     costs one fast rejection instead of a timeout per fetch.
 //   - GuardedStore / Set: a core.Store decorator recording every call's
 //     outcome into a breaker, plus the registry the server exposes through
-//     GET /healthz and GET /stats.
+//     GET /healthz and the quepa_breakers_open gauge.
 //
 // The cost contract mirrors internal/telemetry: on the
 // no-fault hot path nothing here allocates — the retrier's first attempt and

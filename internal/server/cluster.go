@@ -75,7 +75,7 @@ func (s *Server) joinCluster(peerList string, shardID, pool int, bcfg resilience
 	}
 	s.closers = append(s.closers, func() error { coord.Close(); return nil })
 	s.cluster = coord
-	st := coord.Status(false)
+	st := coord.Status()
 	edges, all := shard.EdgeCount(), s.built.Index.EdgeCount()
 	log.Printf("quepa-server: cluster shard %d of %d, A' shard %d keys / %d p-relations (%.1f%% of A') on %s, ring version %x",
 		st.Self, st.Peers, shard.NodeCount(), edges, 100*float64(edges)/float64(max(all, 1)), srv.Addr(), st.RingVersion)

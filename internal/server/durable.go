@@ -4,6 +4,7 @@ import (
 	"log"
 	"time"
 
+	"quepa/internal/telemetry"
 	"quepa/internal/wal"
 )
 
@@ -33,10 +34,12 @@ func (s *Server) openDurable(dir, fsync string) error {
 	}
 	s.wal = m
 	s.closers = append(s.closers, m.Close)
+	m.RegisterMetrics(telemetry.Default())
 	if rec := m.Recovery(); rec.Recovered {
 		s.built.Index = m.Index()
-		log.Printf("quepa-server: recovered index from %s: checkpoint epoch %d, %d batches (%d ops) replayed in %v",
-			dir, rec.CheckpointEpoch, rec.ReplayedBatches, rec.ReplayedOps, rec.Duration.Round(time.Millisecond))
+		log.Printf("quepa-server: recovered index from %s: checkpoint epoch %d, %d batches (%d ops) replayed and %d skipped in %v, last epoch %d; %d torn bytes truncated, %d segments dropped, %d corrupt checkpoints skipped",
+			dir, rec.CheckpointEpoch, rec.ReplayedBatches, rec.ReplayedOps, rec.SkippedBatches, rec.Duration.Round(time.Millisecond),
+			rec.LastEpoch, rec.TruncatedBytes, rec.DroppedSegments, rec.CorruptCheckpoints)
 		return nil
 	}
 	if err := m.Seed(s.built.Index); err != nil {

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"quepa/internal/augment"
 	"quepa/internal/core"
 	"quepa/internal/explain"
 	"quepa/internal/slo"
@@ -117,17 +116,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status, code = "degraded", http.StatusServiceUnavailable
 	}
 	body := map[string]any{"breakers": s.res.Snapshot()}
-	body["rcache"] = map[string]any{
-		"len":       s.rcache.Len(),
-		"hit_ratio": s.rcache.HitRatio(),
-	}
 	if s.cluster != nil {
 		// A burning peer degrades the probe like a burning store does: its
 		// shard of every answer is missing until the breaker closes again.
 		if s.cluster.AnyPeerOpen() {
 			status, code = "degraded", http.StatusServiceUnavailable
 		}
-		body["cluster"] = s.cluster.Status(false)
+		body["cluster"] = s.cluster.Status()
 	}
 	if s.slo != nil {
 		// Fast burn means the error budget is being spent at page-worthy
@@ -167,7 +162,6 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	traceID := q.Get("trace_id")
 	store := q.Get("store")
 	tracer := telemetry.DefaultTracer()
-	seen, kept := tracer.Stats()
 	all := tracer.Snapshot()
 	traces := make([]telemetry.SpanJSON, 0, len(all))
 	for _, t := range all {
@@ -194,8 +188,6 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"slow_threshold_ms": float64(tracer.SlowThreshold().Nanoseconds()) / 1e6,
-		"roots_seen":        seen,
-		"roots_kept":        kept,
 		"sampling":          tracer.SamplingStats(),
 		"traces":            traces,
 	})
@@ -474,96 +466,13 @@ func (s *Server) handleExploreFinish(w http.ResponseWriter, r *http.Request) {
 	sendBody(w, buf, AppendExploreFinish(*buf, promoted, path))
 }
 
+// handleStats reports the configuration every search runs and how the
+// binary was built. Every number the server keeps is a series on /metrics.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	oc := s.aug.Cache().Counts()
-
-	// Per-strategy query counts and latency quantiles from the telemetry
-	// registry; only strategies that actually ran are listed.
-	strategies := map[string]any{}
-	for name, snap := range augment.StrategyStats() {
-		if snap.Count == 0 {
-			continue
-		}
-		strategies[name] = map[string]any{
-			"count":  snap.Count,
-			"p50_ms": roundMS(snap.P50),
-			"p95_ms": roundMS(snap.P95),
-			"p99_ms": roundMS(snap.P99),
-		}
-	}
-	seen, kept := telemetry.DefaultTracer().Stats()
-	reg := telemetry.Default()
-	var durability any
-	if s.wal != nil {
-		durability = s.wal.Stats()
-	} else {
-		durability = map[string]any{"enabled": false}
-	}
-	var sloSection any
-	if s.slo != nil {
-		sloSection = map[string]any{
-			"fast_burn_threshold": s.slo.FastBurnThreshold(),
-			"objectives":          s.slo.Snapshot(),
-		}
-	} else {
-		sloSection = map[string]any{"enabled": false}
-	}
-	var clusterSection any
-	if s.cluster != nil {
-		clusterSection = s.cluster.Status(true)
-	} else {
-		clusterSection = map[string]any{"enabled": false}
-	}
-	rcStats := s.rcache.Stats()
 	writeJSON(w, http.StatusOK, map[string]any{
-		"cluster":    clusterSection,
-		"slo":        sloSection,
-		"durability": durability,
-		"rcache": map[string]any{
-			"capacity":         s.rcache.Capacity(),
-			"len":              rcStats.Len,
-			"hits":             rcStats.Hits,
-			"misses":           rcStats.Misses,
-			"hit_ratio":        s.rcache.HitRatio(),
-			"epoch_mismatches": rcStats.Mismatches,
-			"evictions":        rcStats.Evictions,
-			"invalidations":    rcStats.Invalidations,
-		},
-		"databases":   s.built.Poly.Size(),
-		"index_keys":  s.built.Index.NodeCount(),
-		"index_edges": s.built.Index.EdgeCount(),
-		"cache_len":   s.aug.Cache().Len(),
-		"cache_hits":  oc.Hits,
-		"cache_miss":  oc.Misses,
-		"config":      s.aug.Config().String(),
-		"build":       buildSection(),
-		"aindex": map[string]any{
-			"snapshot":        s.built.Index.SnapshotInfo(),
-			"reach_snapshot":  reg.CounterValue("quepa_aindex_reach_snapshot_total"),
-			"reach_fallback":  reg.CounterValue("quepa_aindex_reach_fallback_total"),
-			"collector_pairs": reg.CounterValue("quepa_collector_pairs_scored_total"),
-			"collector_drops": reg.CounterValue("quepa_collector_blocks_dropped_total"),
-		},
-		"resilience": map[string]any{
-			"breakers":         s.res.Snapshot(),
-			"any_open":         s.res.AnyOpen(),
-			"degraded_answers": reg.CounterValue("quepa_augment_degraded_total"),
-		},
-		"telemetry": map[string]any{
-			"cache_hit_ratio":   s.aug.Cache().HitRatio(),
-			"cache_evictions":   oc.Evictions,
-			"strategies":        strategies,
-			"aindex_reach_keys": reg.CounterValue("quepa_aindex_reach_keys_total"),
-			"aindex_removals":   reg.CounterValue("quepa_aindex_removals_total"),
-			"aindex_promotions": reg.CounterValue("quepa_aindex_promotions_total"),
-			"slow_queries_seen": seen,
-			"slow_queries_kept": kept,
-		},
+		"config": s.aug.Config().String(),
+		"build":  buildSection(),
 	})
-}
-
-func roundMS(d time.Duration) float64 {
-	return math.Round(float64(d.Nanoseconds())/1e3) / 1e3
 }
 
 // buildSection reports how this binary was built — Go version, module, and

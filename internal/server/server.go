@@ -17,10 +17,11 @@
 //	POST /explore/step?session=…&key=…     expand one object -> ranked links;
 //	                                       explain=1 attaches an EXPLAIN profile
 //	POST /explore/finish?session=…         end the session (may promote the path)
-//	GET /stats                             index/cache/telemetry/resilience/durability/build statistics
+//	GET /stats                             the augmenter configuration and the build stamp
 //	GET /healthz                           200 ok / 503 degraded with breaker snapshots
 //	                                       (and the WAL error, in durable mode)
-//	GET /metrics                           Prometheus text exposition
+//	GET /metrics                           Prometheus text exposition: every number
+//	                                       the server keeps (docs/SIGNALS.md)
 //	GET /debug/traces?route=…&min_ms=…     recent slow queries as JSON span trees
 //	GET /debug/explain?route=…             recent EXPLAIN profiles, slowest first
 //	GET /debug/pprof/…                     net/http/pprof profiles (only with Debug)
@@ -41,8 +42,8 @@
 // sharded deployment: a consistent-hash ring partitions A' ownership across
 // the listed peers, each peer serves its shard over the wire protocol, and
 // reachability becomes scatter-gather across the owners while objects are
-// read from the peer's own replica of every store. /healthz and /stats
-// grow a "cluster" section (ring version, per-peer breakers, owned ranges);
+// read from the peer's own replica of every store. /healthz grows a
+// "cluster" section (ring version, per-peer breakers, owned range counts);
 // a peer whose breaker is open shows up in answers as degraded with reason
 // "peer-open" instead of failing the query.
 package server
@@ -134,17 +135,17 @@ type Server struct {
 	rcache *rcache.Cache
 
 	// wal is the durability manager with DataDir; nil in the default
-	// in-memory mode. /stats and /healthz read it.
+	// in-memory mode. /healthz and its quepa_wal_* gauges read it.
 	wal *wal.Manager
 
 	// Per-store circuit breakers: every database of the polystore is wrapped
 	// in a resilience.GuardedStore drawing its breaker from this set, which
-	// /healthz and /stats expose.
+	// /healthz and quepa_breakers_open expose.
 	res *resilience.Set
 
 	// cluster is the scatter-gather coordinator when the server runs as one
-	// peer of a sharded deployment; nil in single-node mode. /healthz and
-	// /stats read it for the ring and per-peer breaker view.
+	// peer of a sharded deployment; nil in single-node mode. /healthz reads
+	// it for the ring and per-peer breaker view.
 	cluster *cluster.Coordinator
 
 	// slo is the burn-rate engine when the server runs with latency
@@ -363,8 +364,8 @@ func (s *Server) rehomeOverWire(pool int) error {
 }
 
 // startSLO builds and starts the burn-rate engine when any latency objective
-// is set: /healthz answers 503 while one fast-burns, /stats grows an "slo"
-// section, and the first trip captures pprof profiles into the data dir.
+// is set: /healthz answers 503 while one fast-burns, /metrics carries the
+// burn rates, and the first trip captures pprof profiles into the data dir.
 func (s *Server) startSLO(cfg Config) error {
 	var objectives []slo.Objective
 	if cfg.SLOSearchP99 > 0 {
@@ -387,7 +388,7 @@ func (s *Server) startSLO(cfg Config) error {
 	engine.Start()
 	s.closers = append(s.closers, func() error { engine.Stop(); return nil })
 	log.Printf("quepa-server: burn-rate alerting on %d route(s), fast-burn threshold %.1f",
-		len(objectives), engine.FastBurnThreshold())
+		len(objectives), slo.DefaultFastBurn)
 	return nil
 }
 
@@ -401,6 +402,11 @@ func (s *Server) registerMetrics() {
 		func() float64 { return float64(s.built.Index.NodeCount()) })
 	reg.GaugeFunc("quepa_index_edges", "p-relations in the A' index",
 		func() float64 { return float64(s.built.Index.EdgeCount()) })
+	// The snapshot is fresh while the two epochs are equal.
+	reg.GaugeFunc("quepa_aindex_epoch", "mutation epoch of the A' index",
+		func() float64 { return float64(s.built.Index.Epoch()) })
+	reg.GaugeFunc("quepa_aindex_snapshot_epoch", "mutation epoch the installed A' read snapshot was built at",
+		func() float64 { return float64(s.built.Index.SnapshotInfo().Epoch) })
 	// The units of result-cache invalidation: in one giant component every
 	// promotion would invalidate every cached result.
 	reg.GaugeFunc("quepa_aindex_components", "connected components of the A' index (never split by lazy deletion)",

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"quepa/internal/telemetry"
 	"quepa/internal/workload"
 )
 
@@ -54,20 +55,21 @@ func do(t testing.TB, s *Server, method, target string) (int, map[string]any) {
 }
 
 // TestCheckpointLoopBoundsReplay drives the ticker and verifies checkpoints
-// actually land (Stats.Checkpoints grows beyond the seed checkpoint).
+// actually land (quepa_checkpoints_total grows beyond the seed checkpoint).
 func TestCheckpointLoopBoundsReplay(t *testing.T) {
 	s := mustNew(t, Config{Workload: smallWorkload(t), DataDir: t.TempDir(), Fsync: "off"})
 	m := s.wal
-	base := m.Stats().Checkpoints
+	checkpoints := telemetry.Default().Counter("quepa_checkpoints_total", "")
+	base := checkpoints.Value()
 
 	stop := startCheckpointLoop(m, 5*time.Millisecond)
 	deadline := time.Now().Add(5 * time.Second)
-	for m.Stats().Checkpoints < base+2 && time.Now().Before(deadline) {
+	for checkpoints.Value() < base+2 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	stop()
-	if got := m.Stats().Checkpoints; got < base+2 {
-		t.Fatalf("checkpoint loop wrote %d checkpoints, want >= %d", got, base+2)
+	if got := checkpoints.Value() - base; got < 2 {
+		t.Fatalf("checkpoint loop wrote %d checkpoints, want >= 2", got)
 	}
 	// Nil manager / zero interval are no-ops, not panics.
 	startCheckpointLoop(nil, time.Second)()

@@ -2,7 +2,10 @@ package server
 
 import (
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,7 +15,7 @@ import (
 
 // TestSLOFastBurnHealthzAndProfiles drives the full alerting path New
 // wires: a route burns its error budget fast, /healthz flips to 503 naming
-// the route, /stats grows the slo section, and the engine's one-shot trip
+// the route, /metrics carries the burn rates, and the engine's one-shot trip
 // hook drops goroutine+heap pprof snapshots into the data dir. The engine is
 // driven with explicit Sample timestamps (its own sampler ticks every
 // slo.DefaultInterval, long after the test is done), so the test is
@@ -25,18 +28,15 @@ func TestSLOFastBurnHealthzAndProfiles(t *testing.T) {
 	s := mustNew(t, Config{Workload: smallWorkload(t), DataDir: dir, SLOSearchP99: 25 * time.Millisecond, SLOTarget: 0.99})
 	engine := s.slo
 
-	// Healthy before any traffic: /healthz is 200 and /stats lists the
-	// objective with no burn.
+	// Healthy before any traffic: /healthz is 200 and /metrics exports both
+	// windows' burn rates at zero.
 	if code, body := do(t, s, "GET", "/healthz"); code != http.StatusOK {
 		t.Fatalf("healthy /healthz = %d %v", code, body)
 	}
-	_, stats := do(t, s, "GET", "/stats")
-	sloSec, ok := stats["slo"].(map[string]any)
-	if !ok {
-		t.Fatalf("/stats has no slo section: %v", stats["slo"])
-	}
-	if sloSec["fast_burn_threshold"] != float64(slo.DefaultFastBurn) {
-		t.Errorf("fast_burn_threshold = %v, want %v", sloSec["fast_burn_threshold"], slo.DefaultFastBurn)
+	for _, window := range []string{"5m", "1h"} {
+		if burn := burnRate(t, s, window); burn != 0 {
+			t.Errorf("%s burn before traffic = %v, want 0", window, burn)
+		}
 	}
 
 	// Every request blows the 25ms objective: burn = 1/budget = 100 in both
@@ -65,18 +65,12 @@ func TestSLOFastBurnHealthzAndProfiles(t *testing.T) {
 		t.Errorf("slo_fast_burn = %v, want [/search]", body["slo_fast_burn"])
 	}
 
-	// /stats reflects the burn on the same objective.
-	_, stats = do(t, s, "GET", "/stats")
-	objectives, _ := stats["slo"].(map[string]any)["objectives"].([]any)
-	if len(objectives) != 1 {
-		t.Fatalf("slo objectives = %v, want one", objectives)
-	}
-	obj := objectives[0].(map[string]any)
-	if obj["route"] != "/search" || obj["fast_burn"] != true {
-		t.Errorf("objective = %v, want /search fast-burning", obj)
-	}
-	if burn := obj["burn_short"].(float64); burn < 50 {
-		t.Errorf("burn_short = %v, want ~100", burn)
+	// /metrics reflects the burn on the same objective, over the fast-burn
+	// threshold in both windows.
+	for _, window := range []string{"5m", "1h"} {
+		if burn := burnRate(t, s, window); burn < slo.DefaultFastBurn {
+			t.Errorf("%s burn = %v, want ~100", window, burn)
+		}
 	}
 
 	// The first (and only the first) trip captured both profiles.
@@ -95,4 +89,23 @@ func TestSLOFastBurnHealthzAndProfiles(t *testing.T) {
 	if len(matches) != 2 {
 		t.Errorf("profiles after second sample = %v, want the original two", matches)
 	}
+}
+
+// burnRate scrapes /metrics for the /search route's burn rate over window.
+func burnRate(t *testing.T, s *Server, window string) float64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	series := slo.BurnGauge + `{route="/search",window="` + window + `"} `
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, series); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("/metrics has no %s", series)
+	return 0
 }

@@ -312,36 +312,3 @@ func (e *Engine) FastBurning() []string {
 
 // Tripped reports whether any route has ever entered fast burn.
 func (e *Engine) Tripped() bool { return e.tripped.Load() }
-
-// Status is one route's objective and current burn, for /stats.
-type Status struct {
-	Route       string  `json:"route"`
-	ObjectiveMS float64 `json:"objective_ms"`
-	Target      float64 `json:"target"`
-	WindowShort string  `json:"window_short"`
-	WindowLong  string  `json:"window_long"`
-	BurnShort   float64 `json:"burn_short"`
-	BurnLong    float64 `json:"burn_long"`
-	FastBurn    bool    `json:"fast_burn"`
-}
-
-// Snapshot returns every route's current status, in objective order.
-func (e *Engine) Snapshot() []Status {
-	out := make([]Status, 0, len(e.routes))
-	for _, rs := range e.routes {
-		out = append(out, Status{
-			Route:       rs.obj.Route,
-			ObjectiveMS: float64(rs.obj.Latency.Nanoseconds()) / 1e6,
-			Target:      rs.obj.Target,
-			WindowShort: windowLabel(e.cfg.ShortWindow),
-			WindowLong:  windowLabel(e.cfg.LongWindow),
-			BurnShort:   math.Float64frombits(rs.burnShort.Load()),
-			BurnLong:    math.Float64frombits(rs.burnLong.Load()),
-			FastBurn:    rs.fast.Load(),
-		})
-	}
-	return out
-}
-
-// FastBurnThreshold exposes the configured threshold (for /stats).
-func (e *Engine) FastBurnThreshold() float64 { return e.cfg.FastBurn }

@@ -1,6 +1,7 @@
 package slo
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -29,6 +30,22 @@ func testEngine(t *testing.T, target, fastBurn float64, onTrip func(string)) (*E
 	return eng, hist, errs
 }
 
+// routeBurn is what the engine publishes for its first route: the two burn
+// rates the quepa_slo_burn_rate gauges read, and the fast-burn flag.
+type routeBurn struct {
+	BurnShort, BurnLong float64
+	FastBurn            bool
+}
+
+func firstRoute(e *Engine) routeBurn {
+	rs := e.routes[0]
+	return routeBurn{
+		BurnShort: math.Float64frombits(rs.burnShort.Load()),
+		BurnLong:  math.Float64frombits(rs.burnLong.Load()),
+		FastBurn:  rs.fast.Load(),
+	}
+}
+
 func observeN(h *telemetry.Histogram, n int, d time.Duration) {
 	for i := 0; i < n; i++ {
 		h.Observe(d)
@@ -47,7 +64,7 @@ func TestBurnRateMath(t *testing.T) {
 	observeN(hist, 50, 100*time.Millisecond) // bad
 	eng.Sample(base.Add(2 * time.Second))
 
-	st := eng.Snapshot()[0]
+	st := firstRoute(eng)
 	if st.BurnShort < 49.9 || st.BurnShort > 50.1 {
 		t.Fatalf("short burn = %v, want ~50", st.BurnShort)
 	}
@@ -69,7 +86,7 @@ func TestErrorsCountAgainstBudget(t *testing.T) {
 	observeN(hist, 100, time.Millisecond)
 	errs.Add(10)
 	eng.Sample(base.Add(2 * time.Second))
-	if b := eng.Snapshot()[0].BurnShort; b < 9.9 || b > 10.1 {
+	if b := firstRoute(eng).BurnShort; b < 9.9 || b > 10.1 {
 		t.Fatalf("burn = %v, want ~10", b)
 	}
 }
@@ -85,7 +102,7 @@ func TestBadCappedAtTotal(t *testing.T) {
 	observeN(hist, 10, time.Second)
 	errs.Add(10)
 	eng.Sample(base.Add(2 * time.Second))
-	if b := eng.Snapshot()[0].BurnShort; b < 9.99 || b > 10.01 {
+	if b := firstRoute(eng).BurnShort; b < 9.99 || b > 10.01 {
 		t.Fatalf("burn = %v, want 10 (= 1/budget)", b)
 	}
 }
@@ -114,7 +131,7 @@ func TestFastBurnRequiresBothWindows(t *testing.T) {
 	observeN(hist, 50, time.Second)
 	now = now.Add(time.Second)
 	eng.Sample(now)
-	st := eng.Snapshot()[0]
+	st := firstRoute(eng)
 	if st.FastBurn {
 		t.Fatalf("tripped on first degraded sample: short=%v long=%v", st.BurnShort, st.BurnLong)
 	}
@@ -144,7 +161,7 @@ func TestFastBurnRequiresBothWindows(t *testing.T) {
 		eng.Sample(now)
 	}
 	if len(eng.FastBurning()) != 0 {
-		st := eng.Snapshot()[0]
+		st := firstRoute(eng)
 		t.Fatalf("did not recover: short=%v long=%v", st.BurnShort, st.BurnLong)
 	}
 	if len(trips) != 1 {
@@ -184,7 +201,7 @@ func TestBurnGaugesExported(t *testing.T) {
 			t.Fatalf("exposition missing series %q:\n%s", want, out)
 		}
 	}
-	if b := eng.Snapshot()[0].BurnShort; b < 99.9 || b > 100.1 {
+	if b := firstRoute(eng).BurnShort; b < 99.9 || b > 100.1 {
 		t.Fatalf("short burn = %v, want ~100", b)
 	}
 }

@@ -20,7 +20,7 @@ func TestKillSwitchRecordsNothing(t *testing.T) {
 	c.Add(5)
 	g.Set(3)
 	h.Observe(500 * time.Microsecond)
-	if v := r.CounterValue("off_counter"); v != 0 {
+	if v := c.Value(); v != 0 {
 		t.Errorf("counter = %d", v)
 	}
 	if got := g.Value(); got != 0 {

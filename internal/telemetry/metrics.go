@@ -147,33 +147,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 // Sum returns the total observed duration.
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sumNanos.Load()) }
 
-// Quantile estimates the q-quantile (0 < q < 1) by linear interpolation
-// inside the bucket that holds it. Observations beyond the last finite bound
-// are attributed to that bound, so the estimate is a floor for tail
-// quantiles landing in +Inf.
-func (h *Histogram) Quantile(q float64) time.Duration {
-	total := h.count.Load()
-	if total == 0 || q <= 0 || q >= 1 {
-		return 0
-	}
-	target := q * float64(total)
-	cum := uint64(0)
-	lower := 0.0
-	for i, b := range h.bounds {
-		in := h.counts[i].Load()
-		if float64(cum)+float64(in) >= target {
-			frac := 1.0
-			if in > 0 {
-				frac = (target - float64(cum)) / float64(in)
-			}
-			return time.Duration((lower + (b-lower)*frac) * float64(time.Second))
-		}
-		cum += in
-		lower = b
-	}
-	return time.Duration(lower * float64(time.Second))
-}
-
 // CountAtMost returns how many observations landed in buckets whose upper
 // bound is <= d — the "good events" count for a latency SLO with objective d.
 // The answer is quantized to the bucket grid: d is effectively rounded down
@@ -193,28 +166,6 @@ func (h *Histogram) CountAtMost(d time.Duration) uint64 {
 		cum += h.counts[i].Load()
 	}
 	return cum
-}
-
-// HistogramSnapshot is a point-in-time summary of a histogram.
-type HistogramSnapshot struct {
-	Count uint64        `json:"count"`
-	Sum   time.Duration `json:"sum"`
-	P50   time.Duration `json:"p50"`
-	P95   time.Duration `json:"p95"`
-	P99   time.Duration `json:"p99"`
-}
-
-// Snapshot captures count, sum and the p50/p95/p99 estimates. Concurrent
-// observations may land between the individual atomic reads; the snapshot is
-// a monitoring view, not a barrier.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	return HistogramSnapshot{
-		Count: h.Count(),
-		Sum:   h.Sum(),
-		P50:   h.Quantile(0.50),
-		P95:   h.Quantile(0.95),
-		P99:   h.Quantile(0.99),
-	}
 }
 
 // metric kinds, in Prometheus TYPE vocabulary.
@@ -365,28 +316,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	r.mu.Lock()
 	s.g, s.gf = nil, fn
 	r.mu.Unlock()
-}
-
-// CounterValue reads the current value of a counter series, or 0 if it does
-// not exist. Intended for stats endpoints and tests.
-func (r *Registry) CounterValue(name string, labels ...Label) uint64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	f, ok := r.families[name]
-	if !ok {
-		return 0
-	}
-	s, ok := f.series[labelsKey(sortLabels(labels))]
-	if !ok {
-		return 0
-	}
-	switch {
-	case s.c != nil:
-		return s.c.Value()
-	case s.cf != nil:
-		return s.cf()
-	}
-	return 0
 }
 
 // escapeLabel escapes a label value per the Prometheus text format.

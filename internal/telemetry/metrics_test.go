@@ -39,11 +39,11 @@ func TestCounterSeriesIdentity(t *testing.T) {
 		t.Error("different label values shared a series")
 	}
 	a.Add(3)
-	if got := r.CounterValue("hits_total", L("op", "get"), L("store", "s1")); got != 3 {
-		t.Errorf("CounterValue = %d, want 3", got)
+	if got := r.Counter("hits_total", "", L("op", "get"), L("store", "s1")).Value(); got != 3 {
+		t.Errorf("re-resolved counter = %d, want 3", got)
 	}
-	if got := r.CounterValue("hits_total", L("op", "get"), L("store", "ghost")); got != 0 {
-		t.Errorf("missing series CounterValue = %d, want 0", got)
+	if got := other.Value(); got != 0 {
+		t.Errorf("sibling series = %d, want 0", got)
 	}
 }
 
@@ -81,41 +81,6 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 	if got := h.Sum(); got != wantSum {
 		t.Errorf("sum = %v, want %v", got, wantSum)
-	}
-}
-
-func TestHistogramQuantiles(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat_seconds", "", nil)
-	// 100 observations of 1ms, 100 of 100ms: p50 lands in the 1ms bucket,
-	// p95 and p99 in the 100ms bucket.
-	for i := 0; i < 100; i++ {
-		h.Observe(time.Millisecond)
-		h.Observe(100 * time.Millisecond)
-	}
-	snap := h.Snapshot()
-	if snap.Count != 200 {
-		t.Fatalf("count = %d", snap.Count)
-	}
-	if snap.P50 > 2*time.Millisecond {
-		t.Errorf("p50 = %v, want <= 2ms", snap.P50)
-	}
-	if snap.P95 < 50*time.Millisecond || snap.P95 > 100*time.Millisecond {
-		t.Errorf("p95 = %v, want in (50ms, 100ms]", snap.P95)
-	}
-	if snap.P99 < snap.P95 {
-		t.Errorf("p99 %v < p95 %v", snap.P99, snap.P95)
-	}
-	if h.Quantile(0) != 0 || h.Quantile(1) != 0 {
-		t.Error("out-of-range quantiles should be 0")
-	}
-}
-
-func TestHistogramEmptyQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("empty_seconds", "", nil)
-	if got := h.Quantile(0.5); got != 0 {
-		t.Errorf("empty histogram p50 = %v", got)
 	}
 }
 

@@ -493,14 +493,6 @@ func (t *Tracer) noteKeptLocked(id TraceID) {
 	t.recentNext = (t.recentNext + 1) % cap(t.recent)
 }
 
-// Stats reports how many root spans the tracer has seen and how many were
-// retained.
-func (t *Tracer) Stats() (seen, kept uint64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.seen, t.kept
-}
-
 // SamplingStats breaks the tail-sampling decisions down by reason.
 type SamplingStats struct {
 	Seen        uint64  `json:"seen"`

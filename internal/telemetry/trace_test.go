@@ -59,9 +59,8 @@ func TestSlowThresholdFilters(t *testing.T) {
 	if len(traces) != 1 || traces[0].Name != "slow" {
 		t.Errorf("traces = %+v", traces)
 	}
-	seen, kept := tr.Stats()
-	if seen != 2 || kept != 1 {
-		t.Errorf("stats = (%d, %d), want (2, 1)", seen, kept)
+	if st := tr.SamplingStats(); st.Seen != 2 || st.Kept != 1 {
+		t.Errorf("seen/kept = (%d, %d), want (2, 1)", st.Seen, st.Kept)
 	}
 }
 
@@ -159,7 +158,7 @@ func TestSpanEndIdempotent(t *testing.T) {
 	if s.Duration() != d {
 		t.Error("second End changed the duration")
 	}
-	if seen, _ := tr.Stats(); seen != 1 {
+	if seen := tr.SamplingStats().Seen; seen != 1 {
 		t.Errorf("root logged %d times", seen)
 	}
 }
@@ -173,7 +172,7 @@ func TestTracerReset(t *testing.T) {
 	if len(tr.Snapshot()) != 0 {
 		t.Error("reset did not empty the log")
 	}
-	if seen, kept := tr.Stats(); seen != 0 || kept != 0 {
-		t.Errorf("stats after reset = (%d, %d)", seen, kept)
+	if st := tr.SamplingStats(); st.Seen != 0 || st.Kept != 0 {
+		t.Errorf("seen/kept after reset = (%d, %d)", st.Seen, st.Kept)
 	}
 }

@@ -139,8 +139,8 @@ func TestFlagsKeepFastTraces(t *testing.T) {
 
 	_, plain := tr.StartSpan(context.Background(), "plain")
 	plain.End()
-	if seen, kept := tr.Stats(); seen != 2 || kept != 1 {
-		t.Errorf("seen/kept = %d/%d", seen, kept)
+	if st := tr.SamplingStats(); st.Seen != 2 || st.Kept != 1 {
+		t.Errorf("seen/kept = %d/%d", st.Seen, st.Kept)
 	}
 }
 
@@ -155,20 +155,20 @@ func TestTailSamplingSweepsSiblingSegments(t *testing.T) {
 	_, client := tr.StartSpan(context.Background(), "client")
 	_, seg := tr.StartRemoteSpan(context.Background(), "server-seg", client.TraceParent())
 	seg.End()
-	if _, kept := tr.Stats(); kept != 0 {
+	if kept := tr.SamplingStats().Kept; kept != 0 {
 		t.Fatalf("fast segment kept prematurely")
 	}
 	// The client root is flagged, so it is kept — and must pull the buffered
 	// sibling segment of the same trace in with it.
 	client.Mark(FlagError)
 	client.End()
-	if _, kept := tr.Stats(); kept != 2 {
+	if kept := tr.SamplingStats().Kept; kept != 2 {
 		t.Fatalf("kept = %d, want 2 (root + swept segment)", kept)
 	}
 	// A late-finishing segment of an already-kept trace is kept as well.
 	_, late := tr.StartRemoteSpan(context.Background(), "late-seg", client.TraceParent())
 	late.End()
-	if _, kept := tr.Stats(); kept != 3 {
+	if kept := tr.SamplingStats().Kept; kept != 3 {
 		t.Fatalf("kept = %d, want 3 after late segment", kept)
 	}
 	if st := tr.SamplingStats(); st.KeptSwept != 2 {

@@ -61,6 +61,7 @@ func (m *Manager) recover(ckpts, segs []uint64) error {
 		break
 	}
 	m.recovery.CheckpointEpoch = fence
+	m.ckptEpoch.Store(fence)
 	m.lastEpoch = fence
 
 	// Replay segments in order. The first torn record ends the log: the torn

@@ -146,13 +146,9 @@ type Manager struct {
 	err       error // first write/sync failure; sticky
 
 	durableEpoch atomic.Uint64 // newest epoch known to be on stable storage
-	appends      atomic.Uint64
-	appendBytes  atomic.Uint64
 
 	ckptMu        sync.Mutex // serializes checkpoint writes
-	ckptCount     atomic.Uint64
 	ckptEpoch     atomic.Uint64
-	ckptLastNanos atomic.Int64
 	ckptLastBytes atomic.Int64
 
 	recovery RecoveryStats
@@ -331,8 +327,6 @@ func (m *Manager) LogCtx(ctx context.Context, ops []aindex.JournalOp, epoch uint
 	m.segSize += int64(n)
 	m.lastEpoch = epoch
 	m.dirty = true
-	m.appends.Add(1)
-	m.appendBytes.Add(uint64(n))
 	walAppends.Inc()
 	walAppendBytes.Add(uint64(n))
 	if m.opts.Fsync == FsyncAlways {
@@ -461,9 +455,7 @@ func (m *Manager) Checkpoint() error {
 	}
 	walCheckpoints.Inc()
 	walCheckpointDur.Observe(time.Since(start))
-	m.ckptCount.Add(1)
 	m.ckptEpoch.Store(epoch)
-	m.ckptLastNanos.Store(int64(time.Since(start)))
 	m.ckptLastBytes.Store(n)
 	m.prune(epoch)
 	return nil
@@ -562,48 +554,52 @@ func (m *Manager) Abort() {
 	}
 }
 
-// Stats is a point-in-time snapshot of the durability pipeline, rendered
-// into /stats and the bench harness.
+// Stats is a point-in-time snapshot of the durability pipeline, exported by
+// RegisterMetrics. Appends, appended bytes and checkpoints are counted by the
+// package counters quepa_wal_appends_total, quepa_wal_append_bytes_total and
+// quepa_checkpoints_total.
 type Stats struct {
-	Dir             string        `json:"dir"`
-	Fsync           string        `json:"fsync"`
-	Segments        int           `json:"segments"`
-	SegmentBytes    int64         `json:"active_segment_bytes"`
-	Appends         uint64        `json:"appends"`
-	AppendedBytes   uint64        `json:"appended_bytes"`
-	LastEpoch       uint64        `json:"last_epoch"`
-	DurableEpoch    uint64        `json:"durable_epoch"`
-	Checkpoints     uint64        `json:"checkpoints"`
-	CheckpointEpoch uint64        `json:"checkpoint_epoch"`
-	CheckpointBytes int64         `json:"last_checkpoint_bytes"`
-	CheckpointTime  time.Duration `json:"last_checkpoint_nanos"`
-	Err             string        `json:"error,omitempty"`
-	Recovery        RecoveryStats `json:"recovery"`
+	Fsync           string
+	Segments        int
+	SegmentBytes    int64 // size of the active segment
+	LastEpoch       uint64
+	DurableEpoch    uint64
+	CheckpointEpoch uint64
+	CheckpointBytes int64 // size of the newest checkpoint this manager wrote
 }
 
-// Stats returns a snapshot of the manager's counters.
+// Stats returns a snapshot of the manager's state.
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	s := Stats{
-		Dir:          m.dir,
 		Fsync:        m.opts.Fsync,
 		Segments:     len(m.segments),
 		SegmentBytes: m.segSize,
 		LastEpoch:    m.lastEpoch,
 	}
-	if m.err != nil {
-		s.Err = m.err.Error()
-	}
 	m.mu.Unlock()
-	s.Appends = m.appends.Load()
-	s.AppendedBytes = m.appendBytes.Load()
 	s.DurableEpoch = m.durableEpoch.Load()
-	s.Checkpoints = m.ckptCount.Load()
 	s.CheckpointEpoch = m.ckptEpoch.Load()
 	s.CheckpointBytes = m.ckptLastBytes.Load()
-	s.CheckpointTime = time.Duration(m.ckptLastNanos.Load())
-	s.Recovery = m.recovery
 	return s
+}
+
+// RegisterMetrics exports Stats on a telemetry registry as function-backed
+// gauges read at scrape time. Re-registering (a reopened data dir) points
+// the series at the new manager.
+func (m *Manager) RegisterMetrics(r *telemetry.Registry) {
+	r.GaugeFunc("quepa_wal_segments", "WAL segment files, the active one included",
+		func() float64 { return float64(m.Stats().Segments) })
+	r.GaugeFunc("quepa_wal_active_segment_bytes", "bytes in the active WAL segment",
+		func() float64 { return float64(m.Stats().SegmentBytes) })
+	r.GaugeFunc("quepa_wal_last_epoch", "A' epoch of the newest batch appended to the WAL",
+		func() float64 { return float64(m.Stats().LastEpoch) })
+	r.GaugeFunc("quepa_wal_durable_epoch", "newest A' epoch known to be on stable storage",
+		func() float64 { return float64(m.Stats().DurableEpoch) })
+	r.GaugeFunc("quepa_wal_checkpoint_epoch", "epoch fence of the newest checkpoint, written or recovered",
+		func() float64 { return float64(m.Stats().CheckpointEpoch) })
+	r.GaugeFunc("quepa_wal_last_checkpoint_bytes", "size of the newest checkpoint this process wrote",
+		func() float64 { return float64(m.Stats().CheckpointBytes) })
 }
 
 // syncDir fsyncs a directory so a just-renamed file survives a crash.

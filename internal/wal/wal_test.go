@@ -5,10 +5,12 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"quepa/internal/aindex"
 	"quepa/internal/core"
+	"quepa/internal/telemetry"
 )
 
 func gk(s string) core.GlobalKey { return core.MustParseGlobalKey(s) }
@@ -313,14 +315,18 @@ func TestCorruptCheckpointFallsBack(t *testing.T) {
 
 func TestStatsSurface(t *testing.T) {
 	dir := t.TempDir()
+	appends, checkpoints := walAppends.Value(), walCheckpoints.Value()
 	m := seedManager(t, dir, Options{Fsync: FsyncAlways})
 	for i := 0; i < 10; i++ {
 		doOp(t, m.Index(), i)
 	}
-	s := m.Stats()
-	if s.Appends != 10 {
-		t.Errorf("Appends = %d, want 10", s.Appends)
+	if got := walAppends.Value() - appends; got != 10 {
+		t.Errorf("quepa_wal_appends_total grew by %d, want 10", got)
 	}
+	if walCheckpoints.Value() == checkpoints {
+		t.Error("seed checkpoint not counted by quepa_checkpoints_total")
+	}
+	s := m.Stats()
 	if s.Fsync != FsyncAlways {
 		t.Errorf("Fsync = %q", s.Fsync)
 	}
@@ -328,8 +334,22 @@ func TestStatsSurface(t *testing.T) {
 	if s.DurableEpoch != s.LastEpoch || s.LastEpoch == 0 {
 		t.Errorf("DurableEpoch=%d LastEpoch=%d, want equal and nonzero", s.DurableEpoch, s.LastEpoch)
 	}
-	if s.Checkpoints == 0 || s.CheckpointBytes == 0 {
+	if s.CheckpointBytes == 0 {
 		t.Errorf("seed checkpoint not reflected in stats: %+v", s)
+	}
+	reg := telemetry.NewRegistry()
+	m.RegisterMetrics(reg)
+	var out strings.Builder
+	reg.WritePrometheus(&out)
+	for _, want := range []string{
+		fmt.Sprintf("quepa_wal_segments %d\n", s.Segments),
+		fmt.Sprintf("quepa_wal_last_epoch %d\n", s.LastEpoch),
+		fmt.Sprintf("quepa_wal_durable_epoch %d\n", s.DurableEpoch),
+		fmt.Sprintf("quepa_wal_last_checkpoint_bytes %d\n", s.CheckpointBytes),
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("exposition lacks %q:\n%s", want, out.String())
+		}
 	}
 	if err := m.Close(); err != nil {
 		t.Fatalf("close: %v", err)
