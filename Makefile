@@ -90,8 +90,9 @@ promlint:
 
 # Multi-peer cluster suite under the race detector (the CI cluster job runs
 # exactly this): the island carve a shard is built from (Islands), ring
-# property tests, scatter equivalence against the single-node index, the
-# scatter cache under concurrent mutation, peer-down -> "peer-open"
+# property tests, scatter equivalence against the single-node index (cold
+# and served from the owners' reach memos), each owner's reach memo under
+# concurrent mutation and its one-island invalidation, peer-down -> "peer-open"
 # degradation scoped to the dead peer's origins, slow-shard timeouts, and
 # the 3-peer HTTP server acceptance test. Every scenario runs over
 # in-process netsim peers with deterministic fault plans, so the lane

@@ -350,15 +350,18 @@ type Hit struct {
 	Dist int
 }
 
-// ReachStats summarizes the work of one reachability traversal: index nodes
+// ReachStats summarizes the work of one or more reaches: index nodes
 // expanded (frontier entries processed, including the start) and adjacency
 // edges scanned. The augmenter reports them on its augment.objects span.
 type ReachStats struct {
 	Nodes int
 	Edges int
-	// Snapshot reports whether the traversal was served lock-free from the
-	// CSR snapshot rather than the locked adjacency maps.
-	Snapshot bool
+	// Snapshots counts the traversals served lock-free from the CSR
+	// snapshot rather than the locked adjacency maps.
+	Snapshots int
+	// Memoized counts the reaches a result cache answered with no traversal
+	// (rcache.Cache.Reach); the index itself never sets it.
+	Memoized int
 }
 
 // Reach returns the global keys reachable from gk within level+1 hops — the
@@ -391,7 +394,7 @@ func (ix *Index) reach(gk core.GlobalKey, level int, stats *ReachStats) []Hit {
 	if s := ix.snap.Load(); s != nil && s.epoch == ix.epoch.Load() {
 		hits := s.reach(gk, level, stats)
 		if stats != nil {
-			stats.Snapshot = true
+			stats.Snapshots++
 		}
 		reachSnapshot.Inc()
 		reachHits.Add(uint64(len(hits)))

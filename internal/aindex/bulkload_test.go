@@ -113,7 +113,7 @@ func TestBulkLoadSnapshotFresh(t *testing.T) {
 		t.Errorf("snapshot info %+v vs index %d nodes / %d edges",
 			info, ix.NodeCount(), ix.EdgeCount())
 	}
-	if _, st := ix.ReachWithStats(rels[0].From, 1); !st.Snapshot {
+	if _, st := ix.ReachWithStats(rels[0].From, 1); st.Snapshots == 0 {
 		t.Error("first reach on a bulk-loaded index missed the snapshot path")
 	}
 }

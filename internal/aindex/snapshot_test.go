@@ -319,7 +319,7 @@ func TestSnapshotStalenessAndFallback(t *testing.T) {
 		t.Fatal("snapshot fresh right after mutations with rebuild parked")
 	}
 	hits, st := ix.ReachWithStats(a, 1)
-	if st.Snapshot {
+	if st.Snapshots != 0 {
 		t.Error("stale snapshot served a traversal")
 	}
 	if len(hits) != 2 {
@@ -331,7 +331,7 @@ func TestSnapshotStalenessAndFallback(t *testing.T) {
 		t.Fatal("snapshot stale right after RefreshSnapshot")
 	}
 	hits2, st2 := ix.ReachWithStats(a, 1)
-	if !st2.Snapshot {
+	if st2.Snapshots == 0 {
 		t.Error("fresh snapshot not used")
 	}
 	if len(hits2) != len(hits) {
@@ -348,7 +348,7 @@ func TestSnapshotStalenessAndFallback(t *testing.T) {
 		t.Fatal("RemoveObject(b) = false")
 	}
 	hits3, st3 := ix.ReachWithStats(a, 1)
-	if st3.Snapshot {
+	if st3.Snapshots != 0 {
 		t.Error("stale snapshot served a traversal after removal")
 	}
 	for _, h := range hits3 {
@@ -368,7 +368,7 @@ func TestSnapshotRebuildAsync(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFresh(t, ix)
-	if _, st := ix.ReachWithStats(a, 0); !st.Snapshot {
+	if _, st := ix.ReachWithStats(a, 0); st.Snapshots == 0 {
 		t.Error("reach not on the snapshot path after the async rebuild")
 	}
 	info := ix.SnapshotInfo()
@@ -583,7 +583,7 @@ func TestSnapshotReachAllocs(t *testing.T) {
 	// rebuild may run while it measures.
 	quiesce(t, ix)
 	k := keys[3]
-	if _, st := ix.ReachWithStats(k, 1); !st.Snapshot {
+	if _, st := ix.ReachWithStats(k, 1); st.Snapshots == 0 {
 		t.Fatal("fast path not active")
 	}
 	ix.Reach(k, 1) // warm the scratch pool
@@ -610,7 +610,7 @@ func TestSnapshotReachAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix.RefreshSnapshot()
-	if _, st := ix.ReachWithStats(k, 1); !st.Snapshot || ix.SnapshotInfo().Patches != patches+1 {
+	if _, st := ix.ReachWithStats(k, 1); st.Snapshots == 0 || ix.SnapshotInfo().Patches != patches+1 {
 		t.Fatal("patched snapshot not serving")
 	}
 	gate("after a patch")

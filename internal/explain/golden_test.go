@@ -129,8 +129,8 @@ func search(t *testing.T, aug *augment.Augmenter, query string) *explain.Profile
 // TestGoldenProfiles pins the EXPLAIN profile, field for field, of every
 // shape of request the stack serves: each strategy cold and warm, a result
 // cache outcome hit, a degraded store, a retried wire round trip, a 2-peer
-// cluster scatter (self and remote legs, then the scatter cache), and an
-// exploration step.
+// cluster scatter (self and remote legs, cold, then served from the owners'
+// memos), and an exploration step.
 func TestGoldenProfiles(t *testing.T) {
 	built := goldenWorkload(t)
 
@@ -249,7 +249,8 @@ func wireRetryPolystore(t *testing.T, built *workload.Built) *core.Polystore {
 
 // twoPeerAugmenter brings up a 2-peer cluster — peer 1 served over a real
 // wire listener, peer 0 local — and returns peer 0's augmenter: its own
-// replica of every store, scatter-gather reach, and a scatter result cache.
+// replica of every store and scatter-gather reach, each peer memoizing the
+// reaches it computes.
 func twoPeerAugmenter(t *testing.T) *augment.Augmenter {
 	t.Helper()
 	spec := workload.DefaultSpec()
@@ -274,6 +275,7 @@ func twoPeerAugmenter(t *testing.T) *augment.Augmenter {
 			t.Fatal(err)
 		}
 		node := cluster.NewNode(shard, idx, built.Poly)
+		node.SetResultCache(rcache.New(1024))
 		nodes = append(nodes, node)
 		if shard == 0 {
 			local = built
@@ -294,7 +296,6 @@ func twoPeerAugmenter(t *testing.T) *augment.Augmenter {
 		Node:    nodes[0],
 		Breaker: resilience.BreakerConfig{FailureThreshold: 2, Cooldown: time.Hour},
 		Client:  wire.ClientConfig{Retry: resilience.RetryPolicy{MaxAttempts: 1, AttemptTimeout: 2 * time.Second}},
-		Rcache:  rcache.New(1024),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -153,7 +153,8 @@ type Totals struct {
 	WireRetries   int   `json:"wire_retries"`
 	Degraded      int   `json:"degraded_stores"`
 	ScatterCalls  int   `json:"scatter_calls,omitempty"`
-	// RcacheHits counts results served from the stamp-validated result
-	// cache (reach sets, whole augmentation outcomes, scatter results).
+	// RcacheHits counts results served from this process's stamp-validated
+	// result cache (reach sets, whole augmentation outcomes); a remote
+	// owner's reach memo hits count on that owner.
 	RcacheHits int `json:"rcache_hits,omitempty"`
 }

@@ -1,10 +1,9 @@
 // Package rcache implements the stamp-validated result cache of the read
-// path: memoized A' Reach result sets and whole per-level augmentation
-// outcomes, keyed by (global key, level, kind) and stamped
-// with a number the caller reads before computing them. The cache compares
-// stamps and nothing else; what a stamp means is the caller's business.
+// path: memoized A' reaches and whole per-level augmentation outcomes, keyed
+// by (global key, level, kind) and stamped with a number the caller reads
+// before computing them. The cache compares stamps and nothing else.
 //
-// The augmenter stamps with aindex.Index.Stamp of the entry's origin: the
+// Both kinds are stamped with aindex.Index.Stamp of the entry's origin: the
 // epoch of the last mutation that changed an edge of the origin's connected
 // component. If that stamp reads the same value twice, no reach from the
 // origin changed in between, so an entry stamped S stays exact for as long
@@ -13,8 +12,13 @@
 // the caller's current one and treats a mismatch as a miss, evicting the
 // stale entry on the spot, while every other island's entries keep serving.
 // No mutator ever has to enumerate which cached results a given edge change
-// could affect. (The cluster coordinator stamps its scatter entries with the
-// local shard's global epoch instead.)
+// could affect.
+//
+// Reach is the one memoized reach, and it runs wherever a reach is computed:
+// on the augmenter's own index on one node, and on every cluster peer over
+// its shard, for its self leg and for the legs other peers send it. Each
+// entry is stamped by the index that computed it, so a mutation on one
+// peer's shard strands that island's entries on that peer alone.
 //
 // No mutation needs an explicit flush: inserts, promotions, lazy deletions and
 // WAL replay all move the stamps they affect, and a restarted process starts
@@ -50,9 +54,6 @@ const (
 	// augmented objects after fetch, before the min-probability filter Rank
 	// applies, so one entry serves every threshold).
 	KindOutcome
-	// KindScatter caches a distributed ReachScatter result (the coordinator
-	// stamps it with the local shard's index epoch).
-	KindScatter
 )
 
 // Key identifies one memoized result.
@@ -109,17 +110,25 @@ func (c *Cache) put(k Key, stamp uint64, v any) {
 	}
 }
 
-// GetReach returns the memoized hit list for k if one was stored at exactly
-// the given stamp. The returned slice is shared — do not mutate it.
-func (c *Cache) GetReach(k Key, stamp uint64) ([]aindex.Hit, bool) {
-	v, ok := c.get(k, stamp)
-	hits, _ := v.([]aindex.Hit)
-	return hits, ok
+// Reach is ix.ReachWithStats(gk, level), memoized: the KindReach entry is
+// stamped with ix.Stamp(gk), read before the traversal, so a mutation racing
+// it strands the entry at the old stamp instead of mislabeling the new
+// reach. A hit reports no nodes or edges, since no traversal ran, and one
+// Memoized reach. A nil cache computes every reach. The returned slice is
+// shared with the cache: do not mutate it.
+func (c *Cache) Reach(ix *aindex.Index, gk core.GlobalKey, level int) ([]aindex.Hit, aindex.ReachStats) {
+	if c == nil {
+		return ix.ReachWithStats(gk, level)
+	}
+	k := Key{GK: gk, Level: level, Kind: KindReach}
+	stamp := ix.Stamp(gk)
+	if v, ok := c.lru.Get(k, stamp); ok {
+		return v.([]aindex.Hit), aindex.ReachStats{Memoized: 1}
+	}
+	hits, st := ix.ReachWithStats(gk, level)
+	c.lru.Put(k, stamp, hits)
+	return hits, st
 }
-
-// PutReach memoizes a reach result computed at the given stamp. The cache
-// retains hits without copying; the caller must not mutate it afterwards.
-func (c *Cache) PutReach(k Key, stamp uint64, hits []aindex.Hit) { c.put(k, stamp, hits) }
 
 // GetOutcome returns a memoized augmentation outcome stored at the stamp.
 func (c *Cache) GetOutcome(k Key, stamp uint64) (any, bool) { return c.get(k, stamp) }
@@ -173,7 +182,7 @@ func (c *Cache) Stats() Stats {
 // function-backed series read at scrape time, mirroring the object cache's
 // export: the hot path pays nothing for it.
 func (c *Cache) RegisterMetrics(r *telemetry.Registry) {
-	r.CounterFunc("quepa_rcache_hits_total", "result cache probes served from memory",
+	r.CounterFunc("quepa_rcache_hits_total", "result cache probes served from memory, counted in the process that ran the reach (a remote origin's owner)",
 		func() uint64 { return c.Stats().Hits })
 	r.CounterFunc("quepa_rcache_misses_total", "result cache probes that recomputed",
 		func() uint64 { return c.Stats().Misses })
