@@ -129,9 +129,11 @@ func TestHandleSearch(t *testing.T) {
 	// Error paths.
 	for _, target := range []string{
 		"/search", // missing params
-		"/search?db=transactions&q=" + q + "&level=-1",                                   // bad level
-		"/search?db=ghost&q=" + q,                                                        // unknown database
-		"/search?db=transactions&q=" + url.QueryEscape("SELECT COUNT(*) FROM inventory"), // aggregate
+		"/search?db=transactions&q=" + q + "&level=-1",                                          // bad level
+		"/search?db=ghost&q=" + q,                                                               // unknown database
+		"/search?db=transactions&q=" + url.QueryEscape("SELECT COUNT(*) FROM inventory"),        // aggregate
+		"/search?db=transactions&q=" + url.QueryEscape("SELECT DISTINCT artist FROM inventory"), // values, not objects
+		"/search?db=discount&q=" + url.QueryEscape("EXISTS drop ghost"),                         // a boolean, not an entry
 	} {
 		if code, _ := do(t, s.Handler(), "GET", target); code != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", target, code)

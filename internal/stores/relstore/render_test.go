@@ -42,8 +42,8 @@ func TestEnsureKeyColumn(t *testing.T) {
 		{
 			`SELECT DISTINCT artist FROM inventory WHERE NOT price < 10`,
 			"id",
-			`SELECT DISTINCT id, artist FROM inventory WHERE NOT (price < 10)`,
-			true,
+			`SELECT DISTINCT artist FROM inventory WHERE NOT (price < 10)`,
+			false,
 		},
 		{
 			`SELECT name FROM inventory WHERE note = 'it''s'`,
