@@ -12,13 +12,13 @@ import (
 // SELECT id, name FROM inventory before execution.
 
 // EnsureKeyColumn returns the statement's SQL with the given key column added
-// to the projection when the statement is a non-aggregate SELECT that does
-// not already project it (directly or via *). The boolean reports whether a
-// rewrite happened; when false, the returned string is the rendering of the
-// original statement.
+// to the projection when the statement is a SELECT of rows (no aggregate, no
+// DISTINCT) that does not already project it (directly or via *). The
+// boolean reports whether a rewrite happened; when false, the returned string
+// is the rendering of the original statement.
 func (st Statement) EnsureKeyColumn(keyColumn string) (string, bool) {
 	sel, ok := st.inner.(*selectStmt)
-	if !ok || sel.hasAggregate() {
+	if !ok || sel.hasAggregate() || sel.distinct {
 		return renderStatement(st.inner), false
 	}
 	for _, it := range sel.items {

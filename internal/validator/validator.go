@@ -17,8 +17,9 @@ import (
 	"quepa/internal/stores/relstore"
 )
 
-// ErrNotAugmentable marks queries that are valid for the engine but cannot
-// participate in augmentation (aggregates, writes).
+// ErrNotAugmentable marks queries the store's language parses but that cannot
+// participate in augmentation: writes, and reads whose results are values
+// rather than data objects (aggregates, JOIN, DISTINCT, count(), LEN, EXISTS).
 type ErrNotAugmentable struct{ Reason string }
 
 func (e *ErrNotAugmentable) Error() string {
@@ -74,6 +75,9 @@ func validateRelational(ctx context.Context, s core.Store, query string) (Valida
 	if st.HasJoin() {
 		return Validation{}, &ErrNotAugmentable{Reason: "joined rows are not data objects with a global key"}
 	}
+	if st.HasDistinct() {
+		return Validation{}, &ErrNotAugmentable{Reason: "DISTINCT returns column values, not data objects"}
+	}
 	// Rewrite so the key column appears in the projection (paper Fig. 2,
 	// step 3). The engine reports row keys regardless, but the rewrite makes
 	// identifiers visible in the user-facing result, as the paper requires.
@@ -106,10 +110,12 @@ func validateKeyValue(query string) (Validation, error) {
 		return Validation{}, fmt.Errorf("validator: empty key-value command")
 	}
 	switch strings.ToUpper(fields[0]) {
-	case "GET", "MGET", "KEYS", "SCAN", "EXISTS":
+	case "GET", "MGET", "KEYS", "SCAN":
 		return Validation{Query: query}, nil
 	case "LEN":
 		return Validation{}, &ErrNotAugmentable{Reason: "LEN is an aggregate"}
+	case "EXISTS":
+		return Validation{}, &ErrNotAugmentable{Reason: "EXISTS returns a boolean, not the stored entry"}
 	case "SET", "DEL":
 		return Validation{}, &ErrNotAugmentable{Reason: "writes cannot be augmented"}
 	default:
