@@ -34,6 +34,7 @@ var keepUnreached = map[string]string{
 	"c45.Tree.Leaves":                   "test seam: the pruning assertions",
 	"slo.Engine.Tripped":                "test seam: the once-only trip",
 	"graphstore.Store.DeleteNode":       "test seam: the ordered-index equivalence histories delete nodes",
+	"docstore.Store.Delete":             "test seam: the ordered-index equivalence histories delete documents",
 	"telemetry.DefaultLogger":           "test seam: the default logger redirect",
 	"telemetry.SetLogOutput":            "test seam: log capture",
 	"telemetry.SetEnabled":              "safety code: the instrumentation kill switch",

@@ -150,7 +150,7 @@ func (c *Document) GetBatch(ctx context.Context, collection string, keys []strin
 	return out, nil
 }
 
-// Query executes a collection.find(...)/count(...) query.
+// Query executes a collection.find(...) query.
 func (c *Document) Query(ctx context.Context, query string) ([]core.Object, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

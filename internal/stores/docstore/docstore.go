@@ -7,7 +7,9 @@
 // through the textual form accepted by Query:
 //
 //	<collection>.find(<filter>)
-//	<collection>.count(<filter>)
+//
+// ParseQuery also classifies <collection>.count(<filter>), so that the
+// validator can refuse it as an aggregate; Query does not execute it.
 //
 // where <filter> is a JSON object combining equality ({"artist": "The Cure"}),
 // comparison operators ({"year": {"$gt": 1990}} with $gt/$gte/$lt/$lte/$ne/
@@ -317,15 +319,6 @@ func (s *Store) Find(collectionName, filterJSON string) ([]*Document, error) {
 	return out, nil
 }
 
-// Count returns the number of documents matching a filter.
-func (s *Store) Count(collectionName, filterJSON string) (int, error) {
-	docs, err := s.Find(collectionName, filterJSON)
-	if err != nil {
-		return 0, err
-	}
-	return len(docs), nil
-}
-
 // queryRE matches the textual query form "<collection>.<verb>(<filter>)".
 var queryRE = regexp.MustCompile(`(?s)^\s*([A-Za-z0-9_-]+)\.(find|count)\((.*)\)\s*$`)
 
@@ -340,24 +333,16 @@ func ParseQuery(q string) (collectionName, verb, filter string, err error) {
 	return m[1], m[2], strings.TrimSpace(m[3]), nil
 }
 
-// Query executes the textual query form. find returns the matching
-// documents; count returns a single synthetic document {"count": n}.
+// Query executes the textual query form: find returns the matching
+// documents. count is parsed for the validator's refusal, not executed.
 func (s *Store) Query(q string) ([]*Document, error) {
 	defer s.tel.Query.Since(telemetry.Now())
 	collectionName, verb, filter, err := ParseQuery(q)
 	if err != nil {
 		return nil, err
 	}
-	switch verb {
-	case "find":
-		return s.Find(collectionName, filter)
-	case "count":
-		n, err := s.Count(collectionName, filter)
-		if err != nil {
-			return nil, err
-		}
-		return []*Document{{ID: "count", Body: map[string]any{"count": float64(n)}}}, nil
-	default:
-		return nil, fmt.Errorf("docstore: unknown verb %q", verb)
+	if verb != "find" {
+		return nil, fmt.Errorf("docstore: %s() is parsed, not executed", verb)
 	}
+	return s.Find(collectionName, filter)
 }

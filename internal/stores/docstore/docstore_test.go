@@ -1,6 +1,7 @@
 package docstore
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -140,20 +141,24 @@ func TestFindErrors(t *testing.T) {
 	}
 }
 
+// TestCountAndQuery: Query executes find; count parses, so the validator
+// can refuse it as an aggregate, but Query refuses it and changes nothing.
 func TestCountAndQuery(t *testing.T) {
 	s := newCatalogue(t)
-	n, err := s.Count("albums", `{"artist": "The Cure"}`)
-	if err != nil || n != 2 {
-		t.Errorf("Count = %d, %v", n, err)
-	}
-
 	docs, err := s.Query(`albums.find({"year": {"$gt": 1990}})`)
 	if err != nil || len(docs) != 3 {
 		t.Errorf("Query find: %d docs, %v", len(docs), err)
 	}
-	docs, err = s.Query(`albums.count({})`)
-	if err != nil || len(docs) != 1 || docs[0].Fields()["count"] != "4" {
-		t.Errorf("Query count: %+v, %v", docs, err)
+	n := s.Len("albums")
+	all, _ := s.Query(`albums.find({})`)
+	if _, verb, _, err := ParseQuery(`albums.count({})`); err != nil || verb != "count" {
+		t.Errorf("ParseQuery(count) = %q, %v", verb, err)
+	}
+	if docs, err := s.Query(`albums.count({})`); err == nil {
+		t.Errorf("Query count executed: %+v", docs)
+	}
+	if after, _ := s.Query(`albums.find({})`); s.Len("albums") != n || !slices.Equal(after, all) {
+		t.Errorf("refused count changed the collection: %d docs, want %d", s.Len("albums"), n)
 	}
 	if _, err := s.Query(`albums.drop({})`); err == nil {
 		t.Error("unknown verb should fail")

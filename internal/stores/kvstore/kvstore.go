@@ -12,13 +12,15 @@
 //	GET <bucket> <key>
 //	MGET <bucket> <key> [<key>...]
 //	DEL <bucket> <key> [<key>...]
-//	EXISTS <bucket> <key>
 //	KEYS <bucket> <glob>            glob supports * and ?
 //	SCAN <bucket>                   all entries in insertion order
-//	LEN <bucket>
 //	SETEX <bucket> <key> <seconds> <value...>
 //	EXPIRE <bucket> <key> <seconds>
 //	TTL <bucket> <key>
+//
+// LEN and EXISTS are not commands: the validator refuses them by name, as
+// their answers are a count and a boolean rather than stored entries, and Do
+// reports them as unknown.
 package kvstore
 
 import (
@@ -190,16 +192,6 @@ func (s *Store) Keys(bucketName, glob string) []string {
 	return out
 }
 
-// Len returns the number of keys in a bucket.
-func (s *Store) Len(bucketName string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if b, ok := s.buckets[bucketName]; ok {
-		return len(b.data)
-	}
-	return 0
-}
-
 // Do parses and executes one command of the textual language.
 func (s *Store) Do(command string) ([]Entry, error) {
 	defer s.tel.Query.Since(telemetry.Now())
@@ -239,12 +231,6 @@ func (s *Store) Do(command string) ([]Entry, error) {
 		}
 		n := s.Del(args[0], args[1:]...)
 		return []Entry{{Bucket: args[0], Key: "deleted", Value: strconv.Itoa(n)}}, nil
-	case "EXISTS":
-		if len(args) != 2 {
-			return nil, fmt.Errorf("kvstore: EXISTS requires bucket and key")
-		}
-		_, ok := s.Get(args[0], args[1])
-		return []Entry{{Bucket: args[0], Key: args[1], Value: strconv.FormatBool(ok)}}, nil
 	case "KEYS":
 		if len(args) != 2 {
 			return nil, fmt.Errorf("kvstore: KEYS requires bucket and glob")
@@ -275,11 +261,6 @@ func (s *Store) Do(command string) ([]Entry, error) {
 			out = append(out, Entry{Bucket: args[0], Key: k, Value: b.data[k]})
 		}
 		return out, nil
-	case "LEN":
-		if len(args) != 1 {
-			return nil, fmt.Errorf("kvstore: LEN requires bucket")
-		}
-		return []Entry{{Bucket: args[0], Key: "len", Value: strconv.Itoa(s.Len(args[0]))}}, nil
 	case "SETEX", "EXPIRE", "TTL":
 		return s.doTTLCommand(op, args)
 	default:

@@ -33,8 +33,8 @@ func TestTTLExpiry(t *testing.T) {
 		t.Fatal("expired key still readable")
 	}
 	// Reaped, not just hidden.
-	if s.Len("drop") != 0 {
-		t.Errorf("Len after expiry = %d", s.Len("drop"))
+	if n := len(s.buckets["drop"].data); n != 0 {
+		t.Errorf("entries after expiry = %d", n)
 	}
 }
 

@@ -228,18 +228,15 @@ func (ix *Index) append(key string, v Value, seq uint64) {
 
 // Insert adds a row after every row already indexed.
 func (ix *Index) Insert(key string, v Value) {
-	ix.put(key, v, ix.next)
-	ix.next++
-}
-
-// Move re-indexes a row whose value changed from old to v, keeping its
-// place in insertion order.
-func (ix *Index) Move(key string, old, v Value) {
-	seq, ok := ix.take(key, old)
-	if !ok {
-		return
+	switch v.kind {
+	case kindNumber:
+		ix.nums = insertSorted(ix.nums, entry[float64]{v.num, ix.next, key})
+	case kindText:
+		ix.texts = insertSorted(ix.texts, entry[string]{v.text, ix.next, key})
+	default:
+		ix.rest = append(ix.rest, entry[string]{seq: ix.next, key: key})
 	}
-	ix.put(key, v, seq)
+	ix.next++
 }
 
 // Retain drops every row whose key keep rejects, in one pass per section.
@@ -249,50 +246,9 @@ func (ix *Index) Retain(keep func(key string) bool) {
 	ix.rest = slices.DeleteFunc(ix.rest, func(e entry[string]) bool { return !keep(e.key) })
 }
 
-func (ix *Index) put(key string, v Value, seq uint64) {
-	switch v.kind {
-	case kindNumber:
-		ix.nums = insertSorted(ix.nums, entry[float64]{v.num, seq, key})
-	case kindText:
-		ix.texts = insertSorted(ix.texts, entry[string]{v.text, seq, key})
-	default:
-		ix.rest = append(ix.rest, entry[string]{seq: seq, key: key})
-	}
-}
-
 func insertSorted[T float64 | string](es []entry[T], e entry[T]) []entry[T] {
 	i, _ := slices.BinarySearchFunc(es, e, byValue[T])
 	return slices.Insert(es, i, e)
-}
-
-// take removes the row key, indexed under v, and returns its seq.
-func (ix *Index) take(key string, v Value) (seq uint64, ok bool) {
-	switch v.kind {
-	case kindNumber:
-		ix.nums, seq, ok = takeSorted(ix.nums, v.num, key)
-	case kindText:
-		ix.texts, seq, ok = takeSorted(ix.texts, v.text, key)
-	default:
-		i := slices.IndexFunc(ix.rest, func(e entry[string]) bool { return e.key == key })
-		if i < 0 {
-			return 0, false
-		}
-		seq = ix.rest[i].seq
-		ix.rest = slices.Delete(ix.rest, i, i+1)
-		return seq, true
-	}
-	return seq, ok
-}
-
-func takeSorted[T float64 | string](es []entry[T], v T, key string) ([]entry[T], uint64, bool) {
-	i := sort.Search(len(es), func(i int) bool { return cmp.Compare(es[i].v, v) >= 0 })
-	for ; i < len(es) && cmp.Compare(es[i].v, v) == 0; i++ {
-		if es[i].key == key {
-			seq := es[i].seq
-			return slices.Delete(es, i, i+1), seq, true
-		}
-	}
-	return es, 0, false
 }
 
 // run returns the half-open slice [i, j) of a sorted section inside s.

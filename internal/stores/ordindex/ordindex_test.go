@@ -75,7 +75,7 @@ func randRange(rng *rand.Rand) Range {
 	return r
 }
 
-// TestLookupMatchesBruteForce interleaves Insert, Move and Retain with
+// TestLookupMatchesBruteForce interleaves Insert and Retain with
 // lookups: lookup must return exactly the rows in range plus the residual,
 // in insertion order, and count must agree with it.
 func TestLookupMatchesBruteForce(t *testing.T) {
@@ -93,20 +93,13 @@ func TestLookupMatchesBruteForce(t *testing.T) {
 		ix := Build(keys, func(k string) Value { return values[k] })
 		next := len(rows)
 		for step := 0; step < 400; step++ {
-			switch rng.Intn(6) {
+			switch rng.Intn(5) {
 			case 0:
 				x := row{fmt.Sprintf("k%d", next), randValue(rng)}
 				next++
 				rows = append(rows, x)
 				ix.Insert(x.key, x.v)
 			case 1:
-				if len(rows) > 0 {
-					i := rng.Intn(len(rows))
-					v := randValue(rng)
-					ix.Move(rows[i].key, rows[i].v, v)
-					rows[i].v = v
-				}
-			case 2:
 				if len(rows) > 0 {
 					gone := rows[rng.Intn(len(rows))].key
 					ix.Retain(func(k string) bool { return k != gone })

@@ -2,9 +2,10 @@ package relstore
 
 // This file defines the abstract syntax tree of the SQL dialect understood by
 // the engine. The dialect covers the fragment the paper's experiments need:
-// table creation, inserts, and SELECT with WHERE / ORDER BY / LIMIT plus the
-// aggregate functions that the augmentation validator must recognize and
-// reject (queries with aggregates cannot be augmented, Section III-A).
+// table creation, inserts, and SELECT with WHERE / ORDER BY / LIMIT, plus the
+// forms the augmentation validator must recognize and reject because they do
+// not return data objects (Section III-A): UPDATE, DELETE, aggregates,
+// DISTINCT and JOIN. The engine parses those but does not execute them.
 
 // statement is the interface implemented by every parsed SQL statement.
 type statement interface{ stmt() }
@@ -118,8 +119,7 @@ type selectItem struct {
 }
 
 // joinClause is an INNER JOIN of a second table on an equality condition:
-// FROM t1 JOIN t2 ON t1.a = t2.b. Joined rows expose their columns under
-// qualified names ("t1.a").
+// FROM t1 JOIN t2 ON t1.a = t2.b.
 type joinClause struct {
 	table    string // right-hand table
 	leftCol  string // column of the FROM table

@@ -99,43 +99,66 @@ func TestOrderByLimit(t *testing.T) {
 	}
 }
 
+// contents renders every table's SELECT * answer and row count.
+func contents(t *testing.T, s *Store) string {
+	t.Helper()
+	var b strings.Builder
+	for _, name := range s.Tables() {
+		fmt.Fprintf(&b, "%s %d %v\n", name, s.Len(name), mustSelect(t, s, `SELECT * FROM `+name))
+	}
+	return b.String()
+}
+
+// assertRefused requires each statement, a form the engine parses for the
+// validator but does not execute, to fail at both entry points and to leave
+// every table as it was.
+func assertRefused(t *testing.T, s *Store, sqls ...string) {
+	t.Helper()
+	before := contents(t, s)
+	for _, sql := range sqls {
+		if _, err := s.Select(sql); err == nil {
+			t.Errorf("Select(%s) executed; want an error", sql)
+		}
+		if _, err := s.Exec(sql); err == nil {
+			t.Errorf("Exec(%s) executed; want an error", sql)
+		}
+	}
+	if after := contents(t, s); after != before {
+		t.Errorf("refused statements changed the store:\nbefore %s\nafter  %s", before, after)
+	}
+}
+
+// TestAggregates: aggregates parse, so the validator can classify them, and
+// the engine refuses them.
 func TestAggregates(t *testing.T) {
 	s := newInventory(t)
-	tests := []struct {
-		sql   string
-		label string
-		want  string
-	}{
-		{`SELECT COUNT(*) FROM inventory`, "COUNT(*)", "4"},
-		{`SELECT COUNT(*) FROM inventory WHERE artist = 'Cure'`, "COUNT(*)", "2"},
-		{`SELECT SUM(price) FROM inventory WHERE artist = 'Cure'`, "SUM(price)", "35.5"},
-		{`SELECT AVG(price) FROM inventory WHERE artist = 'Cure'`, "AVG(price)", "17.75"},
-		{`SELECT MIN(price) FROM inventory`, "MIN(price)", "15.5"},
-		{`SELECT MAX(price) FROM inventory`, "MAX(price)", "21"},
+	aggs := []string{
+		`SELECT COUNT(*) FROM inventory`,
+		`SELECT COUNT(*) FROM inventory WHERE artist = 'Cure'`,
+		`SELECT SUM(price) FROM inventory WHERE artist = 'Cure'`,
+		`SELECT AVG(price) FROM inventory`,
+		`SELECT MIN(price) FROM inventory`,
+		`SELECT MAX(price) FROM inventory`,
+		`SELECT id, COUNT(*) FROM inventory`,
 	}
-	for _, tt := range tests {
-		rows := mustSelect(t, s, tt.sql)
-		if len(rows) != 1 {
-			t.Fatalf("%s returned %d rows", tt.sql, len(rows))
-		}
-		if got := rows[0].Values[tt.label]; got != tt.want {
-			t.Errorf("%s = %q, want %q", tt.sql, got, tt.want)
+	for _, sql := range aggs {
+		if st, err := Parse(sql); err != nil || !st.HasAggregate() {
+			t.Errorf("Parse(%s) = aggregate %v, %v", sql, st.HasAggregate(), err)
 		}
 	}
-	if _, err := s.Select(`SELECT id, COUNT(*) FROM inventory`); err == nil {
-		t.Error("mixing aggregate and plain column should fail")
-	}
-	if _, err := s.Select(`SELECT SUM(artist) FROM inventory`); err == nil {
-		t.Error("SUM over non-numeric column should fail")
-	}
+	assertRefused(t, s, aggs...)
 }
 
 func TestDistinct(t *testing.T) {
 	s := newInventory(t)
-	rows := mustSelect(t, s, `SELECT DISTINCT artist FROM inventory`)
-	if len(rows) != 3 {
-		t.Errorf("DISTINCT artist returned %d rows, want 3", len(rows))
+	const sql = `SELECT DISTINCT artist FROM inventory`
+	if st, err := Parse(sql); err != nil || !st.HasDistinct() {
+		t.Errorf("Parse(%s) = distinct %v, %v", sql, st.HasDistinct(), err)
 	}
+	if st, _ := Parse(`SELECT artist FROM inventory`); st.HasDistinct() {
+		t.Error("plain select reported as DISTINCT")
+	}
+	assertRefused(t, s, sql)
 }
 
 func TestGetAndGetBatch(t *testing.T) {
@@ -165,24 +188,49 @@ func TestGetAndGetBatch(t *testing.T) {
 
 func TestDeleteAndUpdate(t *testing.T) {
 	s := newInventory(t)
-	if n := mustExec(t, s, `UPDATE inventory SET price = 19.0 WHERE id = 'a32'`); n != 1 {
-		t.Errorf("UPDATE affected %d rows", n)
+	assertRefused(t, s,
+		`UPDATE inventory SET price = 19.0 WHERE id = 'a32'`,
+		`UPDATE inventory SET id = 'x'`,
+		`DELETE FROM inventory WHERE artist = 'Cure'`,
+		`DELETE FROM inventory`,
+	)
+}
+
+// newSalesDB adds a sales table to the inventory, for the JOIN tests.
+func newSalesDB(t *testing.T) *Store {
+	t.Helper()
+	s := newInventory(t)
+	mustExec(t, s, `CREATE TABLE sales (sid TEXT PRIMARY KEY, item TEXT, customer TEXT, total FLOAT)`)
+	mustExec(t, s, `INSERT INTO sales VALUES ('s1', 'a32', 'John', 20.0), ('s2', 'a34', 'Mary', 22.0)`)
+	return s
+}
+
+// TestJoinErrors: every JOIN is refused, whether or not its tables and
+// columns resolve.
+func TestJoinErrors(t *testing.T) {
+	assertRefused(t, newSalesDB(t),
+		`SELECT * FROM sales JOIN inventory ON sales.item = inventory.id`,
+		`SELECT customer FROM sales JOIN inventory ON item = id WHERE price > 1 ORDER BY total LIMIT 1`,
+		`SELECT * FROM ghost JOIN inventory ON a = b`,
+		`SELECT * FROM sales JOIN sales ON item = item`,
+		`SELECT COUNT(*) FROM sales JOIN inventory ON item = id`,
+	)
+}
+
+func TestJoinStatementInspection(t *testing.T) {
+	st, err := Parse(`SELECT * FROM sales JOIN inventory ON item = id`)
+	if err != nil {
+		t.Fatal(err)
 	}
-	row, _, _ := s.Get("inventory", "a32")
-	if row.Values["price"] != "19.0" {
-		t.Errorf("price after update = %q", row.Values["price"])
+	if !st.HasJoin() || !st.IsSelect() {
+		t.Error("join statement misinspected")
 	}
-	if n := mustExec(t, s, `DELETE FROM inventory WHERE artist = 'Cure'`); n != 2 {
-		t.Errorf("DELETE affected %d rows", n)
+	st, err = Parse(`SELECT * FROM sales`)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s.Len("inventory") != 2 {
-		t.Errorf("rows after delete = %d", s.Len("inventory"))
-	}
-	if _, ok, _ := s.Get("inventory", "a32"); ok {
-		t.Error("deleted row still present")
-	}
-	if _, err := s.Exec(`UPDATE inventory SET id = 'x'`); err == nil {
-		t.Error("updating primary key should fail")
+	if st.HasJoin() {
+		t.Error("single-table select reported as join")
 	}
 }
 
@@ -193,17 +241,15 @@ func TestSecondaryIndex(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("indexed lookup returned %d rows", len(rows))
 	}
-	// Index stays consistent under DML.
-	mustExec(t, s, `INSERT INTO inventory VALUES ('a40', 'Cure', 'Pornography', 16.0)`)
-	mustExec(t, s, `DELETE FROM inventory WHERE id = 'a32'`)
-	mustExec(t, s, `UPDATE inventory SET artist = 'The Cure' WHERE id = 'a33'`)
+	// Index stays consistent under inserts.
+	mustExec(t, s, `INSERT INTO inventory VALUES ('a40', 'Cure', 'Pornography', 16.0), ('a41', 'The Cure', 'Faith', 14.0)`)
 	rows = mustSelect(t, s, `SELECT id FROM inventory WHERE artist = 'Cure'`)
-	if len(rows) != 1 || rows[0].Key != "a40" {
-		t.Errorf("index after DML: %+v", rows)
+	if len(rows) != 3 || rows[2].Key != "a40" {
+		t.Errorf("index after insert: %+v", rows)
 	}
 	rows = mustSelect(t, s, `SELECT id FROM inventory WHERE artist = 'The Cure'`)
-	if len(rows) != 1 || rows[0].Key != "a33" {
-		t.Errorf("index after update: %+v", rows)
+	if len(rows) != 1 || rows[0].Key != "a41" {
+		t.Errorf("index after insert: %+v", rows)
 	}
 	if _, err := s.Exec(`CREATE INDEX ON inventory (artist)`); err == nil {
 		t.Error("duplicate index should fail")
