@@ -26,7 +26,7 @@ var keepUnreached = map[string]string{
 	"netsim.NewChaosNode":               "test-only fault injector: the cluster suites wrap peers in it",
 	"wire.Client.Frames":                "test seam: the mux tests and integration's frame-count assertion",
 	"cache.Sharded.Shards":              "test seam: the sharding threshold",
-	"core.Object.Equal":                 "the object equality the tests compare against",
+	"core.NewObject":                    "the sorting constructor tests and examples build objects from field maps with",
 	"kvstore.Store.SetClock":            "test seam: the TTL tests move the clock",
 	"memlimit.Accountant.Used":          "test seam of the OOM model behind Fig. 13",
 	"memlimit.Accountant.Peak":          "test seam of the OOM model behind Fig. 13",

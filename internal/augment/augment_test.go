@@ -135,7 +135,7 @@ func TestSearchRewritesProjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The validator rewrite makes the id visible in the result fields.
-	if v, ok := answer.Original[0].Field("id"); !ok || v != "a32" {
+	if v, ok := answer.Original[0].Fields.Get("id"); !ok || v != "a32" {
 		t.Errorf("rewritten projection lacks id: %v", answer.Original[0])
 	}
 }

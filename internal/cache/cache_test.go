@@ -13,11 +13,17 @@ func obj(key string) core.Object {
 	return core.NewObject(core.NewGlobalKey("db", "c", key), map[string]string{"v": key})
 }
 
+// field returns the named field of o, "" when absent.
+func field(o core.Object, name string) string {
+	v, _ := o.Fields.Get(name)
+	return v
+}
+
 func TestPutGet(t *testing.T) {
 	c := NewLRU(2)
 	c.Put(obj("a"))
 	got, ok := c.Get(obj("a").GK)
-	if !ok || got.Fields["v"] != "a" {
+	if !ok || field(got, "v") != "a" {
 		t.Fatalf("Get = %v, %v", got, ok)
 	}
 	if _, ok := c.Get(obj("zz").GK); ok {
@@ -64,7 +70,7 @@ func TestPutRefreshes(t *testing.T) {
 		t.Errorf("Len after refresh = %d", c.Len())
 	}
 	got, _ := c.Get(obj("a").GK)
-	if got.Fields["v"] != "new" {
+	if field(got, "v") != "new" {
 		t.Errorf("refreshed value = %v", got.Fields)
 	}
 }

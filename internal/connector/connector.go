@@ -5,6 +5,11 @@
 // Section III-A: "each connector is able to communicate with a specific
 // database system by sending queries in the local language and returning the
 // result; data objects are parsed into an internal representation").
+//
+// That representation is a view, not a copy: every engine keeps an object's
+// fields as name-sorted slices, and its connector wraps them with
+// core.SortedFields, so a read allocates no per-object field storage
+// (DESIGN §3.17).
 package connector
 
 import (
@@ -101,7 +106,7 @@ func (c *Relational) Query(ctx context.Context, query string) ([]core.Object, er
 }
 
 func (c *Relational) rowObject(r relstore.Row) core.Object {
-	return core.NewObject(core.NewGlobalKey(c.Name(), r.Table, r.Key), r.Values)
+	return core.Object{GK: core.NewGlobalKey(c.Name(), r.Table, r.Key), Fields: core.SortedFields(r.Names, r.Values)}
 }
 
 // Document adapts a docstore database.
@@ -171,7 +176,7 @@ func (c *Document) Query(ctx context.Context, query string) ([]core.Object, erro
 }
 
 func (c *Document) docObject(collection string, d *docstore.Document) core.Object {
-	return core.NewObject(core.NewGlobalKey(c.Name(), collection, d.ID), d.Fields())
+	return core.Object{GK: core.NewGlobalKey(c.Name(), collection, d.ID), Fields: core.SortedFields(d.Fields())}
 }
 
 // KeyValue adapts a kvstore database.
@@ -201,7 +206,7 @@ func (c *KeyValue) Get(ctx context.Context, collection, key string) (core.Object
 	if !ok {
 		return core.Object{}, fmt.Errorf("%s.%s.%s: %w", c.Name(), collection, key, core.ErrNotFound)
 	}
-	return c.entryObject(kvstore.Entry{Bucket: collection, Key: key, Value: v}), nil
+	return c.entryObject(kvstore.Entry{Bucket: collection, Key: key, Value: v}, []string{v}), nil
 }
 
 // GetBatch retrieves many entries in one MGET round trip.
@@ -209,12 +214,7 @@ func (c *KeyValue) GetBatch(ctx context.Context, collection string, keys []strin
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	entries := c.db.MGet(collection, keys)
-	out := make([]core.Object, len(entries))
-	for i, e := range entries {
-		out[i] = c.entryObject(e)
-	}
-	return out, nil
+	return c.entryObjects(c.db.MGet(collection, keys)), nil
 }
 
 // Query executes one command of the kv command language.
@@ -226,18 +226,26 @@ func (c *KeyValue) Query(ctx context.Context, query string) ([]core.Object, erro
 	if err != nil {
 		return nil, err
 	}
-	out := make([]core.Object, len(entries))
-	for i, e := range entries {
-		out[i] = c.entryObject(e)
-	}
-	return out, nil
+	return c.entryObjects(entries), nil
 }
 
-func (c *KeyValue) entryObject(e kvstore.Entry) core.Object {
-	return core.NewObject(
-		core.NewGlobalKey(c.Name(), e.Bucket, e.Key),
-		map[string]string{core.ValueField: e.Value},
-	)
+// valueNames is the one names slice every key-value object shares.
+var valueNames = []string{core.ValueField}
+
+// entryObjects turns entries into objects whose one-element value slices are
+// cut from a single array, one allocation for the whole batch.
+func (c *KeyValue) entryObjects(entries []kvstore.Entry) []core.Object {
+	out := make([]core.Object, len(entries))
+	values := make([]string, len(entries))
+	for i, e := range entries {
+		values[i] = e.Value
+		out[i] = c.entryObject(e, values[i:i+1:i+1])
+	}
+	return out
+}
+
+func (c *KeyValue) entryObject(e kvstore.Entry, value []string) core.Object {
+	return core.Object{GK: core.NewGlobalKey(c.Name(), e.Bucket, e.Key), Fields: core.SortedFields(valueNames, value)}
 }
 
 // Graph adapts a graphstore database. Node labels act as collections.
@@ -277,7 +285,7 @@ func (c *Graph) GetBatch(ctx context.Context, collection string, keys []string) 
 		return nil, err
 	}
 	nodes := c.db.GetNodes(keys)
-	var out []core.Object
+	out := make([]core.Object, 0, len(nodes))
 	for _, n := range nodes {
 		if n.Label == collection {
 			out = append(out, c.nodeObject(n))
@@ -303,11 +311,7 @@ func (c *Graph) Query(ctx context.Context, query string) ([]core.Object, error) 
 }
 
 func (c *Graph) nodeObject(n *graphstore.Node) core.Object {
-	fields := make(map[string]string, len(n.Props))
-	for k, v := range n.Props {
-		fields[k] = v
-	}
-	return core.NewObject(core.NewGlobalKey(c.Name(), n.Label, n.ID), fields)
+	return core.Object{GK: core.NewGlobalKey(c.Name(), n.Label, n.ID), Fields: core.SortedFields(n.Names, n.Values)}
 }
 
 // Engine exposes the underlying relational engine (administration paths:

@@ -124,7 +124,7 @@ func TestPolystoreFetch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Fetch: %v", err)
 	}
-	if v, _ := o.Field("title"); v != "Wish" {
+	if v, _ := o.Fields.Get("title"); v != "Wish" {
 		t.Errorf("fetched object title = %q", v)
 	}
 

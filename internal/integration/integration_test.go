@@ -124,7 +124,7 @@ func TestValidatorRewriteOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, o := range answer.Original {
-		if _, ok := o.Field("id"); !ok {
+		if _, ok := o.Fields.Get("id"); !ok {
 			t.Errorf("rewritten projection lacks id over wire: %v", o)
 		}
 	}

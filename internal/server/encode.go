@@ -4,9 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"net/http"
-	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"unicode/utf8"
 
@@ -170,7 +168,7 @@ func appendAugmented(b []byte, aos []augment.AugmentedObject) []byte {
 
 // appendObject encodes one data object at the current position; nl is a
 // newline plus the indentation of the object's own braces. prob and dist are
-// omitted when zero, a nil Fields map is null and an empty one {}.
+// omitted when zero, a zero Fields is null and an empty one {}.
 func appendObject(b []byte, nl string, o core.Object, prob float64, dist int) []byte {
 	b = append(b, '{')
 	b = append(b, nl...)
@@ -179,30 +177,24 @@ func appendObject(b []byte, nl string, o core.Object, prob float64, dist int) []
 	b = append(b, ',')
 	b = append(b, nl...)
 	b = append(b, "  \"fields\": "...)
-	switch {
-	case o.Fields == nil:
+	switch n := o.Fields.Len(); {
+	case o.Fields.IsZero():
 		b = append(b, "null"...)
-	case len(o.Fields) == 0:
+	case n == 0:
 		b = append(b, "{}"...)
 	default:
-		// Sorted on the stack: objects wider than this spill to the heap.
-		type field struct{ name, value string }
-		var stack [16]field
-		fields := stack[:0]
-		for name, value := range o.Fields {
-			fields = append(fields, field{name, value})
-		}
-		slices.SortFunc(fields, func(x, y field) int { return strings.Compare(x.name, y.name) })
+		// Fields are held sorted by name, the order encoding/json gives a map.
 		b = append(b, '{')
-		for i, f := range fields {
+		for i := 0; i < n; i++ {
+			name, value := o.Fields.At(i)
 			if i > 0 {
 				b = append(b, ',')
 			}
 			b = append(b, nl...)
 			b = append(b, "    \""...)
-			b = appendEscaped(b, f.name)
+			b = appendEscaped(b, name)
 			b = append(b, "\": \""...)
-			b = appendEscaped(b, f.value)
+			b = appendEscaped(b, value)
 			b = append(b, '"')
 		}
 		b = append(b, nl...)

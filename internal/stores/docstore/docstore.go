@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -44,20 +45,38 @@ type Document struct {
 	Body map[string]any
 
 	flatten sync.Once
-	fields  map[string]string // flattened view, built on first Fields call
+	names   []string // flattened view, sorted by name, built on first Fields call
+	values  []string
 }
 
-// Fields returns a flattened field/value view of the document: nested objects
-// use dot paths, arrays use numeric path components, scalars are rendered
-// with JSON formatting conventions (no quotes on strings). It is built once,
-// on first use, and safe to call from concurrent readers.
-func (d *Document) Fields() map[string]string {
+// Fields returns a flattened field/value view of the document as parallel
+// name and value slices sorted by name: nested objects use dot paths, arrays
+// use numeric path components, scalars are rendered with JSON formatting
+// conventions (no quotes on strings). It is built once, on first use, and
+// safe to call from concurrent readers; every call returns the same slices,
+// which callers must not write.
+func (d *Document) Fields() (names, values []string) {
 	d.flatten.Do(func() {
-		d.fields = map[string]string{}
-		flattenInto(d.fields, "", d.Body)
+		fields := flattenInto(nil, "", d.Body)
+		// Two paths can flatten to one name ({"a.b": 1, "a": {"b": 2}}): the
+		// smaller value wins, whatever order the maps were walked in.
+		slices.SortFunc(fields, func(x, y field) int {
+			if c := strings.Compare(x.name, y.name); c != 0 {
+				return c
+			}
+			return strings.Compare(x.value, y.value)
+		})
+		fields = slices.CompactFunc(fields, func(x, y field) bool { return x.name == y.name })
+		d.names, d.values = make([]string, len(fields)), make([]string, len(fields))
+		for i, f := range fields {
+			d.names[i], d.values[i] = f.name, f.value
+		}
 	})
-	return d.fields
+	return d.names, d.values
 }
+
+// field is one flattened path and its rendered scalar.
+type field struct{ name, value string }
 
 // JSON renders the document body as compact JSON.
 func (d *Document) JSON() string {
@@ -68,7 +87,7 @@ func (d *Document) JSON() string {
 	return string(b)
 }
 
-func flattenInto(out map[string]string, prefix string, v any) {
+func flattenInto(out []field, prefix string, v any) []field {
 	switch val := v.(type) {
 	case map[string]any:
 		for k, sub := range val {
@@ -76,7 +95,7 @@ func flattenInto(out map[string]string, prefix string, v any) {
 			if prefix != "" {
 				p = prefix + "." + k
 			}
-			flattenInto(out, p, sub)
+			out = flattenInto(out, p, sub)
 		}
 	case []any:
 		for i, sub := range val {
@@ -84,11 +103,12 @@ func flattenInto(out map[string]string, prefix string, v any) {
 			if prefix != "" {
 				p = prefix + "." + p
 			}
-			flattenInto(out, p, sub)
+			out = flattenInto(out, p, sub)
 		}
 	default:
-		out[prefix] = scalarString(v)
+		out = append(out, field{prefix, scalarString(v)})
 	}
+	return out
 }
 
 func scalarString(v any) string {

@@ -29,8 +29,8 @@ func TestInsertAndGet(t *testing.T) {
 	if !ok {
 		t.Fatal("Get d1 missing")
 	}
-	if d.Fields()["title"] != "Wish" {
-		t.Errorf("title = %q", d.Fields()["title"])
+	if got := fieldsMap(d)["title"]; got != "Wish" {
+		t.Errorf("title = %q", got)
 	}
 	if _, ok := s.Get("albums", "ghost"); ok {
 		t.Error("missing doc reported present")
@@ -216,18 +216,39 @@ func TestFlatten(t *testing.T) {
 		t.Fatal(err)
 	}
 	d, _ := s.Get("c", "x")
-	f := d.Fields()
-	want := map[string]string{
-		"_id": "x", "a.b.c": "1.5", "arr.0": "true", "arr.1": "null", "arr.2": "s", "n": "3",
+	names, values := d.Fields()
+	wantNames := []string{"_id", "a.b.c", "arr.0", "arr.1", "arr.2", "n"}
+	wantValues := []string{"x", "1.5", "true", "null", "s", "3"}
+	if !slices.Equal(names, wantNames) || !slices.Equal(values, wantValues) {
+		t.Errorf("Fields() = %v %v, want %v %v", names, values, wantNames, wantValues)
 	}
-	for k, v := range want {
-		if f[k] != v {
-			t.Errorf("Fields[%q] = %q, want %q", k, f[k], v)
-		}
+	if again, _ := d.Fields(); &again[0] != &names[0] {
+		t.Error("a second Fields call rebuilt the view")
 	}
-	if len(f) != len(want) {
-		t.Errorf("Fields has %d entries, want %d: %v", len(f), len(want), f)
+}
+
+// TestFlattenCollision pins the one case two paths flatten to one name: the
+// view keeps the names strictly sorted, and the smaller value wins.
+func TestFlattenCollision(t *testing.T) {
+	s := New("db")
+	if _, err := s.Insert("c", `{"_id": "x", "a.b": "2", "a": {"b": "1"}}`); err != nil {
+		t.Fatal(err)
 	}
+	d, _ := s.Get("c", "x")
+	names, values := d.Fields()
+	if !slices.Equal(names, []string{"_id", "a.b"}) || values[1] != "1" {
+		t.Errorf("Fields() = %v %v", names, values)
+	}
+}
+
+// fieldsMap returns a document's flattened view as a map.
+func fieldsMap(d *Document) map[string]string {
+	names, values := d.Fields()
+	m := make(map[string]string, len(names))
+	for i, name := range names {
+		m[name] = values[i]
+	}
+	return m
 }
 
 func TestDocumentJSON(t *testing.T) {

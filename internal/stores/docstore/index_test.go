@@ -196,7 +196,7 @@ func TestFieldsConcurrent(t *testing.T) {
 					return
 				}
 				for _, d := range docs {
-					if f := d.Fields(); f["_id"] != d.ID || f["tags.1"] != "b" {
+					if f := fieldsMap(d); f["_id"] != d.ID || f["tags.1"] != "b" {
 						t.Errorf("Fields() = %v for %s", f, d.ID)
 					}
 				}

@@ -1,6 +1,7 @@
 package graphstore
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -59,7 +60,7 @@ func TestAddEdgeErrors(t *testing.T) {
 func TestGetNodeAndBatch(t *testing.T) {
 	s := newSimilarItems(t)
 	n, ok := s.GetNode("n3")
-	if !ok || n.Props["title"] != "OK Computer" {
+	if title, _ := n.prop("title"); !ok || title != "OK Computer" {
 		t.Errorf("GetNode = %+v, %v", n, ok)
 	}
 	if _, ok := s.GetNode("ghost"); ok {
@@ -229,5 +230,42 @@ func TestLabels(t *testing.T) {
 	got := s.Labels()
 	if len(got) != 2 || got[0] != "aa" || got[1] != "zz" {
 		t.Errorf("Labels() = %v", got)
+	}
+}
+
+// TestNodePropsSortedAndShared pins the node layout AddNode builds: names
+// sorted, consecutive nodes of one label with the same property names
+// sharing one names slice, and a node whose names differ getting its own.
+func TestNodePropsSortedAndShared(t *testing.T) {
+	s := New("g")
+	for _, n := range []struct {
+		id    string
+		props map[string]string
+	}{
+		{"a", map[string]string{"title": "x", "artist": "y", "year": "1"}},
+		{"b", map[string]string{"year": "2", "title": "z", "artist": "w"}},
+		{"c", map[string]string{"title": "only"}},
+	} {
+		if err := s.AddNode(n.id, "items", n.props); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, _ := s.GetNode("a")
+	b, _ := s.GetNode("b")
+	c, _ := s.GetNode("c")
+	if got := strings.Join(a.Names, ","); got != "artist,title,year" {
+		t.Errorf("names = %s, want artist,title,year", got)
+	}
+	if &a.Names[0] != &b.Names[0] {
+		t.Error("nodes with the same property names did not share their names slice")
+	}
+	if v, ok := b.prop("title"); !ok || v != "z" {
+		t.Errorf("prop(title) = %q, %v", v, ok)
+	}
+	if len(c.Names) != 1 || &c.Names[0] == &a.Names[0] {
+		t.Errorf("node c names = %v", c.Names)
+	}
+	if v, ok := c.prop("id"); !ok || v != "c" {
+		t.Errorf("prop(id) = %q, %v, want the node id", v, ok)
 	}
 }

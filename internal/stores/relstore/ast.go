@@ -21,17 +21,6 @@ const (
 	typeFloat
 )
 
-func (t colType) String() string {
-	switch t {
-	case typeInt:
-		return "INT"
-	case typeFloat:
-		return "FLOAT"
-	default:
-		return "TEXT"
-	}
-}
-
 // columnDef is one column of a CREATE TABLE statement.
 type columnDef struct {
 	name       string

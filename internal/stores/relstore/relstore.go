@@ -43,11 +43,15 @@ import (
 )
 
 // Row is a query result: the owning table, the row's primary key (or
-// synthetic row id) and the projected column values.
+// synthetic row id) and the projected columns, as parallel name and value
+// slices sorted by column name. Both are views of the table's storage, shared
+// with every other read of the row, so they must not be written: rows are
+// immutable once inserted, and a projection of some columns gets fresh ones.
 type Row struct {
 	Table  string
 	Key    string
-	Values map[string]string
+	Names  []string
+	Values []string
 }
 
 // Store is an embedded relational database.
@@ -59,12 +63,17 @@ type Store struct {
 	tel        telemetry.StoreOps
 }
 
+// table stores each row as one value slice in column-name order, parallel to
+// names, so a read hands out the stored slice and the shared names instead
+// of building a row of its own (DESIGN §3.17). cols keeps the declaration
+// order an INSERT without a column list follows.
 type table struct {
 	name      string
 	cols      []columnDef
-	colIdx    map[string]int
-	pk        int                        // index into cols, -1 when the table has a synthetic rowid
-	rows      map[string][]string        // key -> values (parallel to cols)
+	names     []string                   // column names, sorted: the storage order
+	colIdx    map[string]int             // column name -> storage position
+	pk        int                        // storage position of the primary key, -1 when the table has a synthetic rowid
+	rows      map[string][]string        // key -> values (parallel to names)
 	order     []string                   // insertion order of keys for deterministic scans
 	indexes   map[string]*ordindex.Index // column -> ordered index
 	nextRowID uint64
@@ -220,7 +229,7 @@ func (s *Store) Get(tableName, key string) (Row, bool, error) {
 	if !ok {
 		return Row{}, false, nil
 	}
-	return t.materialize(key, vals), true, nil
+	return t.row(key, vals), true, nil
 }
 
 // GetBatch retrieves many rows by primary key in one round trip, preserving
@@ -237,18 +246,15 @@ func (s *Store) GetBatch(tableName string, keys []string) ([]Row, error) {
 	out := make([]Row, 0, len(keys))
 	for _, k := range keys {
 		if vals, ok := t.rows[k]; ok {
-			out = append(out, t.materialize(k, vals))
+			out = append(out, t.row(k, vals))
 		}
 	}
 	return out, nil
 }
 
-func (t *table) materialize(key string, vals []string) Row {
-	m := make(map[string]string, len(t.cols))
-	for i, c := range t.cols {
-		m[c.name] = vals[i]
-	}
-	return Row{Table: t.name, Key: key, Values: m}
+// row returns the whole stored row: no copy, no allocation.
+func (t *table) row(key string, vals []string) Row {
+	return Row{Table: t.name, Key: key, Names: t.names, Values: vals}
 }
 
 func (s *Store) createTable(st *createTableStmt) error {
@@ -261,6 +267,7 @@ func (s *Store) createTable(st *createTableStmt) error {
 	t := &table{
 		name:    st.table,
 		cols:    st.columns,
+		names:   make([]string, len(st.columns)),
 		colIdx:  map[string]int{},
 		pk:      -1,
 		rows:    map[string][]string{},
@@ -271,11 +278,18 @@ func (s *Store) createTable(st *createTableStmt) error {
 			return fmt.Errorf("relstore: duplicate column %q in table %q", c.name, st.table)
 		}
 		t.colIdx[c.name] = i
+		t.names[i] = c.name
+	}
+	sort.Strings(t.names)
+	for i, name := range t.names {
+		t.colIdx[name] = i
+	}
+	for _, c := range st.columns {
 		if c.primaryKey {
 			if t.pk >= 0 {
 				return fmt.Errorf("relstore: table %q declares multiple primary keys", st.table)
 			}
-			t.pk = i
+			t.pk = t.colIdx[c.name]
 		}
 	}
 	s.tables[st.table] = t
@@ -325,7 +339,7 @@ func (s *Store) insert(st *insertStmt) (int, error) {
 		if len(literals) != len(cols) {
 			return inserted, fmt.Errorf("relstore: row has %d values for %d columns", len(literals), len(cols))
 		}
-		vals := make([]string, len(t.cols))
+		vals := make([]string, len(t.names))
 		for i, lit := range literals {
 			vals[positions[i]] = lit
 		}
@@ -425,26 +439,49 @@ func (s *Store) runSelect(sel *selectStmt) ([]Row, error) {
 		matched = matched[:sel.limit]
 	}
 
+	names, cols := t.projection(sel)
 	out := make([]Row, len(matched))
 	for i, key := range matched {
-		out[i] = t.project(sel, key)
+		vals := t.rows[key]
+		if cols != nil {
+			projected := make([]string, len(cols))
+			for j, c := range cols {
+				projected[j] = vals[c]
+			}
+			vals = projected
+		}
+		out[i] = Row{Table: t.name, Key: key, Names: names, Values: vals}
 	}
 	return out, nil
 }
 
-func (t *table) project(sel *selectStmt, key string) Row {
-	vals := t.rows[key]
-	m := map[string]string{}
+// projection resolves a SELECT list once per statement: the projected column
+// names in storage order, each once, and their storage positions. cols is nil
+// when the list covers every column (* or all of them by name), so each row
+// is its stored slice.
+func (t *table) projection(sel *selectStmt) (names []string, cols []int) {
+	picked := make([]bool, len(t.names))
+	n := 0
 	for _, it := range sel.items {
 		if it.star {
-			for i, c := range t.cols {
-				m[c.name] = vals[i]
-			}
-			continue
+			return t.names, nil
 		}
-		m[it.column] = vals[t.colIdx[it.column]]
+		if c := t.colIdx[it.column]; !picked[c] {
+			picked[c] = true
+			n++
+		}
 	}
-	return Row{Table: t.name, Key: key, Values: m}
+	if n == len(t.names) {
+		return t.names, nil
+	}
+	names, cols = make([]string, 0, n), make([]int, 0, n)
+	for c, ok := range picked {
+		if ok {
+			names = append(names, t.names[c])
+			cols = append(cols, c)
+		}
+	}
+	return names, cols
 }
 
 // PrimaryKey returns the primary-key column of a table, or "rowid" when the
@@ -459,7 +496,7 @@ func (s *Store) PrimaryKey(tableName string) (string, error) {
 	if t.pk < 0 {
 		return "rowid", nil
 	}
-	return t.cols[t.pk].name, nil
+	return t.names[t.pk], nil
 }
 
 // Len returns the number of rows in a table (0 for unknown tables).

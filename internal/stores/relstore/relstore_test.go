@@ -20,6 +20,14 @@ func newInventory(t *testing.T) *Store {
 	return s
 }
 
+// value returns the named column of a row, "" when it is not projected.
+func value(r Row, name string) string {
+	if i := sort.SearchStrings(r.Names, name); i < len(r.Names) && r.Names[i] == name {
+		return r.Values[i]
+	}
+	return ""
+}
+
 func mustExec(t *testing.T, s *Store, sql string) int {
 	t.Helper()
 	n, err := s.Exec(sql)
@@ -44,7 +52,7 @@ func TestCreateInsertSelect(t *testing.T) {
 	if len(rows) != 1 {
 		t.Fatalf("LIKE query returned %d rows, want 1", len(rows))
 	}
-	if rows[0].Key != "a32" || rows[0].Values["artist"] != "Cure" {
+	if rows[0].Key != "a32" || value(rows[0], "artist") != "Cure" {
 		t.Errorf("unexpected row %+v", rows[0])
 	}
 }
@@ -167,7 +175,7 @@ func TestGetAndGetBatch(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("Get: ok=%v err=%v", ok, err)
 	}
-	if row.Values["name"] != "Disintegration" {
+	if value(row, "name") != "Disintegration" {
 		t.Errorf("Get returned %+v", row)
 	}
 	if _, ok, _ := s.Get("inventory", "missing"); ok {
@@ -297,7 +305,7 @@ func TestPrimaryKeyPathKeepsSemantics(t *testing.T) {
 func TestPrimaryKeyFastPath(t *testing.T) {
 	s := newInventory(t)
 	rows := mustSelect(t, s, `SELECT * FROM inventory WHERE id = 'a34'`)
-	if len(rows) != 1 || rows[0].Values["artist"] != "Radiohead" {
+	if len(rows) != 1 || value(rows[0], "artist") != "Radiohead" {
 		t.Fatalf("pk fast path: %+v", rows)
 	}
 	rows = mustSelect(t, s, `SELECT * FROM inventory WHERE id = 'nope'`)
@@ -326,7 +334,7 @@ func TestRowIDTables(t *testing.T) {
 		t.Errorf("PrimaryKey = %q, %v", pk, err)
 	}
 	rows = mustSelect(t, s, `SELECT * FROM logs WHERE rowid = 'rowid:1'`)
-	if len(rows) != 1 || rows[0].Values["msg"] != "one" {
+	if len(rows) != 1 || value(rows[0], "msg") != "one" {
 		t.Errorf("rowid lookup: %+v", rows)
 	}
 }
@@ -427,13 +435,8 @@ func TestTablesAndColumns(t *testing.T) {
 	if len(rows) != 1 {
 		t.Fatalf("star select returned %d rows, want 1", len(rows))
 	}
-	var cols []string
-	for c := range rows[0].Values {
-		cols = append(cols, c)
-	}
-	sort.Strings(cols)
-	if want := []string{"artist", "id", "name", "price"}; fmt.Sprint(cols) != fmt.Sprint(want) {
-		t.Errorf("star select columns = %v, want %v", cols, want)
+	if want := []string{"artist", "id", "name", "price"}; fmt.Sprint(rows[0].Names) != fmt.Sprint(want) {
+		t.Errorf("star select columns = %v, want %v", rows[0].Names, want)
 	}
 }
 
@@ -506,5 +509,34 @@ func TestBetweenRenderRoundTrip(t *testing.T) {
 	}
 	if !strings.Contains(rewritten, "BETWEEN 10 AND 20") || !strings.Contains(rewritten, "OFFSET 2") {
 		t.Errorf("rendered = %q", rewritten)
+	}
+}
+
+// TestRowsAreStorageViews pins the row layout: names come back sorted and
+// distinct whatever the SELECT list's order, a SELECT that covers every
+// column (by * or by name) and a key read both return the stored value slice
+// itself, and a narrower projection gets values of its own.
+func TestRowsAreStorageViews(t *testing.T) {
+	s := newInventory(t)
+	stored, ok, err := s.Get("inventory", "a32")
+	if err != nil || !ok {
+		t.Fatalf("Get = %v, %v", ok, err)
+	}
+	for _, q := range []string{
+		`SELECT * FROM inventory WHERE id = 'a32'`,
+		`SELECT price, name, id, artist, name FROM inventory WHERE id = 'a32'`,
+	} {
+		rows := mustSelect(t, s, q)
+		if &rows[0].Values[0] != &stored.Values[0] || &rows[0].Names[0] != &stored.Names[0] {
+			t.Errorf("%s: row copied the stored slices", q)
+		}
+	}
+	rows := mustSelect(t, s, `SELECT name, id, name FROM inventory WHERE id = 'a32'`)
+	if got := fmt.Sprint(rows[0].Names, rows[0].Values); got != "[id name] [a32 Wish]" {
+		t.Errorf("projection = %s, want [id name] [a32 Wish]", got)
+	}
+	batch, err := s.GetBatch("inventory", []string{"a33", "a32"})
+	if err != nil || len(batch) != 2 || &batch[1].Values[0] != &stored.Values[0] {
+		t.Errorf("GetBatch did not hand out the stored row: %v, %v", batch, err)
 	}
 }

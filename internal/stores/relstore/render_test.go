@@ -85,7 +85,7 @@ func TestRenderedQueryEquivalence(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("rewritten query rows = %d", len(rows))
 	}
-	if rows[0].Values["id"] != "a33" || rows[0].Values["name"] != "Disintegration" {
+	if value(rows[0], "id") != "a33" || value(rows[0], "name") != "Disintegration" {
 		t.Errorf("rewritten first row = %+v", rows[0])
 	}
 }

@@ -66,7 +66,7 @@ func TestMuxOutOfOrderResponses(t *testing.T) {
 	<-st.entered // the slow frame is in the server, occupying the only conn
 
 	fast, err := cli.Get(context.Background(), "fast", "k")
-	if err != nil || fast.Fields[core.ValueField] != "hare" {
+	if err != nil || value(fast) != "hare" {
 		t.Fatalf("fast Get behind the stalled one = %v, %v", fast, err)
 	}
 	select {
@@ -77,7 +77,7 @@ func TestMuxOutOfOrderResponses(t *testing.T) {
 
 	close(st.release)
 	r := <-slowDone
-	if r.err != nil || r.obj.Fields[core.ValueField] != "tortoise" {
+	if r.err != nil || value(r.obj) != "tortoise" {
 		t.Fatalf("slow Get after release = %v, %v", r.obj, r.err)
 	}
 
@@ -134,7 +134,7 @@ func TestConcurrentGetsOwnFrames(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			o, err := cli.Get(context.Background(), "slow", key(i))
-			if err != nil || o.Fields[core.ValueField] != "v"+key(i) {
+			if err != nil || value(o) != "v"+key(i) {
 				t.Errorf("member %d = %v, %v", i, o, err)
 			}
 		}(i)

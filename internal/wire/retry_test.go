@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"quepa/internal/connector"
-	"quepa/internal/core"
 	"quepa/internal/explain"
 	"quepa/internal/resilience"
 	"quepa/internal/stores/kvstore"
@@ -99,7 +98,7 @@ func TestClientRetriesTransportFault(t *testing.T) {
 		t.Fatal("no root span (telemetry disabled?)")
 	}
 	o, err := cli.Get(rctx, "drop", "k1")
-	if err != nil || o.Fields[core.ValueField] != "40%" {
+	if err != nil || value(o) != "40%" {
 		t.Fatalf("Get through proxy = %v, %v", o, err)
 	}
 	p := explain.FromSpan(root)

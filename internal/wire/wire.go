@@ -144,11 +144,13 @@ type request struct {
 	Trace string `json:"tp,omitempty"`
 }
 
+// wireObject is a data object in frame form. It has no json tags: the
+// tests' JSON reference carries its fields as a map of its own.
 type wireObject struct {
-	Database   string            `json:"db"`
-	Collection string            `json:"coll"`
-	Key        string            `json:"key"`
-	Fields     map[string]string `json:"fields"`
+	Database   string
+	Collection string
+	Key        string
+	Fields     core.Fields
 }
 
 type response struct {
@@ -218,7 +220,7 @@ func toWire(o core.Object) wireObject {
 }
 
 func fromWire(w wireObject) core.Object {
-	return core.NewObject(core.NewGlobalKey(w.Database, w.Collection, w.Key), w.Fields)
+	return core.Object{GK: core.NewGlobalKey(w.Database, w.Collection, w.Key), Fields: w.Fields}
 }
 
 // ---------------------------------------------------------------------------

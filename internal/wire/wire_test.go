@@ -18,6 +18,12 @@ import (
 
 var _ core.Store = (*Client)(nil)
 
+// value returns an object's key-value payload, "" when absent.
+func value(o core.Object) string {
+	v, _ := o.Fields.Get(core.ValueField)
+	return v
+}
+
 func newServedKV(t *testing.T) (*Server, *Client) {
 	t.Helper()
 	db := kvstore.New("discount")
@@ -54,7 +60,7 @@ func TestRemoteGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.GK.String() != "discount.drop.k1" || o.Fields[core.ValueField] != "40%" {
+	if o.GK.String() != "discount.drop.k1" || value(o) != "40%" {
 		t.Errorf("Get = %v", o)
 	}
 	if _, err := cli.Get(ctx, "drop", "ghost"); !errors.Is(err, core.ErrNotFound) {
@@ -245,7 +251,7 @@ func TestClientSurvivesServerRestart(t *testing.T) {
 	if lastErr != nil {
 		t.Fatalf("client did not recover after restart: %v", lastErr)
 	}
-	if got.Fields[core.ValueField] != "40%" {
+	if value(got) != "40%" {
 		t.Errorf("recovered Get = %v", got)
 	}
 }
