@@ -34,10 +34,12 @@ bench:
 
 # Concurrency microbenchmarks of the fetch hot path (sharded cache, wire
 # mux) with allocation counts, the per-request working set of a 50-origin
-# range augmentation (SearchRange50), and the allocations of one warm
-# /search through the server's handler (HandleSearchWarm).
+# range augmentation over one store of each kind (SearchRange50), the
+# response encoder alone at the ledger's two body sizes (EncodeSearch), and
+# the allocations of one warm /search through the server's handler
+# (HandleSearchWarm).
 bench-hotpath:
-	$(GO) test -bench='CacheGet|Mux|SearchRange50|HandleSearchWarm' -benchmem -run='^$$' \
+	$(GO) test -bench='CacheGet|Mux|SearchRange50|EncodeSearch|HandleSearchWarm' -benchmem -run='^$$' \
 		./internal/cache/ ./internal/wire/ ./internal/augment/ ./cmd/quepa-server/
 
 # The scan stores' range selection (50 seq values of 10,000 rows), read

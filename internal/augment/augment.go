@@ -394,7 +394,11 @@ func (a *Augmenter) augment(ctx context.Context, cfg Config, origins []core.Obje
 		}
 		memoize = true
 	}
-	sink := &sink{}
+	// The sink and its plan come from a pool and go back when augment
+	// returns: every strategy has waited for its workers by then (DESIGN
+	// §3.15).
+	sink := getSink()
+	defer sink.release()
 	plan := a.buildPlan(ctx, sink, origins, level)
 	sink.bind(plan)
 	span.SetAttr("keys", itoa(len(plan.order)))
@@ -470,9 +474,10 @@ type plan struct {
 // augmentation's span.
 //
 // It runs in two phases. The first collects the reaches; the second
-// sums their lengths, sizes the slot map and the slot arrays once, and
-// deduplicates into them. The sum is an upper bound on the key count, exact
-// when no two origins share an island.
+// sums their lengths, sizes the slot arrays once, and deduplicates into
+// them. The sum is an upper bound on the key count, exact when no two
+// origins share an island. A pooled sink brings its slot map and arrays
+// along, emptied; a fresh one sizes its map to the sum too.
 func (a *Augmenter) buildPlan(ctx context.Context, s *sink, origins []core.Object, level int) *plan {
 	p := &s.plan
 	r := a.reacher
@@ -490,13 +495,15 @@ func (a *Augmenter) buildPlan(ctx context.Context, s *sink, origins []core.Objec
 	for _, hits := range reaches {
 		total += len(hits)
 	}
-	p.slot = make(map[core.GlobalKey]int32, total+len(origins))
+	if p.slot == nil {
+		p.slot = make(map[core.GlobalKey]int32, total+len(origins))
+	}
 	for _, o := range origins {
 		p.slot[o.GK] = -1
 	}
-	p.order = make([]core.GlobalKey, 0, total)
-	p.hits = make([]aindex.Hit, 0, total)
-	p.byOrigin = make([][]core.GlobalKey, len(reaches))
+	p.order = slices.Grow(p.order[:0], total)
+	p.hits = slices.Grow(p.hits[:0], total)
+	p.byOrigin = slices.Grow(p.byOrigin[:0], len(reaches))[:len(reaches)]
 	for i, hits := range reaches {
 		first := len(p.order)
 		for _, h := range hits {
@@ -525,12 +532,13 @@ func (a *Augmenter) buildPlan(ctx context.Context, s *sink, origins []core.Objec
 // bytes per swap instead of a whole object, and each element is written once,
 // in rank order.
 func (p *plan) answer(s *sink) []AugmentedObject {
-	rank := make([]int32, 0, s.filled)
+	rank := slices.Grow(s.rank[:0], s.filled)
 	for i, ok := range s.has {
 		if ok {
 			rank = append(rank, int32(i))
 		}
 	}
+	s.rank = rank
 	slices.SortFunc(rank, func(x, y int32) int {
 		if px, py := p.hits[x].Prob, p.hits[y].Prob; px != py {
 			if px > py {
@@ -628,16 +636,56 @@ type sink struct {
 	// plan is the storage buildPlan fills, so one allocation holds the
 	// augmentation's plan and its sink.
 	plan plan
+	// rank is answer's scratch: the filled slots in rank order.
+	rank []int32
 	// Cache traffic, counted by the strategy workers.
 	cacheHits, cacheMisses, negative atomic.Int64
 }
 
-// bind gives the sink one slot per key of p. It runs before any strategy
-// worker starts.
+// sinkPool recycles sinks with their plans: the slot map, order, hits,
+// byOrigin, objects, has and rank are a range augmentation's largest
+// per-request allocations (DESIGN §3.15). A pooled sink is empty: release
+// clears everything it held.
+var sinkPool = sync.Pool{New: func() any { return new(sink) }}
+
+// maxPooledKeys bounds the plans whose storage goes back to the pool: a map
+// never shrinks, so one huge augmentation must not make every later request
+// clear its buckets.
+const maxPooledKeys = 4096
+
+func getSink() *sink { return sinkPool.Get().(*sink) }
+
+// release empties s and returns it to the pool. The caller must be the
+// augmentation's last user of s: every strategy worker has returned, and no
+// slice of the sink was handed to a store (a timed-out wire call may still
+// read those, so eachGroup's key slices and fetchGroup's missing are never
+// sink storage).
+func (s *sink) release() {
+	p := &s.plan
+	if len(p.order) > maxPooledKeys {
+		return
+	}
+	clear(p.slot)
+	clear(p.order)
+	clear(p.hits)
+	clear(p.byOrigin)
+	clear(s.objects)
+	clear(s.has)
+	*s = sink{
+		plan:    plan{slot: p.slot, order: p.order[:0], hits: p.hits[:0], byOrigin: p.byOrigin[:0]},
+		objects: s.objects[:0], has: s.has[:0], rank: s.rank[:0],
+	}
+	sinkPool.Put(s)
+}
+
+// bind gives the sink one slot per key of p, empty. It runs before any
+// strategy worker starts. A pooled sink's arrays are all zero (release), so
+// reslicing them is enough.
 func (s *sink) bind(p *plan) {
 	s.slot = p.slot
-	s.objects = make([]core.Object, len(p.order))
-	s.has = make([]bool, len(p.order))
+	n := len(p.order)
+	s.objects = slices.Grow(s.objects[:0], n)[:n]
+	s.has = slices.Grow(s.has[:0], n)[:n]
 }
 
 // add files each object in the slot of its own key, under one lock

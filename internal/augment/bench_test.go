@@ -8,7 +8,10 @@ import (
 	"quepa/internal/aindex"
 	"quepa/internal/connector"
 	"quepa/internal/core"
+	"quepa/internal/stores/docstore"
+	"quepa/internal/stores/graphstore"
 	"quepa/internal/stores/kvstore"
+	"quepa/internal/stores/relstore"
 	"quepa/internal/telemetry"
 )
 
@@ -142,61 +145,71 @@ func BenchmarkTraceOverhead(b *testing.B) {
 }
 
 // BenchmarkSearchRange50 is the augmentation of a range selection, shaped
-// like the ledger's range_cold: each search selects 50 origins and augments
-// them at level 2 under OUTER-BATCH, reaching four keys per origin in four
-// other databases. Successive searches walk eight disjoint ranges, 1,600
-// reachable keys in all, through a 256-object cache, so every search misses
-// and fetches most of its keys. Its B/op and allocs/op are the per-request
-// working set of plan building, fetching and ranking.
+// like the ledger's range_cold: each search selects 50 origins by seq from a
+// relational table and augments them at level 2 under OUTER-BATCH, reaching
+// four keys per origin, one in each kind of store: a document, a graph node,
+// a key-value entry and a row of a second table. Successive searches walk
+// eight disjoint ranges, 1,600 reachable keys in all, through a 256-object
+// cache, so every search misses and fetches most of its keys. Its B/op and
+// allocs/op are the per-request working set of the origins' query, plan
+// building, fetching from every engine and ranking.
 func BenchmarkSearchRange50(b *testing.B) {
 	const ranges, width = 8, 50
-	poly := core.NewPolystore()
-	stores := map[string]*kvstore.Store{}
-	for _, name := range []string{"orig", "s1", "s2", "s3", "s4"} {
-		stores[name] = kvstore.New(name)
+	rel, doc, graph, kv := relstore.New("orig"), docstore.New("doc"), graphstore.New("graph"), kvstore.New("kv")
+	for _, ddl := range []string{
+		`CREATE TABLE items (id TEXT PRIMARY KEY, seq INT, title TEXT, artist TEXT, price FLOAT)`,
+		`CREATE INDEX ON items (seq)`,
+		`CREATE TABLE extra (id TEXT PRIMARY KEY, note TEXT, qty INT)`,
+	} {
+		if _, err := rel.Exec(ddl); err != nil {
+			b.Fatal(err)
+		}
 	}
 	ix := aindex.New()
-	// Origin i lives in bucket r<i/width> of orig, so "SCAN r<n>" selects
-	// one range; its island lives in bucket main of s1, s2 and s3.
-	bucket := func(db string, i int) string {
-		if db == "orig" {
-			return fmt.Sprintf("r%d", i/width)
-		}
-		return "main"
-	}
-	gk := func(db string, i int) core.GlobalKey {
-		return core.NewGlobalKey(db, bucket(db, i), fmt.Sprintf("k%d", i))
-	}
 	for i := 0; i < ranges*width; i++ {
-		for name, kv := range stores {
-			kv.Set(bucket(name, i), fmt.Sprintf("k%d", i), fmt.Sprintf("%s-%d", name, i))
+		k := fmt.Sprintf("k%d", i)
+		if _, err := rel.Exec(fmt.Sprintf(`INSERT INTO items VALUES ('%s', %d, 'title %d', 'artist %d', %d.5)`, k, i, i, i%37, i%50)); err != nil {
+			b.Fatal(err)
 		}
-		// origin -> s1 -> s2 -> s3 is three hops (level 2), plus a direct
-		// origin -> s4 edge: one island per origin, as in range_cold, whose
-		// origins reach few keys in common.
+		if _, err := rel.Exec(fmt.Sprintf(`INSERT INTO extra VALUES ('%s', 'note %d', %d)`, k, i, i%9)); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := doc.Insert("albums", fmt.Sprintf(`{"_id": %q, "title": "title %d", "year": %d, "label": {"name": "label %d"}}`, k, i, 1980+i%40, i%11)); err != nil {
+			b.Fatal(err)
+		}
+		if err := graph.AddNode(k, "items", map[string]string{"title": fmt.Sprintf("title %d", i), "seq": fmt.Sprint(i), "genre": "rock"}); err != nil {
+			b.Fatal(err)
+		}
+		kv.Set("drop", k, fmt.Sprintf("%d%%", i%60))
+		// items -> albums -> graph -> kv is three hops (level 2), plus a
+		// direct items -> extra edge: one island per origin, as in
+		// range_cold, whose origins reach few keys in common.
+		origin := core.NewGlobalKey("orig", "items", k)
+		album, node := core.NewGlobalKey("doc", "albums", k), core.NewGlobalKey("graph", "items", k)
 		for _, r := range []core.PRelation{
-			core.NewMatching(gk("orig", i), gk("s1", i), 0.9),
-			core.NewMatching(gk("s1", i), gk("s2", i), 0.8),
-			core.NewMatching(gk("s2", i), gk("s3", i), 0.7),
-			core.NewMatching(gk("orig", i), gk("s4", i), 0.6),
+			core.NewMatching(origin, album, 0.9),
+			core.NewMatching(album, node, 0.8),
+			core.NewMatching(node, core.NewGlobalKey("kv", "drop", k), 0.7),
+			core.NewMatching(origin, core.NewGlobalKey("orig", "extra", k), 0.6),
 		} {
 			if err := ix.Insert(r); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	for _, kv := range stores {
-		if err := poly.Register(connector.NewKeyValue(kv)); err != nil {
+	poly := core.NewPolystore()
+	for _, s := range []core.Store{connector.NewRelational(rel), connector.NewDocument(doc), connector.NewGraph(graph), connector.NewKeyValue(kv)} {
+		if err := poly.Register(s); err != nil {
 			b.Fatal(err)
 		}
 	}
 	queries := make([]string, ranges)
 	for r := range queries {
-		queries[r] = fmt.Sprintf("SCAN r%d", r)
+		queries[r] = fmt.Sprintf("SELECT * FROM items WHERE seq >= %d AND seq < %d", r*width, (r+1)*width)
 	}
 	aug := New(poly, ix, Config{Strategy: OuterBatch, BatchSize: 64, ThreadsSize: 4, CacheSize: 256})
 	answer, err := aug.Search(ctx, "orig", queries[0], 2)
-	if err != nil || len(answer.Original) != width || len(answer.Augmented) < 4*width {
+	if err != nil || len(answer.Original) != width || len(answer.Augmented) != 4*width {
 		b.Fatalf("fixture: %d origins, %d augmented, %v", len(answer.Original), len(answer.Augmented), err)
 	}
 	b.ReportAllocs()

@@ -1,12 +1,20 @@
 package augment
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"math/rand"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
+	"quepa/internal/aindex"
+	"quepa/internal/connector"
 	"quepa/internal/core"
+	"quepa/internal/stores/kvstore"
 )
 
 // TestMultipleInstancesInParallel models the paper's multi-instance
@@ -251,5 +259,168 @@ func TestAugmentObjectsDirect(t *testing.T) {
 	out, degraded, err = aug.AugmentObjects(ctx, nil, 3)
 	if err != nil || out != nil || degraded != nil {
 		t.Errorf("nil input: %v, %v, %v", out, degraded, err)
+	}
+}
+
+// downStore is a store whose fetches all fail.
+type downStore struct{ core.Store }
+
+func (downStore) Get(context.Context, string, string) (core.Object, error) {
+	return core.Object{}, errStoreDown
+}
+
+func (downStore) GetBatch(context.Context, string, []string) ([]core.Object, error) {
+	return nil, errStoreDown
+}
+
+// cancelKey carries, in a request's context, the cancel func cancelStore
+// calls on its first fetch: the request dies mid-fetch.
+type cancelKey struct{}
+
+type cancelStore struct{ core.Store }
+
+func (s cancelStore) Get(ctx context.Context, collection, key string) (core.Object, error) {
+	if cancel, ok := ctx.Value(cancelKey{}).(context.CancelFunc); ok {
+		cancel()
+	}
+	return s.Store.Get(ctx, collection, key)
+}
+
+func (s cancelStore) GetBatch(ctx context.Context, collection string, keys []string) ([]core.Object, error) {
+	if cancel, ok := ctx.Value(cancelKey{}).(context.CancelFunc); ok {
+		cancel()
+	}
+	return s.Store.GetBatch(ctx, collection, keys)
+}
+
+// TestPooledSinksDoNotBleed runs concurrent augmentations through the
+// pooled sinks, every strategy at once, with a store that always fails and
+// requests cancelled in the middle of a fetch mixed in. Each completed answer
+// must equal the map-based reference (plan_test.go), which holds no pooled
+// state: a slot, flag, rank or degradation left over from another request
+// would show as a wrong object, probability or degraded store. Run under
+// -race it also checks that a sink goes back to the pool only after every
+// worker has let go of it.
+func TestPooledSinksDoNotBleed(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	poly := core.NewPolystore()
+	var keys [3][]core.GlobalKey
+	for d := range keys {
+		name := fmt.Sprintf("db%d", d)
+		kv := kvstore.New(name)
+		for k := 0; k < 30; k++ {
+			kv.Set("main", fmt.Sprintf("k%d", k), fmt.Sprintf("v%d-%d", d, k))
+			keys[d] = append(keys[d], core.NewGlobalKey(name, "main", fmt.Sprintf("k%d", k)))
+		}
+		var s core.Store = connector.NewKeyValue(kv)
+		switch d {
+		case 1:
+			s = cancelStore{s}
+		case 2:
+			s = downStore{s}
+		}
+		if err := poly.Register(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// db0 and db1 are densely linked; a few edges lead into the failing
+	// db2, so some answers degrade and the others do not.
+	ix := aindex.New()
+	healthy := append(slices.Clone(keys[0]), keys[1]...)
+	for i := 0; i < 70; i++ {
+		a, b := healthy[rng.Intn(len(healthy))], healthy[rng.Intn(len(healthy))]
+		if i < 6 {
+			b = keys[2][rng.Intn(len(keys[2]))]
+		}
+		if a == b {
+			continue
+		}
+		prob := 1.0
+		if rng.Intn(2) == 0 {
+			prob = 0.5
+		}
+		if err := ix.Insert(core.NewMatching(a, b, prob)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	type request struct {
+		origins []core.Object
+		level   int
+		cancel  bool
+		want    []AugmentedObject
+		down    bool // the reference reaches a key of the failing store
+	}
+	reqs := make([]request, 64)
+	for i := range reqs {
+		r := &reqs[i]
+		r.origins = make([]core.Object, 1+rng.Intn(6))
+		for j := range r.origins {
+			r.origins[j] = core.Object{GK: healthy[rng.Intn(len(healthy))]}
+		}
+		r.level, r.cancel = rng.Intn(3), rng.Intn(4) == 0
+		ref := refBuildPlan(ix, r.origins, r.level)
+		objects := map[core.GlobalKey]core.Object{}
+		for _, gk := range ref.order {
+			if gk.Database == "db2" {
+				r.down = true
+				continue
+			}
+			obj, err := poly.Fetch(ctx, gk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			objects[gk] = obj
+		}
+		r.want = ref.answer(objects)
+	}
+
+	augs := make([]*Augmenter, len(Strategies))
+	for i, st := range Strategies {
+		augs[i] = New(poly, ix, Config{Strategy: st, BatchSize: 3, ThreadsSize: 4})
+	}
+	down := 0
+	for _, r := range reqs {
+		if r.down {
+			down++
+		}
+	}
+	var cancelled, answered atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 3*len(reqs); i++ {
+				r := reqs[(w*7+i)%len(reqs)]
+				aug := augs[(w+i)%len(augs)]
+				rctx, cancel := context.WithCancel(ctx)
+				if r.cancel {
+					rctx = context.WithValue(rctx, cancelKey{}, cancel)
+				}
+				got, degraded, err := aug.AugmentObjects(rctx, r.origins, r.level)
+				cancel()
+				switch {
+				case errors.Is(err, context.Canceled) && r.cancel:
+					cancelled.Add(1)
+				case err != nil:
+					t.Errorf("%v: %v", aug.Config(), err)
+				case !sameAnswer(got, r.want):
+					t.Errorf("%v origins %v level %d: answer differs from the reference\n got  %v\n want %v",
+						aug.Config(), r.origins, r.level, got, r.want)
+				case r.down != (len(degraded) == 1 && degraded[0].Store == "db2"), len(degraded) > 1:
+					t.Errorf("%v origins %v level %d: degraded %v, reference reaches the failing store: %v",
+						aug.Config(), r.origins, r.level, degraded, r.down)
+				default:
+					answered.Add(1)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	t.Logf("%d answers checked, %d requests cancelled mid-fetch; %d of %d requests reach the failing store",
+		answered.Load(), cancelled.Load(), down, len(reqs))
+	if cancelled.Load() == 0 || answered.Load() == 0 || down < len(reqs)/8 || down > len(reqs)*7/8 {
+		t.Fatal("the mix missed a case")
 	}
 }

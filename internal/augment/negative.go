@@ -1,6 +1,7 @@
 package augment
 
 import (
+	"sync/atomic"
 	"time"
 
 	"quepa/internal/cache"
@@ -17,10 +18,16 @@ import (
 // The cache is a cache.Sharded of expiry times, so at most negativeCapacity
 // misses are remembered and the least recently used goes first; the TTL check
 // is this wrapper's. It is safe for concurrent use.
+//
+// Until the first Put the cache is empty, and Has and Forget return without
+// touching the LRU: the fetch path calls them for every missed and every
+// fetched key, and on a polystore whose A' index never points at a deleted
+// object each call would take a shard lock and hash a key for nothing.
 type negativeCache struct {
-	ttl time.Duration
-	lru *cache.Sharded[core.GlobalKey, time.Time]
-	now func() time.Time // the clock; tests replace it to drive expiry
+	ttl  time.Duration
+	lru  *cache.Sharded[core.GlobalKey, time.Time]
+	now  func() time.Time // the clock; tests replace it to drive expiry
+	used atomic.Bool      // set by the first Put, never cleared
 }
 
 const (
@@ -36,13 +43,20 @@ func newNegativeCache() *negativeCache {
 	}
 }
 
-// Put remembers that gk was just confirmed missing.
+// Put remembers that gk was just confirmed missing. The flag is set before
+// the entry goes in, so a Has that starts after Put returns sees both.
 func (n *negativeCache) Put(gk core.GlobalKey) {
+	if !n.used.Load() {
+		n.used.Store(true)
+	}
 	n.lru.Put(gk, 0, n.now().Add(n.ttl))
 }
 
 // Has reports whether gk is remembered missing and not yet expired.
 func (n *negativeCache) Has(gk core.GlobalKey) bool {
+	if !n.used.Load() {
+		return false
+	}
 	exp, ok := n.lru.Get(gk, 0)
 	if !ok {
 		return false
@@ -57,4 +71,8 @@ func (n *negativeCache) Has(gk core.GlobalKey) bool {
 }
 
 // Forget drops gk immediately (an explicit re-insert observed by the caller).
-func (n *negativeCache) Forget(gk core.GlobalKey) { n.lru.Remove(gk) }
+func (n *negativeCache) Forget(gk core.GlobalKey) {
+	if n.used.Load() {
+		n.lru.Remove(gk)
+	}
+}

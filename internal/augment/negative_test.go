@@ -102,3 +102,42 @@ func TestNegativeCacheConcurrent(t *testing.T) {
 		t.Errorf("Len = %d exceeds capacity", n.lru.Len())
 	}
 }
+
+// TestNegativeCacheFirstPutSeen pins the empty-cache fast path: Has and
+// Forget skip the LRU until the first Put, and a Put racing a stream of Has
+// calls is seen by the next Has after it returns. Run under -race it also
+// checks the flag's publication.
+func TestNegativeCacheFirstPutSeen(t *testing.T) {
+	for round := 0; round < 50; round++ {
+		n := newNegativeCache()
+		n.Forget(negKey)
+		if n.Has(negKey) || n.lru.Counts().Misses != 0 {
+			t.Fatal("an unused negative cache probed its LRU")
+		}
+		stop := make(chan struct{})
+		var probes sync.WaitGroup
+		probes.Add(1)
+		go func() {
+			defer probes.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					n.Has(negKey)
+				}
+			}
+		}()
+		put := make(chan struct{})
+		go func() {
+			n.Put(negKey)
+			close(put)
+		}()
+		<-put
+		if !n.Has(negKey) {
+			t.Fatalf("round %d: the Has after a racing Put missed its entry", round)
+		}
+		close(stop)
+		probes.Wait()
+	}
+}

@@ -153,9 +153,26 @@ func TestShardedAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(runs, func() { c.Get(objs[i%runs].GK); i++ }); n != 0 {
 		t.Errorf("Get hit: %.0f allocs, want 0", n)
 	}
+	// A shard with room allocates the new key's node: 16 shards of 1024
+	// never fill on 1000 keys.
+	room := NewLRU(16 * 1024)
 	i = runs
-	if n := testing.AllocsPerRun(runs-1, func() { c.Put(objs[i]); i++ }); n != 1 {
-		t.Errorf("Put of a new key: %.0f allocs, want 1", n)
+	if n := testing.AllocsPerRun(runs-1, func() { room.Put(objs[i]); i++ }); n != 1 {
+		t.Errorf("Put of a new key into a shard with room: %.0f allocs, want 1", n)
+	}
+	// A full shard reuses the node it evicts. All 2000 keys overfill every
+	// shard of 64; cycling through them again, each key was evicted since
+	// its last Put, so every Put is of a new key into a full shard.
+	for _, o := range objs {
+		c.Put(o)
+	}
+	evicted := c.Counts().Evictions
+	i = 0
+	if n := testing.AllocsPerRun(runs, func() { c.Put(objs[i]); i++ }); n != 0 {
+		t.Errorf("Put of a new key into a full shard: %.0f allocs, want 0", n)
+	}
+	if got := c.Counts().Evictions - evicted; got != runs+1 || c.Len() != c.Capacity() {
+		t.Errorf("%d evictions over %d Puts of new keys, %d entries for capacity %d", got, runs+1, c.Len(), c.Capacity())
 	}
 }
 
