@@ -17,6 +17,8 @@ func FuzzParse(f *testing.F) {
 		`UPDATE t SET a = 'x' WHERE b != 1`,
 		`DELETE FROM t WHERE a NOT IN ('1')`,
 		`SELECT * FROM t WHERE v = 'it''s'`,
+		`SELECT*FROM A WHERE A='0E0'`, // ParseFloat reads these; the lexer does not
+		`SELECT * FROM t WHERE a IN ('Inf', '0x1p-2', '-.5', '1.5')`,
 		"SELECT \x00 FROM t",
 		`)(`,
 	} {

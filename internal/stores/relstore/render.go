@@ -134,9 +134,13 @@ func renderExpr(b *strings.Builder, e expr) {
 }
 
 // renderLiteral quotes a value as a SQL string literal unless it is a plain
-// number, doubling embedded quotes.
+// number, doubling embedded quotes. A plain number is one the lexer reads
+// back as one number token: strconv.ParseFloat also takes "0E0", "Inf" and
+// hex floats, which the dialect spells only as strings.
 func renderLiteral(b *strings.Builder, v string) {
-	if _, err := strconv.ParseFloat(v, 64); err == nil && v != "" {
+	digits := strings.TrimPrefix(v, "-")
+	if _, err := strconv.ParseFloat(v, 64); err == nil && digits != "" && digits[0] >= '0' && digits[0] <= '9' &&
+		strings.Trim(digits, "0123456789.") == "" {
 		b.WriteString(v)
 		return
 	}
