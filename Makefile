@@ -118,13 +118,14 @@ bench-recovery:
 	$(GO) run ./cmd/quepa-bench -fig recovery
 
 # Short fuzzing pass over the parsers, the relational store's ordered index
-# against its scan, the validator against one store of each kind (whatever it
+# against its scan, its number predicate against strconv.ParseFloat, the validator against one store of each kind (whatever it
 # admits, the engine executes), the A' binary snapshot loader, the wire-frame
 # decoders, and the server's response encoder against encoding/json.
 fuzz:
 	$(GO) test ./internal/core -fuzz=FuzzParseGlobalKey -fuzztime=15s -run='^$$'
 	$(GO) test ./internal/stores/relstore -fuzz=FuzzParse -fuzztime=15s -run='^$$'
 	$(GO) test ./internal/stores/relstore -fuzz=FuzzRangeIndex -fuzztime=15s -run='^$$'
+	$(GO) test ./internal/stores/relstore -fuzz=FuzzMayBeFloat -fuzztime=15s -run='^$$'
 	$(GO) test ./internal/stores/docstore -fuzz=FuzzParseFilter -fuzztime=15s -run='^$$'
 	$(GO) test ./internal/validator -fuzz=FuzzValidate -fuzztime=15s -run='^$$'
 	$(GO) test ./internal/aindex -fuzz=FuzzReadSnapshot -fuzztime=15s -run='^$$'

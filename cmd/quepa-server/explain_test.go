@@ -315,7 +315,7 @@ func TestStatsIsConfigAndBuild(t *testing.T) {
 	if len(body) != 2 {
 		t.Errorf("stats keys = %v, want exactly config and build", body)
 	}
-	if cfg := body["config"]; cfg != "OUTER-BATCH(batch=64,threads=8,cache=4096)" {
+	if cfg := body["config"]; cfg != "OUTER-BATCH(batch=64,threads=8,cache=0)" {
 		t.Errorf("config = %v", cfg)
 	}
 	build, ok := body["build"].(map[string]any)

@@ -295,9 +295,6 @@ func (a *Augmenter) SetConfig(cfg Config) {
 	a.cache.Resize(cfg.CacheSize)
 }
 
-// Cache exposes the augmenter's cache (for stats and tests).
-func (a *Augmenter) Cache() *cache.LRU { return a.cache }
-
 // Index exposes the augmenter's A' index.
 func (a *Augmenter) Index() *aindex.Index { return a.index }
 
@@ -577,40 +574,51 @@ func (p *plan) groupDist(g group, keys []string) int {
 
 // eachGroup cuts the plan's keys into per-collection batch groups of at most
 // batchSize keys: a group is emitted the moment it fills, and the incomplete
-// ones at the end in the deterministic order of first appearance. emit
-// returning false stops the walk. Each group's slice is sized once, to the
-// batch size or the keys left in the plan, whichever is smaller.
+// ones at the end in the deterministic order of their collection's first
+// appearance. emit returning false stops the walk. Each group's slice is
+// sized once, to the batch size or the keys left in the plan, whichever is
+// smaller, and is a fresh allocation: a timed-out wire call may still read
+// it. A plan reaches a few (database, collection) pairs, so the open groups
+// are a short slice searched linearly, on the stack up to openGroups of them.
 func (p *plan) eachGroup(batchSize int, emit func(group, []string) bool) {
-	groups := map[group][]string{}
+	type open struct {
+		g    group
+		keys []string
+	}
+	var buf [openGroups]open
+	groups := buf[:0]
 	for i, gk := range p.order {
-		g := group{database: gk.Database, collection: gk.Collection}
-		keys, ok := groups[g]
-		if !ok {
-			keys = make([]string, 0, min(batchSize, len(p.order)-i))
+		j := 0
+		for j < len(groups) && (groups[j].g.collection != gk.Collection || groups[j].g.database != gk.Database) {
+			j++
 		}
-		keys = append(keys, gk.Key)
-		if len(keys) < batchSize {
-			groups[g] = keys
+		if j == len(groups) {
+			groups = append(groups, open{g: group{database: gk.Database, collection: gk.Collection}})
+		}
+		o := &groups[j]
+		if o.keys == nil {
+			o.keys = make([]string, 0, min(batchSize, len(p.order)-i))
+		}
+		o.keys = append(o.keys, gk.Key)
+		if len(o.keys) < batchSize {
 			continue
 		}
-		delete(groups, g)
-		if !emit(g, keys) {
+		keys := o.keys
+		o.keys = nil
+		if !emit(o.g, keys) {
 			return
 		}
 	}
-	for _, gk := range p.order {
-		if len(groups) == 0 {
+	for _, o := range groups {
+		if o.keys != nil && !emit(o.g, o.keys) {
 			return
-		}
-		g := group{database: gk.Database, collection: gk.Collection}
-		if keys, ok := groups[g]; ok {
-			delete(groups, g)
-			if !emit(g, keys) {
-				return
-			}
 		}
 	}
 }
+
+// openGroups is the (database, collection) pairs eachGroup tracks without a
+// heap allocation.
+const openGroups = 8
 
 // sink collects fetched objects from concurrent workers, the stores whose
 // contribution had to be dropped, and the augmentation's counts, which
@@ -839,19 +847,25 @@ func (a *Augmenter) fetchMiss(ctx context.Context, gk core.GlobalKey, s *sink) (
 }
 
 // fetchStore pays one store round trip for gk, applying lazy deletion on
-// authoritative misses and feeding both caches.
+// authoritative misses and feeding both caches (the object cache only when
+// it has a capacity).
 func (a *Augmenter) fetchStore(ctx context.Context, gk core.GlobalKey) (core.Object, bool, error) {
+	cached := a.cache.Capacity() > 0
 	obj, err := a.fetch(ctx, gk)
 	if err != nil {
 		if errors.Is(err, core.ErrNotFound) {
 			a.index.RemoveObjectCtx(ctx, gk)
-			a.cache.Remove(gk)
+			if cached {
+				a.cache.Remove(gk)
+			}
 			a.neg.Put(gk)
 			return core.Object{}, false, nil
 		}
 		return core.Object{}, false, err
 	}
-	a.cache.Put(obj)
+	if cached {
+		a.cache.Put(obj)
+	}
 	a.neg.Forget(gk)
 	return obj, true, nil
 }
@@ -883,8 +897,13 @@ const sweepBuf = 32
 // sweepCache probes the cache for every key up front, bulk-adding hits to the
 // sink and returning the keys that missed (in input order). On a warm cache
 // an entire key list resolves here: no worker goroutines are ever spawned,
-// no per-key sink locking happens, and the returned slice is nil.
+// no per-key sink locking happens, and the returned slice is nil. A disabled
+// cache (capacity 0) is not probed: every key is a miss, and keys itself is
+// returned, uncounted.
 func (a *Augmenter) sweepCache(ctx context.Context, keys []core.GlobalKey, s *sink) []core.GlobalKey {
+	if a.cache.Capacity() == 0 {
+		return keys
+	}
 	var buf [sweepBuf]core.Object
 	n, hits := 0, 0
 	var misses []core.GlobalKey
@@ -916,22 +935,26 @@ func (a *Augmenter) sweepCache(ctx context.Context, keys []core.GlobalKey, s *si
 // collection with a single batched query, consulting the object and negative
 // caches first and lazily deleting keys the store no longer has. Its per-key
 // misses feed the negative cache, so later fetches of a lazily deleted key
-// skip the store until the entry expires.
+// skip the store until the entry expires. A disabled object cache (capacity
+// 0) is neither probed nor fed: only the negative cache is consulted.
 func (a *Augmenter) fetchGroup(ctx context.Context, database, collection string, keys []string, s *sink) error {
+	cached := a.cache.Capacity() > 0
 	var buf [sweepBuf]core.Object
 	n, hits, negHits := 0, 0, 0
 	var missing []string
 	for i, k := range keys {
 		gk := core.NewGlobalKey(database, collection, k)
-		if obj, ok := a.cache.Get(gk); ok {
-			buf[n] = obj
-			n++
-			hits++
-			if n == sweepBuf {
-				s.add(buf[:n]...)
-				n = 0
+		if cached {
+			if obj, ok := a.cache.Get(gk); ok {
+				buf[n] = obj
+				n++
+				hits++
+				if n == sweepBuf {
+					s.add(buf[:n]...)
+					n = 0
+				}
+				continue
 			}
-			continue
 		}
 		if a.neg.Has(gk) {
 			negHits++
@@ -945,8 +968,10 @@ func (a *Augmenter) fetchGroup(ctx context.Context, database, collection string,
 	if n > 0 {
 		s.add(buf[:n]...)
 	}
-	s.cacheHits.Add(int64(hits))
-	s.cacheMisses.Add(int64(len(keys) - hits))
+	if cached {
+		s.cacheHits.Add(int64(hits))
+		s.cacheMisses.Add(int64(len(keys) - hits))
+	}
 	if negHits > 0 {
 		s.negative.Add(int64(negHits))
 		negativeHitCounter(database).Add(uint64(negHits))
@@ -971,13 +996,17 @@ func (a *Augmenter) fetchGroup(ctx context.Context, database, collection string,
 		return err
 	}
 	for _, o := range objs {
-		a.cache.Put(o)
+		if cached {
+			a.cache.Put(o)
+		}
 		a.neg.Forget(o.GK)
 	}
 	for _, k := range s.addBatch(objs, database, collection, missing) {
 		gk := core.NewGlobalKey(database, collection, k)
 		a.index.RemoveObjectCtx(fctx, gk)
-		a.cache.Remove(gk)
+		if cached {
+			a.cache.Remove(gk)
+		}
 		a.neg.Put(gk)
 	}
 	if sp != nil {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"quepa/internal/aindex"
+	"quepa/internal/cache"
 	"quepa/internal/connector"
 	"quepa/internal/core"
 	"quepa/internal/stores/docstore"
@@ -342,10 +343,10 @@ func TestLazyDeletionBatchFetch(t *testing.T) {
 		if !ix.Contains(kept) {
 			t.Errorf("%v: surviving key removed from index", cfg)
 		}
-		if _, ok := aug.Cache().Get(disc); ok {
+		if _, ok := aug.cache.Get(disc); ok {
 			t.Errorf("%v: vanished object in the object cache", cfg)
 		}
-		if _, ok := aug.Cache().Get(kept); !ok {
+		if _, ok := aug.cache.Get(kept); !ok {
 			t.Errorf("%v: surviving key not cached", cfg)
 		}
 		if !aug.neg.Has(disc) {
@@ -412,30 +413,53 @@ func TestCacheServesRepeatQueries(t *testing.T) {
 	if _, err := aug.Search(ctx, "transactions", q, 0); err != nil {
 		t.Fatal(err)
 	}
-	hitsBefore := aug.Cache().Counts().Hits
+	hitsBefore := aug.cache.Counts().Hits
 	if _, err := aug.Search(ctx, "transactions", q, 0); err != nil {
 		t.Fatal(err)
 	}
-	hitsAfter := aug.Cache().Counts().Hits
+	hitsAfter := aug.cache.Counts().Hits
 	if hitsAfter <= hitsBefore {
 		t.Errorf("second run produced no cache hits: %d -> %d", hitsBefore, hitsAfter)
 	}
 	// Cold-cache control: ClearCache forces misses again.
 	aug.ClearCache()
-	if aug.Cache().Len() != 0 {
+	if aug.cache.Len() != 0 {
 		t.Error("ClearCache left entries")
 	}
 }
 
+// TestZeroCacheNeverHits: with CACHE_SIZE 0 no strategy probes, fills or
+// empties the object cache (its counters stay at zero, so no probe ran), and
+// each answers a level-1 multi-origin search exactly as it does with a
+// 16-object cache, cold and warm.
 func TestZeroCacheNeverHits(t *testing.T) {
 	poly, ix := polyphony(t)
-	aug := New(poly, ix, Config{Strategy: Sequential, CacheSize: 0})
-	q := `SELECT * FROM inventory WHERE name LIKE '%wish%'`
-	aug.Search(ctx, "transactions", q, 0)
-	aug.Search(ctx, "transactions", q, 0)
-	hits := aug.Cache().Counts().Hits
-	if hits != 0 {
-		t.Errorf("cache hits with CACHE_SIZE=0: %d", hits)
+	q := `SELECT * FROM inventory`
+	for _, st := range Strategies {
+		off := New(poly, ix, Config{Strategy: st, CacheSize: 0})
+		on := New(poly, ix, Config{Strategy: st, CacheSize: 16})
+		for _, pass := range []string{"cold", "warm"} {
+			want, err := on.Search(ctx, "transactions", q, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := off.Search(ctx, "transactions", q, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got.Original) < 2 || len(got.Augmented) == 0 {
+				t.Fatalf("%v: %d origins, %d augmented: want a multi-origin augmentation", st, len(got.Original), len(got.Augmented))
+			}
+			if !sameAnswer(got.Augmented, want.Augmented) {
+				t.Errorf("%v %s: augmented %v, want %v as with a cache", st, pass, got.Augmented, want.Augmented)
+			}
+		}
+		if c := off.cache.Counts(); c != (cache.Counts{}) {
+			t.Errorf("%v: a disabled cache was probed: %+v", st, c)
+		}
+		if on.cache.Counts().Hits == 0 {
+			t.Errorf("%v: the warm pass never hit the 16-object cache", st)
+		}
 	}
 }
 
@@ -469,7 +493,7 @@ func TestConfigDefaults(t *testing.T) {
 		t.Errorf("defaults not applied: %+v", cfg)
 	}
 	aug.SetConfig(Config{Strategy: Batch, BatchSize: 5, CacheSize: 10})
-	if aug.Config().BatchSize != 5 || aug.Cache().Capacity() != 10 {
+	if aug.Config().BatchSize != 5 || aug.cache.Capacity() != 10 {
 		t.Errorf("SetConfig not applied: %+v", aug.Config())
 	}
 }

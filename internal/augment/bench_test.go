@@ -149,8 +149,8 @@ func BenchmarkTraceOverhead(b *testing.B) {
 // relational table and augments them at level 2 under OUTER-BATCH, reaching
 // four keys per origin, one in each kind of store: a document, a graph node,
 // a key-value entry and a row of a second table. Successive searches walk
-// eight disjoint ranges, 1,600 reachable keys in all, through a 256-object
-// cache, so every search misses and fetches most of its keys. Its B/op and
+// eight disjoint ranges, 1,600 reachable keys in all, with no object cache,
+// as the server runs, so every search fetches all of its keys. Its B/op and
 // allocs/op are the per-request working set of the origins' query, plan
 // building, fetching from every engine and ranking.
 func BenchmarkSearchRange50(b *testing.B) {
@@ -207,7 +207,7 @@ func BenchmarkSearchRange50(b *testing.B) {
 	for r := range queries {
 		queries[r] = fmt.Sprintf("SELECT * FROM items WHERE seq >= %d AND seq < %d", r*width, (r+1)*width)
 	}
-	aug := New(poly, ix, Config{Strategy: OuterBatch, BatchSize: 64, ThreadsSize: 4, CacheSize: 256})
+	aug := New(poly, ix, Config{Strategy: OuterBatch, BatchSize: 64, ThreadsSize: 4})
 	answer, err := aug.Search(ctx, "orig", queries[0], 2)
 	if err != nil || len(answer.Original) != width || len(answer.Augmented) != 4*width {
 		b.Fatalf("fixture: %d origins, %d augmented, %v", len(answer.Original), len(answer.Augmented), err)

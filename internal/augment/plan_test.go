@@ -242,3 +242,90 @@ func TestPlanAllocsFlatInKeys(t *testing.T) {
 		t.Errorf("plan allocations grow with its keys: %v for 10 hits, %v for 200", small, large)
 	}
 }
+
+// refEachGroup is the map-based grouping eachGroup replaced, kept as the
+// reference its emit order must agree with. It returns each emitted group as
+// "database.collection:keys".
+func refEachGroup(p *plan, batchSize int) []string {
+	var out []string
+	emit := func(g group, keys []string) {
+		out = append(out, fmt.Sprintf("%s.%s:%v", g.database, g.collection, keys))
+	}
+	groups := map[group][]string{}
+	for _, gk := range p.order {
+		g := group{database: gk.Database, collection: gk.Collection}
+		keys := append(groups[g], gk.Key)
+		if len(keys) < batchSize {
+			groups[g] = keys
+			continue
+		}
+		delete(groups, g)
+		emit(g, keys)
+	}
+	for _, gk := range p.order {
+		g := group{database: gk.Database, collection: gk.Collection}
+		if keys, ok := groups[g]; ok {
+			delete(groups, g)
+			emit(g, keys)
+		}
+	}
+	return out
+}
+
+// groupedPlan spreads n keys over pairs (database, collection) pairs in a
+// random order; pairs may exceed openGroups.
+func groupedPlan(rng *rand.Rand, n, pairs int) *plan {
+	p := &plan{}
+	for i := 0; i < n; i++ {
+		c := rng.Intn(pairs)
+		p.order = append(p.order, core.NewGlobalKey(fmt.Sprintf("db%d", c%3), fmt.Sprintf("c%d", c), fmt.Sprint(i)))
+	}
+	return p
+}
+
+// TestEachGroupMatchesReference: the open-group slice emits the same groups,
+// in the same order, as the map it replaced, at every batch size and below
+// and above the pairs it holds on the stack; and stopping the walk stops it.
+func TestEachGroupMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	for trial := 0; trial < 200; trial++ {
+		p := groupedPlan(rng, rng.Intn(120), 1+rng.Intn(2*openGroups))
+		batch := 1 + rng.Intn(20)
+		var got []string
+		p.eachGroup(batch, func(g group, keys []string) bool {
+			if cap(keys) > batch {
+				t.Fatalf("trial %d: a group's slice has capacity %d over the batch size %d", trial, cap(keys), batch)
+			}
+			got = append(got, fmt.Sprintf("%s.%s:%v", g.database, g.collection, keys))
+			return true
+		})
+		if want := refEachGroup(p, batch); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (batch %d): groups\n got  %v\n want %v", trial, batch, got, want)
+		}
+		if len(got) > 1 {
+			calls := 0
+			p.eachGroup(batch, func(group, []string) bool { calls++; return false })
+			if calls != 1 {
+				t.Fatalf("trial %d: emit returned false but was called %d times", trial, calls)
+			}
+		}
+	}
+}
+
+// TestEachGroupAllocsFlatInGroups: grouping a batched augmentation's keys
+// allocates the emitted groups' key slices and nothing else, however many
+// (database, collection) pairs the plan reaches, up to openGroups.
+func TestEachGroupAllocsFlatInGroups(t *testing.T) {
+	rng := rand.New(rand.NewSource(4601))
+	for pairs := 1; pairs <= openGroups; pairs++ {
+		p := groupedPlan(rng, 300, pairs)
+		groups := 0
+		p.eachGroup(16, func(group, []string) bool { groups++; return true })
+		allocs := testing.AllocsPerRun(50, func() {
+			p.eachGroup(16, func(group, []string) bool { return true })
+		})
+		if allocs != float64(groups) {
+			t.Errorf("%d pairs: %v allocations for %d groups, want one per group", pairs, allocs, groups)
+		}
+	}
+}

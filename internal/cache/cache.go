@@ -1,8 +1,9 @@
 // Package cache implements the memory-efficient strategy of Section IV-C:
 // an LRU cache of data objects keyed by global key, standing in for the
-// Ehcache instance QUEPA uses. All augmenters consult it before asking the
-// polystore for an object; it pays off in augmented exploration (users
-// revisit objects) and in level > 0 searches (augmented results overlap).
+// Ehcache instance QUEPA uses. An augmenter with a nonzero CACHE_SIZE
+// consults it before asking the polystore for an object; it pays off in
+// augmented exploration (users revisit objects) and in level > 0 searches
+// (augmented results overlap), when the stores are a round trip away.
 //
 // The LRU itself is Sharded, the one bounded map of the read path: the
 // object cache here, the result cache (internal/rcache) and the augmenter's
@@ -15,10 +16,7 @@
 // shard; the capacity bound and the counters are global either way.
 package cache
 
-import (
-	"quepa/internal/core"
-	"quepa/internal/telemetry"
-)
+import "quepa/internal/core"
 
 // LRU is the object cache: a Sharded of objects by global key, all stored
 // and probed at stamp 0 (an object is valid until removed or evicted). A
@@ -40,20 +38,3 @@ func (c *LRU) Get(gk core.GlobalKey) (core.Object, bool) { return c.Sharded.Get(
 // Put inserts or refreshes an object, evicting the least recently used entry
 // of its shard when the shard is full.
 func (c *LRU) Put(obj core.Object) { c.Sharded.Put(obj.GK, 0, obj) }
-
-// RegisterMetrics exports the cache on a telemetry registry as
-// function-backed series read at scrape time — the hot path keeps its single
-// shard-mutex acquisition and pays nothing for the export. Re-registering
-// (e.g. a rebuilt server) points the series at the new instance.
-func (c *LRU) RegisterMetrics(r *telemetry.Registry) {
-	r.CounterFunc("quepa_cache_hits_total", "object cache lookups served from memory",
-		func() uint64 { return c.Counts().Hits })
-	r.CounterFunc("quepa_cache_misses_total", "object cache lookups that fell through to the polystore",
-		func() uint64 { return c.Counts().Misses })
-	r.CounterFunc("quepa_cache_evictions_total", "cache entries evicted by capacity pressure",
-		func() uint64 { return c.Counts().Evictions })
-	r.GaugeFunc("quepa_cache_objects", "objects currently cached",
-		func() float64 { return float64(c.Len()) })
-	r.GaugeFunc("quepa_cache_capacity", "configured cache capacity",
-		func() float64 { return float64(c.Capacity()) })
-}

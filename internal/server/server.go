@@ -118,8 +118,11 @@ const (
 )
 
 // baseConfig is the one configuration every search and exploration runs:
-// OUTER-BATCH, the paper's best augmenter (Fig. 11), with its object cache.
-var baseConfig = augment.Config{Strategy: augment.OuterBatch, BatchSize: 64, ThreadsSize: 8, CacheSize: 4096}
+// OUTER-BATCH, the paper's best augmenter (Fig. 11), without its object
+// cache. The stores are in-process and a read returns a view of what they
+// hold, so a hit saves almost nothing while every probe and insert costs a
+// shard lock and a hash (DESIGN §3.18).
+var baseConfig = augment.Config{Strategy: augment.OuterBatch, BatchSize: 64, ThreadsSize: 8, CacheSize: 0}
 
 // Server is one assembled QUEPA serving stack.
 type Server struct {
@@ -392,10 +395,9 @@ func (s *Server) startSLO(cfg Config) error {
 	return nil
 }
 
-// registerMetrics exports the server's component state (cache, index,
-// sessions) on the default registry as function-backed series.
+// registerMetrics exports the server's component state (result cache,
+// index, sessions) on the default registry as function-backed series.
 func (s *Server) registerMetrics() {
-	s.aug.Cache().RegisterMetrics(telemetry.Default())
 	s.rcache.RegisterMetrics(telemetry.Default())
 	reg := telemetry.Default()
 	reg.GaugeFunc("quepa_index_keys", "global keys in the A' index",

@@ -80,15 +80,15 @@ func TestCheckpointLoopBoundsReplay(t *testing.T) {
 }
 
 // TestSearchRunsBaseConfig: every search runs the server's one
-// configuration, OUTER-BATCH with 64-key batches, 8 threads and a
-// 4096-object cache. With the result cache off every search runs a
+// configuration, OUTER-BATCH with 64-key batches, 8 threads and no object
+// cache. With the result cache off every search runs a
 // strategy; 300 of them go past the 256 runs after which the server's
 // former optimizer loop retrained, and neither the strategy the profile
 // reports nor the configuration /stats reports may move.
 func TestSearchRunsBaseConfig(t *testing.T) {
 	s := mustNew(t, Config{Workload: smallWorkload(t)})
 	s.rcache.Resize(0)
-	const want = "OUTER-BATCH(batch=64,threads=8,cache=4096)"
+	const want = "OUTER-BATCH(batch=64,threads=8,cache=0)"
 	for i := 0; i < 300; i++ {
 		level := 1 + i%2
 		q := "SELECT * FROM inventory WHERE seq < " + strconv.Itoa(1+i%5)

@@ -61,8 +61,10 @@ func (t *table) primaryKeys(where expr) ([]string, bool) {
 	}
 	var keys []string
 	for _, v := range lits {
-		if _, err := strconv.ParseFloat(v, 64); err == nil {
-			return nil, false
+		if mayBeFloat(v) {
+			if _, err := strconv.ParseFloat(v, 64); err == nil {
+				return nil, false
+			}
 		}
 		if _, exists := t.rows[v]; exists && !slices.Contains(keys, v) {
 			keys = append(keys, v)

@@ -10,19 +10,40 @@ import (
 // numbers they compare numerically; otherwise they compare as strings. This
 // dynamic typing mirrors lightweight engines and keeps the storage uniform.
 func compareValues(a, b string) int {
-	fa, errA := strconv.ParseFloat(a, 64)
-	fb, errB := strconv.ParseFloat(b, 64)
-	if errA == nil && errB == nil {
-		switch {
-		case fa < fb:
-			return -1
-		case fa > fb:
-			return 1
-		default:
-			return 0
+	if mayBeFloat(a) && mayBeFloat(b) {
+		fa, errA := strconv.ParseFloat(a, 64)
+		fb, errB := strconv.ParseFloat(b, 64)
+		if errA == nil && errB == nil {
+			switch {
+			case fa < fb:
+				return -1
+			case fa > fb:
+				return 1
+			default:
+				return 0
+			}
 		}
 	}
 	return strings.Compare(a, b)
+}
+
+// mayBeFloat reports whether strconv.ParseFloat might accept s: after an
+// optional sign, s starts with a digit, '.', or the first letter of "inf",
+// "infinity" or "nan" in either case. A false answer means ParseFloat
+// rejects s, so callers skip it on identifiers like "a12", whose rejection
+// allocates a *strconv.NumError (FuzzMayBeFloat).
+func mayBeFloat(s string) bool {
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		s = s[1:]
+	}
+	if s == "" {
+		return false
+	}
+	switch c := s[0]; {
+	case c >= '0' && c <= '9', c == '.', c == 'i', c == 'I', c == 'n', c == 'N':
+		return true
+	}
+	return false
 }
 
 // matchLike implements the SQL LIKE operator: '%' matches any (possibly

@@ -1,6 +1,9 @@
 package relstore
 
-import "testing"
+import (
+	"strconv"
+	"testing"
+)
 
 // FuzzParse drives the SQL lexer and parser with arbitrary input: they must
 // never panic, and whatever parses must render back (via EnsureKeyColumn)
@@ -50,6 +53,20 @@ func FuzzLikeMatch(f *testing.F) {
 		matchLike(value, pattern) // must not panic
 		if !matchLike(value, "%") {
 			t.Fatal("bare %% must match everything")
+		}
+	})
+}
+
+// FuzzMayBeFloat holds mayBeFloat to its one promise: every string
+// strconv.ParseFloat accepts passes it, so skipping ParseFloat where it
+// answers false never changes a result.
+func FuzzMayBeFloat(f *testing.F) {
+	for _, seed := range []string{"Inf", "-infinity", "NaN", "nan", "0x1p-2", "0E0", "+.5", "-0", "1_0", "0x_1p0", "a12", "", "+", ".", "e5"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if _, err := strconv.ParseFloat(s, 64); err == nil && !mayBeFloat(s) {
+			t.Fatalf("ParseFloat accepts %q, mayBeFloat rejects it", s)
 		}
 	})
 }

@@ -136,13 +136,16 @@ func renderExpr(b *strings.Builder, e expr) {
 // renderLiteral quotes a value as a SQL string literal unless it is a plain
 // number, doubling embedded quotes. A plain number is one the lexer reads
 // back as one number token: strconv.ParseFloat also takes "0E0", "Inf" and
-// hex floats, which the dialect spells only as strings.
+// hex floats, which the dialect spells only as strings. ParseFloat runs last,
+// once the cheap checks (stricter than mayBeFloat) have passed, so a
+// non-numeric value pays no error allocation.
 func renderLiteral(b *strings.Builder, v string) {
 	digits := strings.TrimPrefix(v, "-")
-	if _, err := strconv.ParseFloat(v, 64); err == nil && digits != "" && digits[0] >= '0' && digits[0] <= '9' &&
-		strings.Trim(digits, "0123456789.") == "" {
-		b.WriteString(v)
-		return
+	if digits != "" && digits[0] >= '0' && digits[0] <= '9' && strings.Trim(digits, "0123456789.") == "" {
+		if _, err := strconv.ParseFloat(v, 64); err == nil {
+			b.WriteString(v)
+			return
+		}
 	}
 	b.WriteByte('\'')
 	b.WriteString(strings.ReplaceAll(v, "'", "''"))
