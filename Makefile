@@ -56,13 +56,14 @@ chaos:
 
 # A' construction sweep: the full collector pipeline + bulk load, swept over
 # object count × scoring workers, plus the Reach fast-path microbenchmarks,
-# the snapshot full-build vs patch pair and the component Stamp a result-cache
-# hit pays, at the ledger's index size.
+# the snapshot full-build vs patch pair, the component Stamp a result-cache
+# hit pays, and the live heap and forced-GC time a scale-16 A' costs
+# (IndexGC), at the ledger's index size.
 # The sweep itself fails if any worker count changes the discovered
 # relations, so it doubles as a determinism check.
 bench-build:
 	$(GO) run ./cmd/quepa-bench -fig build
-	$(GO) test -bench='ReachSnapshot|ReachLockedFallback|BulkLoad|SnapshotFull|SnapshotPatch|Stamp' -benchmem -run='^$$' ./internal/aindex/
+	$(GO) test -bench='ReachSnapshot|ReachLockedFallback|BulkLoad|SnapshotFull|SnapshotPatch|Stamp|IndexGC' -benchmem -run='^$$' ./internal/aindex/
 
 # The performance ledger — the only harness that records, compares or guards
 # a performance number: builds quepa-server, replays the BENCHMARK.json

@@ -19,8 +19,10 @@
 package aindex
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -39,16 +41,29 @@ var (
 		"objects lazily removed from the A' index after a fetch miss")
 )
 
-// edge is one stored p-relation endpoint.
-type edge struct {
+// halfEdge is one stored p-relation endpoint: the edge as the row of one
+// endpoint holds it, pointing at the other endpoint's id. It holds no
+// pointer, so the garbage collector never scans a row.
+type halfEdge struct {
+	to   uint32
 	typ  core.RelType
 	prob float64
 }
 
 // Index is the in-memory A' index. It is safe for concurrent use.
 type Index struct {
-	mu    sync.RWMutex
-	adj   map[core.GlobalKey]map[core.GlobalKey]edge
+	mu sync.RWMutex
+	// The adjacency, addressed by id. Every key the index ever held is
+	// interned once: keys[id] is its key, ids[key] its id, and both tables
+	// only grow. rows[id] holds the key's half-edges sorted by target id.
+	// A removed key is tombstoned (dead[id]) with an empty row and keeps its
+	// id, which a later edge revives; a live key may have an empty row too,
+	// once its last neighbor was removed. live counts the keys not dead.
+	keys  []core.GlobalKey
+	ids   map[core.GlobalKey]uint32
+	rows  [][]halfEdge
+	dead  []bool
+	live  int
 	edges int
 
 	// Read-optimized snapshot machinery (snapshot.go). epoch counts
@@ -65,13 +80,13 @@ type Index struct {
 	rebuildMu      sync.Mutex
 	rebuildRunning bool
 
-	// What separates adj from the installed snapshot. Mutators write both
-	// under the write lock; RefreshSnapshot consumes them under the read
-	// lock plus snapMu. dirty holds the keys whose rows changed; needFull
+	// What separates the rows from the installed snapshot. Mutators write
+	// both under the write lock; RefreshSnapshot consumes them under the read
+	// lock plus snapMu. dirty holds the ids whose rows changed; needFull
 	// says the key set changed (or dirty overflowed) and only a full build
 	// will do — atomic because the rebuild loop polls it without the lock.
 	snapMu   sync.Mutex
-	dirty    map[core.GlobalKey]struct{}
+	dirty    map[uint32]struct{}
 	needFull atomic.Bool
 
 	// journal, when non-nil, observes every mutation inside the write
@@ -80,8 +95,8 @@ type Index struct {
 	journal Journal
 
 	// comp tracks the connected components behind Stamp (component.go). Nil
-	// only in the bulk loader's private shards, whose adjacency the merge
-	// re-reads.
+	// only while a loader fills a private index (the bulk loader's shards,
+	// ReadSnapshot), whose components are rebuilt from the rows.
 	comp *components
 }
 
@@ -89,11 +104,11 @@ type Index struct {
 // reads on an unmutated index take the lock-free path from the start.
 func New() *Index {
 	ix := &Index{
-		adj:   map[core.GlobalKey]map[core.GlobalKey]edge{},
-		dirty: map[core.GlobalKey]struct{}{},
+		ids:   map[core.GlobalKey]uint32{},
+		dirty: map[uint32]struct{}{},
 		comp:  newComponents(),
 	}
-	ix.snap.Store(buildSnapshot(ix.adj, 0, 0))
+	ix.snap.Store(buildSnapshot(ix, 0))
 	return ix
 }
 
@@ -101,7 +116,7 @@ func New() *Index {
 func (ix *Index) NodeCount() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return len(ix.adj)
+	return ix.live
 }
 
 // EdgeCount returns the number of (undirected) p-relations in the index,
@@ -110,6 +125,34 @@ func (ix *Index) EdgeCount() int {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return ix.edges
+}
+
+// idLocked returns the id of a live key. The caller holds the lock.
+func (ix *Index) idLocked(gk core.GlobalKey) (uint32, bool) {
+	id, ok := ix.ids[gk]
+	return id, ok && !ix.dead[id]
+}
+
+// internLocked returns gk's id, interning gk or reviving its tombstone.
+// Either changes the key set, which no snapshot patch can follow. Callers
+// intern only the endpoints of an edge they are about to write.
+func (ix *Index) internLocked(gk core.GlobalKey) uint32 {
+	id, ok := ix.ids[gk]
+	switch {
+	case !ok:
+		id = uint32(len(ix.keys))
+		ix.keys = append(ix.keys, gk)
+		ix.ids[gk] = id
+		ix.rows = append(ix.rows, nil)
+		ix.dead = append(ix.dead, false)
+	case ix.dead[id]:
+		ix.dead[id] = false
+	default:
+		return id
+	}
+	ix.live++
+	ix.markAllDirtyLocked() // the snapshot's id tables are out
+	return id
 }
 
 // Insert adds a p-relation and materializes every p-relation inferable from
@@ -135,11 +178,14 @@ func (ix *Index) Insert(r core.PRelation) error {
 // insertLocked materializes r and its consistency-condition closure. The
 // caller holds the write lock — or owns the index exclusively, as the bulk
 // loader's per-component shards do — and is responsible for the epoch bump.
+// r is valid, so the edge between its endpoints is always written and
+// interning them up front adds no key the closure would not.
 func (ix *Index) insertLocked(r core.PRelation) {
+	from, to := ix.internLocked(r.From), ix.internLocked(r.To)
 	if r.Type == core.Matching {
 		// Matching propagates across the identity classes of both endpoints.
-		clsFrom := ix.identityClassLocked(r.From) // includes r.From with prob 1
-		clsTo := ix.identityClassLocked(r.To)
+		clsFrom := ix.identityClassLocked(from) // includes from with prob 1
+		clsTo := ix.identityClassLocked(to)
 		for x, px := range clsFrom {
 			for y, py := range clsTo {
 				if x == y {
@@ -153,8 +199,8 @@ func (ix *Index) insertLocked(r core.PRelation) {
 
 	// Identity: merge the two classes into one clique (paper Fig. 4), then
 	// share all matching edges across the merged class.
-	clsFrom := ix.identityClassLocked(r.From)
-	clsTo := ix.identityClassLocked(r.To)
+	clsFrom := ix.identityClassLocked(from)
+	clsTo := ix.identityClassLocked(to)
 	for x, px := range clsFrom {
 		for y, py := range clsTo {
 			if x == y {
@@ -168,17 +214,17 @@ func (ix *Index) insertLocked(r core.PRelation) {
 	// follows the path member ~ owner ≡ partner: the identity probability
 	// between the receiving member and the member that owns the matching
 	// edge, times the matching probability — independent of insertion order.
-	merged := ix.identityClassLocked(r.From)
+	merged := ix.identityClassLocked(from)
 	type match struct {
-		owner   core.GlobalKey
-		partner core.GlobalKey
+		owner   uint32
+		partner uint32
 		prob    float64
 	}
 	var matches []match
 	for member := range merged {
-		for nb, e := range ix.adj[member] {
+		for _, e := range ix.rows[member] {
 			if e.typ == core.Matching {
-				matches = append(matches, match{owner: member, partner: nb, prob: e.prob})
+				matches = append(matches, match{owner: member, partner: e.to, prob: e.prob})
 			}
 		}
 	}
@@ -196,8 +242,8 @@ func (ix *Index) insertLocked(r core.PRelation) {
 	}
 }
 
-// identityClassLocked returns the identity class of gk as a map from member
-// to the best path probability from gk (gk itself maps to 1). Identity
+// identityClassLocked returns the identity class of id as a map from member
+// to the best path probability from id (id itself maps to 1). Identity
 // classes are maintained as cliques, so direct neighbors suffice; the
 // traversal is still transitive for robustness against partially built
 // indexes (e.g. bulk loads that bypass materialization).
@@ -205,26 +251,26 @@ func (ix *Index) insertLocked(r core.PRelation) {
 // The traversal is hop-synchronous with frozen frontier values and requeues
 // a node whenever its probability improves, running to the fixed point: the
 // result is the true maximum product over all connecting paths, independent
-// of map iteration order. (An earlier version read the live probability of
-// a frontier node and never requeued improved nodes, which made closure
+// of iteration order. (An earlier version read the live probability of a
+// frontier node and never requeued improved nodes, which made closure
 // probabilities depend on iteration order — and insertion nondeterministic.)
 // Termination: probabilities only increase strictly, and the achievable
 // values are products over simple paths, a finite set.
-func (ix *Index) identityClassLocked(gk core.GlobalKey) map[core.GlobalKey]float64 {
-	cls := map[core.GlobalKey]float64{gk: 1}
-	frontier := map[core.GlobalKey]float64{gk: 1}
+func (ix *Index) identityClassLocked(id uint32) map[uint32]float64 {
+	cls := map[uint32]float64{id: 1}
+	frontier := map[uint32]float64{id: 1}
 	for len(frontier) > 0 {
-		next := map[core.GlobalKey]float64{}
+		next := map[uint32]float64{}
 		for cur, curProb := range frontier {
-			for nb, e := range ix.adj[cur] {
+			for _, e := range ix.rows[cur] {
 				if e.typ != core.Identity {
 					continue
 				}
 				p := curProb * e.prob
-				if old, seen := cls[nb]; !seen || p > old {
-					cls[nb] = p
-					if p > next[nb] {
-						next[nb] = p
+				if old, seen := cls[e.to]; !seen || p > old {
+					cls[e.to] = p
+					if p > next[e.to] {
+						next[e.to] = p
 					}
 				}
 			}
@@ -234,10 +280,10 @@ func (ix *Index) identityClassLocked(gk core.GlobalKey) map[core.GlobalKey]float
 	return cls
 }
 
-// setEdgeLocked installs an undirected edge, keeping the stronger of the old
-// and new variants: identity beats matching, and within a type the higher
-// probability wins.
-func (ix *Index) setEdgeLocked(a, b core.GlobalKey, typ core.RelType, prob float64) {
+// setEdgeLocked installs an undirected edge between two interned ids,
+// keeping the stronger of the old and new variants: identity beats
+// matching, and within a type the higher probability wins.
+func (ix *Index) setEdgeLocked(a, b uint32, typ core.RelType, prob float64) {
 	if prob > 1 {
 		prob = 1
 	}
@@ -252,44 +298,53 @@ func (ix *Index) setEdgeLocked(a, b core.GlobalKey, typ core.RelType, prob float
 		if old.typ == typ && old.prob >= prob {
 			return
 		}
-	}
-	newKey := false
-	if ix.adj[a] == nil {
-		ix.adj[a] = map[core.GlobalKey]edge{}
-		newKey = true
-	}
-	if ix.adj[b] == nil {
-		ix.adj[b] = map[core.GlobalKey]edge{}
-		newKey = true
-	}
-	if newKey {
-		ix.markAllDirtyLocked() // the snapshot's id tables are out
 	} else {
-		ix.markRowDirtyLocked(a)
-		ix.markRowDirtyLocked(b)
-	}
-	if !exists {
 		ix.edges++
 	}
-	e := edge{typ: typ, prob: prob}
-	ix.adj[a][b] = e
-	ix.adj[b][a] = e
+	ix.markRowDirtyLocked(a)
+	ix.markRowDirtyLocked(b)
+	ix.rows[a] = setHalfEdge(ix.rows[a], halfEdge{to: b, typ: typ, prob: prob})
+	ix.rows[b] = setHalfEdge(ix.rows[b], halfEdge{to: a, typ: typ, prob: prob})
 	if ix.comp != nil {
 		// Queued, not applied: the caller publishes after its epoch bump.
-		ix.comp.pending = append(ix.comp.pending, [2]core.GlobalKey{a, b})
+		ix.comp.pending = append(ix.comp.pending, [2]core.GlobalKey{ix.keys[a], ix.keys[b]})
 	}
 }
 
-func (ix *Index) edgeLocked(a, b core.GlobalKey) (edge, bool) {
-	e, ok := ix.adj[a][b]
-	return e, ok
+// findHalfEdge returns the position of the half-edge to id in a row, or
+// where it would go.
+func findHalfEdge(row []halfEdge, to uint32) (int, bool) {
+	return slices.BinarySearchFunc(row, to, func(e halfEdge, to uint32) int { return cmp.Compare(e.to, to) })
+}
+
+// setHalfEdge writes e into row, replacing the half-edge to the same target.
+func setHalfEdge(row []halfEdge, e halfEdge) []halfEdge {
+	i, ok := findHalfEdge(row, e.to)
+	if ok {
+		row[i] = e
+		return row
+	}
+	return slices.Insert(row, i, e)
+}
+
+func (ix *Index) edgeLocked(a, b uint32) (halfEdge, bool) {
+	row := ix.rows[a]
+	if i, ok := findHalfEdge(row, b); ok {
+		return row[i], true
+	}
+	return halfEdge{}, false
 }
 
 // Relation reports the stored p-relation between two global keys, if any.
 func (ix *Index) Relation(a, b core.GlobalKey) (core.PRelation, bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	e, ok := ix.edgeLocked(a, b)
+	ia, okA := ix.idLocked(a)
+	ib, okB := ix.idLocked(b)
+	if !okA || !okB {
+		return core.PRelation{}, false
+	}
+	e, ok := ix.edgeLocked(ia, ib)
 	if !ok {
 		return core.PRelation{}, false
 	}
@@ -300,7 +355,7 @@ func (ix *Index) Relation(a, b core.GlobalKey) (core.PRelation, bool) {
 func (ix *Index) Contains(gk core.GlobalKey) bool {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	_, ok := ix.adj[gk]
+	_, ok := ix.idLocked(gk)
 	return ok
 }
 
@@ -316,16 +371,21 @@ func (ix *Index) RemoveObject(gk core.GlobalKey) bool {
 // trace of the request whose fetch revealed the stale object.
 func (ix *Index) RemoveObjectCtx(ctx context.Context, gk core.GlobalKey) bool {
 	ix.mu.Lock()
-	nbs, ok := ix.adj[gk]
+	id, ok := ix.idLocked(gk)
 	if !ok {
 		ix.mu.Unlock()
 		return false
 	}
-	for nb := range nbs {
-		delete(ix.adj[nb], gk)
+	for _, e := range ix.rows[id] {
+		nb := ix.rows[e.to]
+		i, _ := findHalfEdge(nb, id)
+		copy(nb[i:], nb[i+1:])
+		ix.rows[e.to] = nb[:len(nb)-1]
 		ix.edges--
 	}
-	delete(ix.adj, gk)
+	ix.rows[id] = nil
+	ix.dead[id] = true
+	ix.live--
 	ix.markAllDirtyLocked() // a key left: the snapshot's id tables are out
 	e := ix.epoch.Add(1)
 	// After the bump, like publish. gk keeps its cell: components never split.
@@ -357,7 +417,7 @@ type ReachStats struct {
 	Nodes int
 	Edges int
 	// Snapshots counts the traversals served lock-free from the CSR
-	// snapshot rather than the locked adjacency maps.
+	// snapshot rather than the locked rows.
 	Snapshots int
 	// Memoized counts the reaches a result cache answered with no traversal
 	// (rcache.Cache.Reach); the index itself never sets it.
@@ -412,34 +472,47 @@ func (ix *Index) reach(gk core.GlobalKey, level int, stats *ReachStats) []Hit {
 	return hits
 }
 
-// reachLocked is the reference traversal over the mutable adjacency maps.
-// The snapshot fast path (snapshot.go) replicates it operation for
-// operation; TestSnapshotReachMatchesLocked pins the equivalence.
+// reachLocked is the reference traversal over the mutable rows. The
+// snapshot fast path (snapshot.go) replicates it operation for operation;
+// TestSnapshotReachMatchesLocked pins the equivalence.
 func (ix *Index) reachLocked(gk core.GlobalKey, level int, stats *ReachStats) []Hit {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 
+	origin, ok := ix.idLocked(gk)
+	if !ok {
+		// An unknown origin is still expanded: one node, zero edges.
+		if stats != nil {
+			stats.Nodes++
+		}
+		return []Hit{}
+	}
+	type best struct {
+		prob float64
+		dist int
+	}
 	maxHops := level + 1
-	best := map[core.GlobalKey]Hit{gk: {Key: gk, Prob: 1, Dist: 0}}
-	frontier := map[core.GlobalKey]float64{gk: 1}
+	seen := map[uint32]best{origin: {prob: 1}}
+	frontier := map[uint32]float64{origin: 1}
 	for hop := 1; hop <= maxHops && len(frontier) > 0; hop++ {
-		next := map[core.GlobalKey]float64{}
+		next := map[uint32]float64{}
 		for cur, curProb := range frontier {
+			row := ix.rows[cur]
 			if stats != nil {
 				stats.Nodes++
-				stats.Edges += len(ix.adj[cur])
+				stats.Edges += len(row)
 			}
-			for nb, e := range ix.adj[cur] {
+			for _, e := range row {
 				p := curProb * e.prob
-				old, seen := best[nb]
-				if !seen || p > old.Prob {
+				old, ok := seen[e.to]
+				if !ok || p > old.prob {
 					dist := hop
-					if seen && old.Dist < hop {
-						dist = old.Dist
+					if ok && old.dist < hop {
+						dist = old.dist
 					}
-					best[nb] = Hit{Key: nb, Prob: p, Dist: dist}
-					if p > next[nb] {
-						next[nb] = p
+					seen[e.to] = best{prob: p, dist: dist}
+					if p > next[e.to] {
+						next[e.to] = p
 					}
 				}
 			}
@@ -447,12 +520,12 @@ func (ix *Index) reachLocked(gk core.GlobalKey, level int, stats *ReachStats) []
 		frontier = next
 	}
 
-	out := make([]Hit, 0, len(best)-1)
-	for k, h := range best {
-		if k == gk {
+	out := make([]Hit, 0, len(seen)-1)
+	for id, b := range seen {
+		if id == origin {
 			continue
 		}
-		out = append(out, h)
+		out = append(out, Hit{Key: ix.keys[id], Prob: b.prob, Dist: b.dist})
 	}
 	SortHits(out)
 	return out
@@ -464,10 +537,14 @@ func (ix *Index) reachLocked(gk core.GlobalKey, level int, stats *ReachStats) []
 func (ix *Index) Neighbors(gk core.GlobalKey) []core.PRelation {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	nbs := ix.adj[gk]
-	out := make([]core.PRelation, 0, len(nbs))
-	for nb, e := range nbs {
-		out = append(out, core.PRelation{From: gk, To: nb, Type: e.typ, Prob: e.prob})
+	id, ok := ix.idLocked(gk)
+	if !ok {
+		return []core.PRelation{}
+	}
+	row := ix.rows[id]
+	out := make([]core.PRelation, 0, len(row))
+	for _, e := range row {
+		out = append(out, core.PRelation{From: gk, To: ix.keys[e.to], Type: e.typ, Prob: e.prob})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Prob != out[j].Prob {
@@ -530,51 +607,106 @@ func partitionHits(h []Hit) int {
 func (ix *Index) Keys() []core.GlobalKey {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	out := make([]core.GlobalKey, 0, len(ix.adj))
-	for k := range ix.adj {
-		out = append(out, k)
+	out := make([]core.GlobalKey, 0, ix.live)
+	for id, k := range ix.keys {
+		if !ix.dead[id] {
+			out = append(out, k)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	slices.SortFunc(out, core.GlobalKey.Compare)
 	return out
 }
 
-// Validate checks the structural invariants of the index: symmetry of the
-// adjacency, probability bounds, and the Consistency Condition. It is meant
-// for tests and for integrity checks after bulk loads.
+// Validate checks the structural invariants of the index: the id tables,
+// symmetry of the adjacency, probability bounds, and the Consistency
+// Condition. It is meant for tests and for integrity checks after bulk
+// loads.
 func (ix *Index) Validate() error {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	for a, nbs := range ix.adj {
-		for b, e := range nbs {
-			back, ok := ix.adj[b][a]
+	if err := ix.validateTablesLocked(); err != nil {
+		return err
+	}
+	for a, row := range ix.rows {
+		for _, e := range row {
+			back, ok := ix.edgeLocked(e.to, uint32(a))
 			if !ok {
-				return fmt.Errorf("aindex: edge %v -> %v has no reverse", a, b)
+				return fmt.Errorf("aindex: edge %v -> %v has no reverse", ix.keys[a], ix.keys[e.to])
 			}
-			if back != e {
-				return fmt.Errorf("aindex: asymmetric edge %v <-> %v", a, b)
+			if back.typ != e.typ || back.prob != e.prob {
+				return fmt.Errorf("aindex: asymmetric edge %v <-> %v", ix.keys[a], ix.keys[e.to])
 			}
 			if e.prob <= 0 || e.prob > 1 {
-				return fmt.Errorf("aindex: edge %v <-> %v has probability %g", a, b, e.prob)
+				return fmt.Errorf("aindex: edge %v <-> %v has probability %g", ix.keys[a], ix.keys[e.to], e.prob)
 			}
 		}
 	}
 	// Consistency Condition: o1 ≡ o2 and o2 ~ o3 imply o1 ≡ o3 (or stronger:
 	// an identity between o1 and o3).
-	for o2, nbs := range ix.adj {
-		for o1, e12 := range nbs {
+	for o2, row := range ix.rows {
+		for _, e12 := range row {
 			if e12.typ != core.Matching {
 				continue
 			}
-			for o3, e23 := range nbs {
-				if e23.typ != core.Identity || o3 == o1 {
+			for _, e23 := range row {
+				if e23.typ != core.Identity || e23.to == e12.to {
 					continue
 				}
-				if _, ok := ix.adj[o1][o3]; !ok {
+				if _, ok := ix.edgeLocked(e12.to, e23.to); !ok {
+					o1, o3 := ix.keys[e12.to], ix.keys[e23.to]
 					return fmt.Errorf("aindex: consistency violation: %v ≡ %v, %v ~ %v, but no %v ≡ %v",
-						o1, o2, o2, o3, o1, o3)
+						o1, ix.keys[o2], ix.keys[o2], o3, o1, o3)
 				}
 			}
 		}
+	}
+	return nil
+}
+
+// validateTablesLocked checks the id tables behind the rows: ids and keys
+// are a bijection, the live and edge counts match the rows, tombstoned rows
+// are empty, and every row is sorted by target with no duplicate and no
+// target that is out of range or tombstoned.
+func (ix *Index) validateTablesLocked() error {
+	n := len(ix.keys)
+	if len(ix.ids) != n || len(ix.rows) != n || len(ix.dead) != n {
+		return fmt.Errorf("aindex: id tables disagree: %d keys, %d ids, %d rows, %d tombstone flags",
+			n, len(ix.ids), len(ix.rows), len(ix.dead))
+	}
+	live, ends := 0, 0
+	for id, k := range ix.keys {
+		if got, ok := ix.ids[k]; !ok || got != uint32(id) {
+			return fmt.Errorf("aindex: key %v has id %d, interned as %d", k, id, got)
+		}
+		row := ix.rows[id]
+		if ix.dead[id] {
+			if len(row) != 0 {
+				return fmt.Errorf("aindex: removed key %v keeps %d half-edges", k, len(row))
+			}
+			continue
+		}
+		live++
+		ends += len(row)
+		for i, e := range row {
+			switch {
+			case int(e.to) >= n:
+				return fmt.Errorf("aindex: %v has a half-edge to id %d of %d", k, e.to, n)
+			case ix.dead[e.to]:
+				return fmt.Errorf("aindex: %v has a half-edge to removed key %v", k, ix.keys[e.to])
+			case e.to == uint32(id):
+				return fmt.Errorf("aindex: %v has a half-edge to itself", k)
+			case i > 0 && e.to == row[i-1].to:
+				return fmt.Errorf("aindex: %v holds two half-edges to %v", k, ix.keys[e.to])
+			case i > 0 && e.to < row[i-1].to:
+				return fmt.Errorf("aindex: row of %v is not sorted by target", k)
+			}
+		}
+	}
+	if live != ix.live {
+		return fmt.Errorf("aindex: %d live keys, counted %d", live, ix.live)
+	}
+	if ends != 2*ix.edges {
+		return fmt.Errorf("aindex: %d half-edges stored, edge count %d", ends, ix.edges)
 	}
 	return nil
 }
@@ -590,18 +722,19 @@ func (ix *Index) Edges() []core.PRelation {
 
 func (ix *Index) edgesLocked() []core.PRelation {
 	out := make([]core.PRelation, 0, ix.edges)
-	for a, nbs := range ix.adj {
-		for b, e := range nbs {
-			if a.Compare(b) < 0 {
-				out = append(out, core.PRelation{From: a, To: b, Type: e.typ, Prob: e.prob})
+	for a, row := range ix.rows {
+		from := ix.keys[a]
+		for _, e := range row {
+			if to := ix.keys[e.to]; from.Compare(to) < 0 {
+				out = append(out, core.PRelation{From: from, To: to, Type: e.typ, Prob: e.prob})
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if c := out[i].From.Compare(out[j].From); c != 0 {
-			return c < 0
+	slices.SortFunc(out, func(x, y core.PRelation) int {
+		if c := x.From.Compare(y.From); c != 0 {
+			return c
 		}
-		return out[i].To.Compare(out[j].To) < 0
+		return x.To.Compare(y.To)
 	})
 	return out
 }
@@ -616,7 +749,7 @@ func (ix *Index) InsertRaw(r core.PRelation) error {
 		return err
 	}
 	ix.mu.Lock()
-	ix.setEdgeLocked(r.From, r.To, r.Type, r.Prob)
+	ix.setEdgeLocked(ix.internLocked(r.From), ix.internLocked(r.To), r.Type, r.Prob)
 	e := ix.epoch.Add(1)
 	ix.comp.publish(e)
 	if ix.journal != nil {
@@ -637,33 +770,64 @@ func (ix *Index) Clone() *Index {
 	return out.freeze()
 }
 
-// copyRowsLocked copies every adjacency row whose key take accepts (every
-// row for a nil take) into a new index, row by row, with the edge count the
-// copied rows hold. The caller holds at least the read lock and freezes the
-// copy before it serves.
+// copyRowsLocked copies every live row whose key take accepts (every live
+// row for a nil take) into a new index with the edge count the copied rows
+// hold. The copy interns the taken keys in id order, so its rows stay sorted
+// by target, and packs them into one array. Every target of a taken row must
+// be taken too: take accepts whole components. The caller holds at least
+// the read lock and freezes the copy before it serves.
 func (ix *Index) copyRowsLocked(take func(core.GlobalKey) bool) *Index {
 	out := New()
+	var taken []uint32
+	remap := make([]uint32, len(ix.keys))
 	ends := 0
-	for a, nbs := range ix.adj {
-		if take != nil && !take(a) {
+	for id, k := range ix.keys {
+		if ix.dead[id] || (take != nil && !take(k)) {
 			continue
 		}
-		m := make(map[core.GlobalKey]edge, len(nbs))
-		for b, e := range nbs {
-			m[b] = e
-		}
-		out.adj[a] = m
-		ends += len(m)
+		remap[id] = uint32(len(out.keys))
+		out.keys = append(out.keys, k)
+		out.ids[k] = remap[id]
+		taken = append(taken, uint32(id))
+		ends += len(ix.rows[id])
 	}
+	back := make([]halfEdge, 0, ends)
+	for _, id := range taken {
+		lo := len(back)
+		for _, e := range ix.rows[id] {
+			e.to = remap[e.to]
+			back = append(back, e)
+		}
+		out.rows = append(out.rows, back[lo:len(back):len(back)])
+	}
+	out.dead = make([]bool, len(out.keys))
+	out.live = len(out.keys)
 	out.edges = ends / 2 // every edge is stored at both endpoints
 	return out
 }
 
-// freeze readies an index whose adjacency was written wholesale: it
-// rebuilds the components and installs a real snapshot in place of the
-// empty one New installed, so the copy reads lock-free at once.
+// packLocked moves every row into one backing array: one allocation in
+// place of one per row, with no spare capacity. Each row is capped at its
+// length, so a later insert reallocates only that row. The caller owns the
+// index exclusively, as a loader does before the index serves.
+func (ix *Index) packLocked() {
+	total := 0
+	for _, row := range ix.rows {
+		total += len(row)
+	}
+	back := make([]halfEdge, 0, total)
+	for id, row := range ix.rows {
+		lo := len(back)
+		back = append(back, row...)
+		ix.rows[id] = back[lo:len(back):len(back)]
+	}
+}
+
+// freeze readies an index whose rows were written wholesale: it rebuilds
+// the components and installs a real snapshot in place of the empty one New
+// installed, so the copy reads lock-free at once.
 func (ix *Index) freeze() *Index {
-	ix.comp.rebuild(ix.adj, ix.epoch.Load())
+	ix.comp.rebuild(ix.keys, ix.rows, ix.epoch.Load())
 	ix.markAllDirtyLocked()
 	ix.RefreshSnapshot()
 	return ix

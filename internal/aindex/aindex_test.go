@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -584,4 +585,67 @@ func TestReachWithStats(t *testing.T) {
 	if len(hits) != 0 || st.Nodes != 1 || st.Edges != 0 {
 		t.Errorf("unknown origin: hits=%v stats=%+v", hits, st)
 	}
+}
+
+// TestValidateCatchesCorruptTables corrupts each table behind the rows in
+// turn — counts, the id bijection, tombstones, row order — and requires
+// Validate to name the damage.
+func TestValidateCatchesCorruptTables(t *testing.T) {
+	corruptions := []struct {
+		name, want string
+		corrupt    func(ix *Index)
+	}{
+		{"edge count", "edge count", func(ix *Index) { ix.edges++ }},
+		{"live count", "live keys", func(ix *Index) { ix.live-- }},
+		{"id of a key", "interned as", func(ix *Index) { ix.ids[ix.keys[0]] = 1 }},
+		{"key of an id", "interned as", func(ix *Index) { ix.keys[0], ix.keys[1] = ix.keys[1], ix.keys[0] }},
+		{"stray id", "id tables disagree", func(ix *Index) { ix.ids[core.NewGlobalKey("no", "such", "key")] = 0 }},
+		{"tombstone keeps its row", "keeps", func(ix *Index) {
+			id := firstRow(ix, 1)
+			ix.dead[id] = true
+			ix.live--
+		}},
+		{"row points at a tombstone", "to removed key", func(ix *Index) {
+			id := firstRow(ix, 1)
+			nb := ix.rows[id][0].to
+			ix.dead[nb], ix.rows[nb] = true, nil
+			ix.live--
+		}},
+		{"duplicate target", "two half-edges", func(ix *Index) {
+			id := firstRow(ix, 1)
+			ix.rows[id] = append(ix.rows[id], ix.rows[id][len(ix.rows[id])-1])
+		}},
+		{"unsorted row", "not sorted", func(ix *Index) {
+			row := ix.rows[firstRow(ix, 2)]
+			row[0], row[1] = row[1], row[0]
+		}},
+	}
+	for _, c := range corruptions {
+		t.Run(c.name, func(t *testing.T) {
+			ix, _ := buildRandomIndexT(t, 40, 11)
+			quiesce(t, ix)
+			if err := ix.Validate(); err != nil {
+				t.Fatalf("before corruption: %v", err)
+			}
+			ix.mu.Lock()
+			c.corrupt(ix)
+			ix.mu.Unlock()
+			err := ix.Validate()
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Validate() = %v, want an error naming %q", err, c.want)
+			}
+		})
+	}
+}
+
+// firstRow returns the lowest id whose row holds at least n half-edges.
+// For n = 1 no row Validate reads before it has a half-edge, so a
+// corruption there is the first one Validate meets.
+func firstRow(ix *Index, n int) uint32 {
+	for id, row := range ix.rows {
+		if len(row) >= n {
+			return uint32(id)
+		}
+	}
+	panic("no row that long")
 }

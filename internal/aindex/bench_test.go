@@ -3,6 +3,7 @@ package aindex
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -101,7 +102,9 @@ func BenchmarkReachLockedFallback(b *testing.B) {
 // scale16Index is an index the size of the ledger's dataset (quepa-server
 // -scale 16: 52,847 keys, 110,635 relations), built once for the snapshot
 // benchmarks below. Its background rebuild loop is parked.
-var scale16Index = sync.OnceValues(func() (*Index, []core.GlobalKey) {
+var scale16Index = sync.OnceValues(newScale16Index)
+
+func newScale16Index() (*Index, []core.GlobalKey) {
 	const nKeys, nRels = 52847, 110635
 	rng := rand.New(rand.NewSource(16))
 	keys := make([]core.GlobalKey, nKeys)
@@ -121,10 +124,41 @@ var scale16Index = sync.OnceValues(func() (*Index, []core.GlobalKey) {
 	}
 	ix.SetRebuildDebounce(time.Hour)
 	return ix, keys
-})
+}
+
+// BenchmarkIndexGC is what a scale-16 A' costs the garbage collector: it
+// holds a private newScale16Index live and reports the live heap it adds
+// (heap-MB) and the time one forced collection spends on it (gc-ms: a
+// runtime.GC() with the index live minus one after it is dropped), at
+// GOMAXPROCS(1) so the figure is CPU time, not wall time spread over cores.
+func BenchmarkIndexGC(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ix, _ := newScale16Index()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		runtime.GC()
+	}
+	b.StopTimer()
+	live := b.Elapsed()
+	runtime.KeepAlive(ix)
+	ix = nil
+	runtime.GC()
+	start := time.Now()
+	for i := 0; i < b.N; i++ {
+		runtime.GC()
+	}
+	dropped := time.Since(start)
+	b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/1e6, "heap-MB")
+	b.ReportMetric(float64(live-dropped)/1e6/float64(b.N), "gc-ms")
+}
 
 // BenchmarkSnapshotFull is the reference build a key-set change still pays:
-// every key sorted and interned, every row re-read, read lock held throughout.
+// a fresh key->id table and every row copied, read lock held throughout.
 func BenchmarkSnapshotFull(b *testing.B) {
 	ix, _ := scale16Index()
 	b.ReportAllocs()
@@ -152,7 +186,7 @@ func BenchmarkSnapshotPatch(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				ix.mu.Lock()
 				for len(ix.dirty) < rows {
-					ix.markRowDirtyLocked(keys[rng.Intn(len(keys))])
+					ix.markRowDirtyLocked(ix.ids[keys[rng.Intn(len(keys))]])
 				}
 				ix.mu.Unlock()
 				ix.RefreshSnapshot()
@@ -247,5 +281,50 @@ func BenchmarkNeighbors(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		ix.Neighbors(keys[i%len(keys)])
+	}
+}
+
+// maxHeapPerHalfEdge bounds the live heap an index holds per stored
+// half-edge: rows, id tables, snapshot and components together. On the
+// test's shape a map-of-maps adjacency held ~250 B per half-edge; the
+// id-addressed rows hold ~110 B.
+const maxHeapPerHalfEdge = 160
+
+// TestIndexHeapPerHalfEdge guards the index's memory layout: an index of
+// ~50k relations, with every key holding a row, must stay under
+// maxHeapPerHalfEdge bytes of live heap per half-edge.
+func TestIndexHeapPerHalfEdge(t *testing.T) {
+	build := func() *Index {
+		const nKeys, nRels = 24000, 50000
+		rng := rand.New(rand.NewSource(50))
+		keys := make([]core.GlobalKey, nKeys)
+		for i := range keys {
+			keys[i] = core.NewGlobalKey(fmt.Sprintf("db%d", i%4), "c", fmt.Sprintf("k%d", i))
+		}
+		rels := make([]core.PRelation, 0, nRels)
+		for i := 0; len(rels) < nRels; i++ {
+			a, b := keys[i%nKeys], keys[rng.Intn(nKeys)]
+			if a != b {
+				rels = append(rels, core.NewMatching(a, b, 0.6+0.4*rng.Float64()))
+			}
+		}
+		ix, err := BulkLoad(rels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ix
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ix := build()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	halfEdges := 2 * ix.EdgeCount()
+	perHalfEdge := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(halfEdges)
+	runtime.KeepAlive(ix)
+	t.Logf("%.0f B of live heap per half-edge (%d half-edges)", perHalfEdge, halfEdges)
+	if perHalfEdge > maxHeapPerHalfEdge {
+		t.Errorf("index holds %.0f B of live heap per half-edge, want <= %d", perHalfEdge, maxHeapPerHalfEdge)
 	}
 }

@@ -7,8 +7,8 @@
 // into connected components (closure never crosses a component — both the
 // identity-clique merge and matching propagation only touch keys already
 // connected to the inserted relation), each component is replayed into a
-// private unshared shard by a pool of workers, and the finished adjacency is
-// installed into the result index in one locked swap.
+// private unshared shard by a pool of workers, and the finished rows are
+// re-interned into the result index before it serves.
 //
 // Replaying a component in input order performs exactly the multiplications
 // and max-comparisons the sequential Insert loop performs for that
@@ -95,8 +95,8 @@ func BulkLoadWorkers(rels []core.PRelation, workers int) (*Index, error) {
 
 	// Workers claim whole components off a shared cursor and replay them
 	// into a private shard index — unshared, so insertLocked needs no lock.
-	// Shards touch disjoint key sets, which makes the final merge a plain
-	// map union.
+	// Shards touch disjoint key sets, so the merge appends each shard's id
+	// table to the result's and shifts its rows' targets by the offset.
 	shards := make([]*Index, workers)
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
@@ -105,7 +105,7 @@ func BulkLoadWorkers(rels []core.PRelation, workers int) (*Index, error) {
 		go func(w int) {
 			defer wg.Done()
 			shard := New()
-			shard.comp = nil // the merge rebuilds the cells from adj
+			shard.comp = nil // the merge rebuilds the cells from the rows
 			for {
 				i := int(cursor.Add(1)) - 1
 				if i >= len(roots) {
@@ -120,16 +120,23 @@ func BulkLoadWorkers(rels []core.PRelation, workers int) (*Index, error) {
 	}
 	wg.Wait()
 
-	out.mu.Lock()
 	for _, shard := range shards {
-		for k, nbs := range shard.adj {
-			out.adj[k] = nbs
+		offset := uint32(len(out.keys))
+		for id, k := range shard.keys {
+			out.ids[k] = offset + uint32(id)
 		}
+		for _, row := range shard.rows {
+			for i := range row {
+				row[i].to += offset
+			}
+		}
+		out.keys = append(out.keys, shard.keys...)
+		out.rows = append(out.rows, shard.rows...)
+		out.dead = append(out.dead, shard.dead...)
+		out.live += shard.live
 		out.edges += shard.edges
 	}
-	out.markAllDirtyLocked()
-	out.comp.rebuild(out.adj, out.epoch.Add(1))
-	out.mu.Unlock()
-	out.RefreshSnapshot()
-	return out, nil
+	out.packLocked()
+	out.epoch.Add(1)
+	return out.freeze(), nil
 }

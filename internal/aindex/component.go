@@ -13,7 +13,7 @@
 // can change a reach from gk, and every mutation that writes one moves the
 // component's stamp.
 //
-// The components are a union-find over global keys, kept beside adj:
+// The components are a union-find over global keys, kept beside the rows:
 //
 //   - setEdgeLocked queues a union of a and b only when it actually writes an
 //     edge, so a no-op insert (a re-promotion at the same probability) moves
@@ -170,15 +170,15 @@ func (c *components) publish(e uint64) {
 	c.pending = c.pending[:0]
 }
 
-// rebuild recreates the cells from a wholesale-written adjacency, every
-// component stamped e, and leaves every cell one hop from its root. Loaders
-// that fill adj directly (BulkLoadWorkers' merge, Clone) call it in the same
-// pass, before the index serves.
-func (c *components) rebuild(adj map[core.GlobalKey]map[core.GlobalKey]edge, e uint64) {
-	for a, nbs := range adj {
-		for b := range nbs {
-			if a.Compare(b) < 0 {
-				c.unionLocked(a, b, e)
+// rebuild recreates the cells from wholesale-written rows, every component
+// stamped e, and leaves every cell one hop from its root. Loaders that fill
+// the rows directly (BulkLoadWorkers' merge, Clone, ReadSnapshot) call it in
+// the same pass, before the index serves.
+func (c *components) rebuild(keys []core.GlobalKey, rows [][]halfEdge, e uint64) {
+	for a, row := range rows {
+		for _, he := range row {
+			if uint32(a) < he.to {
+				c.unionLocked(keys[a], keys[he.to], e)
 			}
 		}
 	}
@@ -229,8 +229,8 @@ func (c *components) rootOf(gk core.GlobalKey) *compCell {
 // Rows are copied wholesale, as Clone copies them, and the copy's
 // components and snapshot are rebuilt before it is returned. Reach(gk, L)
 // only follows edges of gk's component, and the copy holds all of them with
-// the same rows in the same key order, so for every key of the copy its
-// hits, probabilities, distances and ReachStats equal this index's bitwise.
+// the same rows, so for every key of the copy its hits, probabilities,
+// distances and ReachStats equal this index's bitwise.
 //
 // The tracked components never split, so after lazy deletions a carved
 // component may be the union of several true ones: the carve is
@@ -238,8 +238,8 @@ func (c *components) rootOf(gk core.GlobalKey) *compCell {
 func (ix *Index) Islands(keep func(core.GlobalKey) bool) *Index {
 	ix.mu.RLock()
 	kept := map[*compCell]bool{}
-	for k := range ix.adj {
-		if keep(k) {
+	for id, k := range ix.keys {
+		if !ix.dead[id] && keep(k) {
 			kept[ix.comp.rootOf(k)] = true
 		}
 	}

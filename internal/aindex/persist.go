@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 
 	"quepa/internal/core"
 )
@@ -75,7 +76,7 @@ func WriteSnapshot(w io.Writer, edges []core.PRelation, epoch uint64) (int64, er
 	for k := range keySet {
 		keys = append(keys, k)
 	}
-	sortKeys(keys)
+	slices.SortFunc(keys, core.GlobalKey.Compare)
 	ids := make(map[core.GlobalKey]uint64, len(keys))
 	for i, k := range keys {
 		ids[k] = uint64(i)
@@ -225,7 +226,11 @@ func ReadSnapshot(r io.Reader) (*Index, uint64, error) {
 	if nEdges > maxKeys {
 		return nil, 0, fmt.Errorf("aindex: snapshot claims %d edges", nEdges)
 	}
+	// The index is private until returned: the edges go in unlocked, and
+	// freeze builds the components and the snapshot once at the end.
 	ix := New()
+	comp := ix.comp
+	ix.comp = nil
 	for i := uint32(0); i < nEdges; i++ {
 		from, err := binary.ReadUvarint(cr)
 		if err != nil {
@@ -250,10 +255,7 @@ func ReadSnapshot(r io.Reader) (*Index, uint64, error) {
 		if err := rel.Validate(); err != nil {
 			return nil, 0, fmt.Errorf("aindex: snapshot edge %d: %w", i, err)
 		}
-		ix.mu.Lock()
-		ix.setEdgeLocked(rel.From, rel.To, typ, prob)
-		ix.comp.publish(ix.epoch.Load())
-		ix.mu.Unlock()
+		ix.setEdgeLocked(ix.internLocked(rel.From), ix.internLocked(rel.To), typ, prob)
 	}
 	sum := cr.crc
 	if _, err := io.ReadFull(cr.r, buf[:4]); err != nil {
@@ -262,6 +264,7 @@ func ReadSnapshot(r io.Reader) (*Index, uint64, error) {
 	if got := binary.LittleEndian.Uint32(buf[:4]); got != sum {
 		return nil, 0, fmt.Errorf("aindex: snapshot crc mismatch: stored %08x, computed %08x", got, sum)
 	}
-	ix.RefreshSnapshot()
-	return ix, epoch, nil
+	ix.comp = comp
+	ix.packLocked()
+	return ix.freeze(), epoch, nil
 }

@@ -1,17 +1,17 @@
 // Read-optimized reachability snapshots.
 //
-// The mutable Index guards a map-of-maps adjacency with an RWMutex, and the
+// The mutable Index guards its id-addressed rows with an RWMutex, and the
 // original Reach retook that lock and allocated per-hop maps on every call.
-// This file freezes the adjacency into a compressed-sparse-row (CSR) view —
-// dense int32 node ids, one offsets slice, neighbor/probability columns
-// sorted within each row — stamped with the mutation epoch it was built
-// from. Readers load the snapshot through an atomic pointer and traverse it
+// This file freezes the rows into a compressed-sparse-row (CSR) view — the
+// index's own ids, one offsets slice, neighbor/probability columns sorted
+// within each row — stamped with the mutation epoch it was built from.
+// Readers load the snapshot through an atomic pointer and traverse it
 // lock-free with a pooled, stamp-cleared visited table; the only allocation
 // on the fast path is the result slice.
 //
 // Mutations (Insert, InsertRaw, RemoveObject) bump the epoch inside their
 // critical section, which makes the current snapshot stale: Reach then falls
-// back to the locked map traversal — so lazy deletions take effect
+// back to the locked traversal — so lazy deletions take effect
 // immediately — and a single background goroutine refreshes the snapshot
 // after a bounded debounce, coalescing mutation bursts into one refresh.
 //
@@ -19,8 +19,8 @@
 // rows they changed, and as long as the key set is the installed snapshot's,
 // the successor shares its id tables and scratch pool, block-copies the
 // clean row ranges and re-reads only the dirty rows (patch). A key-set
-// change, a loader that wrote the adjacency directly, or a dirty set past
-// maxDirtyRows takes the full build.
+// change (a new key, a tombstone or a revived one), a loader that wrote the
+// rows directly, or a dirty set past maxDirtyRows takes the full build.
 package aindex
 
 import (
@@ -81,72 +81,109 @@ const fullRebuildStaleness = 8
 
 // snapshot is a frozen CSR view of the adjacency at one mutation epoch.
 // Every field is immutable after construction; readers share the snapshot
-// through Index.snap with no synchronization beyond the atomic load.
+// through Index.snap with no synchronization beyond the atomic load. Node
+// ids are the index's: a row of the CSR is the row of the same id.
 type snapshot struct {
 	epoch uint64
-	ids   map[core.GlobalKey]int32 // key -> dense node id
-	keys  []core.GlobalKey         // id -> key, sorted by key
-	off   []int32                  // CSR row offsets, len(keys)+1
-	nbr   []int32                  // neighbor ids, sorted within each row
-	prob  []float64                // edge probabilities, parallel to nbr
+	// ids finds the id of each live key. It is the snapshot's own table —
+	// mutators write the index's — and holds no pointer.
+	ids idTable
+	// keys maps ids to keys. The index's table only grows and never
+	// rewrites an entry, so the snapshot shares its prefix.
+	keys  []core.GlobalKey
+	nodes int       // live keys
+	off   []int32   // CSR row offsets, len(keys)+1
+	nbr   []int32   // neighbor ids, sorted within each row
+	prob  []float64 // edge probabilities, parallel to nbr
 	// pool holds *reachScratch sized by len(keys). Patched successors share
 	// it along with ids and keys: node ids mean the same across them.
 	pool *sync.Pool
 }
 
-// buildSnapshot freezes the adjacency into CSR form. The caller must hold at
-// least the index read lock so the map and the epoch are a consistent pair.
-func buildSnapshot(adj map[core.GlobalKey]map[core.GlobalKey]edge, edges int, epoch uint64) *snapshot {
-	n := len(adj)
+// buildSnapshot freezes the rows into CSR form. The caller must hold at
+// least the index read lock so the rows and the epoch are a consistent pair.
+func buildSnapshot(ix *Index, epoch uint64) *snapshot {
+	n := len(ix.keys)
 	s := &snapshot{
 		epoch: epoch,
-		ids:   make(map[core.GlobalKey]int32, n),
-		keys:  make([]core.GlobalKey, 0, n),
+		ids:   newIDTable(ix.keys, ix.dead, ix.live),
+		keys:  ix.keys[:n:n],
+		nodes: ix.live,
 		off:   make([]int32, n+1),
-		nbr:   make([]int32, 0, 2*edges),
-		prob:  make([]float64, 0, 2*edges),
+		nbr:   make([]int32, 0, 2*ix.edges),
+		prob:  make([]float64, 0, 2*ix.edges),
 		pool:  new(sync.Pool),
 	}
-	for k := range adj {
-		s.keys = append(s.keys, k)
-	}
-	sortKeys(s.keys)
-	for i, k := range s.keys {
-		s.ids[k] = int32(i)
-	}
-	for i, k := range s.keys {
-		row := len(s.nbr)
-		for b, e := range adj[k] {
-			s.nbr = append(s.nbr, s.ids[b])
+	for id, row := range ix.rows {
+		for _, e := range row {
+			s.nbr = append(s.nbr, int32(e.to))
 			s.prob = append(s.prob, e.prob)
 		}
-		sortRow(s.nbr[row:], s.prob[row:])
-		s.off[i+1] = int32(len(s.nbr))
+		s.off[id+1] = int32(len(s.nbr))
 	}
 	return s
 }
 
-// patch builds the successor of s over the same key set: rows outside dirty
-// are block-copied, dirty rows are re-read from adj. The result equals
-// buildSnapshot(adj, _, epoch) field for field (TestSnapshotPatchMatchesFull).
-// The caller holds the index read lock and guarantees that every key of adj
-// is in s.ids and every row that differs from s is in dirty.
+// idTable maps the live keys of a snapshot to their ids: an immutable
+// open-addressing table probed linearly from the key's hash, each slot the
+// id plus one (zero is empty). It compares against the snapshot's keys, so
+// unlike a map from key to id it holds no pointer for the collector to
+// scan.
+type idTable []uint32
+
+// newIDTable indexes the live keys of an index's tables at load <= 1/2.
+func newIDTable(keys []core.GlobalKey, dead []bool, live int) idTable {
+	size := 1
+	for size < 2*live {
+		size <<= 1
+	}
+	t := make(idTable, size)
+	mask := uint32(size - 1)
+	for id, k := range keys {
+		if dead[id] {
+			continue
+		}
+		i := k.Hash() & mask
+		for t[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t[i] = uint32(id) + 1
+	}
+	return t
+}
+
+// lookup returns the id of gk, if gk is a live key of the table.
+func (t idTable) lookup(keys []core.GlobalKey, gk core.GlobalKey) (uint32, bool) {
+	mask := uint32(len(t) - 1)
+	for i := gk.Hash() & mask; t[i] != 0; i = (i + 1) & mask {
+		if id := t[i] - 1; keys[id] == gk {
+			return id, true
+		}
+	}
+	return 0, false
+}
+
+// patch builds the successor of s over the same key set: rows outside
+// ix.dirty are block-copied, dirty rows are re-read from ix.rows. The result
+// equals buildSnapshot(ix, epoch) field for field
+// (TestSnapshotPatchMatchesFull). The caller holds the index read lock and
+// guarantees that the key set is s's and every row that differs from s is
+// in ix.dirty.
 //
 // With nothing dirty — a mutation that changed no edge, such as a
 // re-promotion at the same probability, still bumps the epoch — the
 // successor shares every column and only restamps the epoch.
-func (s *snapshot) patch(adj map[core.GlobalKey]map[core.GlobalKey]edge, dirty map[core.GlobalKey]struct{}, epoch uint64) *snapshot {
-	if len(dirty) == 0 {
+func (s *snapshot) patch(ix *Index, epoch uint64) *snapshot {
+	if len(ix.dirty) == 0 {
 		out := *s
 		out.epoch = epoch
 		return &out
 	}
-	rows := make([]int32, 0, len(dirty))
+	rows := make([]int32, 0, len(ix.dirty))
 	total := len(s.nbr)
-	for k := range dirty {
-		id := s.ids[k]
-		rows = append(rows, id)
-		total += len(adj[k]) - int(s.off[id+1]-s.off[id])
+	for id := range ix.dirty {
+		rows = append(rows, int32(id))
+		total += len(ix.rows[id]) - int(s.off[id+1]-s.off[id])
 	}
 	slices.Sort(rows)
 
@@ -154,6 +191,7 @@ func (s *snapshot) patch(adj map[core.GlobalKey]map[core.GlobalKey]edge, dirty m
 		epoch: epoch,
 		ids:   s.ids,
 		keys:  s.keys,
+		nodes: s.nodes,
 		off:   make([]int32, len(s.off)),
 		nbr:   make([]int32, total),
 		prob:  make([]float64, total),
@@ -175,89 +213,16 @@ func (s *snapshot) patch(adj map[core.GlobalKey]map[core.GlobalKey]edge, dirty m
 	for _, id := range rows {
 		at = copyClean(next, id, at)
 		out.off[id] = int32(at)
-		row := at
-		for b, e := range adj[s.keys[id]] {
-			out.nbr[at] = s.ids[b]
+		for _, e := range ix.rows[id] {
+			out.nbr[at] = int32(e.to)
 			out.prob[at] = e.prob
 			at++
 		}
-		sortRow(out.nbr[row:at], out.prob[row:at])
 		next = id + 1
 	}
 	at = copyClean(next, int32(len(s.keys)), at)
 	out.off[len(s.keys)] = int32(at)
 	return out
-}
-
-func sortKeys(keys []core.GlobalKey) {
-	// Insertion-based quicksort over the key order; rows reference ids, so
-	// the id assignment must be the sorted key order (deterministic layout).
-	for len(keys) > 16 {
-		mid, last := len(keys)/2, len(keys)-1
-		keys[mid], keys[last] = keys[last], keys[mid]
-		pivot := keys[last]
-		i := 0
-		for j := 0; j < last; j++ {
-			if keys[j].Compare(pivot) < 0 {
-				keys[i], keys[j] = keys[j], keys[i]
-				i++
-			}
-		}
-		keys[i], keys[last] = keys[last], keys[i]
-		if i < len(keys)-i-1 {
-			sortKeys(keys[:i])
-			keys = keys[i+1:]
-		} else {
-			sortKeys(keys[i+1:])
-			keys = keys[:i]
-		}
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j].Compare(keys[j-1]) < 0; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-}
-
-// sortRow co-sorts one CSR row by neighbor id. Rows are node degrees —
-// short in practice — so insertion sort handles the common case and a
-// quicksort pass splits larger rows first. Neighbor ids within a row are
-// distinct, so no equal-pivot pathology exists.
-func sortRow(ids []int32, probs []float64) {
-	for len(ids) > 24 {
-		p := partitionRow(ids, probs)
-		if p < len(ids)-p-1 {
-			sortRow(ids[:p], probs[:p])
-			ids, probs = ids[p+1:], probs[p+1:]
-		} else {
-			sortRow(ids[p+1:], probs[p+1:])
-			ids, probs = ids[:p], probs[:p]
-		}
-	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-			probs[j], probs[j-1] = probs[j-1], probs[j]
-		}
-	}
-}
-
-func partitionRow(ids []int32, probs []float64) int {
-	mid, last := len(ids)/2, len(ids)-1
-	ids[mid], ids[last] = ids[last], ids[mid]
-	probs[mid], probs[last] = probs[last], probs[mid]
-	pivot := ids[last]
-	i := 0
-	for j := 0; j < last; j++ {
-		if ids[j] < pivot {
-			ids[i], ids[j] = ids[j], ids[i]
-			probs[i], probs[j] = probs[j], probs[i]
-			i++
-		}
-	}
-	ids[i], ids[last] = ids[last], ids[i]
-	probs[i], probs[last] = probs[last], probs[i]
-	return i
 }
 
 // reachScratch is the reusable visited table of one snapshot traversal.
@@ -306,7 +271,7 @@ func (s *snapshot) getScratch() *reachScratch {
 // answered from the snapshot is indistinguishable from one answered under
 // the lock. The caller guarantees level >= 0.
 func (s *snapshot) reach(gk core.GlobalKey, level int, stats *ReachStats) []Hit {
-	start, ok := s.ids[gk]
+	origin, ok := s.ids.lookup(s.keys, gk)
 	if !ok {
 		// The locked traversal still expands the unknown origin (one node,
 		// zero edges); keep the accounting identical.
@@ -315,6 +280,7 @@ func (s *snapshot) reach(gk core.GlobalKey, level int, stats *ReachStats) []Hit 
 		}
 		return nil
 	}
+	start := int32(origin)
 	sc := s.getScratch()
 
 	if sc.stamp == math.MaxUint32 {
@@ -414,27 +380,27 @@ func (ix *Index) SnapshotInfo() SnapshotInfo {
 	}
 	if s := ix.snap.Load(); s != nil {
 		info.Epoch = s.epoch
-		info.Nodes = len(s.keys)
+		info.Nodes = s.nodes
 		info.Edges = len(s.nbr) / 2
 		info.Fresh = s.epoch == ix.epoch.Load()
 	}
 	return info
 }
 
-// markRowDirtyLocked records that gk's adjacency row no longer matches the
+// markRowDirtyLocked records that the row of id no longer matches the
 // installed snapshot. The caller holds the write lock.
-func (ix *Index) markRowDirtyLocked(gk core.GlobalKey) {
+func (ix *Index) markRowDirtyLocked(id uint32) {
 	if ix.needFull.Load() {
 		return
 	}
-	ix.dirty[gk] = struct{}{}
+	ix.dirty[id] = struct{}{}
 	if len(ix.dirty) > maxDirtyRows {
 		ix.markAllDirtyLocked()
 	}
 }
 
 // markAllDirtyLocked sends the next refresh down the full build: the key set
-// changed, the adjacency was written wholesale, or the dirty set overflowed.
+// changed, the rows were written wholesale, or the dirty set overflowed.
 // The caller holds the write lock or owns the index exclusively.
 func (ix *Index) markAllDirtyLocked() {
 	ix.needFull.Store(true)
@@ -442,7 +408,7 @@ func (ix *Index) markAllDirtyLocked() {
 }
 
 // RefreshSnapshot synchronously freezes a fresh CSR snapshot from the
-// current adjacency — by patching the installed one when only recorded rows
+// current rows — by patching the installed one when only recorded rows
 // changed, by a full build otherwise. Bulk loaders call it once after
 // installing everything; the asynchronous rebuild loop calls it after the
 // debounce. Concurrent readers keep using the previous snapshot (or the
@@ -453,14 +419,14 @@ func (ix *Index) RefreshSnapshot() {
 	// refreshers, which both consume the dirty set and install against it.
 	ix.snapMu.Lock()
 	start := time.Now()
-	epoch := ix.epoch.Load() // under the lock: no mutator between this and the map read
+	epoch := ix.epoch.Load() // under the lock: no mutator between this and the row read
 	base := ix.snap.Load()
 	full := base == nil || ix.needFull.Load()
 	var s *snapshot
 	if full {
-		s = buildSnapshot(ix.adj, ix.edges, epoch)
+		s = buildSnapshot(ix, epoch)
 	} else {
-		s = base.patch(ix.adj, ix.dirty, epoch)
+		s = base.patch(ix, epoch)
 	}
 	took := time.Since(start)
 	clear(ix.dirty)

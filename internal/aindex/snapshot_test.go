@@ -50,13 +50,13 @@ func quiesce(t *testing.T, ix *Index) {
 }
 
 // requireInstalledEqualsFull fails unless the installed snapshot is fresh and
-// field for field what buildSnapshot produces over the same adjacency.
+// field for field what buildSnapshot produces over the same rows.
 func requireInstalledEqualsFull(t *testing.T, ix *Index, when string) {
 	t.Helper()
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	got := ix.snap.Load()
-	want := buildSnapshot(ix.adj, ix.edges, ix.epoch.Load())
+	want := buildSnapshot(ix, ix.epoch.Load())
 	switch {
 	case got.epoch != want.epoch:
 		t.Fatalf("%s: snapshot epoch %d, index epoch %d", when, got.epoch, want.epoch)
@@ -154,7 +154,7 @@ func requireSharedColumns(t *testing.T, prev, next *snapshot, when string) {
 
 // TestSnapshotFullBuildWhenNotPatchable covers every way the adjacency can
 // move that a patch cannot follow. Each must leave needFull set — in
-// particular the loaders that fill adj on an index whose installed snapshot
+// particular the loaders that fill the rows on an index whose installed snapshot
 // is New's empty one, where an empty dirty set must not read as "nothing
 // changed" — and install a snapshot equal to a full build.
 func TestSnapshotFullBuildWhenNotPatchable(t *testing.T) {
