@@ -186,27 +186,33 @@ func (ix *Index) insertLocked(r core.PRelation) {
 		// Matching propagates across the identity classes of both endpoints.
 		clsFrom := ix.identityClassLocked(from) // includes from with prob 1
 		clsTo := ix.identityClassLocked(to)
-		for x, px := range clsFrom {
-			for y, py := range clsTo {
+		ys := sortedIDs(clsTo)
+		for _, x := range sortedIDs(clsFrom) {
+			for _, y := range ys {
 				if x == y {
 					continue
 				}
-				ix.setEdgeLocked(x, y, core.Matching, px*r.Prob*py)
+				ix.setEdgeLocked(x, y, core.Matching, clsFrom[x]*r.Prob*clsTo[y])
 			}
 		}
 		return
 	}
 
 	// Identity: merge the two classes into one clique (paper Fig. 4), then
-	// share all matching edges across the merged class.
+	// share all matching edges across the merged class. Every class is
+	// walked in ascending id order: the propagation below reads links it
+	// may already have upgraded, so only a fixed order makes the result a
+	// function of the relations (and lets WAL replay rebuild the index that
+	// was served).
 	clsFrom := ix.identityClassLocked(from)
 	clsTo := ix.identityClassLocked(to)
-	for x, px := range clsFrom {
-		for y, py := range clsTo {
+	ys := sortedIDs(clsTo)
+	for _, x := range sortedIDs(clsFrom) {
+		for _, y := range ys {
 			if x == y {
 				continue
 			}
-			ix.setEdgeLocked(x, y, core.Identity, px*r.Prob*py)
+			ix.setEdgeLocked(x, y, core.Identity, clsFrom[x]*r.Prob*clsTo[y])
 		}
 	}
 	// Collect the matching edges of every member of the merged class, then
@@ -214,14 +220,14 @@ func (ix *Index) insertLocked(r core.PRelation) {
 	// follows the path member ~ owner ≡ partner: the identity probability
 	// between the receiving member and the member that owns the matching
 	// edge, times the matching probability — independent of insertion order.
-	merged := ix.identityClassLocked(from)
+	merged := sortedIDs(ix.identityClassLocked(from))
 	type match struct {
 		owner   uint32
 		partner uint32
 		prob    float64
 	}
 	var matches []match
-	for member := range merged {
+	for _, member := range merged {
 		for _, e := range ix.rows[member] {
 			if e.typ == core.Matching {
 				matches = append(matches, match{owner: member, partner: e.to, prob: e.prob})
@@ -229,7 +235,7 @@ func (ix *Index) insertLocked(r core.PRelation) {
 		}
 	}
 	for _, m := range matches {
-		for member := range merged {
+		for _, member := range merged {
 			if member == m.partner || member == m.owner {
 				continue
 			}
@@ -240,6 +246,16 @@ func (ix *Index) insertLocked(r core.PRelation) {
 			ix.setEdgeLocked(member, m.partner, core.Matching, link.prob*m.prob)
 		}
 	}
+}
+
+// sortedIDs returns the members of an identity class in ascending id order.
+func sortedIDs(cls map[uint32]float64) []uint32 {
+	ids := make([]uint32, 0, len(cls))
+	for id := range cls {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return ids
 }
 
 // identityClassLocked returns the identity class of id as a map from member
@@ -419,9 +435,6 @@ type ReachStats struct {
 	// Snapshots counts the traversals served lock-free from the CSR
 	// snapshot rather than the locked rows.
 	Snapshots int
-	// Memoized counts the reaches a result cache answered with no traversal
-	// (rcache.Cache.Reach); the index itself never sets it.
-	Memoized int
 }
 
 // Reach returns the global keys reachable from gk within level+1 hops — the
@@ -431,45 +444,51 @@ type ReachStats struct {
 // within the hop bound; results are ordered by decreasing probability (ties
 // broken by key order) as Definition 3 requires.
 func (ix *Index) Reach(gk core.GlobalKey, level int) []Hit {
-	return ix.reach(gk, level, nil)
+	return ix.AppendReachWithStats(nil, gk, level, nil)
 }
 
-// ReachWithStats is Reach plus a count of the traversal work performed —
-// the augmenter's plan building uses it to report that work.
+// ReachWithStats is Reach plus a count of the traversal work performed.
 func (ix *Index) ReachWithStats(gk core.GlobalKey, level int) ([]Hit, ReachStats) {
 	var stats ReachStats
-	hits := ix.reach(gk, level, &stats)
+	hits := ix.AppendReachWithStats(nil, gk, level, &stats)
 	return hits, stats
 }
 
-func (ix *Index) reach(gk core.GlobalKey, level int, stats *ReachStats) []Hit {
+// AppendReachWithStats appends Reach(gk, level) to dst and returns the
+// extended slice; the appended hits alone are in Reach order. A non-nil
+// stats accumulates the traversal work. It is the one traversal entry
+// point: the augmenter appends every origin of a request into one buffer.
+func (ix *Index) AppendReachWithStats(dst []Hit, gk core.GlobalKey, level int, stats *ReachStats) []Hit {
 	if level < 0 {
-		return nil
+		return dst
 	}
-	start := telemetry.Now()
+	start, n := telemetry.Now(), len(dst)
 	// Fast path: a snapshot stamped with the current mutation epoch serves
 	// the traversal lock-free. The snapshot pointer is loaded before the
 	// epoch, so a mutation between the two loads can only make the check
 	// fail, never pass with stale data.
 	if s := ix.snap.Load(); s != nil && s.epoch == ix.epoch.Load() {
-		hits := s.reach(gk, level, stats)
+		dst = s.appendReach(dst, gk, level, stats)
 		if stats != nil {
 			stats.Snapshots++
 		}
 		reachSnapshot.Inc()
-		reachHits.Add(uint64(len(hits)))
-		reachHist.Since(start)
-		return hits
+	} else {
+		// The snapshot is behind the adjacency (a mutation's debounced
+		// rebuild has not landed yet). Serve from the locked traversal so
+		// lazy deletions take effect immediately, and make sure a rebuild
+		// is on its way.
+		reachFallback.Inc()
+		ix.scheduleRebuild()
+		if hits := ix.reachLocked(gk, level, stats); dst == nil {
+			dst = hits
+		} else {
+			dst = append(dst, hits...)
+		}
 	}
-	// The snapshot is behind the adjacency (a mutation's debounced rebuild
-	// has not landed yet). Serve from the locked traversal so lazy deletions
-	// take effect immediately, and make sure a rebuild is on its way.
-	reachFallback.Inc()
-	ix.scheduleRebuild()
-	hits := ix.reachLocked(gk, level, stats)
-	reachHits.Add(uint64(len(hits)))
+	reachHits.Add(uint64(len(dst) - n))
 	reachHist.Since(start)
-	return hits
+	return dst
 }
 
 // reachLocked is the reference traversal over the mutable rows. The

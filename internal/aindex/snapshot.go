@@ -265,12 +265,18 @@ func (s *snapshot) getScratch() *reachScratch {
 	}
 }
 
-// reach runs the hop-synchronous best-path traversal over the frozen CSR
-// rows. It mirrors Index.reachLocked operation for operation — same hop
-// bound, same strict-improvement rule, same first-hop distance — so a query
-// answered from the snapshot is indistinguishable from one answered under
-// the lock. The caller guarantees level >= 0.
+// reach is appendReach into a fresh slice.
 func (s *snapshot) reach(gk core.GlobalKey, level int, stats *ReachStats) []Hit {
+	return s.appendReach(nil, gk, level, stats)
+}
+
+// appendReach runs the hop-synchronous best-path traversal over the frozen
+// CSR rows and appends its hits, sorted, to dst. It mirrors
+// Index.reachLocked operation for operation — same hop bound, same
+// strict-improvement rule, same first-hop distance — so a query answered
+// from the snapshot is indistinguishable from one answered under the lock.
+// The caller guarantees level >= 0.
+func (s *snapshot) appendReach(dst []Hit, gk core.GlobalKey, level int, stats *ReachStats) []Hit {
 	origin, ok := s.ids.lookup(s.keys, gk)
 	if !ok {
 		// The locked traversal still expands the unknown origin (one node,
@@ -278,7 +284,7 @@ func (s *snapshot) reach(gk core.GlobalKey, level int, stats *ReachStats) []Hit 
 		if stats != nil {
 			stats.Nodes++
 		}
-		return nil
+		return dst
 	}
 	start := int32(origin)
 	sc := s.getScratch()
@@ -348,13 +354,14 @@ func (s *snapshot) reach(gk core.GlobalKey, level int, stats *ReachStats) []Hit 
 	}
 	sc.frontier, sc.fprob, sc.next, sc.nprob = frontier, fprob, next, nprob
 
-	out := make([]Hit, 0, len(sc.seen))
+	n := len(dst)
+	dst = slices.Grow(dst, len(sc.seen))
 	for _, id := range sc.seen {
-		out = append(out, Hit{Key: s.keys[id], Prob: sc.prob[id], Dist: int(sc.dist[id])})
+		dst = append(dst, Hit{Key: s.keys[id], Prob: sc.prob[id], Dist: int(sc.dist[id])})
 	}
 	s.pool.Put(sc)
-	sortHits(out)
-	return out
+	sortHits(dst[n:])
+	return dst
 }
 
 // SnapshotInfo reports the state of the read-optimized snapshot for

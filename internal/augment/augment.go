@@ -211,13 +211,12 @@ type Augmenter struct {
 	// reachability in here. Set once at startup, before serving.
 	reacher Reacher
 
-	// rc, when set, memoizes local reaches (rcache.Cache.Reach) and
-	// single-origin augmentation outcomes, each stamped with its origin's
-	// component stamp (aindex.Index.Stamp). Stamp validation makes
-	// invalidation free: a mutation moves the stamp of the island it
-	// touched, so that island's entries become unaddressable and age out of
-	// the LRU while every other island's stay valid. Set once at startup,
-	// before serving.
+	// rc, when set, memoizes single-origin augmentation outcomes, each
+	// stamped with its origin's component stamp (aindex.Index.Stamp). Stamp
+	// validation makes invalidation free: a mutation moves the stamp of the
+	// island it touched, so that island's entries become unaddressable and
+	// age out of the LRU while every other island's stay valid. Set once at
+	// startup, before serving.
 	rc *rcache.Cache
 }
 
@@ -228,27 +227,37 @@ type Augmenter struct {
 // reason "peer-open"), which the augmenter folds into the answer's degraded
 // section. On one node the augmenter's own index answers (localReacher); the
 // cluster coordinator implements it with one scatter over the sharded index.
-// Either way each reach is memoized where it is computed, by the index that
-// computes it (rcache.Cache.Reach).
+// The augmenter reads the results only while it builds its plan.
 type Reacher interface {
 	ReachScatterMany(ctx context.Context, origins []core.GlobalKey, level int) ([][]aindex.Hit, aindex.ReachStats, []Degradation)
 }
 
 // localReacher is the one-node Reacher: every origin's reach runs on the
-// augmenter's own index, through its result cache.
-type localReacher struct{ a *Augmenter }
+// augmenter's own index and appends to one hit buffer of the request's
+// pooled sink, so a range search allocates no reach result of its own.
+type localReacher struct {
+	index *aindex.Index
+	s     *sink
+}
 
 func (r localReacher) ReachScatterMany(_ context.Context, origins []core.GlobalKey, level int) ([][]aindex.Hit, aindex.ReachStats, []Degradation) {
-	out := make([][]aindex.Hit, len(origins))
 	var stats aindex.ReachStats
+	buf := r.s.hitBuf[:0]
+	out := slices.Grow(r.s.reaches[:0], len(origins))[:len(origins)]
 	for i, gk := range origins {
-		hits, st := r.a.rc.Reach(r.a.index, gk, level)
-		out[i] = hits
-		stats.Nodes += st.Nodes
-		stats.Edges += st.Edges
-		stats.Snapshots += st.Snapshots
-		stats.Memoized += st.Memoized
+		n := len(buf)
+		buf = r.index.AppendReachWithStats(buf, gk, level, &stats)
+		out[i] = buf[n:]
 	}
+	// An append may have moved buf: cut every origin's hits from its final
+	// array, each capacity capped so an append never runs into the next.
+	n := 0
+	for i, hits := range out {
+		end := n + len(hits)
+		out[i] = buf[n:end:end]
+		n = end
+	}
+	r.s.hitBuf, r.s.reaches = buf, out
 	return out, stats, nil
 }
 
@@ -257,10 +266,9 @@ func (r localReacher) ReachScatterMany(_ context.Context, origins []core.GlobalK
 // local index remains in place for lazy deletion and stats.
 func (a *Augmenter) SetReacher(r Reacher) { a.reacher = r }
 
-// SetResultCache installs the reach/outcome memoization cache. Call it once
+// SetResultCache installs the outcome memoization cache. Call it once
 // during startup, before the augmenter serves queries. A nil cache (the
 // default) disables memoization. When a cluster reacher is installed the
-// reaches are memoized by the peers that compute them, and the augmenter's
 // cache serves nothing (outcomes are single-node only).
 func (a *Augmenter) SetResultCache(rc *rcache.Cache) { a.rc = rc }
 
@@ -479,7 +487,7 @@ func (a *Augmenter) buildPlan(ctx context.Context, s *sink, origins []core.Objec
 	p := &s.plan
 	r := a.reacher
 	if r == nil {
-		r = localReacher{a}
+		r = localReacher{a.index, s}
 	}
 	gks := make([]core.GlobalKey, len(origins))
 	for i, o := range origins {
@@ -641,6 +649,11 @@ type sink struct {
 	// A' work of plan building, counted by buildPlan alone.
 	reach   aindex.ReachStats
 	skipped int
+	// hitBuf holds every origin's reach hits back to back, and reaches
+	// their per-origin subslices, when the local index answers
+	// (localReacher). buildPlan copies what it keeps into the plan.
+	hitBuf  []aindex.Hit
+	reaches [][]aindex.Hit
 	// plan is the storage buildPlan fills, so one allocation holds the
 	// augmentation's plan and its sink.
 	plan plan
@@ -650,10 +663,10 @@ type sink struct {
 	cacheHits, cacheMisses, negative atomic.Int64
 }
 
-// sinkPool recycles sinks with their plans: the slot map, order, hits,
-// byOrigin, objects, has and rank are a range augmentation's largest
-// per-request allocations (DESIGN §3.15). A pooled sink is empty: release
-// clears everything it held.
+// sinkPool recycles sinks with their plans: the reach hit buffer, the slot
+// map, order, hits, byOrigin, objects, has and rank are a range
+// augmentation's largest per-request allocations (DESIGN §3.15). A pooled
+// sink is empty: release clears everything it held.
 var sinkPool = sync.Pool{New: func() any { return new(sink) }}
 
 // maxPooledKeys bounds the plans whose storage goes back to the pool: a map
@@ -669,10 +682,20 @@ func getSink() *sink { return sinkPool.Get().(*sink) }
 // read those, so eachGroup's key slices and fetchGroup's missing are never
 // sink storage).
 func (s *sink) release() {
-	p := &s.plan
-	if len(p.order) > maxPooledKeys {
-		return
+	if s.reset() {
+		sinkPool.Put(s)
 	}
+}
+
+// reset empties s for another augmentation, keeping its storage, and
+// reports whether that storage is small enough to pool.
+func (s *sink) reset() bool {
+	p := &s.plan
+	if len(p.order) > maxPooledKeys || len(s.hitBuf) > maxPooledKeys {
+		return false
+	}
+	clear(s.hitBuf)
+	clear(s.reaches)
 	clear(p.slot)
 	clear(p.order)
 	clear(p.hits)
@@ -681,9 +704,11 @@ func (s *sink) release() {
 	clear(s.has)
 	*s = sink{
 		plan:    plan{slot: p.slot, order: p.order[:0], hits: p.hits[:0], byOrigin: p.byOrigin[:0]},
+		hitBuf:  s.hitBuf[:0],
+		reaches: s.reaches[:0],
 		objects: s.objects[:0], has: s.has[:0], rank: s.rank[:0],
 	}
-	sinkPool.Put(s)
+	return true
 }
 
 // bind gives the sink one slot per key of p, empty. It runs before any
@@ -803,7 +828,6 @@ func (s *sink) report(span *telemetry.Span, fetched int, err error) {
 		{"index_edges", int64(s.reach.Edges)},
 		{"origins_skipped", int64(s.skipped)},
 		{"snapshot_reaches", int64(s.reach.Snapshots)},
-		{"rcache_hits", int64(s.reach.Memoized)},
 		{"cache_hits", s.cacheHits.Load()},
 		{"cache_misses", s.cacheMisses.Load()},
 		{"negative_hits", s.negative.Load()},

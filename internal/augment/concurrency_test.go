@@ -424,3 +424,46 @@ func TestPooledSinksDoNotBleed(t *testing.T) {
 		t.Fatal("the mix missed a case")
 	}
 }
+
+// TestConcurrentRangeSearchesMatchFresh runs multi-origin searches from
+// several goroutines through one augmenter; each answer must equal the one a
+// fresh augmenter gave for the same query alone. Every search appends its
+// reaches into its pooled sink's hit buffer, so under -race this also checks
+// that no buffer is shared between two requests.
+func TestConcurrentRangeSearchesMatchFresh(t *testing.T) {
+	poly, ix, db, _ := syntheticPolystore(t, 5, 40, 4801)
+	queries := make([]string, 8)
+	want := make([]string, len(queries))
+	for i := range queries {
+		queries[i] = fmt.Sprintf("KEYS main k%d*", i+1)
+		want[i] = answerSignature(t, New(poly, ix, Config{Strategy: OuterBatch}), db, queries[i])
+		if want[i] == "" {
+			t.Fatalf("fixture: %s augments to nothing", queries[i])
+		}
+	}
+	aug := New(poly, ix, Config{Strategy: OuterBatch, BatchSize: 8, ThreadsSize: 4})
+	var wg sync.WaitGroup
+	for w := 0; w < 6; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 4*len(queries); i++ {
+				q := (w*3 + i) % len(queries)
+				answer, err := aug.Search(ctx, db, queries[q], 1)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got := ""
+				for _, ao := range answer.Augmented {
+					got += fmt.Sprintf("%s:%.6f;", ao.Object.GK, ao.Prob)
+				}
+				if got != want[q] {
+					t.Errorf("worker %d, %s: answer differs from a fresh augmenter's\n got  %s\n want %s", w, queries[q], got, want[q])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}

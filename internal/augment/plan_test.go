@@ -11,7 +11,6 @@ import (
 	"quepa/internal/aindex"
 	"quepa/internal/connector"
 	"quepa/internal/core"
-	"quepa/internal/rcache"
 	"quepa/internal/stores/kvstore"
 )
 
@@ -136,12 +135,16 @@ func TestPlanMatchesMapReference(t *testing.T) {
 		}
 		overlaps += total - ref.skipped - len(ref.order)
 
+		// The second pass reuses the first one's sink, its hit buffer
+		// and plan storage holding another request's keys until reset.
 		aug := New(poly, ix, Config{})
-		aug.SetResultCache(rcache.New(1024))
-		for _, pass := range []string{"cold", "warm"} {
-			s := &sink{}
+		s := &sink{}
+		for _, pass := range []string{"fresh", "reused"} {
+			if !s.reset() {
+				t.Fatal("a small plan's sink is not reusable")
+			}
 			p := aug.buildPlan(ctx, s, origins, level)
-			what := fmt.Sprintf("trial %d (%d origins, level %d, %s rcache)", trial, len(origins), level, pass)
+			what := fmt.Sprintf("trial %d (%d origins, level %d, %s sink)", trial, len(origins), level, pass)
 			checkPlan(t, what, p, s, ref)
 		}
 
@@ -240,6 +243,46 @@ func TestPlanAllocsFlatInKeys(t *testing.T) {
 	t.Logf("%v allocations for 10 hits, %v for 200", small, large)
 	if small != large {
 		t.Errorf("plan allocations grow with its keys: %v for 10 hits, %v for 200", small, large)
+	}
+}
+
+// TestPlanAllocsFlatInOrigins: on a warm sink, building a plan from the
+// local index allocates the same for 10 origins as for 50. Every origin's
+// reach appends to the sink's one hit buffer, so no reach allocates a
+// result of its own.
+func TestPlanAllocsFlatInOrigins(t *testing.T) {
+	if raceEnabled {
+		t.Skip("-race instruments sync.Pool, which holds the snapshot's traversal scratch")
+	}
+	const nOrigins = 50
+	ix := aindex.New()
+	origins := make([]core.Object, nOrigins)
+	for i := range origins {
+		origins[i] = core.Object{GK: core.NewGlobalKey("o", "c", fmt.Sprint(i))}
+		a, b := core.NewGlobalKey("a", "c", fmt.Sprint(i)), core.NewGlobalKey("b", "c", fmt.Sprint(i))
+		for _, r := range []core.PRelation{core.NewMatching(origins[i].GK, a, 0.9), core.NewMatching(a, b, 0.8)} {
+			if err := ix.Insert(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ix.RefreshSnapshot()
+	aug := New(core.NewPolystore(), ix, Config{})
+	s := &sink{}
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(50, func() {
+			s.reset()
+			s.bind(aug.buildPlan(ctx, s, origins[:n], 2))
+		})
+	}
+	allocs(nOrigins) // size the sink for the largest plan
+	small, large := allocs(10), allocs(nOrigins)
+	t.Logf("%v allocations for 10 origins, %v for %d", small, large, nOrigins)
+	if small != large {
+		t.Errorf("plan allocations grow with its origins: %v for 10, %v for %d", small, large, nOrigins)
+	}
+	if st := s.reach; st.Snapshots != nOrigins {
+		t.Fatalf("%d of %d reaches served from the snapshot; the fallback allocates", st.Snapshots, nOrigins)
 	}
 }
 

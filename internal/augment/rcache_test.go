@@ -173,3 +173,29 @@ func TestResultCacheConcurrentMutationEquivalence(t *testing.T) {
 		t.Fatalf("quiesced cached answer diverges from uncached:\n got %v\nwant %v", got, plain)
 	}
 }
+
+// TestResultCacheStoresOnlySingleOriginOutcomes: a multi-origin search
+// probes and stores nothing, since the cache holds no reaches; a
+// single-origin one stores exactly its outcome.
+func TestResultCacheStoresOnlySingleOriginOutcomes(t *testing.T) {
+	poly, ix, db, query := syntheticPolystore(t, 4, 30, 48)
+	aug := New(poly, ix, Config{Strategy: OuterBatch})
+	rc := rcache.New(64)
+	aug.SetResultCache(rc)
+	answer, err := aug.Search(ctx, db, query, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(answer.Original) < 2 || len(answer.Augmented) == 0 {
+		t.Fatalf("fixture: %d origins, %d augmented; want a multi-origin search that augments", len(answer.Original), len(answer.Augmented))
+	}
+	if n, st := rc.Len(), rc.Stats(); n != 0 || st.Hits+st.Misses != 0 {
+		t.Fatalf("multi-origin search left %d entries and %d probes, want none", n, st.Hits+st.Misses)
+	}
+	if _, _, err := aug.AugmentObjects(ctx, answer.Original[:1], 2); err != nil {
+		t.Fatal(err)
+	}
+	if n := rc.Len(); n != 1 {
+		t.Fatalf("single-origin augmentation left %d entries, want its one outcome", n)
+	}
+}

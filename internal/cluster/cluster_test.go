@@ -16,7 +16,6 @@ import (
 	"quepa/internal/core"
 	"quepa/internal/explain"
 	"quepa/internal/netsim"
-	"quepa/internal/rcache"
 	"quepa/internal/resilience"
 	"quepa/internal/telemetry"
 	"quepa/internal/wire"
@@ -161,17 +160,6 @@ func counterDelta(c interface{ Value() uint64 }, fn func()) uint64 {
 	return c.Value() - before
 }
 
-// memoize gives every node a reach memo of its own, as every quepa-server
-// peer has, and returns them in shard order.
-func (tc *testCluster) memoize() []*rcache.Cache {
-	memos := make([]*rcache.Cache, len(tc.nodes))
-	for shard, node := range tc.nodes {
-		memos[shard] = rcache.New(1024)
-		node.SetResultCache(memos[shard])
-	}
-	return memos
-}
-
 // owned counts the origins each shard owns.
 func (tc *testCluster) owned(origins []core.GlobalKey) []int {
 	n := make([]int, len(tc.nodes))
@@ -188,20 +176,17 @@ func (tc *testCluster) owned(origins []core.GlobalKey) []int {
 // consecutive entries are the two ends of one p-relation, so they sit in
 // the same A' island and reach the same keys (a leg that mixed origins
 // would leak probabilities between them), and the first origin appears
-// twice. Every owner memoizes its reaches. Cold, the summed traversal stats
-// equal the single-node traversals' sum and the leg count stays within one
-// per peer at every level, however many origins there are. The warm pass,
-// served from the owners' memos, ships the same legs, traverses nothing,
-// counts the self leg's origins as memoized and answers the same; so does
-// the one-origin call.
+// twice. The summed traversal stats equal the single-node traversals' sum
+// and the leg count stays within one per peer at every level, however many
+// origins there are. A repeated pass ships the same legs, traverses again
+// (no peer memoizes a reach) and answers the same; so does the one-origin
+// call.
 func TestClusterReachEquivalence(t *testing.T) {
 	ctx := context.Background()
 	for _, peers := range []int{1, 2, 3} {
 		tc := startCluster(t, peers, nil)
-		memos := tc.memoize()
 		distinct := sampleOrigins(tc.ref, 16)
 		origins := append(append([]core.GlobalKey(nil), distinct...), distinct[0])
-		selfOwned := tc.owned(distinct)[0]
 		overlap := false
 		for _, h := range tc.ref.Index.Reach(origins[0], 1) {
 			overlap = overlap || h.Key == origins[1]
@@ -214,9 +199,9 @@ func TestClusterReachEquivalence(t *testing.T) {
 		}
 		for level := 0; level <= 3; level++ {
 			var (
-				got, warm        [][]aindex.Hit
-				stats, warmStats aindex.ReachStats
-				degs             []augment.Degradation
+				got, again        [][]aindex.Hit
+				stats, againStats aindex.ReachStats
+				degs              []augment.Degradation
 			)
 			legs := counterDelta(scatterCalls, func() {
 				got, stats, degs = tc.coord.ReachScatterMany(ctx, origins, level)
@@ -227,14 +212,11 @@ func TestClusterReachEquivalence(t *testing.T) {
 			if bound := uint64(peers); legs > bound {
 				t.Errorf("%d peers level %d: %d legs for %d origins, bound %d", peers, level, legs, len(origins), bound)
 			}
-			warmLegs := counterDelta(scatterCalls, func() {
-				warm, warmStats, _ = tc.coord.ReachScatterMany(ctx, origins, level)
+			againLegs := counterDelta(scatterCalls, func() {
+				again, againStats, _ = tc.coord.ReachScatterMany(ctx, origins, level)
 			})
-			if warmLegs != legs {
-				t.Errorf("%d peers level %d: the warm pass ships %d legs, the cold one %d", peers, level, warmLegs, legs)
-			}
-			if want := (aindex.ReachStats{Memoized: selfOwned}); warmStats != want {
-				t.Errorf("%d peers level %d: warm pass stats %+v, want %+v", peers, level, warmStats, want)
+			if againLegs != legs {
+				t.Errorf("%d peers level %d: the repeated pass ships %d legs, the first one %d", peers, level, againLegs, legs)
 			}
 			var wantStats aindex.ReachStats
 			for i, origin := range origins {
@@ -245,88 +227,28 @@ func TestClusterReachEquivalence(t *testing.T) {
 				}
 				one, _, _ := tc.coord.ReachScatter(ctx, origin, level)
 				for name, have := range map[string][]aindex.Hit{
-					"many": got[i], "one": one, "warm": warm[i],
+					"many": got[i], "one": one, "again": again[i],
 				} {
 					if !sameHits(have, want) {
 						t.Fatalf("%s, %d peers, %v level %d:\n got %v\nwant %v", name, peers, origin, level, have, want)
 					}
 				}
 			}
-			if stats != wantStats {
-				t.Errorf("%d peers level %d: cold stats %+v, want the single-node sum %+v", peers, level, stats, wantStats)
+			for name, have := range map[string]aindex.ReachStats{"first": stats, "repeated": againStats} {
+				if have != wantStats {
+					t.Errorf("%d peers level %d: %s pass stats %+v, want the single-node sum %+v", peers, level, name, have, wantStats)
+				}
 			}
-		}
-		for shard, rc := range memos {
-			if st := rc.Stats(); st.Hits == 0 {
-				t.Fatalf("%d peers: shard %d's memo never hit: %+v", peers, shard, st)
-			}
-		}
-	}
-}
-
-// TestClusterOwnerMemoServesRepeatedOrigins: with half a request's origins
-// already reached once, the call still ships every distinct origin to its
-// owner, and each owner answers the repeated ones from its memo: its hits
-// move by exactly the warmed origins it owns. A fully warm request reports
-// no traversal work — every remote leg 0 nodes and edges, the self leg's
-// origins counted as memoized — and every answer is the single-node one.
-func TestClusterOwnerMemoServesRepeatedOrigins(t *testing.T) {
-	tc := startCluster(t, 3, nil)
-	memos := tc.memoize()
-	ctx := context.Background()
-	origins := sampleOrigins(tc.ref, 16)
-	var warmed []core.GlobalKey
-	for i, origin := range origins {
-		if i%2 == 0 {
-			tc.coord.ReachScatter(ctx, origin, 2)
-			warmed = append(warmed, origin)
-		}
-	}
-	if n := tc.owned(warmed); n[1]+n[2] == 0 {
-		t.Fatal("no warmed origin is owned by a remote peer; the remote memo is untested")
-	}
-	hits := func() []uint64 {
-		out := make([]uint64, len(memos))
-		for shard, rc := range memos {
-			out[shard] = rc.Stats().Hits
-		}
-		return out
-	}
-	before := hits()
-	var got [][]aindex.Hit
-	shipped := counterDelta(scatterOrigins, func() { got, _, _ = tc.coord.ReachScatterMany(ctx, origins, 2) })
-	if shipped != uint64(len(origins)) {
-		t.Errorf("half-warm request shipped %d origins, want all %d", shipped, len(origins))
-	}
-	after, want := hits(), tc.owned(warmed)
-	for shard := range memos {
-		if d := after[shard] - before[shard]; d != uint64(want[shard]) {
-			t.Errorf("shard %d's memo hit %d times, want its %d warmed origins", shard, d, want[shard])
-		}
-	}
-	for i, origin := range origins {
-		if !sameHits(got[i], tc.ref.Index.Reach(origin, 2)) {
-			t.Fatalf("%v: half-warm answer diverges from reference", origin)
-		}
-	}
-	got, stats, degs := tc.coord.ReachScatterMany(ctx, origins, 2)
-	if want := (aindex.ReachStats{Memoized: tc.owned(origins)[0]}); stats != want || len(degs) != 0 {
-		t.Errorf("fully warm request: stats %+v, degradations %v; want %+v", stats, degs, want)
-	}
-	for i, origin := range origins {
-		if !sameHits(got[i], tc.ref.Index.Reach(origin, 2)) {
-			t.Fatalf("%v: fully warm answer diverges from reference", origin)
 		}
 	}
 }
 
 // TestClusterOwnerMemoUnderMutation hammers the many-origin path from
 // several goroutines while the index every peer serves is mutated. Every
-// peer, the coordinator's own node included, serves one shared full index
-// through a memo of its own. Reader 0 grows the first origin's island by one
-// leaf before each of its calls and must read its own write: the stamp is
-// read before the traversal, so no owner may serve it the island as it was
-// before the insert. A leaf lies on no path between two other keys, so
+// peer, the coordinator's own node included, serves one shared full index.
+// Reader 0 grows the first origin's island by one leaf before each of its
+// calls and must read its own write: no owner may serve it the island as it
+// was before the insert. A leaf lies on no path between two other keys, so
 // every other hit of every answer equals the reference, whatever the
 // interleaving, and no leg may degrade. Run under -race this is also the
 // engine's data-race check.
@@ -335,13 +257,9 @@ func TestClusterOwnerMemoUnderMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	memoized := func(shard int) *Node {
-		node := NewNode(shard, full.Index, full.Poly)
-		node.SetResultCache(rcache.New(1024))
-		return node
-	}
-	tc := startCluster(t, 3, func(shard int, _ *Node) core.Store { return memoized(shard) })
-	coord := tc.newCoordinator(t, func(cfg *Config) { cfg.Node = memoized(0) })
+	shared := func(shard int) *Node { return NewNode(shard, full.Index, full.Poly) }
+	tc := startCluster(t, 3, func(shard int, _ *Node) core.Store { return shared(shard) })
+	coord := tc.newCoordinator(t, func(cfg *Config) { cfg.Node = shared(0) })
 	origins := sampleOrigins(tc.ref, 16)
 	want := make([][]aindex.Hit, len(origins))
 	for i, origin := range origins {
@@ -398,9 +316,7 @@ func TestClusterOwnerMemoUnderMutation(t *testing.T) {
 // full single-node answer — even when its island holds keys the dead peer
 // owns — and an origin owned by the dead peer gets no hits. The peer is
 // named once in the degradations however many origins it owned, with reason
-// "peer-open" once its breaker trips. The front end memoizes nothing, so no
-// empty answer can outlive the failure: the only entries are the exact
-// reaches the self leg computed.
+// "peer-open" once its breaker trips.
 func TestScatterManyPeerDown(t *testing.T) {
 	const down = 2
 	tc := startCluster(t, 3, func(shard int, node *Node) core.Store {
@@ -409,7 +325,6 @@ func TestScatterManyPeerDown(t *testing.T) {
 		}
 		return netsim.NewChaosNode(node, netsim.FaultPlan{Down: []netsim.Window{{From: 1}}}, func(time.Duration) {})
 	})
-	rc := tc.memoize()[0]
 	ctx := context.Background()
 	origins := sampleOrigins(tc.ref, 128)
 	deadOwned, straddles := 0, false
@@ -447,22 +362,17 @@ func TestScatterManyPeerDown(t *testing.T) {
 	if !sawOpen {
 		t.Error("breaker never opened: no peer-open degradation observed")
 	}
-	if n := tc.owned(origins)[0]; rc.Len() != n {
-		t.Errorf("self memo holds %d entries, want one per self-owned origin (%d)", rc.Len(), n)
-	}
 }
 
 // TestClusterOwnerMemoInvalidatesOneIsland: a mutation on one owner's shard
-// moves the stamp of that island only. The next reach of every origin in it
-// recomputes on that owner, one stamp mismatch each, and answers the
-// mutated island; every other memoized origin, on that owner and on the
-// other peers, still hits.
+// reaches the next scatter through that owner, across the wire, and changes
+// the answers of that island only: an origin of it now reaches the new leaf,
+// and every origin outside it answers exactly as before the mutation.
 func TestClusterOwnerMemoInvalidatesOneIsland(t *testing.T) {
 	tc := startCluster(t, 3, nil)
-	memos := tc.memoize()
 	ctx := context.Background()
 	origins := sampleOrigins(tc.ref, 24)
-	tc.coord.ReachScatterMany(ctx, origins, 2)
+	before, _, _ := tc.coord.ReachScatterMany(ctx, origins, 2)
 	// The mutated island is owned by a remote peer, so its recomputation
 	// happens across the wire.
 	target, owner := -1, 0
@@ -480,43 +390,25 @@ func TestClusterOwnerMemoInvalidatesOneIsland(t *testing.T) {
 	if err := shard.InsertRaw(core.NewMatching(origins[target], leaf, 0.5)); err != nil {
 		t.Fatal(err)
 	}
-	// An origin of the mutated island reads the mutation's stamp; every
-	// other island kept its own.
-	moved := 0
-	for _, o := range origins {
-		if tc.ring.Owner(o) == owner && shard.Stamp(o) == shard.Stamp(origins[target]) {
-			moved++
-		}
-	}
-	before := make([]rcache.Stats, len(memos))
-	for i, rc := range memos {
-		before[i] = rc.Stats()
-	}
 	got, _, degs := tc.coord.ReachScatterMany(ctx, origins, 2)
 	if len(degs) != 0 {
 		t.Fatalf("degradations %v", degs)
 	}
+	moved := 0
 	for i, o := range origins {
 		if want := tc.nodes[tc.ring.Owner(o)].Index().Reach(o, 2); !sameHits(got[i], want) {
 			t.Fatalf("%v: answer diverges from its owner's shard:\n got %v\nwant %v", o, got[i], want)
 		}
+		// The mutated island's keys read the mutation's stamp; every other
+		// island kept its own.
+		if tc.ring.Owner(o) == owner && shard.Stamp(o) == shard.Stamp(origins[target]) {
+			moved++
+		} else if !sameHits(got[i], before[i]) {
+			t.Errorf("%v: outside the mutated island, answer moved:\n got %v\nwas %v", o, got[i], before[i])
+		}
 	}
-	if !slices.ContainsFunc(got[target], func(h aindex.Hit) bool { return h.Key == leaf }) {
+	if moved == 0 || !slices.ContainsFunc(got[target], func(h aindex.Hit) bool { return h.Key == leaf }) {
 		t.Fatalf("%v: answer misses the inserted leaf: %v", origins[target], got[target])
-	}
-	owned := tc.owned(origins)
-	for i, rc := range memos {
-		wantMoved := 0
-		if i == owner {
-			wantMoved = moved
-		}
-		st := rc.Stats()
-		if d := int(st.Mismatches - before[i].Mismatches); d != wantMoved {
-			t.Errorf("shard %d: %d stamp mismatches, want %d", i, d, wantMoved)
-		}
-		if d := int(st.Hits - before[i].Hits); d != owned[i]-wantMoved {
-			t.Errorf("shard %d: %d memo hits, want %d", i, d, owned[i]-wantMoved)
-		}
 	}
 }
 

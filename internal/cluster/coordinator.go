@@ -98,11 +98,10 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 // Self returns this peer's shard ID.
 func (c *Coordinator) Self() int { return c.self }
 
-// SetResultCache installs rc as the local node's reach memo
-// (Node.SetResultCache); nil makes the self leg uncached. It exists only for
-// benchmark/stack.go and benchmark/layers.go, until the ledger assembles its
-// stack through server.New.
-func (c *Coordinator) SetResultCache(rc *rcache.Cache) { c.node.SetResultCache(rc) }
+// SetResultCache does nothing: no peer memoizes reaches. It exists only
+// because benchmark/stack.go and benchmark/layers.go call it, until the
+// ledger assembles its stack through server.New.
+func (c *Coordinator) SetResultCache(*rcache.Cache) {}
 
 // Close tears down every dialed peer client.
 func (c *Coordinator) Close() {
@@ -182,7 +181,7 @@ func (l *leg) wireOrigins() []string {
 }
 
 // reachLeg runs one scatter leg and fills its origins' slots of out: the
-// local node's memoized reach for the self leg, the peer's wire client —
+// local node's reach for the self leg, the peer's wire client —
 // guarded by its breaker — otherwise. A failed leg leaves its slots empty.
 // Every leg of a traced request runs under a cluster.scatter span tagged
 // with the shard; a remote leg continues the caller's trace over the wire.
@@ -200,14 +199,7 @@ func (c *Coordinator) reachLeg(ctx context.Context, l *leg, level int, out [][]a
 	}
 	hits := 0
 	if l.shard == c.self {
-		for i, o := range l.origins {
-			h, st := c.node.reach(o, level)
-			out[l.slots[i]] = h
-			hits += len(h)
-			stats.Nodes += st.Nodes
-			stats.Edges += st.Edges
-			stats.Memoized += st.Memoized
-		}
+		hits, stats = c.selfLeg(l, level, out)
 	} else {
 		hits, stats, err = c.remoteLeg(sctx, l, level, out)
 	}
@@ -224,6 +216,30 @@ func (c *Coordinator) reachLeg(ctx context.Context, l *leg, level int, out [][]a
 		scatterErrors.Inc()
 	}
 	return stats, err
+}
+
+// selfLeg appends the reaches of the leg's origins over the local node's
+// shard into one buffer and fills each origin's slot with its run. It
+// returns the hit count and the traversal work.
+func (c *Coordinator) selfLeg(l *leg, level int, out [][]aindex.Hit) (int, aindex.ReachStats) {
+	var (
+		stats aindex.ReachStats
+		buf   []aindex.Hit
+	)
+	for i, o := range l.origins {
+		n := len(buf)
+		buf = c.node.index.AppendReachWithStats(buf, o, level, &stats)
+		out[l.slots[i]] = buf[n:]
+	}
+	// An append may have moved buf: cut every origin's hits from its final
+	// array, each capacity capped so an append never runs into the next.
+	n := 0
+	for _, slot := range l.slots {
+		end := n + len(out[slot])
+		out[slot] = buf[n:end:end]
+		n = end
+	}
+	return len(buf), stats
 }
 
 // remoteLeg ships a leg's origins to their owner in one reach frame and
@@ -288,12 +304,9 @@ func (c *Coordinator) ReachScatter(ctx context.Context, origin core.GlobalKey, l
 // hits, and the peer is reported once as a Degradation (an open breaker
 // yields "peer-open"). Every other origin keeps its full answer.
 //
-// The owner memoizes each reach it computes, stamped by its own shard
-// (Node.SetResultCache), so a repeated origin still costs its leg but no
-// traversal: the owner answers it from memory and reports no nodes or
-// edges. Memo hits of the self leg count in the stats' Memoized; a remote
-// owner's count on its own quepa_rcache_hits_total. Results of equal
-// origins share one slice; callers must not modify them.
+// Every reach is computed: no peer memoizes one, so a repeated origin costs
+// its traversal again. Results of equal origins share one slice; callers
+// must not modify them.
 //
 // ReachScatterMany implements augment.Reacher.
 func (c *Coordinator) ReachScatterMany(ctx context.Context, origins []core.GlobalKey, level int) ([][]aindex.Hit, aindex.ReachStats, []augment.Degradation) {
@@ -345,7 +358,6 @@ func (c *Coordinator) ReachScatterMany(ctx context.Context, origins []core.Globa
 		}
 		stats.Nodes += r.stats.Nodes
 		stats.Edges += r.stats.Edges
-		stats.Memoized += r.stats.Memoized
 	}
 	for i, o := range origins {
 		if j := first[o]; j != i {

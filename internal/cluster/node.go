@@ -3,12 +3,11 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"sort"
-	"sync/atomic"
+	"slices"
+	"strings"
 
 	"quepa/internal/aindex"
 	"quepa/internal/core"
-	"quepa/internal/rcache"
 	"quepa/internal/wire"
 )
 
@@ -26,9 +25,6 @@ type Node struct {
 	name  string
 	poly  *core.Polystore
 	index *aindex.Index
-	// rc memoizes the node's reaches, for its own coordinator's self leg and
-	// for every leg another peer sends it; nil computes each one.
-	rc atomic.Pointer[rcache.Cache]
 }
 
 // NewNode builds the local service of one shard over its A' slice and the
@@ -42,16 +38,6 @@ func (n *Node) Shard() int { return n.shard }
 
 // Index returns the node's A' shard.
 func (n *Node) Index() *aindex.Index { return n.index }
-
-// SetResultCache installs the cache that memoizes the node's reaches, each
-// entry stamped by the shard's own component stamp (rcache.Cache.Reach). A
-// nil cache turns memoization off. Safe to call while the node serves.
-func (n *Node) SetResultCache(rc *rcache.Cache) { n.rc.Store(rc) }
-
-// reach is Reach(gk, level) over the node's shard, through its result cache.
-func (n *Node) reach(gk core.GlobalKey, level int) ([]aindex.Hit, aindex.ReachStats) {
-	return n.rc.Load().Reach(n.index, gk, level)
-}
 
 // Name identifies the node in meta responses and status pages.
 func (n *Node) Name() string { return n.name }
@@ -84,11 +70,11 @@ func (n *Node) Query(ctx context.Context, query string) ([]core.Object, error) {
 // origin, in origin order: hits holds one run per origin, key-sorted within
 // the run so the frame front-codes it, and segs the run lengths. The shard
 // holds the whole island of every key the node owns, so for an owned origin
-// the answer is the single-node one. A reach served from the node's memo
-// adds no nodes or edges to info.
+// the answer is the single-node one.
 func (n *Node) ReachMany(ctx context.Context, origins []string, level int) ([]wire.RemoteHit, []int, wire.ReachInfo, error) {
 	var (
-		info wire.ReachInfo
+		st   aindex.ReachStats
+		hits []aindex.Hit // one origin's reach, its buffer reused by the next
 		out  []wire.RemoteHit
 	)
 	segs := make([]int, len(origins))
@@ -97,18 +83,16 @@ func (n *Node) ReachMany(ctx context.Context, origins []string, level int) ([]wi
 		if err != nil {
 			return nil, nil, wire.ReachInfo{}, fmt.Errorf("cluster: reach origin %q: %w", o, err)
 		}
-		hits, st := n.reach(gk, level)
-		info.Nodes += st.Nodes
-		info.Edges += st.Edges
+		hits = n.index.AppendReachWithStats(hits[:0], gk, level, &st)
 		start := len(out)
 		for _, h := range hits {
 			out = append(out, wire.RemoteHit{Key: h.Key.String(), Prob: h.Prob, Dist: h.Dist})
 		}
 		seg := out[start:]
-		sort.Slice(seg, func(i, j int) bool { return seg[i].Key < seg[j].Key })
+		slices.SortFunc(seg, func(a, b wire.RemoteHit) int { return strings.Compare(a.Key, b.Key) })
 		segs[i] = len(seg)
 	}
-	return out, segs, info, nil
+	return out, segs, wire.ReachInfo{Nodes: st.Nodes, Edges: st.Edges}, nil
 }
 
 // BuildShard carves one shard out of a full A' index: every connected

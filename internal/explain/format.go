@@ -40,7 +40,7 @@ func (p *Profile) WriteTree(w io.Writer) {
 			a.IndexNodes, a.IndexEdges, a.OriginsSkipped)
 		fmt.Fprintf(w, "    cache %d hits / %d misses\n", a.CacheHits, a.CacheMisses)
 		if a.RcacheHits > 0 {
-			fmt.Fprintf(w, "    rcache %d hits (reach/outcome served from the result cache)\n", a.RcacheHits)
+			fmt.Fprintf(w, "    rcache %d hits (outcome served from the result cache)\n", a.RcacheHits)
 		}
 		for _, f := range a.Stores {
 			writeFanout(w, "    ", f)

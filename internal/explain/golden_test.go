@@ -129,8 +129,8 @@ func search(t *testing.T, aug *augment.Augmenter, query string) *explain.Profile
 // TestGoldenProfiles pins the EXPLAIN profile, field for field, of every
 // shape of request the stack serves: each strategy cold and warm, a result
 // cache outcome hit, a degraded store, a retried wire round trip, a 2-peer
-// cluster scatter (self and remote legs, cold, then served from the owners'
-// memos), and an exploration step.
+// cluster scatter (self and remote legs, cold, then with the front end's
+// object cache warm), and an exploration step.
 func TestGoldenProfiles(t *testing.T) {
 	built := goldenWorkload(t)
 
@@ -275,7 +275,6 @@ func twoPeerAugmenter(t *testing.T) *augment.Augmenter {
 			t.Fatal(err)
 		}
 		node := cluster.NewNode(shard, idx, built.Poly)
-		node.SetResultCache(rcache.New(1024))
 		nodes = append(nodes, node)
 		if shard == 0 {
 			local = built

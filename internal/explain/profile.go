@@ -95,8 +95,8 @@ type AugmentationTrace struct {
 	// that were served lock-free from the A' index's CSR snapshot (the rest
 	// fell back to the locked traversal because a mutation was in flight).
 	SnapshotReaches int `json:"snapshot_reaches,omitempty"`
-	// RcacheHits counts reach/outcome lookups of this augmentation served
-	// from the stamp-validated result cache instead of recomputed.
+	// RcacheHits is 1 when the augmentation's whole outcome was served from
+	// the stamp-validated result cache instead of recomputed.
 	RcacheHits   int     `json:"rcache_hits,omitempty"`
 	CacheHits    int     `json:"cache_hits"`
 	CacheMisses  int     `json:"cache_misses"`
@@ -153,8 +153,7 @@ type Totals struct {
 	WireRetries   int   `json:"wire_retries"`
 	Degraded      int   `json:"degraded_stores"`
 	ScatterCalls  int   `json:"scatter_calls,omitempty"`
-	// RcacheHits counts results served from this process's stamp-validated
-	// result cache (reach sets, whole augmentation outcomes); a remote
-	// owner's reach memo hits count on that owner.
+	// RcacheHits counts the augmentation outcomes served whole from the
+	// stamp-validated result cache.
 	RcacheHits int `json:"rcache_hits,omitempty"`
 }

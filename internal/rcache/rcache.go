@@ -1,24 +1,18 @@
 // Package rcache implements the stamp-validated result cache of the read
-// path: memoized A' reaches and whole per-level augmentation outcomes, keyed
-// by (global key, level, kind) and stamped with a number the caller reads
-// before computing them. The cache compares stamps and nothing else.
+// path: whole single-origin augmentation outcomes, keyed by (global key,
+// level) and stamped with a number the caller reads before computing them.
+// The cache compares stamps and nothing else. It memoizes no reach: a
+// snapshot reach costs about a microsecond, less than a probe and a store.
 //
-// Both kinds are stamped with aindex.Index.Stamp of the entry's origin: the
-// epoch of the last mutation that changed an edge of the origin's connected
-// component. If that stamp reads the same value twice, no reach from the
-// origin changed in between, so an entry stamped S stays exact for as long
-// as the origin's component stays at S. A promotion or lazy deletion moves
-// only its own island's stamp: the probe compares the stored stamp against
-// the caller's current one and treats a mismatch as a miss, evicting the
-// stale entry on the spot, while every other island's entries keep serving.
-// No mutator ever has to enumerate which cached results a given edge change
-// could affect.
-//
-// Reach is the one memoized reach, and it runs wherever a reach is computed:
-// on the augmenter's own index on one node, and on every cluster peer over
-// its shard, for its self leg and for the legs other peers send it. Each
-// entry is stamped by the index that computed it, so a mutation on one
-// peer's shard strands that island's entries on that peer alone.
+// An entry is stamped with aindex.Index.Stamp of its origin: the epoch of the
+// last mutation that changed an edge of the origin's connected component. If
+// that stamp reads the same value twice, no reach from the origin changed in
+// between, so an entry stamped S stays exact for as long as the origin's
+// component stays at S. A promotion or lazy deletion moves only its own
+// island's stamp: the probe compares the stored stamp against the caller's
+// current one and treats a mismatch as a miss, evicting the stale entry on
+// the spot, while every other island's entries keep serving. No mutator ever
+// has to enumerate which cached results a given edge change could affect.
 //
 // No mutation needs an explicit flush: inserts, promotions, lazy deletions and
 // WAL replay all move the stamps they affect, and a restarted process starts
@@ -38,23 +32,19 @@ package rcache
 import (
 	"sync/atomic"
 
-	"quepa/internal/aindex"
 	"quepa/internal/cache"
 	"quepa/internal/core"
 	"quepa/internal/telemetry"
 )
 
-// Kind discriminates what a cached entry memoizes.
+// Kind discriminates what a cached entry memoizes. There is one kind; the
+// type stays because the benchmark harness builds its keys with it.
 type Kind uint8
 
-const (
-	// KindReach caches the hit list of one Index.Reach(gk, level) traversal.
-	KindReach Kind = iota + 1
-	// KindOutcome caches a whole single-origin augmentation outcome (the
-	// augmented objects after fetch, before the min-probability filter Rank
-	// applies, so one entry serves every threshold).
-	KindOutcome
-)
+// KindOutcome caches a whole single-origin augmentation outcome (the
+// augmented objects after fetch, before the min-probability filter Rank
+// applies, so one entry serves every threshold).
+const KindOutcome Kind = 1
 
 // Key identifies one memoized result.
 type Key struct {
@@ -83,10 +73,9 @@ type Stats struct {
 // use, and a nil *Cache is a valid, always-missing cache; a capacity of zero
 // disables it too (every probe misses, every store is dropped).
 //
-// Returned hit slices are shared with the cache and MUST be treated as
-// immutable by callers — the augmenter and coordinator only ever read them.
-// Values are `any` so the cache does not depend on the augmenter's outcome
-// type (augment imports rcache, not the reverse).
+// Returned values are shared with the cache and MUST be treated as
+// immutable by callers. Values are `any` so the cache does not depend on the
+// augmenter's outcome type (augment imports rcache, not the reverse).
 type Cache struct {
 	lru           *cache.Sharded[Key, any]
 	invalidations atomic.Uint64
@@ -97,44 +86,20 @@ func New(capacity int) *Cache {
 	return &Cache{lru: cache.NewSharded[Key, any](capacity)}
 }
 
-func (c *Cache) get(k Key, stamp uint64) (any, bool) {
+// GetOutcome returns a memoized augmentation outcome stored at the stamp.
+func (c *Cache) GetOutcome(k Key, stamp uint64) (any, bool) {
 	if c == nil {
 		return nil, false
 	}
 	return c.lru.Get(k, stamp)
 }
 
-func (c *Cache) put(k Key, stamp uint64, v any) {
+// PutOutcome memoizes an augmentation outcome computed at the given stamp.
+func (c *Cache) PutOutcome(k Key, stamp uint64, v any) {
 	if c != nil {
 		c.lru.Put(k, stamp, v)
 	}
 }
-
-// Reach is ix.ReachWithStats(gk, level), memoized: the KindReach entry is
-// stamped with ix.Stamp(gk), read before the traversal, so a mutation racing
-// it strands the entry at the old stamp instead of mislabeling the new
-// reach. A hit reports no nodes or edges, since no traversal ran, and one
-// Memoized reach. A nil cache computes every reach. The returned slice is
-// shared with the cache: do not mutate it.
-func (c *Cache) Reach(ix *aindex.Index, gk core.GlobalKey, level int) ([]aindex.Hit, aindex.ReachStats) {
-	if c == nil {
-		return ix.ReachWithStats(gk, level)
-	}
-	k := Key{GK: gk, Level: level, Kind: KindReach}
-	stamp := ix.Stamp(gk)
-	if v, ok := c.lru.Get(k, stamp); ok {
-		return v.([]aindex.Hit), aindex.ReachStats{Memoized: 1}
-	}
-	hits, st := ix.ReachWithStats(gk, level)
-	c.lru.Put(k, stamp, hits)
-	return hits, st
-}
-
-// GetOutcome returns a memoized augmentation outcome stored at the stamp.
-func (c *Cache) GetOutcome(k Key, stamp uint64) (any, bool) { return c.get(k, stamp) }
-
-// PutOutcome memoizes an augmentation outcome computed at the given stamp.
-func (c *Cache) PutOutcome(k Key, stamp uint64, v any) { c.put(k, stamp, v) }
 
 // Invalidate flushes every entry; hit/miss statistics survive, and the flush
 // is counted.
@@ -182,9 +147,9 @@ func (c *Cache) Stats() Stats {
 // function-backed series read at scrape time, mirroring the object cache's
 // export: the hot path pays nothing for it.
 func (c *Cache) RegisterMetrics(r *telemetry.Registry) {
-	r.CounterFunc("quepa_rcache_hits_total", "result cache probes served from memory, counted in the process that ran the reach (a remote origin's owner)",
+	r.CounterFunc("quepa_rcache_hits_total", "single-origin augmentation outcomes served from the result cache",
 		func() uint64 { return c.Stats().Hits })
-	r.CounterFunc("quepa_rcache_misses_total", "result cache probes that recomputed",
+	r.CounterFunc("quepa_rcache_misses_total", "result cache outcome probes that recomputed",
 		func() uint64 { return c.Stats().Misses })
 	r.CounterFunc("quepa_rcache_epoch_mismatch_total", "result cache probes that found an entry with a stale stamp (an A' mutation reached what it was computed from)",
 		func() uint64 { return c.Stats().Mismatches })

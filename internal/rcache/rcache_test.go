@@ -1,8 +1,6 @@
 package rcache
 
 import (
-	"fmt"
-	"reflect"
 	"testing"
 
 	"quepa/internal/aindex"
@@ -11,6 +9,10 @@ import (
 
 func gk(key string) core.GlobalKey {
 	return core.GlobalKey{Database: "db", Collection: "col", Key: key}
+}
+
+func outcome(key string, level int) Key {
+	return Key{GK: gk(key), Level: level, Kind: KindOutcome}
 }
 
 // chain builds an index over a - b - c, plus a separate island x - y.
@@ -29,67 +31,53 @@ func chain(t *testing.T) *aindex.Index {
 	return ix
 }
 
-func TestReachRoundTrip(t *testing.T) {
-	c, ix := New(8), chain(t)
-	want := ix.Reach(gk("a"), 1)
-	got, st := c.Reach(ix, gk("a"), 1)
-	if !reflect.DeepEqual(got, want) || st.Memoized != 0 || st.Nodes == 0 {
-		t.Fatalf("cold reach = %v, %+v; want %v computed", got, st, want)
-	}
-	got, st = c.Reach(ix, gk("a"), 1)
-	if !reflect.DeepEqual(got, want) || st != (aindex.ReachStats{Memoized: 1}) {
-		t.Fatalf("warm reach = %v, %+v; want %v memoized with no traversal", got, st, want)
-	}
-	// A different level is a different result.
-	if _, st := c.Reach(ix, gk("a"), 0); st.Memoized != 0 {
-		t.Fatal("level must be part of the key")
-	}
-	if s := c.Stats(); s.Hits != 1 || s.Misses != 2 {
-		t.Fatalf("Stats = %+v, want 1 hit and 2 misses", s)
-	}
-}
-
 // TestEpochMismatchEvicts: a mutation of an origin's island moves its stamp,
-// so its entry is a mismatch, recomputed and restored; an entry of another
-// island keeps serving.
+// so its outcome entry is a mismatch, evicted and restorable at the new
+// stamp; an entry of another island keeps serving.
 func TestEpochMismatchEvicts(t *testing.T) {
 	c, ix := New(8), chain(t)
-	c.Reach(ix, gk("a"), 1)
-	c.Reach(ix, gk("x"), 1)
+	a, x := outcome("a", 1), outcome("x", 1)
+	c.PutOutcome(a, ix.Stamp(gk("a")), "a@old")
+	c.PutOutcome(x, ix.Stamp(gk("x")), "x")
 	if err := ix.Insert(core.NewMatching(gk("a"), gk("d"), 0.5)); err != nil {
 		t.Fatal(err)
 	}
-	got, st := c.Reach(ix, gk("a"), 1)
-	if st.Memoized != 0 || !reflect.DeepEqual(got, ix.Reach(gk("a"), 1)) {
-		t.Fatalf("reach after its island mutated = %v, %+v; want a recomputation", got, st)
+	if v, ok := c.GetOutcome(a, ix.Stamp(gk("a"))); ok {
+		t.Fatalf("outcome after its island mutated = %v; want a miss", v)
 	}
-	if s := c.Stats(); s.Mismatches != 1 || s.Len != 2 {
-		t.Fatalf("Stats = %+v, want 1 mismatch and the entry restored", s)
+	if s := c.Stats(); s.Mismatches != 1 || s.Len != 1 {
+		t.Fatalf("Stats = %+v, want 1 mismatch and the stale entry evicted", s)
 	}
-	if _, st := c.Reach(ix, gk("x"), 1); st.Memoized != 1 {
+	c.PutOutcome(a, ix.Stamp(gk("a")), "a@new")
+	if v, ok := c.GetOutcome(a, ix.Stamp(gk("a"))); !ok || v != "a@new" {
+		t.Fatalf("restored outcome = %v, %v", v, ok)
+	}
+	if v, ok := c.GetOutcome(x, ix.Stamp(gk("x"))); !ok || v != "x" {
 		t.Fatal("a mutation of another island invalidated x's entry")
 	}
 }
 
 func TestOutcomeRoundTrip(t *testing.T) {
 	c, ix := New(8), chain(t)
-	k := Key{GK: gk("a"), Level: 1, Kind: KindOutcome}
+	k := outcome("a", 1)
 	c.PutOutcome(k, ix.Stamp(gk("a")), "payload")
 	v, ok := c.GetOutcome(k, ix.Stamp(gk("a")))
 	if !ok || v != "payload" {
 		t.Fatalf("GetOutcome = %v, %v", v, ok)
 	}
-	// The kind is part of the key: a reach of the same origin and level
-	// misses.
-	if _, st := c.Reach(ix, gk("a"), 1); st.Memoized != 0 {
-		t.Fatal("Kind must be part of the key")
+	// The level is part of the key.
+	if _, ok := c.GetOutcome(outcome("a", 0), ix.Stamp(gk("a"))); ok {
+		t.Fatal("level must be part of the key")
+	}
+	if s := c.Stats(); s.Hits != 1 || s.Misses != 1 {
+		t.Fatalf("Stats = %+v, want 1 hit and 1 miss", s)
 	}
 }
 
 func TestInvalidateFlushes(t *testing.T) {
-	c, ix := New(8), chain(t)
-	for i := 0; i < 4; i++ {
-		c.Reach(ix, gk(fmt.Sprint(i)), 0)
+	c := New(8)
+	for _, k := range []string{"0", "1", "2", "3"} {
+		c.PutOutcome(outcome(k, 0), 1, k)
 	}
 	c.Invalidate()
 	if n := c.Len(); n != 0 {
@@ -98,17 +86,16 @@ func TestInvalidateFlushes(t *testing.T) {
 	if st := c.Stats(); st.Invalidations != 1 {
 		t.Fatalf("Invalidations = %d, want 1", st.Invalidations)
 	}
-	if _, st := c.Reach(ix, gk("0"), 0); st.Memoized != 0 {
+	if _, ok := c.GetOutcome(outcome("0", 0), 1); ok {
 		t.Fatal("flushed entry served")
 	}
 }
 
 func TestNilCacheSafe(t *testing.T) {
 	var c *Cache
-	ix := chain(t)
-	got, st := c.Reach(ix, gk("a"), 1)
-	if !reflect.DeepEqual(got, ix.Reach(gk("a"), 1)) || st.Memoized != 0 || st.Nodes == 0 {
-		t.Fatalf("nil cache reach = %v, %+v; want a computed reach", got, st)
+	c.PutOutcome(outcome("a", 1), 1, "payload")
+	if v, ok := c.GetOutcome(outcome("a", 1), 1); ok {
+		t.Fatalf("nil cache served %v", v)
 	}
 	c.Invalidate()
 	if st := c.Stats(); st != (Stats{}) {

@@ -35,8 +35,8 @@ func parsePeers(s string) ([]string, error) {
 }
 
 // joinCluster turns the workload into one cluster peer: shard the A' index,
-// serve the shard node over the wire on this peer's address (memoizing its
-// reaches in the server's result cache), and build the coordinator.
+// serve the shard node over the wire on this peer's address, and build the
+// coordinator.
 // Keyed reads keep going to the polystore as built: every peer holds a full
 // replica of every store.
 func (s *Server) joinCluster(peerList string, shardID, pool int, bcfg resilience.BreakerConfig) error {
@@ -56,7 +56,6 @@ func (s *Server) joinCluster(peerList string, shardID, pool int, bcfg resilience
 		return err
 	}
 	node := cluster.NewNode(shardID, shard, s.built.Poly)
-	node.SetResultCache(s.rcache)
 	srv, err := wire.Serve(node, peers[shardID])
 	if err != nil {
 		return err

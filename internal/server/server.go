@@ -111,7 +111,7 @@ type Config struct {
 
 // Fixed wiring: no deployment needs another value (DESIGN.md §3.13).
 const (
-	// resultCacheCap is the reach/outcome entries the rcache holds.
+	// resultCacheCap is the outcome entries the rcache holds.
 	resultCacheCap = 4096
 	// checkpointEvery bounds the log tail a crash has to replay.
 	checkpointEvery = 5 * time.Minute
@@ -131,10 +131,10 @@ type Server struct {
 	tracker *aindex.PathTracker
 	mux     *http.ServeMux
 
-	// rcache memoizes Reach result sets and augmentation outcomes. Each entry
+	// rcache memoizes single-origin augmentation outcomes. Each entry
 	// carries its origin's component stamp (aindex.Index.Stamp), so a
-	// mutation invalidates only the island it touched. It is shared with the
-	// cluster coordinator in sharded mode.
+	// mutation invalidates only the island it touched. A cluster peer's
+	// augmenter scatters its reaches and memoizes nothing.
 	rcache *rcache.Cache
 
 	// wal is the durability manager with DataDir; nil in the default
