@@ -55,15 +55,16 @@ chaos:
 	$(GO) test -race -run 'Chaos|Fault|Breaker|Retry' ./internal/... ./cmd/...
 
 # A' construction sweep: the full collector pipeline + bulk load, swept over
-# object count × scoring workers, plus the Reach fast-path microbenchmarks,
-# the snapshot full-build vs patch pair, the component Stamp a result-cache
-# hit pays, and the live heap and forced-GC time a scale-16 A' costs
-# (IndexGC), at the ledger's index size.
+# object count × scoring workers, plus the Reach microbenchmarks (per level
+# on a 5,000-key index, and one range_cold request's 50 origins at level 2 on
+# the index workload.Build serves at scale 16), the component Stamp a
+# result-cache hit pays, and the live heap and forced-GC time a scale-16 A'
+# costs (IndexGC), at the ledger's index size.
 # The sweep itself fails if any worker count changes the discovered
 # relations, so it doubles as a determinism check.
 bench-build:
 	$(GO) run ./cmd/quepa-bench -fig build
-	$(GO) test -bench='ReachSnapshot|ReachLockedFallback|BulkLoad|SnapshotFull|SnapshotPatch|Stamp|IndexGC' -benchmem -run='^$$' ./internal/aindex/
+	$(GO) test -bench='Reach|BulkLoad|Stamp|IndexGC' -benchmem -run='^$$' ./internal/aindex/
 
 # The performance ledger — the only harness that records, compares or guards
 # a performance number: builds quepa-server, replays the BENCHMARK.json
@@ -93,9 +94,9 @@ promlint:
 
 # Multi-peer cluster suite under the race detector (the CI cluster job runs
 # exactly this): the island carve a shard is built from (Islands), ring
-# property tests, scatter equivalence against the single-node index (cold
-# and served from the owners' reach memos), each owner's reach memo under
-# concurrent mutation and its one-island invalidation, peer-down -> "peer-open"
+# property tests, scatter equivalence against the single-node index, the
+# owners' reaches under concurrent index mutation (each reader reads its own
+# writes), a mutation changing one island's answers only, peer-down -> "peer-open"
 # degradation scoped to the dead peer's origins, slow-shard timeouts, and
 # the 3-peer HTTP server acceptance test. Every scenario runs over
 # in-process netsim peers with deterministic fault plans, so the lane

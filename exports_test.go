@@ -18,9 +18,7 @@ import (
 // test seams and safety code. It mirrors the "keep" rows of DESIGN §3.14;
 // a row is keyed "package.Receiver.Name", or "package.Name" for a func.
 var keepUnreached = map[string]string{
-	"aindex.BulkLoad":                   "the default-worker form the bulk-load property tests compare against Insert",
 	"aindex.PathTracker.Visits":         "test seam: the promotion tests observe the per-path count",
-	"aindex.Index.SetRebuildDebounce":   "test seam: the churn hammer and the staleness tests set the debounce",
 	"netsim.Store.SimulatedNetworkTime": "has its own test; the planned distributed workload reports it",
 	"netsim.NewChaos":                   "test-only fault injector: the chaos suites wrap stores in it",
 	"netsim.NewChaosNode":               "test-only fault injector: the cluster suites wrap peers in it",

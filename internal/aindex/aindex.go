@@ -22,6 +22,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -66,28 +67,13 @@ type Index struct {
 	live  int
 	edges int
 
-	// Read-optimized snapshot machinery (snapshot.go). epoch counts
-	// mutations and is bumped inside the write critical section; snap holds
-	// the latest frozen CSR view, stamped with the epoch it was built at.
-	// The rebuild fields coordinate the single background rebuild goroutine.
-	epoch          atomic.Uint64
-	snap           atomic.Pointer[snapshot]
-	rebuilds       atomic.Uint64 // snapshots installed, patches included
-	patches        atomic.Uint64
-	lastBuildNanos atomic.Int64
-	lastFullNanos  atomic.Int64
-	debounce       atomic.Int64 // rebuild debounce override, nanoseconds
-	rebuildMu      sync.Mutex
-	rebuildRunning bool
+	// epoch counts mutations; every mutator bumps it inside the write
+	// critical section.
+	epoch atomic.Uint64
 
-	// What separates the rows from the installed snapshot. Mutators write
-	// both under the write lock; RefreshSnapshot consumes them under the read
-	// lock plus snapMu. dirty holds the ids whose rows changed; needFull
-	// says the key set changed (or dirty overflowed) and only a full build
-	// will do — atomic because the rebuild loop polls it without the lock.
-	snapMu   sync.Mutex
-	dirty    map[uint32]struct{}
-	needFull atomic.Bool
+	// scratch pools the *reachScratch of Reach. A scratch is sized by
+	// len(keys) when it is made and grown when keys were interned since.
+	scratch sync.Pool
 
 	// journal, when non-nil, observes every mutation inside the write
 	// critical section (journal.go). The WAL manager installs itself here so
@@ -100,16 +86,12 @@ type Index struct {
 	comp *components
 }
 
-// New returns an empty index with a fresh (empty) snapshot installed, so
-// reads on an unmutated index take the lock-free path from the start.
+// New returns an empty index.
 func New() *Index {
-	ix := &Index{
-		ids:   map[core.GlobalKey]uint32{},
-		dirty: map[uint32]struct{}{},
-		comp:  newComponents(),
+	return &Index{
+		ids:  map[core.GlobalKey]uint32{},
+		comp: newComponents(),
 	}
-	ix.snap.Store(buildSnapshot(ix, 0))
-	return ix
 }
 
 // NodeCount returns the number of global keys present in the index.
@@ -134,8 +116,7 @@ func (ix *Index) idLocked(gk core.GlobalKey) (uint32, bool) {
 }
 
 // internLocked returns gk's id, interning gk or reviving its tombstone.
-// Either changes the key set, which no snapshot patch can follow. Callers
-// intern only the endpoints of an edge they are about to write.
+// Callers intern only the endpoints of an edge they are about to write.
 func (ix *Index) internLocked(gk core.GlobalKey) uint32 {
 	id, ok := ix.ids[gk]
 	switch {
@@ -151,7 +132,6 @@ func (ix *Index) internLocked(gk core.GlobalKey) uint32 {
 		return id
 	}
 	ix.live++
-	ix.markAllDirtyLocked() // the snapshot's id tables are out
 	return id
 }
 
@@ -171,7 +151,6 @@ func (ix *Index) Insert(r core.PRelation) error {
 		ix.journal.Log([]JournalOp{{Kind: OpInsert, Rel: r}}, e)
 	}
 	ix.mu.Unlock()
-	ix.scheduleRebuild()
 	return nil
 }
 
@@ -317,8 +296,6 @@ func (ix *Index) setEdgeLocked(a, b uint32, typ core.RelType, prob float64) {
 	} else {
 		ix.edges++
 	}
-	ix.markRowDirtyLocked(a)
-	ix.markRowDirtyLocked(b)
 	ix.rows[a] = setHalfEdge(ix.rows[a], halfEdge{to: b, typ: typ, prob: prob})
 	ix.rows[b] = setHalfEdge(ix.rows[b], halfEdge{to: a, typ: typ, prob: prob})
 	if ix.comp != nil {
@@ -402,7 +379,6 @@ func (ix *Index) RemoveObjectCtx(ctx context.Context, gk core.GlobalKey) bool {
 	ix.rows[id] = nil
 	ix.dead[id] = true
 	ix.live--
-	ix.markAllDirtyLocked() // a key left: the snapshot's id tables are out
 	e := ix.epoch.Add(1)
 	// After the bump, like publish. gk keeps its cell: components never split.
 	if cell := ix.comp.lookup(gk); cell != nil {
@@ -413,7 +389,6 @@ func (ix *Index) RemoveObjectCtx(ctx context.Context, gk core.GlobalKey) bool {
 	}
 	ix.mu.Unlock()
 	removals.Inc()
-	ix.scheduleRebuild()
 	return true
 }
 
@@ -432,9 +407,6 @@ type Hit struct {
 type ReachStats struct {
 	Nodes int
 	Edges int
-	// Snapshots counts the traversals served lock-free from the CSR
-	// snapshot rather than the locked rows.
-	Snapshots int
 }
 
 // Reach returns the global keys reachable from gk within level+1 hops — the
@@ -463,91 +435,148 @@ func (ix *Index) AppendReachWithStats(dst []Hit, gk core.GlobalKey, level int, s
 		return dst
 	}
 	start, n := telemetry.Now(), len(dst)
-	// Fast path: a snapshot stamped with the current mutation epoch serves
-	// the traversal lock-free. The snapshot pointer is loaded before the
-	// epoch, so a mutation between the two loads can only make the check
-	// fail, never pass with stale data.
-	if s := ix.snap.Load(); s != nil && s.epoch == ix.epoch.Load() {
-		dst = s.appendReach(dst, gk, level, stats)
-		if stats != nil {
-			stats.Snapshots++
-		}
-		reachSnapshot.Inc()
-	} else {
-		// The snapshot is behind the adjacency (a mutation's debounced
-		// rebuild has not landed yet). Serve from the locked traversal so
-		// lazy deletions take effect immediately, and make sure a rebuild
-		// is on its way.
-		reachFallback.Inc()
-		ix.scheduleRebuild()
-		if hits := ix.reachLocked(gk, level, stats); dst == nil {
-			dst = hits
-		} else {
-			dst = append(dst, hits...)
-		}
-	}
+	ix.mu.RLock()
+	dst = ix.appendReachLocked(dst, gk, level, stats)
+	ix.mu.RUnlock()
+	sortHits(dst[n:])
 	reachHits.Add(uint64(len(dst) - n))
 	reachHist.Since(start)
 	return dst
 }
 
-// reachLocked is the reference traversal over the mutable rows. The
-// snapshot fast path (snapshot.go) replicates it operation for operation;
-// TestSnapshotReachMatchesLocked pins the equivalence.
-func (ix *Index) reachLocked(gk core.GlobalKey, level int, stats *ReachStats) []Hit {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
+// reachScratch is the reusable visited table of one traversal. Stamps make
+// clearing O(1): an entry of mark/nmark is live only while it equals the
+// current stamp, so consecutive traversals reuse the dense arrays without
+// zeroing them.
+type reachScratch struct {
+	prob     []float64 // best path probability per node
+	dist     []int32   // hop at which the node was first reached
+	mark     []uint32  // visited stamp
+	nmark    []uint32  // next-frontier membership stamp
+	npos     []int32   // position in the next frontier, valid under nmark
+	frontier []int32
+	fprob    []float64
+	next     []int32
+	nprob    []float64
+	seen     []int32 // visited nodes in discovery order (excludes the start)
+	stamp    uint32
+	nstamp   uint32
+}
 
+// getScratchLocked returns a pooled scratch covering every interned id. One
+// pooled before keys were interned is replaced by a larger one, with a
+// quarter of headroom so a stream of new keys does not replace it on every
+// reach. The caller holds the read lock, so len(ix.keys) is stable.
+func (ix *Index) getScratchLocked() *reachScratch {
+	n := len(ix.keys)
+	sc, ok := ix.scratch.Get().(*reachScratch)
+	if ok && len(sc.mark) >= n {
+		return sc
+	}
+	if ok {
+		n += n / 4
+	}
+	// frontier/next/seen never exceed n entries (frontier membership is
+	// deduplicated per hop), so capacity n means no append ever grows them.
+	return &reachScratch{
+		prob:     make([]float64, n),
+		dist:     make([]int32, n),
+		mark:     make([]uint32, n),
+		nmark:    make([]uint32, n),
+		npos:     make([]int32, n),
+		frontier: make([]int32, 0, n),
+		fprob:    make([]float64, 0, n),
+		next:     make([]int32, 0, n),
+		nprob:    make([]float64, 0, n),
+		seen:     make([]int32, 0, n),
+	}
+}
+
+// appendReachLocked runs the hop-synchronous best-path traversal over the
+// rows and appends its hits, unsorted, to dst. A node's probability is the
+// best product over paths within the hop bound; it rejoins the next
+// frontier whenever that improves, and keeps the hop it was first reached
+// at as its distance. The caller holds the read lock and guarantees
+// level >= 0.
+func (ix *Index) appendReachLocked(dst []Hit, gk core.GlobalKey, level int, stats *ReachStats) []Hit {
 	origin, ok := ix.idLocked(gk)
 	if !ok {
 		// An unknown origin is still expanded: one node, zero edges.
 		if stats != nil {
 			stats.Nodes++
 		}
-		return []Hit{}
+		return dst
 	}
-	type best struct {
-		prob float64
-		dist int
+	start := int32(origin)
+	sc := ix.getScratchLocked()
+
+	if sc.stamp == math.MaxUint32 {
+		clear(sc.mark)
+		sc.stamp = 0
 	}
+	sc.stamp++
+	sc.seen = sc.seen[:0]
+	sc.prob[start] = 1
+	sc.dist[start] = 0
+	sc.mark[start] = sc.stamp
+
+	frontier, fprob := sc.frontier[:0], sc.fprob[:0]
+	next, nprob := sc.next[:0], sc.nprob[:0]
+	frontier = append(frontier, start)
+	fprob = append(fprob, 1)
+
 	maxHops := level + 1
-	seen := map[uint32]best{origin: {prob: 1}}
-	frontier := map[uint32]float64{origin: 1}
 	for hop := 1; hop <= maxHops && len(frontier) > 0; hop++ {
-		next := map[uint32]float64{}
-		for cur, curProb := range frontier {
+		if sc.nstamp == math.MaxUint32 {
+			clear(sc.nmark)
+			sc.nstamp = 0
+		}
+		sc.nstamp++
+		next, nprob = next[:0], nprob[:0]
+		for k, cur := range frontier {
+			curProb := fprob[k]
 			row := ix.rows[cur]
 			if stats != nil {
 				stats.Nodes++
 				stats.Edges += len(row)
 			}
 			for _, e := range row {
+				nb := int32(e.to)
 				p := curProb * e.prob
-				old, ok := seen[e.to]
-				if !ok || p > old.prob {
-					dist := hop
-					if ok && old.dist < hop {
-						dist = old.dist
-					}
-					seen[e.to] = best{prob: p, dist: dist}
-					if p > next[e.to] {
-						next[e.to] = p
-					}
+				if sc.mark[nb] != sc.stamp {
+					sc.mark[nb] = sc.stamp
+					sc.prob[nb] = p
+					sc.dist[nb] = int32(hop)
+					sc.seen = append(sc.seen, nb)
+				} else if p > sc.prob[nb] {
+					sc.prob[nb] = p
+					// dist keeps the first hop the node was seen at.
+				} else {
+					continue
+				}
+				// The node's best probability improved this hop: (re)join
+				// the next frontier carrying the current best.
+				if sc.nmark[nb] == sc.nstamp {
+					nprob[sc.npos[nb]] = sc.prob[nb]
+				} else {
+					sc.nmark[nb] = sc.nstamp
+					sc.npos[nb] = int32(len(next))
+					next = append(next, nb)
+					nprob = append(nprob, sc.prob[nb])
 				}
 			}
 		}
-		frontier = next
+		frontier, next = next, frontier
+		fprob, nprob = nprob, fprob
 	}
+	sc.frontier, sc.fprob, sc.next, sc.nprob = frontier, fprob, next, nprob
 
-	out := make([]Hit, 0, len(seen)-1)
-	for id, b := range seen {
-		if id == origin {
-			continue
-		}
-		out = append(out, Hit{Key: ix.keys[id], Prob: b.prob, Dist: b.dist})
+	dst = slices.Grow(dst, len(sc.seen))
+	for _, id := range sc.seen {
+		dst = append(dst, Hit{Key: ix.keys[id], Prob: sc.prob[id], Dist: int(sc.dist[id])})
 	}
-	SortHits(out)
-	return out
+	ix.scratch.Put(sc)
+	return dst
 }
 
 // Neighbors returns the direct p-relations of gk (its level-0 reach)
@@ -577,8 +606,8 @@ func (ix *Index) Neighbors(gk core.GlobalKey) []core.PRelation {
 // SortHits orders hits by decreasing probability, breaking ties by key.
 // Keys within a reach result are unique, so the comparison is a strict
 // total order and every correct sort yields the same permutation; the
-// hand-rolled quicksort keeps the snapshot Reach fast path free of
-// sort.Slice's reflection and closure allocations.
+// hand-rolled quicksort keeps Reach free of sort.Slice's reflection and
+// closure allocations.
 func SortHits(hits []Hit) { sortHits(hits) }
 
 func hitLess(a, b Hit) bool {
@@ -775,7 +804,6 @@ func (ix *Index) InsertRaw(r core.PRelation) error {
 		ix.journal.Log([]JournalOp{{Kind: OpInsertRaw, Rel: r}}, e)
 	}
 	ix.mu.Unlock()
-	ix.scheduleRebuild()
 	return nil
 }
 
@@ -842,12 +870,15 @@ func (ix *Index) packLocked() {
 	}
 }
 
-// freeze readies an index whose rows were written wholesale: it rebuilds
-// the components and installs a real snapshot in place of the empty one New
-// installed, so the copy reads lock-free at once.
+// freeze readies an index whose rows were written wholesale by rebuilding
+// its components from the rows.
 func (ix *Index) freeze() *Index {
 	ix.comp.rebuild(ix.keys, ix.rows, ix.epoch.Load())
-	ix.markAllDirtyLocked()
-	ix.RefreshSnapshot()
 	return ix
 }
+
+// RefreshSnapshot does nothing: reaches traverse the rows themselves, so no
+// second copy of the adjacency needs refreshing. It exists only because
+// benchmark/stack.go calls it, like SetInvalidationHook, until the ledger
+// assembles its stack through server.New.
+func (ix *Index) RefreshSnapshot() {}

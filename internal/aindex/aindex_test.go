@@ -623,7 +623,6 @@ func TestValidateCatchesCorruptTables(t *testing.T) {
 	for _, c := range corruptions {
 		t.Run(c.name, func(t *testing.T) {
 			ix, _ := buildRandomIndexT(t, 40, 11)
-			quiesce(t, ix)
 			if err := ix.Validate(); err != nil {
 				t.Fatalf("before corruption: %v", err)
 			}

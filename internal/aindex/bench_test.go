@@ -69,39 +69,9 @@ func BenchmarkReach(b *testing.B) {
 	}
 }
 
-// BenchmarkReachSnapshot isolates the lock-free CSR fast path: the snapshot
-// is frozen up front, so every iteration is a pooled-scratch traversal.
-func BenchmarkReachSnapshot(b *testing.B) {
-	ix, keys := buildRandomIndex(5000, 1)
-	ix.RefreshSnapshot()
-	for _, level := range []int{0, 1, 2} {
-		b.Run(fmt.Sprintf("level%d", level), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ix.Reach(keys[i%len(keys)], level)
-			}
-		})
-	}
-}
-
-// BenchmarkReachLockedFallback measures the pre-snapshot reference
-// traversal the fallback path still uses — the baseline BenchmarkReachSnapshot
-// is compared against.
-func BenchmarkReachLockedFallback(b *testing.B) {
-	ix, keys := buildRandomIndex(5000, 1)
-	for _, level := range []int{0, 1, 2} {
-		b.Run(fmt.Sprintf("level%d", level), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ix.reachLocked(keys[i%len(keys)], level, nil)
-			}
-		})
-	}
-}
-
 // scale16Index is an index the size of the ledger's dataset (quepa-server
-// -scale 16: 52,847 keys, 110,635 relations), built once for the snapshot
-// benchmarks below. Its background rebuild loop is parked.
+// -scale 16: 52,847 keys, 110,635 relations), built once for the
+// benchmarks below.
 var scale16Index = sync.OnceValues(newScale16Index)
 
 func newScale16Index() (*Index, []core.GlobalKey) {
@@ -122,7 +92,6 @@ func newScale16Index() (*Index, []core.GlobalKey) {
 	if err != nil {
 		panic(err)
 	}
-	ix.SetRebuildDebounce(time.Hour)
 	return ix, keys
 }
 
@@ -155,47 +124,6 @@ func BenchmarkIndexGC(b *testing.B) {
 	dropped := time.Since(start)
 	b.ReportMetric(float64(after.HeapAlloc-before.HeapAlloc)/1e6, "heap-MB")
 	b.ReportMetric(float64(live-dropped)/1e6/float64(b.N), "gc-ms")
-}
-
-// BenchmarkSnapshotFull is the reference build a key-set change still pays:
-// a fresh key->id table and every row copied, read lock held throughout.
-func BenchmarkSnapshotFull(b *testing.B) {
-	ix, _ := scale16Index()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ix.mu.Lock()
-		ix.markAllDirtyLocked()
-		ix.mu.Unlock()
-		ix.RefreshSnapshot()
-	}
-}
-
-// BenchmarkSnapshotPatch is what a promotion pays instead: one flat copy of
-// the CSR columns plus a re-read of the dirty rows. One promotion between two
-// singleton identity classes dirties 2 rows; a re-promotion that changes no
-// edge dirties none, and its refresh only restamps the predecessor.
-func BenchmarkSnapshotPatch(b *testing.B) {
-	ix, keys := scale16Index()
-	for _, rows := range []int{0, 1, 16, 256, maxDirtyRows} {
-		b.Run(fmt.Sprint(rows), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(int64(rows)))
-			before := ix.SnapshotInfo().Patches
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ix.mu.Lock()
-				for len(ix.dirty) < rows {
-					ix.markRowDirtyLocked(ix.ids[keys[rng.Intn(len(keys))]])
-				}
-				ix.mu.Unlock()
-				ix.RefreshSnapshot()
-			}
-			if got := ix.SnapshotInfo().Patches - before; got != uint64(b.N) {
-				b.Fatalf("%d of %d refreshes were patches", got, b.N)
-			}
-		})
-	}
 }
 
 // BenchmarkStamp is the price of validating one result-cache entry at the
@@ -285,7 +213,7 @@ func BenchmarkNeighbors(b *testing.B) {
 }
 
 // maxHeapPerHalfEdge bounds the live heap an index holds per stored
-// half-edge: rows, id tables, snapshot and components together. On the
+// half-edge: rows, id tables and components together. On the
 // test's shape a map-of-maps adjacency held ~250 B per half-edge; the
 // id-addressed rows hold ~110 B.
 const maxHeapPerHalfEdge = 160

@@ -28,8 +28,8 @@ import (
 
 // BulkLoad builds a fresh index from a relation set, materializing the
 // consistency-condition closure offline with GOMAXPROCS workers. The result
-// is identical to inserting the relations in order with Insert, and comes
-// with a fresh reachability snapshot already installed.
+// is identical to inserting the relations in order with Insert, with its
+// rows packed into one array.
 func BulkLoad(rels []core.PRelation) (*Index, error) {
 	return BulkLoadWorkers(rels, 0)
 }
@@ -48,7 +48,7 @@ func BulkLoadWorkers(rels []core.PRelation, workers int) (*Index, error) {
 	// endpoints too: inserting a matching edge reads the identity classes of
 	// both sides, so a component's closure depends on every relation whose
 	// endpoints connect to it, identity or matching.
-	parent := make(map[core.GlobalKey]core.GlobalKey, 2*len(rels))
+	parent := make(map[core.GlobalKey]core.GlobalKey)
 	var find func(core.GlobalKey) core.GlobalKey
 	find = func(k core.GlobalKey) core.GlobalKey {
 		p, ok := parent[k]
@@ -69,17 +69,17 @@ func BulkLoadWorkers(rels []core.PRelation, workers int) (*Index, error) {
 		}
 	}
 
-	// Partition the relations by component, preserving input order within
-	// each: that order is what makes the per-component replay literally the
-	// sequential replay restricted to the component.
-	groups := make(map[core.GlobalKey][]core.PRelation)
+	// Partition the relations by component, as positions in rels, preserving
+	// input order within each: that order is what makes the per-component
+	// replay literally the sequential replay restricted to the component.
+	groups := make(map[core.GlobalKey][]int32)
 	var roots []core.GlobalKey
-	for _, r := range rels {
+	for i, r := range rels {
 		root := find(r.From)
 		if _, ok := groups[root]; !ok {
 			roots = append(roots, root)
 		}
-		groups[root] = append(groups[root], r)
+		groups[root] = append(groups[root], int32(i))
 	}
 
 	out := New()
@@ -111,8 +111,8 @@ func BulkLoadWorkers(rels []core.PRelation, workers int) (*Index, error) {
 				if i >= len(roots) {
 					break
 				}
-				for _, r := range groups[roots[i]] {
-					shard.insertLocked(r)
+				for _, j := range groups[roots[i]] {
+					shard.insertLocked(rels[j])
 				}
 			}
 			shards[w] = shard
@@ -120,6 +120,16 @@ func BulkLoadWorkers(rels []core.PRelation, workers int) (*Index, error) {
 	}
 	wg.Wait()
 
+	// Size the result's tables once: appending would leave each outgrown
+	// array to the collector, at the point of a load where the heap peaks.
+	n := 0
+	for _, shard := range shards {
+		n += len(shard.keys)
+	}
+	out.keys = make([]core.GlobalKey, 0, n)
+	out.ids = make(map[core.GlobalKey]uint32, n)
+	out.rows = make([][]halfEdge, 0, n)
+	out.dead = make([]bool, 0, n)
 	for _, shard := range shards {
 		offset := uint32(len(out.keys))
 		for id, k := range shard.keys {

@@ -96,28 +96,6 @@ func TestBulkLoadMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestBulkLoadSnapshotFresh: a bulk-loaded index must come with its
-// lock-free snapshot already installed — the whole point of the offline
-// build is that the first read is already fast.
-func TestBulkLoadSnapshotFresh(t *testing.T) {
-	rels := randomRels(30, 5)
-	ix, err := BulkLoad(rels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info := ix.SnapshotInfo()
-	if !info.Fresh {
-		t.Fatalf("bulk-loaded snapshot stale: %+v", info)
-	}
-	if info.Nodes != ix.NodeCount() || info.Edges != ix.EdgeCount() {
-		t.Errorf("snapshot info %+v vs index %d nodes / %d edges",
-			info, ix.NodeCount(), ix.EdgeCount())
-	}
-	if _, st := ix.ReachWithStats(rels[0].From, 1); st.Snapshots == 0 {
-		t.Error("first reach on a bulk-loaded index missed the snapshot path")
-	}
-}
-
 // TestBulkLoadReachMatchesSequential double-checks the equivalence at the
 // query surface, not just the edge export.
 func TestBulkLoadReachMatchesSequential(t *testing.T) {
@@ -156,9 +134,6 @@ func TestBulkLoadEmpty(t *testing.T) {
 	if ix.NodeCount() != 0 || ix.EdgeCount() != 0 {
 		t.Errorf("empty load produced %d nodes, %d edges", ix.NodeCount(), ix.EdgeCount())
 	}
-	if !ix.SnapshotInfo().Fresh {
-		t.Error("empty index snapshot not fresh")
-	}
 }
 
 func TestBulkLoadRejectsInvalid(t *testing.T) {
@@ -174,8 +149,7 @@ func TestBulkLoadRejectsInvalid(t *testing.T) {
 }
 
 // TestBulkLoadAfterLoadMutable: a bulk-loaded index is a normal index —
-// subsequent Inserts keep enforcing the Consistency Condition and the
-// snapshot machinery keeps tracking mutations.
+// subsequent Inserts keep enforcing the Consistency Condition.
 func TestBulkLoadAfterLoadMutable(t *testing.T) {
 	rels := randomRels(20, 3)
 	ix, err := BulkLoad(rels)
@@ -185,11 +159,6 @@ func TestBulkLoadAfterLoadMutable(t *testing.T) {
 	x := core.NewGlobalKey("new", "c", "x")
 	if err := ix.Insert(core.NewIdentity(rels[0].From, x, 0.9)); err != nil {
 		t.Fatal(err)
-	}
-	if ix.SnapshotInfo().Fresh {
-		// Possible but unlikely: the async rebuild already landed. Either
-		// way the index must validate and contain the new node.
-		t.Log("async rebuild landed before the check (ok)")
 	}
 	if !ix.Contains(x) {
 		t.Error("insert after bulk load lost")

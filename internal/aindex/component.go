@@ -27,8 +27,8 @@
 //   - a key that never had an edge has no cell and reads the global epoch,
 //     which every mutation moves.
 //
-// Read path: zero allocations and no lock a mutator or RefreshSnapshot holds
-// across more than O(1) work. The cells sit in 64 map shards, each under its
+// Read path: zero allocations and no lock a mutator holds across more than
+// O(1) work. The cells sit in 64 map shards, each under its
 // own RWMutex, and a shard is written only when a key gets its first edge.
 // Cells hold an atomic parent pointer and an atomic stamp. Union by size
 // bounds the parent walk at log₂ n hops, and mutators compress the paths
@@ -159,9 +159,9 @@ func (c *components) unionLocked(a, b core.GlobalKey, e uint64) {
 
 // publish applies the queued unions with stamp e. Mutators call it after
 // epoch.Add, inside the write lock: a reader that sees a new stamp must also
-// see the new epoch, or reach would still take the old snapshot as fresh
-// (its check is snapshot epoch == index epoch) and the reader would cache
-// pre-mutation hits under the post-mutation stamp.
+// see the mutation's rows, or it would cache pre-mutation hits under the
+// post-mutation stamp. A reach takes the read lock, which the mutator
+// releases only after publishing.
 func (c *components) publish(e uint64) {
 	for _, p := range c.pending {
 		c.unionLocked(p[0], p[1], e)
@@ -227,7 +227,7 @@ func (c *components) rootOf(gk core.GlobalKey) *compCell {
 // from it with one local traversal.
 //
 // Rows are copied wholesale, as Clone copies them, and the copy's
-// components and snapshot are rebuilt before it is returned. Reach(gk, L)
+// components are rebuilt before it is returned. Reach(gk, L)
 // only follows edges of gk's component, and the copy holds all of them with
 // the same rows, so for every key of the copy its hits, probabilities,
 // distances and ReachStats equal this index's bitwise.

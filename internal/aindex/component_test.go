@@ -264,7 +264,6 @@ func TestStampAllocs(t *testing.T) {
 	prev := telemetry.SetEnabled(false)
 	defer telemetry.SetEnabled(prev)
 	ix, keys := buildRandomIndexT(t, 500, 9)
-	quiesce(t, ix)
 	loose := core.NewGlobalKey("loose", "c", "x")
 	for _, k := range []core.GlobalKey{keys[3], loose} {
 		if avg := testing.AllocsPerRun(100, func() { ix.Stamp(k) }); avg != 0 {
@@ -278,7 +277,7 @@ func TestStampAllocs(t *testing.T) {
 // exactly the tracked components with a key keep accepts — a deletion's
 // split halves both, since components never split — and for every key of
 // the copy Reach and ReachWithStats at levels 0–3 equal the source's
-// bitwise, served from the copy's snapshot. EdgeCount is the kept
+// bitwise. EdgeCount is the kept
 // components' sum, and Stamp moves on the copy like on any index.
 func TestIslands(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4, 5} {
@@ -327,7 +326,6 @@ func TestIslands(t *testing.T) {
 			keep[k], kept[find(k)] = true, true
 		}
 		isl := src.Islands(func(k core.GlobalKey) bool { return keep[k] })
-		src.RefreshSnapshot()
 
 		when := fmt.Sprintf("seed %d", seed)
 		if !isl.Contains(islands[0][4]) {
@@ -357,7 +355,7 @@ func TestIslands(t *testing.T) {
 			for level := 0; level <= 3; level++ {
 				want, wantSt := src.ReachWithStats(k, level)
 				got, gotSt := isl.ReachWithStats(k, level)
-				if !slices.Equal(got, want) || gotSt != wantSt || gotSt.Snapshots == 0 {
+				if !slices.Equal(got, want) || gotSt != wantSt {
 					t.Fatalf("%s: %v level %d:\n got %v %+v\nwant %v %+v", when, k, level, got, gotSt, want, wantSt)
 				}
 				if !slices.Equal(isl.Reach(k, level), want) {

@@ -7,8 +7,8 @@
 // pre-crash index. Rather than threading a log through every caller, the
 // index itself exposes a Journal: mutators invoke it inside their write
 // critical section, so the journal order IS the application order, and the
-// epoch passed along is the snapshot epoch the mutation produced — the WAL's
-// batch fences align with the snapshot epochs by construction.
+// epoch passed along is the one the mutation produced — the WAL's batch
+// fences align with the index's epochs by construction.
 package aindex
 
 import (
@@ -78,10 +78,9 @@ func (ix *Index) SetJournal(j Journal) {
 	ix.mu.Unlock()
 }
 
-// Epoch returns the current mutation epoch: every mutation bumps it. Snapshot
-// freshness, WAL fences, checkpoints and the cluster's scatter-cache stamp
-// read it; the augmenter's result cache reads the finer Stamp, which moves
-// only for the component a mutation touched.
+// Epoch returns the current mutation epoch: every mutation bumps it. WAL
+// fences and checkpoints read it; the augmenter's result cache reads the
+// finer Stamp, which moves only for the component a mutation touched.
 func (ix *Index) Epoch() uint64 { return ix.epoch.Load() }
 
 // SetInvalidationHook does nothing. No mutation needs an explicit flush of a
@@ -101,18 +100,14 @@ func (ix *Index) EdgesWithEpoch() ([]core.PRelation, uint64) {
 	return ix.edgesLocked(), ix.epoch.Load()
 }
 
-// AdvanceEpoch moves the mutation epoch forward to at least e and freezes a
-// fresh snapshot at it. Crash recovery calls it after replaying the journal
-// tail, so that post-recovery mutations produce epochs strictly greater than
-// anything already fenced in the log. Moving the epoch backwards is refused.
-// The freeze is a full build: recovery ends on the reference construction
-// whatever the replay left recorded as dirty.
+// AdvanceEpoch moves the mutation epoch forward to at least e. Crash
+// recovery calls it after replaying the journal tail, so that post-recovery
+// mutations produce epochs strictly greater than anything already fenced in
+// the log. Moving the epoch backwards is refused.
 func (ix *Index) AdvanceEpoch(e uint64) {
 	ix.mu.Lock()
 	if ix.epoch.Load() < e {
 		ix.epoch.Store(e)
 	}
-	ix.markAllDirtyLocked()
 	ix.mu.Unlock()
-	ix.RefreshSnapshot()
 }

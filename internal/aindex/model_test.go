@@ -277,8 +277,7 @@ func (m *refIndex) edgeList() []core.PRelation {
 }
 
 // requireMatchesModel fails unless ix answers every read as m does: reach
-// hits and work counts at levels 0-3 from every key (through whatever path
-// Reach takes, and through the locked traversal), Neighbors, Edges, Keys,
+// hits and work counts at levels 0-3 from every key, Neighbors, Edges, Keys,
 // NodeCount, EdgeCount and the persisted bytes — and the id tables are
 // sound.
 func requireMatchesModel(t *testing.T, ix *Index, m *refIndex, universe []core.GlobalKey, when string) {
@@ -321,16 +320,11 @@ func requireMatchesModel(t *testing.T, ix *Index, m *refIndex, universe []core.G
 			t.Fatalf("%s: Neighbors(%v)\n got %v\nwant %v", when, k, got, want)
 		}
 		for level := 0; level <= 3; level++ {
-			var ws, ls ReachStats
+			var ws ReachStats
 			want := m.reach(k, level, &ws)
 			served, ss := ix.ReachWithStats(k, level)
-			locked := ix.reachLocked(k, level, &ls)
-			ss.Snapshots = 0
 			if !slices.Equal(served, want) || ss != ws {
 				t.Fatalf("%s: Reach(%v, %d)\n got %v %+v\nwant %v %+v", when, k, level, served, ss, want, ws)
-			}
-			if !slices.Equal(locked, want) || ls != ws {
-				t.Fatalf("%s: locked reach(%v, %d)\n got %v %+v\nwant %v %+v", when, k, level, locked, ls, want, ws)
 			}
 		}
 	}

@@ -227,7 +227,7 @@ func ReadSnapshot(r io.Reader) (*Index, uint64, error) {
 		return nil, 0, fmt.Errorf("aindex: snapshot claims %d edges", nEdges)
 	}
 	// The index is private until returned: the edges go in unlocked, and
-	// freeze builds the components and the snapshot once at the end.
+	// freeze builds the components once at the end.
 	ix := New()
 	comp := ix.comp
 	ix.comp = nil

@@ -827,7 +827,6 @@ func (s *sink) report(span *telemetry.Span, fetched int, err error) {
 		{"index_nodes", int64(s.reach.Nodes)},
 		{"index_edges", int64(s.reach.Edges)},
 		{"origins_skipped", int64(s.skipped)},
-		{"snapshot_reaches", int64(s.reach.Snapshots)},
 		{"cache_hits", s.cacheHits.Load()},
 		{"cache_misses", s.cacheMisses.Load()},
 		{"negative_hits", s.negative.Load()},

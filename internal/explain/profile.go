@@ -91,10 +91,6 @@ type AugmentationTrace struct {
 	IndexNodes     int    `json:"index_nodes"`
 	IndexEdges     int    `json:"index_edges"`
 	OriginsSkipped int    `json:"origins_skipped"`
-	// SnapshotReaches counts the reachability lookups of this augmentation
-	// that were served lock-free from the A' index's CSR snapshot (the rest
-	// fell back to the locked traversal because a mutation was in flight).
-	SnapshotReaches int `json:"snapshot_reaches,omitempty"`
 	// RcacheHits is 1 when the augmentation's whole outcome was served from
 	// the stamp-validated result cache instead of recomputed.
 	RcacheHits   int     `json:"rcache_hits,omitempty"`

@@ -105,7 +105,7 @@ func (p *Profile) walk(s telemetry.SpanJSON, aug *AugmentationTrace, db string) 
 		n := func(key string) int { return num(a, key) }
 		t := AugmentationTrace{Level: n("level"), Strategy: a["strategy"], Origins: n("origins"), CandidateKeys: n("keys"),
 			IndexNodes: n("index_nodes"), IndexEdges: n("index_edges"), OriginsSkipped: n("origins_skipped"),
-			SnapshotReaches: n("snapshot_reaches"), RcacheHits: n("rcache_hits"), CacheHits: n("cache_hits"),
+			RcacheHits: n("rcache_hits"), CacheHits: n("cache_hits"),
 			CacheMisses: n("cache_misses"), NegativeHits: n("negative_hits"),
 			Fetched: n("fetched"), WallMS: s.DurationMS, Error: a["error"]}
 		for key, reason := range a {

@@ -2,7 +2,7 @@
 // path: whole single-origin augmentation outcomes, keyed by (global key,
 // level) and stamped with a number the caller reads before computing them.
 // The cache compares stamps and nothing else. It memoizes no reach: a
-// snapshot reach costs about a microsecond, less than a probe and a store.
+// reach costs about a microsecond, less than a probe and a store.
 //
 // An entry is stamped with aindex.Index.Stamp of its origin: the epoch of the
 // last mutation that changed an edge of the origin's connected component. If

@@ -133,8 +133,8 @@ type Server struct {
 
 	// rcache memoizes single-origin augmentation outcomes. Each entry
 	// carries its origin's component stamp (aindex.Index.Stamp), so a
-	// mutation invalidates only the island it touched. A cluster peer's
-	// augmenter scatters its reaches and memoizes nothing.
+	// mutation invalidates only the island it touched. Nil on a cluster
+	// peer, whose augmenter scatters its reaches and memoizes nothing.
 	rcache *rcache.Cache
 
 	// wal is the durability manager with DataDir; nil in the default
@@ -182,10 +182,7 @@ type session struct {
 // of a doomed round trip per fetch. On error, whatever New had already
 // opened is closed again.
 func New(cfg Config) (*Server, error) {
-	s := &Server{
-		rcache:   rcache.New(resultCacheCap),
-		sessions: map[string]*session{},
-	}
+	s := &Server{sessions: map[string]*session{}}
 	if err := s.assemble(cfg); err != nil {
 		s.Close()
 		return nil, err
@@ -256,10 +253,12 @@ func (s *Server) assemble(cfg Config) error {
 		return err
 	}
 	s.aug = augment.New(built.Poly, built.Index, baseConfig)
-	s.aug.SetResultCache(s.rcache)
 	s.tracker = aindex.NewPathTracker(built.Index, aindex.DefaultPromotionPolicy)
 	if s.cluster != nil {
 		s.aug.SetReacher(s.cluster) // reach goes scatter-gather
+	} else {
+		s.rcache = rcache.New(resultCacheCap)
+		s.aug.SetResultCache(s.rcache)
 	}
 	s.registerMetrics()
 
@@ -398,17 +397,16 @@ func (s *Server) startSLO(cfg Config) error {
 // registerMetrics exports the server's component state (result cache,
 // index, sessions) on the default registry as function-backed series.
 func (s *Server) registerMetrics() {
-	s.rcache.RegisterMetrics(telemetry.Default())
 	reg := telemetry.Default()
+	if s.rcache != nil {
+		s.rcache.RegisterMetrics(reg)
+	}
 	reg.GaugeFunc("quepa_index_keys", "global keys in the A' index",
 		func() float64 { return float64(s.built.Index.NodeCount()) })
 	reg.GaugeFunc("quepa_index_edges", "p-relations in the A' index",
 		func() float64 { return float64(s.built.Index.EdgeCount()) })
-	// The snapshot is fresh while the two epochs are equal.
 	reg.GaugeFunc("quepa_aindex_epoch", "mutation epoch of the A' index",
 		func() float64 { return float64(s.built.Index.Epoch()) })
-	reg.GaugeFunc("quepa_aindex_snapshot_epoch", "mutation epoch the installed A' read snapshot was built at",
-		func() float64 { return float64(s.built.Index.SnapshotInfo().Epoch) })
 	// The units of result-cache invalidation: in one giant component every
 	// promotion would invalidate every cached result.
 	reg.GaugeFunc("quepa_aindex_components", "connected components of the A' index (never split by lazy deletion)",

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -110,5 +111,25 @@ func TestSearchRunsBaseConfig(t *testing.T) {
 		if _, stats := do(t, s, "GET", "/stats"); stats["config"] != want {
 			t.Fatalf("after search %d /stats config = %v, want %s", i, stats["config"], want)
 		}
+	}
+}
+
+// TestResultCacheSingleNodeOnly: a single-node server memoizes outcomes in
+// its result cache; a cluster peer, whose reaches scatter to the owners,
+// builds none. Checked on the Server value: the /metrics registry is
+// process-wide, so a single-node server earlier in this binary would
+// already have registered the quepa_rcache_* series.
+func TestResultCacheSingleNodeOnly(t *testing.T) {
+	if s := mustNew(t, Config{Workload: smallWorkload(t)}); s.rcache == nil {
+		t.Error("single-node server has no result cache")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	if s := mustNew(t, Config{Workload: smallWorkload(t), Cluster: addr}); s.rcache != nil {
+		t.Error("cluster peer built a result cache it never probes")
 	}
 }

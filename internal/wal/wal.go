@@ -5,7 +5,7 @@
 // The design in one paragraph: the Manager installs itself as the index's
 // aindex.Journal, so every mutation — explicit inserts, the augmenter's lazy
 // deletions, path promotions — is appended to the log as one CRC-framed batch
-// record carrying the mutation's snapshot epoch, from inside the index write
+// record carrying the mutation's epoch, from inside the index write
 // critical section (log order is application order). Checkpoints persist the
 // canonical edge list in the versioned binary snapshot format of
 // internal/aindex/persist.go, stamped with the epoch read atomically with the

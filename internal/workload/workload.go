@@ -96,15 +96,6 @@ type Built struct {
 	relations []core.PRelation
 }
 
-// insertRel asserts a p-relation into the index and records it.
-func (b *Built) insertRel(r core.PRelation) error {
-	if err := b.Index.Insert(r); err != nil {
-		return err
-	}
-	b.relations = append(b.relations, r)
-	return nil
-}
-
 // Relations returns the p-relations asserted during generation, in order
 // (the materialized closure in Index is larger).
 func (b *Built) Relations() []core.PRelation {
@@ -151,7 +142,7 @@ func Build(spec Spec, deploy Deployment) (*Built, error) {
 		return nil, fmt.Errorf("workload: spec must have positive artists and albums per artist")
 	}
 	rng := rand.New(rand.NewSource(spec.Seed))
-	b := &Built{Spec: spec, Poly: core.NewPolystore(), Index: aindex.New()}
+	b := &Built{Spec: spec, Poly: core.NewPolystore()}
 
 	// Replica group 0 is the base polystore; further groups are replicas.
 	for group := 0; group <= spec.ReplicaRounds; group++ {
@@ -159,10 +150,13 @@ func Build(spec Spec, deploy Deployment) (*Built, error) {
 			return nil, err
 		}
 	}
-	// Freeze the reachability snapshot over the finished index so the first
-	// queries (and the benchmarks) read lock-free instead of waiting out the
-	// debounced rebuild the generation inserts scheduled.
-	b.Index.RefreshSnapshot()
+	// BulkLoad builds the index inserting the relations in order would,
+	// with its rows packed into one array.
+	index, err := aindex.BulkLoad(b.relations)
+	if err != nil {
+		return nil, err
+	}
+	b.Index = index
 	return b, nil
 }
 
@@ -373,26 +367,18 @@ func (b *Built) buildGroup(spec Spec, group int, rng *rand.Rand, deploy Deployme
 		dGK := core.NewGlobalKey(catalogueName, "albums", fmt.Sprintf("d%d", i))
 		aGK := core.NewGlobalKey(transactionsName, "inventory", fmt.Sprintf("a%d", i))
 		nGK := core.NewGlobalKey(similarName, "items", fmt.Sprintf("n%d", i))
-		if err := b.insertRel(core.NewIdentity(dGK, aGK, 0.90+0.09*rng.Float64())); err != nil {
-			return err
-		}
-		if err := b.insertRel(core.NewIdentity(dGK, nGK, 0.90+0.09*rng.Float64())); err != nil {
-			return err
-		}
+		b.relations = append(b.relations, core.NewIdentity(dGK, aGK, 0.90+0.09*rng.Float64()))
+		b.relations = append(b.relations, core.NewIdentity(dGK, nGK, 0.90+0.09*rng.Float64()))
 		if group == 0 && b.discountKeys[i] != "" {
 			kGK := core.NewGlobalKey("discount", "drop", b.discountKeys[i])
-			if err := b.insertRel(core.NewIdentity(dGK, kGK, 0.90+0.09*rng.Float64())); err != nil {
-				return err
-			}
+			b.relations = append(b.relations, core.NewIdentity(dGK, kGK, 0.90+0.09*rng.Float64()))
 		}
 		if group > 0 {
 			// Replicas are linked to the base catalogue object, so queries on
 			// any database reach the replicas' identity class too, growing the
 			// augmented answer with the polystore, as in the paper's setup.
 			baseGK := core.NewGlobalKey("catalogue", "albums", fmt.Sprintf("d%d", i))
-			if err := b.insertRel(core.NewIdentity(baseGK, dGK, 0.90+0.09*rng.Float64())); err != nil {
-				return err
-			}
+			b.relations = append(b.relations, core.NewIdentity(baseGK, dGK, 0.90+0.09*rng.Float64()))
 		}
 	}
 	// Matching p-relations: each sale matches its inventory item.
@@ -401,9 +387,7 @@ func (b *Built) buildGroup(spec Spec, group int, rng *rand.Rand, deploy Deployme
 		for s := 0; s < spec.SalesPerAlbum; s++ {
 			sGK := core.NewGlobalKey(transactionsName, "sales", fmt.Sprintf("s%d", saleID))
 			aGK := core.NewGlobalKey(transactionsName, "inventory", fmt.Sprintf("a%d", i))
-			if err := b.insertRel(core.NewMatching(sGK, aGK, 0.60+0.29*rng.Float64())); err != nil {
-				return err
-			}
+			b.relations = append(b.relations, core.NewMatching(sGK, aGK, 0.60+0.29*rng.Float64()))
 			saleID++
 		}
 	}

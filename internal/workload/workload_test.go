@@ -2,8 +2,10 @@ package workload
 
 import (
 	"context"
+	"slices"
 	"testing"
 
+	"quepa/internal/aindex"
 	"quepa/internal/augment"
 	"quepa/internal/core"
 )
@@ -267,5 +269,33 @@ func TestRelationsRecorded(t *testing.T) {
 	rels[0].Prob = -1
 	if r := b.Relations()[0]; r.Prob == -1 {
 		t.Error("Relations returned inner slice")
+	}
+}
+
+// TestBuildIndexMatchesInsertReplay: Build loads its index in one bulk load,
+// and that index has exactly the edges of replaying Relations() through
+// Insert one by one — with and without replica rounds, whose identities
+// join the base catalogue's classes.
+func TestBuildIndexMatchesInsertReplay(t *testing.T) {
+	for _, rounds := range []int{0, 2} {
+		spec := tinySpec()
+		spec.ReplicaRounds = rounds
+		b, err := Build(spec, Colocated())
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq := aindex.New()
+		for _, r := range b.Relations() {
+			if err := seq.Insert(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := b.Index.Edges(), seq.Edges(); !slices.Equal(got, want) {
+			t.Fatalf("%d replica rounds: Build's index has %d edges, the Insert replay %d, and they differ",
+				rounds, len(got), len(want))
+		}
+		if err := b.Index.Validate(); err != nil {
+			t.Fatalf("%d replica rounds: %v", rounds, err)
+		}
 	}
 }
