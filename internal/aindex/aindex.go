@@ -80,18 +80,14 @@ type Index struct {
 	// crash recovery can replay mutations in application order.
 	journal Journal
 
-	// comp tracks the connected components behind Stamp (component.go). Nil
-	// only while a loader fills a private index (the bulk loader's shards,
-	// ReadSnapshot), whose components are rebuilt from the rows.
-	comp *components
+	// comp tracks the connected components behind Stamp (component.go),
+	// one entry per interned id, under mu like the rows.
+	comp components
 }
 
 // New returns an empty index.
 func New() *Index {
-	return &Index{
-		ids:  map[core.GlobalKey]uint32{},
-		comp: newComponents(),
-	}
+	return &Index{ids: map[core.GlobalKey]uint32{}}
 }
 
 // NodeCount returns the number of global keys present in the index.
@@ -126,6 +122,7 @@ func (ix *Index) internLocked(gk core.GlobalKey) uint32 {
 		ix.ids[gk] = id
 		ix.rows = append(ix.rows, nil)
 		ix.dead = append(ix.dead, false)
+		ix.comp.add(ix.epoch.Load() + 1)
 	case ix.dead[id]:
 		ix.dead[id] = false
 	default:
@@ -146,7 +143,6 @@ func (ix *Index) Insert(r core.PRelation) error {
 	ix.mu.Lock()
 	ix.insertLocked(r)
 	e := ix.epoch.Add(1)
-	ix.comp.publish(e)
 	if ix.journal != nil {
 		ix.journal.Log([]JournalOp{{Kind: OpInsert, Rel: r}}, e)
 	}
@@ -155,8 +151,8 @@ func (ix *Index) Insert(r core.PRelation) error {
 }
 
 // insertLocked materializes r and its consistency-condition closure. The
-// caller holds the write lock — or owns the index exclusively, as the bulk
-// loader's per-component shards do — and is responsible for the epoch bump.
+// caller holds the write lock — or owns the index exclusively, as BulkLoad
+// does — and bumps the epoch once afterwards.
 // r is valid, so the edge between its endpoints is always written and
 // interning them up front adds no key the closure would not.
 func (ix *Index) insertLocked(r core.PRelation) {
@@ -240,8 +236,8 @@ func sortedIDs(cls map[uint32]float64) []uint32 {
 // identityClassLocked returns the identity class of id as a map from member
 // to the best path probability from id (id itself maps to 1). Identity
 // classes are maintained as cliques, so direct neighbors suffice; the
-// traversal is still transitive for robustness against partially built
-// indexes (e.g. bulk loads that bypass materialization).
+// traversal is still transitive for robustness against indexes whose edges
+// bypassed materialization (InsertRaw, ReadSnapshot).
 //
 // The traversal is hop-synchronous with frozen frontier values and requeues
 // a node whenever its probability improves, running to the fixed point: the
@@ -277,7 +273,9 @@ func (ix *Index) identityClassLocked(id uint32) map[uint32]float64 {
 
 // setEdgeLocked installs an undirected edge between two interned ids,
 // keeping the stronger of the old and new variants: identity beats
-// matching, and within a type the higher probability wins.
+// matching, and within a type the higher probability wins. A written edge
+// unions its endpoints' components, stamped with the epoch the caller bumps
+// to once its edges are written.
 func (ix *Index) setEdgeLocked(a, b uint32, typ core.RelType, prob float64) {
 	if prob > 1 {
 		prob = 1
@@ -298,10 +296,7 @@ func (ix *Index) setEdgeLocked(a, b uint32, typ core.RelType, prob float64) {
 	}
 	ix.rows[a] = setHalfEdge(ix.rows[a], halfEdge{to: b, typ: typ, prob: prob})
 	ix.rows[b] = setHalfEdge(ix.rows[b], halfEdge{to: a, typ: typ, prob: prob})
-	if ix.comp != nil {
-		// Queued, not applied: the caller publishes after its epoch bump.
-		ix.comp.pending = append(ix.comp.pending, [2]core.GlobalKey{ix.keys[a], ix.keys[b]})
-	}
+	ix.comp.unionLocked(a, b, ix.epoch.Load()+1)
 }
 
 // findHalfEdge returns the position of the half-edge to id in a row, or
@@ -380,10 +375,8 @@ func (ix *Index) RemoveObjectCtx(ctx context.Context, gk core.GlobalKey) bool {
 	ix.dead[id] = true
 	ix.live--
 	e := ix.epoch.Add(1)
-	// After the bump, like publish. gk keeps its cell: components never split.
-	if cell := ix.comp.lookup(gk); cell != nil {
-		root(cell).stamp.Store(e)
-	}
+	// gk keeps its id in the component: components never split.
+	ix.comp.stamp[ix.comp.findLocked(id)] = e
 	if ix.journal != nil {
 		ix.logCtxLocked(ctx, []JournalOp{{Kind: OpRemove, Key: gk}}, e)
 	}
@@ -713,13 +706,13 @@ func (ix *Index) Validate() error {
 
 // validateTablesLocked checks the id tables behind the rows: ids and keys
 // are a bijection, the live and edge counts match the rows, tombstoned rows
-// are empty, and every row is sorted by target with no duplicate and no
-// target that is out of range or tombstoned.
+// are empty, every row is sorted by target with no duplicate and no target
+// that is out of range or tombstoned, and every edge lies in one component.
 func (ix *Index) validateTablesLocked() error {
 	n := len(ix.keys)
-	if len(ix.ids) != n || len(ix.rows) != n || len(ix.dead) != n {
-		return fmt.Errorf("aindex: id tables disagree: %d keys, %d ids, %d rows, %d tombstone flags",
-			n, len(ix.ids), len(ix.rows), len(ix.dead))
+	if len(ix.ids) != n || len(ix.rows) != n || len(ix.dead) != n || len(ix.comp.parent) != n {
+		return fmt.Errorf("aindex: id tables disagree: %d keys, %d ids, %d rows, %d tombstone flags, %d components",
+			n, len(ix.ids), len(ix.rows), len(ix.dead), len(ix.comp.parent))
 	}
 	live, ends := 0, 0
 	for id, k := range ix.keys {
@@ -747,6 +740,8 @@ func (ix *Index) validateTablesLocked() error {
 				return fmt.Errorf("aindex: %v holds two half-edges to %v", k, ix.keys[e.to])
 			case i > 0 && e.to < row[i-1].to:
 				return fmt.Errorf("aindex: row of %v is not sorted by target", k)
+			case ix.comp.root(uint32(id)) != ix.comp.root(e.to):
+				return fmt.Errorf("aindex: %v and %v are related but not in one component", k, ix.keys[e.to])
 			}
 		}
 	}
@@ -799,7 +794,6 @@ func (ix *Index) InsertRaw(r core.PRelation) error {
 	ix.mu.Lock()
 	ix.setEdgeLocked(ix.internLocked(r.From), ix.internLocked(r.To), r.Type, r.Prob)
 	e := ix.epoch.Add(1)
-	ix.comp.publish(e)
 	if ix.journal != nil {
 		ix.journal.Log([]JournalOp{{Kind: OpInsertRaw, Rel: r}}, e)
 	}
@@ -817,33 +811,38 @@ func (ix *Index) Clone() *Index {
 	return out.freeze()
 }
 
-// copyRowsLocked copies every live row whose key take accepts (every live
+// copyRowsLocked copies every live row whose id take accepts (every live
 // row for a nil take) into a new index with the edge count the copied rows
 // hold. The copy interns the taken keys in id order, so its rows stay sorted
-// by target, and packs them into one array. Every target of a taken row must
-// be taken too: take accepts whole components. The caller holds at least
-// the read lock and freezes the copy before it serves.
-func (ix *Index) copyRowsLocked(take func(core.GlobalKey) bool) *Index {
+// by target, packs them into one array and unions its components from them.
+// Every target of a taken row must be taken too: take accepts whole
+// components. The caller holds at least the read lock; freeze stamps the
+// copy's components before it serves.
+func (ix *Index) copyRowsLocked(take func(id uint32) bool) *Index {
 	out := New()
 	var taken []uint32
 	remap := make([]uint32, len(ix.keys))
 	ends := 0
 	for id, k := range ix.keys {
-		if ix.dead[id] || (take != nil && !take(k)) {
+		if ix.dead[id] || (take != nil && !take(uint32(id))) {
 			continue
 		}
 		remap[id] = uint32(len(out.keys))
 		out.keys = append(out.keys, k)
 		out.ids[k] = remap[id]
+		out.comp.add(0)
 		taken = append(taken, uint32(id))
 		ends += len(ix.rows[id])
 	}
 	back := make([]halfEdge, 0, ends)
-	for _, id := range taken {
+	for a, id := range taken {
 		lo := len(back)
 		for _, e := range ix.rows[id] {
 			e.to = remap[e.to]
 			back = append(back, e)
+			if uint32(a) < e.to {
+				out.comp.unionLocked(uint32(a), e.to, 0)
+			}
 		}
 		out.rows = append(out.rows, back[lo:len(back):len(back)])
 	}
@@ -870,10 +869,10 @@ func (ix *Index) packLocked() {
 	}
 }
 
-// freeze readies an index whose rows were written wholesale by rebuilding
-// its components from the rows.
+// freeze readies a loaded index to serve: every component is stamped with
+// the epoch, and every id left one hop from its root.
 func (ix *Index) freeze() *Index {
-	ix.comp.rebuild(ix.keys, ix.rows, ix.epoch.Load())
+	ix.comp.freeze(ix.epoch.Load())
 	return ix
 }
 

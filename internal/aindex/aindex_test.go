@@ -619,6 +619,11 @@ func TestValidateCatchesCorruptTables(t *testing.T) {
 			row := ix.rows[firstRow(ix, 2)]
 			row[0], row[1] = row[1], row[0]
 		}},
+		{"split component", "not in one component", func(ix *Index) {
+			for id := range ix.comp.parent {
+				ix.comp.parent[id] = uint32(id)
+			}
+		}},
 	}
 	for _, c := range corruptions {
 		t.Run(c.name, func(t *testing.T) {

@@ -127,7 +127,7 @@ func BenchmarkIndexGC(b *testing.B) {
 }
 
 // BenchmarkStamp is the price of validating one result-cache entry at the
-// ledger's index size: a shard probe plus a parent walk. "hot" cycles over 64
+// ledger's index size: a read lock, an id probe and a parent walk. "hot" cycles over 64
 // keys, as a skewed query stream does; "cold" over all 52,847, so every probe
 // misses the CPU caches.
 func BenchmarkStamp(b *testing.B) {
@@ -169,8 +169,9 @@ func randomRelsBench(n int, seed int64) []core.PRelation {
 	return rels
 }
 
-// BenchmarkBulkLoad compares the offline component-parallel load against the
-// sequential Insert loop it replaces.
+// BenchmarkBulkLoad compares BulkLoad, the ordered insert replay into a
+// private index, against the same relations inserted one locked Insert at a
+// time.
 func BenchmarkBulkLoad(b *testing.B) {
 	rels := randomRelsBench(2000, 6)
 	b.Run("insert-loop", func(b *testing.B) {
@@ -213,10 +214,11 @@ func BenchmarkNeighbors(b *testing.B) {
 }
 
 // maxHeapPerHalfEdge bounds the live heap an index holds per stored
-// half-edge: rows, id tables and components together. On the
-// test's shape a map-of-maps adjacency held ~250 B per half-edge; the
-// id-addressed rows hold ~110 B.
-const maxHeapPerHalfEdge = 160
+// half-edge: rows, id tables and components together. On the test's shape
+// a map-of-maps adjacency held ~250 B per half-edge, id-addressed rows
+// beside a pointer union-find in map shards ~94 B, and the same rows beside
+// the id-addressed union-find ~73 B.
+const maxHeapPerHalfEdge = 85
 
 // TestIndexHeapPerHalfEdge guards the index's memory layout: an index of
 // ~50k relations, with every key holding a row, must stay under

@@ -59,10 +59,9 @@ func equalEdges(a, b []core.PRelation) bool {
 	return true
 }
 
-// TestBulkLoadMatchesSequential pins the tentpole build-path invariant: the
-// offline closure computed by BulkLoad is byte-identical to replaying the
-// relations through sequential Inserts, for every worker count, across
-// random relation sets.
+// TestBulkLoadMatchesSequential pins the build-path invariant: the
+// closure computed by BulkLoad is byte-identical to replaying the relations
+// through sequential Inserts, across random relation sets.
 func TestBulkLoadMatchesSequential(t *testing.T) {
 	f := func(seed int64) bool {
 		rels := randomRels(40, seed)
@@ -72,22 +71,18 @@ func TestBulkLoadMatchesSequential(t *testing.T) {
 				return false
 			}
 		}
-		want := seq.Edges()
-		for _, workers := range []int{0, 1, 3, 16} {
-			bulk, err := BulkLoadWorkers(rels, workers)
-			if err != nil {
-				t.Logf("seed %d workers %d: %v", seed, workers, err)
-				return false
-			}
-			if !equalEdges(want, bulk.Edges()) {
-				t.Logf("seed %d workers %d: %d bulk edges vs %d sequential",
-					seed, workers, bulk.EdgeCount(), seq.EdgeCount())
-				return false
-			}
-			if err := bulk.Validate(); err != nil {
-				t.Logf("seed %d workers %d: %v", seed, workers, err)
-				return false
-			}
+		bulk, err := BulkLoad(rels)
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
+		}
+		if !equalEdges(seq.Edges(), bulk.Edges()) {
+			t.Logf("seed %d: %d bulk edges vs %d sequential", seed, bulk.EdgeCount(), seq.EdgeCount())
+			return false
+		}
+		if err := bulk.Validate(); err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
 		}
 		return true
 	}

@@ -12,23 +12,40 @@ import (
 )
 
 // stampView is what the stamp contract is checked against: every key's
-// stamp, tracked component root and reach at levels 0..3.
+// stamp, tracked component root and reach at levels 0..3. A key without an
+// id has no root; keys share a root pointer exactly when they share a
+// component.
 type stampView struct {
 	stamp map[core.GlobalKey]uint64
-	root  map[core.GlobalKey]*compCell
+	root  map[core.GlobalKey]*uint32
 	reach map[core.GlobalKey][4][]Hit
+}
+
+// rootOf returns the root id of gk's tracked component, if gk has an id.
+func rootOf(ix *Index, gk core.GlobalKey) (uint32, bool) {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	id, ok := ix.ids[gk]
+	if !ok {
+		return 0, false
+	}
+	return ix.comp.root(id), true
 }
 
 func observeStamps(ix *Index, keys []core.GlobalKey) stampView {
 	v := stampView{
 		stamp: map[core.GlobalKey]uint64{},
-		root:  map[core.GlobalKey]*compCell{},
+		root:  map[core.GlobalKey]*uint32{},
 		reach: map[core.GlobalKey][4][]Hit{},
 	}
+	roots := map[uint32]*uint32{}
 	for _, k := range keys {
 		v.stamp[k] = ix.Stamp(k)
-		if cell := ix.comp.lookup(k); cell != nil {
-			v.root[k] = root(cell)
+		if rt, ok := rootOf(ix, k); ok {
+			if roots[rt] == nil {
+				roots[rt] = &rt
+			}
+			v.root[k] = roots[rt]
 		}
 		var r [4][]Hit
 		for level := range r {
@@ -177,13 +194,13 @@ func checkStampContract(t *testing.T, ix *Index, islands [][]core.GlobalKey, all
 // loads have split nothing, so the two must agree exactly).
 func requireTrueComponents(t *testing.T, ix *Index, when string) {
 	t.Helper()
-	roots := map[*compCell]bool{}
+	roots := map[uint32]bool{}
 	for _, e := range ix.Edges() {
-		ca, cb := ix.comp.lookup(e.From), ix.comp.lookup(e.To)
-		if ca == nil || cb == nil {
-			t.Fatalf("%s: %v <-> %v has an endpoint without a component cell", when, e.From, e.To)
+		ra, okA := rootOf(ix, e.From)
+		rb, okB := rootOf(ix, e.To)
+		if !okA || !okB {
+			t.Fatalf("%s: %v <-> %v has an endpoint without an id", when, e.From, e.To)
 		}
-		ra, rb := root(ca), root(cb)
 		if ra != rb {
 			t.Fatalf("%s: %v and %v are related but in different components", when, e.From, e.To)
 		}
@@ -232,7 +249,7 @@ func TestStampContract(t *testing.T) {
 	}
 }
 
-// TestStampKeylessReadsEpoch: a key that never had an edge has no cell and
+// TestStampKeylessReadsEpoch: a key that never had an edge has no id and
 // reads the global epoch; its first edge gives it a component stamped with
 // that mutation's epoch.
 func TestStampKeylessReadsEpoch(t *testing.T) {
@@ -380,5 +397,28 @@ func TestIslands(t *testing.T) {
 			t.Fatalf("%s: after an insert Stamp(%v) = %d (epoch %d), Stamp(%v) %d -> %d",
 				when, a, isl.Stamp(a), isl.Epoch(), other, before, isl.Stamp(other))
 		}
+	}
+}
+
+// TestIslandsLooseKeys: a key whose every neighbor was removed, once
+// copied, is a component of its own, so a carve keeps it only if keep
+// accepts it.
+func TestIslandsLooseKeys(t *testing.T) {
+	k := func(s string) core.GlobalKey { return core.NewGlobalKey("d", "c", s) }
+	src := New()
+	for _, r := range []core.PRelation{core.NewMatching(k("a"), k("b"), 0.5), core.NewMatching(k("c"), k("d"), 0.5)} {
+		if err := src.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src.RemoveObject(k("b"))
+	src.RemoveObject(k("d"))
+	clone := src.Clone()
+	if n, _ := clone.Components(); n != 0 {
+		t.Fatalf("a copy with no edge tracks %d components holding one", n)
+	}
+	isl := clone.Islands(func(gk core.GlobalKey) bool { return gk == k("a") })
+	if !isl.Contains(k("a")) || isl.Contains(k("c")) {
+		t.Fatalf("carving a from two loose keys kept %v", isl.Keys())
 	}
 }

@@ -148,11 +148,11 @@ func (m *refIndex) remove(gk core.GlobalKey) bool {
 	return true
 }
 
-// root returns gk's component, or the zero key for a key that never had an
-// edge — the nil cell the index reads for it.
+// root returns gk's component. A key no edge was written to since the
+// last wholesale load is a component of its own, as its id is in the index.
 func (m *refIndex) root(gk core.GlobalKey) core.GlobalKey {
 	if _, ok := m.parent[gk]; !ok {
-		return core.GlobalKey{}
+		return gk
 	}
 	for m.parent[gk] != gk {
 		gk = m.parent[gk]
@@ -333,13 +333,13 @@ func requireMatchesModel(t *testing.T, ix *Index, m *refIndex, universe []core.G
 // TestIndexMatchesReferenceModel drives the index and the reference model
 // through the same seeded random operations — inserts with and without the
 // closure, lazy deletions (and revivals of deleted keys), Clone, Islands,
-// BulkLoadWorkers and a persisted round trip — and compares every read
+// BulkLoad and a persisted round trip — and compares every read
 // after every operation.
 //
 // An Insert into an index that InsertRaw left unclosed depends on iteration
 // order, in the reference as much as in the index: the closure may upgrade
 // an edge it reads later. So once an InsertRaw opens the closure, inserts
-// stay raw until a BulkLoadWorkers, which replays every edge through
+// stay raw until a BulkLoad, which replays every edge through
 // Insert from empty, closes it again.
 func TestIndexMatchesReferenceModel(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5, 6}
@@ -401,10 +401,9 @@ func TestIndexMatchesReferenceModel(t *testing.T) {
 				take := func(k core.GlobalKey) bool { return keep[k] }
 				ix, m = ix.Islands(take), m.islands(take)
 			case n < 90:
-				workers := 1 + rng.Intn(4)
-				op = fmt.Sprintf("BulkLoadWorkers(%d)", workers)
+				op = "BulkLoad"
 				rels := ix.Edges()
-				next, err := BulkLoadWorkers(rels, workers)
+				next, err := BulkLoad(rels)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -226,11 +226,8 @@ func ReadSnapshot(r io.Reader) (*Index, uint64, error) {
 	if nEdges > maxKeys {
 		return nil, 0, fmt.Errorf("aindex: snapshot claims %d edges", nEdges)
 	}
-	// The index is private until returned: the edges go in unlocked, and
-	// freeze builds the components once at the end.
+	// The index is private until returned: the edges go in unlocked.
 	ix := New()
-	comp := ix.comp
-	ix.comp = nil
 	for i := uint32(0); i < nEdges; i++ {
 		from, err := binary.ReadUvarint(cr)
 		if err != nil {
@@ -264,7 +261,6 @@ func ReadSnapshot(r io.Reader) (*Index, uint64, error) {
 	if got := binary.LittleEndian.Uint32(buf[:4]); got != sum {
 		return nil, 0, fmt.Errorf("aindex: snapshot crc mismatch: stored %08x, computed %08x", got, sum)
 	}
-	ix.comp = comp
 	ix.packLocked()
 	return ix.freeze(), epoch, nil
 }

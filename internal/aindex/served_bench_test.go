@@ -2,6 +2,7 @@ package aindex_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"quepa/internal/aindex"
@@ -32,4 +33,29 @@ func BenchmarkReach50Served(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(hits)), "hits/op")
+}
+
+// BenchmarkBulkLoadServed is the load every server pays at start: the
+// relations workload.Build collects at the ledger's scale 16, loaded into a
+// fresh index. alloc-MB is the bytes one load allocates (TotalAlloc), most
+// of which is garbage once the index is built.
+func BenchmarkBulkLoadServed(b *testing.B) {
+	built, err := workload.Build(workload.DefaultSpec().Scale(16), workload.Colocated())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rels := built.Relations()
+	built = nil
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := aindex.BulkLoad(rels); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/1e6/float64(b.N), "alloc-MB")
+	b.ReportMetric(float64(len(rels)), "rels")
 }

@@ -234,10 +234,9 @@ func (c *Collector) dedupeIdentities(rels []core.PRelation) []core.PRelation {
 	return keep
 }
 
-// BuildIndex runs the pipeline and loads the result into a fresh A' index.
-// Loading goes through aindex.BulkLoad: the consistency-condition closure is
-// computed offline per connected component and the adjacency installed in
-// one locked swap, instead of one locked Insert per relation.
+// BuildIndex runs the pipeline and loads the result into a fresh A' index
+// with aindex.BulkLoad: the relations' ordered Insert replay into an index
+// no reader sees yet, with no lock taken per relation.
 func (c *Collector) BuildIndex(ctx context.Context, objects []core.Object) (*aindex.Index, []core.PRelation, error) {
 	ix, rels, _, err := c.BuildIndexWithStats(ctx, objects)
 	return ix, rels, err
@@ -251,7 +250,7 @@ func (c *Collector) BuildIndexWithStats(ctx context.Context, objects []core.Obje
 	if err != nil {
 		return nil, nil, stats, err
 	}
-	ix, err := aindex.BulkLoadWorkers(rels, c.cfg.Workers)
+	ix, err := aindex.BulkLoad(rels)
 	if err != nil {
 		return nil, nil, stats, fmt.Errorf("collector: bulk load: %w", err)
 	}

@@ -300,3 +300,19 @@ func TestExistsAndNin(t *testing.T) {
 		t.Error("$nin with non-array should fail")
 	}
 }
+
+// TestLookupPathAllocs: resolving a nested path on a decoded body walks
+// the path in place and allocates nothing; a filter runs it on every
+// document it tests.
+func TestLookupPathAllocs(t *testing.T) {
+	s := newCatalogue(t)
+	d, _ := s.Get("albums", "d3")
+	var got any
+	avg := testing.AllocsPerRun(100, func() { got, _ = lookupPath(d.Body, "label.country") })
+	if got != "UK" {
+		t.Fatalf("lookupPath(label.country) = %v, want UK", got)
+	}
+	if avg != 0 {
+		t.Errorf("lookupPath allocates %.1f/op, want 0", avg)
+	}
+}

@@ -113,7 +113,9 @@ func lookupPath(v any, path string) (any, bool) {
 		return v, true
 	}
 	cur := v
-	for _, part := range strings.Split(path, ".") {
+	for rest, more := path, true; more; {
+		var part string
+		part, rest, more = strings.Cut(rest, ".")
 		switch node := cur.(type) {
 		case map[string]any:
 			nxt, ok := node[part]

@@ -150,8 +150,8 @@ func Build(spec Spec, deploy Deployment) (*Built, error) {
 			return nil, err
 		}
 	}
-	// BulkLoad builds the index inserting the relations in order would,
-	// with its rows packed into one array.
+	// BulkLoad replays the relations in order through Insert's closure into
+	// an index no reader sees yet, and packs its rows into one array.
 	index, err := aindex.BulkLoad(b.relations)
 	if err != nil {
 		return nil, err
