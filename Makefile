@@ -119,20 +119,25 @@ crashtest:
 bench-recovery:
 	$(GO) run ./cmd/quepa-bench -fig recovery
 
-# Short fuzzing pass over the parsers, the relational store's ordered index
-# against its scan, its number predicate against strconv.ParseFloat, the validator against one store of each kind (whatever it
-# admits, the engine executes), the A' binary snapshot loader, the wire-frame
-# decoders, and the server's response encoder against encoding/json.
+# Short fuzzing pass over every fuzzer in the tree, one anchored line each:
+# the parsers (global key, relational SQL, document filter and query
+# splitter), the relational store's LIKE matcher, its ordered index against
+# its scan, its number predicate against strconv.ParseFloat, the validator
+# against one store of each kind (whatever it admits, the engine executes),
+# the A' binary snapshot loader, the wire-frame decoders, and the server's
+# response encoder against encoding/json.
 fuzz:
-	$(GO) test ./internal/core -fuzz=FuzzParseGlobalKey -fuzztime=15s -run='^$$'
-	$(GO) test ./internal/stores/relstore -fuzz=FuzzParse -fuzztime=15s -run='^$$'
-	$(GO) test ./internal/stores/relstore -fuzz=FuzzRangeIndex -fuzztime=15s -run='^$$'
-	$(GO) test ./internal/stores/relstore -fuzz=FuzzMayBeFloat -fuzztime=15s -run='^$$'
-	$(GO) test ./internal/stores/docstore -fuzz=FuzzParseFilter -fuzztime=15s -run='^$$'
-	$(GO) test ./internal/validator -fuzz=FuzzValidate -fuzztime=15s -run='^$$'
-	$(GO) test ./internal/aindex -fuzz=FuzzReadSnapshot -fuzztime=15s -run='^$$'
-	$(GO) test ./internal/wire -fuzz=FuzzDecodeFrame -fuzztime=15s -run='^$$'
-	$(GO) test ./cmd/quepa-server -fuzz=FuzzEncodeObject -fuzztime=15s -run='^$$'
+	$(GO) test ./internal/core -fuzz='^FuzzParseGlobalKey$$' -fuzztime=15s -run='^$$'
+	$(GO) test ./internal/stores/relstore -fuzz='^FuzzParse$$' -fuzztime=15s -run='^$$'
+	$(GO) test ./internal/stores/relstore -fuzz='^FuzzLikeMatch$$' -fuzztime=15s -run='^$$'
+	$(GO) test ./internal/stores/relstore -fuzz='^FuzzRangeIndex$$' -fuzztime=15s -run='^$$'
+	$(GO) test ./internal/stores/relstore -fuzz='^FuzzMayBeFloat$$' -fuzztime=15s -run='^$$'
+	$(GO) test ./internal/stores/docstore -fuzz='^FuzzParseFilter$$' -fuzztime=15s -run='^$$'
+	$(GO) test ./internal/stores/docstore -fuzz='^FuzzQueryParse$$' -fuzztime=15s -run='^$$'
+	$(GO) test ./internal/validator -fuzz='^FuzzValidate$$' -fuzztime=15s -run='^$$'
+	$(GO) test ./internal/aindex -fuzz='^FuzzReadSnapshot$$' -fuzztime=15s -run='^$$'
+	$(GO) test ./internal/wire -fuzz='^FuzzDecodeFrame$$' -fuzztime=15s -run='^$$'
+	$(GO) test ./cmd/quepa-server -fuzz='^FuzzEncodeObject$$' -fuzztime=15s -run='^$$'
 
 # One figure: make figures FIG=11ab
 FIG ?= all

@@ -144,7 +144,7 @@ func (ix *Index) Insert(r core.PRelation) error {
 	ix.insertLocked(r)
 	e := ix.epoch.Add(1)
 	if ix.journal != nil {
-		ix.journal.Log([]JournalOp{{Kind: OpInsert, Rel: r}}, e)
+		ix.journal.LogCtx(context.Background(), []JournalOp{{Kind: OpInsert, Rel: r}}, e)
 	}
 	ix.mu.Unlock()
 	return nil
@@ -354,9 +354,9 @@ func (ix *Index) RemoveObject(gk core.GlobalKey) bool {
 	return ix.RemoveObjectCtx(context.Background(), gk)
 }
 
-// RemoveObjectCtx is RemoveObject with the triggering request's context, so a
-// context-aware journal (the WAL) can hang its durability spans inside the
-// trace of the request whose fetch revealed the stale object.
+// RemoveObjectCtx is RemoveObject with the triggering request's context, so
+// the journal (the WAL) can hang its durability spans inside the trace of the
+// request whose fetch revealed the stale object.
 func (ix *Index) RemoveObjectCtx(ctx context.Context, gk core.GlobalKey) bool {
 	ix.mu.Lock()
 	id, ok := ix.idLocked(gk)
@@ -378,7 +378,7 @@ func (ix *Index) RemoveObjectCtx(ctx context.Context, gk core.GlobalKey) bool {
 	// gk keeps its id in the component: components never split.
 	ix.comp.stamp[ix.comp.findLocked(id)] = e
 	if ix.journal != nil {
-		ix.logCtxLocked(ctx, []JournalOp{{Kind: OpRemove, Key: gk}}, e)
+		ix.journal.LogCtx(ctx, []JournalOp{{Kind: OpRemove, Key: gk}}, e)
 	}
 	ix.mu.Unlock()
 	removals.Inc()
@@ -795,7 +795,7 @@ func (ix *Index) InsertRaw(r core.PRelation) error {
 	ix.setEdgeLocked(ix.internLocked(r.From), ix.internLocked(r.To), r.Type, r.Prob)
 	e := ix.epoch.Add(1)
 	if ix.journal != nil {
-		ix.journal.Log([]JournalOp{{Kind: OpInsertRaw, Rel: r}}, e)
+		ix.journal.LogCtx(context.Background(), []JournalOp{{Kind: OpInsertRaw, Rel: r}}, e)
 	}
 	ix.mu.Unlock()
 	return nil

@@ -40,33 +40,16 @@ type JournalOp struct {
 	Key  core.GlobalKey
 }
 
-// Journal observes index mutations. Log is invoked while the index write
-// lock is held, with the operations of one atomic mutation and the mutation
-// epoch after applying it; epochs are therefore strictly increasing across
-// calls. Implementations must be fast, must not call back into the index,
-// and must not retain the ops slice.
+// Journal observes index mutations. LogCtx is invoked while the index write
+// lock is held, with the mutating request's context, the operations of one
+// atomic mutation and the mutation epoch after applying it; epochs are
+// therefore strictly increasing across calls. The WAL manager uses ctx to
+// attach its append/fsync spans to the trace of the request that paid for
+// the durability work; mutations arriving through ctx-less entry points pass
+// context.Background(). Implementations must be fast, must not call back
+// into the index, and must not retain the ops slice.
 type Journal interface {
-	Log(ops []JournalOp, epoch uint64)
-}
-
-// ContextJournal is the optional extension a Journal implements to receive
-// the mutating request's context — the WAL manager uses it to attach its
-// append/fsync spans to the distributed trace of the request that paid for
-// the durability work. Mutations arriving through ctx-less entry points call
-// plain Log.
-type ContextJournal interface {
-	Journal
 	LogCtx(ctx context.Context, ops []JournalOp, epoch uint64)
-}
-
-// logCtxLocked routes one journaled batch through LogCtx when the journal
-// supports it and the caller actually has a context worth threading.
-func (ix *Index) logCtxLocked(ctx context.Context, ops []JournalOp, epoch uint64) {
-	if cj, ok := ix.journal.(ContextJournal); ok && ctx != nil {
-		cj.LogCtx(ctx, ops, epoch)
-		return
-	}
-	ix.journal.Log(ops, epoch)
 }
 
 // SetJournal installs (or, with nil, removes) the mutation journal. Existing

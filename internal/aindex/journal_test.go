@@ -1,19 +1,20 @@
 package aindex
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"quepa/internal/core"
 )
 
-// memJournal records Log calls for assertions.
+// memJournal records LogCtx calls for assertions.
 type memJournal struct {
 	batches [][]JournalOp
 	epochs  []uint64
 }
 
-func (j *memJournal) Log(ops []JournalOp, epoch uint64) {
+func (j *memJournal) LogCtx(_ context.Context, ops []JournalOp, epoch uint64) {
 	cp := make([]JournalOp, len(ops))
 	copy(cp, ops)
 	j.batches = append(j.batches, cp)

@@ -195,10 +195,6 @@ type Augmenter struct {
 	index *aindex.Index
 	cache *cache.LRU
 
-	// neg remembers keys recently confirmed missing, so lazy-deletion
-	// misses don't stampede the stores while the A' index catches up.
-	neg *negativeCache
-
 	// cfgMu guards cfg, the configuration Search and AugmentObjects run:
 	// SetConfig may swap it while request goroutines are inside them.
 	// Readers snapshot the whole Config once (Config()) and work off the
@@ -280,7 +276,6 @@ func New(poly *core.Polystore, index *aindex.Index, cfg Config) *Augmenter {
 		index: index,
 		cfg:   cfg,
 		cache: cache.NewLRU(cfg.CacheSize),
-		neg:   newNegativeCache(),
 	}
 }
 
@@ -418,22 +413,7 @@ func (a *Augmenter) augment(ctx context.Context, cfg Config, origins []core.Obje
 		sink.report(span, 0, nil)
 		return nil, sink.degradations(), nil
 	}
-	switch cfg.Strategy {
-	case Sequential:
-		err = a.runSequential(ctx, cfg, plan, sink)
-	case Batch:
-		err = a.runBatch(ctx, cfg, plan, sink)
-	case Inner:
-		err = a.runInner(ctx, cfg, plan, sink)
-	case Outer:
-		err = a.runOuter(ctx, cfg, plan, sink)
-	case OuterBatch:
-		err = a.runOuterBatch(ctx, cfg, plan, sink)
-	case OuterInner:
-		err = a.runOuterInner(ctx, cfg, plan, sink)
-	default:
-		err = fmt.Errorf("augment: unknown strategy %v", cfg.Strategy)
-	}
+	err = a.schedule(ctx, cfg, plan, sink)
 	strategyHist(strategy).Since(start)
 	if err != nil {
 		if c := strategyErr(strategy); c != nil {
@@ -660,7 +640,7 @@ type sink struct {
 	// rank is answer's scratch: the filled slots in rank order.
 	rank []int32
 	// Cache traffic, counted by the strategy workers.
-	cacheHits, cacheMisses, negative atomic.Int64
+	cacheHits, cacheMisses atomic.Int64
 }
 
 // sinkPool recycles sinks with their plans: the reach hit buffer, the slot
@@ -829,7 +809,6 @@ func (s *sink) report(span *telemetry.Span, fetched int, err error) {
 		{"origins_skipped", int64(s.skipped)},
 		{"cache_hits", s.cacheHits.Load()},
 		{"cache_misses", s.cacheMisses.Load()},
-		{"negative_hits", s.negative.Load()},
 		{"fetched", int64(fetched)},
 	} {
 		if c.n != 0 {
@@ -856,32 +835,14 @@ func (s *sink) degradations() []Degradation {
 	return out
 }
 
-// fetchMiss resolves a key the cache does not hold. The negative cache
-// answers recently-confirmed-missing keys without a round trip; every other
-// miss pays its own store round trip. Callers have already counted the cache
-// miss; s counts the negative hits.
-func (a *Augmenter) fetchMiss(ctx context.Context, gk core.GlobalKey, s *sink) (core.Object, bool, error) {
-	if a.neg.Has(gk) {
-		s.negative.Add(1)
-		negativeHitCounter(gk.Database).Inc()
-		return core.Object{}, false, nil
-	}
-	return a.fetchStore(ctx, gk)
-}
-
-// fetchStore pays one store round trip for gk, applying lazy deletion on
-// authoritative misses and feeding both caches (the object cache only when
-// it has a capacity).
+// fetchStore pays one store round trip for gk and feeds the object cache
+// when it has a capacity. An authoritative miss lazily deletes gk (forget).
 func (a *Augmenter) fetchStore(ctx context.Context, gk core.GlobalKey) (core.Object, bool, error) {
 	cached := a.cache.Capacity() > 0
 	obj, err := a.fetch(ctx, gk)
 	if err != nil {
 		if errors.Is(err, core.ErrNotFound) {
-			a.index.RemoveObjectCtx(ctx, gk)
-			if cached {
-				a.cache.Remove(gk)
-			}
-			a.neg.Put(gk)
+			a.forget(ctx, gk)
 			return core.Object{}, false, nil
 		}
 		return core.Object{}, false, err
@@ -889,8 +850,17 @@ func (a *Augmenter) fetchStore(ctx context.Context, gk core.GlobalKey) (core.Obj
 	if cached {
 		a.cache.Put(obj)
 	}
-	a.neg.Forget(gk)
 	return obj, true, nil
+}
+
+// forget applies lazy deletion (§III-C) to gk, a key its store no longer
+// has: the key leaves A', so no later reach returns it, and, when it has a
+// capacity, the object cache. It is the one thing a miss does.
+func (a *Augmenter) forget(ctx context.Context, gk core.GlobalKey) {
+	a.index.RemoveObjectCtx(ctx, gk)
+	if a.cache.Capacity() > 0 {
+		a.cache.Remove(gk)
+	}
 }
 
 // fetch is one store round trip for gk, under a store.fetch span when the
@@ -917,12 +887,12 @@ func (a *Augmenter) fetch(ctx context.Context, gk core.GlobalKey) (core.Object, 
 // sweepBuf bounds the stack buffer one cache sweep flushes hits from.
 const sweepBuf = 32
 
-// sweepCache probes the cache for every key up front, bulk-adding hits to the
-// sink and returning the keys that missed (in input order). On a warm cache
-// an entire key list resolves here: no worker goroutines are ever spawned,
-// no per-key sink locking happens, and the returned slice is nil. A disabled
-// cache (capacity 0) is not probed: every key is a miss, and keys itself is
-// returned, uncounted.
+// sweepCache probes the cache for every key of one origin's list up front
+// (fetchKeys), bulk-adding hits to the sink and returning the keys that
+// missed (in input order). On a warm cache an entire key list resolves here:
+// no worker goroutines are ever spawned, no per-key sink locking happens,
+// and the returned slice is nil. A disabled cache (capacity 0) is not
+// probed: every key is a miss, and keys itself is returned, uncounted.
 func (a *Augmenter) sweepCache(ctx context.Context, keys []core.GlobalKey, s *sink) []core.GlobalKey {
 	if a.cache.Capacity() == 0 {
 		return keys
@@ -955,20 +925,18 @@ func (a *Augmenter) sweepCache(ctx context.Context, keys []core.GlobalKey, s *si
 }
 
 // fetchGroup retrieves a group of keys belonging to one database and
-// collection with a single batched query, consulting the object and negative
-// caches first and lazily deleting keys the store no longer has. Its per-key
-// misses feed the negative cache, so later fetches of a lazily deleted key
-// skip the store until the entry expires. A disabled object cache (capacity
-// 0) is neither probed nor fed: only the negative cache is consulted.
+// collection with a single batched query, serving what the object cache holds
+// first and lazily deleting keys the store no longer has. A disabled object
+// cache (capacity 0) is neither probed nor fed: every key goes to the store.
 func (a *Augmenter) fetchGroup(ctx context.Context, database, collection string, keys []string, s *sink) error {
 	cached := a.cache.Capacity() > 0
-	var buf [sweepBuf]core.Object
-	n, hits, negHits := 0, 0, 0
-	var missing []string
-	for i, k := range keys {
-		gk := core.NewGlobalKey(database, collection, k)
-		if cached {
-			if obj, ok := a.cache.Get(gk); ok {
+	missing := keys
+	if cached {
+		var buf [sweepBuf]core.Object
+		n, hits := 0, 0
+		missing = nil
+		for i, k := range keys {
+			if obj, ok := a.cache.Get(core.NewGlobalKey(database, collection, k)); ok {
 				buf[n] = obj
 				n++
 				hits++
@@ -978,26 +946,16 @@ func (a *Augmenter) fetchGroup(ctx context.Context, database, collection string,
 				}
 				continue
 			}
+			if missing == nil {
+				missing = make([]string, 0, len(keys)-i)
+			}
+			missing = append(missing, k)
 		}
-		if a.neg.Has(gk) {
-			negHits++
-			continue
+		if n > 0 {
+			s.add(buf[:n]...)
 		}
-		if missing == nil {
-			missing = make([]string, 0, len(keys)-i)
-		}
-		missing = append(missing, k)
-	}
-	if n > 0 {
-		s.add(buf[:n]...)
-	}
-	if cached {
 		s.cacheHits.Add(int64(hits))
 		s.cacheMisses.Add(int64(len(keys) - hits))
-	}
-	if negHits > 0 {
-		s.negative.Add(int64(negHits))
-		negativeHitCounter(database).Add(uint64(negHits))
 	}
 	if len(missing) == 0 {
 		return nil
@@ -1018,19 +976,13 @@ func (a *Augmenter) fetchGroup(ctx context.Context, database, collection string,
 		}
 		return err
 	}
-	for _, o := range objs {
-		if cached {
+	if cached {
+		for _, o := range objs {
 			a.cache.Put(o)
 		}
-		a.neg.Forget(o.GK)
 	}
 	for _, k := range s.addBatch(objs, database, collection, missing) {
-		gk := core.NewGlobalKey(database, collection, k)
-		a.index.RemoveObjectCtx(fctx, gk)
-		if cached {
-			a.cache.Remove(gk)
-		}
-		a.neg.Put(gk)
+		a.forget(fctx, core.NewGlobalKey(database, collection, k))
 	}
 	if sp != nil {
 		sp.SetAttr("objects", itoa(len(objs)))

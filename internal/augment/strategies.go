@@ -2,56 +2,67 @@ package augment
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"quepa/internal/core"
 )
 
-// This file contains the six execution strategies of Section IV. They all
-// consume a plan (the deduplicated fetch work) and fill a sink; they differ
-// only in scheduling. Each runner receives the Config the augmentation runs
-// with rather than reading a.cfg, so a concurrent SetConfig cannot change
-// parameters mid-run:
+// This file contains the scheduler of the six execution strategies of
+// Section IV. They all consume a plan (the deduplicated fetch work) and fill
+// a sink; they differ only in scheduling, along two axes: keys are fetched
+// one by one or in per-store groups of BATCH_SIZE (Batched), and
+// THREADS_SIZE workers run over the origins (outer), within one origin's
+// keys (inner), or both (shape). The scheduler receives the Config the
+// augmentation runs with rather than reading a.cfg, so a concurrent
+// SetConfig cannot change parameters mid-run:
 //
-//	SEQUENTIAL   one direct-access query per key, in order (Fig. 6(a))
-//	BATCH        keys grouped per store, flushed at BATCH_SIZE (Fig. 6(b))
-//	INNER        per origin, its keys fetched by THREADS_SIZE workers (Fig. 6(c))
-//	OUTER        a worker per origin, keys fetched sequentially (Fig. 7(a))
-//	OUTER-BATCH  main fills groups, workers flush them (Fig. 7(b))
-//	OUTER-INNER  THREADS_SIZE/2 outer workers × THREADS_SIZE/2 inner workers (Fig. 7(c))
+//	strategy     fetch     outer         inner         paper
+//	SEQUENTIAL   per key   1             1             Fig. 6(a)
+//	BATCH        grouped   1             —             Fig. 6(b)
+//	INNER        per key   1             T             Fig. 6(c)
+//	OUTER        per key   T             1             Fig. 7(a)
+//	OUTER-BATCH  grouped   T             —             Fig. 7(b)
+//	OUTER-INNER  per key   T/2           T − T/2       Fig. 7(c)
+//
+// T is THREADS_SIZE. One worker runs in the calling goroutine.
 
-// Store failures degrade rather than abort: every runner funnels fetch
-// errors through sink.absorb, which drops the failing store's contribution
-// and lets the healthy stores complete. Only a dead caller context still
-// propagates (absorb returns it), which is what errOnce now carries.
+// Store failures degrade rather than abort: every fetch error goes through
+// sink.absorb, which drops the failing store's contribution and lets the
+// healthy stores complete. Only a dead caller context still propagates
+// (absorb returns it), which is what errOnce carries.
 
-func (a *Augmenter) runSequential(ctx context.Context, _ Config, p *plan, s *sink) error {
-	return a.fetchMissesInto(ctx, p, s, a.sweepCache(ctx, p.order, s))
+// shape returns the strategy's worker counts over the origins (outer) and
+// within one origin's keys (inner) for THREADS_SIZE threads, or 0, 0 for an
+// unknown strategy. A batched strategy's outer count is its group flushers.
+func (s Strategy) shape(threads int) (outer, inner int) {
+	switch s {
+	case Sequential, Batch:
+		return 1, 1
+	case Inner:
+		return 1, threads
+	case Outer, OuterBatch:
+		return threads, 1
+	case OuterInner:
+		outer = max(threads/2, 1)
+		return outer, max(threads-outer, 1)
+	}
+	return 0, 0
 }
 
-// fetchMissesInto resolves cache-missed keys in order — one store round trip
-// each — degrading failing stores instead of aborting. It is the
-// shared tail of every single-key strategy: the sweep already served the
-// hits, so only the misses reach here. A non-nil return means the caller's
-// context died.
-func (a *Augmenter) fetchMissesInto(ctx context.Context, p *plan, s *sink, misses []core.GlobalKey) error {
-	for _, gk := range misses {
-		if s.isDegraded(gk.Database) {
-			continue
-		}
-		obj, ok, err := a.fetchMiss(ctx, gk, s)
-		if err != nil {
-			if err := s.absorb(ctx, gk.Database, p.dist(gk), err); err != nil {
-				return err
-			}
-			continue
-		}
-		if ok {
-			s.add(obj)
-		}
+// schedule runs the plan's fetches the way cfg's strategy shapes them.
+func (a *Augmenter) schedule(ctx context.Context, cfg Config, p *plan, s *sink) error {
+	outer, inner := cfg.Strategy.shape(cfg.ThreadsSize)
+	switch {
+	case outer == 0:
+		return fmt.Errorf("augment: unknown strategy %v", cfg.Strategy)
+	case cfg.Strategy.Batched():
+		return a.runGroups(ctx, p, s, cfg.BatchSize, outer)
 	}
-	return nil
+	return claim(ctx, len(p.byOrigin), outer, func(ctx context.Context, i int) error {
+		return a.fetchKeys(ctx, p, s, p.byOrigin[i], inner)
+	})
 }
 
 // group identifies a batch bucket: one target database and collection.
@@ -60,45 +71,31 @@ type group struct {
 	collection string
 }
 
-func (a *Augmenter) runBatch(ctx context.Context, cfg Config, p *plan, s *sink) error {
-	var err error
-	p.eachGroup(cfg.BatchSize, func(g group, keys []string) bool {
+// runGroups cuts the plan into per-store groups of at most batchSize keys
+// and fetches each group with one batched query. One worker flushes the
+// groups in the calling goroutine as they fill (BATCH); more workers drain
+// them from the calling goroutine, which fills them (OUTER-BATCH).
+func (a *Augmenter) runGroups(ctx context.Context, p *plan, s *sink, batchSize, workers int) error {
+	flush := func(ctx context.Context, g group, keys []string) error {
 		if s.isDegraded(g.database) {
-			return true
+			return nil
 		}
-		if ferr := a.fetchGroup(ctx, g.database, g.collection, keys, s); ferr != nil {
-			err = s.absorb(ctx, g.database, p.groupDist(g, keys), ferr)
+		if err := a.fetchGroup(ctx, g.database, g.collection, keys, s); err != nil {
+			return s.absorb(ctx, g.database, p.groupDist(g, keys), err)
 		}
-		return err == nil
-	})
-	return err
-}
-
-// runInner iterates over the origins in the main goroutine; the keys of each
-// origin are fetched by a pool of THREADS_SIZE workers before moving on.
-func (a *Augmenter) runInner(ctx context.Context, cfg Config, p *plan, s *sink) error {
-	for _, keys := range p.byOrigin {
-		if err := a.parallelFetch(ctx, p, keys, cfg.ThreadsSize, s); err != nil {
-			return err
-		}
+		return nil
 	}
-	return nil
-}
+	if workers <= 1 {
+		var err error
+		p.eachGroup(batchSize, func(g group, keys []string) bool {
+			err = flush(ctx, g, keys)
+			return err == nil
+		})
+		return err
+	}
 
-// runOuter launches a goroutine per origin (bounded by THREADS_SIZE); each
-// sweeps its keys through the cache, then fetches the misses sequentially.
-func (a *Augmenter) runOuter(ctx context.Context, cfg Config, p *plan, s *sink) error {
-	return a.forEachOrigin(ctx, p, cfg.ThreadsSize, func(ctx context.Context, keys []core.GlobalKey) error {
-		return a.fetchMissesInto(ctx, p, s, a.sweepCache(ctx, keys, s))
-	})
-}
-
-// runOuterBatch has the main goroutine fill per-store groups while
-// THREADS_SIZE workers flush full groups concurrently.
-func (a *Augmenter) runOuterBatch(ctx context.Context, cfg Config, p *plan, s *sink) error {
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
 	type job struct {
 		g    group
 		keys []string
@@ -106,25 +103,17 @@ func (a *Augmenter) runOuterBatch(ctx context.Context, cfg Config, p *plan, s *s
 	jobs := make(chan job)
 	var wg sync.WaitGroup
 	errOnce := newErrOnce(cancel)
-	for w := 0; w < cfg.ThreadsSize; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// A failed flush keeps draining, so the producer never blocks.
 			for j := range jobs {
-				if s.isDegraded(j.g.database) {
-					continue
-				}
-				if err := a.fetchGroup(ctx, j.g.database, j.g.collection, j.keys, s); err != nil {
-					if err := s.absorb(ctx, j.g.database, p.groupDist(j.g, j.keys), err); err != nil {
-						errOnce.set(err)
-					}
-					// Keep draining so the producer never blocks.
-				}
+				errOnce.set(flush(ctx, j.g, j.keys))
 			}
 		}()
 	}
-
-	p.eachGroup(cfg.BatchSize, func(g group, keys []string) bool {
+	p.eachGroup(batchSize, func(g group, keys []string) bool {
 		select {
 		case jobs <- job{g: g, keys: keys}:
 			return true
@@ -140,112 +129,62 @@ func (a *Augmenter) runOuterBatch(ctx context.Context, cfg Config, p *plan, s *s
 	return ctx.Err()
 }
 
-// runOuterInner splits THREADS_SIZE between the two levels of parallelism:
-// half the threads process origins concurrently, and each of those uses the
-// other half as inner fetch parallelism for its keys.
-func (a *Augmenter) runOuterInner(ctx context.Context, cfg Config, p *plan, s *sink) error {
-	outer := cfg.ThreadsSize / 2
-	if outer < 1 {
-		outer = 1
-	}
-	inner := cfg.ThreadsSize - outer
-	if inner < 1 {
-		inner = 1
-	}
-	return a.forEachOrigin(ctx, p, outer, func(ctx context.Context, keys []core.GlobalKey) error {
-		return a.parallelFetch(ctx, p, keys, inner, s)
+// fetchKeys retrieves one origin's keys with `workers` workers, one store
+// round trip per key. The cache is swept up front in the calling goroutine:
+// on a warm cache the whole list resolves without spawning anything, and
+// only the misses are handed to the workers.
+func (a *Augmenter) fetchKeys(ctx context.Context, p *plan, s *sink, keys []core.GlobalKey, workers int) error {
+	misses := a.sweepCache(ctx, keys, s)
+	return claim(ctx, len(misses), workers, func(ctx context.Context, i int) error {
+		gk := misses[i]
+		if s.isDegraded(gk.Database) {
+			return nil
+		}
+		obj, ok, err := a.fetchStore(ctx, gk)
+		if err != nil {
+			return s.absorb(ctx, gk.Database, p.dist(gk), err)
+		}
+		if ok {
+			s.add(obj)
+		}
+		return nil
 	})
 }
 
-// forEachOrigin runs fn over every origin's key list with at most `workers`
-// concurrent invocations, stopping at the first error.
-func (a *Augmenter) forEachOrigin(ctx context.Context, p *plan, workers int, fn func(context.Context, []core.GlobalKey) error) error {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	errOnce := newErrOnce(cancel)
-	for _, keys := range p.byOrigin {
-		if len(keys) == 0 {
-			continue
-		}
-		select {
-		case sem <- struct{}{}:
-		case <-ctx.Done():
-			wg.Wait()
-			if err := errOnce.get(); err != nil {
+// claim runs do over the indexes 0..n-1 with at most `workers` workers, each
+// claiming the next index by bumping a shared atomic counter: no feed
+// channel, no goroutine per item. It stops at the first error, cancelling
+// the other workers' context. One worker runs in the calling goroutine,
+// in index order.
+func claim(ctx context.Context, n, workers int, do func(context.Context, int) error) error {
+	var next atomic.Int64
+	work := func(ctx context.Context) error {
+		for ctx.Err() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return nil
+			}
+			if err := do(ctx, i); err != nil {
 				return err
 			}
-			return ctx.Err()
 		}
-		wg.Add(1)
-		go func(keys []core.GlobalKey) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			if err := fn(ctx, keys); err != nil {
-				errOnce.set(err)
-			}
-		}(keys)
-	}
-	wg.Wait()
-	if err := errOnce.get(); err != nil {
-		return err
-	}
-	return ctx.Err()
-}
-
-// parallelFetch retrieves a key list with a pool of `workers` goroutines.
-// The cache is swept up front in the calling goroutine: on a warm cache the
-// whole list resolves without spawning anything, and only the misses are
-// handed to workers. Workers claim misses by bumping a shared atomic index —
-// no feed channel, no per-key channel handoff.
-func (a *Augmenter) parallelFetch(ctx context.Context, p *plan, keys []core.GlobalKey, workers int, s *sink) error {
-	if len(keys) == 0 {
 		return nil
 	}
-	misses := a.sweepCache(ctx, keys, s)
-	if len(misses) == 0 {
-		return ctx.Err()
-	}
-	if workers > len(misses) {
-		workers = len(misses)
-	}
-	if workers <= 1 {
-		if err := a.fetchMissesInto(ctx, p, s, misses); err != nil {
+	if workers = min(workers, n); workers <= 1 {
+		if err := work(ctx); err != nil {
 			return err
 		}
 		return ctx.Err()
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	var next atomic.Int64
 	var wg sync.WaitGroup
 	errOnce := newErrOnce(cancel)
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= len(misses) {
-					return
-				}
-				gk := misses[i]
-				if s.isDegraded(gk.Database) {
-					continue
-				}
-				obj, ok, err := a.fetchMiss(ctx, gk, s)
-				if err != nil {
-					if err := s.absorb(ctx, gk.Database, p.dist(gk), err); err != nil {
-						errOnce.set(err)
-						return
-					}
-					continue
-				}
-				if ok {
-					s.add(obj)
-				}
-			}
+			errOnce.set(work(ctx))
 		}()
 	}
 	wg.Wait()

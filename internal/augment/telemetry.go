@@ -2,7 +2,6 @@ package augment
 
 import (
 	"strconv"
-	"sync"
 
 	"quepa/internal/telemetry"
 )
@@ -40,34 +39,6 @@ func init() {
 		strategyErrs[s] = telemetry.NewCounter(augmentErrsName,
 			"augmentations that returned an error, per execution strategy", label)
 	}
-}
-
-// The per-store negative-cache counters, resolved lazily because the store
-// set is only known at runtime. A plain map under an RWMutex beats sync.Map
-// here: the read path dominates and interface boxing of string keys would
-// allocate on every hit. The series keeps the quepa_coalesce_ prefix it was
-// published under, so scrapes that read it keep working.
-var (
-	negativeCtrMu sync.RWMutex
-	negativeCtrs  = map[string]*telemetry.Counter{}
-)
-
-// negativeHitCounter counts fetches answered by the negative cache, per store.
-func negativeHitCounter(store string) *telemetry.Counter {
-	negativeCtrMu.RLock()
-	c := negativeCtrs[store]
-	negativeCtrMu.RUnlock()
-	if c != nil {
-		return c
-	}
-	negativeCtrMu.Lock()
-	defer negativeCtrMu.Unlock()
-	if c = negativeCtrs[store]; c == nil {
-		c = telemetry.NewCounter("quepa_coalesce_negative_hits_total",
-			"fetches answered 'missing' by the negative-result cache, per store", telemetry.L("store", store))
-		negativeCtrs[store] = c
-	}
-	return c
 }
 
 func strategyHist(s Strategy) *telemetry.Histogram {

@@ -6,8 +6,8 @@
 // (augmented results overlap), when the stores are a round trip away.
 //
 // The LRU itself is Sharded, the one bounded map of the read path: the
-// object cache here, the result cache (internal/rcache) and the augmenter's
-// negative cache are all built on it. At production capacities
+// object cache here and the result cache (internal/rcache) are both built
+// on it. At production capacities
 // (>= shardThreshold) the key space is hashed over 16 independent LRU shards
 // so that the worker pools of the concurrent strategies stop convoying on a
 // single mutex. Small caches keep a single shard, which preserves exact

@@ -93,13 +93,12 @@ type AugmentationTrace struct {
 	OriginsSkipped int    `json:"origins_skipped"`
 	// RcacheHits is 1 when the augmentation's whole outcome was served from
 	// the stamp-validated result cache instead of recomputed.
-	RcacheHits   int     `json:"rcache_hits,omitempty"`
-	CacheHits    int     `json:"cache_hits"`
-	CacheMisses  int     `json:"cache_misses"`
-	NegativeHits int     `json:"negative_hits,omitempty"`
-	Fetched      int     `json:"fetched"`
-	WallMS       float64 `json:"wall_ms"`
-	Error        string  `json:"error,omitempty"`
+	RcacheHits  int     `json:"rcache_hits,omitempty"`
+	CacheHits   int     `json:"cache_hits"`
+	CacheMisses int     `json:"cache_misses"`
+	Fetched     int     `json:"fetched"`
+	WallMS      float64 `json:"wall_ms"`
+	Error       string  `json:"error,omitempty"`
 
 	Stores []StoreFanout `json:"stores,omitempty"`
 	// Scatter lists the per-shard fan-out of a clustered augmentation: one
@@ -142,7 +141,6 @@ type Totals struct {
 	StoreErrors   int   `json:"store_errors"`
 	CacheHits     int   `json:"cache_hits"`
 	CacheMisses   int   `json:"cache_misses"`
-	NegativeHits  int   `json:"negative_hits"`
 	RankPruned    int   `json:"rank_pruned"`
 	BytesSent     int64 `json:"wire_bytes_sent"`
 	BytesReceived int64 `json:"wire_bytes_received"`

@@ -105,8 +105,7 @@ func (p *Profile) walk(s telemetry.SpanJSON, aug *AugmentationTrace, db string) 
 		n := func(key string) int { return num(a, key) }
 		t := AugmentationTrace{Level: n("level"), Strategy: a["strategy"], Origins: n("origins"), CandidateKeys: n("keys"),
 			IndexNodes: n("index_nodes"), IndexEdges: n("index_edges"), OriginsSkipped: n("origins_skipped"),
-			RcacheHits: n("rcache_hits"), CacheHits: n("cache_hits"),
-			CacheMisses: n("cache_misses"), NegativeHits: n("negative_hits"),
+			RcacheHits: n("rcache_hits"), CacheHits: n("cache_hits"), CacheMisses: n("cache_misses"),
 			Fetched: n("fetched"), WallMS: s.DurationMS, Error: a["error"]}
 		for key, reason := range a {
 			if store, ok := strings.CutPrefix(key, "degraded."); ok {
@@ -136,7 +135,6 @@ func (p *Profile) addAugmentation(t AugmentationTrace) {
 	p.Augmentations = append(p.Augmentations, t)
 	tot := &p.Totals
 	tot.CacheHits, tot.CacheMisses, tot.RcacheHits = tot.CacheHits+t.CacheHits, tot.CacheMisses+t.CacheMisses, tot.RcacheHits+t.RcacheHits
-	tot.NegativeHits += t.NegativeHits
 	tot.Degraded += len(t.Degraded)
 }
 

@@ -60,12 +60,12 @@ func likeMatch(v, p string) bool {
 	star, vStar := -1, 0
 	for vi < len(v) {
 		switch {
-		case pi < len(p) && (p[pi] == '_' || p[pi] == v[vi]):
-			vi++
-			pi++
 		case pi < len(p) && p[pi] == '%':
 			star = pi
 			vStar = vi
+			pi++
+		case pi < len(p) && (p[pi] == '_' || p[pi] == v[vi]):
+			vi++
 			pi++
 		case star >= 0:
 			pi = star + 1

@@ -49,6 +49,7 @@ func FuzzLikeMatch(f *testing.F) {
 	f.Add("Wish", "%wish%")
 	f.Add("", "%")
 	f.Add("a_b", "a__b")
+	f.Add("%0", "0") // a '%' in the value must not consume the pattern's wildcard
 	f.Fuzz(func(t *testing.T, value, pattern string) {
 		matchLike(value, pattern) // must not panic
 		if !matchLike(value, "%") {

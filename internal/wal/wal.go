@@ -292,17 +292,18 @@ func (m *Manager) Err() error {
 	return m.err
 }
 
-// Log implements aindex.Journal: append one epoch-fenced batch. It runs
-// inside the index write critical section, so batches land in application
-// order with strictly increasing epochs.
+// Log appends one epoch-fenced batch outside any request: LogCtx with
+// context.Background().
 func (m *Manager) Log(ops []aindex.JournalOp, epoch uint64) {
 	m.LogCtx(context.Background(), ops, epoch)
 }
 
-// LogCtx implements aindex.ContextJournal: like Log, but when the mutating
-// request is traced, the append (and, under fsync=always, the fsync) appears
-// as spans inside that request's trace — a durability stall is attributed to
-// the request that paid for it. Untraced contexts cost nothing extra.
+// LogCtx implements aindex.Journal: append one epoch-fenced batch. It runs
+// inside the index write critical section, so batches land in application
+// order with strictly increasing epochs. When the mutating request is
+// traced, the append (and, under fsync=always, the fsync) appears as spans
+// inside that request's trace — a durability stall is attributed to the
+// request that paid for it. Untraced contexts cost nothing extra.
 func (m *Manager) LogCtx(ctx context.Context, ops []aindex.JournalOp, epoch uint64) {
 	var sp *telemetry.Span
 	sctx := ctx
