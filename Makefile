@@ -56,8 +56,9 @@ chaos:
 
 # A' construction sweep: the full collector pipeline + bulk load, swept over
 # object count × scoring workers, plus the Reach microbenchmarks (per level
-# on a 5,000-key index, and one range_cold request's 50 origins at level 2 on
-# the index workload.Build serves at scale 16), the component Stamp a
+# on a 5,000-key index, and one range_cold request's 50 origins at level 2 in
+# one AppendReachMany call, as the server reaches them, on the index
+# workload.Build serves at scale 16), the component Stamp a
 # result-cache hit pays, and the live heap and forced-GC time a scale-16 A'
 # costs (IndexGC), at the ledger's index size.
 # The sweep itself fails if any worker count changes the discovered
@@ -96,11 +97,13 @@ promlint:
 # exactly this): the island carve a shard is built from (Islands), ring
 # property tests, scatter equivalence against the single-node index, the
 # owners' reaches under concurrent index mutation (each reader reads its own
-# writes), a mutation changing one island's answers only, peer-down -> "peer-open"
-# degradation scoped to the dead peer's origins, slow-shard timeouts, and
-# the 3-peer HTTP server acceptance test. Every scenario runs over
-# in-process netsim peers with deterministic fault plans, so the lane
-# replays bit-for-bit on any runner.
+# writes), a two-origin reach racing a union promotion that must read one
+# A' state (TestScatterReadsOneIndexState: a one-node augmentation, the self
+# leg and an owner's ReachMany), a mutation changing one island's answers
+# only, peer-down -> "peer-open" degradation scoped to the dead peer's
+# origins, slow-shard timeouts, and the 3-peer HTTP server acceptance test.
+# Every scenario runs over in-process netsim peers with deterministic fault
+# plans, so the lane replays bit-for-bit on any runner.
 cluster:
 	$(GO) test -race -run 'Cluster|Ring|Scatter|Islands' \
 		./internal/aindex/ ./internal/cluster/ ./cmd/quepa-server/

@@ -35,7 +35,7 @@ import (
 // Hot-path instrumentation handles, resolved once.
 var (
 	reachHist = telemetry.NewHistogram("quepa_aindex_reach_duration_seconds",
-		"latency of A' index reachability lookups (one per origin object)", nil)
+		"latency of A' index reachability lookups (one per call, over all of its origins)", nil)
 	reachHits = telemetry.NewCounter("quepa_aindex_reach_keys_total",
 		"global keys returned by A' index reachability lookups")
 	removals = telemetry.NewCounter("quepa_aindex_removals_total",
@@ -409,32 +409,58 @@ type ReachStats struct {
 // within the hop bound; results are ordered by decreasing probability (ties
 // broken by key order) as Definition 3 requires.
 func (ix *Index) Reach(gk core.GlobalKey, level int) []Hit {
-	return ix.AppendReachWithStats(nil, gk, level, nil)
+	hits, _ := ix.ReachWithStats(gk, level)
+	return hits
 }
 
 // ReachWithStats is Reach plus a count of the traversal work performed.
 func (ix *Index) ReachWithStats(gk core.GlobalKey, level int) ([]Hit, ReachStats) {
-	var stats ReachStats
-	hits := ix.AppendReachWithStats(nil, gk, level, &stats)
+	var (
+		stats ReachStats
+		run   [1][]Hit
+	)
+	hits, _ := ix.AppendReachMany(nil, run[:0], []core.GlobalKey{gk}, level, &stats)
 	return hits, stats
 }
 
-// AppendReachWithStats appends Reach(gk, level) to dst and returns the
-// extended slice; the appended hits alone are in Reach order. A non-nil
-// stats accumulates the traversal work. It is the one traversal entry
-// point: the augmenter appends every origin of a request into one buffer.
-func (ix *Index) AppendReachWithStats(dst []Hit, gk core.GlobalKey, level int, stats *ReachStats) []Hit {
+// AppendReachMany appends Reach(origins[i], level) for every origin to dst,
+// and to runs the subslice of dst holding each origin's hits, and returns
+// both extended. It is the one traversal entry point. Every origin is read
+// under one read lock, so all runs answer over one A' state: a mutation
+// lands before every origin's reach or after all of them. Each run is in
+// Reach order, and its capacity is capped at its length so an append to
+// one never runs into the next. A non-nil stats accumulates the traversal
+// work.
+func (ix *Index) AppendReachMany(dst []Hit, runs [][]Hit, origins []core.GlobalKey, level int, stats *ReachStats) ([]Hit, [][]Hit) {
+	n, first := len(dst), len(runs)
+	runs = slices.Grow(runs, len(origins))
 	if level < 0 {
-		return dst
+		for range origins {
+			runs = append(runs, dst[n:n:n])
+		}
+		return dst, runs
 	}
-	start, n := telemetry.Now(), len(dst)
+	start := telemetry.Now()
 	ix.mu.RLock()
-	dst = ix.appendReachLocked(dst, gk, level, stats)
+	sc := ix.getScratchLocked()
+	for _, gk := range origins {
+		m := len(dst)
+		dst = ix.appendReachLocked(dst, sc, gk, level, stats)
+		runs = append(runs, dst[m:])
+	}
+	ix.scratch.Put(sc)
 	ix.mu.RUnlock()
-	sortHits(dst[n:])
+	// An append may have moved dst: cut every run from its final array.
+	m := n
+	for i := first; i < len(runs); i++ {
+		end := m + len(runs[i])
+		runs[i] = dst[m:end:end]
+		sortHits(runs[i])
+		m = end
+	}
 	reachHits.Add(uint64(len(dst) - n))
 	reachHist.Since(start)
-	return dst
+	return dst, runs
 }
 
 // reachScratch is the reusable visited table of one traversal. Stamps make
@@ -459,7 +485,8 @@ type reachScratch struct {
 // getScratchLocked returns a pooled scratch covering every interned id. One
 // pooled before keys were interned is replaced by a larger one, with a
 // quarter of headroom so a stream of new keys does not replace it on every
-// reach. The caller holds the read lock, so len(ix.keys) is stable.
+// reach. The caller holds the read lock, so len(ix.keys) is stable, and
+// puts the scratch back into ix.scratch when its traversals are done.
 func (ix *Index) getScratchLocked() *reachScratch {
 	n := len(ix.keys)
 	sc, ok := ix.scratch.Get().(*reachScratch)
@@ -489,9 +516,9 @@ func (ix *Index) getScratchLocked() *reachScratch {
 // rows and appends its hits, unsorted, to dst. A node's probability is the
 // best product over paths within the hop bound; it rejoins the next
 // frontier whenever that improves, and keeps the hop it was first reached
-// at as its distance. The caller holds the read lock and guarantees
-// level >= 0.
-func (ix *Index) appendReachLocked(dst []Hit, gk core.GlobalKey, level int, stats *ReachStats) []Hit {
+// at as its distance. The caller holds the read lock, passes a scratch
+// from getScratchLocked taken under it, and guarantees level >= 0.
+func (ix *Index) appendReachLocked(dst []Hit, sc *reachScratch, gk core.GlobalKey, level int, stats *ReachStats) []Hit {
 	origin, ok := ix.idLocked(gk)
 	if !ok {
 		// An unknown origin is still expanded: one node, zero edges.
@@ -501,7 +528,6 @@ func (ix *Index) appendReachLocked(dst []Hit, gk core.GlobalKey, level int, stat
 		return dst
 	}
 	start := int32(origin)
-	sc := ix.getScratchLocked()
 
 	if sc.stamp == math.MaxUint32 {
 		clear(sc.mark)
@@ -568,7 +594,6 @@ func (ix *Index) appendReachLocked(dst []Hit, gk core.GlobalKey, level int, stat
 	for _, id := range sc.seen {
 		dst = append(dst, Hit{Key: ix.keys[id], Prob: sc.prob[id], Dist: int(sc.dist[id])})
 	}
-	ix.scratch.Put(sc)
 	return dst
 }
 

@@ -193,6 +193,67 @@ func TestReachAllocs(t *testing.T) {
 	gate("after a mutation")
 }
 
+// TestAppendReachMany: one call over many origins appends, after what dst
+// and runs already hold, exactly each origin's Reach as its own run, with
+// its capacity capped at its length, and sums the work of the one-origin
+// reaches. Equal origins get equal runs, an unknown origin an empty one.
+// Warm, with capacity in dst and runs, a 50-origin call allocates no more
+// than one Reach does (TestReachAllocs' gate).
+func TestAppendReachMany(t *testing.T) {
+	ix, keys := buildRandomIndexT(t, 500, 9)
+	origins := make([]core.GlobalKey, 50)
+	for i := range origins {
+		origins[i] = keys[(i*7)%20] // every origin appears two or three times
+	}
+	origins[49] = core.NewGlobalKey("no", "such", "key")
+	for _, level := range []int{0, 1, 2} {
+		var want ReachStats
+		for _, o := range origins {
+			_, st := ix.ReachWithStats(o, level)
+			want.Nodes += st.Nodes
+			want.Edges += st.Edges
+		}
+		prior := Hit{Key: keys[0], Prob: 1}
+		var got ReachStats
+		dst, runs := ix.AppendReachMany([]Hit{prior}, [][]Hit{{prior}}, origins, level, &got)
+		if got != want {
+			t.Errorf("level %d: stats %+v, want the one-origin sum %+v", level, got, want)
+		}
+		if dst[0] != prior || len(runs) != 1+len(origins) || !slices.Equal(runs[0], []Hit{prior}) {
+			t.Fatalf("level %d: what dst and runs held before the call moved", level)
+		}
+		total := 1
+		for i, o := range origins {
+			run := runs[1+i]
+			total += len(run)
+			if !slices.Equal(run, ix.Reach(o, level)) || cap(run) != len(run) {
+				t.Errorf("level %d, origin %d: run %v (cap %d), want Reach %v", level, i, run, cap(run), ix.Reach(o, level))
+			}
+			if j := slices.Index(origins, o); !slices.Equal(run, runs[1+j]) {
+				t.Errorf("level %d: runs of equal origins %d and %d differ", level, j, i)
+			}
+		}
+		if total != len(dst) {
+			t.Errorf("level %d: runs hold %d hits, dst %d", level, total, len(dst))
+		}
+	}
+
+	if raceEnabled {
+		t.Skip("race detector instruments sync.Pool and skews allocation counts")
+	}
+	prev := telemetry.SetEnabled(false)
+	defer telemetry.SetEnabled(prev)
+	dst, runs := ix.AppendReachMany(nil, nil, origins, 2, nil) // warm the pool, size the buffers
+	for _, level := range []int{0, 1, 2} {
+		avg := testing.AllocsPerRun(10, func() {
+			dst, runs = ix.AppendReachMany(dst[:0], runs[:0], origins, level, nil)
+		})
+		if avg > 2 {
+			t.Errorf("level %d: a warm 50-origin AppendReachMany allocates %.1f/op, want <= 2", level, avg)
+		}
+	}
+}
+
 // TestScratchGrowsWithNewKeys: a scratch pooled before keys were interned
 // is not indexed by their ids. The next reach gets one that covers every
 // id, and a reach from a new key is served correctly.

@@ -11,8 +11,9 @@ import (
 )
 
 // BenchmarkReach50Served is the A' work of one range_cold request: 50
-// inventory origins reached at level 2 into one buffer, as the augmenter
-// appends them, on the index workload.Build serves at the ledger's scale 16.
+// inventory origins reached at level 2 in one AppendReachMany call, into
+// one buffer, as the augmenter reaches them, on the index workload.Build
+// serves at the ledger's scale 16.
 func BenchmarkReach50Served(b *testing.B) {
 	built, err := workload.Build(workload.DefaultSpec().Scale(16), workload.Colocated())
 	if err != nil {
@@ -22,15 +23,15 @@ func BenchmarkReach50Served(b *testing.B) {
 	for i := range origins {
 		origins[i] = core.NewGlobalKey("transactions", "inventory", fmt.Sprintf("a%d", i))
 	}
-	var hits []aindex.Hit
-	var st aindex.ReachStats
+	var (
+		hits []aindex.Hit
+		runs [][]aindex.Hit
+		st   aindex.ReachStats
+	)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		hits = hits[:0]
-		for _, o := range origins {
-			hits = built.Index.AppendReachWithStats(hits, o, 2, &st)
-		}
+		hits, runs = built.Index.AppendReachMany(hits[:0], runs[:0], origins, 2, &st)
 	}
 	b.ReportMetric(float64(len(hits)), "hits/op")
 }

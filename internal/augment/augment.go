@@ -229,8 +229,9 @@ type Reacher interface {
 }
 
 // localReacher is the one-node Reacher: every origin's reach runs on the
-// augmenter's own index and appends to one hit buffer of the request's
-// pooled sink, so a range search allocates no reach result of its own.
+// augmenter's own index, in one call under one read lock, and appends to
+// one hit buffer of the request's pooled sink, so a range search allocates
+// no reach result of its own.
 type localReacher struct {
 	index *aindex.Index
 	s     *sink
@@ -238,23 +239,8 @@ type localReacher struct {
 
 func (r localReacher) ReachScatterMany(_ context.Context, origins []core.GlobalKey, level int) ([][]aindex.Hit, aindex.ReachStats, []Degradation) {
 	var stats aindex.ReachStats
-	buf := r.s.hitBuf[:0]
-	out := slices.Grow(r.s.reaches[:0], len(origins))[:len(origins)]
-	for i, gk := range origins {
-		n := len(buf)
-		buf = r.index.AppendReachWithStats(buf, gk, level, &stats)
-		out[i] = buf[n:]
-	}
-	// An append may have moved buf: cut every origin's hits from its final
-	// array, each capacity capped so an append never runs into the next.
-	n := 0
-	for i, hits := range out {
-		end := n + len(hits)
-		out[i] = buf[n:end:end]
-		n = end
-	}
-	r.s.hitBuf, r.s.reaches = buf, out
-	return out, stats, nil
+	r.s.hitBuf, r.s.reaches = r.index.AppendReachMany(r.s.hitBuf[:0], r.s.reaches[:0], origins, level, &stats)
+	return r.s.reaches, stats, nil
 }
 
 // SetReacher routes plan building through r instead of the local A' index.

@@ -218,28 +218,16 @@ func (c *Coordinator) reachLeg(ctx context.Context, l *leg, level int, out [][]a
 	return stats, err
 }
 
-// selfLeg appends the reaches of the leg's origins over the local node's
-// shard into one buffer and fills each origin's slot with its run. It
-// returns the hit count and the traversal work.
+// selfLeg reaches the leg's origins over the local node's shard in one
+// call, so they all answer over one A' state, and fills each origin's slot
+// with its run. It returns the hit count and the traversal work.
 func (c *Coordinator) selfLeg(l *leg, level int, out [][]aindex.Hit) (int, aindex.ReachStats) {
-	var (
-		stats aindex.ReachStats
-		buf   []aindex.Hit
-	)
-	for i, o := range l.origins {
-		n := len(buf)
-		buf = c.node.index.AppendReachWithStats(buf, o, level, &stats)
-		out[l.slots[i]] = buf[n:]
+	var stats aindex.ReachStats
+	hits, runs := c.node.index.AppendReachMany(nil, nil, l.origins, level, &stats)
+	for i, slot := range l.slots {
+		out[slot] = runs[i]
 	}
-	// An append may have moved buf: cut every origin's hits from its final
-	// array, each capacity capped so an append never runs into the next.
-	n := 0
-	for _, slot := range l.slots {
-		end := n + len(out[slot])
-		out[slot] = buf[n:end:end]
-		n = end
-	}
-	return len(buf), stats
+	return len(hits), stats
 }
 
 // remoteLeg ships a leg's origins to their owner in one reach frame and

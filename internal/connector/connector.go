@@ -47,9 +47,6 @@ func (c *Relational) Kind() core.StoreKind { return core.KindRelational }
 // Collections lists the tables.
 func (c *Relational) Collections() []string { return c.db.Tables() }
 
-// RoundTrips reports the engine's served request count.
-func (c *Relational) RoundTrips() uint64 { return c.db.RoundTrips() }
-
 // KeyField returns the primary-key column of a table.
 func (c *Relational) KeyField(ctx context.Context, collection string) (string, error) {
 	if err := ctx.Err(); err != nil {
@@ -124,9 +121,6 @@ func (c *Document) Kind() core.StoreKind { return core.KindDocument }
 // Collections lists the document collections.
 func (c *Document) Collections() []string { return c.db.Collections() }
 
-// RoundTrips reports the engine's served request count.
-func (c *Document) RoundTrips() uint64 { return c.db.RoundTrips() }
-
 // KeyField returns the identifier field of documents.
 func (c *Document) KeyField(context.Context, string) (string, error) { return "_id", nil }
 
@@ -194,9 +188,6 @@ func (c *KeyValue) Kind() core.StoreKind { return core.KindKeyValue }
 // Collections lists the buckets.
 func (c *KeyValue) Collections() []string { return c.db.Buckets() }
 
-// RoundTrips reports the engine's served request count.
-func (c *KeyValue) RoundTrips() uint64 { return c.db.RoundTrips() }
-
 // Get retrieves one entry as a data object.
 func (c *KeyValue) Get(ctx context.Context, collection, key string) (core.Object, error) {
 	if err := ctx.Err(); err != nil {
@@ -262,9 +253,6 @@ func (c *Graph) Kind() core.StoreKind { return core.KindGraph }
 
 // Collections lists the node labels.
 func (c *Graph) Collections() []string { return c.db.Labels() }
-
-// RoundTrips reports the engine's served request count.
-func (c *Graph) RoundTrips() uint64 { return c.db.RoundTrips() }
 
 // Get retrieves one node as a data object. The node must carry the requested
 // label (collection): global keys are collection-scoped.

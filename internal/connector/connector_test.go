@@ -17,18 +17,14 @@ import (
 
 var ctx = context.Background()
 
-// The four connectors must all satisfy core.Store and core.Counter.
+// The four connectors must all satisfy core.Store.
 var (
-	_ core.Store   = (*Relational)(nil)
-	_ core.Store   = (*Document)(nil)
-	_ core.Store   = (*KeyValue)(nil)
-	_ core.Store   = (*Graph)(nil)
-	_ core.Counter = (*Relational)(nil)
-	_ core.Counter = (*Document)(nil)
-	_ core.Counter = (*KeyValue)(nil)
-	_ core.Counter = (*Graph)(nil)
-	_ KeyResolver  = (*Relational)(nil)
-	_ KeyResolver  = (*Document)(nil)
+	_ core.Store  = (*Relational)(nil)
+	_ core.Store  = (*Document)(nil)
+	_ core.Store  = (*KeyValue)(nil)
+	_ core.Store  = (*Graph)(nil)
+	_ KeyResolver = (*Relational)(nil)
+	_ KeyResolver = (*Document)(nil)
 )
 
 func newRelational(t *testing.T) *Relational {

@@ -33,7 +33,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"quepa/internal/stores/ordindex"
 	"quepa/internal/telemetry"
@@ -137,7 +136,6 @@ type Store struct {
 	name        string
 	mu          sync.RWMutex
 	collections map[string]*collection
-	roundTrips  atomic.Uint64
 	nextID      uint64
 	tel         telemetry.StoreOps
 }
@@ -155,9 +153,6 @@ func New(name string) *Store {
 
 // Name returns the database name.
 func (s *Store) Name() string { return s.name }
-
-// RoundTrips returns the number of public calls served so far.
-func (s *Store) RoundTrips() uint64 { return s.roundTrips.Load() }
 
 // Collections lists collection names in sorted order.
 func (s *Store) Collections() []string {
@@ -195,7 +190,6 @@ func (s *Store) Insert(collectionName, jsonBody string) (string, error) {
 // InsertMap stores a document given as a decoded JSON object. The map is
 // owned by the store afterwards and must not be mutated by the caller.
 func (s *Store) InsertMap(collectionName string, body map[string]any) (string, error) {
-	s.roundTrips.Add(1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	c := s.collection(collectionName)
@@ -236,7 +230,6 @@ func (s *Store) collection(name string) *collection {
 // creating the collection if it does not exist: the equivalent of MongoDB's
 // createIndex. Indexing the same path twice is an error.
 func (s *Store) CreateIndex(collectionName, path string) error {
-	s.roundTrips.Add(1)
 	if path == "" {
 		return fmt.Errorf("docstore: index path must be non-empty")
 	}
@@ -254,7 +247,6 @@ func (s *Store) CreateIndex(collectionName, path string) error {
 
 // Get retrieves one document by id. The boolean reports presence.
 func (s *Store) Get(collectionName, id string) (*Document, bool) {
-	s.roundTrips.Add(1)
 	defer s.tel.Get.Since(telemetry.Now())
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -269,7 +261,6 @@ func (s *Store) Get(collectionName, id string) (*Document, bool) {
 // GetBatch retrieves many documents by id in one round trip, preserving the
 // order of found ids and skipping missing ones.
 func (s *Store) GetBatch(collectionName string, ids []string) []*Document {
-	s.roundTrips.Add(1)
 	defer s.tel.GetBatch.Since(telemetry.Now())
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -288,7 +279,6 @@ func (s *Store) GetBatch(collectionName string, ids []string) []*Document {
 
 // Delete removes a document by id, reporting whether it existed.
 func (s *Store) Delete(collectionName, id string) bool {
-	s.roundTrips.Add(1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	c, ok := s.collections[collectionName]
@@ -318,7 +308,6 @@ func (s *Store) Find(collectionName, filterJSON string) ([]*Document, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.roundTrips.Add(1)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	c, ok := s.collections[collectionName]

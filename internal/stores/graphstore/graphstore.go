@@ -33,7 +33,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"quepa/internal/stores/ordindex"
 	"quepa/internal/telemetry"
@@ -61,17 +60,16 @@ type Edge struct {
 
 // Store is an embedded property-graph database.
 type Store struct {
-	name       string
-	mu         sync.RWMutex
-	nodes      map[string]*Node
-	byLabel    map[string][]string                   // label -> node ids in insertion order
-	indexes    map[string]map[string]*ordindex.Index // label -> property -> ordered index
-	propNames  map[string][]string                   // label -> the names slice its last node got
-	out        map[string][]Edge
-	in         map[string][]Edge
-	edgeCount  int
-	roundTrips atomic.Uint64
-	tel        telemetry.StoreOps
+	name      string
+	mu        sync.RWMutex
+	nodes     map[string]*Node
+	byLabel   map[string][]string                   // label -> node ids in insertion order
+	indexes   map[string]map[string]*ordindex.Index // label -> property -> ordered index
+	propNames map[string][]string                   // label -> the names slice its last node got
+	out       map[string][]Edge
+	in        map[string][]Edge
+	edgeCount int
+	tel       telemetry.StoreOps
 }
 
 // New creates an empty graph database with the given name.
@@ -90,9 +88,6 @@ func New(name string) *Store {
 
 // Name returns the database name.
 func (s *Store) Name() string { return s.name }
-
-// RoundTrips returns the number of public calls served so far.
-func (s *Store) RoundTrips() uint64 { return s.roundTrips.Load() }
 
 // Labels lists node labels in sorted order.
 func (s *Store) Labels() []string {
@@ -122,7 +117,6 @@ func (s *Store) EdgeCount() int {
 
 // AddNode inserts a node. Duplicate ids are an error.
 func (s *Store) AddNode(id, label string, props map[string]string) error {
-	s.roundTrips.Add(1)
 	if id == "" || label == "" {
 		return fmt.Errorf("graphstore: node id and label must be non-empty")
 	}
@@ -158,7 +152,6 @@ func (s *Store) AddNode(id, label string, props map[string]string) error {
 // label: the equivalent of Neo4j's CREATE INDEX FOR (n:label) ON (n.prop).
 // Indexing the same label and property twice is an error.
 func (s *Store) CreateIndex(label, prop string) error {
-	s.roundTrips.Add(1)
 	if label == "" || prop == "" {
 		return fmt.Errorf("graphstore: index label and property must be non-empty")
 	}
@@ -199,7 +192,6 @@ func (n *Node) indexValue(prop string) ordindex.Value {
 
 // AddEdge inserts a typed edge; both endpoints must exist.
 func (s *Store) AddEdge(from, to, edgeType string, props map[string]string) error {
-	s.roundTrips.Add(1)
 	if props == nil {
 		props = map[string]string{}
 	}
@@ -220,7 +212,6 @@ func (s *Store) AddEdge(from, to, edgeType string, props map[string]string) erro
 
 // GetNode retrieves one node by id. The boolean reports presence.
 func (s *Store) GetNode(id string) (*Node, bool) {
-	s.roundTrips.Add(1)
 	defer s.tel.Get.Since(telemetry.Now())
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -231,7 +222,6 @@ func (s *Store) GetNode(id string) (*Node, bool) {
 // GetNodes retrieves many nodes by id in one round trip, preserving the
 // order of found ids and skipping missing ones.
 func (s *Store) GetNodes(ids []string) []*Node {
-	s.roundTrips.Add(1)
 	defer s.tel.GetBatch.Since(telemetry.Now())
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -247,7 +237,6 @@ func (s *Store) GetNodes(ids []string) []*Node {
 // DeleteNode removes a node and all its incident edges, reporting whether
 // the node existed.
 func (s *Store) DeleteNode(id string) bool {
-	s.roundTrips.Add(1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n, ok := s.nodes[id]
@@ -293,7 +282,6 @@ func removeEdge(edges []Edge, target Edge) []Edge {
 // Neighbors returns the nodes adjacent to id (both directions), optionally
 // restricted to one edge type, in edge-insertion order without duplicates.
 func (s *Store) Neighbors(id, edgeType string) ([]*Node, error) {
-	s.roundTrips.Add(1)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if _, ok := s.nodes[id]; !ok {
@@ -370,7 +358,6 @@ func (s *Store) Query(q string) ([]*Node, error) {
 		return nil, err
 	}
 
-	s.roundTrips.Add(1)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var out []*Node

@@ -76,7 +76,6 @@ func parseEdgePattern(q string) (*edgePattern, bool, error) {
 
 // queryEdgePattern executes a parsed edge pattern.
 func (s *Store) queryEdgePattern(p *edgePattern) ([]*Node, error) {
-	s.roundTrips.Add(1)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 

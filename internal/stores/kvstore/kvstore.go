@@ -29,7 +29,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"quepa/internal/telemetry"
@@ -44,12 +43,11 @@ type Entry struct {
 
 // Store is an embedded key-value database.
 type Store struct {
-	name       string
-	mu         sync.Mutex
-	buckets    map[string]*bucket
-	roundTrips atomic.Uint64
-	now        func() time.Time // injectable clock for expiry (nil = time.Now)
-	tel        telemetry.StoreOps
+	name    string
+	mu      sync.Mutex
+	buckets map[string]*bucket
+	now     func() time.Time // injectable clock for expiry (nil = time.Now)
+	tel     telemetry.StoreOps
 }
 
 type bucket struct {
@@ -66,9 +64,6 @@ func New(name string) *Store {
 // Name returns the database name.
 func (s *Store) Name() string { return s.name }
 
-// RoundTrips returns the number of public calls served so far.
-func (s *Store) RoundTrips() uint64 { return s.roundTrips.Load() }
-
 // Buckets lists bucket names in sorted order.
 func (s *Store) Buckets() []string {
 	s.mu.Lock()
@@ -83,7 +78,6 @@ func (s *Store) Buckets() []string {
 
 // Set stores a value, creating the bucket on first use.
 func (s *Store) Set(bucketName, key, value string) {
-	s.roundTrips.Add(1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b, ok := s.buckets[bucketName]
@@ -101,7 +95,6 @@ func (s *Store) Set(bucketName, key, value string) {
 // Get retrieves a value. The boolean reports presence. Expired keys are
 // reaped lazily and reported absent.
 func (s *Store) Get(bucketName, key string) (string, bool) {
-	s.roundTrips.Add(1)
 	defer s.tel.Get.Since(telemetry.Now())
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -120,7 +113,6 @@ func (s *Store) Get(bucketName, key string) (string, bool) {
 // MGet retrieves many values in one round trip, skipping missing keys and
 // preserving the order of the found ones.
 func (s *Store) MGet(bucketName string, keys []string) []Entry {
-	s.roundTrips.Add(1)
 	defer s.tel.GetBatch.Since(telemetry.Now())
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -143,7 +135,6 @@ func (s *Store) MGet(bucketName string, keys []string) []Entry {
 
 // Del removes keys, returning how many existed.
 func (s *Store) Del(bucketName string, keys ...string) int {
-	s.roundTrips.Add(1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b, ok := s.buckets[bucketName]
@@ -172,7 +163,6 @@ func (s *Store) Del(bucketName string, keys ...string) int {
 // Keys returns the keys of a bucket matching a glob pattern (* and ?), in
 // insertion order.
 func (s *Store) Keys(bucketName, glob string) []string {
-	s.roundTrips.Add(1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b, ok := s.buckets[bucketName]
@@ -245,7 +235,6 @@ func (s *Store) Do(command string) ([]Entry, error) {
 		if len(args) != 1 {
 			return nil, fmt.Errorf("kvstore: SCAN requires bucket")
 		}
-		s.roundTrips.Add(1)
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		b, ok := s.buckets[args[0]]

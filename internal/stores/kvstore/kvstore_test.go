@@ -167,15 +167,3 @@ func TestBucketsSorted(t *testing.T) {
 		t.Errorf("Buckets() = %v", got)
 	}
 }
-
-func TestRoundTripsCounted(t *testing.T) {
-	s := New("db")
-	s.Set("b", "k", "v")
-	before := s.RoundTrips()
-	s.Get("b", "k")
-	s.MGet("b", []string{"k"})
-	s.Keys("b", "*")
-	if got := s.RoundTrips() - before; got != 3 {
-		t.Errorf("round trips = %d, want 3", got)
-	}
-}

@@ -36,7 +36,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"quepa/internal/stores/ordindex"
 	"quepa/internal/telemetry"
@@ -56,11 +55,10 @@ type Row struct {
 
 // Store is an embedded relational database.
 type Store struct {
-	name       string
-	mu         sync.RWMutex
-	tables     map[string]*table
-	roundTrips atomic.Uint64
-	tel        telemetry.StoreOps
+	name   string
+	mu     sync.RWMutex
+	tables map[string]*table
+	tel    telemetry.StoreOps
 }
 
 // table stores each row as one value slice in column-name order, parallel to
@@ -87,9 +85,6 @@ func New(name string) *Store {
 // Name returns the database name.
 func (s *Store) Name() string { return s.name }
 
-// RoundTrips returns the number of public engine calls served so far.
-func (s *Store) RoundTrips() uint64 { return s.roundTrips.Load() }
-
 // Tables lists the table names in sorted order.
 func (s *Store) Tables() []string {
 	s.mu.RLock()
@@ -105,7 +100,6 @@ func (s *Store) Tables() []string {
 // Exec parses and executes CREATE TABLE, CREATE INDEX or INSERT, returning
 // the number of inserted rows (0 for DDL).
 func (s *Store) Exec(sql string) (int, error) {
-	s.roundTrips.Add(1)
 	st, err := parse(sql)
 	if err != nil {
 		return 0, err
@@ -131,7 +125,6 @@ func (s *Store) Exec(sql string) (int, error) {
 // Select parses and executes a SELECT statement. A JOIN, an aggregate or
 // DISTINCT is refused with an error: see the package grammar.
 func (s *Store) Select(sql string) ([]Row, error) {
-	s.roundTrips.Add(1)
 	defer s.tel.Query.Since(telemetry.Now())
 	st, err := parse(sql)
 	if err != nil {
@@ -217,7 +210,6 @@ func (st Statement) Table() string {
 
 // Get retrieves one row by primary key. The boolean reports presence.
 func (s *Store) Get(tableName, key string) (Row, bool, error) {
-	s.roundTrips.Add(1)
 	defer s.tel.Get.Since(telemetry.Now())
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -235,7 +227,6 @@ func (s *Store) Get(tableName, key string) (Row, bool, error) {
 // GetBatch retrieves many rows by primary key in one round trip, preserving
 // the order of found keys and skipping missing ones.
 func (s *Store) GetBatch(tableName string, keys []string) ([]Row, error) {
-	s.roundTrips.Add(1)
 	defer s.tel.GetBatch.Since(telemetry.Now())
 	s.mu.RLock()
 	defer s.mu.RUnlock()

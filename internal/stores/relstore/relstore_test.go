@@ -414,17 +414,6 @@ func TestStatementInspection(t *testing.T) {
 	}
 }
 
-func TestRoundTripCounter(t *testing.T) {
-	s := newInventory(t) // 2 Execs
-	before := s.RoundTrips()
-	mustSelect(t, s, `SELECT * FROM inventory`)
-	s.Get("inventory", "a32")
-	s.GetBatch("inventory", []string{"a32"})
-	if got := s.RoundTrips() - before; got != 3 {
-		t.Errorf("round trips = %d, want 3", got)
-	}
-}
-
 func TestTablesAndColumns(t *testing.T) {
 	s := newInventory(t)
 	if got := s.Tables(); len(got) != 1 || got[0] != "inventory" {

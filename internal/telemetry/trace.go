@@ -260,8 +260,8 @@ const DefaultSlowThreshold = 250 * time.Millisecond
 const DefaultTraceCapacity = 128
 
 // DefaultSampleRate is the probabilistic keep rate the server applies to
-// fast, unflagged traces (-trace-sample). Tracers themselves default to 0 so
-// existing tests and embedders see only the slow/flagged policy.
+// fast, unflagged traces; it is fixed, not a flag. Tracers themselves default
+// to 0 so existing tests and embedders see only the slow/flagged policy.
 const DefaultSampleRate = 0.01
 
 // pendingCapacity bounds the buffer of recently finished, not-yet-kept local
