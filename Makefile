@@ -36,10 +36,10 @@ bench:
 # mux) with allocation counts, the per-request working set of a 50-origin
 # range augmentation over one store of each kind (SearchRange50), the
 # response encoder alone at the ledger's two body sizes (EncodeSearch), and
-# the allocations of one warm /search through the server's handler
-# (HandleSearchWarm).
+# the allocations of one /search through the server's handler: a warm point
+# search (HandleSearchWarm) and a 50-origin level-2 range (HandleSearchRange).
 bench-hotpath:
-	$(GO) test -bench='CacheGet|Mux|SearchRange50|EncodeSearch|HandleSearchWarm' -benchmem -run='^$$' \
+	$(GO) test -bench='CacheGet|Mux|SearchRange50|EncodeSearch|HandleSearch(Warm|Range)' -benchmem -run='^$$' \
 		./internal/cache/ ./internal/wire/ ./internal/augment/ ./cmd/quepa-server/
 
 # The scan stores' range selection (50 seq values of 10,000 rows), read
@@ -60,12 +60,15 @@ chaos:
 # one AppendReachMany call, as the server reaches them, on the index
 # workload.Build serves at scale 16), the component Stamp a
 # result-cache hit pays, and the live heap and forced-GC time a scale-16 A'
-# costs (IndexGC), at the ledger's index size.
+# costs (IndexGC), at the ledger's index size; and the live heap and
+# forced-GC time of the whole scale-16 workload.Build a server holds
+# (ServedGC): stores, A' and metadata together.
 # The sweep itself fails if any worker count changes the discovered
 # relations, so it doubles as a determinism check.
 bench-build:
 	$(GO) run ./cmd/quepa-bench -fig build
 	$(GO) test -bench='Reach|BulkLoad|Stamp|IndexGC' -benchmem -run='^$$' ./internal/aindex/
+	$(GO) test -bench='ServedGC' -benchmem -run='^$$' ./internal/workload/
 
 # The performance ledger — the only harness that records, compares or guards
 # a performance number: builds quepa-server, replays the BENCHMARK.json

@@ -283,6 +283,26 @@ func TestEncodeMatchesReference(t *testing.T) {
 	sameBytes(t, "/explore/step without links", got, refStep(t, nil, nil, nil))
 }
 
+// TestPooledRankedAnswerLeavesCacheIntact: /search appends its ranked
+// answer into pooled storage and clears it after the encode. A point search
+// is memoized by the result cache on its first run and served from it
+// afterwards, so if the pooled slice ever shared the cache's entry, the
+// clear would blank the next body.
+func TestPooledRankedAnswerLeavesCacheIntact(t *testing.T) {
+	s, _, ref := scaleOneServer(t)
+	mux := s.Handler()
+	const db, q = "transactions", "SELECT * FROM inventory WHERE id = 'a7'"
+	answer, err := ref.Search(context.Background(), db, q, 2)
+	if err != nil || len(answer.Augmented) == 0 {
+		t.Fatalf("fixture: %v, %d augmented", err, len(answer.Augmented))
+	}
+	want := refSearch(t, answer.Original, answer.Augmented, nil, nil)
+	target := "/search?level=2&db=" + db + "&q=" + url.QueryEscape(q)
+	for i := 0; i < 4; i++ {
+		sameBytes(t, fmt.Sprintf("%s (run %d)", target, i), get(t, mux, "GET", target), want)
+	}
+}
+
 // TestEncodeSectionsMatchReference: the spliced "degraded" and "explain"
 // sections, alone and together, on both routes that carry them.
 func TestEncodeSectionsMatchReference(t *testing.T) {
@@ -534,5 +554,30 @@ func BenchmarkHandleSearchWarm(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		mux.ServeHTTP(w, req)
+	}
+}
+
+// BenchmarkHandleSearchRange is the range_cold request inside the process: a
+// 50-origin seq range of inventory at level 2, through the real mux and its
+// instrumentation, into a writer that discards the body. Successive searches
+// walk eight disjoint ranges; a multi-origin outcome is never memoized, so
+// every search reaches, fetches, ranks and encodes its whole answer.
+func BenchmarkHandleSearchRange(b *testing.B) {
+	const ranges, width = 8, 50
+	s, _, _ := scaleOneServer(b)
+	mux := s.Handler()
+	reqs := make([]*http.Request, ranges)
+	for i := range reqs {
+		q := fmt.Sprintf("SELECT * FROM inventory WHERE seq >= %d AND seq < %d", i*width, (i+1)*width)
+		reqs[i] = httptest.NewRequest("GET", "/search?level=2&db=transactions&q="+url.QueryEscape(q), nil)
+		if body := get(b, mux, "GET", reqs[i].URL.String()); !bytes.Contains(body, []byte(`"prob"`)) {
+			b.Fatalf("warm-up answer has no augmentation:\n%s", body)
+		}
+	}
+	w := &discardWriter{header: http.Header{}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mux.ServeHTTP(w, reqs[i%ranges])
 	}
 }

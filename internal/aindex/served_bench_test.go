@@ -37,16 +37,14 @@ func BenchmarkReach50Served(b *testing.B) {
 }
 
 // BenchmarkBulkLoadServed is the load every server pays at start: the
-// relations workload.Build collects at the ledger's scale 16, loaded into a
+// relations workload.Build asserts at the ledger's scale 16, loaded into a
 // fresh index. alloc-MB is the bytes one load allocates (TotalAlloc), most
 // of which is garbage once the index is built.
 func BenchmarkBulkLoadServed(b *testing.B) {
-	built, err := workload.Build(workload.DefaultSpec().Scale(16), workload.Colocated())
+	_, rels, err := workload.BuildWithRelations(workload.DefaultSpec().Scale(16), workload.Colocated())
 	if err != nil {
 		b.Fatal(err)
 	}
-	rels := built.Relations()
-	built = nil
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()

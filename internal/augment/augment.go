@@ -296,8 +296,19 @@ func (a *Augmenter) ClearCache() { a.cache.Clear() }
 // Search executes a query in augmented mode (Definition 3): the query is
 // validated (and possibly rewritten to expose identifiers), executed against
 // its database with the local language, and its result is augmented at the
-// given level under the augmenter's current configuration.
+// given level under the augmenter's current configuration. It is
+// AppendSearch with a nil dst.
 func (a *Augmenter) Search(ctx context.Context, database, query string, level int) (*Answer, error) {
+	return a.AppendSearch(ctx, nil, database, query, level)
+}
+
+// AppendSearch is Search with the augmentation appended to dst: the
+// answer's Augmented is dst extended by the ranked objects, so a caller
+// that recycles dst serves a search without allocating its ranked answer.
+// A non-nil dst never shares storage with the result cache; with dst nil,
+// Augmented may be a memoized outcome, which every reader treats as
+// read-only.
+func (a *Augmenter) AppendSearch(ctx context.Context, dst []AugmentedObject, database, query string, level int) (*Answer, error) {
 	ctx, span := telemetry.StartSpan(ctx, "augment.search")
 	defer span.End()
 	span.SetAttr("db", database)
@@ -321,7 +332,7 @@ func (a *Augmenter) Search(ctx context.Context, database, query string, level in
 	}
 	qspan.SetAttr("objects", itoa(len(original)))
 	qspan.End()
-	augmented, degraded, err := a.augment(ctx, a.Config(), original, level)
+	augmented, degraded, err := a.augment(ctx, a.Config(), dst, original, level)
 	if err != nil {
 		return nil, err
 	}
@@ -339,12 +350,12 @@ func (a *Augmenter) Search(ctx context.Context, database, query string, level in
 // Degradation list while the healthy stores' results come back intact. Only
 // context cancellation and deadline expiry abort the whole call.
 func (a *Augmenter) AugmentObjects(ctx context.Context, origins []core.Object, level int) ([]AugmentedObject, []Degradation, error) {
-	return a.augment(ctx, a.Config(), origins, level)
+	return a.augment(ctx, a.Config(), nil, origins, level)
 }
 
 // augment is AugmentObjects under cfg, one coherent configuration for the
-// whole augmentation.
-func (a *Augmenter) augment(ctx context.Context, cfg Config, origins []core.Object, level int) (out []AugmentedObject, degraded []Degradation, err error) {
+// whole augmentation, with the ranked objects appended to dst.
+func (a *Augmenter) augment(ctx context.Context, cfg Config, dst []AugmentedObject, origins []core.Object, level int) (out []AugmentedObject, degraded []Degradation, err error) {
 	if level < 0 {
 		return nil, nil, fmt.Errorf("augment: negative level %d", level)
 	}
@@ -361,7 +372,8 @@ func (a *Augmenter) augment(ctx context.Context, cfg Config, origins []core.Obje
 	// leaves the entry unaddressable at the new stamp rather than serving
 	// stale data; Rank filters by minProb after the fact, so one entry
 	// serves every threshold. Only single-origin outcomes are memoized, so
-	// an entry never depends on more than one component.
+	// an entry never depends on more than one component. An entry is a
+	// slice of the cache's own, never dst, so no caller recycles it.
 	var (
 		outKey   rcache.Key
 		outStamp uint64
@@ -371,12 +383,12 @@ func (a *Augmenter) augment(ctx context.Context, cfg Config, origins []core.Obje
 		outKey = rcache.Key{GK: origins[0].GK, Level: level, Kind: rcache.KindOutcome}
 		outStamp = a.index.Stamp(origins[0].GK)
 		if v, ok := a.rc.GetOutcome(outKey, outStamp); ok {
-			out := v.([]AugmentedObject)
+			memo := v.([]AugmentedObject)
 			if span != nil {
 				span.SetAttr("rcache_hits", "1")
-				span.SetAttr("fetched", itoa(len(out)))
+				span.SetAttr("fetched", itoa(len(memo)))
 			}
-			return out, nil, nil
+			return appendMemo(dst, memo), nil, nil
 		}
 		memoize = true
 	}
@@ -397,7 +409,7 @@ func (a *Augmenter) augment(ctx context.Context, cfg Config, origins []core.Obje
 	if len(plan.order) == 0 {
 		strategyHist(strategy).Since(start)
 		sink.report(span, 0, nil)
-		return nil, sink.degradations(), nil
+		return dst, sink.degradations(), nil
 	}
 	err = a.schedule(ctx, cfg, plan, sink)
 	strategyHist(strategy).Since(start)
@@ -408,14 +420,26 @@ func (a *Augmenter) augment(ctx context.Context, cfg Config, origins []core.Obje
 		sink.report(span, 0, err)
 		return nil, nil, err
 	}
-	out = plan.answer(sink)
 	// Only clean outcomes are cacheable: a degraded answer reflects a
 	// transient store failure and must not outlive it.
 	if memoize && sink.nDegraded.Load() == 0 {
-		a.rc.PutOutcome(outKey, outStamp, out)
+		memo := plan.answer(sink, nil)
+		a.rc.PutOutcome(outKey, outStamp, memo)
+		out = appendMemo(dst, memo)
+	} else {
+		out = plan.answer(sink, dst)
 	}
-	sink.report(span, len(out), nil)
+	sink.report(span, len(out)-len(dst), nil)
 	return out, sink.degradations(), nil
+}
+
+// appendMemo appends a memoized outcome to dst; with dst nil it hands out
+// the cache's slice itself.
+func appendMemo(dst, memo []AugmentedObject) []AugmentedObject {
+	if dst == nil {
+		return memo
+	}
+	return append(dst, memo...)
 }
 
 // plan is the resolved fetch work of one augmentation, laid out by slot:
@@ -498,11 +522,11 @@ func (a *Augmenter) buildPlan(ctx context.Context, s *sink, origins []core.Objec
 	return p
 }
 
-// answer assembles the final ordered augmentation from the filled slots. It
-// sorts the slot numbers, not the answer's elements, so the sort moves four
-// bytes per swap instead of a whole object, and each element is written once,
-// in rank order.
-func (p *plan) answer(s *sink) []AugmentedObject {
+// answer appends the final ordered augmentation from the filled slots to
+// dst. It sorts the slot numbers, not the answer's elements, so the sort
+// moves four bytes per swap instead of a whole object, and each element is
+// written once, in rank order.
+func (p *plan) answer(s *sink, dst []AugmentedObject) []AugmentedObject {
 	rank := slices.Grow(s.rank[:0], s.filled)
 	for i, ok := range s.has {
 		if ok {
@@ -519,9 +543,9 @@ func (p *plan) answer(s *sink) []AugmentedObject {
 		}
 		return p.order[x].Compare(p.order[y])
 	})
-	out := make([]AugmentedObject, len(rank))
-	for j, i := range rank {
-		out[j] = AugmentedObject{Object: s.objects[i], Prob: p.hits[i].Prob, Dist: p.hits[i].Dist}
+	out := slices.Grow(dst, len(rank))
+	for _, i := range rank {
+		out = append(out, AugmentedObject{Object: s.objects[i], Prob: p.hits[i].Prob, Dist: p.hits[i].Dist})
 	}
 	return out
 }
@@ -982,8 +1006,9 @@ func (a *Augmenter) fetchGroup(ctx context.Context, database, collection string,
 // augmented objects with probability at least minProb, truncated to the
 // topK strongest (topK <= 0 means no truncation). The result is a prefix of
 // a.Augmented, not a copy, and is read-only: it shares its backing array
-// with the answer and, for a memoized outcome, with the result cache's
-// entry. Its capacity ends at its length, so an append copies.
+// with the answer and so with the dst it was appended to, or, for a
+// memoized outcome searched with a nil dst, with the result cache's entry.
+// Its capacity ends at its length, so an append copies.
 func (a *Answer) Rank(minProb float64, topK int) []AugmentedObject {
 	n := 0
 	// Augmented answers are probability-ordered: everything after the first

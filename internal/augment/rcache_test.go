@@ -199,3 +199,34 @@ func TestResultCacheStoresOnlySingleOriginOutcomes(t *testing.T) {
 		t.Fatalf("single-origin augmentation left %d entries, want its one outcome", n)
 	}
 }
+
+// TestAppendSearchOwnsItsStorage: AppendSearch appends after dst's
+// elements, and what it returns never shares storage with the result cache:
+// clearing each answer, as the server does before recycling it, leaves the
+// memoized outcome intact for the next search — the miss that stores it and
+// the hits that read it alike.
+func TestAppendSearchOwnsItsStorage(t *testing.T) {
+	poly, ix := polyphony(t)
+	const db, q = "transactions", "SELECT * FROM inventory WHERE id = 'a32'"
+	want, err := New(poly, ix, Config{Strategy: Sequential}).Search(ctx, db, q, 2)
+	if err != nil || len(want.Augmented) == 0 {
+		t.Fatalf("fixture: %v, %d augmented", err, len(want.Augmented))
+	}
+	aug := New(poly, ix, Config{Strategy: Sequential})
+	rc := rcache.New(64)
+	aug.SetResultCache(rc)
+	sentinel := AugmentedObject{Prob: -1}
+	for i := 0; i < 3; i++ {
+		answer, err := aug.AppendSearch(ctx, []AugmentedObject{sentinel}, db, q, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := answer.Augmented; !reflect.DeepEqual(got[0], sentinel) || !reflect.DeepEqual(got[1:], want.Augmented) {
+			t.Fatalf("search %d: got %v, want the sentinel then %v", i, got, want.Augmented)
+		}
+		clear(answer.Augmented)
+	}
+	if st := rc.Stats(); st.Hits != 2 {
+		t.Fatalf("rcache stats %+v, want the two repeats served as hits", st)
+	}
+}

@@ -98,13 +98,12 @@ func ExtraCache(o Options) ([]Point, error) {
 //	augmentation of the evaluation query.
 func ExtraAblation(o Options) ([]Point, error) {
 	o = o.withDefaults()
-	built, err := o.build(1, workload.Colocated())
+	// Both variants load the exact assertion stream the generator produced;
+	// the materialized variant additionally computes the closure.
+	built, recorded, err := workload.BuildWithRelations(o.spec(1), workload.Colocated())
 	if err != nil {
 		return nil, err
 	}
-	// Both variants load the exact assertion stream the generator produced;
-	// the materialized variant additionally computes the closure.
-	recorded := built.Relations()
 
 	var points []Point
 	query, err := built.Query("transactions", o.midQuery())

@@ -45,7 +45,8 @@ func testClientConfig() wire.ClientConfig {
 // across them.
 type testCluster struct {
 	ring  *Ring
-	ref   *workload.Built // peer 0's build doubles as the single-node reference
+	ref   *workload.Built  // peer 0's build doubles as the single-node reference
+	rels  []core.PRelation // the p-relations peer 0's build asserted
 	nodes []*Node
 	addrs []string
 	srvs  []*wire.Server
@@ -63,12 +64,12 @@ func startCluster(t *testing.T, n int, wrap func(shard int, node *Node) core.Sto
 	}
 	tc := &testCluster{ring: ring}
 	for shard := 0; shard < n; shard++ {
-		built, err := workload.Build(clusterSpec(), workload.Colocated())
+		built, rels, err := workload.BuildWithRelations(clusterSpec(), workload.Colocated())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if shard == 0 {
-			tc.ref = built
+			tc.ref, tc.rels = built, rels
 		}
 		idx, err := BuildShard(built.Index, ring, shard)
 		if err != nil {
@@ -131,10 +132,10 @@ func (tc *testCluster) newCoordinator(t *testing.T, mod func(*Config)) *Coordina
 
 // sampleOrigins picks deterministic traversal starting points from the
 // asserted p-relations.
-func sampleOrigins(b *workload.Built, n int) []core.GlobalKey {
+func sampleOrigins(rels []core.PRelation, n int) []core.GlobalKey {
 	seen := map[core.GlobalKey]bool{}
 	var out []core.GlobalKey
-	for _, r := range b.Relations() {
+	for _, r := range rels {
 		for _, gk := range []core.GlobalKey{r.From, r.To} {
 			if len(out) >= n {
 				return out
@@ -185,7 +186,7 @@ func TestClusterReachEquivalence(t *testing.T) {
 	ctx := context.Background()
 	for _, peers := range []int{1, 2, 3} {
 		tc := startCluster(t, peers, nil)
-		distinct := sampleOrigins(tc.ref, 16)
+		distinct := sampleOrigins(tc.rels, 16)
 		origins := append(append([]core.GlobalKey(nil), distinct...), distinct[0])
 		overlap := false
 		for _, h := range tc.ref.Index.Reach(origins[0], 1) {
@@ -260,7 +261,7 @@ func TestClusterOwnerMemoUnderMutation(t *testing.T) {
 	shared := func(shard int) *Node { return NewNode(shard, full.Index, full.Poly) }
 	tc := startCluster(t, 3, func(shard int, _ *Node) core.Store { return shared(shard) })
 	coord := tc.newCoordinator(t, func(cfg *Config) { cfg.Node = shared(0) })
-	origins := sampleOrigins(tc.ref, 16)
+	origins := sampleOrigins(tc.rels, 16)
 	want := make([][]aindex.Hit, len(origins))
 	for i, origin := range origins {
 		want[i] = tc.ref.Index.Reach(origin, 2)
@@ -326,7 +327,7 @@ func TestScatterManyPeerDown(t *testing.T) {
 		return netsim.NewChaosNode(node, netsim.FaultPlan{Down: []netsim.Window{{From: 1}}}, func(time.Duration) {})
 	})
 	ctx := context.Background()
-	origins := sampleOrigins(tc.ref, 128)
+	origins := sampleOrigins(tc.rels, 128)
 	deadOwned, straddles := 0, false
 	for _, origin := range origins {
 		if tc.ring.Owner(origin) == down {
@@ -371,7 +372,7 @@ func TestScatterManyPeerDown(t *testing.T) {
 func TestClusterOwnerMemoInvalidatesOneIsland(t *testing.T) {
 	tc := startCluster(t, 3, nil)
 	ctx := context.Background()
-	origins := sampleOrigins(tc.ref, 24)
+	origins := sampleOrigins(tc.rels, 24)
 	before, _, _ := tc.coord.ReachScatterMany(ctx, origins, 2)
 	// The mutated island is owned by a remote peer, so its recomputation
 	// happens across the wire.
@@ -425,7 +426,7 @@ func TestClusterPeerDownDegradesPeerOpen(t *testing.T) {
 		return netsim.NewChaosNode(node, netsim.FaultPlan{Down: []netsim.Window{{From: 1}}}, func(time.Duration) {})
 	})
 	ctx := context.Background()
-	origins := sampleOrigins(tc.ref, 30)
+	origins := sampleOrigins(tc.rels, 30)
 	sawOpen := false
 	for _, origin := range origins {
 		hits, _, degs := tc.coord.ReachScatter(ctx, origin, 2)
@@ -475,7 +476,7 @@ func TestClusterAugmenterPeerOpen(t *testing.T) {
 	aug := augment.New(tc.ref.Poly, tc.nodes[0].Index(), augment.Config{})
 	aug.SetReacher(tc.coord)
 	ctx := context.Background()
-	origins := sampleOrigins(tc.ref, 20)
+	origins := sampleOrigins(tc.rels, 20)
 	sawOpen := false
 	for _, gk := range origins {
 		obj, err := tc.ref.Poly.Fetch(ctx, gk)
@@ -515,7 +516,7 @@ func TestClusterSlowShardDegrades(t *testing.T) {
 	tc.coord.ccfg.Retry.AttemptTimeout = 100 * time.Millisecond
 	ctx := context.Background()
 	deadline := time.Now().Add(30 * time.Second)
-	for _, origin := range sampleOrigins(tc.ref, 10) {
+	for _, origin := range sampleOrigins(tc.rels, 10) {
 		if time.Now().After(deadline) {
 			t.Fatal("slow-shard traversals did not degrade in time")
 		}
@@ -579,7 +580,7 @@ func TestClusterExplainScatter(t *testing.T) {
 	tc := startCluster(t, 3, nil)
 	aug := augment.New(tc.ref.Poly, tc.nodes[0].Index(), augment.Config{})
 	aug.SetReacher(tc.coord)
-	for _, gk := range sampleOrigins(tc.ref, 20) {
+	for _, gk := range sampleOrigins(tc.rels, 20) {
 		obj, err := tc.ref.Poly.Fetch(context.Background(), gk)
 		if err != nil {
 			continue

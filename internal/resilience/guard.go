@@ -103,14 +103,6 @@ func (g *GuardedStore) KeyField(ctx context.Context, collection string) (string,
 	return "", core.ErrUnsupportedQuery
 }
 
-// RoundTrips forwards the round-trip count when the wrapped store tracks it.
-func (g *GuardedStore) RoundTrips() uint64 {
-	if c, ok := g.inner.(core.Counter); ok {
-		return c.RoundTrips()
-	}
-	return 0
-}
-
 // Set is a registry of breakers, one per store name, sharing one config. The
 // server owns one and serves it through /healthz and quepa_breakers_open.
 type Set struct {

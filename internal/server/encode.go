@@ -27,6 +27,23 @@ import (
 // bodyPool recycles response buffers; a warm encoder allocates nothing.
 var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
+// rankedPool recycles /search's ranked answers: the augmenter appends into
+// one, so a search does not allocate its []AugmentedObject. A new one is
+// non-nil, so the augmenter never hands back a result-cache entry in its
+// place (AppendSearch).
+var rankedPool = sync.Pool{New: func() any {
+	ranked := make([]augment.AugmentedObject, 0, 64)
+	return &ranked
+}}
+
+// putRanked clears a ranked answer, so the pool keeps no object live, and
+// recycles its storage in p.
+func putRanked(p *[]augment.AugmentedObject, ranked []augment.AugmentedObject) {
+	clear(ranked)
+	*p = ranked[:0]
+	rankedPool.Put(p)
+}
+
 // sendBody writes an encoded body as a 200 and recycles its buffer, which
 // buf still owns: http.ResponseWriter.Write copies before returning. A failed
 // Write means the client went away; there is nobody left to tell.

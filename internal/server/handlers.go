@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"quepa/internal/augment"
 	"quepa/internal/core"
 	"quepa/internal/explain"
 	"quepa/internal/slo"
@@ -340,11 +341,14 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	answer, err := s.aug.Search(r.Context(), db, q, level)
+	dst := rankedPool.Get().(*[]augment.AugmentedObject)
+	answer, err := s.aug.AppendSearch(r.Context(), *dst, db, q, level)
 	if err != nil {
+		rankedPool.Put(dst)
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	defer putRanked(dst, answer.Augmented)
 	ranked := answer.Rank(minProb, topK)
 	profile := explainProfile(r, len(answer.Original)+len(ranked), len(answer.Augmented)-len(ranked), explainOn)
 	buf := bodyPool.Get().(*[]byte)

@@ -7,6 +7,13 @@
 // are symmetric in the running example), and may carry properties such as a
 // weight.
 //
+// Edges are stored without pointers, so the garbage collector never scans
+// them: AddNode gives every node a number, and each edge is two half-edges
+// of integers, one in its source's out array and one in its target's in
+// array, naming the other end by number. Edge types and property names are
+// interned; property values sit in one byte arena. Edges builds Edge values
+// from them when it is called.
+//
 // Query language (one statement per Query call):
 //
 //	MATCH (n:Label) RETURN n [LIMIT k]
@@ -48,15 +55,39 @@ type Node struct {
 	Label  string
 	Names  []string
 	Values []string
+	num    int32 // the node number AddNode assigned: its place in Store.adj
 }
 
 // Edge is a typed connection between two nodes with optional properties.
+// The store keeps no Edge: Edges builds them, with a fresh Props map, from
+// the half-edges.
 type Edge struct {
 	From  string
 	To    string
 	Type  string
 	Props map[string]string
 }
+
+// halfEdge is one end of an edge, held in its node's out or in array: the
+// node number at the other end, the interned edge type and the edge's
+// offset in the property arena. It holds no pointer, so the edge arrays are
+// never scanned by the garbage collector (DESIGN §3.20).
+type halfEdge struct {
+	other int32
+	typ   uint32
+	props uint32
+}
+
+// adjacency is one node's half-edges in insertion order: out holds the
+// edges it is the source of, in those it is the target of. A self-loop is
+// in both.
+type adjacency struct {
+	out, in []halfEdge
+}
+
+// noType is an edge type id no edge has: what a lookup of a type never
+// interned yields.
+const noType = ^uint32(0)
 
 // Store is an embedded property-graph database.
 type Store struct {
@@ -66,8 +97,17 @@ type Store struct {
 	byLabel   map[string][]string                   // label -> node ids in insertion order
 	indexes   map[string]map[string]*ordindex.Index // label -> property -> ordered index
 	propNames map[string][]string                   // label -> the names slice its last node got
-	out       map[string][]Edge
-	in        map[string][]Edge
+	byNum     []*Node                               // node number -> node, nil once deleted
+	adj       []adjacency                           // node number -> its half-edges
+	// strs interns edge types and edge property names; strIDs maps them
+	// back to their ids.
+	strs   []string
+	strIDs map[string]uint32
+	// props is the edge property arena: at an edge's offset, the pair count
+	// n and then n triples (name id, value offset, value length) into vals.
+	// Offset 0 is the empty property set. A deleted edge's entry stays.
+	props     []uint32
+	vals      []byte
 	edgeCount int
 	tel       telemetry.StoreOps
 }
@@ -80,8 +120,8 @@ func New(name string) *Store {
 		byLabel:   map[string][]string{},
 		indexes:   map[string]map[string]*ordindex.Index{},
 		propNames: map[string][]string{},
-		out:       map[string][]Edge{},
-		in:        map[string][]Edge{},
+		strIDs:    map[string]uint32{},
+		props:     []uint32{0},
 		tel:       telemetry.NewStoreOps(name),
 	}
 }
@@ -139,8 +179,10 @@ func (s *Store) AddNode(id, label string, props map[string]string) error {
 	} else {
 		s.propNames[label] = names
 	}
-	n := &Node{ID: id, Label: label, Names: names, Values: values}
+	n := &Node{ID: id, Label: label, Names: names, Values: values, num: int32(len(s.byNum))}
 	s.nodes[id] = n
+	s.byNum = append(s.byNum, n)
+	s.adj = append(s.adj, adjacency{})
 	s.byLabel[label] = append(s.byLabel[label], id)
 	for prop, idx := range s.indexes[label] {
 		idx.Insert(id, n.indexValue(prop))
@@ -190,24 +232,76 @@ func (n *Node) indexValue(prop string) ordindex.Value {
 	return ordindex.ParseValue(v)
 }
 
-// AddEdge inserts a typed edge; both endpoints must exist.
+// AddEdge inserts a typed edge; both endpoints must exist. The store keeps
+// a copy of props.
 func (s *Store) AddEdge(from, to, edgeType string, props map[string]string) error {
-	if props == nil {
-		props = map[string]string{}
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.nodes[from]; !ok {
+	src, ok := s.nodes[from]
+	if !ok {
 		return fmt.Errorf("graphstore: unknown source node %q", from)
 	}
-	if _, ok := s.nodes[to]; !ok {
+	dst, ok := s.nodes[to]
+	if !ok {
 		return fmt.Errorf("graphstore: unknown target node %q", to)
 	}
-	e := Edge{From: from, To: to, Type: edgeType, Props: props}
-	s.out[from] = append(s.out[from], e)
-	s.in[to] = append(s.in[to], e)
+	typ, off := s.intern(edgeType), s.appendProps(props)
+	s.adj[src.num].out = append(s.adj[src.num].out, halfEdge{other: dst.num, typ: typ, props: off})
+	s.adj[dst.num].in = append(s.adj[dst.num].in, halfEdge{other: src.num, typ: typ, props: off})
 	s.edgeCount++
 	return nil
+}
+
+// intern returns the id of an edge type or property name, assigning the
+// next one on first sight.
+func (s *Store) intern(str string) uint32 {
+	id, ok := s.strIDs[str]
+	if !ok {
+		id = uint32(len(s.strs))
+		s.strs = append(s.strs, str)
+		s.strIDs[str] = id
+	}
+	return id
+}
+
+// typeID returns an edge type's id without interning it: noType when no
+// edge ever had the type.
+func (s *Store) typeID(edgeType string) uint32 {
+	if id, ok := s.strIDs[edgeType]; ok {
+		return id
+	}
+	return noType
+}
+
+// appendProps stores an edge's properties in the arena and returns their
+// offset; an empty set is offset 0.
+func (s *Store) appendProps(props map[string]string) uint32 {
+	if len(props) == 0 {
+		return 0
+	}
+	off := uint32(len(s.props))
+	s.props = append(s.props, uint32(len(props)))
+	for name, v := range props {
+		s.props = append(s.props, s.intern(name), uint32(len(s.vals)), uint32(len(v)))
+		s.vals = append(s.vals, v...)
+	}
+	return off
+}
+
+// edge builds the Edge a half-edge of node n stands for; out tells which
+// of n's arrays it came from.
+func (s *Store) edge(n *Node, h halfEdge, out bool) Edge {
+	from, to := n.ID, s.byNum[h.other].ID
+	if !out {
+		from, to = to, from
+	}
+	pairs := s.props[h.props]
+	props := make(map[string]string, pairs)
+	for i := h.props + 1; i < h.props+1+3*pairs; i += 3 {
+		off, size := s.props[i+1], s.props[i+2]
+		props[s.strs[s.props[i]]] = string(s.vals[off : off+size])
+	}
+	return Edge{From: from, To: to, Type: s.strs[h.typ], Props: props}
 }
 
 // GetNode retrieves one node by id. The boolean reports presence.
@@ -254,25 +348,30 @@ func (s *Store) DeleteNode(id string) bool {
 	for _, idx := range s.indexes[n.Label] {
 		idx.Retain(func(k string) bool { return k != id })
 	}
-	for _, e := range s.out[id] {
-		s.in[e.To] = removeEdge(s.in[e.To], e)
+	adj := &s.adj[n.num]
+	for _, h := range adj.out {
+		other := &s.adj[h.other]
+		other.in = removeHalfEdge(other.in, n.num, h.typ)
 		s.edgeCount--
 	}
-	for _, e := range s.in[id] {
-		if e.From == id {
+	for _, h := range adj.in {
+		if h.other == n.num {
 			continue // self-loop already counted above
 		}
-		s.out[e.From] = removeEdge(s.out[e.From], e)
+		other := &s.adj[h.other]
+		other.out = removeHalfEdge(other.out, n.num, h.typ)
 		s.edgeCount--
 	}
-	delete(s.out, id)
-	delete(s.in, id)
+	*adj = adjacency{}
+	s.byNum[n.num] = nil
 	return true
 }
 
-func removeEdge(edges []Edge, target Edge) []Edge {
-	for i, e := range edges {
-		if e.From == target.From && e.To == target.To && e.Type == target.Type {
+// removeHalfEdge removes the first half-edge of the given type whose other
+// end is node num.
+func removeHalfEdge(edges []halfEdge, num int32, typ uint32) []halfEdge {
+	for i, h := range edges {
+		if h.other == num && h.typ == typ {
 			return append(edges[:i], edges[i+1:]...)
 		}
 	}
@@ -284,27 +383,26 @@ func removeEdge(edges []Edge, target Edge) []Edge {
 func (s *Store) Neighbors(id, edgeType string) ([]*Node, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if _, ok := s.nodes[id]; !ok {
+	n, ok := s.nodes[id]
+	if !ok {
 		return nil, fmt.Errorf("graphstore: unknown node %q", id)
 	}
-	seen := map[string]bool{}
+	typ := s.typeID(edgeType)
+	seen := map[int32]bool{}
 	var out []*Node
-	visit := func(other string) {
-		if other == id || seen[other] {
+	visit := func(h halfEdge) {
+		if (edgeType != "" && h.typ != typ) || h.other == n.num || seen[h.other] {
 			return
 		}
-		seen[other] = true
-		out = append(out, s.nodes[other])
+		seen[h.other] = true
+		out = append(out, s.byNum[h.other])
 	}
-	for _, e := range s.out[id] {
-		if edgeType == "" || e.Type == edgeType {
-			visit(e.To)
-		}
+	adj := s.adj[n.num]
+	for _, h := range adj.out {
+		visit(h)
 	}
-	for _, e := range s.in[id] {
-		if edgeType == "" || e.Type == edgeType {
-			visit(e.From)
-		}
+	for _, h := range adj.in {
+		visit(h)
 	}
 	return out, nil
 }
@@ -313,11 +411,18 @@ func (s *Store) Neighbors(id, edgeType string) ([]*Node, error) {
 func (s *Store) Edges(id string) []Edge {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
+	n, ok := s.nodes[id]
+	if !ok {
+		return nil
+	}
 	var out []Edge
-	out = append(out, s.out[id]...)
-	for _, e := range s.in[id] {
-		if e.From != id { // avoid double-counting self-loops
-			out = append(out, e)
+	adj := s.adj[n.num]
+	for _, h := range adj.out {
+		out = append(out, s.edge(n, h, true))
+	}
+	for _, h := range adj.in {
+		if h.other != n.num { // avoid double-counting self-loops
+			out = append(out, s.edge(n, h, false))
 		}
 	}
 	return out

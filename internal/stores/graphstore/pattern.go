@@ -79,6 +79,7 @@ func (s *Store) queryEdgePattern(p *edgePattern) ([]*Node, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 
+	typ := s.typeID(p.edgeType)
 	seen := map[string]bool{}
 	var out []*Node
 	for _, srcID := range s.candidates(p.srcLabel, p.conds[p.srcVar]) {
@@ -88,11 +89,11 @@ func (s *Store) queryEdgePattern(p *edgePattern) ([]*Node, error) {
 		} else if !ok {
 			continue
 		}
-		for _, e := range s.out[srcID] {
-			if e.Type != p.edgeType {
+		for _, h := range s.adj[src.num].out {
+			if h.typ != typ {
 				continue
 			}
-			dst := s.nodes[e.To]
+			dst := s.byNum[h.other]
 			if dst.Label != p.dstLabel {
 				continue
 			}

@@ -91,17 +91,6 @@ type Built struct {
 	databases []string
 	// discountKeys maps album index -> discount key ("" when none).
 	discountKeys []string
-	// relations records the p-relations asserted into the index, in
-	// insertion order (the ablation experiment replays them).
-	relations []core.PRelation
-}
-
-// Relations returns the p-relations asserted during generation, in order
-// (the materialized closure in Index is larger).
-func (b *Built) Relations() []core.PRelation {
-	out := make([]core.PRelation, len(b.relations))
-	copy(out, b.relations)
-	return out
 }
 
 // Databases lists the database names in registration order.
@@ -136,28 +125,40 @@ var (
 )
 
 // Build generates the polystore described by the spec, wraps every store
-// with the deployment's network profile and loads the A' index.
+// with the deployment's network profile and loads the A' index. The
+// p-relations it asserts are dropped once the index is loaded: serving
+// reads the index alone.
 func Build(spec Spec, deploy Deployment) (*Built, error) {
+	b, _, err := BuildWithRelations(spec, deploy)
+	return b, err
+}
+
+// BuildWithRelations is Build that also returns the p-relations asserted
+// during generation, in insertion order (the materialized closure in Index
+// is larger). The ablation experiment replays them.
+func BuildWithRelations(spec Spec, deploy Deployment) (*Built, []core.PRelation, error) {
 	if spec.Artists <= 0 || spec.AlbumsPerArtist <= 0 {
-		return nil, fmt.Errorf("workload: spec must have positive artists and albums per artist")
+		return nil, nil, fmt.Errorf("workload: spec must have positive artists and albums per artist")
 	}
 	rng := rand.New(rand.NewSource(spec.Seed))
 	b := &Built{Spec: spec, Poly: core.NewPolystore()}
 
 	// Replica group 0 is the base polystore; further groups are replicas.
+	var rels []core.PRelation
 	for group := 0; group <= spec.ReplicaRounds; group++ {
-		if err := b.buildGroup(spec, group, rng, deploy); err != nil {
-			return nil, err
+		var err error
+		if rels, err = b.buildGroup(spec, group, rng, deploy, rels); err != nil {
+			return nil, nil, err
 		}
 	}
 	// BulkLoad replays the relations in order through Insert's closure into
 	// an index no reader sees yet, and packs its rows into one array.
-	index, err := aindex.BulkLoad(b.relations)
+	index, err := aindex.BulkLoad(rels)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	b.Index = index
-	return b, nil
+	return b, rels, nil
 }
 
 // groupName suffixes replica databases ("catalogue", "catalogue-2", ...).
@@ -168,7 +169,9 @@ func groupName(base string, group int) string {
 	return fmt.Sprintf("%s-%d", base, group+1)
 }
 
-func (b *Built) buildGroup(spec Spec, group int, rng *rand.Rand, deploy Deployment) error {
+// buildGroup generates one replica group's stores and appends the
+// p-relations it asserts to rels.
+func (b *Built) buildGroup(spec Spec, group int, rng *rand.Rand, deploy Deployment, rels []core.PRelation) ([]core.PRelation, error) {
 	albums := spec.Albums()
 	catalogueName := groupName("catalogue", group)
 	transactionsName := groupName("transactions", group)
@@ -184,7 +187,7 @@ func (b *Built) buildGroup(spec Spec, group int, rng *rand.Rand, deploy Deployme
 		`CREATE TABLE customers (id TEXT PRIMARY KEY, seq INT, name TEXT, city TEXT)`,
 	} {
 		if _, err := rel.Exec(sql); err != nil {
-			return err
+			return nil, err
 		}
 	}
 
@@ -219,7 +222,7 @@ func (b *Built) buildGroup(spec Spec, group int, rng *rand.Rand, deploy Deployme
 		docJSON := fmt.Sprintf(`{"_id": "d%d", "seq": %d, "title": %q, "artist": %q, "artist_id": "ar%d", "year": %d, "genre": %q}`,
 			i, i, m.title, m.artist, i/spec.AlbumsPerArtist, m.year, genres[i%len(genres)])
 		if _, err := doc.Insert("albums", docJSON); err != nil {
-			return err
+			return nil, err
 		}
 	}
 
@@ -244,12 +247,12 @@ func (b *Built) buildGroup(spec Spec, group int, rng *rand.Rand, deploy Deployme
 			i, i, sqlEscape(m.artist), sqlEscape(m.title), genres[i%len(genres)], price)
 		if (i+1)%500 == 0 {
 			if err := flushInsert("inventory"); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	}
 	if err := flushInsert("inventory"); err != nil {
-		return err
+		return nil, err
 	}
 
 	// Customers.
@@ -260,12 +263,12 @@ func (b *Built) buildGroup(spec Spec, group int, rng *rand.Rand, deploy Deployme
 		fmt.Fprintf(&sb, "('c%d', %d, 'Customer %d', 'City %d')", c, c, c, c%37)
 		if (c+1)%500 == 0 {
 			if err := flushInsert("customers"); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	}
 	if err := flushInsert("customers"); err != nil {
-		return err
+		return nil, err
 	}
 
 	// Sales: SalesPerAlbum rows per album, customer round-robin.
@@ -280,13 +283,13 @@ func (b *Built) buildGroup(spec Spec, group int, rng *rand.Rand, deploy Deployme
 			saleID++
 			if saleID%500 == 0 {
 				if err := flushInsert("sales"); err != nil {
-					return err
+					return nil, err
 				}
 			}
 		}
 	}
 	if err := flushInsert("sales"); err != nil {
-		return err
+		return nil, err
 	}
 
 	// Graph nodes and similarity edges.
@@ -296,7 +299,7 @@ func (b *Built) buildGroup(spec Spec, group int, rng *rand.Rand, deploy Deployme
 			"title": m.title,
 			"genre": genres[i%len(genres)],
 		}); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	for i := range metas {
@@ -308,7 +311,7 @@ func (b *Built) buildGroup(spec Spec, group int, rng *rand.Rand, deploy Deployme
 			weight := fmt.Sprintf("%.2f", 0.1+rng.Float64()*0.9)
 			if err := graph.AddEdge(fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", j), "SIMILAR",
 				map[string]string{"weight": weight}); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	}
@@ -330,13 +333,13 @@ func (b *Built) buildGroup(spec Spec, group int, rng *rand.Rand, deploy Deployme
 	// with one sort: the test bed selects by seq on every scan store, and the
 	// paper's MySQL, MongoDB and Neo4j answer that from an index.
 	if _, err := rel.Exec(`CREATE INDEX ON inventory (seq)`); err != nil {
-		return err
+		return nil, err
 	}
 	if err := doc.CreateIndex("albums", "seq"); err != nil {
-		return err
+		return nil, err
 	}
 	if err := graph.CreateIndex("items", "seq"); err != nil {
-		return err
+		return nil, err
 	}
 
 	// Register stores, wrapped with the deployment profile.
@@ -356,7 +359,7 @@ func (b *Built) buildGroup(spec Spec, group int, rng *rand.Rand, deploy Deployme
 	}
 	for _, s := range stores {
 		if err := b.Poly.Register(wrap(s)); err != nil {
-			return err
+			return nil, err
 		}
 		b.databases = append(b.databases, s.Name())
 	}
@@ -367,18 +370,18 @@ func (b *Built) buildGroup(spec Spec, group int, rng *rand.Rand, deploy Deployme
 		dGK := core.NewGlobalKey(catalogueName, "albums", fmt.Sprintf("d%d", i))
 		aGK := core.NewGlobalKey(transactionsName, "inventory", fmt.Sprintf("a%d", i))
 		nGK := core.NewGlobalKey(similarName, "items", fmt.Sprintf("n%d", i))
-		b.relations = append(b.relations, core.NewIdentity(dGK, aGK, 0.90+0.09*rng.Float64()))
-		b.relations = append(b.relations, core.NewIdentity(dGK, nGK, 0.90+0.09*rng.Float64()))
+		rels = append(rels, core.NewIdentity(dGK, aGK, 0.90+0.09*rng.Float64()))
+		rels = append(rels, core.NewIdentity(dGK, nGK, 0.90+0.09*rng.Float64()))
 		if group == 0 && b.discountKeys[i] != "" {
 			kGK := core.NewGlobalKey("discount", "drop", b.discountKeys[i])
-			b.relations = append(b.relations, core.NewIdentity(dGK, kGK, 0.90+0.09*rng.Float64()))
+			rels = append(rels, core.NewIdentity(dGK, kGK, 0.90+0.09*rng.Float64()))
 		}
 		if group > 0 {
 			// Replicas are linked to the base catalogue object, so queries on
 			// any database reach the replicas' identity class too, growing the
 			// augmented answer with the polystore, as in the paper's setup.
 			baseGK := core.NewGlobalKey("catalogue", "albums", fmt.Sprintf("d%d", i))
-			b.relations = append(b.relations, core.NewIdentity(baseGK, dGK, 0.90+0.09*rng.Float64()))
+			rels = append(rels, core.NewIdentity(baseGK, dGK, 0.90+0.09*rng.Float64()))
 		}
 	}
 	// Matching p-relations: each sale matches its inventory item.
@@ -387,11 +390,11 @@ func (b *Built) buildGroup(spec Spec, group int, rng *rand.Rand, deploy Deployme
 		for s := 0; s < spec.SalesPerAlbum; s++ {
 			sGK := core.NewGlobalKey(transactionsName, "sales", fmt.Sprintf("s%d", saleID))
 			aGK := core.NewGlobalKey(transactionsName, "inventory", fmt.Sprintf("a%d", i))
-			b.relations = append(b.relations, core.NewMatching(sGK, aGK, 0.60+0.29*rng.Float64()))
+			rels = append(rels, core.NewMatching(sGK, aGK, 0.60+0.29*rng.Float64()))
 			saleID++
 		}
 	}
-	return nil
+	return rels, nil
 }
 
 func sqlEscape(s string) string { return strings.ReplaceAll(s, "'", "''") }

@@ -244,11 +244,10 @@ func TestQueryTargets(t *testing.T) {
 }
 
 func TestRelationsRecorded(t *testing.T) {
-	b, err := Build(tinySpec(), Colocated())
+	b, rels, err := BuildWithRelations(tinySpec(), Colocated())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rels := b.Relations()
 	if len(rels) == 0 {
 		t.Fatal("no relations recorded")
 	}
@@ -265,27 +264,27 @@ func TestRelationsRecorded(t *testing.T) {
 	if b.Index.EdgeCount() < len(rels) {
 		t.Errorf("index %d edges < %d assertions", b.Index.EdgeCount(), len(rels))
 	}
-	// The returned slice is a copy.
+	// Every call returns a slice of its own.
 	rels[0].Prob = -1
-	if r := b.Relations()[0]; r.Prob == -1 {
+	if _, again, _ := BuildWithRelations(tinySpec(), Colocated()); again[0].Prob == -1 {
 		t.Error("Relations returned inner slice")
 	}
 }
 
 // TestBuildIndexMatchesInsertReplay: Build loads its index in one bulk load,
-// and that index has exactly the edges of replaying Relations() through
+// and that index has exactly the edges of replaying its relations through
 // Insert one by one — with and without replica rounds, whose identities
 // join the base catalogue's classes.
 func TestBuildIndexMatchesInsertReplay(t *testing.T) {
 	for _, rounds := range []int{0, 2} {
 		spec := tinySpec()
 		spec.ReplicaRounds = rounds
-		b, err := Build(spec, Colocated())
+		b, rels, err := BuildWithRelations(spec, Colocated())
 		if err != nil {
 			t.Fatal(err)
 		}
 		seq := aindex.New()
-		for _, r := range b.Relations() {
+		for _, r := range rels {
 			if err := seq.Insert(r); err != nil {
 				t.Fatal(err)
 			}
