@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race cover bench bench-hotpath bench-stores bench-build bench-recovery bench-trace ledger ledger-compare chaos cluster crashtest fuzz figures promlint loc clean
+.PHONY: all build vet test examples race cover bench bench-hotpath bench-stores bench-build bench-recovery bench-trace ledger ledger-compare chaos cluster crashtest fuzz figures promlint loc clean
 
 all: build vet test
 
@@ -17,6 +17,10 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# Run every program under examples/ to completion; a non-zero exit fails.
+examples:
+	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d >/dev/null || exit 1; done
 
 race:
 	$(GO) test -race ./...

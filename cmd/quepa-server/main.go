@@ -84,7 +84,7 @@ func defineFlags(fs *flag.FlagSet, cfg *server.Config) (addr *string, version *b
 		"comma-separated wire addresses of every cluster peer ordered by shard id; enables sharded scatter-gather mode")
 	fs.IntVar(&cfg.ShardID, "shard-id", 0, "this peer's shard id: the index of its own address in -cluster")
 	fs.BoolVar(&cfg.Debug, "debug", false, "expose net/http/pprof under /debug/pprof/")
-	fs.StringVar(&cfg.LogLevel, "log-level", "info", "minimum structured log level: debug, info, warn, error")
+	fs.StringVar(&cfg.LogLevel, "log-level", "info", "minimum level of the JSON log lines on stderr: debug, info, warn, error")
 	fs.DurationVar(&cfg.Slow, "slow", telemetry.DefaultSlowThreshold, "queries slower than this are kept in /debug/traces")
 	fs.StringVar(&cfg.TraceLog, "trace-log", "", "append kept traces as JSON lines to this file (rotated once at 16 MiB)")
 	fs.DurationVar(&cfg.SLOSearchP99, "slo-search-p99", 0,

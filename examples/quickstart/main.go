@@ -51,7 +51,7 @@ func main() {
 	similar := graphstore.New("similar-items")
 	must(similar.AddNode("n1", "items", map[string]string{"title": "Wish"}))
 	must(similar.AddNode("n2", "items", map[string]string{"title": "Disintegration"}))
-	must(similar.AddEdge("n1", "n2", "SIMILAR", map[string]string{"weight": "0.9"}))
+	must(similar.AddEdge("n1", "n2", "SIMILAR"))
 
 	// --- The polystore: a loose registry, no global schema. ---
 	poly := core.NewPolystore()

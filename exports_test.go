@@ -25,7 +25,6 @@ var keepUnreached = map[string]string{
 	"wire.Client.Frames":                "test seam: the mux tests and integration's frame-count assertion",
 	"cache.Sharded.Shards":              "test seam: the sharding threshold",
 	"core.NewObject":                    "the sorting constructor tests and examples build objects from field maps with",
-	"kvstore.Store.SetClock":            "test seam: the TTL tests move the clock",
 	"memlimit.Accountant.Used":          "test seam of the OOM model behind Fig. 13",
 	"memlimit.Accountant.Peak":          "test seam of the OOM model behind Fig. 13",
 	"memlimit.Accountant.Budget":        "test seam of the OOM model behind Fig. 13",

@@ -162,3 +162,86 @@ func TestBulkLoadAfterLoadMutable(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// forget is the cascading deletion of §III-C(b) as examples/oblivion runs
+// it: the index rebuilt by BulkLoad from every asserted relation except the
+// one between from and to.
+func forget(t *testing.T, asserted []core.PRelation, from, to core.GlobalKey) *Index {
+	t.Helper()
+	var survivors []core.PRelation
+	for _, r := range asserted {
+		if r.From != from || r.To != to {
+			survivors = append(survivors, r)
+		}
+	}
+	if len(survivors) == len(asserted) {
+		t.Fatalf("%v ~ %v was not asserted", from, to)
+	}
+	ix, err := BulkLoad(survivors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ix
+}
+
+func TestCascadingDeletion(t *testing.T) {
+	ix := forget(t, []core.PRelation{
+		core.NewIdentity(albumD1, invA32, 0.9),
+		core.NewIdentity(albumD1, discount1, 0.8),
+		core.NewMatching(salesS8, invA32, 0.7),
+	}, albumD1, discount1)
+
+	// Forget the d1~discount assertion: the inferred edges through it must
+	// vanish (unlike the index's default lazy policy, which keeps them).
+	if _, exists := ix.Relation(albumD1, discount1); exists {
+		t.Error("deleted assertion still present")
+	}
+	if _, exists := ix.Relation(invA32, discount1); exists {
+		t.Error("edge inferred via the deleted assertion survived the cascade")
+	}
+	if _, exists := ix.Relation(discount1, salesS8); exists {
+		t.Error("matching propagated via the deleted assertion survived")
+	}
+	// Independent assertions survive.
+	if _, exists := ix.Relation(albumD1, invA32); !exists {
+		t.Error("independent assertion lost in cascade")
+	}
+	if _, exists := ix.Relation(salesS8, invA32); !exists {
+		t.Error("independent matching lost in cascade")
+	}
+	// Matching propagation across the surviving identity is rebuilt.
+	if _, exists := ix.Relation(salesS8, albumD1); !exists {
+		t.Error("re-derivable inferred edge not rebuilt")
+	}
+	if err := ix.Validate(); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestCascadeKeepsIndependentlySupportedEdge(t *testing.T) {
+	// The same edge asserted directly AND inferable via a chain.
+	ix := forget(t, []core.PRelation{
+		core.NewIdentity(albumD1, invA32, 0.9),
+		core.NewIdentity(invA32, discount1, 0.85),
+		core.NewIdentity(albumD1, discount1, 0.95), // direct assertion of the inferable edge
+	}, invA32, discount1)
+
+	// albumD1~discount1 was asserted on its own: it must survive with its
+	// asserted probability.
+	r, exists := ix.Relation(albumD1, discount1)
+	if !exists {
+		t.Fatal("directly asserted edge lost in cascade")
+	}
+	if r.Prob != 0.95 {
+		t.Errorf("surviving probability = %g, want the asserted 0.95", r.Prob)
+	}
+	// And the closure re-derives invA32~discount1 through the two surviving
+	// identities (0.9 × 0.95), replacing the forgotten direct assertion.
+	r, exists = ix.Relation(invA32, discount1)
+	if !exists {
+		t.Fatal("re-derivable edge not rebuilt")
+	}
+	if r.Prob > 0.86 {
+		t.Errorf("rebuilt probability %g still reflects the deleted assertion", r.Prob)
+	}
+}

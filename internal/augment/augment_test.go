@@ -50,7 +50,7 @@ func polyphony(t *testing.T) (*core.Polystore, *aindex.Index) {
 	if err := graph.AddNode("n2", "items", map[string]string{"title": "Disintegration"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := graph.AddEdge("n1", "n2", "SIMILAR", nil); err != nil {
+	if err := graph.AddEdge("n1", "n2", "SIMILAR"); err != nil {
 		t.Fatal(err)
 	}
 

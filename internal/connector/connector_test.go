@@ -140,7 +140,7 @@ func TestGraphConnector(t *testing.T) {
 	db.AddNode("n1", "items", map[string]string{"title": "Wish"})
 	db.AddNode("n2", "items", map[string]string{"title": "Disintegration"})
 	db.AddNode("p1", "people", nil)
-	db.AddEdge("n1", "n2", "SIMILAR", nil)
+	db.AddEdge("n1", "n2", "SIMILAR")
 	c := NewGraph(db)
 	if c.Kind() != core.KindGraph {
 		t.Error("kind")

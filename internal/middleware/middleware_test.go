@@ -50,7 +50,7 @@ func fixture(t *testing.T) (*core.Polystore, *aindex.Index) {
 	graph := graphstore.New("similar-items")
 	graph.AddNode("n1", "items", map[string]string{"title": "Wish"})
 	graph.AddNode("n2", "items", map[string]string{"title": "Disintegration"})
-	graph.AddEdge("n1", "n2", "SIMILAR", nil)
+	graph.AddEdge("n1", "n2", "SIMILAR")
 
 	for _, s := range []core.Store{
 		connector.NewRelational(rel),

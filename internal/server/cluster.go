@@ -13,11 +13,11 @@ package server
 
 import (
 	"fmt"
-	"log"
 	"strings"
 
 	"quepa/internal/cluster"
 	"quepa/internal/resilience"
+	"quepa/internal/telemetry"
 	"quepa/internal/wire"
 )
 
@@ -75,8 +75,13 @@ func (s *Server) joinCluster(peerList string, shardID, pool int, bcfg resilience
 	s.closers = append(s.closers, func() error { coord.Close(); return nil })
 	s.cluster = coord
 	st := coord.Status()
-	edges, all := shard.EdgeCount(), s.built.Index.EdgeCount()
-	log.Printf("quepa-server: cluster shard %d of %d, A' shard %d keys / %d p-relations (%.1f%% of A') on %s, ring version %x",
-		st.Self, st.Peers, shard.NodeCount(), edges, 100*float64(edges)/float64(max(all, 1)), srv.Addr(), st.RingVersion)
+	telemetry.Log(telemetry.LogInfo, "cluster shard",
+		telemetry.F("shard", st.Self),
+		telemetry.F("peers", st.Peers),
+		telemetry.F("index_keys", shard.NodeCount()),
+		telemetry.F("index_edges", shard.EdgeCount()),
+		telemetry.F("index_edges_total", s.built.Index.EdgeCount()),
+		telemetry.F("addr", srv.Addr()),
+		telemetry.F("ring_version", fmt.Sprintf("%x", st.RingVersion)))
 	return nil
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"log"
 	"time"
 
 	"quepa/internal/telemetry"
@@ -37,15 +36,23 @@ func (s *Server) openDurable(dir, fsync string) error {
 	m.RegisterMetrics(telemetry.Default())
 	if rec := m.Recovery(); rec.Recovered {
 		s.built.Index = m.Index()
-		log.Printf("quepa-server: recovered index from %s: checkpoint epoch %d, %d batches (%d ops) replayed and %d skipped in %v, last epoch %d; %d torn bytes truncated, %d segments dropped, %d corrupt checkpoints skipped",
-			dir, rec.CheckpointEpoch, rec.ReplayedBatches, rec.ReplayedOps, rec.SkippedBatches, rec.Duration.Round(time.Millisecond),
-			rec.LastEpoch, rec.TruncatedBytes, rec.DroppedSegments, rec.CorruptCheckpoints)
+		telemetry.Log(telemetry.LogInfo, "recovered index",
+			telemetry.F("dir", dir),
+			telemetry.F("checkpoint_epoch", rec.CheckpointEpoch),
+			telemetry.F("replayed_batches", rec.ReplayedBatches),
+			telemetry.F("replayed_ops", rec.ReplayedOps),
+			telemetry.F("skipped_batches", rec.SkippedBatches),
+			telemetry.F("ms", rec.Duration.Milliseconds()),
+			telemetry.F("last_epoch", rec.LastEpoch),
+			telemetry.F("truncated_bytes", rec.TruncatedBytes),
+			telemetry.F("dropped_segments", rec.DroppedSegments),
+			telemetry.F("corrupt_checkpoints", rec.CorruptCheckpoints))
 		return nil
 	}
 	if err := m.Seed(s.built.Index); err != nil {
 		return err
 	}
-	log.Printf("quepa-server: seeded fresh data dir %s (fsync=%s)", dir, m.Stats().Fsync)
+	telemetry.Log(telemetry.LogInfo, "seeded fresh data dir", telemetry.F("dir", dir), telemetry.F("fsync", m.Stats().Fsync))
 	return nil
 }
 
@@ -67,7 +74,7 @@ func startCheckpointLoop(m *wal.Manager, interval time.Duration) (stop func() er
 			select {
 			case <-t.C:
 				if err := m.Checkpoint(); err != nil {
-					log.Printf("quepa-server: periodic checkpoint: %v", err)
+					telemetry.Log(telemetry.LogError, "periodic checkpoint", telemetry.F("err", err.Error()))
 				}
 			case <-quit:
 				return

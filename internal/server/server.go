@@ -51,7 +51,6 @@ package server
 import (
 	"errors"
 	"fmt"
-	"log"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -90,7 +89,7 @@ type Config struct {
 	ShardID int    // this peer's index in Cluster (-shard-id)
 
 	Debug    bool          // expose net/http/pprof under /debug/pprof/ (-debug)
-	LogLevel string        // minimum structured log level (-log-level; "" means info)
+	LogLevel string        // minimum level of the JSON log lines (-log-level; "" means info)
 	Slow     time.Duration // slow-query threshold of /debug/traces (-slow; 0 means telemetry.DefaultSlowThreshold)
 	TraceLog string        // append kept traces as JSON lines to this file (-trace-log)
 
@@ -155,6 +154,10 @@ type Server struct {
 	// objectives; nil otherwise.
 	slo *slo.Engine
 
+	// traceLog is the -trace-log sink installed on the process-wide
+	// tracer; nil without one. Close detaches it before closing it.
+	traceLog *telemetry.TraceLog
+
 	mu       sync.Mutex
 	sessions map[string]*session
 	nextID   int
@@ -202,9 +205,15 @@ func (s *Server) assemble(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		telemetry.DefaultTracer().SetExporter(sink)
-		s.closers = append(s.closers, sink.Close)
-		log.Printf("quepa-server: exporting kept traces to %s (rotate at %d bytes)", cfg.TraceLog, telemetry.DefaultTraceLogMaxBytes)
+		tracer := telemetry.DefaultTracer()
+		tracer.SetExporter(sink)
+		s.traceLog = sink
+		s.closers = append(s.closers, func() error {
+			tracer.SetExporter(nil) // later kept traces must not count as dropped here
+			return sink.Close()
+		})
+		telemetry.Log(telemetry.LogInfo, "exporting kept traces",
+			telemetry.F("path", cfg.TraceLog), telemetry.F("rotate_bytes", telemetry.DefaultTraceLogMaxBytes))
 	}
 
 	built := cfg.Workload
@@ -227,7 +236,7 @@ func (s *Server) assemble(cfg Config) error {
 			return err
 		}
 		built.Index = index
-		log.Printf("quepa-server: loaded A' index from %s", cfg.IndexPath)
+		telemetry.Log(telemetry.LogInfo, "loaded A' index", telemetry.F("path", cfg.IndexPath))
 	}
 	if err := s.openDurable(cfg.DataDir, cfg.Fsync); err != nil {
 		return err
@@ -274,10 +283,12 @@ func (s *Server) assemble(cfg Config) error {
 		s.mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
 		s.mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 		s.mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-		log.Printf("quepa-server: pprof enabled under /debug/pprof/")
+		telemetry.Log(telemetry.LogInfo, "pprof enabled", telemetry.F("path", "/debug/pprof/"))
 	}
-	log.Printf("quepa-server: %d databases, index %d keys / %d p-relations",
-		built.Poly.Size(), built.Index.NodeCount(), built.Index.EdgeCount())
+	telemetry.Log(telemetry.LogInfo, "serving",
+		telemetry.F("databases", built.Poly.Size()),
+		telemetry.F("index_keys", built.Index.NodeCount()),
+		telemetry.F("index_edges", built.Index.EdgeCount()))
 	return nil
 }
 
@@ -361,7 +372,7 @@ func (s *Server) rehomeOverWire(pool int) error {
 		}
 	}
 	s.built.Poly = poly
-	log.Printf("quepa-server: wire loopback enabled, %d multiplexed connections per store", pool)
+	telemetry.Log(telemetry.LogInfo, "wire loopback enabled", telemetry.F("conns_per_store", pool))
 	return nil
 }
 
@@ -389,8 +400,8 @@ func (s *Server) startSLO(cfg Config) error {
 	s.slo = engine
 	engine.Start()
 	s.closers = append(s.closers, func() error { engine.Stop(); return nil })
-	log.Printf("quepa-server: burn-rate alerting on %d route(s), fast-burn threshold %.1f",
-		len(objectives), slo.DefaultFastBurn)
+	telemetry.Log(telemetry.LogInfo, "burn-rate alerting",
+		telemetry.F("routes", len(objectives)), telemetry.F("fast_burn", slo.DefaultFastBurn))
 	return nil
 }
 
@@ -450,14 +461,15 @@ func captureFastBurnProfiles(dir string) func(route string) {
 			path := filepath.Join(dir, fmt.Sprintf("fastburn-%s-%s.pprof", stamp, profile))
 			f, err := os.Create(path)
 			if err != nil {
-				log.Printf("quepa-server: fast-burn profile capture: %v", err)
+				telemetry.Log(telemetry.LogError, "fast-burn profile capture", telemetry.F("err", err.Error()))
 				continue
 			}
 			if err := p.WriteTo(f, 0); err != nil {
-				log.Printf("quepa-server: fast-burn profile capture: %v", err)
+				telemetry.Log(telemetry.LogError, "fast-burn profile capture", telemetry.F("err", err.Error()))
 			}
 			f.Close()
-			log.Printf("quepa-server: SLO fast burn on %s: captured %s", route, path)
+			telemetry.Log(telemetry.LogWarn, "SLO fast burn: profile captured",
+				telemetry.F("route", route), telemetry.F("path", path))
 		}
 	}
 }

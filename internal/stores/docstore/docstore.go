@@ -77,15 +77,6 @@ func (d *Document) Fields() (names, values []string) {
 // field is one flattened path and its rendered scalar.
 type field struct{ name, value string }
 
-// JSON renders the document body as compact JSON.
-func (d *Document) JSON() string {
-	b, err := json.Marshal(d.Body)
-	if err != nil {
-		return "{}"
-	}
-	return string(b)
-}
-
 func flattenInto(out []field, prefix string, v any) []field {
 	switch val := v.(type) {
 	case map[string]any:
@@ -164,16 +155,6 @@ func (s *Store) Collections() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Len returns the number of documents in a collection.
-func (s *Store) Len(collectionName string) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if c, ok := s.collections[collectionName]; ok {
-		return len(c.docs)
-	}
-	return 0
 }
 
 // Insert stores a document given as a JSON string. A missing "_id" gets a

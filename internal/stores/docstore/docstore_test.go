@@ -1,6 +1,7 @@
 package docstore
 
 import (
+	"encoding/json"
 	"slices"
 	"strings"
 	"testing"
@@ -149,7 +150,6 @@ func TestCountAndQuery(t *testing.T) {
 	if err != nil || len(docs) != 3 {
 		t.Errorf("Query find: %d docs, %v", len(docs), err)
 	}
-	n := s.Len("albums")
 	all, _ := s.Query(`albums.find({})`)
 	if _, verb, _, err := ParseQuery(`albums.count({})`); err != nil || verb != "count" {
 		t.Errorf("ParseQuery(count) = %q, %v", verb, err)
@@ -157,8 +157,8 @@ func TestCountAndQuery(t *testing.T) {
 	if docs, err := s.Query(`albums.count({})`); err == nil {
 		t.Errorf("Query count executed: %+v", docs)
 	}
-	if after, _ := s.Query(`albums.find({})`); s.Len("albums") != n || !slices.Equal(after, all) {
-		t.Errorf("refused count changed the collection: %d docs, want %d", s.Len("albums"), n)
+	if after, _ := s.Query(`albums.find({})`); !slices.Equal(after, all) {
+		t.Errorf("refused count changed the collection: %d docs, want %d", len(after), len(all))
 	}
 	if _, err := s.Query(`albums.drop({})`); err == nil {
 		t.Error("unknown verb should fail")
@@ -199,9 +199,6 @@ func TestDelete(t *testing.T) {
 	}
 	if s.Delete("ghosts", "d2") {
 		t.Error("Delete on missing collection returned true")
-	}
-	if s.Len("albums") != 3 {
-		t.Errorf("Len after delete = %d", s.Len("albums"))
 	}
 	docs, _ := s.Find("albums", `{}`)
 	if len(docs) != 3 {
@@ -254,9 +251,9 @@ func fieldsMap(d *Document) map[string]string {
 func TestDocumentJSON(t *testing.T) {
 	s := newCatalogue(t)
 	d, _ := s.Get("albums", "d4")
-	j := d.JSON()
-	if !strings.Contains(j, `"title":"Dummy"`) {
-		t.Errorf("JSON() = %s", j)
+	j, err := json.Marshal(d.Body)
+	if err != nil || !strings.Contains(string(j), `"title":"Dummy"`) {
+		t.Errorf("body as JSON = %s, %v", j, err)
 	}
 }
 

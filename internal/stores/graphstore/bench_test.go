@@ -21,7 +21,7 @@ func benchGraph(b *testing.B, nodes, edgesPerNode int) *Store {
 		for e := 0; e < edgesPerNode; e++ {
 			j := rng.Intn(nodes)
 			if j != i {
-				s.AddEdge(fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", j), "SIMILAR", nil)
+				s.AddEdge(fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", j), "SIMILAR")
 			}
 		}
 	}

@@ -3,34 +3,35 @@ package graphstore
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 )
 
 // The edge layout is storage, not semantics: seeded random histories of
-// AddNode, AddEdge and DeleteNode must leave the store answering Edges,
-// Neighbors, NEIGHBORS, edge-pattern MATCH and EdgeCount exactly as a plain
-// map-of-slices model of the graph does — same edges, same props, same
-// order — across self-loops, parallel duplicate edges, nil and multi-key
-// props, and ids deleted and added again.
+// AddNode, AddEdge and DeleteNode must leave the store answering Neighbors,
+// NEIGHBORS, edge-pattern MATCH and EdgeCount exactly as a plain
+// map-of-slices model of the graph does — same nodes, same order — across
+// self-loops, parallel duplicate edges, and ids deleted and added again.
 
 // refGraph is the model: every edge is stored twice, in its source's out
 // list and its target's in list, in insertion order.
 type refGraph struct {
 	labels  map[string]string   // node id -> label
 	byLabel map[string][]string // label -> node ids in insertion order
-	out, in map[string][]Edge
+	out, in map[string][]refEdge
 	count   int
 }
+
+// refEdge is one edge of the model.
+type refEdge struct{ From, To, Type string }
 
 func newRefGraph() *refGraph {
 	return &refGraph{
 		labels:  map[string]string{},
 		byLabel: map[string][]string{},
-		out:     map[string][]Edge{},
-		in:      map[string][]Edge{},
+		out:     map[string][]refEdge{},
+		in:      map[string][]refEdge{},
 	}
 }
 
@@ -43,17 +44,13 @@ func (m *refGraph) addNode(id, label string) error {
 	return nil
 }
 
-func (m *refGraph) addEdge(from, to, typ string, props map[string]string) error {
+func (m *refGraph) addEdge(from, to, typ string) error {
 	_, okFrom := m.labels[from]
 	_, okTo := m.labels[to]
 	if !okFrom || !okTo {
 		return fmt.Errorf("unknown endpoint")
 	}
-	cp := map[string]string{}
-	for k, v := range props {
-		cp[k] = v
-	}
-	e := Edge{From: from, To: to, Type: typ, Props: cp}
+	e := refEdge{From: from, To: to, Type: typ}
 	m.out[from] = append(m.out[from], e)
 	m.in[to] = append(m.in[to], e)
 	m.count++
@@ -75,7 +72,7 @@ func (m *refGraph) deleteNode(id string) bool {
 			m.count--
 		}
 	}
-	touches := func(e Edge) bool { return e.From == id || e.To == id }
+	touches := func(e refEdge) bool { return e.From == id || e.To == id }
 	for other := range m.out {
 		m.out[other] = filterEdges(m.out[other], touches)
 	}
@@ -97,21 +94,10 @@ func without(ids []string, id string) []string {
 	return out
 }
 
-func filterEdges(es []Edge, drop func(Edge) bool) []Edge {
-	var out []Edge
+func filterEdges(es []refEdge, drop func(refEdge) bool) []refEdge {
+	var out []refEdge
 	for _, e := range es {
 		if !drop(e) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-func (m *refGraph) edges(id string) []Edge {
-	var out []Edge
-	out = append(out, m.out[id]...)
-	for _, e := range m.in[id] {
-		if e.From != id {
 			out = append(out, e)
 		}
 	}
@@ -195,23 +181,7 @@ func nodeIDs(nodes []*Node) string {
 var (
 	refLabels    = []string{"items", "items", "people"}
 	refEdgeTypes = []string{"SIMILAR", "SIMILAR", "BOUGHT_WITH", "T"}
-	refPropNames = []string{"weight", "since", "w"}
-	refPropVals  = []string{"0.9", "0.25", "1", "", "x y", "0.9"}
 )
-
-func randEdgeProps(rng *rand.Rand) map[string]string {
-	switch rng.Intn(4) {
-	case 0:
-		return nil
-	case 1:
-		return map[string]string{}
-	}
-	props := map[string]string{}
-	for i := rng.Intn(3); i >= 0; i-- {
-		props[refPropNames[rng.Intn(len(refPropNames))]] = refPropVals[rng.Intn(len(refPropVals))]
-	}
-	return props
-}
 
 func randPattern(rng *rand.Rand) string {
 	var conds []string
@@ -240,9 +210,6 @@ func (m *refGraph) check(t *testing.T, s *Store, rng *rand.Rand, maxID int, step
 	}
 	for i := 0; i < maxID; i++ {
 		id := fmt.Sprintf("n%d", i)
-		if got, want := s.Edges(id), m.edges(id); !reflect.DeepEqual(got, want) {
-			t.Fatalf("step %d: Edges(%s)\n got %v\nwant %v", step, id, got, want)
-		}
 		for _, typ := range []string{"", "SIMILAR", "BOUGHT_WITH", "T", "NONE"} {
 			want, wantErr := m.neighbors(id, typ)
 			nodes, err := s.Neighbors(id, typ)
@@ -311,9 +278,8 @@ func TestEdgesMatchMapReference(t *testing.T) {
 					to = pick()
 				}
 				typ := refEdgeTypes[rng.Intn(len(refEdgeTypes))]
-				props := randEdgeProps(rng)
 				for dup := rng.Intn(4) / 3; dup >= 0; dup-- { // a parallel duplicate one time in four
-					errS, errM := s.AddEdge(from, to, typ, props), m.addEdge(from, to, typ, props)
+					errS, errM := s.AddEdge(from, to, typ), m.addEdge(from, to, typ)
 					if (errS == nil) != (errM == nil) {
 						t.Fatalf("seed %d step %d: AddEdge(%s, %s) = %v, model %v", seed, step, from, to, errS, errM)
 					}
@@ -334,11 +300,11 @@ func TestEdgesMatchMapReference(t *testing.T) {
 
 // maxHeapPerEdge bounds the live heap the store holds per edge beyond its
 // nodes. On the test's shape, two Edge structs and a props map per edge held
-// ~580 B; pointer-free half-edges beside a property arena hold ~50 B.
+// ~580 B; two pointer-free half-edges hold ~18 B.
 const maxHeapPerEdge = 96
 
-// TestHeapPerEdge guards the edge layout: 20k edges with one weight each
-// among 10k nodes must stay under maxHeapPerEdge bytes of live heap per edge.
+// TestHeapPerEdge guards the edge layout: 20k edges among 10k nodes must
+// stay under maxHeapPerEdge bytes of live heap per edge.
 func TestHeapPerEdge(t *testing.T) {
 	const nNodes, nEdges = 10000, 20000
 	s := New("g")
@@ -353,8 +319,7 @@ func TestHeapPerEdge(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	for i := 0; i < nEdges; i++ {
 		from, to := fmt.Sprintf("n%d", i%nNodes), fmt.Sprintf("n%d", rng.Intn(nNodes))
-		weight := fmt.Sprintf("%.2f", 0.1+rng.Float64()*0.9)
-		if err := s.AddEdge(from, to, "SIMILAR", map[string]string{"weight": weight}); err != nil {
+		if err := s.AddEdge(from, to, "SIMILAR"); err != nil {
 			t.Fatal(err)
 		}
 	}

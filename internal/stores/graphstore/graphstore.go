@@ -2,17 +2,14 @@
 // small Cypher-like pattern language. It stands in for the Neo4j instance of
 // the paper's polystore: the marketing department's similar-items graph.
 //
-// Nodes have a string id, one label and string properties; edges are typed,
-// directed at insertion but traversed in both directions (similarity edges
-// are symmetric in the running example), and may carry properties such as a
-// weight.
+// Nodes have a string id, one label and string properties; edges are typed
+// and carry nothing else. They are directed at insertion but traversed in
+// both directions (similarity edges are symmetric in the running example).
 //
 // Edges are stored without pointers, so the garbage collector never scans
 // them: AddNode gives every node a number, and each edge is two half-edges
 // of integers, one in its source's out array and one in its target's in
-// array, naming the other end by number. Edge types and property names are
-// interned; property values sit in one byte arena. Edges builds Edge values
-// from them when it is called.
+// array, naming the other end by number. Edge types are interned.
 //
 // Query language (one statement per Query call):
 //
@@ -58,24 +55,13 @@ type Node struct {
 	num    int32 // the node number AddNode assigned: its place in Store.adj
 }
 
-// Edge is a typed connection between two nodes with optional properties.
-// The store keeps no Edge: Edges builds them, with a fresh Props map, from
-// the half-edges.
-type Edge struct {
-	From  string
-	To    string
-	Type  string
-	Props map[string]string
-}
-
 // halfEdge is one end of an edge, held in its node's out or in array: the
-// node number at the other end, the interned edge type and the edge's
-// offset in the property arena. It holds no pointer, so the edge arrays are
-// never scanned by the garbage collector (DESIGN §3.20).
+// node number at the other end and the interned edge type. It holds no
+// pointer, so the edge arrays are never scanned by the garbage collector
+// (DESIGN §3.20).
 type halfEdge struct {
 	other int32
 	typ   uint32
-	props uint32
 }
 
 // adjacency is one node's half-edges in insertion order: out holds the
@@ -99,15 +85,9 @@ type Store struct {
 	propNames map[string][]string                   // label -> the names slice its last node got
 	byNum     []*Node                               // node number -> node, nil once deleted
 	adj       []adjacency                           // node number -> its half-edges
-	// strs interns edge types and edge property names; strIDs maps them
-	// back to their ids.
-	strs   []string
-	strIDs map[string]uint32
-	// props is the edge property arena: at an edge's offset, the pair count
-	// n and then n triples (name id, value offset, value length) into vals.
-	// Offset 0 is the empty property set. A deleted edge's entry stays.
-	props     []uint32
-	vals      []byte
+	// strs interns edge types; strIDs maps them back to their ids.
+	strs      []string
+	strIDs    map[string]uint32
 	edgeCount int
 	tel       telemetry.StoreOps
 }
@@ -121,7 +101,6 @@ func New(name string) *Store {
 		indexes:   map[string]map[string]*ordindex.Index{},
 		propNames: map[string][]string{},
 		strIDs:    map[string]uint32{},
-		props:     []uint32{0},
 		tel:       telemetry.NewStoreOps(name),
 	}
 }
@@ -139,13 +118,6 @@ func (s *Store) Labels() []string {
 	}
 	sort.Strings(labels)
 	return labels
-}
-
-// NodeCount returns the number of nodes; EdgeCount the number of edges.
-func (s *Store) NodeCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.nodes)
 }
 
 // EdgeCount returns the number of edges in the graph.
@@ -232,9 +204,8 @@ func (n *Node) indexValue(prop string) ordindex.Value {
 	return ordindex.ParseValue(v)
 }
 
-// AddEdge inserts a typed edge; both endpoints must exist. The store keeps
-// a copy of props.
-func (s *Store) AddEdge(from, to, edgeType string, props map[string]string) error {
+// AddEdge inserts a typed edge; both endpoints must exist.
+func (s *Store) AddEdge(from, to, edgeType string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	src, ok := s.nodes[from]
@@ -245,15 +216,15 @@ func (s *Store) AddEdge(from, to, edgeType string, props map[string]string) erro
 	if !ok {
 		return fmt.Errorf("graphstore: unknown target node %q", to)
 	}
-	typ, off := s.intern(edgeType), s.appendProps(props)
-	s.adj[src.num].out = append(s.adj[src.num].out, halfEdge{other: dst.num, typ: typ, props: off})
-	s.adj[dst.num].in = append(s.adj[dst.num].in, halfEdge{other: src.num, typ: typ, props: off})
+	typ := s.intern(edgeType)
+	s.adj[src.num].out = append(s.adj[src.num].out, halfEdge{other: dst.num, typ: typ})
+	s.adj[dst.num].in = append(s.adj[dst.num].in, halfEdge{other: src.num, typ: typ})
 	s.edgeCount++
 	return nil
 }
 
-// intern returns the id of an edge type or property name, assigning the
-// next one on first sight.
+// intern returns the id of an edge type, assigning the next one on first
+// sight.
 func (s *Store) intern(str string) uint32 {
 	id, ok := s.strIDs[str]
 	if !ok {
@@ -271,37 +242,6 @@ func (s *Store) typeID(edgeType string) uint32 {
 		return id
 	}
 	return noType
-}
-
-// appendProps stores an edge's properties in the arena and returns their
-// offset; an empty set is offset 0.
-func (s *Store) appendProps(props map[string]string) uint32 {
-	if len(props) == 0 {
-		return 0
-	}
-	off := uint32(len(s.props))
-	s.props = append(s.props, uint32(len(props)))
-	for name, v := range props {
-		s.props = append(s.props, s.intern(name), uint32(len(s.vals)), uint32(len(v)))
-		s.vals = append(s.vals, v...)
-	}
-	return off
-}
-
-// edge builds the Edge a half-edge of node n stands for; out tells which
-// of n's arrays it came from.
-func (s *Store) edge(n *Node, h halfEdge, out bool) Edge {
-	from, to := n.ID, s.byNum[h.other].ID
-	if !out {
-		from, to = to, from
-	}
-	pairs := s.props[h.props]
-	props := make(map[string]string, pairs)
-	for i := h.props + 1; i < h.props+1+3*pairs; i += 3 {
-		off, size := s.props[i+1], s.props[i+2]
-		props[s.strs[s.props[i]]] = string(s.vals[off : off+size])
-	}
-	return Edge{From: from, To: to, Type: s.strs[h.typ], Props: props}
 }
 
 // GetNode retrieves one node by id. The boolean reports presence.
@@ -405,27 +345,6 @@ func (s *Store) Neighbors(id, edgeType string) ([]*Node, error) {
 		visit(h)
 	}
 	return out, nil
-}
-
-// Edges returns the edges incident to a node (both directions).
-func (s *Store) Edges(id string) []Edge {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	n, ok := s.nodes[id]
-	if !ok {
-		return nil
-	}
-	var out []Edge
-	adj := s.adj[n.num]
-	for _, h := range adj.out {
-		out = append(out, s.edge(n, h, true))
-	}
-	for _, h := range adj.in {
-		if h.other != n.num { // avoid double-counting self-loops
-			out = append(out, s.edge(n, h, false))
-		}
-	}
-	return out
 }
 
 var (

@@ -133,7 +133,7 @@ func TestIndexEquivalence(t *testing.T) {
 				}
 			case 1:
 				from, to := fmt.Sprintf("n%d", rng.Intn(next)), fmt.Sprintf("n%d", rng.Intn(next))
-				p.both(func(s *Store) error { return s.AddEdge(from, to, "SIM", nil) })
+				p.both(func(s *Store) error { return s.AddEdge(from, to, "SIM") })
 			case 2:
 				id := fmt.Sprintf("n%d", rng.Intn(next))
 				if a, b := p.idx.DeleteNode(id), p.plain.DeleteNode(id); a != b {

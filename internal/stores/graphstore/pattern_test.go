@@ -26,7 +26,7 @@ func newRecommendGraph(t *testing.T) *Store {
 	}
 	add := func(from, to, typ string) {
 		t.Helper()
-		if err := s.AddEdge(from, to, typ, nil); err != nil {
+		if err := s.AddEdge(from, to, typ); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -93,7 +93,7 @@ func TestEdgePatternTypeAndLimit(t *testing.T) {
 func TestEdgePatternDedup(t *testing.T) {
 	s := newRecommendGraph(t)
 	// n4 is reachable once; add a second path to it.
-	s.AddEdge("n3", "n4", "SIMILAR", nil)
+	s.AddEdge("n3", "n4", "SIMILAR")
 	out, err := s.Query(`MATCH (a:items)-[:SIMILAR]->(b:items) WHERE b.genre = 'triphop' RETURN b`)
 	if err != nil || len(out) != 1 {
 		t.Errorf("dedup failed: %v, %v", ids(out), err)

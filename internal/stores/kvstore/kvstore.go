@@ -14,9 +14,6 @@
 //	DEL <bucket> <key> [<key>...]
 //	KEYS <bucket> <glob>            glob supports * and ?
 //	SCAN <bucket>                   all entries in insertion order
-//	SETEX <bucket> <key> <seconds> <value...>
-//	EXPIRE <bucket> <key> <seconds>
-//	TTL <bucket> <key>
 //
 // LEN and EXISTS are not commands: the validator refuses them by name, as
 // their answers are a count and a boolean rather than stored entries, and Do
@@ -29,7 +26,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"quepa/internal/telemetry"
 )
@@ -46,14 +42,12 @@ type Store struct {
 	name    string
 	mu      sync.Mutex
 	buckets map[string]*bucket
-	now     func() time.Time // injectable clock for expiry (nil = time.Now)
 	tel     telemetry.StoreOps
 }
 
 type bucket struct {
-	data   map[string]string
-	order  []string
-	expiry map[string]time.Time // per-key deadline; absent = persistent
+	data  map[string]string
+	order []string
 }
 
 // New creates an empty key-value database with the given name.
@@ -89,21 +83,15 @@ func (s *Store) Set(bucketName, key, value string) {
 		b.order = append(b.order, key)
 	}
 	b.data[key] = value
-	delete(b.expiry, key) // a plain SET makes the key persistent again
 }
 
-// Get retrieves a value. The boolean reports presence. Expired keys are
-// reaped lazily and reported absent.
+// Get retrieves a value. The boolean reports presence.
 func (s *Store) Get(bucketName, key string) (string, bool) {
 	defer s.tel.Get.Since(telemetry.Now())
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	b, ok := s.buckets[bucketName]
 	if !ok {
-		return "", false
-	}
-	if s.expiredLocked(b, key) {
-		s.reapLocked(bucketName, b, key)
 		return "", false
 	}
 	v, ok := b.data[key]
@@ -122,10 +110,6 @@ func (s *Store) MGet(bucketName string, keys []string) []Entry {
 	}
 	out := make([]Entry, 0, len(keys))
 	for _, k := range keys {
-		if s.expiredLocked(b, k) {
-			s.reapLocked(bucketName, b, k)
-			continue
-		}
 		if v, ok := b.data[k]; ok {
 			out = append(out, Entry{Bucket: bucketName, Key: k, Value: v})
 		}
@@ -170,11 +154,7 @@ func (s *Store) Keys(bucketName, glob string) []string {
 		return nil
 	}
 	var out []string
-	for _, k := range append([]string(nil), b.order...) {
-		if s.expiredLocked(b, k) {
-			s.reapLocked(bucketName, b, k)
-			continue
-		}
+	for _, k := range b.order {
 		if globMatch(k, glob) {
 			out = append(out, k)
 		}
@@ -242,16 +222,10 @@ func (s *Store) Do(command string) ([]Entry, error) {
 			return nil, nil
 		}
 		out := make([]Entry, 0, len(b.order))
-		for _, k := range append([]string(nil), b.order...) {
-			if s.expiredLocked(b, k) {
-				s.reapLocked(args[0], b, k)
-				continue
-			}
+		for _, k := range b.order {
 			out = append(out, Entry{Bucket: args[0], Key: k, Value: b.data[k]})
 		}
 		return out, nil
-	case "SETEX", "EXPIRE", "TTL":
-		return s.doTTLCommand(op, args)
 	default:
 		return nil, fmt.Errorf("kvstore: unknown command %q", op)
 	}

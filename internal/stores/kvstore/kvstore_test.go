@@ -146,9 +146,11 @@ func TestDoCommands(t *testing.T) {
 		t.Errorf("lowercase command: %v", err)
 	}
 	// LEN and EXISTS are refused by the validator by name; Do does not
-	// know them and leaves the bucket as it was.
+	// know them, nor Redis's expiry commands (the store is TTL-free), and
+	// leaves the bucket as it was.
 	before, _ := s.Do("SCAN drop")
-	for _, cmd := range []string{"LEN drop", "EXISTS drop k2", "EXISTS drop ghost"} {
+	for _, cmd := range []string{"LEN drop", "EXISTS drop k2", "EXISTS drop ghost",
+		"SETEX drop k2 10 v", "EXPIRE drop k2 0", "TTL drop k2"} {
 		if got, err := s.Do(cmd); err == nil {
 			t.Errorf("Do(%q) = %+v; want an error", cmd, got)
 		}

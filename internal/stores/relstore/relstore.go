@@ -489,13 +489,3 @@ func (s *Store) PrimaryKey(tableName string) (string, error) {
 	}
 	return t.names[t.pk], nil
 }
-
-// Len returns the number of rows in a table (0 for unknown tables).
-func (s *Store) Len(tableName string) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if t, ok := s.tables[tableName]; ok {
-		return len(t.order)
-	}
-	return 0
-}

@@ -112,7 +112,8 @@ func contents(t *testing.T, s *Store) string {
 	t.Helper()
 	var b strings.Builder
 	for _, name := range s.Tables() {
-		fmt.Fprintf(&b, "%s %d %v\n", name, s.Len(name), mustSelect(t, s, `SELECT * FROM `+name))
+		rows := mustSelect(t, s, `SELECT * FROM `+name)
+		fmt.Fprintf(&b, "%s %d %v\n", name, len(rows), rows)
 	}
 	return b.String()
 }

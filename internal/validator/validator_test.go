@@ -153,7 +153,7 @@ func fixtures(t testing.TB) []core.Store {
 			t.Fatal(err)
 		}
 	}
-	if err := g.AddEdge("n1", "n2", "SIMILAR", nil); err != nil {
+	if err := g.AddEdge("n1", "n2", "SIMILAR"); err != nil {
 		t.Fatal(err)
 	}
 	return []core.Store{

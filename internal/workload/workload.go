@@ -308,9 +308,11 @@ func (b *Built) buildGroup(spec Spec, group int, rng *rand.Rand, deploy Deployme
 			if j == i {
 				continue
 			}
-			weight := fmt.Sprintf("%.2f", 0.1+rng.Float64()*0.9)
-			if err := graph.AddEdge(fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", j), "SIMILAR",
-				map[string]string{"weight": weight}); err != nil {
+			// Edges carry no weight; this draw stands for the one that made
+			// it. The discounts below read the same rng, so dropping the draw
+			// would change the generated data.
+			_ = rng.Float64()
+			if err := graph.AddEdge(fmt.Sprintf("n%d", i), fmt.Sprintf("n%d", j), "SIMILAR"); err != nil {
 				return nil, err
 			}
 		}
